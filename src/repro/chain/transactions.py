@@ -8,10 +8,12 @@ signature, and the signature covers the hash.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
-from repro.common.errors import ValidationError
+from repro.common.errors import CryptoError, ValidationError
 from repro.common.hashing import hash_value
 from repro.common.signatures import KeyPair, PublicKey, Signature
 
@@ -22,6 +24,45 @@ TX_CALL = "call"
 VALID_TX_KINDS = frozenset({TX_TRANSFER, TX_DEPLOY, TX_CALL})
 
 DEFAULT_GAS_LIMIT = 2_000_000
+
+
+class VerifiedSignatures:
+    """Bounded set of ``signing_digest + signature`` strings that verified.
+
+    The wire hands a validator a fresh :class:`Transaction` for the same
+    bytes several times (submission or gossip body, then the block body), and
+    EC verification is the dearest step of admission.  The digest covers
+    ``sender`` and ``public_key``, so digest and signature together fix every
+    input of the check: an entry can only ever answer for a transaction that
+    would verify again.  Only successes are remembered (a forgery costs its
+    sender a full verification every time), the oldest entry is evicted first,
+    and a miss merely verifies again.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._keys: "OrderedDict[bytes, None]" = OrderedDict()  # oldest first
+
+    def __contains__(self, key: bytes) -> bool:
+        with self._lock:
+            return key in self._keys
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._keys)
+
+    def add(self, key: bytes) -> None:
+        with self._lock:
+            self._keys[key] = None
+            if len(self._keys) > self.capacity:
+                self._keys.popitem(last=False)
+
+
+# One per process, shared by every node and RPC handler thread in it.  2048
+# entries (~0.4 MB full) span ten full blocks between a transaction's
+# admission and the arrival of the block that carries it.
+_VERIFIED = VerifiedSignatures(2048)
 
 
 @dataclass(frozen=True)
@@ -100,16 +141,16 @@ class Transaction:
     def verify_signature(self) -> bool:
         """True when signature is valid and matches the sender address.
 
-        Memoized per instance: gossip floods re-validate the same object on
-        every node, and EC verification dominates simulation wall-clock.
-        The cache key includes the signature so a mutated copy re-verifies.
+        Answered from the process-wide :class:`VerifiedSignatures` when these
+        exact bytes verified before, whichever instance carried them.
         """
-        cached = self.__dict__.get("_verify_memo")
-        if cached is not None and cached[0] == self.signature:
-            return cached[1]
-        result = self._verify_signature_uncached()
-        object.__setattr__(self, "_verify_memo", (self.signature, result))
-        return result
+        key = self.signing_digest() + self.signature
+        if key in _VERIFIED:
+            return True
+        if not self._verify_signature_uncached():
+            return False
+        _VERIFIED.add(key)
+        return True
 
     def _verify_signature_uncached(self) -> bool:
         if not self.public_key or not self.signature:
@@ -117,7 +158,7 @@ class Transaction:
         try:
             public = PublicKey(self.public_key)
             signature = Signature.from_bytes(self.signature)
-        except Exception:
+        except CryptoError:
             return False
         if public.address() != self.sender:
             return False

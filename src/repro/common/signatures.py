@@ -15,7 +15,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from repro.common.errors import CryptoError
 
@@ -27,91 +28,176 @@ _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
 Point = Optional[Tuple[int, int]]  # None is the point at infinity.
 
-
-def _point_add(a: Point, b: Point) -> Point:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    ax, ay = a
-    bx, by = b
-    if ax == bx and (ay + by) % _P == 0:
-        return None
-    if a == b:
-        lam = (3 * ax * ax) * pow(2 * ay, _P - 2, _P) % _P
-    else:
-        lam = (by - ay) * pow(bx - ax, _P - 2, _P) % _P
-    x = (lam * lam - ax - bx) % _P
-    y = (lam * (ax - x) - ay) % _P
-    return (x, y)
-
-
-# Scalar multiplication uses Jacobian coordinates: one modular inversion per
-# multiplication instead of one per point addition (~100x faster in pure
-# Python, which dominates simulation wall-clock).
+# Scalar multiplication works in Jacobian coordinates (one modular inversion
+# per result instead of one per addition) and adds only *affine* table
+# entries to the running sum, which saves a third of the field
+# multiplications of a general Jacobian addition.
 _JPoint = Tuple[int, int, int]  # (X, Y, Z); Z == 0 is the point at infinity.
+_INFINITY: _JPoint = (0, 1, 0)
 
 
 def _jac_double(p: _JPoint) -> _JPoint:
+    # secp256k1 has a == 0 and no point with y == 0, and Z == 0 stays 0.
     x, y, z = p
-    if z == 0 or y == 0:
-        return (0, 1, 0)
     ysq = y * y % _P
     s = 4 * x * ysq % _P
-    m = 3 * x * x % _P  # curve parameter a == 0 for secp256k1
+    m = 3 * x * x % _P
     nx = (m * m - 2 * s) % _P
-    ny = (m * (s - nx) - 8 * ysq * ysq) % _P
-    nz = 2 * y * z % _P
-    return (nx, ny, nz)
+    return (nx, (m * (s - nx) - 8 * ysq * ysq) % _P, 2 * y * z % _P)
 
 
-def _jac_add(p: _JPoint, q: _JPoint) -> _JPoint:
-    if p[2] == 0:
-        return q
-    if q[2] == 0:
-        return p
+def _jac_add_affine(p: _JPoint, x2: int, y2: int) -> _JPoint:
+    """``p + (x2, y2)`` for an affine second operand (mixed addition)."""
     x1, y1, z1 = p
-    x2, y2, z2 = q
+    if z1 == 0:
+        return (x2, y2, 1)
     z1sq = z1 * z1 % _P
-    z2sq = z2 * z2 % _P
-    u1 = x1 * z2sq % _P
-    u2 = x2 * z1sq % _P
-    s1 = y1 * z2sq * z2 % _P
-    s2 = y2 * z1sq * z1 % _P
-    if u1 == u2:
-        if s1 != s2:
-            return (0, 1, 0)
-        return _jac_double(p)
-    h = (u2 - u1) % _P
-    r = (s2 - s1) % _P
+    h = (x2 * z1sq - x1) % _P
+    r = (y2 * z1sq * z1 - y1) % _P
+    if h == 0:
+        return _jac_double(p) if r == 0 else _INFINITY
     hsq = h * h % _P
     hcb = hsq * h % _P
-    u1hsq = u1 * hsq % _P
-    nx = (r * r - hcb - 2 * u1hsq) % _P
-    ny = (r * (u1hsq - nx) - s1 * hcb) % _P
-    nz = h * z1 * z2 % _P
-    return (nx, ny, nz)
+    v = x1 * hsq % _P
+    nx = (r * r - hcb - 2 * v) % _P
+    return (nx, (r * (v - nx) - y1 * hcb) % _P, h * z1 % _P)
+
+
+def _batch_to_affine(points: List[_JPoint]) -> List[Tuple[int, int]]:
+    """Affine form of finite points with one inversion (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for point in points:
+        prefix.append(acc)
+        acc = acc * point[2] % _P
+    inv = pow(acc, -1, _P)
+    out: List[Tuple[int, int]] = []
+    for (x, y, z), before in zip(reversed(points), reversed(prefix)):
+        z_inv = inv * before % _P
+        inv = inv * z % _P
+        z_inv_sq = z_inv * z_inv % _P
+        out.append((x * z_inv_sq % _P, y * z_inv_sq * z_inv % _P))
+    out.reverse()
+    return out
 
 
 def _jac_to_affine(p: _JPoint) -> Point:
-    if p[2] == 0:
-        return None
-    z_inv = pow(p[2], _P - 2, _P)
-    z_inv_sq = z_inv * z_inv % _P
-    return (p[0] * z_inv_sq % _P, p[1] * z_inv_sq * z_inv % _P)
+    return None if p[2] == 0 else _batch_to_affine([p])[0]
 
 
-def _point_mul(k: int, point: Point) -> Point:
-    if point is None or k % _N == 0:
-        return None
-    result: _JPoint = (0, 1, 0)
-    addend: _JPoint = (point[0], point[1], 1)
+def _odd_multiples(point: Tuple[int, int], count: int) -> List[Tuple[int, int]]:
+    """``[P, 3P, 5P, ...]``, ``count`` affine entries."""
+    x, y = point
+    ((x2, y2),) = _batch_to_affine([_jac_double((x, y, 1))])
+    chain: List[_JPoint] = [(x, y, 1)]
+    for _ in range(count - 1):
+        chain.append(_jac_add_affine(chain[-1], x2, y2))
+    return _batch_to_affine(chain)
+
+
+def _wnaf(k: int, width: int) -> List[int]:
+    """Width-``width`` non-adjacent form of ``k >= 0``, least significant first.
+
+    Every non-zero digit is odd, below ``2**(width-1)`` in magnitude, and
+    followed by at least ``width - 1`` zeros, so a 256-bit scalar costs about
+    ``256 / (width + 1)`` additions from a table of ``2**(width-2)`` odd
+    multiples.
+    """
+    full = 1 << width
+    gap = [0] * (width - 1)
+    digits: List[int] = []
     while k:
         if k & 1:
-            result = _jac_add(result, addend)
-        addend = _jac_double(addend)
-        k >>= 1
-    return _jac_to_affine(result)
+            digit = k & (full - 1)
+            if digit >= full >> 1:
+                digit -= full
+            k = (k - digit) >> width
+            digits.append(digit)
+            digits += gap
+        else:
+            digits.append(0)
+            k >>= 1
+    return digits
+
+
+# wNAF widths: 64 odd multiples of G are built once per process, 8 odd
+# multiples of the other point once per multiplication.
+_G_WIDTH = 8
+_VAR_WIDTH = 5
+_COMB_ROWS = 64  # 4-bit windows of a 256-bit scalar
+
+# Both G tables are built on first use (~20 ms, ~200 kB together): a process
+# that only queries never pays for them.  A concurrent first use builds the
+# same table twice and keeps one.
+_g_odd: Optional[List[Tuple[int, int]]] = None
+_g_comb: Optional[List[List[Tuple[int, int]]]] = None
+
+
+def _g_odd_multiples() -> List[Tuple[int, int]]:
+    global _g_odd
+    if _g_odd is None:
+        _g_odd = _odd_multiples((_GX, _GY), 1 << (_G_WIDTH - 2))
+    return _g_odd
+
+
+def _g_comb_table() -> List[List[Tuple[int, int]]]:
+    """``table[i][j - 1] == j * 16**i * G`` for ``j`` in 1..15."""
+    global _g_comb
+    if _g_comb is None:
+        rows = []
+        base = (_GX, _GY)
+        for _ in range(_COMB_ROWS):
+            chain: List[_JPoint] = [(base[0], base[1], 1)]
+            for _ in range(15):
+                chain.append(_jac_add_affine(chain[-1], base[0], base[1]))
+            multiples = _batch_to_affine(chain)
+            base = multiples.pop()  # 16 * base starts the next row
+            rows.append(multiples)
+        _g_comb = rows
+    return _g_comb
+
+
+def _base_mul(k: int) -> Point:
+    """``k * G`` for ``0 <= k < 2**256``: one table addition per non-zero nibble."""
+    acc = _INFINITY
+    for row in _g_comb_table():
+        nibble = k & 15
+        if nibble:
+            acc = _jac_add_affine(acc, *row[nibble - 1])
+        k >>= 4
+    return _jac_to_affine(acc)
+
+
+def _double_mul(s: int, e: int, point: Tuple[int, int]) -> Point:
+    """``s*G + e*point`` in one interleaved pass (Strauss-Shamir over wNAF).
+
+    The two scalars share the 256 doublings; each contributes only its own
+    table additions.  ``s`` and ``e`` must be non-negative.
+    """
+    g_digits = _wnaf(s, _G_WIDTH)
+    p_digits = _wnaf(e, _VAR_WIDTH)
+    g_table = _g_odd_multiples()
+    p_table = _odd_multiples(point, 1 << (_VAR_WIDTH - 2))
+    length = max(len(g_digits), len(p_digits))
+    g_digits += [0] * (length - len(g_digits))
+    p_digits += [0] * (length - len(p_digits))
+    acc = _INFINITY
+    for i in range(length - 1, -1, -1):
+        if acc[2]:
+            acc = _jac_double(acc)
+        for digit, table in ((g_digits[i], g_table), (p_digits[i], p_table)):
+            if digit > 0:
+                x2, y2 = table[digit >> 1]
+                acc = _jac_add_affine(acc, x2, y2)
+            elif digit:
+                x2, y2 = table[-digit >> 1]
+                acc = _jac_add_affine(acc, x2, _P - y2)
+    return _jac_to_affine(acc)
+
+
+def _point_mul(k: int, point: Tuple[int, int]) -> Point:
+    """``k * point`` for an arbitrary curve point (ECDH)."""
+    return _double_mul(0, k % _N, point)
 
 
 def _encode_point(point: Point) -> bytes:
@@ -121,12 +207,22 @@ def _encode_point(point: Point) -> bytes:
     return b"\x02" + x.to_bytes(32, "big") if y % 2 == 0 else b"\x03" + x.to_bytes(32, "big")
 
 
-def _lift_x(data: bytes) -> Point:
+def _decode_x(data: bytes) -> int:
+    """The x-coordinate of a compressed point whose encoding is well formed."""
     if len(data) != 33 or data[0] not in (2, 3):
         raise CryptoError("invalid compressed point encoding")
     x = int.from_bytes(data[1:], "big")
     if x >= _P:
         raise CryptoError("point x out of range")
+    return x
+
+
+# A node sees few distinct keys (validators, active senders) and sees each of
+# them on every transaction, so the square root is paid once per key; a
+# rejected encoding raises and is not remembered.
+@lru_cache(maxsize=256)
+def _lift_x(data: bytes) -> Tuple[int, int]:
+    x = _decode_x(data)
     y_sq = (pow(x, 3, _P) + 7) % _P
     y = pow(y_sq, (_P + 1) // 4, _P)
     if y * y % _P != y_sq:
@@ -148,10 +244,12 @@ class PublicKey:
     data: bytes
 
     def __post_init__(self) -> None:
+        if not isinstance(self.data, bytes):
+            raise CryptoError("public key must be bytes")
         _lift_x(self.data)  # validate eagerly
 
     @property
-    def point(self) -> Point:
+    def point(self) -> Tuple[int, int]:
         return _lift_x(self.data)
 
     def address(self) -> str:
@@ -159,18 +257,26 @@ class PublicKey:
         return hashlib.sha256(self.data).hexdigest()[:40]
 
     def verify(self, message: bytes, signature: "Signature") -> bool:
-        """Schnorr verification: R = s*G - e*P and e == H(R || P || m)."""
+        """Schnorr verification: R = s*G - e*P and e == H(R || P || m).
+
+        ``R`` is not lifted to a point: the candidate is on the curve, so it
+        equals the point ``signature.r`` encodes exactly when x-coordinate
+        and y-parity match, and an ``r`` whose x is not on the curve matches
+        no candidate.
+        """
         if not 0 < signature.s < _N:
             return False
         try:
-            r_point = _lift_x(signature.r)
+            r_x = _decode_x(signature.r)
         except CryptoError:
             return False
         e = _tagged_hash(b"medchain/schnorr", signature.r + self.data + message)
-        s_g = _point_mul(signature.s, (_GX, _GY))
-        neg_e_p = _point_mul(_N - e, self.point)
-        candidate = _point_add(s_g, neg_e_p)
-        return candidate == r_point
+        candidate = _double_mul(signature.s, (_N - e) % _N, self.point)
+        return (
+            candidate is not None
+            and candidate[0] == r_x
+            and candidate[1] & 1 == signature.r[0] & 1
+        )
 
 
 @dataclass(frozen=True)
@@ -212,8 +318,7 @@ class PrivateKey:
             counter += 1
 
     def public_key(self) -> PublicKey:
-        point = _point_mul(self.secret, (_GX, _GY))
-        return PublicKey(_encode_point(point))
+        return PublicKey(_encode_point(_base_mul(self.secret)))
 
     def _nonce(self, message: bytes) -> int:
         """Deterministic nonce (RFC-6979 flavoured HMAC construction)."""
@@ -228,12 +333,16 @@ class PrivateKey:
                 return k
             counter += 1
 
-    def sign(self, message: bytes) -> Signature:
-        """Produce a Schnorr signature over ``message``."""
+    def sign(self, message: bytes, public: Optional[PublicKey] = None) -> Signature:
+        """Produce a Schnorr signature over ``message``.
+
+        ``public`` is this key's public key when the caller already holds it
+        (:class:`KeyPair` does); without it the key is derived, which costs
+        as much as the signature itself.
+        """
         k = self._nonce(message)
-        r_point = _point_mul(k, (_GX, _GY))
-        r_bytes = _encode_point(r_point)
-        pub = self.public_key()
+        r_bytes = _encode_point(_base_mul(k))
+        pub = public if public is not None else self.public_key()
         e = _tagged_hash(b"medchain/schnorr", r_bytes + pub.data + message)
         s = (k + e * self.secret) % _N
         return Signature(r=r_bytes, s=s)
@@ -273,4 +382,4 @@ class KeyPair:
         return self.public.address()
 
     def sign(self, message: bytes) -> Signature:
-        return self.private.sign(message)
+        return self.private.sign(message, self.public)

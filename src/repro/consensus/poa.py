@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.chain.blocks import Block
-from repro.common.errors import ConsensusError
+from repro.common.errors import ConsensusError, CryptoError
 from repro.common.signatures import KeyPair, PublicKey, Signature
 from repro.consensus.base import ConsensusEngine, ProposalPlan
 from repro.obs.tracer import trace_span
@@ -104,6 +104,6 @@ class ProofOfAuthority(ConsensusEngine):
             return False
         try:
             signature = Signature.from_bytes(bytes(raw))
-        except Exception:
+        except CryptoError:
             return False
         return public.verify(block.header.mining_digest(), signature)

@@ -1,16 +1,22 @@
 """Transaction signing, validation, and builder tests."""
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
+from repro.chain import transactions
 from repro.chain.transactions import (
     Transaction,
+    VerifiedSignatures,
     make_call,
     make_deploy,
     make_transfer,
 )
 from repro.common.errors import ValidationError
+from repro.common.signatures import PublicKey
+from repro.p2p.wire import tx_from_wire, tx_to_wire
 
 
 def test_transfer_builder_signs_validly(alice):
@@ -97,3 +103,134 @@ def test_signing_digest_memo_not_stale(alice):
     first = tx.signing_digest()
     copied = dataclasses.replace(tx, nonce=1)
     assert copied.signing_digest() != first
+
+
+# -- the process-wide set of verified (digest, signature) pairs ----------------
+
+
+@pytest.fixture
+def verified(monkeypatch):
+    """A private, small set in place of the process-wide one."""
+    fresh = VerifiedSignatures(4)
+    monkeypatch.setattr(transactions, "_VERIFIED", fresh)
+    return fresh
+
+
+@pytest.fixture
+def ec_verifies(monkeypatch):
+    """Counts the calls that reach the elliptic-curve check."""
+    calls = []
+    real = PublicKey.verify
+
+    def counting(self, message, signature):
+        calls.append(message)
+        return real(self, message, signature)
+
+    monkeypatch.setattr(PublicKey, "verify", counting)
+    return calls
+
+
+def _over_the_wire(tx):
+    return tx_from_wire(tx_to_wire(tx))
+
+
+def test_fresh_copy_from_the_wire_is_not_verified_again(alice, verified, ec_verifies):
+    tx = make_transfer(alice, "r", 5, nonce=0)
+    tx.validate()
+    assert len(ec_verifies) == 1
+    for _ in range(3):  # gossip body, block body, a resend
+        copy = _over_the_wire(tx)
+        assert copy is not tx
+        copy.validate()
+    assert len(ec_verifies) == 1
+    assert len(verified) == 1
+
+
+def test_altered_copies_are_not_answered_from_the_set(alice, bob, verified, ec_verifies):
+    tx = make_transfer(alice, "r", 5, nonce=0)
+    assert tx.verify_signature()
+    bad_signature = tx.signature[:-1] + bytes([tx.signature[-1] ^ 1])
+    altered = [
+        dataclasses.replace(tx, signature=bad_signature),
+        dataclasses.replace(tx, public_key=bob.public.data),
+        dataclasses.replace(tx, sender=bob.address),
+        dataclasses.replace(tx, payload={"to": "r", "amount": 6}),
+    ]
+    for copy in altered:
+        assert not _over_the_wire(copy).verify_signature()
+        with pytest.raises(ValidationError):
+            copy.validate()
+    assert len(verified) == 1  # still only the original
+
+
+def test_invalid_results_are_never_remembered(alice, verified, ec_verifies):
+    tx = make_transfer(alice, "r", 5, nonce=0)
+    forged = dataclasses.replace(tx, signature=tx.signature[:-1] + b"\x00")
+    assert not forged.verify_signature()
+    assert not forged.verify_signature()
+    assert not _over_the_wire(forged).verify_signature()
+    assert len(ec_verifies) == 3
+    assert len(verified) == 0
+
+
+def test_set_never_exceeds_its_size_and_evicts_oldest_first(alice, verified, ec_verifies):
+    txs = [make_transfer(alice, "r", 1, nonce=n) for n in range(7)]
+    for tx in txs:
+        tx.validate()
+        assert len(verified) <= verified.capacity
+    assert len(verified) == verified.capacity == 4
+    assert len(ec_verifies) == 7
+    _over_the_wire(txs[-1]).validate()  # newest: still remembered
+    assert len(ec_verifies) == 7
+    _over_the_wire(txs[0]).validate()  # oldest: evicted, verified again
+    assert len(ec_verifies) == 8
+    assert len(verified) == 4
+
+
+def test_process_wide_set_is_bounded():
+    assert isinstance(transactions._VERIFIED, VerifiedSignatures)
+    assert transactions._VERIFIED.capacity == 2048
+    assert len(transactions._VERIFIED) <= 2048
+
+
+def test_eight_threads_validating_overlapping_txs_agree(alice, bob, verified):
+    """RPC handlers run ``validate`` under ``asyncio.to_thread``; the set is
+    smaller than the working set here, so adds, evictions and lookups race."""
+    good = [make_transfer(alice, "r", 1, nonce=n) for n in range(6)]
+    good += [make_transfer(bob, "r", 1, nonce=n) for n in range(6)]
+    forged = [
+        dataclasses.replace(tx, signature=tx.signature[:-1] + bytes([tx.signature[-1] ^ 1]))
+        for tx in good[:4]
+    ]
+    expected = {
+        tx.tx_id + tx.signature.hex(): tx._verify_signature_uncached() for tx in good + forged
+    }
+    assert sum(expected.values()) == len(good)
+    wires = [tx_to_wire(tx) for tx in good + forged]
+    errors, disagreements = [], []
+
+    def worker(offset):
+        try:
+            for round_ in range(3):
+                for i in range(len(wires)):
+                    tx = tx_from_wire(wires[(i * (offset + 1) + round_) % len(wires)])
+                    if tx.verify_signature() is not expected[tx.tx_id + tx.signature.hex()]:
+                        disagreements.append(tx.tx_id)
+                    assert len(verified) <= verified.capacity
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert disagreements == []
+    assert len(verified) == verified.capacity

@@ -7,8 +7,16 @@ merge per task.  This guard runs an instrumented ``map_tasks`` batch over a
 workload of a few milliseconds per task and requires it to stay within 5%
 of a bare Python loop over the same functions (a *stricter* baseline than
 pre-instrumentation ``map_tasks``, which already carried retry/ordering
-machinery).  Best-of-several-trials timing on both sides resists scheduler
-noise on shared CI boxes.
+machinery).
+
+The two sides are timed alternately, in short back-to-back pairs, and each
+pair gives one instrumented/raw ratio; the guard reads the lower quartile of
+those ratios.  Other tenants of a shared box only ever add time, in bursts of
+100 ms and more, so a burst spoils the pairs it lands on and leaves the rest
+alone, whereas timing each side in its own block lets one burst shift a whole
+side.  On a host where single batches ranged 60-190 ms, best-of-block ratios
+read 0.86x-1.17x from run to run and the lower-quartile pair ratio
+0.97x-1.01x.
 """
 
 import time
@@ -17,8 +25,8 @@ from repro.obs.tracer import NOOP_SPAN, disable, trace_span
 from repro.parallel.executor import SerialExecutor, TaskSpec
 
 TASK_ITERS = 50000
-TASK_COUNT = 20
-TRIALS = 3
+TASK_COUNT = 5
+TRIALS = 28
 MAX_OVERHEAD = 1.05
 
 
@@ -29,13 +37,17 @@ def _busy_task(iters):
     return total
 
 
-def _best_of(trials, run):
-    best = float("inf")
-    for __ in range(trials):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _timed(run):
+    start = time.perf_counter()
+    run()
+    return time.perf_counter() - start
+
+
+def _lower_quartile_pair(trials, first, second):
+    """The (first, second) timing pair whose second/first ratio sits at the lower quartile."""
+    pairs = [(_timed(first), _timed(second)) for __ in range(trials)]
+    pairs.sort(key=lambda pair: pair[1] / pair[0])
+    return pairs[trials // 4]
 
 
 def test_disabled_tracer_map_tasks_overhead_within_5_percent():
@@ -59,8 +71,7 @@ def test_disabled_tracer_map_tasks_overhead_within_5_percent():
     raw_loop()
     instrumented()
 
-    baseline = _best_of(TRIALS, raw_loop)
-    traced = _best_of(TRIALS, instrumented)
+    baseline, traced = _lower_quartile_pair(TRIALS, raw_loop, instrumented)
     overhead = traced / baseline
     assert overhead <= MAX_OVERHEAD, (
         f"disabled-tracer map_tasks took {overhead:.3f}x the raw loop "
