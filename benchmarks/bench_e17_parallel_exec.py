@@ -108,6 +108,10 @@ def run_experiment(fast=False, backends=("thread", "process")):
     serial_low, root_low, receipts_low = run_serial(state, low_conflict)
     serial_full, root_full, receipts_full = run_serial(state, full_conflict)
 
+    # Gas is identical on every backend (receipts are compared below), so
+    # gas/s is the block's gas over each backend's wall time.
+    block_gas = sum(receipt.gas_used for receipt in receipts_low)
+
     rows = []
     equivalent = True
     for backend in backends:
@@ -129,6 +133,7 @@ def run_experiment(fast=False, backends=("thread", "process")):
             "backend": backend,
             "low_conflict_s": low_s,
             "speedup": serial_low / low_s if low_s else 0.0,
+            "gas_per_s": block_gas / low_s if low_s else 0.0,
             "parallel_committed": low_stats["txs_parallel_committed"],
             "waves": low_stats["waves"],
             "full_conflict_s": full_s,
@@ -141,6 +146,7 @@ def run_experiment(fast=False, backends=("thread", "process")):
         "workers": workers,
         "serial_low_conflict_s": serial_low,
         "serial_full_conflict_s": serial_full,
+        "low_conflict_block_gas": block_gas,
         "backends": rows,
         "equivalent": equivalent,
     }

@@ -25,4 +25,3 @@ GAS_CALL_BASE = 5_000  # intrinsic cost of a call transaction
 
 MAX_CALL_DEPTH = 32
 MAX_ITERATIONS_PER_LOOP = 1_000_000
-MAX_COLLECTION_SIZE = 1_000_000

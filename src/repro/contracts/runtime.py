@@ -21,7 +21,12 @@ from repro.chain.executor import (
 )
 from repro.chain.state import StateDB
 from repro.chain.transactions import TX_CALL, TX_DEPLOY, TX_TRANSFER, Transaction
-from repro.common.errors import ChainError, ContractError, OutOfGasError
+from repro.common.errors import (
+    ChainError,
+    ContractError,
+    OutOfGasError,
+    SerializationError,
+)
 from repro.common.hashing import hash_value_hex, sha256_hex
 from repro.common.serialize import canonical_bytes
 from repro.obs.tracer import trace_span
@@ -69,6 +74,18 @@ def _isolate(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, str, bytes)):
         return value
     return copy.deepcopy(value)
+
+
+def _deterministic_bytes(value: Any) -> bytes:
+    """Canonical encoding of a value a contract hands to the host.
+
+    Anything with no canonical form (a float, a function, a dict keyed by
+    ints) would differ between nodes or crash the encoder; it fails the call.
+    """
+    try:
+        return canonical_bytes(value, allow_float=False)
+    except SerializationError as exc:
+        raise ContractError(f"value is not serializable: {exc}") from exc
 
 
 #: Every name the bridge injects into contract scope.  The static analyzer
@@ -144,7 +161,7 @@ class HostBridge:
     def storage_set(self, key: str, value: Any) -> None:
         self._guard_write()
         self._meter.charge(G.GAS_STORAGE_WRITE)
-        canonical_bytes(value, allow_float=False)  # determinism check
+        _deterministic_bytes(value)
         self._state.set_slot(
             self._contract_id, STORAGE_PREFIX + str(key), _isolate(value)
         )
@@ -174,7 +191,7 @@ class HostBridge:
     def emit(self, name: str, data: Dict[str, Any]) -> None:
         self._guard_write()
         self._meter.charge(G.GAS_EMIT_EVENT)
-        canonical_bytes(data, allow_float=False)
+        _deterministic_bytes(data)
         self._events.append(
             ContractEvent(
                 contract_id=self._contract_id,
@@ -191,7 +208,7 @@ class HostBridge:
         return True
 
     def sha256_hex(self, value: Any) -> str:
-        data = canonical_bytes(value, allow_float=False)
+        data = _deterministic_bytes(value)
         self._meter.charge(G.GAS_HASH_PER_BYTE * len(data))
         return sha256_hex(data)
 

@@ -1,4 +1,4 @@
-"""MedScript: a deterministic, gas-metered smart-contract interpreter.
+"""MedScript: a deterministic, gas-metered smart-contract VM.
 
 Contracts are written in a strict subset of Python (parsed with ``ast``,
 never ``exec``).  The subset is chosen so that execution is *deterministic
@@ -18,10 +18,32 @@ mutable state: what remains is small enough to audit and big enough to be
 Turing-complete (bounded by gas), matching the paper's "arbitrary
 computation codes" framing.
 
+Execution model: :func:`compile_contract` validates the module and then
+lowers every function, once, into a tree of Python closures.  Each AST node
+becomes one callable ``(meter, env, interpreter)`` whose node type, operator,
+child closures and gas constants were resolved when it was built, so running
+a contract dispatches on nothing.  The lowered form holds no per-call state
+(that lives in the ``GasMeter``, the ``env`` dict of one function activation
+and the :class:`Interpreter`), so one :class:`ContractSource` is shared by
+every call, thread and node of a process.
+
+Gas is consensus: a closure charges exactly what the node-by-node tree walk
+it replaced charged, in the same order relative to every child evaluation,
+host call and raise site.  ``GasMeter.used`` is therefore the same integer on
+success, on a ``ContractError`` and at the charge that overshoots the limit.
+The walker lives on as ``tests/contracts/vm_oracle.py``, and the differential
+suite holds the two to identical results, gas, error text and host-call order,
+at every gas limit from zero to the full cost.
+
+Python errors a contract can provoke (``1 // 0``, ``-'a'``, ``1 < 'a'``, a
+bad subscript, iterating an int, ...) surface as :class:`ContractError`, so
+the runtime turns them into a failed receipt instead of letting them escape
+block execution.
+
 State aliasing: the world state stores values by reference (the
 immutable-value convention of ``repro.chain.state``), so the host bridge
 copies every container crossing the ``storage_get``/``storage_set``
-boundary.  Interpreter code may therefore freely mutate values it read
+boundary.  Contract code may therefore freely mutate values it read
 from storage — the mutation only becomes state once written back.
 Authors of new host functions must preserve this isolation: never hand a
 reference obtained from ``StateDB`` to contract code, and never store a
@@ -31,25 +53,17 @@ reference contract code can still reach.
 from __future__ import annotations
 
 import ast
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import ContractError, OutOfGasError
 from repro.contracts import gas as G
 from repro.obs.tracer import trace_span
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value: Any):
-        self.value = value
-
-
-class _BreakSignal(Exception):
-    pass
-
-
-class _ContinueSignal(Exception):
-    pass
+def _out_of_gas(meter: "GasMeter") -> OutOfGasError:
+    return OutOfGasError(f"out of gas: used {meter.used} > limit {meter.limit}")
 
 
 class GasMeter:
@@ -62,7 +76,7 @@ class GasMeter:
     def charge(self, amount: int) -> None:
         self.used += amount
         if self.used > self.limit:
-            raise OutOfGasError(f"out of gas: used {self.used} > limit {self.limit}")
+            raise _out_of_gas(self)
 
     @property
     def remaining(self) -> int:
@@ -70,25 +84,32 @@ class GasMeter:
 
 
 _ALLOWED_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.FloorDiv: lambda a, b: a // b,
-    ast.Mod: lambda a, b: a % b,
-    ast.Pow: lambda a, b: a ** b,
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+    ast.Pow: operator.pow,
 }
 
-_ALLOWED_COMPARE = {
-    ast.Eq: lambda a, b: a == b,
-    ast.NotEq: lambda a, b: a != b,
-    ast.Lt: lambda a, b: a < b,
-    ast.LtE: lambda a, b: a <= b,
-    ast.Gt: lambda a, b: a > b,
-    ast.GtE: lambda a, b: a >= b,
+_ALLOWED_UNARY = {
+    ast.USub: operator.neg,
+    ast.UAdd: operator.pos,
+    ast.Not: operator.not_,
+}
+
+# Every ``ast.cmpop`` there is; a comparison cannot name a disallowed one.
+_COMPARE = {
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
     ast.In: lambda a, b: a in b,
     ast.NotIn: lambda a, b: a not in b,
-    ast.Is: lambda a, b: a is b,
-    ast.IsNot: lambda a, b: a is not b,
+    ast.Is: operator.is_,
+    ast.IsNot: operator.is_not,
 }
 
 _PURE_BUILTINS: Dict[str, Callable[..., Any]] = {
@@ -111,21 +132,36 @@ _PURE_BUILTINS: Dict[str, Callable[..., Any]] = {
     "divmod": divmod,
 }
 
+#: What operators, subscripts, builtins and host functions raise on bad
+#: contract values; each site converts them to :class:`ContractError`.
+_VALUE_ERRORS = (
+    TypeError,
+    ValueError,
+    ZeroDivisionError,
+    OverflowError,
+    KeyError,
+    IndexError,
+)
+
+_FLOAT_ERROR = "floats are forbidden in contracts (non-deterministic)"
+
 
 def _check_value(value: Any) -> Any:
     """Reject non-deterministic value types (floats, sets, objects)."""
     if isinstance(value, float):
-        raise ContractError("floats are forbidden in contracts (non-deterministic)")
+        raise ContractError(_FLOAT_ERROR)
     return value
 
 
 @dataclass
 class ContractSource:
-    """Parsed and statically-checked contract module."""
+    """Parsed, statically-checked and lowered contract module."""
 
     source: str
     functions: Dict[str, ast.FunctionDef] = field(default_factory=dict)
     constants: Dict[str, Any] = field(default_factory=dict)
+    #: The closures :class:`Interpreter` runs, one entry per ``functions`` key.
+    code: Dict[str, "_Function"] = field(default_factory=dict, repr=False)
 
     @property
     def methods(self) -> List[str]:
@@ -133,7 +169,7 @@ class ContractSource:
 
 
 def compile_contract(source: str) -> ContractSource:
-    """Parse and statically validate a MedScript contract module.
+    """Parse, statically validate and lower a MedScript contract module.
 
     Top level may contain only function definitions and constant
     assignments.  Raises :class:`ContractError` on any disallowed syntax.
@@ -159,6 +195,10 @@ def compile_contract(source: str) -> ContractSource:
             )
     if not compiled.functions:
         raise ContractError("contract defines no functions")
+    # Lowered last: a closure binds the module's constants and sibling
+    # functions, which may be defined below the function that names them.
+    for name, func in compiled.functions.items():
+        compiled.code[name] = _Function(func, compiled)
     return compiled
 
 
@@ -212,8 +252,670 @@ def _validate_function(func: ast.FunctionDef) -> None:
             raise ContractError(f"{func.name}: use // (true division yields floats)")
 
 
+# -- lowering ------------------------------------------------------------------
+#
+# A closure is called as ``closure(meter, env, rt)``: the GasMeter, the local
+# variables of the running function activation, and the Interpreter (for the
+# host functions and the call depth).  Expression closures return the value.
+# Statement closures return ``None`` to fall through to the next statement, or
+# the signal that leaves the enclosing block: ``_BREAK``, ``_CONTINUE`` or a
+# 1-tuple holding the value of a ``return``.
+#
+# The hot closures spell ``meter.charge(n)`` out in place (add, store, compare,
+# raise ``_out_of_gas``) because that method call would be a third of their
+# cost; the rest call it.
+
+_Closure = Callable[["GasMeter", Dict[str, Any], "Interpreter"], Any]
+_Store = Callable[[Any, "GasMeter", Dict[str, Any], "Interpreter"], None]
+
+_GAS_EXPR = G.GAS_EXPRESSION
+_GAS_STMT = G.GAS_STATEMENT
+_GAS_LOOP = G.GAS_LOOP_ITERATION
+_MAX_LOOP = G.MAX_ITERATIONS_PER_LOOP
+
+_BREAK = "break"
+_CONTINUE = "continue"
+_RETURN_NONE = (None,)
+_MISSING: Any = object()
+
+
+def _raising(gas: int, message: str) -> _Closure:
+    """A node the subset has no meaning for: charged when reached, then fatal."""
+
+    def run(m, env, rt):
+        m.charge(gas)
+        raise ContractError(message)
+
+    return run
+
+
+class _Function:
+    """One contract function lowered to closures: argument binding and a body."""
+
+    __slots__ = ("name", "params", "defaults", "constants", "body")
+
+    def __init__(self, func: ast.FunctionDef, contract: ContractSource):
+        self.name = func.name
+        self.params = [arg.arg for arg in func.args.args]
+        defaults = func.args.defaults
+        self.defaults = list(zip(self.params[len(self.params) - len(defaults):], defaults))
+        self.constants = contract.constants
+        self.body = _Lowering(func, contract).block(func.body)
+
+    def invoke(self, m: GasMeter, rt: "Interpreter", args: Dict[str, Any]) -> Any:
+        rt.depth += 1
+        if rt.depth > G.MAX_CALL_DEPTH:
+            raise ContractError("max call depth exceeded")
+        m.charge(G.GAS_CALL)
+        env: Dict[str, Any] = dict(self.constants)
+        # Bind defaults (right-aligned; rebuilt per call, a default may be a
+        # list), then override with provided args.
+        for param, default in self.defaults:
+            env[param] = _literal(default)
+        for param in self.params:
+            if param in args:
+                env[param] = _check_value(args[param])
+        missing = [p for p in self.params if p not in env]
+        if missing:
+            raise ContractError(f"{self.name}: missing arguments {missing}")
+        extra = set(args) - set(self.params)
+        if extra:
+            raise ContractError(f"{self.name}: unexpected arguments {sorted(extra)}")
+        try:
+            signal = self.body(m, env, rt)
+        finally:
+            rt.depth -= 1
+        if signal is None:
+            return None
+        if signal.__class__ is tuple:
+            return signal[0]
+        raise ContractError(f"{signal!r} outside loop")
+
+
+class _Lowering:
+    """Builds the closures of one function body; used once, by ``_Function``."""
+
+    def __init__(self, func: ast.FunctionDef, contract: ContractSource):
+        self.functions = contract.functions
+        self.code = contract.code
+        # Only these names can ever be in ``env``; any other resolves straight
+        # to host functions, builtins or contract functions.
+        self.maybe_local = (
+            {arg.arg for arg in func.args.args}
+            | set(contract.constants)
+            | {
+                node.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            }
+        )
+
+    # -- statements ----------------------------------------------------------
+    def block(self, body: Sequence[ast.stmt]) -> Optional[_Closure]:
+        """Run statements in order until one signals; ``None`` for an empty block."""
+        stmts = tuple(self.stmt(node) for node in body)
+        if len(stmts) <= 1:
+            return stmts[0] if stmts else None
+
+        def run(m, env, rt):
+            for stmt in stmts:
+                signal = stmt(m, env, rt)
+                if signal is not None:
+                    return signal
+            return None
+
+        return run
+
+    def stmt(self, node: ast.stmt) -> _Closure:
+        lower = getattr(self, "_stmt_" + type(node).__name__, None)
+        if lower is None:
+            return _raising(_GAS_STMT, f"disallowed statement {type(node).__name__}")
+        return lower(node)
+
+    def _stmt_Return(self, node: ast.Return) -> _Closure:
+        value = self.expr(node.value) if node.value else None
+
+        def run(m, env, rt):
+            used = m.used + _GAS_STMT
+            m.used = used
+            if used > m.limit:
+                raise _out_of_gas(m)
+            return (value(m, env, rt),) if value else _RETURN_NONE
+
+        return run
+
+    def _stmt_Assign(self, node: ast.Assign) -> _Closure:
+        value = self.expr(node.value)
+        if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            name = node.targets[0].id
+
+            def run_name(m, env, rt):
+                used = m.used + _GAS_STMT
+                m.used = used
+                if used > m.limit:
+                    raise _out_of_gas(m)
+                env[name] = value(m, env, rt)
+
+            return run_name
+        stores = tuple(self.store(target) for target in node.targets)
+
+        def run(m, env, rt):
+            used = m.used + _GAS_STMT
+            m.used = used
+            if used > m.limit:
+                raise _out_of_gas(m)
+            result = value(m, env, rt)
+            for store in stores:
+                store(result, m, env, rt)
+
+        return run
+
+    def _stmt_AugAssign(self, node: ast.AugAssign) -> _Closure:
+        op = _ALLOWED_BINOPS.get(type(node.op))
+        if op is None:
+            return _raising(_GAS_STMT, f"disallowed operator {type(node.op).__name__}")
+        target = node.target
+        value = self.expr(node.value)
+        # The target is read without an expression charge of its own and, for
+        # a subscript, evaluated a second time by the store.
+        store = self.store(target)
+        if isinstance(target, ast.Name):
+            name = target.id
+
+            def load(m, env, rt):
+                if name not in env:
+                    raise ContractError(f"undefined name {name!r}")
+                return env[name]
+
+        elif isinstance(target, ast.Subscript):
+            container = self.expr(target.value)
+            key = self.expr(target.slice)
+
+            def load(m, env, rt):
+                items = container(m, env, rt)
+                index = key(m, env, rt)
+                try:
+                    return items[index]
+                except _VALUE_ERRORS as exc:
+                    raise ContractError(f"subscript error: {exc}") from exc
+
+        else:
+            return _raising(_GAS_STMT, "invalid augmented-assignment target")
+
+        def run(m, env, rt):
+            m.charge(_GAS_STMT)
+            current = load(m, env, rt)
+            operand = value(m, env, rt)
+            try:
+                result = op(current, operand)
+            except _VALUE_ERRORS as exc:
+                raise ContractError(f"arithmetic error: {exc}") from exc
+            store(_check_value(result), m, env, rt)
+
+        return run
+
+    def _stmt_If(self, node: ast.If) -> _Closure:
+        test = self.expr(node.test)
+        body = self.block(node.body)
+        orelse = self.block(node.orelse)
+
+        def run(m, env, rt):
+            used = m.used + _GAS_STMT
+            m.used = used
+            if used > m.limit:
+                raise _out_of_gas(m)
+            if test(m, env, rt):
+                return body(m, env, rt)
+            if orelse is not None:
+                return orelse(m, env, rt)
+            return None
+
+        return run
+
+    def _stmt_While(self, node: ast.While) -> _Closure:
+        test = self.expr(node.test)
+        body = self.block(node.body)
+        orelse = self.block(node.orelse)
+
+        def run(m, env, rt):
+            m.charge(_GAS_STMT)
+            iterations = 0
+            while test(m, env, rt):
+                iterations += 1
+                if iterations > _MAX_LOOP:
+                    raise ContractError("loop iteration limit exceeded")
+                used = m.used + _GAS_LOOP
+                m.used = used
+                if used > m.limit:
+                    raise _out_of_gas(m)
+                signal = body(m, env, rt)
+                if signal is None or signal is _CONTINUE:
+                    continue
+                if signal is _BREAK:
+                    return None
+                return signal
+            if orelse is not None:
+                return orelse(m, env, rt)
+            return None
+
+        return run
+
+    def _stmt_For(self, node: ast.For) -> _Closure:
+        iterable = self.expr(node.iter)
+        store = self.store(node.target)
+        body = self.block(node.body)
+        orelse = self.block(node.orelse)
+
+        def run(m, env, rt):
+            m.charge(_GAS_STMT)
+            values = iterable(m, env, rt)
+            try:
+                iterator = iter(values)
+            except TypeError as exc:
+                raise ContractError(f"iteration error: {exc}") from exc
+            iterations = 0
+            while True:
+                try:
+                    item = next(iterator, _MISSING)
+                except RuntimeError as exc:  # dict resized by the loop body
+                    raise ContractError(f"iteration error: {exc}") from exc
+                if item is _MISSING:
+                    break
+                iterations += 1
+                if iterations > _MAX_LOOP:
+                    raise ContractError("loop iteration limit exceeded")
+                used = m.used + _GAS_LOOP
+                m.used = used
+                if used > m.limit:
+                    raise _out_of_gas(m)
+                store(_check_value(item), m, env, rt)
+                signal = body(m, env, rt)
+                if signal is None or signal is _CONTINUE:
+                    continue
+                if signal is _BREAK:
+                    return None
+                return signal
+            if orelse is not None:
+                return orelse(m, env, rt)
+            return None
+
+        return run
+
+    def _stmt_Expr(self, node: ast.Expr) -> _Closure:
+        value = self.expr(node.value)
+
+        def run(m, env, rt):
+            used = m.used + _GAS_STMT
+            m.used = used
+            if used > m.limit:
+                raise _out_of_gas(m)
+            value(m, env, rt)
+
+        return run
+
+    def _stmt_Pass(self, node: ast.Pass) -> _Closure:
+        def run(m, env, rt):
+            m.charge(_GAS_STMT)
+
+        return run
+
+    def _stmt_Break(self, node: ast.Break) -> _Closure:
+        def run(m, env, rt):
+            m.charge(_GAS_STMT)
+            return _BREAK
+
+        return run
+
+    def _stmt_Continue(self, node: ast.Continue) -> _Closure:
+        def run(m, env, rt):
+            m.charge(_GAS_STMT)
+            return _CONTINUE
+
+        return run
+
+    def _stmt_Assert(self, node: ast.Assert) -> _Closure:
+        test = self.expr(node.test)
+        message = self.expr(node.msg) if node.msg else None
+
+        def run(m, env, rt):
+            m.charge(_GAS_STMT)
+            if not test(m, env, rt):
+                text = message(m, env, rt) if message else "assertion failed"
+                raise ContractError(str(text))
+
+        return run
+
+    # -- assignment targets ----------------------------------------------------
+    def store(self, target: ast.expr) -> _Store:
+        if isinstance(target, ast.Name):
+            name = target.id
+
+            def store_name(value, m, env, rt):
+                env[name] = value
+
+            return store_name
+        if isinstance(target, ast.Subscript):
+            container = self.expr(target.value)
+            key = self.expr(target.slice)
+
+            def store_item(value, m, env, rt):
+                items = container(m, env, rt)
+                index = key(m, env, rt)
+                try:
+                    items[index] = value
+                except _VALUE_ERRORS as exc:
+                    raise ContractError(f"subscript error: {exc}") from exc
+
+            return store_item
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stores = tuple(self.store(element) for element in target.elts)
+
+            def store_unpacked(value, m, env, rt):
+                try:
+                    values = list(value)
+                except TypeError as exc:
+                    raise ContractError(f"unpacking error: {exc}") from exc
+                if len(values) != len(stores):
+                    raise ContractError("unpacking arity mismatch")
+                for store, item in zip(stores, values):
+                    store(_check_value(item), m, env, rt)
+
+            return store_unpacked
+        message = f"cannot assign to {type(target).__name__}"
+
+        def store_nothing(value, m, env, rt):
+            raise ContractError(message)
+
+        return store_nothing
+
+    # -- expressions ---------------------------------------------------------
+    def expr(self, node: ast.expr) -> _Closure:
+        lower = getattr(self, "_expr_" + type(node).__name__, None)
+        if lower is None:
+            return _raising(_GAS_EXPR, f"disallowed expression {type(node).__name__}")
+        return lower(node)
+
+    def _expr_Constant(self, node: ast.Constant) -> _Closure:
+        value = node.value  # never a float: _validate_function rejects those
+
+        def run(m, env, rt):
+            used = m.used + _GAS_EXPR
+            m.used = used
+            if used > m.limit:
+                raise _out_of_gas(m)
+            return value
+
+        return run
+
+    def _expr_Name(self, node: ast.Name) -> _Closure:
+        name = node.id
+        if name in _PURE_BUILTINS:
+            static = _PURE_BUILTINS[name]
+        else:
+            static = self.functions.get(name, _MISSING)
+
+        def resolve(rt):
+            """Resolution below ``env``: host → builtins → contract functions."""
+            hosts = rt.host_functions
+            if name in hosts:
+                return hosts[name]
+            if static is _MISSING:
+                raise ContractError(f"undefined name {name!r}")
+            return static
+
+        if name not in self.maybe_local:
+
+            def run_global(m, env, rt):
+                used = m.used + _GAS_EXPR
+                m.used = used
+                if used > m.limit:
+                    raise _out_of_gas(m)
+                return resolve(rt)
+
+            return run_global
+
+        def run(m, env, rt):
+            used = m.used + _GAS_EXPR
+            m.used = used
+            if used > m.limit:
+                raise _out_of_gas(m)
+            try:
+                return env[name]
+            except KeyError:
+                return resolve(rt)
+
+        return run
+
+    def _expr_BinOp(self, node: ast.BinOp) -> _Closure:
+        op = _ALLOWED_BINOPS.get(type(node.op))
+        if op is None:
+            return _raising(_GAS_EXPR, f"disallowed operator {type(node.op).__name__}")
+        surcharge = G.GAS_POW if isinstance(node.op, ast.Pow) else 0
+        left = self.expr(node.left)
+        right = self.expr(node.right)
+
+        def run(m, env, rt):
+            used = m.used + _GAS_EXPR
+            m.used = used
+            if used > m.limit:
+                raise _out_of_gas(m)
+            if surcharge:
+                m.charge(surcharge)
+            a = left(m, env, rt)
+            b = right(m, env, rt)
+            try:
+                result = op(a, b)
+            except _VALUE_ERRORS as exc:
+                raise ContractError(f"arithmetic error: {exc}") from exc
+            if isinstance(result, float):
+                raise ContractError(_FLOAT_ERROR)
+            return result
+
+        return run
+
+    def _expr_UnaryOp(self, node: ast.UnaryOp) -> _Closure:
+        operand = self.expr(node.operand)
+        op = _ALLOWED_UNARY.get(type(node.op))
+
+        def run(m, env, rt):
+            m.charge(_GAS_EXPR)
+            value = operand(m, env, rt)
+            if op is None:
+                raise ContractError("disallowed unary operator")
+            try:
+                return op(value)
+            except _VALUE_ERRORS as exc:
+                raise ContractError(f"arithmetic error: {exc}") from exc
+
+        return run
+
+    def _expr_BoolOp(self, node: ast.BoolOp) -> _Closure:
+        values = tuple(self.expr(value) for value in node.values)
+        stop_on = not isinstance(node.op, ast.And)  # ``or`` stops at the first truthy value
+
+        def run(m, env, rt):
+            m.charge(_GAS_EXPR)
+            for value in values:
+                result = value(m, env, rt)
+                if bool(result) is stop_on:
+                    return result
+            return result
+
+        return run
+
+    def _expr_Compare(self, node: ast.Compare) -> _Closure:
+        left = self.expr(node.left)
+        links = tuple(
+            (_COMPARE[type(op)], self.expr(comparator))
+            for op, comparator in zip(node.ops, node.comparators)
+        )
+
+        def run(m, env, rt):
+            used = m.used + _GAS_EXPR
+            m.used = used
+            if used > m.limit:
+                raise _out_of_gas(m)
+            a = left(m, env, rt)
+            for op, comparator in links:
+                b = comparator(m, env, rt)
+                try:
+                    if not op(a, b):
+                        return False
+                except _VALUE_ERRORS as exc:
+                    raise ContractError(f"comparison error: {exc}") from exc
+                a = b
+            return True
+
+        return run
+
+    def _expr_Call(self, node: ast.Call) -> _Closure:
+        func = self.expr(node.func)
+        args = tuple(self.expr(arg) for arg in node.args)
+        # ``f(**kw)`` parses; it fails when evaluation reaches it.
+        keywords = tuple(
+            (keyword.arg, self.expr(keyword.value)) for keyword in node.keywords
+        )
+        code = self.code
+
+        def run(m, env, rt):
+            used = m.used + _GAS_EXPR
+            m.used = used
+            if used > m.limit:
+                raise _out_of_gas(m)
+            target = func(m, env, rt)
+            positional = [arg(m, env, rt) for arg in args]
+            named = {}
+            for key, value in keywords:
+                if key is None:
+                    raise ContractError("**kwargs calls are not allowed")
+                named[key] = value(m, env, rt)
+            if isinstance(target, ast.FunctionDef):
+                callee = code[target.name]
+                # Positional values win over same-named keywords; surplus
+                # positional values are dropped.
+                named.update(zip(callee.params, positional))
+                return callee.invoke(m, rt, named)
+            if callable(target):
+                m.charge(G.GAS_CALL)
+                try:
+                    result = target(*positional, **named)
+                except _VALUE_ERRORS as exc:
+                    raise ContractError(f"call error: {exc}") from exc
+                return _check_value(result)
+            raise ContractError("attempt to call a non-function")
+
+        return run
+
+    def _expr_Subscript(self, node: ast.Subscript) -> _Closure:
+        container = self.expr(node.value)
+        key = self.expr(node.slice)
+
+        def run(m, env, rt):
+            used = m.used + _GAS_EXPR
+            m.used = used
+            if used > m.limit:
+                raise _out_of_gas(m)
+            items = container(m, env, rt)
+            index = key(m, env, rt)
+            try:
+                result = items[index]
+            except _VALUE_ERRORS as exc:
+                raise ContractError(f"subscript error: {exc}") from exc
+            if isinstance(result, float):
+                raise ContractError(_FLOAT_ERROR)
+            return result
+
+        return run
+
+    def _expr_Slice(self, node: ast.Slice) -> _Closure:
+        lower = self.expr(node.lower) if node.lower else None
+        upper = self.expr(node.upper) if node.upper else None
+        step = self.expr(node.step) if node.step else None
+
+        def run(m, env, rt):
+            m.charge(_GAS_EXPR)
+            return slice(
+                lower(m, env, rt) if lower else None,
+                upper(m, env, rt) if upper else None,
+                step(m, env, rt) if step else None,
+            )
+
+        return run
+
+    def _expr_List(self, node: ast.List) -> _Closure:
+        elements = tuple(self.expr(element) for element in node.elts)
+
+        def run(m, env, rt):
+            m.charge(_GAS_EXPR)
+            return [element(m, env, rt) for element in elements]
+
+        return run
+
+    def _expr_Tuple(self, node: ast.Tuple) -> _Closure:
+        elements = tuple(self.expr(element) for element in node.elts)
+
+        def run(m, env, rt):
+            m.charge(_GAS_EXPR)
+            return tuple([element(m, env, rt) for element in elements])
+
+        return run
+
+    def _expr_Dict(self, node: ast.Dict) -> _Closure:
+        # ``{**d}`` parses with a ``None`` key; it fails when evaluation reaches it.
+        pairs = tuple(
+            (self.expr(key) if key is not None else None, self.expr(value))
+            for key, value in zip(node.keys, node.values)
+        )
+
+        def run(m, env, rt):
+            m.charge(_GAS_EXPR)
+            out = {}
+            for key, value in pairs:
+                if key is None:
+                    raise ContractError("dict unpacking is not allowed")
+                item = value(m, env, rt)  # the value is evaluated before its key
+                name = key(m, env, rt)
+                try:
+                    out[name] = item
+                except TypeError as exc:
+                    raise ContractError(f"dict key error: {exc}") from exc
+            return out
+
+        return run
+
+    def _expr_IfExp(self, node: ast.IfExp) -> _Closure:
+        test = self.expr(node.test)
+        body = self.expr(node.body)
+        orelse = self.expr(node.orelse)
+
+        def run(m, env, rt):
+            m.charge(_GAS_EXPR)
+            if test(m, env, rt):
+                return body(m, env, rt)
+            return orelse(m, env, rt)
+
+        return run
+
+    def _expr_JoinedStr(self, node: ast.JoinedStr) -> _Closure:
+        # Literal segments cost nothing; conversions and format specs are ignored.
+        parts: List[Any] = []
+        for part in node.values:
+            if isinstance(part, ast.Constant):
+                parts.append(str(part.value))
+            elif isinstance(part, ast.FormattedValue):
+                parts.append(self.expr(part.value))
+
+        def run(m, env, rt):
+            m.charge(_GAS_EXPR)
+            return "".join(
+                [part if part.__class__ is str else str(part(m, env, rt)) for part in parts]
+            )
+
+        return run
+
+
 class Interpreter:
-    """Evaluates one method call of a compiled contract."""
+    """Runs one method call of a compiled contract against a gas meter."""
 
     def __init__(
         self,
@@ -224,278 +926,16 @@ class Interpreter:
         self.contract = contract
         self.host_functions = host_functions
         self.meter = meter
-        self._depth = 0
+        self.depth = 0
 
     def call(self, method: str, args: Dict[str, Any]) -> Any:
         """Invoke a public method with keyword arguments."""
-        func = self.contract.functions.get(method)
+        func = self.contract.code.get(method)
         if func is None or method.startswith("_"):
             raise ContractError(f"unknown or private method {method!r}")
         with trace_span("vm.call", method=method) as span:
             gas_before = self.meter.used
             try:
-                return self._invoke(func, args)
+                return func.invoke(self.meter, self, args)
             finally:
                 span.set_attr("gas", self.meter.used - gas_before)
-
-    def _invoke(self, func: ast.FunctionDef, args: Dict[str, Any]) -> Any:
-        self._depth += 1
-        if self._depth > G.MAX_CALL_DEPTH:
-            raise ContractError("max call depth exceeded")
-        self.meter.charge(G.GAS_CALL)
-        params = [arg.arg for arg in func.args.args]
-        defaults = func.args.defaults
-        env: Dict[str, Any] = dict(self.contract.constants)
-        # Bind defaults right-aligned, then override with provided args.
-        for param, default in zip(params[len(params) - len(defaults):], defaults):
-            env[param] = _literal(default)
-        for param in params:
-            if param in args:
-                env[param] = _check_value(args[param])
-        missing = [p for p in params if p not in env]
-        if missing:
-            raise ContractError(f"{func.name}: missing arguments {missing}")
-        extra = set(args) - set(params)
-        if extra:
-            raise ContractError(f"{func.name}: unexpected arguments {sorted(extra)}")
-        try:
-            self._exec_block(func.body, env)
-        except _ReturnSignal as signal:
-            return signal.value
-        finally:
-            self._depth -= 1
-        return None
-
-    # -- statements ----------------------------------------------------------
-    def _exec_block(self, body: List[ast.stmt], env: Dict[str, Any]) -> None:
-        for stmt in body:
-            self._exec_stmt(stmt, env)
-
-    def _exec_stmt(self, stmt: ast.stmt, env: Dict[str, Any]) -> None:
-        self.meter.charge(G.GAS_STATEMENT)
-        if isinstance(stmt, ast.Return):
-            raise _ReturnSignal(
-                self._eval(stmt.value, env) if stmt.value else None
-            )
-        if isinstance(stmt, ast.Assign):
-            value = self._eval(stmt.value, env)
-            for target in stmt.targets:
-                self._assign(target, value, env)
-            return
-        if isinstance(stmt, ast.AugAssign):
-            op = type(stmt.op)
-            if op not in _ALLOWED_BINOPS:
-                raise ContractError(f"disallowed operator {op.__name__}")
-            current = self._eval_target(stmt.target, env)
-            value = _ALLOWED_BINOPS[op](current, self._eval(stmt.value, env))
-            self._assign(stmt.target, _check_value(value), env)
-            return
-        if isinstance(stmt, ast.If):
-            branch = stmt.body if self._eval(stmt.test, env) else stmt.orelse
-            self._exec_block(branch, env)
-            return
-        if isinstance(stmt, ast.While):
-            iterations = 0
-            while self._eval(stmt.test, env):
-                iterations += 1
-                if iterations > G.MAX_ITERATIONS_PER_LOOP:
-                    raise ContractError("loop iteration limit exceeded")
-                self.meter.charge(G.GAS_LOOP_ITERATION)
-                try:
-                    self._exec_block(stmt.body, env)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-            else:
-                self._exec_block(stmt.orelse, env)
-            return
-        if isinstance(stmt, ast.For):
-            iterable = self._eval(stmt.iter, env)
-            iterations = 0
-            broke = False
-            for item in iterable:
-                iterations += 1
-                if iterations > G.MAX_ITERATIONS_PER_LOOP:
-                    raise ContractError("loop iteration limit exceeded")
-                self.meter.charge(G.GAS_LOOP_ITERATION)
-                self._assign(stmt.target, _check_value(item), env)
-                try:
-                    self._exec_block(stmt.body, env)
-                except _BreakSignal:
-                    broke = True
-                    break
-                except _ContinueSignal:
-                    continue
-            if not broke:
-                self._exec_block(stmt.orelse, env)
-            return
-        if isinstance(stmt, ast.Expr):
-            self._eval(stmt.value, env)
-            return
-        if isinstance(stmt, ast.Pass):
-            return
-        if isinstance(stmt, ast.Break):
-            raise _BreakSignal()
-        if isinstance(stmt, ast.Continue):
-            raise _ContinueSignal()
-        if isinstance(stmt, ast.Assert):
-            if not self._eval(stmt.test, env):
-                message = self._eval(stmt.msg, env) if stmt.msg else "assertion failed"
-                raise ContractError(str(message))
-            return
-        raise ContractError(f"disallowed statement {type(stmt).__name__}")
-
-    def _assign(self, target: ast.expr, value: Any, env: Dict[str, Any]) -> None:
-        if isinstance(target, ast.Name):
-            env[target.id] = value
-            return
-        if isinstance(target, ast.Subscript):
-            container = self._eval(target.value, env)
-            key = self._eval(target.slice, env)
-            container[key] = value
-            return
-        if isinstance(target, (ast.Tuple, ast.List)):
-            values = list(value)
-            if len(values) != len(target.elts):
-                raise ContractError("unpacking arity mismatch")
-            for element, item in zip(target.elts, values):
-                self._assign(element, _check_value(item), env)
-            return
-        raise ContractError(f"cannot assign to {type(target).__name__}")
-
-    def _eval_target(self, target: ast.expr, env: Dict[str, Any]) -> Any:
-        if isinstance(target, ast.Name):
-            if target.id not in env:
-                raise ContractError(f"undefined name {target.id!r}")
-            return env[target.id]
-        if isinstance(target, ast.Subscript):
-            container = self._eval(target.value, env)
-            return container[self._eval(target.slice, env)]
-        raise ContractError("invalid augmented-assignment target")
-
-    # -- expressions ---------------------------------------------------------
-    def _eval(self, node: ast.expr, env: Dict[str, Any]) -> Any:
-        self.meter.charge(G.GAS_EXPRESSION)
-        if isinstance(node, ast.Constant):
-            return _check_value(node.value)
-        if isinstance(node, ast.Name):
-            if node.id in env:
-                return env[node.id]
-            if node.id in self.host_functions:
-                return self.host_functions[node.id]
-            if node.id in _PURE_BUILTINS:
-                return _PURE_BUILTINS[node.id]
-            if node.id in self.contract.functions:
-                return self.contract.functions[node.id]
-            raise ContractError(f"undefined name {node.id!r}")
-        if isinstance(node, ast.BinOp):
-            op = type(node.op)
-            if op not in _ALLOWED_BINOPS:
-                raise ContractError(f"disallowed operator {op.__name__}")
-            if op is ast.Pow:
-                self.meter.charge(G.GAS_POW)
-            left = self._eval(node.left, env)
-            right = self._eval(node.right, env)
-            try:
-                return _check_value(_ALLOWED_BINOPS[op](left, right))
-            except (TypeError, ZeroDivisionError, ValueError) as exc:
-                raise ContractError(f"arithmetic error: {exc}") from exc
-        if isinstance(node, ast.UnaryOp):
-            operand = self._eval(node.operand, env)
-            if isinstance(node.op, ast.USub):
-                return -operand
-            if isinstance(node.op, ast.UAdd):
-                return +operand
-            if isinstance(node.op, ast.Not):
-                return not operand
-            raise ContractError("disallowed unary operator")
-        if isinstance(node, ast.BoolOp):
-            if isinstance(node.op, ast.And):
-                result: Any = True
-                for value_node in node.values:
-                    result = self._eval(value_node, env)
-                    if not result:
-                        return result
-                return result
-            for value_node in node.values:
-                result = self._eval(value_node, env)
-                if result:
-                    return result
-            return result
-        if isinstance(node, ast.Compare):
-            left = self._eval(node.left, env)
-            for op, comparator in zip(node.ops, node.comparators):
-                op_type = type(op)
-                if op_type not in _ALLOWED_COMPARE:
-                    raise ContractError(f"disallowed comparison {op_type.__name__}")
-                right = self._eval(comparator, env)
-                if not _ALLOWED_COMPARE[op_type](left, right):
-                    return False
-                left = right
-            return True
-        if isinstance(node, ast.Call):
-            return self._eval_call(node, env)
-        if isinstance(node, ast.Subscript):
-            container = self._eval(node.value, env)
-            key = self._eval(node.slice, env)
-            try:
-                return _check_value(container[key])
-            except (KeyError, IndexError, TypeError) as exc:
-                raise ContractError(f"subscript error: {exc}") from exc
-        if isinstance(node, ast.Slice):
-            lower = self._eval(node.lower, env) if node.lower else None
-            upper = self._eval(node.upper, env) if node.upper else None
-            step = self._eval(node.step, env) if node.step else None
-            return slice(lower, upper, step)
-        if isinstance(node, ast.List):
-            return [self._eval(element, env) for element in node.elts]
-        if isinstance(node, ast.Tuple):
-            return tuple(self._eval(element, env) for element in node.elts)
-        if isinstance(node, ast.Dict):
-            out = {}
-            for key_node, value_node in zip(node.keys, node.values):
-                if key_node is None:
-                    raise ContractError("dict unpacking is not allowed")
-                out[self._eval(key_node, env)] = self._eval(value_node, env)
-            return out
-        if isinstance(node, ast.IfExp):
-            if self._eval(node.test, env):
-                return self._eval(node.body, env)
-            return self._eval(node.orelse, env)
-        if isinstance(node, ast.JoinedStr):
-            parts = []
-            for value_node in node.values:
-                if isinstance(value_node, ast.Constant):
-                    parts.append(str(value_node.value))
-                elif isinstance(value_node, ast.FormattedValue):
-                    parts.append(str(self._eval(value_node.value, env)))
-            return "".join(parts)
-        raise ContractError(f"disallowed expression {type(node).__name__}")
-
-    def _eval_call(self, node: ast.Call, env: Dict[str, Any]) -> Any:
-        func = self._eval(node.func, env)
-        args = [self._eval(arg, env) for arg in node.args]
-        kwargs = {}
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                raise ContractError("**kwargs calls are not allowed")
-            kwargs[keyword.arg] = self._eval(keyword.value, env)
-        if isinstance(func, ast.FunctionDef):
-            if kwargs:
-                bound = dict(kwargs)
-                params = [a.arg for a in func.args.args]
-                for param, value in zip(params, args):
-                    bound[param] = value
-                return self._invoke(func, bound)
-            params = [a.arg for a in func.args.args]
-            return self._invoke(func, dict(zip(params, args)))
-        if callable(func):
-            self.meter.charge(G.GAS_CALL)
-            try:
-                return _check_value(func(*args, **kwargs))
-            except ContractError:
-                raise
-            except (TypeError, ValueError, KeyError, IndexError) as exc:
-                raise ContractError(f"call error: {exc}") from exc
-        raise ContractError("attempt to call a non-function")

@@ -164,6 +164,65 @@ class TestCall:
         assert executor.apply(state, call, ctx).success
 
 
+# Each body makes Python itself raise inside the VM or the host bridge; until
+# these were converted to ContractError they left ``ContractExecutor.apply``
+# as TypeError/ZeroDivisionError/..., with the call's state snapshot still open.
+ESCAPING_SHAPES = {
+    "aug_assign_zero_division": ("x //= y", "arithmetic error"),
+    "aug_assign_missing_key": ("d = {}\n    d['k'] += 1", "subscript error"),
+    "unary_on_str": ("x = -'a'", "arithmetic error"),
+    "compare_int_str": ("x = 1 < 'a'", "comparison error"),
+    "subscript_store_out_of_range": ("l = []\n    l[3] = 1", "subscript error"),
+    "iterate_int": ("for i in 5:\n        pass", "iteration error"),
+    "unpack_int": ("a, b = 5", "unpacking error"),
+    "dict_store_unhashable_key": ("d = {}\n    d[[1]] = 2", "subscript error"),
+    "dict_display_unhashable_key": ("d = {[1]: 2}", "dict key error"),
+    "dict_resized_while_iterated": (
+        "d = {'a': 1}\n    for k in d:\n        d[k + 'x'] = 1",
+        "iteration error",
+    ),
+    "builtin_zero_division": ("x = divmod(x, y)", "call error"),
+    "slice_step_zero": ("x = [1, 2][::y]", "subscript error"),
+    "break_outside_loop": ("if y == 0:\n        break", "'break' outside loop"),
+    "store_a_function": ("storage_set('k', len)", "not serializable"),
+    "emit_int_keyed_dict": ("emit('E', {'v': {1: 2}})", "not serializable"),
+}
+
+
+class TestPythonErrorsBecomeFailedReceipts:
+    @pytest.mark.parametrize("shape", sorted(ESCAPING_SHAPES))
+    def test_failed_receipt_rollback_and_closed_journal(self, env, alice, shape):
+        state, executor, ctx = env
+        body, expected = ESCAPING_SHAPES[shape]
+        source = (
+            "def init():\n"
+            "    storage_set('v', 1)\n"
+            "def run(x, y):\n"
+            "    storage_set('v', 999)\n"
+            f"    {body}\n"
+            "    return 1\n"
+        )
+        contract_id = executor.apply(state, make_deploy(alice, shape, source, nonce=0), ctx).output
+        expected_state = state.copy()
+        expected_state.bump_nonce(alice.address)  # all a failed call keeps
+        call = make_call(alice, contract_id, "run", {"x": 1, "y": 0}, nonce=1)
+        receipt = executor.apply(state, call, ctx)
+        assert not receipt.success
+        assert expected in receipt.error
+        assert receipt.gas_used > 5_000
+        assert state.journal_depth == 0
+        assert state.get_slot(contract_id, "s/v") == 1
+        assert state.state_root() == expected_state.state_root()
+
+    def test_failing_init_leaves_no_open_snapshot(self, env, alice):
+        state, executor, ctx = env
+        source = "def init(y=0):\n    storage_set('v', 1)\n    y //= y\n"
+        receipt = executor.apply(state, make_deploy(alice, "bad-init", source, nonce=0), ctx)
+        assert not receipt.success
+        assert "init failed: arithmetic error" in receipt.error
+        assert state.journal_depth == 0
+
+
 class TestViews:
     def test_view_does_not_mutate(self, env, alice):
         state, executor, ctx = env

@@ -19,8 +19,6 @@ read 0.86x-1.17x from run to run and the lower-quartile pair ratio
 0.97x-1.01x.
 """
 
-import time
-
 from repro.obs.tracer import NOOP_SPAN, disable, trace_span
 from repro.parallel.executor import SerialExecutor, TaskSpec
 
@@ -37,20 +35,7 @@ def _busy_task(iters):
     return total
 
 
-def _timed(run):
-    start = time.perf_counter()
-    run()
-    return time.perf_counter() - start
-
-
-def _lower_quartile_pair(trials, first, second):
-    """The (first, second) timing pair whose second/first ratio sits at the lower quartile."""
-    pairs = [(_timed(first), _timed(second)) for __ in range(trials)]
-    pairs.sort(key=lambda pair: pair[1] / pair[0])
-    return pairs[trials // 4]
-
-
-def test_disabled_tracer_map_tasks_overhead_within_5_percent():
+def test_disabled_tracer_map_tasks_overhead_within_5_percent(lower_quartile_pair):
     disable()
     assert trace_span("probe") is NOOP_SPAN  # precondition: tracing is off
 
@@ -71,7 +56,7 @@ def test_disabled_tracer_map_tasks_overhead_within_5_percent():
     raw_loop()
     instrumented()
 
-    baseline, traced = _lower_quartile_pair(TRIALS, raw_loop, instrumented)
+    baseline, traced = lower_quartile_pair(TRIALS, raw_loop, instrumented)
     overhead = traced / baseline
     assert overhead <= MAX_OVERHEAD, (
         f"disabled-tracer map_tasks took {overhead:.3f}x the raw loop "
