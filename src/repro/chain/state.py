@@ -2,10 +2,10 @@
 
 A flat key/value store holding account balances, account nonces, and smart
 contract storage (namespaced by contract id).  The canonical state root is
-the SHA-256 of the canonical JSON of the full state dict — simple, but
-sufficient for consensus: two nodes agree on the root iff they agree on
-every entry, which is the determinism property the contract VM is
-property-tested against (DESIGN.md invariant 3).
+the root of a 16-ary Merkle trie over the ``(key, value)`` pairs, keyed by
+the nibbles of ``sha256(key)`` (DESIGN.md §17): two nodes agree on the root
+iff they agree on every entry, which is the determinism property the
+contract VM is property-tested against (DESIGN.md invariant 3).
 
 The substrate is built so every hot operation costs O(writes), not O(state):
 
@@ -36,15 +36,16 @@ The substrate is built so every hot operation costs O(writes), not O(state):
   is discarded (garbage-collected, ``discard()``-ed, or collapsed) the
   parent accepts direct writes again.
 
-- **Incremental roots.**  ``state_root()`` stays **bit-identical** to the
-  historical full-serialization digest, but is assembled from per-key
-  canonical *fragments* that are cached and invalidated by dirty-key
-  tracking, so serialization work after a block is O(write-set).
-  ``incremental_root()`` additionally maintains a sorted bucketed Merkle
-  root (per-key leaf hashes, 256 buckets keyed by SHA-256 of the key, a
-  root over the bucket digests) whose refresh cost scales with the block's
-  write-set; it is cross-checked against from-scratch recomputation in
-  tests and benchmark runs.
+- **One persistent commitment.**  ``state_root()`` is the digest of a
+  path-copying trie whose nodes are immutable tuples.  A layer remembers
+  the keys it dirtied since its last root and folds only those in, so a
+  root after a block costs O(write-set · log16 state) whatever the state
+  size or overlay depth; an overlay starts from its parent's trie by
+  reference, and ``flatten()``/``collapse()``/``copy()`` carry the trie
+  over because the content they produce is identical.  The shape depends
+  only on the set of pairs (a subtree holding one key is that key's leaf),
+  never on write order; ``tests/chain/root_oracle.py`` rebuilds it from a
+  plain dict and the test suites hold every root to that.
 
 Snapshots give contract execution transactional semantics: a failed call
 rolls back every write it made.
@@ -53,14 +54,13 @@ rolls back every write it made.
 from __future__ import annotations
 
 import copy
-import hashlib
 import os
 import weakref
-from bisect import bisect_left, insort
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ChainError, SerializationError
-from repro.common.hashing import HASH_SIZE, sha256
+from repro.common.hashing import ZERO_HASH, sha256
 from repro.common.serialize import canonical_bytes
 
 ACCOUNT_PREFIX = "acct"
@@ -70,9 +70,6 @@ CONTRACT_PREFIX = "contract"
 # layer"; ``_DELETED`` is the overlay tombstone shadowing a parent entry.
 _MISSING = object()
 _DELETED = object()
-
-BUCKET_COUNT = 256
-_EMPTY_BUCKET_DIGEST = b"\x00" * HASH_SIZE
 
 _DEBUG_ENV = "REPRO_STATE_DEBUG"
 _debug_aliasing = os.environ.get(_DEBUG_ENV, "") not in ("", "0", "false", "no")
@@ -98,27 +95,68 @@ def debug_aliasing_enabled() -> bool:
     return _debug_aliasing
 
 
-_BUCKET_CACHE: Dict[str, int] = {}
-
-
-def _bucket_of(key: str) -> int:
-    """Stable bucket index for a key (first byte of its SHA-256)."""
-    bucket = _BUCKET_CACHE.get(key)
-    if bucket is None:
-        bucket = hashlib.sha256(key.encode("utf-8")).digest()[0]
-        if len(_BUCKET_CACHE) < 1 << 20:
-            _BUCKET_CACHE[key] = bucket
-    return bucket
-
-
 def _encode_fragment(key: str, value: Any) -> bytes:
-    """Canonical ``"key":value`` fragment of the full-state JSON object.
-
-    Joining the fragments of all keys in sorted order inside ``{`` .. ``}``
-    reproduces ``canonical_bytes(state_dict)`` byte for byte, which is what
-    keeps the incremental root bit-identical to the historical digest.
-    """
+    """Canonical ``"key":value`` bytes a leaf commits to (floats rejected)."""
     return canonical_bytes(key) + b":" + canonical_bytes(value, allow_float=False)
+
+
+# -- the commitment trie (DESIGN.md §17) -------------------------------------
+# Nodes are immutable tuples, shared freely between states once built:
+#   leaf   = (digest, key)        digest = H(0x00 ‖ fragment)
+#   branch = (digest, children)   digest = H(0x01 ‖ 16 child digests)
+# ``None`` is the empty subtree and hashes as 32 zero bytes.  A key sits on
+# the path spelled by the nibbles of sha256(key), and a subtree holding one
+# key *is* that key's leaf, so the shape — and the root — is a function of
+# the set of (key, value) pairs alone.
+_Node = Optional[Tuple[bytes, Any]]
+_TrieItem = Tuple[bytes, _Node]  # (path, new leaf — None deletes the key)
+
+
+def _key_path(key: str) -> bytes:
+    return sha256(key.encode("utf-8"))
+
+
+def _is_leaf(node: _Node) -> bool:
+    return type(node[1]) is str
+
+
+def _branch(children: List[_Node]) -> _Node:
+    digests = [ZERO_HASH if child is None else child[0] for child in children]
+    return sha256(b"\x01" + b"".join(digests)), tuple(children)
+
+
+def _trie_apply(node: _Node, depth: int, items: Sequence[_TrieItem]) -> _Node:
+    """``node``'s subtree with ``items`` (distinct paths) folded in.
+
+    Path-copying: every node on a touched path is built anew, exactly once
+    per batch, and nothing reachable from ``node`` is modified — which is
+    also why the first root of a state is just the batch of all its keys.
+    """
+    if node is None or _is_leaf(node):
+        if node is not None:
+            path = _key_path(node[1])
+            if all(item[0] != path for item in items):
+                items = [*items, (path, node)]
+        items = [item for item in items if item[1] is not None]
+        if len(items) <= 1:
+            return items[0][1] if items else None
+        children: List[_Node] = [None] * 16
+    else:
+        children = list(node[1])
+    groups: Dict[int, List[_TrieItem]] = {}
+    for item in items:
+        byte = item[0][depth >> 1]
+        groups.setdefault(byte & 15 if depth & 1 else byte >> 4, []).append(item)
+    for nibble, group in groups.items():
+        child = children[nibble]
+        if child is None and len(group) == 1:
+            children[nibble] = group[0][1]
+        else:
+            children[nibble] = _trie_apply(child, depth + 1, group)
+    live = [child for child in children if child is not None]
+    if len(live) == 1 and _is_leaf(live[0]):
+        return live[0]
+    return _branch(children) if live else None
 
 
 class StateDB:
@@ -141,21 +179,14 @@ class StateDB:
         # an overlay that is discarded simply disappears from the set, and
         # once it is empty the freeze lifts (see _assert_mutable).
         self._overlays: "weakref.WeakSet[StateDB]" = weakref.WeakSet()
-        # Legacy-root machinery: per-key canonical fragments + cached root.
-        self._fragments: Dict[str, bytes] = {}
+        # Sorted effective keys, cached for keys_with_prefix/items/__len__.
         self._eff_keys: Optional[List[str]] = None
-        self._root_cache: Optional[bytes] = None
+        # Commitment trie as of the last root, and the keys this layer wrote
+        # since (None: this layer has not been rooted yet).
+        self._trie: _Node = None
+        self._dirty: Optional[Set[str]] = None
         self._root_hits = 0
         self._root_recomputes = 0
-        # Bucketed incremental-root machinery (built lazily on first use).
-        self._buckets_ready = False
-        self._leaves: Dict[str, bytes] = {}
-        self._bucket_keys: Dict[int, List[str]] = {}
-        self._bucket_digests: Optional[List[bytes]] = None
-        self._bucket_dirty: Set[int] = set()
-        self._iroot_cache: Optional[bytes] = None
-        self._iroot_hits = 0
-        self._iroot_recomputes = 0
         # Debug aliasing fingerprints for values stored through this layer.
         self._debug = _debug_aliasing
         self._fingerprints: Dict[str, Optional[bytes]] = {}
@@ -192,40 +223,20 @@ class StateDB:
         if key not in frame:
             frame[key] = self._data.get(key, _MISSING)
 
-    def _invalidate_key(self, key: str, keyset_changed: bool) -> None:
-        self._root_cache = None
-        self._iroot_cache = None
-        self._fragments.pop(key, None)
+    def _mark_dirty(self, key: str, keyset_changed: bool) -> None:
+        if self._dirty is not None:
+            self._dirty.add(key)
         if keyset_changed:
             self._eff_keys = None
-        if self._buckets_ready:
-            self._leaves.pop(key, None)
-            self._bucket_dirty.add(_bucket_of(key))
-            if self._parent is not None:
-                self._bucket_digests = None
-
-    def _local_keyset_add(self, key: str) -> None:
-        if self._buckets_ready:
-            insort(self._bucket_keys.setdefault(_bucket_of(key), []), key)
-
-    def _local_keyset_remove(self, key: str) -> None:
-        if self._buckets_ready:
-            keys = self._bucket_keys.get(_bucket_of(key))
-            if keys:
-                index = bisect_left(keys, key)
-                if index < len(keys) and keys[index] == key:
-                    keys.pop(index)
 
     def _write(self, key: str, value: Any) -> None:
         self._assert_mutable()
         self._journal_record(key)
         prior = self._data.get(key, _MISSING)
         self._data[key] = value
-        if prior is _MISSING:
-            self._local_keyset_add(key)
         if self._debug:
             self._record_fingerprint(key, value)
-        self._invalidate_key(key, keyset_changed=prior is _MISSING or prior is _DELETED)
+        self._mark_dirty(key, keyset_changed=prior is _MISSING or prior is _DELETED)
 
     # -- raw access ------------------------------------------------------
     def get(self, key: str, default: Any = None) -> Any:
@@ -243,18 +254,14 @@ class StateDB:
                 return
             self._journal_record(key)
             del self._data[key]
-            self._local_keyset_remove(key)
             self._fingerprints.pop(key, None)
-            self._invalidate_key(key, keyset_changed=True)
+            self._mark_dirty(key, keyset_changed=True)
             return
         if self._lookup(key) is _MISSING:
             return
         self._journal_record(key)
-        prior = self._data.get(key, _MISSING)
         self._data[key] = _DELETED
-        if prior is _MISSING:
-            self._local_keyset_add(key)
-        self._invalidate_key(key, keyset_changed=True)
+        self._mark_dirty(key, keyset_changed=True)
 
     def contains(self, key: str) -> bool:
         return self._lookup(key) is not _MISSING
@@ -384,19 +391,14 @@ class StateDB:
         self._assert_mutable()
         frame = self._journal.pop()
         for key, prior in frame.items():
-            current = self._data.get(key, _MISSING)
             if prior is _MISSING:
-                if current is not _MISSING:
-                    del self._data[key]
-                    self._local_keyset_remove(key)
-                    self._fingerprints.pop(key, None)
+                self._data.pop(key, None)
+                self._fingerprints.pop(key, None)
             else:
                 self._data[key] = prior
-                if current is _MISSING:
-                    self._local_keyset_add(key)
                 if self._debug and prior is not _DELETED:
                     self._record_fingerprint(key, prior)
-            self._invalidate_key(key, keyset_changed=True)
+            self._mark_dirty(key, keyset_changed=True)
 
     @property
     def journal_depth(self) -> int:
@@ -460,16 +462,12 @@ class StateDB:
         """Materialize the effective view into a standalone base state.
 
         Values are shared by reference (immutable-value convention) and the
-        per-key fragment cache is carried over, so flattening the canonical
-        head is cheap and its next root is still incremental.
+        commitment trie is carried over, so flattening the canonical head
+        is cheap and its next root hashes nothing.
         """
         flat = StateDB()
         flat._data = self._effective_dict()
-        flat._fragments = {
-            key: fragment
-            for key, fragment in self._gather_fragment_cache().items()
-            if key in flat._data
-        }
+        flat._trie, flat._dirty = self._trie_for_same_content()
         if flat._debug:
             for key, value in flat._data.items():
                 flat._record_fingerprint(key, value)
@@ -478,7 +476,7 @@ class StateDB:
     def collapse(self) -> "StateDB":
         """Absorb the whole parent chain into this layer, in place.
 
-        The effective content (and therefore every cached root) is
+        The effective content (and therefore the trie and every root) is
         unchanged; children forked off this state keep working because they
         reference this object directly.  Used by state pruning to cut
         overlay chains at the finality boundary.
@@ -487,7 +485,7 @@ class StateDB:
             return self
         if self._journal:
             raise ChainError("cannot collapse a state with open snapshots")
-        fragments = self._gather_fragment_cache()
+        self._trie, self._dirty = self._trie_for_same_content()
         self._data = self._effective_dict()
         parent = self._parent
         self._parent = None
@@ -496,176 +494,61 @@ class StateDB:
         parent._overlays.discard(self)
         if parent._frozen and not parent._overlays:
             parent._frozen = False
-        self._fragments = {
-            key: fragment for key, fragment in fragments.items() if key in self._data
-        }
         self._eff_keys = None
-        self._buckets_ready = False
-        self._leaves = {}
-        self._bucket_keys = {}
-        self._bucket_digests = None
-        self._bucket_dirty = set()
         if self._debug:
             self._fingerprints = {}
             for key, value in self._data.items():
                 self._record_fingerprint(key, value)
         return self
 
-    def _gather_fragment_cache(self) -> Dict[str, bytes]:
-        """Best-effort union of fragment caches along the chain.
-
-        Only the fragment cached by a key's *effective owner* — the
-        shallowest layer with any local entry for it — is valid.  A layer
-        that wrote a key but has not cached a fragment yet (no root was
-        computed since the write) still shadows deeper layers, so their
-        stale fragments for that key must be skipped, not merged; carrying
-        one forward would make the next ``state_root()`` after a
-        ``flatten()``/``collapse()`` encode the old value.
-        """
-        merged: Dict[str, bytes] = {}
-        shadowed: Set[str] = set()
-        layer: Optional[StateDB] = self
-        while layer is not None:
-            for key, fragment in layer._fragments.items():
-                if key in shadowed or key in merged:
-                    continue
-                if layer._data.get(key, _MISSING) is not _DELETED:
-                    merged[key] = fragment
-            shadowed.update(layer._data)
-            layer = layer._parent
-        return merged
-
     # -- roots -------------------------------------------------------------
-    def _fragment_for(self, key: str) -> bytes:
-        """Fragment for an effectively-present key, cached in the owning layer."""
-        layer: Optional[StateDB] = self
-        while layer is not None:
-            value = layer._data.get(key, _MISSING)
-            if value is not _MISSING:
-                fragment = layer._fragments.get(key)
-                if fragment is None:
-                    fragment = _encode_fragment(key, value)
-                    layer._fragments[key] = fragment
-                return fragment
-            layer = layer._parent
-        raise ChainError(f"no fragment for missing key {key!r}")
+    def _trie_for_same_content(self) -> Tuple[_Node, Optional[Set[str]]]:
+        """``(_trie, _dirty)`` for a state with this state's effective
+        content: a never-rooted overlay hands on its parent's trie with its
+        own writes marked dirty, so nothing is hashed here or twice later."""
+        if self._dirty is not None:
+            return self._trie, set(self._dirty)
+        if self._parent is None:
+            return None, None
+        trie, dirty = self._parent._trie_for_same_content()
+        return trie, None if dirty is None else dirty.union(self._data)
+
+    def _synced_trie(self) -> _Node:
+        """Bring the trie up to this layer's effective content."""
+        dirty: Any = self._dirty
+        if dirty is None:
+            # First root of this layer: an overlay starts from its parent's
+            # trie (shared by reference), a base state from the empty one,
+            # and every local key is folded in as one batch.
+            if self._parent is not None:
+                self._trie = self._parent._synced_trie()
+            dirty = self._data
+        if dirty:
+            items: List[_TrieItem] = []
+            for key in dirty:
+                # The effective value, not the local entry: a tombstone or a
+                # write rolled back to "absent here" shows what is below.
+                value = self._lookup(key)
+                leaf = None
+                if value is not _MISSING:
+                    leaf = (sha256(b"\x00" + _encode_fragment(key, value)), key)
+                items.append((_key_path(key), leaf))
+            self._trie = _trie_apply(self._trie, 0, items)
+        self._dirty = set()
+        return self._trie
 
     def state_root(self) -> bytes:
-        """Deterministic digest of the entire effective state.
-
-        Bit-identical to ``sha256(canonical_bytes(state_dict))`` — the
-        historical full-serialization root — but assembled from cached
-        per-key fragments so only keys written since the last root are
-        re-serialized.
+        """Deterministic commitment to the entire effective state: the root
+        digest of the trie (32 zero bytes for the empty state).  Only keys
+        written since this layer's last root are re-hashed.
         """
-        if self._root_cache is not None:
+        if self._dirty is not None and not self._dirty:
             self._root_hits += 1
-            return self._root_cache
-        self._debug_verify()
-        hasher = hashlib.sha256()
-        hasher.update(b"{")
-        first = True
-        for key in self._effective_sorted_keys():
-            if not first:
-                hasher.update(b",")
-            hasher.update(self._fragment_for(key))
-            first = False
-        hasher.update(b"}")
-        root = hasher.digest()
-        self._root_cache = root
-        self._root_recomputes += 1
-        return root
-
-    # -- bucketed incremental root ----------------------------------------
-    def _leaf_for(self, key: str) -> bytes:
-        layer: Optional[StateDB] = self
-        while layer is not None:
-            value = layer._data.get(key, _MISSING)
-            if value is not _MISSING:
-                leaf = layer._leaves.get(key)
-                if leaf is None:
-                    leaf = sha256(layer._fragments.get(key) or self._fragment_for(key))
-                    layer._leaves[key] = leaf
-                return leaf
-            layer = layer._parent
-        raise ChainError(f"no leaf for missing key {key!r}")
-
-    def _ensure_buckets(self) -> None:
-        if self._buckets_ready:
-            return
-        self._bucket_keys = {}
-        for key in self._data:
-            self._bucket_keys.setdefault(_bucket_of(key), []).append(key)
-        for keys in self._bucket_keys.values():
-            keys.sort()
-        self._bucket_digests = None
-        self._bucket_dirty = set()
-        self._buckets_ready = True
-
-    def _effective_bucket_keys(self, bucket: int) -> List[str]:
-        seen: Dict[str, Any] = {}
-        layer: Optional[StateDB] = self
-        while layer is not None:
-            layer._ensure_buckets()
-            for key in layer._bucket_keys.get(bucket, ()):
-                if key not in seen:
-                    seen[key] = layer._data[key]
-            layer = layer._parent
-        return sorted(key for key, value in seen.items() if value is not _DELETED)
-
-    def _bucket_digest(self, bucket: int) -> bytes:
-        keys = self._effective_bucket_keys(bucket)
-        if not keys:
-            return _EMPTY_BUCKET_DIGEST
-        hasher = hashlib.sha256()
-        for key in keys:
-            hasher.update(self._leaf_for(key))
-        return hasher.digest()
-
-    def _bucket_digest_list(self) -> List[bytes]:
-        self._ensure_buckets()
-        if self._parent is None:
-            if self._bucket_digests is None:
-                self._bucket_digests = [
-                    self._bucket_digest(bucket) for bucket in range(BUCKET_COUNT)
-                ]
-                self._bucket_dirty.clear()
-            elif self._bucket_dirty:
-                for bucket in self._bucket_dirty:
-                    self._bucket_digests[bucket] = self._bucket_digest(bucket)
-                self._bucket_dirty.clear()
-            return self._bucket_digests
-        if self._bucket_digests is None or self._bucket_dirty:
-            digests = list(self._parent._bucket_digest_list())
-            touched = {_bucket_of(key) for key in self._data}
-            for bucket in touched:
-                digests[bucket] = self._bucket_digest(bucket)
-            self._bucket_digests = digests
-            self._bucket_dirty.clear()
-        return self._bucket_digests
-
-    def incremental_root(self) -> bytes:
-        """Sorted bucketed Merkle root maintained incrementally.
-
-        Per-key leaf hashes are cached; a write dirties only its key's
-        bucket, so refreshing the root after a block costs
-        O(write-set · bucket-size + bucket-count) instead of O(state).
-        Distinct from :meth:`state_root` (which stays bit-identical to the
-        historical digest); equivalence with :meth:`recompute_incremental_root`
-        is enforced by tests and the benchmark/CI cross-check.
-        """
-        if self._iroot_cache is not None:
-            self._iroot_hits += 1
-            return self._iroot_cache
-        self._debug_verify()
-        root = sha256(b"".join(self._bucket_digest_list()))
-        self._iroot_cache = root
-        self._iroot_recomputes += 1
-        return root
-
-    def recompute_incremental_root(self) -> bytes:
-        """From-scratch bucketed Merkle root, ignoring every cache."""
-        return bucketed_root_of_dict(self._effective_dict())
+        else:
+            self._debug_verify()
+            self._synced_trie()
+            self._root_recomputes += 1
+        return ZERO_HASH if self._trie is None else self._trie[0]
 
     def local_delta(self) -> Tuple[Dict[str, Any], List[str]]:
         """This layer's own writes and deletion tombstones.
@@ -689,13 +572,16 @@ class StateDB:
     def copy(self) -> "StateDB":
         """Independent deep copy of the *effective* state.
 
-        The copy shares **no structure** with this state, its parents, or
-        any overlay forked from it: values are deep-copied and the copy has
-        no parent link, no journal frames, and no shared caches.  Mutating
-        the copy can never leak into the original (or vice versa).
+        The copy shares **no mutable structure** with this state, its
+        parents, or any overlay forked from it: values are deep-copied and
+        the copy has no parent link and no journal frames (only the
+        immutable commitment trie is carried, by reference).  Mutating the
+        copy can never leak into the original (or vice versa).
         Snapshot history is not carried over.
         """
-        return StateDB(copy.deepcopy(self._effective_dict()))
+        duplicate = StateDB(copy.deepcopy(self._effective_dict()))
+        duplicate._trie, duplicate._dirty = self._trie_for_same_content()
+        return duplicate
 
     def to_dict(self) -> Dict[str, Any]:
         return copy.deepcopy(self._effective_dict())
@@ -734,16 +620,17 @@ class StateDB:
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """Counters for observability spans and benchmarks."""
+        """Counters for observability spans and benchmarks.
+
+        O(1) apart from the depth walk: the node reads this on every block,
+        so the key count (``len(state)``, O(state) on an overlay) stays out.
+        """
         return {
-            "size": len(self),
             "local_keys": len(self._data),
             "journal_depth": len(self._journal),
             "overlay_depth": self.overlay_depth,
             "root_cache_hits": self._root_hits,
             "root_recomputes": self._root_recomputes,
-            "iroot_cache_hits": self._iroot_hits,
-            "iroot_recomputes": self._iroot_recomputes,
         }
 
 
@@ -781,20 +668,3 @@ class StateOverlay(StateDB):
         if parent._frozen and not parent._overlays:
             parent._frozen = False
 
-
-def bucketed_root_of_dict(data: Dict[str, Any]) -> bytes:
-    """Reference from-scratch implementation of the bucketed Merkle root."""
-    buckets: Dict[int, List[str]] = {}
-    for key in data:
-        buckets.setdefault(_bucket_of(key), []).append(key)
-    digests: List[bytes] = []
-    for bucket in range(BUCKET_COUNT):
-        keys = sorted(buckets.get(bucket, ()))
-        if not keys:
-            digests.append(_EMPTY_BUCKET_DIGEST)
-            continue
-        hasher = hashlib.sha256()
-        for key in keys:
-            hasher.update(sha256(_encode_fragment(key, data[key])))
-        digests.append(hasher.digest())
-    return sha256(b"".join(digests))

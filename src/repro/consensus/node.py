@@ -417,6 +417,7 @@ class BlockchainNode(Process):
             parent_state, block.transactions, block
         )
         if state.state_root() != block.header.state_root:
+            self.metrics.add("blocks_rejected_state_root", 1, scope=self.name)
             return False
         self._remember_execution(block, state, receipts)
         return True

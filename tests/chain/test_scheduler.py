@@ -26,6 +26,7 @@ from repro.chain.scheduler import (
 )
 from repro.chain.state import StateDB
 from repro.chain.transactions import make_call, make_deploy, make_transfer
+from repro.common.hashing import hash_value
 from repro.common.signatures import KeyPair
 from repro.contracts.library import COUNTER_SOURCE
 from repro.contracts.runtime import ContractExecutor
@@ -353,6 +354,18 @@ class TestEquivalence:
         serial_root, _ = serial_reference(state, txs)
         assert root.hex() == serial_root.hex() == GOLDEN_MIXED_BLOCK_ROOT
 
+    def test_golden_block_content_pinned(self, ledger):
+        """GOLDEN_MIXED_BLOCK_ROOT's value before the Merkle-trie commitment
+        was the SHA-256 of the post-block state's canonical JSON; it still
+        pins that content, so the re-pin moved the commitment and nothing
+        the scheduler, the state layer or the VM computes."""
+        state, cid = ledger
+        with BlockScheduler(ContractExecutor(), backend="thread") as scheduler:
+            overlay, _ = scheduler.execute_block(state, mixed_block(cid), CTX)
+            content = hash_value(overlay.to_dict(), allow_float=False)
+            overlay.discard()
+        assert content.hex() == LEGACY_MIXED_BLOCK_CONTENT_DIGEST
+
     def test_speculate_block_transactions_routes_scheduler(self, ledger):
         state, cid = ledger
         txs = mixed_block(cid)
@@ -459,5 +472,8 @@ class TestValidationUnits:
 
 
 GOLDEN_MIXED_BLOCK_ROOT = (
+    "4f47865c501c1acf2801e2f865620ccc61eb58b50479ad94d28396a23915da2e"
+)
+LEGACY_MIXED_BLOCK_CONTENT_DIGEST = (
     "dad15fd3f31da10abb6b76885de34e9909d32955e199659deee46bb22c427ccb"
 )

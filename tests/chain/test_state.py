@@ -1,15 +1,18 @@
 """StateDB tests: accounts, contract slots, snapshots, overlays, roots."""
 
-import pytest
+import random
 
+import pytest
+from root_oracle import EMPTY, leaf_digest, oracle_root
+
+from repro.chain import state as state_mod
 from repro.chain.state import (
     StateAliasingError,
     StateDB,
     StateOverlay,
-    bucketed_root_of_dict,
     set_debug_aliasing,
 )
-from repro.common.errors import ChainError
+from repro.common.errors import ChainError, SerializationError
 from repro.common.hashing import hash_value
 
 
@@ -180,16 +183,32 @@ class TestRoots:
         assert a.get("x") == 1
         assert a.state_root() != b.state_root()
 
-    def test_root_bit_identical_to_full_serialization_digest(self):
-        # Pins the incremental root to the historical formula:
-        # sha256(canonical_bytes(full state dict)).  This is the
-        # consensus-critical bit-identicality contract of the refactor.
+    def test_root_is_the_trie_root_not_the_content_digest(self):
+        # The root is the Merkle-trie commitment the oracle defines
+        # (DESIGN.md §17), no longer sha256(canonical_bytes(full state dict)).
         state = StateDB()
         state.credit("alice", 100)
         state.set("contract/c1/s/x", {"a": [1, 2], "b": "text"})
         state.set_slot("c2", "y", [3, {"k": True}])
         state.delete("contract/c1/s/x")
-        assert state.state_root() == hash_value(state.to_dict(), allow_float=False)
+        assert state.state_root() == oracle_root(state.to_dict())
+        assert state.state_root() != hash_value(state.to_dict(), allow_float=False)
+
+    def test_empty_and_single_key_roots(self):
+        state = StateDB()
+        assert state.state_root() == EMPTY == b"\x00" * 32
+        state.set("only", [1])
+        assert state.state_root() == leaf_digest("only", [1])  # no branch above it
+        state.delete("only")
+        assert state.state_root() == EMPTY
+
+    def test_floats_rejected_in_committed_values(self):
+        state = StateDB()
+        state.set("k", 1.5)
+        with pytest.raises(SerializationError):
+            state.state_root()
+        state.set("k", 2)
+        assert state.state_root() == oracle_root({"k": 2})
 
     def test_root_cache_hit_after_clean_read(self):
         state = StateDB()
@@ -283,9 +302,7 @@ class TestOverlay:
         overlay.set("new", [1, 2])
         flat = StateDB(overlay.to_dict())
         assert overlay.state_root() == flat.state_root()
-        assert overlay.state_root() == hash_value(
-            overlay.to_dict(), allow_float=False
-        )
+        assert overlay.state_root() == oracle_root(overlay.to_dict())
 
     def test_chained_overlays(self):
         base = StateDB()
@@ -311,12 +328,12 @@ class TestOverlay:
         assert flat.state_root() == overlay.state_root()
 
     def test_flatten_root_fresh_after_overlay_shadows_cached_fragment(self):
-        # Regression: the base had cached a fragment for "k" (state_root
-        # was computed), then an overlay overwrote "k" and was flattened
-        # WITHOUT an intervening state_root() on the overlay.  The stale
-        # base fragment must not be carried into the flat state, or its
-        # next root would encode the old value — a silent consensus-root
-        # divergence.
+        # Regression: the base had hashed a leaf for "k" (state_root was
+        # computed), then an overlay overwrote "k" and was flattened
+        # WITHOUT an intervening state_root() on the overlay.  The flat
+        # state carries the base's trie, so "k" must travel with it as
+        # dirty, or the next root would commit to the old value — a silent
+        # consensus-root divergence.
         base = StateDB()
         base.set("k", 1)
         base.set("other", "x")
@@ -325,7 +342,7 @@ class TestOverlay:
         overlay.set("k", 999)
         flat = overlay.flatten()
         assert flat.get("k") == 999
-        assert flat.state_root() == hash_value(flat.to_dict(), allow_float=False)
+        assert flat.state_root() == oracle_root(flat.to_dict())
         expected = StateDB({"k": 999, "other": "x"})
         assert flat.state_root() == expected.state_root()
 
@@ -338,25 +355,23 @@ class TestOverlay:
         overlay.set("k", 999)
         overlay.collapse()
         assert overlay.get("k") == 999
-        assert overlay.state_root() == hash_value({"k": 999}, allow_float=False)
+        assert overlay.state_root() == oracle_root({"k": 999})
 
     def test_chained_flatten_keeps_shallowest_writer_fragment(self):
-        # Three layers: the middle layer's cached fragment must win over
-        # the base's, and the top layer's uncached write must win over
-        # both cached fragments.
+        # Three layers: the middle layer's hashed leaf must win over the
+        # base's, and the top layer's not-yet-hashed write must win over
+        # both.
         base = StateDB()
         base.set("a", 1)
         base.set("b", 1)
         base.state_root()
         mid = base.fork()
         mid.set("a", 2)
-        mid.state_root()  # caches mid's fragment for "a"
+        mid.state_root()  # hashes mid's leaf for "a"
         top = mid.fork()
-        top.set("b", 3)  # shadows base's cached "b" fragment, uncached
+        top.set("b", 3)  # shadows base's hashed "b" leaf, itself unhashed
         flat = top.flatten()
-        assert flat.state_root() == hash_value(
-            {"a": 2, "b": 3}, allow_float=False
-        )
+        assert flat.state_root() == oracle_root({"a": 2, "b": 3})
 
     def test_collapse_preserves_content_and_children(self):
         base = StateDB()
@@ -440,36 +455,156 @@ class TestCopyIsolation:
 
 
 class TestIncrementalRoot:
+    """The persistently maintained trie against the from-scratch oracle."""
+
     def test_matches_from_scratch(self):
         state = StateDB()
         for i in range(50):
             state.set(f"k/{i}", {"v": i})
-        assert state.incremental_root() == state.recompute_incremental_root()
+        assert state.state_root() == oracle_root(state.to_dict())
         state.set("k/10", {"v": "changed"})
         state.delete("k/20")
         state.set("brand-new", [1])
-        assert state.incremental_root() == state.recompute_incremental_root()
+        assert state.state_root() == oracle_root(state.to_dict())
 
     def test_matches_reference_implementation(self):
         state = StateDB()
         state.set("a", 1)
         state.set("b", {"x": [1, 2]})
-        assert state.incremental_root() == bucketed_root_of_dict(state.to_dict())
+        assert state.state_root() == oracle_root({"a": 1, "b": {"x": [1, 2]}})
 
     def test_overlay_incremental_root(self):
         base = StateDB()
         for i in range(30):
             base.set(f"k/{i}", i)
-        base.incremental_root()  # warm the base caches
+        base.state_root()  # the overlay starts from this trie
         overlay = base.fork()
         overlay.set("k/5", "changed")
-        overlay.delete("k/6")
+        overlay.delete("k/6")  # tombstone over a base key
         overlay.set("extra", True)
-        assert overlay.incremental_root() == overlay.recompute_incremental_root()
-        assert overlay.incremental_root() != base.incremental_root()
+        assert overlay.state_root() == oracle_root(overlay.to_dict())
+        assert overlay.state_root() != base.state_root()
+        assert base.state_root() == oracle_root(base.to_dict())
 
     def test_detects_any_difference(self):
         a, b = StateDB(), StateDB()
         a.set("x", 1)
         b.set("x", 2)
-        assert a.incremental_root() != b.incremental_root()
+        assert a.state_root() != b.state_root()
+
+    def test_root_inside_open_snapshot_then_rollback(self):
+        base = StateDB({"keep": 1, "gone": 2})
+        overlay = base.fork()
+        before = overlay.state_root()
+        overlay.snapshot()
+        overlay.set("keep", 10)
+        overlay.set("new", 3)
+        overlay.delete("gone")
+        inside = overlay.state_root()  # folds the doomed writes into the trie
+        assert inside == oracle_root({"keep": 10, "new": 3})
+        overlay.rollback()  # every key is now absent from this layer again
+        assert overlay.state_root() == before == oracle_root({"keep": 1, "gone": 2})
+
+    def test_write_then_delete_in_one_layer(self):
+        base = StateDB({"a": 1})
+        base.state_root()
+        overlay = base.fork()
+        overlay.set("fresh", 1)
+        overlay.delete("fresh")  # tombstone over nothing
+        overlay.set("a", 2)
+        overlay.delete("a")  # tombstone over a base key
+        assert overlay.state_root() == oracle_root({}) == EMPTY
+        assert base.state_root() == oracle_root({"a": 1})
+
+    def test_shape_independent_of_write_order(self):
+        pairs = {f"key/{i}": {"v": i} for i in range(200)}
+        doomed = {f"doomed/{i}": i for i in range(60)}
+        expected = oracle_root(pairs)
+        for seed in range(4):
+            rng = random.Random(seed)
+            ops = [("set", k, v) for k, v in {**pairs, **doomed}.items()]
+            rng.shuffle(ops)
+            state = StateDB()
+            live_doomed = []
+            for op, key, value in ops:
+                state.set(key, value)
+                if key in doomed:
+                    live_doomed.append(key)
+                if live_doomed and rng.random() < 0.3:  # deletes interleaved
+                    state.delete(live_doomed.pop(rng.randrange(len(live_doomed))))
+                if rng.random() < 0.05:
+                    state.state_root()  # and roots taken at random points
+            for key in live_doomed:
+                state.delete(key)
+            assert state.state_root() == expected
+
+    def test_ancestor_root_survives_70_rooted_descendants(self):
+        # No published node is ever mutated: after 70 layers were written
+        # and rooted on top of it, the ancestor's trie still hashes to its
+        # own content — checked through a fresh overlay that starts from
+        # that trie, not through the ancestor's cached digest.
+        base = StateDB({f"k/{i}": i for i in range(300)})
+        base_root = base.state_root()
+        rng = random.Random(7)
+        layers, state = [base], base
+        for depth in range(70):
+            state = state.fork()
+            for _ in range(8):
+                key = f"k/{rng.randrange(330)}"
+                if rng.random() < 0.25:
+                    state.delete(key)
+                else:
+                    state.set(key, [depth, rng.randrange(10)])
+            assert state.state_root() == oracle_root(state.to_dict())
+            layers.append(state)
+        assert base.state_root() == base_root == oracle_root(base.to_dict())
+        mid = layers[35]
+        probe = mid.fork(freeze=False)
+        probe.set("probe", 1)
+        assert probe.state_root() == oracle_root({**mid.to_dict(), "probe": 1})
+
+    @staticmethod
+    def _count_hashes(monkeypatch):
+        """Every SHA-256 the state module computes from here on, as a list."""
+        hashed = []
+        real = state_mod.sha256
+        monkeypatch.setattr(
+            state_mod, "sha256", lambda data: hashed.append(1) or real(data)
+        )
+        return hashed
+
+    def test_fork_copy_flatten_collapse_hash_nothing(self, monkeypatch):
+        base = StateDB({f"k/{i}": i for i in range(500)})
+        base.state_root()
+        head = base.fork()
+        for i in range(10):
+            head.set(f"k/{i}", "written")
+        root = head.state_root()
+
+        hashed = self._count_hashes(monkeypatch)
+        child = head.fork()
+        assert child.state_root() == root
+        flat = head.flatten()
+        assert flat.state_root() == root and flat.stats()["root_recomputes"] == 0
+        duplicate = head.copy()
+        assert duplicate.state_root() == root
+        assert duplicate.stats()["root_recomputes"] == 0
+        child.discard()
+        head.collapse()
+        assert head.state_root() == root and head.stats()["root_recomputes"] == 1
+        assert hashed == []
+        # ...and a one-key write afterwards hashes a path, not the state.
+        flat.set("k/0", "again")
+        flat.state_root()
+        assert 0 < len(hashed) <= 8
+
+    def test_never_rooted_overlay_hands_on_its_parents_trie(self, monkeypatch):
+        base = StateDB({f"k/{i}": i for i in range(500)})
+        base.state_root()
+        overlay = base.fork()
+        overlay.set("k/1", "x")
+        overlay.delete("k/2")
+        flat = overlay.flatten()  # overlay itself was never rooted
+        hashed = self._count_hashes(monkeypatch)
+        assert flat.state_root() == oracle_root(flat.to_dict())
+        assert len(hashed) <= 16  # two paths, not 500 leaves

@@ -7,12 +7,13 @@ randomized operation sequence is a consensus bug.
 """
 
 import copy
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from root_oracle import oracle_root
 
-from repro.chain.state import StateDB, bucketed_root_of_dict
-from repro.common.hashing import hash_value
+from repro.chain.state import StateDB
 
 _KEYS = st.text(alphabet="abcxyz/", min_size=1, max_size=6)
 _VALUES = st.one_of(
@@ -111,7 +112,7 @@ class TestJournalProperties:
             if model.apply(op, key, value):
                 _apply_to_state(state, op, key, value)
         assert state.to_dict() == model.data
-        assert state.state_root() == hash_value(model.data, allow_float=False)
+        assert state.state_root() == oracle_root(model.data)
 
     @settings(max_examples=40)
     @given(_OPS, _OPS)
@@ -131,29 +132,89 @@ class TestJournalProperties:
             if fork_model.apply(op, key, value):
                 _apply_to_state(overlay, op, key, value)
         assert overlay.to_dict() == fork_model.data
-        assert overlay.state_root() == hash_value(fork_model.data, allow_float=False)
+        assert overlay.state_root() == oracle_root(fork_model.data)
         assert state.to_dict() == parent_dict
 
 
-class TestRootEquivalenceProperties:
-    @settings(max_examples=60)
-    @given(_OPS)
-    def test_incremental_roots_match_recomputation(self, ops):
-        state = StateDB()
-        for op, key, value in ops:
-            if op in ("commit", "rollback") and state.journal_depth == 0:
+_SHAPE_OPS = ["snapshot", "commit", "rollback", "fork", "discard",
+              "collapse", "flatten", "copy"]
+
+# Writes and layer operations, each with a flag: take a root right after?
+_LAYER_OPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("set"), _KEYS, _VALUES),
+            st.tuples(st.just("delete"), _KEYS, st.none()),
+            st.tuples(st.sampled_from(_SHAPE_OPS), st.none(), st.none()),
+        ),
+        st.booleans(),
+    ),
+    max_size=60,
+)
+
+
+def _walk_against_oracle(initial, ops):
+    """Drive one state through ``ops``; whenever a root is taken — inside a
+    snapshot, on a fresh fork, after a collapse — it must be the oracle's
+    root of the model dict, and every ancestor left behind must still root
+    to the content it had when it was forked."""
+    state = StateDB(dict(initial))
+    model = _ModelState(initial)
+    ancestors = []  # (state, its content) of every state forked on the way
+    for (op, key, value), take_root in ops:
+        if op in ("set", "delete", "snapshot", "commit", "rollback"):
+            if model.apply(op, key, value):
+                _apply_to_state(state, op, key, value)
+        elif op == "fork":
+            if state.journal_depth:
                 continue
-            _apply_to_state(state, op, key, value)
-            # Interleave root queries with writes so cache invalidation is
-            # exercised mid-sequence, not just at the end.
-            if op == "set" and isinstance(value, int) and value % 5 == 0:
-                assert state.incremental_root() == state.recompute_incremental_root()
-        while state.journal_depth:
-            state.commit()
-        effective = state.to_dict()
-        assert state.state_root() == hash_value(effective, allow_float=False)
-        assert state.incremental_root() == state.recompute_incremental_root()
-        assert state.incremental_root() == bucketed_root_of_dict(effective)
+            ancestors.append((state, copy.deepcopy(model.data)))
+            state = state.fork()
+        elif op == "discard":
+            parent = getattr(state, "parent", None)
+            if not ancestors or parent is not ancestors[-1][0]:
+                continue
+            state.discard()
+            state, data = ancestors.pop()
+            model = _ModelState(data)
+        elif op == "collapse":
+            if state.journal_depth:
+                continue
+            state.collapse()
+        else:  # flatten / copy: a standalone state, journal not carried
+            state = getattr(state, op)()
+            model.snapshots = []
+        if take_root:
+            assert state.state_root() == oracle_root(model.data)
+    assert state.to_dict() == model.data
+    assert state.state_root() == oracle_root(model.data)
+    for ancestor, data in ancestors:
+        assert ancestor.state_root() == oracle_root(data)
+
+
+class TestRootEquivalenceProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(_KEYS, _VALUES, max_size=8), _LAYER_OPS)
+    def test_incremental_roots_match_recomputation(self, initial, ops):
+        _walk_against_oracle(initial, ops)
+
+    def test_long_seeded_walks_match_recomputation(self):
+        # Hypothesis keeps its sequences short (a handful of ops); these
+        # run long enough to stack overlays, nest snapshots and revisit keys.
+        for seed in range(25):
+            rng = random.Random(seed)
+            keys = [f"k/{i}" for i in range(24)]
+            ops = []
+            for _ in range(400):
+                roll = rng.random()
+                if roll < 0.45:
+                    op = ("set", rng.choice(keys), [rng.randrange(5)])
+                elif roll < 0.65:
+                    op = ("delete", rng.choice(keys), None)
+                else:
+                    op = (rng.choice(_SHAPE_OPS), None, None)
+                ops.append((op, rng.random() < 0.3))
+            _walk_against_oracle({key: 0 for key in keys[::2]}, ops)
 
     @settings(max_examples=30)
     @given(
@@ -168,11 +229,32 @@ class TestRootEquivalenceProperties:
     )
     def test_overlay_incremental_root_matches_recomputation(self, initial, diff):
         base = StateDB(dict(initial))
-        base.incremental_root()  # warm base bucket caches first
+        base_root = base.state_root()  # the overlay starts from this trie
         overlay = base.fork()
         for op, key, value in diff:
             _apply_to_state(overlay, op, key, value)
-        assert overlay.incremental_root() == overlay.recompute_incremental_root()
-        assert overlay.state_root() == hash_value(
-            overlay.to_dict(), allow_float=False
-        )
+        assert overlay.state_root() == oracle_root(overlay.to_dict())
+        assert base.state_root() == base_root == oracle_root(initial)
+
+    @settings(max_examples=40)
+    @given(
+        st.dictionaries(_KEYS, _VALUES, max_size=12),
+        st.dictionaries(_KEYS, _VALUES, max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    def test_root_depends_on_the_pairs_not_on_how_they_got_there(
+        self, pairs, doomed, rng
+    ):
+        doomed = {k: v for k, v in doomed.items() if k not in pairs}
+        writes = list(pairs.items()) + list(doomed.items())
+        rng.shuffle(writes)
+        state = StateDB()
+        for index, (key, value) in enumerate(writes):
+            state.set(key, value)
+            if index % 3 == 0:
+                state.state_root()
+        deletes = list(doomed)
+        rng.shuffle(deletes)
+        for key in deletes:
+            state.delete(key)
+        assert state.state_root() == StateDB(pairs).state_root() == oracle_root(pairs)

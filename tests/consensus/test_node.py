@@ -2,7 +2,8 @@
 
 
 from repro.chain.state import StateDB
-from repro.chain.blocks import make_genesis
+from repro.chain.blocks import build_block, make_genesis
+from repro.chain.executor import ExecutionContext
 from repro.chain.transactions import make_deploy, make_call, make_transfer
 from repro.common.signatures import KeyPair
 from repro.consensus.node import make_network_nodes
@@ -143,6 +144,35 @@ class TestRobustness:
         network.send("n0", "n1", "tx", bad)
         kernel.run(until=5.0)
         assert len(nodes["n1"].mempool) == 0
+
+    def test_block_with_wrong_state_root_rejected_and_counted(self, alice):
+        """A validly signed block whose header root has one bit flipped is
+        rejected by every follower after re-execution, and the rejection
+        is counted (it used to be a silent ``False``)."""
+        kernel, __, metrics, nodes = build_network(3, funder=alice)
+        byzantine = nodes["n1"]  # in turn at height 1
+        tx = make_transfer(alice, "dest", 5, nonce=0)
+        parent = byzantine.head
+        context = ExecutionContext(
+            block_height=1, timestamp_ms=500, proposer="n1", node_name="n1"
+        )
+        state, _ = byzantine._apply_block(byzantine.state, [tx], context)
+        root = bytearray(state.state_root())
+        root[0] ^= 1
+        block = byzantine.consensus.seal(
+            "n1", build_block(parent, [tx], bytes(root), "n1", 500)
+        )
+        byzantine._broadcast_block(block)
+        kernel.run(until=kernel.now + 0.4)  # delivered; no honest round has fired
+        for name in ("n0", "n2"):
+            assert metrics.counter("blocks_rejected_state_root", scope=name) == 1
+        assert {node.head.block_id for node in nodes.values()} == {parent.block_id}
+        # The same tx in an honest block still commits everywhere.
+        nodes["n0"].submit_tx(tx)
+        commit(kernel, nodes, tx)
+        assert len({node.head.block_id for node in nodes.values()}) == 1
+        assert len({node.state.state_root() for node in nodes.values()}) == 1
+        assert metrics.counter_total("blocks_rejected_state_root") == 2
 
     def test_partition_stalls_then_heals(self, alice):
         kernel, network, __, nodes = build_network(2, funder=alice)

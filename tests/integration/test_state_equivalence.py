@@ -1,13 +1,22 @@
-"""Bit-identicality gate for the copy-on-write state refactor.
+"""Bit-identicality gate for the state layer.
 
-The golden hashes below were produced by the pre-refactor implementation
-(full-dict snapshots, deep-copying reads/writes, from-scratch roots) on the
-exact same scenario.  The journaled/overlay/incremental state layer must
-reproduce every one of them byte for byte: state roots feed block hashes,
-so any drift here is a consensus break, not a formatting nit.
+The golden hashes below pin one scenario end to end: state roots feed block
+hashes, so any drift here is a consensus break, not a formatting nit.
+
+The header commitment changed once, deliberately, when ``state_root()``
+became the root of the Merkle trie (DESIGN.md §17): ``GOLDEN_STATE_ROOT``
+and ``GOLDEN_HEAD_BLOCK_ID`` were re-pinned in that one commit.  Their
+previous values are kept as ``LEGACY_*`` pins of the *content* — the
+SHA-256 of the canonical JSON of the same final state, which is what the
+root used to be — so the re-pin is provably the commitment function moving
+and nothing else: same state, same receipts, same txs, timestamps and
+proposers in every block.
 """
 
-from repro.chain.blocks import make_genesis
+import sys
+from pathlib import Path
+
+from repro.chain.blocks import build_block, make_genesis
 from repro.chain.state import StateDB
 from repro.chain.transactions import make_call, make_deploy, make_transfer
 from repro.common.hashing import hash_value, hash_value_hex
@@ -19,7 +28,15 @@ from repro.sim.kernel import Kernel
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chain"))
+from root_oracle import oracle_root  # noqa: E402
+
 GOLDEN_STATE_ROOT = (
+    "b87dd97fc0e3893e75faf0401003ec35c62dfbb02fd660d128dff7a4ce0d47eb"
+)
+# sha256(canonical_bytes(final state dict)): GOLDEN_STATE_ROOT's value before
+# the trie, now a pin of the content the root commits to.
+LEGACY_STATE_CONTENT_DIGEST = (
     "7727f5269c19af523908eb88a00cb6b256e4d695fb8a1beb3b934e451ee822ac"
 )
 # Receipts hash and head block id embed tx ids, so they were re-pinned when
@@ -30,6 +47,11 @@ GOLDEN_RECEIPTS_HASH = (
     "d5f62687543102ff3df9474db79c0c741b409d6597ca4bd2e1baf22fce692833"
 )
 GOLDEN_HEAD_BLOCK_ID = (
+    "da89df07b06af4db6412382248e43d1c4454fd25315a3badc183af91fedcef4b"
+)
+# GOLDEN_HEAD_BLOCK_ID's value before the trie: the head id of the same
+# chain with each header's root replaced by its state's content digest.
+LEGACY_HEAD_BLOCK_ID = (
     "06d3d47f1f4aa6bb8aa818fdbb36bda64e0b5b309863f7a26ac7f09926db0053"
 )
 
@@ -120,6 +142,30 @@ def _receipts_hash(entry, txs):
     return hash_value_hex(receipts, allow_float=False)
 
 
+def _content_digest(state: StateDB) -> bytes:
+    return hash_value(state.to_dict(), allow_float=False)
+
+
+def _head_id_under_content_digest_roots(node) -> str:
+    """Re-seal the node's canonical chain with the pre-trie commitment in
+    every header; everything else in each block is taken as executed."""
+    chain = [node.head]
+    while chain[-1].height:
+        chain.append(node.store.get(chain[-1].header.parent_hash.hex()))
+    chain.reverse()
+    legacy = make_genesis(_content_digest(node._states[chain[0].block_id]))
+    for block in chain[1:]:
+        unsealed = build_block(
+            legacy,
+            block.transactions,
+            _content_digest(node._states[block.block_id]),
+            block.header.proposer,
+            block.header.timestamp_ms,
+        )
+        legacy = node.consensus.seal(block.header.proposer, unsealed)
+    return legacy.block_id
+
+
 def test_state_roots_receipts_and_blocks_bit_identical_to_seed():
     nodes, names, entry, txs = _run_scenario()
     roots = {name: nodes[name].state.state_root().hex() for name in names}
@@ -128,14 +174,21 @@ def test_state_roots_receipts_and_blocks_bit_identical_to_seed():
     assert entry.head.block_id == GOLDEN_HEAD_BLOCK_ID
 
 
+def test_only_the_commitment_function_moved_in_the_repin():
+    nodes, names, entry, _ = _run_scenario()
+    for name in names:
+        assert _content_digest(nodes[name].state).hex() == LEGACY_STATE_CONTENT_DIGEST
+    assert _head_id_under_content_digest_roots(entry) == LEGACY_HEAD_BLOCK_ID
+
+
 def test_incremental_machinery_agrees_with_naive_recomputation():
     nodes, names, entry, _ = _run_scenario()
     for name in names:
-        state = nodes[name].state
-        # Legacy digest: incremental fragment assembly == full serialization.
-        assert state.state_root() == hash_value(state.to_dict(), allow_float=False)
-        # Bucketed Merkle root: cached == from scratch.
-        assert state.incremental_root() == state.recompute_incremental_root()
+        node = nodes[name]
+        # Every retained per-block state, not just the head: each was rooted
+        # incrementally on top of its parent's trie.
+        for state in node._states.values():
+            assert state.state_root() == oracle_root(state.to_dict())
 
 
 def test_aggressive_pruning_does_not_change_consensus_results():
