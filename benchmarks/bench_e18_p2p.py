@@ -29,11 +29,9 @@ from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
 from repro.common.clock import WallClock
 from repro.common.signatures import KeyPair
-from repro.consensus.node import BlockchainNode, NodeConfig, make_network_nodes
+from repro.consensus.node import NodeConfig, make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
 from repro.p2p.config import P2PConfig
-from repro.p2p.service import P2PService
-from repro.p2p.transport import SimTransport
 from repro.sim.kernel import Kernel
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
@@ -58,73 +56,47 @@ class SimWorld:
         self.metrics = MetricsRegistry()
         self.network = Network(self.kernel, self.metrics)
         self.alice = KeyPair.generate("alice")
-        state = StateDB()
-        state.credit(self.alice.address, 10**9)
-        self.genesis = make_genesis(state.state_root())
+        self.state = StateDB()
+        self.state.credit(self.alice.address, 10**9)
+        self.genesis = make_genesis(self.state.state_root())
         validators = [f"n{i}" for i in range(min(3, n_nodes))]
         keypairs = {name: KeyPair.generate(name) for name in validators}
-        engine = ProofOfAuthority(
+        self.engine = ProofOfAuthority(
             validators, keypairs, block_interval_s=block_interval_s
         )
-        self.nodes = make_network_nodes(
-            self.kernel,
-            self.network,
+        # Every node bootstraps from the validators; the rest is discovery.
+        self.nodes = self._join(
+            [f"n{i}" for i in range(n_nodes)],
             validators,
-            self.genesis,
-            state,
-            lambda: engine,
-            metrics=self.metrics,
-            config=NodeConfig(max_txs_per_block=3),
+            NodeConfig(
+                max_txs_per_block=3,
+                p2p=P2PConfig(fanout=fanout, ping_interval_s=2.0),
+            ),
         )
-        for i in range(len(validators), n_nodes):
-            self.nodes[f"n{i}"] = BlockchainNode(
-                kernel=self.kernel,
-                network=self.network,
-                name=f"n{i}",
-                genesis=self.genesis,
-                genesis_state=state,
-                consensus=engine,
-                metrics=self.metrics,
-                config=NodeConfig(max_txs_per_block=3),
-            )
-        self.engine = engine
-        self.state = state
-        self.services = {}
-        for name, node in self.nodes.items():
-            seeds = [v for v in validators if v != name]
-            transport = SimTransport(self.network, name, register=False)
-            self.services[name] = P2PService(
-                node,
-                transport,
-                P2PConfig(seeds=seeds, fanout=fanout, ping_interval_s=2.0),
-            )
-        for node in self.nodes.values():
-            node.start()
-        for service in self.services.values():
-            service.start()
         self.kernel.run(until=3.0)  # let the mesh form
 
-    def add_observer(self, name, seeds, **overrides):
-        node = BlockchainNode(
-            kernel=self.kernel,
-            network=self.network,
-            name=name,
-            genesis=self.genesis,
-            genesis_state=self.state,
-            consensus=self.engine,
+    def _join(self, names, seeds, config):
+        nodes = make_network_nodes(
+            self.kernel,
+            self.network,
+            names,
+            self.genesis,
+            self.state,
+            lambda: self.engine,
             metrics=self.metrics,
-            config=NodeConfig(),
+            config=config,
+            seeds=seeds,
         )
-        self.nodes[name] = node
-        transport = SimTransport(self.network, name, register=False)
-        self.services[name] = P2PService(
-            node,
-            transport,
-            P2PConfig(seeds=list(seeds), fanout=2, ping_interval_s=1.0, **overrides),
+        for node in nodes.values():
+            node.start()
+        return nodes
+
+    def add_observer(self, name, seeds, **overrides):
+        config = NodeConfig(
+            p2p=P2PConfig(fanout=2, ping_interval_s=1.0, **overrides)
         )
-        node.start()
-        self.services[name].start()
-        return node
+        self.nodes.update(self._join([name], seeds, config))
+        return self.nodes[name]
 
 
 def measure_propagation(n_nodes, fanout, n_txs):

@@ -86,9 +86,13 @@ def test_e3_contract_duplication(benchmark):
         assert row["perfectly_duplicated"]
         # The transformed architecture is at least 3x cheaper on chain.
         assert row["waste_factor"] > 3
-    # On-chain cost grows with the network; transformed grows much slower.
+    # On-chain cost grows with the network.  So does the transformed
+    # chain's — every node still re-executes the light policy contracts,
+    # the same gas per node at every size — but the analytic itself runs
+    # once, off chain, however many nodes there are.
     assert rows[-1]["onchain_total_gas"] > 3 * rows[0]["onchain_total_gas"]
-    assert rows[-1]["transformed_total_gas"] < 3 * rows[0]["transformed_total_gas"]
+    assert len({r["transformed_total_gas"] / r["nodes"] for r in rows}) == 1
+    assert len({r["transformed_offchain_flops"] for r in rows}) == 1
 
 
 def main(argv=None):

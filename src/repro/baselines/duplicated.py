@@ -150,6 +150,7 @@ def run_transformed_training(
     researcher = KP.generate("transformed-researcher")
     platform.grant_access(site, "train-data", researcher.address, "research")
     service = GlobalQueryService(platform, researcher)
+    _settle(platform)
     baseline_gas = platform.metrics.counter_total("gas")
     baseline_flops = platform.metrics.counter_total("flops")
     start = platform.kernel.now
@@ -157,6 +158,7 @@ def run_transformed_training(
         intent="train", outcome=outcome, model="logistic", rounds=steps
     )
     service.execute(vector)
+    _settle(platform)
     return ComputeReport(
         architecture="transformed (off-chain)",
         node_count=node_count,
@@ -166,6 +168,23 @@ def run_transformed_training(
         sim_seconds=platform.kernel.now - start,
         energy_joules=platform.metrics.total_energy_joules(),
     )
+
+
+def _settle(platform, timeout: float = 600.0) -> None:
+    """Run until every node shares one head and no tx is pooled.
+
+    ``execute`` returns as soon as the entry node holds the result, while
+    followers are still fetching and re-executing the last blocks; a gas
+    sample taken then misses their share of the duplicated work.
+    """
+    nodes = list(platform.nodes.values())
+
+    def settled() -> bool:
+        return len({node.head.block_id for node in nodes}) == 1 and not any(
+            len(node.mempool) for node in nodes
+        )
+
+    platform.kernel.run(until=platform.kernel.now + timeout, stop_when=settled)
 
 
 def _run_until(kernel: Kernel, nodes: Dict[str, Any], tx_id: str, timeout: float = 600.0) -> None:

@@ -1,17 +1,24 @@
 """A full blockchain node: mempool, gossip, mining/proposal loop, execution.
 
 This implements the *un-transformed* commercial-blockchain behaviour the
-paper starts from (section I): every transaction is broadcast to all
-participants, every node re-executes every smart contract, and consensus
+paper starts from (section I): every transaction reaches every
+participant, every node re-executes every smart contract, and consensus
 requires the whole network to agree on each ledger modification.  The
 duplicated work is charged to the metrics registry per node, so experiments
 can quantify exactly what the transformed architecture (``repro.core``)
 saves.
+
+Dissemination has one path: every node owns a
+:class:`~repro.p2p.service.P2PService` over the ``Transport`` it is built
+with (``SimTransport`` on the simulation kernel, ``RpcTransport`` over
+TCP).  Transactions and blocks are announced by id, bodies are fetched
+once per node, and a missed ancestor is repaired by headers-first sync
+(DESIGN.md §11).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.chain.blocks import Block, build_block
@@ -29,9 +36,11 @@ from repro.common.errors import ValidationError
 from repro.consensus.base import ConsensusEngine
 from repro.obs.tracer import trace_span
 from repro.contracts.runtime import ContractExecutor
+from repro.p2p.config import P2PConfig
+from repro.p2p.service import P2PService
+from repro.p2p.transport import SimTransport, Transport
 from repro.sim.kernel import EventHandle, Kernel, Process
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import Message, Network
 
 EventSubscriber = Callable[[ContractEvent], None]
 
@@ -42,8 +51,6 @@ class NodeConfig:
 
     max_txs_per_block: int = 200
     mine_empty: bool = False
-    rebroadcast_txs: bool = True
-    rebroadcast_blocks: bool = True
     # Per-block states older than this many blocks below the head are
     # pruned, so state memory is bounded by chain *width* within the
     # window rather than chain *length*.  Longest-chain reorgs deeper than
@@ -84,12 +91,9 @@ class NodeConfig:
     # per-account rate limiting.  None uses permissive defaults that admit
     # unfee'd development traffic FIFO-style.
     mempool: Optional[MempoolConfig] = None
-    # Peer-to-peer settings (repro.p2p.P2PConfig).  When a P2PService is
-    # attached, tx/block dissemination switches from the sim network's
-    # full-body flood to announce-by-hash gossip with fetch-on-miss, and
-    # missing ancestors are repaired by headers-first sync instead of
-    # point get_block requests.  None keeps the legacy flood behaviour.
-    p2p: Optional[Any] = None
+    # Peer-to-peer settings of the node's P2PService: seeds, announce
+    # fanout, sync windows, ping/timeout periods (repro.p2p.P2PConfig).
+    p2p: P2PConfig = field(default_factory=P2PConfig)
 
 
 class BlockchainNode(Process):
@@ -98,7 +102,7 @@ class BlockchainNode(Process):
     def __init__(
         self,
         kernel: Kernel,
-        network: Network,
+        transport: Transport,
         name: str,
         genesis: Block,
         genesis_state: StateDB,
@@ -108,7 +112,6 @@ class BlockchainNode(Process):
         config: Optional[NodeConfig] = None,
     ):
         super().__init__(kernel, name)
-        self.network = network
         self.consensus = consensus
         self.executor = executor or ContractExecutor()
         self.metrics = metrics or MetricsRegistry()
@@ -125,9 +128,8 @@ class BlockchainNode(Process):
         self._block_receipts: Dict[str, List[Receipt]] = {genesis.block_id: []}
         self._receipts_by_tx: Dict[str, Receipt] = {}
         self._seen_blocks: Set[str] = {genesis.block_id}
-        # Blocks waiting for an ancestor we are back-filling via get_block.
+        # Blocks waiting for an ancestor that headers-first sync is fetching.
         self._pending_blocks: Dict[str, List[Block]] = {}
-        self._requested_blocks: Set[str] = set()
         self._emitted_blocks: Set[str] = {genesis.block_id}
         self._event_subscribers: List[EventSubscriber] = []
         self._tx_submit_times: Dict[str, float] = {}
@@ -135,19 +137,20 @@ class BlockchainNode(Process):
         self._round_start: Optional[float] = None
         self._started = False
         self._scheduler = None  # built lazily when parallel_execution is on
-        self._p2p = None  # P2PService, attached via attach_p2p
         self.events: List[ContractEvent] = []
-        network.register(name, self._on_message)
+        self.p2p = P2PService(self, transport)
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
-        """Begin participating in consensus."""
+        """Dial the seed peers and begin participating in consensus."""
         self._started = True
+        self.p2p.start()
         self._plan_round()
 
     def stop(self) -> None:
         self._started = False
         self._cancel_round()
+        self.p2p.stop()
         if self._scheduler is not None:
             self._scheduler.shutdown()
             self._scheduler = None
@@ -182,32 +185,6 @@ class BlockchainNode(Process):
         """Register a contract-event callback (the monitor node hook, Fig. 3)."""
         self._event_subscribers.append(subscriber)
 
-    def attach_p2p(self, service) -> None:
-        """Route this node's dissemination through a ``P2PService``.
-
-        Gossip becomes announce-by-hash (ids to ``fanout`` peers, bodies
-        fetched once on miss) instead of the full-body network flood, and
-        missing-ancestor repair goes through headers-first sync.
-        """
-        self._p2p = service
-
-    # -- dissemination -------------------------------------------------------
-    def _broadcast_tx(self, tx: Transaction) -> None:
-        if self._p2p is not None:
-            self._p2p.announce_tx(tx)
-        else:
-            self.network.broadcast(
-                self.name, "tx", tx, size_bytes=tx.estimated_size_bytes()
-            )
-
-    def _broadcast_block(self, block: Block) -> None:
-        if self._p2p is not None:
-            self._p2p.announce_block(block)
-        else:
-            self.network.broadcast(
-                self.name, "block", block, size_bytes=block.estimated_size_bytes()
-            )
-
     def submit_tx(self, tx: Transaction) -> AdmissionResult:
         """Inject a transaction locally and gossip it to every peer.
 
@@ -229,7 +206,7 @@ class BlockchainNode(Process):
         added = self._admit_tx(tx)
         if added:
             self._tx_submit_times.setdefault(tx.tx_id, self.now)
-            self._broadcast_tx(tx)
+            self.p2p.announce_tx(tx)
             if self._started and self._proposal_handle is None:
                 self._plan_round()
         return added
@@ -259,20 +236,9 @@ class BlockchainNode(Process):
             ),
         )
 
-    # -- network ------------------------------------------------------------
-    def _on_message(self, sender: str, message: Message) -> None:
-        if message.kind == "tx":
-            self._handle_gossip_tx(message.payload)
-        elif message.kind == "block":
-            self._handle_gossip_block(message.payload, sender)
-        elif message.kind == "get_block":
-            self._handle_get_block(message.payload, sender)
-        elif message.kind.startswith("p2p.") and self._p2p is not None:
-            # SimTransport shares this node's network endpoint; hand its
-            # request/response envelopes to the p2p transport.
-            self._p2p.transport.handle_message(sender, message)
-
-    def _handle_gossip_tx(self, tx: Transaction) -> None:
+    # -- inbound from p2p ---------------------------------------------------
+    def receive_tx(self, tx: Transaction) -> None:
+        """A transaction body fetched from a peer: admit, then relay."""
         if tx.tx_id in self.mempool or tx.tx_id in self._receipts_by_tx:
             return
         try:
@@ -286,12 +252,17 @@ class BlockchainNode(Process):
         # are not remembered, so a re-announcement after a transient
         # shedding or rate-limiting episode gets a fresh admission
         # decision instead of being dropped forever.
-        if added and self.config.rebroadcast_txs:
-            self._broadcast_tx(tx)
-        if added and self._started and self._proposal_handle is None:
-            self._plan_round()
+        if added:
+            self.p2p.announce_tx(tx)
+            if self._started and self._proposal_handle is None:
+                self._plan_round()
 
-    def _handle_gossip_block(self, block: Block, sender: str = "") -> None:
+    def has_block(self, block_id: str) -> bool:
+        """Whether a block body has reached this node (valid or not)."""
+        return block_id in self._seen_blocks
+
+    def receive_block(self, block: Block) -> None:
+        """A block body from gossip or sync: verify, execute, adopt, relay."""
         if block.block_id in self._seen_blocks:
             return
         self._seen_blocks.add(block.block_id)
@@ -304,16 +275,10 @@ class BlockchainNode(Process):
                 self._ingest_block(block)
                 return
             # We missed an ancestor (e.g. during a partition): buffer the
-            # block, then back-fill the gap — headers-first sync when p2p
-            # is attached, a point get_block request from the sender on
-            # the legacy flood path.
+            # block and let headers-first sync fill the gap.
             self._pending_blocks.setdefault(parent_id, []).append(block)
             self.metrics.add("blocks_waiting_parent", 1, scope=self.name)
-            if self._p2p is not None:
-                self._p2p.request_backfill()
-            elif sender and parent_id not in self._requested_blocks:
-                self._requested_blocks.add(parent_id)
-                self.network.send(self.name, sender, "get_block", parent_id)
+            self.p2p.request_backfill()
             return
         self._ingest_block(block)
 
@@ -351,25 +316,11 @@ class BlockchainNode(Process):
         old_head = self.store.head
         self.store.add(block)
         self._report_orphan_evictions()
-        if self.config.rebroadcast_blocks:
-            self._broadcast_block(block)
+        self.p2p.announce_block(block)
         if self.store.head.block_id != old_head.block_id:
             self._on_new_head(old_head)
         for child in self._pending_blocks.pop(block.block_id, []):
             self._ingest_block(child)
-
-    def _handle_get_block(self, block_id: str, requester: str) -> None:
-        """Serve a back-fill request from a peer catching up."""
-        if not isinstance(block_id, str) or block_id not in self.store:
-            return
-        block = self.store.get(block_id)
-        self.network.send(
-            self.name,
-            requester,
-            "block",
-            block,
-            size_bytes=block.estimated_size_bytes(),
-        )
 
     # -- verification (the duplicated computing) -----------------------------
     def _verify_and_execute(self, block: Block) -> bool:
@@ -678,7 +629,7 @@ class BlockchainNode(Process):
         old_head = self.store.head
         self.store.add(sealed)
         self.metrics.add("blocks_proposed", 1, scope=self.name)
-        self._broadcast_block(sealed)
+        self.p2p.announce_block(sealed)
         if self.store.head.block_id != old_head.block_id:
             self._on_new_head(old_head)
         else:
@@ -691,34 +642,40 @@ class BlockchainNode(Process):
 
 def make_network_nodes(
     kernel: Kernel,
-    network: Network,
+    network,
     names: List[str],
     genesis: Block,
     genesis_state: StateDB,
     consensus_factory: Callable[[], ConsensusEngine],
     metrics: Optional[MetricsRegistry] = None,
     config: Optional[NodeConfig] = None,
-    shared_executor: bool = False,
+    seeds: Optional[List[str]] = None,
 ) -> Dict[str, BlockchainNode]:
-    """Build one node per name on a shared network and genesis.
+    """Build one node per name on a shared sim network and genesis.
 
     ``consensus_factory`` is called once per node unless the engine is
     stateless; passing a single shared engine instance via a lambda is fine.
-    ``shared_executor=True`` shares one compile cache (saves wall-clock in
-    large simulations without affecting determinism).
+    Each node gets its own ``SimTransport`` endpoint on ``network`` and
+    dials ``seeds`` — by default the other names, so the group forms a
+    full mesh; an observer joining a running network passes the
+    endpoints it should bootstrap from.
     """
-    executor = ContractExecutor() if shared_executor else None
     shared_metrics = metrics or MetricsRegistry()
+    config = config or NodeConfig()
+    # A node's own name among its seeds is ignored by its PeerManager.
+    config = replace(
+        config,
+        p2p=replace(config.p2p, seeds=list(names if seeds is None else seeds)),
+    )
     nodes = {}
     for name in names:
         nodes[name] = BlockchainNode(
             kernel=kernel,
-            network=network,
+            transport=SimTransport(network, name),
             name=name,
             genesis=genesis,
             genesis_state=genesis_state,
             consensus=consensus_factory(),
-            executor=executor or ContractExecutor(),
             metrics=shared_metrics,
             config=config,
         )

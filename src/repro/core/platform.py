@@ -28,7 +28,7 @@ from repro.common.errors import ChainError, MedchainError
 from repro.common.hashing import hash_value_hex
 from repro.common.signatures import KeyPair
 from repro.consensus.base import ConsensusEngine
-from repro.consensus.node import BlockchainNode, NodeConfig
+from repro.consensus.node import BlockchainNode, NodeConfig, make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
 from repro.consensus.pos import ProofOfStake
 from repro.consensus.pow import ProofOfWork
@@ -163,17 +163,16 @@ class MedicalBlockchainNetwork:
             max_txs_per_block=self.config.max_txs_per_block,
             state_prune_window=self.config.state_prune_window,
         )
-        for name in self.node_names:
-            self.nodes[name] = BlockchainNode(
-                kernel=self.kernel,
-                network=self.network,
-                name=name,
-                genesis=genesis,
-                genesis_state=genesis_state,
-                consensus=engine_factory(),
-                metrics=self.metrics,
-                config=node_config,
-            )
+        self.nodes = make_network_nodes(
+            self.kernel,
+            self.network,
+            self.node_names,
+            genesis,
+            genesis_state,
+            engine_factory,
+            metrics=self.metrics,
+            config=node_config,
+        )
         for node in self.nodes.values():
             node.start()
         self.contracts = self._deploy_platform_contracts()

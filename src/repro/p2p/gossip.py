@@ -94,16 +94,22 @@ class Gossip:
         self.seen.add(item_id)
         targets = self.peers.sample(self.config.fanout, exclude=exclude)
         for addr in targets:
-            self.metrics.add("p2p_announce_sent", 1, scope=self.scope)
-            self.transport.request(
-                addr,
-                "p2p.announce",
-                {"from": self.transport.local_addr, "kind": kind, "ids": [item_id]},
-                on_result=lambda _reply: None,
-                on_error=lambda _exc: None,  # best-effort; pings police liveness
-                timeout_s=self.config.request_timeout_s,
-            )
+            self.announce_to(addr, kind, [item_id])
         return len(targets)
+
+    def announce_to(self, addr: str, kind: str, ids: List[str]) -> None:
+        """One ``p2p.announce`` carrying ``ids`` to ``addr`` (none if empty)."""
+        if not ids:
+            return
+        self.metrics.add("p2p_announce_sent", len(ids), scope=self.scope)
+        self.transport.request(
+            addr,
+            "p2p.announce",
+            {"from": self.transport.local_addr, "kind": kind, "ids": ids},
+            on_result=lambda _reply: None,
+            on_error=lambda _exc: None,  # best-effort; pings police liveness
+            timeout_s=self.config.request_timeout_s,
+        )
 
     # -- inbound -------------------------------------------------------------
     def handle_announce(self, params: Dict[str, Any]) -> Dict[str, Any]:

@@ -9,17 +9,18 @@ pump thread, so the node and the p2p engines need no locks.  RPC I/O
 happens on a separate :class:`~repro.rpc.runtime.EventLoopThread`; results
 are marshalled back with :meth:`KernelPump.inject`.
 
-A host bundles: Kernel + private Network (the node's registration target;
-unused for transport once p2p is attached) + ``BlockchainNode`` +
-``KernelPump`` + ``EventLoopThread`` + ``RpcServer`` (p2p method surface
-plus a small control API) + ``RpcTransport`` + ``P2PService``.
+A host bundles: Kernel + ``KernelPump`` + ``EventLoopThread`` +
+``RpcTransport`` + ``BlockchainNode`` (which builds its ``P2PService`` over
+that transport) + ``RpcServer`` (p2p method surface plus a small control
+API).  There is no sim ``Network``: the transport is the node's only wire.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import replace
+from typing import Any, Callable, Dict, Optional
 
 from repro.chain.blocks import Block
 from repro.chain.state import StateDB
@@ -28,13 +29,11 @@ from repro.consensus.base import ConsensusEngine
 from repro.consensus.node import BlockchainNode, NodeConfig
 from repro.p2p.config import P2PConfig
 from repro.p2p.rpc_transport import RpcTransport, split_addr
-from repro.p2p.service import P2PService
 from repro.p2p.wire import tx_from_wire
 from repro.rpc.methods import register_p2p_methods
 from repro.rpc.runtime import EventLoopThread
 from repro.rpc.server import MethodRegistry, RpcServer
 from repro.sim.kernel import Kernel
-from repro.sim.network import Network
 
 
 class KernelPump:
@@ -149,10 +148,15 @@ class P2PHost:
         self.name = name
         self.listen_addr = listen_addr
         self.kernel = Kernel(seed=seed)
-        self.network = Network(self.kernel)  # private; node registers here
+        self.pump = KernelPump(self.kernel, time_source=time_source)
+        self.loop = EventLoopThread(name=f"{name}-rpc-loop")
+        self.transport = RpcTransport(self.pump, self.loop, local_addr=listen_addr)
+        node_config = node_config or NodeConfig()
+        if p2p_config is not None:
+            node_config = replace(node_config, p2p=p2p_config)
         self.node = BlockchainNode(
             kernel=self.kernel,
-            network=self.network,
+            transport=self.transport,
             name=name,
             genesis=genesis,
             genesis_state=genesis_state,
@@ -160,10 +164,7 @@ class P2PHost:
             metrics=metrics,
             config=node_config,
         )
-        self.pump = KernelPump(self.kernel, time_source=time_source)
-        self.loop = EventLoopThread(name=f"{name}-rpc-loop")
-        self.transport = RpcTransport(self.pump, self.loop, local_addr=listen_addr)
-        self.service = P2PService(self.node, self.transport, p2p_config)
+        self.service = self.node.p2p
         self.registry = MethodRegistry()
         register_p2p_methods(self.registry, self._dispatch_p2p)
         self._register_control_methods()
@@ -186,7 +187,6 @@ class P2PHost:
         )
         self.bound_addr = f"{bound_host}:{bound_port}"
         self.pump.call(self.node.start)
-        self.pump.call(self.service.start)
         return self.bound_addr
 
     def stop(self) -> None:
@@ -194,8 +194,7 @@ class P2PHost:
             return
         self._started = False
         try:
-            self.pump.call(self.node.stop, timeout_s=5.0)
-            self.pump.call(self.service.stop, timeout_s=10.0)
+            self.pump.call(self.node.stop, timeout_s=10.0)
         except Exception:
             pass  # tearing down anyway
         try:
@@ -264,13 +263,3 @@ class P2PHost:
         self.registry.register("ctl.submit_tx", submit_tx)
         self.registry.register("ctl.status", status, idempotent=True)
         self.registry.register("ctl.counters", counters, idempotent=True)
-
-
-def start_hosts(hosts: List[P2PHost]) -> List[str]:
-    """Start several hosts (binding all before any dials settle)."""
-    return [host.start() for host in hosts]
-
-
-def stop_hosts(hosts: List[P2PHost]) -> None:
-    for host in hosts:
-        host.stop()

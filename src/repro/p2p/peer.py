@@ -133,6 +133,12 @@ class PeerManager:
             # dial back so the link becomes usable for gossip from our side.
             self._dial(peer)
 
+    def note_failure(self, addr: str) -> None:
+        """A request to ``addr`` failed; counts like a lost ping."""
+        peer = self.peers.get(addr)
+        if peer is not None and peer.connected:
+            self._on_ping_failed(peer)
+
     def _hello_payload(self) -> Dict[str, Any]:
         height, head_id = self.head_info()
         return {

@@ -1,7 +1,10 @@
 """P2PService — wires the protocol engines to one ``BlockchainNode``.
 
-One service per node owns the :class:`PeerManager`, :class:`Gossip`, and
-:class:`ChainSync` engines, adapts them to the node's store/mempool, and
+Every node builds exactly one service in its constructor; it is the only
+way transactions and blocks leave or reach the node.  The service owns
+the :class:`PeerManager`, :class:`Gossip`, and :class:`ChainSync` engines,
+adapts them to the node's public surface (``store``, ``mempool``,
+``receipt``, ``has_block``, ``receive_tx``, ``receive_block``), and
 exposes the single ``dispatch(sender, method, params)`` entry point both
 transports route inbound requests through.  The same service runs
 unchanged over :class:`~repro.p2p.transport.SimTransport` and
@@ -10,12 +13,11 @@ unchanged over :class:`~repro.p2p.transport.SimTransport` and
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.chain.blocks import Block
 from repro.chain.transactions import Transaction
 from repro.obs.tracer import trace_span
-from repro.p2p.config import P2PConfig
 from repro.p2p.gossip import KIND_BLOCK, KIND_TX, Gossip
 from repro.p2p.peer import PeerManager
 from repro.p2p.sync import ChainSync
@@ -36,15 +38,10 @@ P2P_METHODS = (
 class P2PService:
     """Discovery + gossip + sync for one blockchain node."""
 
-    def __init__(
-        self,
-        node,
-        transport: Transport,
-        config: Optional[P2PConfig] = None,
-    ):
+    def __init__(self, node, transport: Transport):
         self.node = node
         self.transport = transport
-        self.config = config or getattr(node.config, "p2p", None) or P2PConfig()
+        self.config = node.config.p2p
         metrics = node.metrics
         scope = node.name
         self.peers = PeerManager(
@@ -54,6 +51,7 @@ class P2PService:
             head_info=self._head_info,
             metrics=metrics,
             scope=scope,
+            on_peer_connected=self._on_peer_connected,
             on_head_advertised=self._on_head_advertised,
         )
         self.sync = ChainSync(
@@ -62,7 +60,10 @@ class P2PService:
             self.config,
             canonical_ids=lambda: [b.block_id for b in node.store.canonical_chain()],
             has_block=lambda block_id: block_id in node.store,
-            ingest_block=self._ingest_synced_block,
+            # Sync delivers oldest-first, so the parent is already present;
+            # the node's one inbound path handles dedup, verification, and
+            # draining of buffered children.
+            ingest_block=node.receive_block,
             head_info=self._head_info,
             on_complete=self._on_sync_complete,
             metrics=metrics,
@@ -83,7 +84,6 @@ class P2PService:
         self.metrics = metrics
         self.scope = scope
         transport.dispatch = self.dispatch
-        node.attach_p2p(self)
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -109,7 +109,7 @@ class P2PService:
                 item_id in self.node.mempool
                 or self.node.receipt(item_id) is not None
             )
-        return item_id in self.node._seen_blocks or item_id in self.node.store
+        return self.node.has_block(item_id)
 
     def _get_item(self, kind: str, item_id: str):
         if kind == KIND_TX:
@@ -120,21 +120,29 @@ class P2PService:
 
     def _deliver_tx(self, tx: Transaction) -> None:
         with trace_span("p2p.deliver_tx", node=self.scope, tx=tx.tx_id[:12]):
-            self.node._handle_gossip_tx(tx)
+            self.node.receive_tx(tx)
 
     def _deliver_block(self, block: Block) -> None:
         with trace_span(
             "p2p.deliver_block", node=self.scope, height=block.height
         ):
-            self.node._handle_gossip_block(block)
-
-    def _ingest_synced_block(self, block: Block) -> None:
-        # Sync delivers oldest-first, so the parent is already present; the
-        # node's normal gossip path handles seen-dedup, verification, and
-        # draining of buffered children.
-        self.node._handle_gossip_block(block)
+            self.node.receive_block(block)
 
     # -- engine hand-offs ----------------------------------------------------
+    def _on_peer_connected(self, addr: str) -> None:
+        """On-connect inventory: what we hold that ``addr`` may have missed.
+
+        ``announce`` reaches connected peers only, so anything pooled or
+        sealed before this handshake completed (a tx submitted at boot, or
+        during a partition) was never offered to ``addr``.  Offer the
+        pooled tx ids, and our head when it differs from the one the peer
+        just advertised; the peer fetches only what it lacks.
+        """
+        self.gossip.announce_to(addr, KIND_TX, self.node.mempool.all_ids())
+        head_id = self.node.store.head.block_id
+        if head_id != self.peers.peers[addr].head_id:
+            self.gossip.announce_to(addr, KIND_BLOCK, [head_id])
+
     def _on_head_advertised(self, addr: str, height: int, head_id: str) -> None:
         self.sync.maybe_sync(addr, height, head_id)
 

@@ -210,6 +210,9 @@ class ChainSync:
     def _abort(self, reason: str) -> None:
         if not self.active:
             return
+        # Counts toward the peer's eviction like a lost ping, so the
+        # retry ``on_complete`` starts cannot pick a dead peer forever.
+        self.peers.note_failure(self._peer)
         self.active = False
         self._peer = None
         self._queue = []

@@ -72,7 +72,7 @@ class SimTransport:
     KIND_REQUEST = "p2p.req"
     KIND_RESPONSE = "p2p.resp"
 
-    def __init__(self, network: Network, name: str, register: bool = False):
+    def __init__(self, network: Network, name: str):
         self.network = network
         self.kernel = network.kernel
         self.local_addr = name
@@ -80,8 +80,7 @@ class SimTransport:
         self._ids = itertools.count(1)
         self._pending: Dict[int, Tuple[ResultCallback, Optional[ErrorCallback], Any]] = {}
         self._closed = False
-        if register:
-            network.register(name, self.handle_message)
+        network.register(name, self.handle_message)
 
     @property
     def now(self) -> float:
@@ -145,7 +144,7 @@ class SimTransport:
             on_error(PeerUnreachable(f"no response from {peer} to {method!r}"))
 
     def handle_message(self, sender: str, message: Message) -> None:
-        """Inbound delivery; wired up by the owning node or ``register``."""
+        """Inbound delivery from the sim network endpoint ``local_addr``."""
         if message.kind == self.KIND_REQUEST:
             self._handle_request(sender, message.payload)
         elif message.kind == self.KIND_RESPONSE:
@@ -188,7 +187,9 @@ class SimTransport:
         on_result(envelope.get("result"))
 
     def close(self) -> None:
+        """Leave the network: peers' requests to this endpoint fail fast."""
         self._closed = True
+        self.network.unregister(self.local_addr)
         for _, _, handle in self._pending.values():
             handle.cancel()
         self._pending.clear()

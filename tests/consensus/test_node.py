@@ -10,6 +10,8 @@ from repro.consensus.node import make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
 from repro.consensus.pow import ProofOfWork
 from repro.contracts.library import COUNTER_SOURCE
+from repro.p2p.transport import SimTransport
+from repro.p2p.wire import block_to_wire, tx_to_wire
 from repro.sim.kernel import Kernel
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
@@ -43,6 +45,20 @@ def commit(kernel, nodes, tx, timeout=120.0):
         until=deadline,
         stop_when=lambda: all(n.receipt(tx.tx_id) for n in nodes.values()),
     )
+
+
+def inject(network, targets, kind, item_id, wire):
+    """A byzantine endpoint announces ``item_id`` to ``targets`` and serves
+    ``wire`` as its body: announce, get_data, body — three hops."""
+    mallory = SimTransport(network, "mallory")
+    mallory.dispatch = lambda sender, method, params: {"kind": kind, "bodies": [wire]}
+    for target in targets:
+        mallory.request(
+            target,
+            "p2p.announce",
+            {"from": "mallory", "kind": kind, "ids": [item_id]},
+            on_result=lambda reply: None,
+        )
 
 
 class TestConvergence:
@@ -137,19 +153,21 @@ class TestRobustness:
     def test_invalid_tx_not_propagated(self, alice):
         import dataclasses
 
-        kernel, network, __, nodes = build_network(2, funder=alice)
+        kernel, network, metrics, nodes = build_network(2, funder=alice)
         tx = make_transfer(alice, "d", 1, nonce=0)
         bad = dataclasses.replace(tx, payload={"to": "evil", "amount": 1})
-        # inject the tampered tx directly through the network layer
-        network.send("n0", "n1", "tx", bad)
+        # the tampered tx is announced, fetched, and dies at validation
+        inject(network, ["n1"], "tx", bad.tx_id, tx_to_wire(bad))
         kernel.run(until=5.0)
+        assert metrics.counter("p2p_fetches", scope="n1") == 1
         assert len(nodes["n1"].mempool) == 0
+        assert len(nodes["n0"].mempool) == 0
 
     def test_block_with_wrong_state_root_rejected_and_counted(self, alice):
         """A validly signed block whose header root has one bit flipped is
         rejected by every follower after re-execution, and the rejection
         is counted (it used to be a silent ``False``)."""
-        kernel, __, metrics, nodes = build_network(3, funder=alice)
+        kernel, network, metrics, nodes = build_network(3, funder=alice)
         byzantine = nodes["n1"]  # in turn at height 1
         tx = make_transfer(alice, "dest", 5, nonce=0)
         parent = byzantine.head
@@ -162,8 +180,8 @@ class TestRobustness:
         block = byzantine.consensus.seal(
             "n1", build_block(parent, [tx], bytes(root), "n1", 500)
         )
-        byzantine._broadcast_block(block)
-        kernel.run(until=kernel.now + 0.4)  # delivered; no honest round has fired
+        inject(network, ["n0", "n2"], "block", block.block_id, block_to_wire(block))
+        kernel.run(until=kernel.now + 0.4)  # three hops; no honest round has fired
         for name in ("n0", "n2"):
             assert metrics.counter("blocks_rejected_state_root", scope=name) == 1
         assert {node.head.block_id for node in nodes.values()} == {parent.block_id}
@@ -183,8 +201,7 @@ class TestRobustness:
         # n1 is the proposer for some heights but never saw the tx
         assert nodes["n1"].receipt(tx.tx_id) is None
         network.heal()
-        # n0 rebroadcasts nothing automatically; resubmit through n1's side
-        nodes["n1"]._handle_gossip_tx(tx)
+        # the redial after the heal offers n0's pooled tx to n1 on connect
         commit(kernel, nodes, tx)
         assert nodes["n1"].receipt(tx.tx_id).success
 
@@ -301,7 +318,7 @@ class TestMempoolHygiene:
         # must now give the same tx a fresh admission decision.
         node.mempool.remove_all(node.mempool.all_ids())
         assert not node.mempool.shedding
-        node._handle_gossip_tx(cheap)  # peer re-announcement
+        node.receive_tx(cheap)  # peer re-announcement
         assert cheap.tx_id in node.mempool
         node.mempool.remove_all(node.mempool.all_ids())
         assert node.submit_tx(cheap)
@@ -409,7 +426,7 @@ class TestStateRecovery:
         # Deliver the missed blocks directly (the partition stays up, so
         # this is the only path they can arrive by), oldest first.
         for block in nodes["n0"].store.canonical_chain()[base_height + 1 :]:
-            laggard._handle_gossip_block(block)
+            laggard.receive_block(block)
         kernel.run(until=kernel.now + 5.0)
         assert laggard.head.block_id == nodes["n0"].head.block_id
         assert laggard.state.state_root() == nodes["n0"].state.state_root()

@@ -1,4 +1,4 @@
-"""Block back-fill: a node that missed history catches up via get_block."""
+"""Block back-fill: a node that missed history catches up via headers-first sync."""
 
 import pytest
 
@@ -53,7 +53,7 @@ def test_partitioned_node_backfills_after_heal(world, alice):
     assert ahead > behind
     network.heal()
     # New activity after the heal triggers gossip; n2 receives a block with
-    # an unknown parent and back-fills the whole gap.
+    # an unknown parent and headers-first sync fills the whole gap.
     catch_up = make_transfer(alice, "sink", 1, nonce=6)
     nodes["n0"].submit_tx(catch_up)
     _commit(kernel, nodes, catch_up, timeout=300.0)
@@ -79,24 +79,3 @@ def test_backfill_depth_greater_than_one(world, alice):
     _commit(kernel, nodes, catch_up, timeout=600.0)
     kernel.run(until=kernel.now + 30)
     assert nodes["n2"].state.state_root() == nodes["n0"].state.state_root()
-
-
-def test_get_block_for_unknown_id_ignored(world):
-    kernel, network, nodes = world
-    network.send("n1", "n0", "get_block", "ff" * 32)
-    kernel.run(until=kernel.now + 5)  # must not raise or respond wrongly
-
-
-def test_get_block_serves_known_blocks(world, alice):
-    kernel, network, nodes = world
-    tx = make_transfer(alice, "sink", 1, nonce=0)
-    nodes["n0"].submit_tx(tx)
-    _commit(kernel, nodes, tx)
-    block_id = nodes["n0"].head.block_id
-    received = []
-    network.register("observer", lambda s, m: received.append(m))
-    network.send("observer", "n0", "get_block", block_id)
-    kernel.run(until=kernel.now + 5)
-    assert any(
-        m.kind == "block" and m.payload.block_id == block_id for m in received
-    )

@@ -243,3 +243,28 @@ class TestSiteOracle:
         oracle.call("list_datasets")
         assert len(oracle.call_log) == before + 1
         assert oracle.call_log[-1].ok
+
+
+def test_default_platform_disseminates_through_p2p():
+    """The flagship path runs the system E22 measures: a default platform
+    moves every tx and block by announce + fetch-once, never by flood."""
+    from repro.core.queryservice import GlobalQueryService
+    from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
+    from repro.query.vector import QueryVector
+
+    platform = MedicalBlockchainNetwork()
+    site = platform.site_names[0]
+    records = CohortGenerator(seed=1).generate_cohort(default_site_profiles(1)[0], 20)
+    platform.register_dataset(site, "emr", records)
+    researcher = KeyPair.generate("p2p-researcher")
+    platform.grant_access(site, "emr", researcher.address, "research")
+    answer = GlobalQueryService(platform, researcher).execute(
+        QueryVector(intent="count", purpose="research"), timeout_s=120
+    )
+    assert answer.result["count"] == 20
+    platform.run(5)  # let the last block reach every follower
+    for name in platform.nodes:
+        assert platform.metrics.counter("p2p_fetches", scope=name) > 0
+        assert platform.metrics.counter("p2p_duplicate_bodies", scope=name) == 0
+    assert len({node.head.block_id for node in platform.nodes.values()}) == 1
+    assert len({node.state.state_root() for node in platform.nodes.values()}) == 1

@@ -11,6 +11,16 @@ SHA-256 of the canonical JSON of the same final state, which is what the
 root used to be — so the re-pin is provably the commitment function moving
 and nothing else: same state, same receipts, same txs, timestamps and
 proposers in every block.
+
+The two head-id pins (and only those) moved a second time when every node
+began gossiping through ``repro.p2p``: blocks carry the same transactions
+in the same partition from the same proposers, but their *timestamps*
+shift — a submitted tx now reaches the next proposer over announce /
+get_data / body instead of one flood hop, and the ping timers keep the sim
+clock running to each ``kernel.run(until=...)`` bound instead of stopping
+when the queue drains (block 1 at 1100 ms instead of 1020, block 2 at
+31060 instead of 2080).  State root, content digest and receipts hash are
+byte-identical.
 """
 
 import sys
@@ -47,12 +57,12 @@ GOLDEN_RECEIPTS_HASH = (
     "d5f62687543102ff3df9474db79c0c741b409d6597ca4bd2e1baf22fce692833"
 )
 GOLDEN_HEAD_BLOCK_ID = (
-    "da89df07b06af4db6412382248e43d1c4454fd25315a3badc183af91fedcef4b"
+    "599a855d8553c840f3a5ae480a52e09a794cbdf9bdf1556daa7dcdb466d679b9"
 )
 # GOLDEN_HEAD_BLOCK_ID's value before the trie: the head id of the same
 # chain with each header's root replaced by its state's content digest.
 LEGACY_HEAD_BLOCK_ID = (
-    "06d3d47f1f4aa6bb8aa818fdbb36bda64e0b5b309863f7a26ac7f09926db0053"
+    "2ad45c942ce84ef8e2390f45cd976adbda842f1167cc1858fe306be13da0d20f"
 )
 
 

@@ -10,19 +10,16 @@ from repro.common.signatures import KeyPair
 from repro.consensus.node import BlockchainNode, NodeConfig, make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
 from repro.p2p.config import P2PConfig
-from repro.p2p.service import P2PService
-from repro.p2p.transport import SimTransport
 from repro.sim.kernel import Kernel
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
 
 
-def attach_sim_p2p(network, node, seeds, **overrides) -> P2PService:
-    """Wire one node's p2p stack over the shared sim network."""
+def node_config(max_txs_per_block=200, **overrides) -> NodeConfig:
+    """Node settings with the small-mesh p2p tunables the suite runs on."""
     settings = dict(fanout=2, ping_interval_s=2.0, request_timeout_s=3.0)
     settings.update(overrides)
-    transport = SimTransport(network, node.name, register=False)
-    return P2PService(node, transport, P2PConfig(seeds=list(seeds), **settings))
+    return NodeConfig(max_txs_per_block=max_txs_per_block, p2p=P2PConfig(**settings))
 
 
 class P2PWorld:
@@ -47,47 +44,33 @@ class P2PWorld:
             self.genesis_state,
             lambda: self.engine,
             metrics=self.metrics,
-            config=NodeConfig(max_txs_per_block=3),
+            config=node_config(max_txs_per_block=3, **p2p_overrides),
         )
-        self.services = {}
-        for name, node in self.nodes.items():
-            seeds = [n for n in self.names if n != name]
-            self.services[name] = attach_sim_p2p(
-                self.network, node, seeds, **p2p_overrides
-            )
         for node in self.nodes.values():
             node.start()
-        for service in self.services.values():
-            service.start()
         self.kernel.run(until=2.0)  # let handshakes settle
 
     def add_observer(self, name: str, seeds, **p2p_overrides) -> BlockchainNode:
         """A fresh non-validator node joining the running network."""
-        node = BlockchainNode(
-            kernel=self.kernel,
-            network=self.network,
-            name=name,
-            genesis=self.genesis,
-            genesis_state=self.genesis_state,
-            consensus=self.engine,
+        node = make_network_nodes(
+            self.kernel,
+            self.network,
+            [name],
+            self.genesis,
+            self.genesis_state,
+            lambda: self.engine,
             metrics=self.metrics,
-            config=NodeConfig(),
-        )
+            config=node_config(**p2p_overrides),
+            seeds=seeds,
+        )[name]
         self.nodes[name] = node
-        self.services[name] = attach_sim_p2p(
-            self.network, node, seeds, **p2p_overrides
-        )
         node.start()
-        self.services[name].start()
         return node
 
     def crash(self, name: str) -> None:
         """Kill a node mid-run: it stops scheduling and leaves the network."""
         self.nodes[name].stop()
-        self.services[name].stop()
-        self.network.unregister(name)
         del self.nodes[name]
-        del self.services[name]
 
     def commit(self, tx, names=None, timeout: float = 300.0) -> None:
         wanted = names or list(self.nodes)

@@ -24,7 +24,7 @@ def make_manager(network, name, seeds, genesis=GENESIS, **overrides):
         max_connect_attempts=3,
     )
     settings.update(overrides)
-    transport = SimTransport(network, name, register=True)
+    transport = SimTransport(network, name)
     metrics = MetricsRegistry()
     manager = PeerManager(
         transport,

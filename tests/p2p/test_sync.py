@@ -105,3 +105,25 @@ def test_partition_heals_to_single_head(p2p_world):
     )
     assert world.converged()
     assert world.nodes["n2"].head.height == world.nodes["n0"].head.height
+
+
+def test_sync_source_dying_mid_sync_does_not_spin(p2p_world):
+    """Regression: an aborted sync retries at once against the best
+    connected peer; a crashed source fails fast and stayed "connected"
+    until the next ping, so the retry spun forever at one sim instant.
+    A failed sync request now counts toward the peer's eviction."""
+    world = p2p_world
+    _grow_chain(world, 9)
+    # n2 sorts last, so it stays the "best" peer among equal heads.
+    joiner = world.add_observer("joiner", seeds=["n2"])
+    world.kernel.run(until=world.kernel.now + 0.05)  # hello done, headers in flight
+    assert joiner.p2p.sync.active
+    world.crash("n2")
+    world.kernel.run(
+        until=world.kernel.now + 60,
+        max_events=200_000,
+        stop_when=lambda: joiner.head.block_id == world.nodes["n0"].head.block_id,
+    )
+    assert joiner.head.block_id == world.nodes["n0"].head.block_id
+    assert world.metrics.counter("p2p_sync_aborted", scope="joiner") >= 1
+    assert world.metrics.counter("p2p_peers_evicted", scope="joiner") >= 1

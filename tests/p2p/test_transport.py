@@ -16,8 +16,8 @@ def net():
 
 
 def make_pair(network):
-    a = SimTransport(network, "a", register=True)
-    b = SimTransport(network, "b", register=True)
+    a = SimTransport(network, "a")
+    b = SimTransport(network, "b")
     return a, b
 
 
@@ -61,7 +61,7 @@ def test_timeout_fires_when_peer_never_answers(net):
 
 def test_unknown_endpoint_fails_fast_without_burning_timeout(net):
     kernel, network = net
-    a = SimTransport(network, "a", register=True)
+    a = SimTransport(network, "a")
     errors = []
     a.request("ghost", "p2p.hello", {}, on_result=lambda r: None,
               on_error=errors.append, timeout_s=60.0)

@@ -21,6 +21,7 @@ from repro.chain.transactions import make_transfer
 from repro.common.signatures import KeyPair
 from repro.consensus.node import BlockchainNode, NodeConfig
 from repro.consensus.poa import ProofOfAuthority
+from repro.p2p.transport import SimTransport
 from repro.p2p.wire import tx_to_wire
 from repro.sim.kernel import Kernel
 from repro.sim.metrics import MetricsRegistry
@@ -80,7 +81,7 @@ def _real_node(config=None):
     )
     return BlockchainNode(
         kernel,
-        network,
+        SimTransport(network, "site-a"),
         "site-a",
         genesis,
         state,
@@ -317,7 +318,7 @@ def test_real_node_resubmission_after_rate_limited_succeeds(transport, alice):
         # Back off: advance the node's (simulated) clock so the sender's
         # token bucket refills, then resubmit the identical transaction.
         node.kernel.schedule(2.0, lambda: None)
-        node.kernel.run()
+        node.kernel.run(until=node.kernel.now + 2.0)
         reply = await submit(call, retry)
         assert reply == {
             "accepted": True,
