@@ -28,6 +28,7 @@ import asyncio
 import os
 import subprocess
 import sys
+from collections import Counter
 from time import perf_counter
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -160,7 +161,14 @@ def run_equivalence(addrs, site_count, records):
         "orphaned": len(orphans),
         "total_spans": len(tracer.spans),
     }
-    return rows, trace_stats
+    # RPCs the tcp gateway made, by method: the catalog is fetched once per
+    # site for the whole suite, every query costs one site.query per site.
+    calls = Counter(
+        span.attrs["method"]
+        for span in tracer.spans
+        if span.name == "rpc.call" and span.pid == me
+    )
+    return rows, trace_stats, calls
 
 
 # -- phase 2: serving envelope ------------------------------------------------
@@ -254,7 +262,7 @@ def main(argv=None):
 
     procs, addrs = start_site_fleet(site_count, records, SEED)
     try:
-        equiv_rows, trace_stats = run_equivalence(addrs, site_count, records)
+        equiv_rows, trace_stats, rpc_calls = run_equivalence(addrs, site_count, records)
         load_rows = run_load(
             addrs["hospital-0"], payload_sizes, concurrency_levels, requests
         )
@@ -284,6 +292,9 @@ def main(argv=None):
             "trace_propagated": traced,
             "equivalence": equiv_rows,
             "trace": trace_stats,
+            "rpc_calls_per_query": {
+                method: count / len(QUERIES) for method, count in sorted(rpc_calls.items())
+            },
             "load": load_rows,
         },
     )

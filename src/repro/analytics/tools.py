@@ -8,7 +8,7 @@ The federated trainer and the query engine both dispatch onto these.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -17,37 +17,51 @@ from repro.analytics.features import FEATURE_DIM, dataset_for, featurize
 from repro.analytics.models import LogisticModel, MLPModel, params_size_bytes
 from repro.analytics.stats import describe
 from repro.common.errors import OracleError
-from repro.datamgmt.virtual import NumericSummary, get_field
+from repro.datamgmt.virtual import NumericSummary, field_getter
 from repro.offchain.tasks import ToolRegistry, ToolSpec
 
 Records = Sequence[Dict[str, Any]]
+Check = Callable[[Dict[str, Any]], bool]
 
 
-def _matches(record: Dict[str, Any], filters: Dict[str, Any]) -> bool:
-    """Simple equality/range filter: ``{"sex": "F", "age_min": 50}``."""
+def _compile_filters(filters: Dict[str, Any]) -> List[Check]:
+    """One check per filter entry, in the dict's order.
+
+    Simple equality/range filter: ``{"sex": "F", "age_min": 50}``.  The key
+    kind is decided here, once per call, instead of once per record; each
+    check keeps the comparison its key always had, so a record matches (or
+    raises) exactly as before.
+    """
+    checks: List[Check] = []
     for key, wanted in filters.items():
         if key == "age_min":
-            if 2018 - record["birth_year"] < wanted:
-                return False
+            checks.append(lambda r, w=wanted: not (2018 - r["birth_year"] < w))
         elif key == "age_max":
-            if 2018 - record["birth_year"] > wanted:
-                return False
+            checks.append(lambda r, w=wanted: not (2018 - r["birth_year"] > w))
         elif key == "diagnosis":
-            if wanted not in record.get("diagnoses", []):
-                return False
+            checks.append(lambda r, w=wanted: w in r.get("diagnoses", []))
         elif key.startswith("has_outcome_"):
             outcome = key[len("has_outcome_"):]
-            if bool(record.get("outcomes", {}).get(outcome, 0)) != bool(wanted):
-                return False
+            checks.append(
+                lambda r, o=outcome, w=bool(wanted): (
+                    bool(r.get("outcomes", {}).get(o, 0)) == w
+                )
+            )
         else:
-            if get_field(record, key) != wanted:
-                return False
-    return True
+            checks.append(lambda r, f=field_getter(key), w=wanted: not (f(r) != w))
+    return checks
 
 
 def _filtered(records: Records, params: Dict[str, Any]) -> List[Dict[str, Any]]:
-    filters = params.get("filters") or {}
-    return [record for record in records if _matches(record, filters)]
+    checks = _compile_filters(params.get("filters") or {})
+    matching = []
+    for record in records:
+        for check in checks:
+            if not check(record):
+                break
+        else:
+            matching.append(record)
+    return matching
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +78,10 @@ def tool_numeric_summary(records: Records, params: Dict[str, Any]) -> Dict[str, 
     path = params.get("field")
     if not path:
         raise OracleError("numeric_summary requires params['field']")
+    field = field_getter(path)
     summary = NumericSummary()
     for record in _filtered(records, params):
-        summary.add(get_field(record, path))
+        summary.add(field(record))
     return {"field": path, "summary": summary.to_dict()}
 
 
@@ -90,10 +105,11 @@ def tool_histogram(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     bins = int(params.get("bins", 10))
     if not path or bins <= 0 or high <= low:
         raise OracleError("histogram requires field, low < high, bins > 0")
+    field = field_getter(path)
     counts = [0] * bins
     width = (high - low) / bins
     for record in _filtered(records, params):
-        value = float(get_field(record, path))
+        value = float(field(record))
         index = int((value - low) / width)
         counts[min(max(index, 0), bins - 1)] += 1
     return {"field": path, "low": low, "high": high, "counts": counts}
@@ -104,7 +120,8 @@ def tool_describe(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     path = params.get("field")
     if not path:
         raise OracleError("describe requires params['field']")
-    values = [get_field(record, path) for record in _filtered(records, params)]
+    field = field_getter(path)
+    values = [field(record) for record in _filtered(records, params)]
     return {"field": path, "stats": describe(values)}
 
 
@@ -180,16 +197,17 @@ def tool_compare_groups(records: Records, params: Dict[str, Any]) -> Dict[str, A
     group_values = params.get("group_values") or []
     if not field_path or not group_field or len(group_values) != 2:
         raise OracleError("compare_groups requires field, group_field, 2 group_values")
-    matching = _filtered(records, params)
+    field = field_getter(field_path)
+    group = field_getter(group_field)
     summaries = [NumericSummary(), NumericSummary()]
-    for record in matching:
+    for record in _filtered(records, params):
         try:
-            group_value = get_field(record, group_field)
+            group_value = group(record)
         except Exception:
             continue
         for index, wanted in enumerate(group_values):
             if group_value == wanted:
-                summaries[index].add(get_field(record, field_path))
+                summaries[index].add(field(record))
     return {
         "field": field_path,
         "group_field": group_field,

@@ -10,6 +10,8 @@ contracts on chain and moves heavy work off chain.
 from __future__ import annotations
 
 import copy
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -213,15 +215,21 @@ class HostBridge:
         return sha256_hex(data)
 
 
+# Compiled contracts by source hash.  One per process, shared by every node
+# and RPC handler thread in it: the cache is content-addressed and a compiled
+# contract holds no per-call state, so a second executor meeting the same
+# source must not compile it again.  Oldest entry evicted first; a miss (or
+# two threads missing at once) merely compiles again.
+_COMPILED: "OrderedDict[str, ContractSource]" = OrderedDict()
+_COMPILED_CAPACITY = 512
+_COMPILED_LOCK = threading.Lock()
+
+
 class ContractExecutor:
     """Full executor: transfers, deployments, and contract calls.
 
-    Compiled contracts are cached by source so repeated calls do not re-parse;
-    the cache is content-addressed, hence safe to share across nodes.
+    Compiled contracts are cached by source so repeated calls do not re-parse.
     """
-
-    def __init__(self) -> None:
-        self._compile_cache: Dict[str, ContractSource] = {}
 
     # -- Executor protocol ------------------------------------------------
     def apply(
@@ -439,12 +447,17 @@ class ContractExecutor:
         )
 
     # -- helpers ----------------------------------------------------------
-    def _compile(self, source: str) -> ContractSource:
+    @staticmethod
+    def _compile(source: str) -> ContractSource:
         key = sha256_hex(source.encode("utf-8"))
-        cached = self._compile_cache.get(key)
+        with _COMPILED_LOCK:
+            cached = _COMPILED.get(key)
         if cached is None:
             cached = compile_contract(source)
-            self._compile_cache[key] = cached
+            with _COMPILED_LOCK:
+                _COMPILED[key] = cached
+                if len(_COMPILED) > _COMPILED_CAPACITY:
+                    _COMPILED.popitem(last=False)
         return cached
 
     @staticmethod

@@ -2,16 +2,20 @@
 
 Each hospital keeps its records in its own legacy format (the silo problem,
 section III.A).  The store exposes the :class:`DatasetHost` duck-type the
-control node expects — ``get_records`` parses legacy rows to canonical on
-the way out, so the schema mappers run on every real access path.
+control node expects — ``get_records`` serves the canonical view of the
+legacy rows, so the schema mappers and the canonical validation sit on every
+real access path.  The view is parsed and validated once per dataset content
+(not once per access) and dropped by every mutation the store performs.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.common.errors import DataFormatError, OracleError
+from repro.common.hashing import hash_value_hex
 from repro.datamgmt.formats import KNOWN_FORMATS, export_record, parse_record
 from repro.offchain.anchoring import DatasetAnchor
 
@@ -37,6 +41,12 @@ class HospitalDataStore:
     def __init__(self, site: str):
         self.site = site
         self._datasets: Dict[str, StoredDataset] = {}
+        # Derived from ``_datasets`` and rebuilt on demand; RPC handlers read
+        # the store from worker threads, so both are guarded by ``_lock`` and
+        # dropped by ``_changed`` — the one place a mutation reports itself.
+        self._lock = threading.Lock()
+        self._views: Dict[str, List[Dict[str, Any]]] = {}
+        self._catalog_version: Optional[str] = None
 
     # -- ingestion -----------------------------------------------------------
     def add_canonical(
@@ -56,6 +66,7 @@ class HospitalDataStore:
             dataset_id=dataset_id, fmt=fmt, raw_records=raw, owner=owner
         )
         self._datasets[dataset_id] = dataset
+        self._changed(dataset_id)
         return dataset
 
     def add_raw(
@@ -74,6 +85,7 @@ class HospitalDataStore:
         if dataset_id in self._datasets:
             raise OracleError(f"dataset {dataset_id!r} already exists at {self.site}")
         self._datasets[dataset_id] = dataset
+        self._changed(dataset_id)
         return dataset
 
     # -- DatasetHost interface ------------------------------------------------
@@ -81,9 +93,18 @@ class HospitalDataStore:
         return dataset_id in self._datasets
 
     def get_records(self, dataset_id: str) -> List[Dict[str, Any]]:
-        """Canonical records (parsed from the native format on access)."""
-        dataset = self._require(dataset_id)
-        return [parse_record(raw, dataset.fmt) for raw in dataset.raw_records]
+        """Canonical records: a fresh list over the parsed-once canonical view.
+
+        The list is the caller's to reorder or filter; the records in it are
+        shared with every other reader and must not be mutated.
+        """
+        with self._lock:
+            view = self._views.get(dataset_id)
+            if view is None:
+                dataset = self._require(dataset_id)
+                view = [parse_record(raw, dataset.fmt) for raw in dataset.raw_records]
+                self._views[dataset_id] = view
+            return list(view)
 
     # -- management -----------------------------------------------------------
     def get_raw(self, dataset_id: str) -> List[Dict[str, Any]]:
@@ -98,6 +119,22 @@ class HospitalDataStore:
     def record_count(self, dataset_id: str) -> int:
         return len(self._require(dataset_id).raw_records)
 
+    def catalog_version(self) -> str:
+        """Short content hash of what this store lists (dataset ids and sizes).
+
+        Memoised until the next mutation, so asking costs nothing between
+        changes; a mutation that leaves the listing as it was (``tamper``)
+        recomputes the same value.
+        """
+        with self._lock:
+            if self._catalog_version is None:
+                listing = [
+                    [dataset_id, len(dataset.raw_records)]
+                    for dataset_id, dataset in sorted(self._datasets.items())
+                ]
+                self._catalog_version = hash_value_hex(listing)[:16]
+            return self._catalog_version
+
     def anchor(self, dataset_id: str) -> DatasetAnchor:
         """Merkle anchor over the canonical view (what verifiers recompute)."""
         return DatasetAnchor.build(self.get_records(dataset_id))
@@ -111,6 +148,14 @@ class HospitalDataStore:
         if not 0 <= index < len(dataset.raw_records):
             raise OracleError(f"record index {index} out of range")
         dataset.raw_records[index][key] = value
+        self._changed(dataset_id)
+
+    def _changed(self, dataset_id: str) -> None:
+        """Every mutation path ends here: drop what was derived from the old
+        content (the dataset's canonical view, the memoised listing hash)."""
+        with self._lock:
+            self._views.pop(dataset_id, None)
+            self._catalog_version = None
 
     def _require(self, dataset_id: str) -> StoredDataset:
         dataset = self._datasets.get(dataset_id)

@@ -30,14 +30,24 @@ class DatasetRef:
 HostResolver = Callable[[str], Any]
 
 
+def field_getter(path: str) -> Callable[[Dict[str, Any]], Any]:
+    """``get_field`` for one path, split once: use it in per-record loops."""
+    parts = path.split(".")
+
+    def getter(record: Dict[str, Any]) -> Any:
+        value: Any = record
+        for part in parts:
+            if not isinstance(value, dict) or part not in value:
+                raise QueryError(f"record has no field {path!r}")
+            value = value[part]
+        return value
+
+    return getter
+
+
 def get_field(record: Dict[str, Any], path: str) -> Any:
     """Fetch a possibly nested field via dotted path (``vitals.sbp``)."""
-    value: Any = record
-    for part in path.split("."):
-        if not isinstance(value, dict) or part not in value:
-            raise QueryError(f"record has no field {path!r}")
-        value = value[part]
-    return value
+    return field_getter(path)(record)
 
 
 @dataclass
@@ -148,11 +158,13 @@ class VirtualCohort:
     ) -> NumericSummary:
         """Global summary of a numeric field, composed from site partials."""
 
+        field = field_getter(path)
+
         def local(records: List[Dict[str, Any]], __: DatasetRef) -> NumericSummary:
             summary = NumericSummary()
             for record in records:
                 if predicate is None or predicate(record):
-                    summary.add(get_field(record, path))
+                    summary.add(field(record))
             return summary
 
         merged = NumericSummary()

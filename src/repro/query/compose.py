@@ -58,6 +58,7 @@ def decompose(
             raise QueryError(f"no datasets registered at site {wanted_site!r}")
         by_site = {wanted_site: by_site[wanted_site]}
     tool_id = vector.tool_id()
+    query_id = vector.query_id
     tasks = []
     for index, site in enumerate(sorted(by_site)):
         params = vector.tool_params()
@@ -65,7 +66,7 @@ def decompose(
             params.update(extra_params)
         tasks.append(
             SiteTask(
-                task_id=f"{vector.query_id}-s{index}",
+                task_id=f"{query_id}-s{index}",
                 site=site,
                 dataset_ids=sorted(by_site[site]),
                 tool_id=tool_id,

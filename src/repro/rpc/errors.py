@@ -45,6 +45,7 @@ TX_UNDERPRICED = -32015   # fee below the mempool's admission floor
 RATE_LIMITED = -32016     # sender exceeded its mempool admission budget
 STALE_NONCE = -32017      # tx nonce already consumed by committed state
 DA_UNAVAILABLE = -32018   # chunk/blob not held or failed availability checks
+STALE_CATALOG = -32019    # sub-query planned against a listing the site has since changed
 
 
 class RpcError(MedchainError):
@@ -172,6 +173,17 @@ class DaUnavailableError(RpcError):
     default_message = "chunk or blob unavailable at this site"
 
 
+class StaleCatalogError(RpcError):
+    """``site.query`` named a ``catalog_version`` the site no longer serves.
+
+    ``data`` is the site's current ``site.catalog`` reply, so the caller can
+    re-plan and retry without a second round trip.
+    """
+
+    code = STALE_CATALOG
+    default_message = "catalog version is stale; re-plan against the listing in data"
+
+
 _CODE_TO_CLASS: Dict[int, Type[RpcError]] = {
     cls.code: cls
     for cls in (
@@ -194,6 +206,7 @@ _CODE_TO_CLASS: Dict[int, Type[RpcError]] = {
         RateLimitedError,
         StaleNonceError,
         DaUnavailableError,
+        StaleCatalogError,
     )
 }
 

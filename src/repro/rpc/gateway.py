@@ -16,10 +16,19 @@ Both share one execution algorithm (catalog -> decompose -> concurrent
 ``site.query`` fan-out -> compose), and both serialize through the same
 canonical codec, so a query's composed result — and its content hash — is
 transport-invariant.  The E15 benchmark and CI gate on exactly that.
+
+The catalog is each site's last ``site.catalog`` reply, kept by the gateway
+and validated on use: every ``site.query`` names the listing ``version`` it
+was planned against, and a site whose listing has changed refuses with
+``STALE_CATALOG`` carrying the fresh one, which the gateway stores before it
+plans again and asks that site once more.  So the steady state is one RPC
+per site per query, and no query is answered from a plan its site no longer
+agrees with.
 """
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
@@ -38,7 +47,7 @@ from repro.rpc.client import (
     _trace_meta,
     adopt_remote_spans,
 )
-from repro.rpc.errors import RpcError
+from repro.rpc.errors import RpcError, StaleCatalogError
 from repro.rpc.methods import vector_to_wire
 from repro.rpc.runtime import EventLoopThread
 from repro.rpc.server import RpcServer
@@ -58,6 +67,10 @@ class GatewayAnswer:
     transport: str = "inproc"
 
 
+def _is_listing(data: Any) -> bool:
+    return isinstance(data, dict) and "datasets" in data and "version" in data
+
+
 class Gateway:
     """Shared fan-out/compose algorithm over an abstract per-site call."""
 
@@ -65,6 +78,7 @@ class Gateway:
 
     def __init__(self) -> None:
         self._runner: Optional[EventLoopThread] = None
+        self._listings: Dict[str, Dict[str, Any]] = {}  # site -> site.catalog reply
 
     # -- transport hooks ---------------------------------------------------
     async def acall(
@@ -86,37 +100,50 @@ class Gateway:
 
     # -- query execution ---------------------------------------------------
     async def acatalog(self) -> List[DatasetRef]:
-        """Every dataset served by any site, via ``site.catalog`` fan-out."""
-        refs: List[DatasetRef] = []
-        for site in self.site_names():
-            listing = await self.acall(site, "site.catalog")
-            for entry in listing["datasets"]:
-                refs.append(
-                    DatasetRef(
-                        site=entry["site"],
-                        dataset_id=entry["dataset_id"],
-                        record_count=entry["record_count"],
-                        schema=entry["schema"],
-                    )
-                )
-        return refs
+        """The catalog the next query is planned against.
+
+        Sites with no listing yet — or an empty one, which no ``site.query``
+        would ever get to correct — are asked first, all at once.
+        """
+        unknown = [
+            site
+            for site in self.site_names()
+            if not self._listings.get(site, {}).get("datasets")
+        ]
+        if unknown:
+            replies = await asyncio.gather(
+                *(self.acall(site, "site.catalog") for site in unknown)
+            )
+            self._listings.update(zip(unknown, replies))
+        return self._catalog()
+
+    def _catalog(self) -> List[DatasetRef]:
+        return [
+            DatasetRef(
+                site=entry["site"],
+                dataset_id=entry["dataset_id"],
+                record_count=entry["record_count"],
+                schema=entry["schema"],
+            )
+            for site in self.site_names()
+            for entry in self._listings[site]["datasets"]
+        ]
 
     async def aexecute(
         self, vector: QueryVector, timeout_s: Optional[float] = None
     ) -> GatewayAnswer:
         """Decompose, dispatch concurrently, compose, hash."""
-        import asyncio
-
         vector.validate()
         started = perf_counter()
+        query_id = vector.query_id
+        wire = vector_to_wire(vector)
         with trace_span(
             "gateway.execute", transport=self.transport, intent=vector.intent
         ) as span:
-            catalog = await self.acatalog()
-            tasks = decompose(vector, catalog)
+            tasks = decompose(vector, await self.acatalog())
             span.set_attr("tasks", len(tasks))
             outcomes = await asyncio.gather(
-                *(self._run_site_task(vector, task, timeout_s) for task in tasks)
+                *(self._run_site_task(vector, wire, task, timeout_s) for task in tasks)
             )
             partials: Dict[str, Dict[str, Any]] = {}
             failures: Dict[str, str] = {}
@@ -124,12 +151,12 @@ class Gateway:
             for task, (partial, error, size) in zip(tasks, outcomes):
                 bytes_on_wire += size
                 if error is not None:
-                    failures[task.site] = error
-                else:
+                    failures[task.site] = f"[{error.code}] {error.message}"
+                elif partial is not None:
                     partials[task.site] = partial
             if not partials:
                 raise QueryError(
-                    f"query {vector.query_id} produced no results over "
+                    f"query {query_id} produced no results over "
                     f"{self.transport}; failures: {failures}"
                 )
             # Site order is deterministic (decompose sorts), so composition
@@ -140,7 +167,7 @@ class Gateway:
             span.set_attr("sites", len(partials))
             span.set_attr("bytes", bytes_on_wire)
         return GatewayAnswer(
-            query_id=vector.query_id,
+            query_id=query_id,
             result=composed,
             result_hash=hash_value_hex(composed),
             site_partials=partials,
@@ -153,13 +180,36 @@ class Gateway:
     async def _run_site_task(
         self,
         vector: QueryVector,
+        wire: Dict[str, Any],
         task: SiteTask,
         timeout_s: Optional[float],
-    ) -> Tuple[Optional[Dict[str, Any]], Optional[str], int]:
+    ) -> Tuple[Optional[Dict[str, Any]], Optional[RpcError], int]:
+        """One site's share of a query: (partial, error, bytes on the wire).
+
+        A site that refuses the plan as stale sent its fresh listing along
+        (``_query_site`` stored it): plan again over it and ask that site
+        once more.  A second refusal is that site's failure for this query.
+        """
+        partial, error, size = await self._query_site(wire, task, timeout_s)
+        if isinstance(error, StaleCatalogError):
+            replanned = next(
+                (t for t in decompose(vector, self._catalog()) if t.site == task.site),
+                None,
+            )
+            if replanned is None:  # the site hosts nothing any more
+                return None, None, size
+            partial, error, resent = await self._query_site(wire, replanned, timeout_s)
+            size += resent
+        return partial, error, size
+
+    async def _query_site(
+        self, wire: Dict[str, Any], task: SiteTask, timeout_s: Optional[float]
+    ) -> Tuple[Optional[Dict[str, Any]], Optional[RpcError], int]:
         params = {
-            "vector": vector_to_wire(vector),
+            "vector": wire,
             "dataset_ids": list(task.dataset_ids),
             "task_id": task.task_id,
+            "catalog_version": self._listings[task.site]["version"],
         }
         down = len(canonical_bytes(params))
         try:
@@ -167,7 +217,9 @@ class Gateway:
                 task.site, "site.query", params, idempotent=True, timeout_s=timeout_s
             )
         except RpcError as exc:
-            return None, f"[{exc.code}] {exc.message}", down
+            if isinstance(exc, StaleCatalogError) and _is_listing(exc.data):
+                self._listings[task.site] = exc.data
+            return None, exc, down
         partial = outcome["result"]
         return partial, None, down + len(canonical_bytes(partial))
 

@@ -6,11 +6,14 @@ method names the gateway and external clients call:
 
 - ``health`` / ``rpc.methods`` / ``rpc.echo`` — liveness, discovery, and a
   payload-size probe for load benchmarks;
-- ``site.catalog`` — the datasets this site hosts (feeds decomposition);
+- ``site.catalog`` — the datasets this site hosts (feeds decomposition),
+  tagged with a short content hash of the listing (``version``);
 - ``site.run_task`` — run a registered analytics tool over local records
   ("move compute to the data" as a served endpoint);
 - ``site.query`` — execute one decomposed sub-query and return the partial
-  result plus its content hash;
+  result plus its content hash; a caller that names the ``catalog_version``
+  it planned against is refused with ``STALE_CATALOG`` (carrying the fresh
+  listing) once the site's listing has changed;
 - ``oracle.fetch`` — the paper's data-oracle bridge, served;
 - ``chain.get_block`` / ``node.submit_tx`` — read blocks and submit signed
   transactions to this site's blockchain node;
@@ -29,12 +32,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.common.errors import ChainError
+from repro.common.hashing import hash_value_hex
 from repro.common.serialize import to_jsonable
 from repro.query.vector import QueryVector
 from repro.rpc.errors import (
     InvalidParamsError,
     OverloadedError,
     RateLimitedError,
+    StaleCatalogError,
     StaleNonceError,
     TxUnderpricedError,
 )
@@ -169,8 +174,9 @@ class SiteService:
     """The components of one site that the method surface binds to.
 
     Duck-typed: ``store`` needs ``dataset_ids``/``get_records`` (and
-    optionally ``record_count``), ``runner`` a :class:`TaskRunner`,
-    ``node``/``oracle`` may be ``None`` for data-only deployments.
+    optionally ``record_count``/``catalog_version``), ``runner`` a
+    :class:`TaskRunner`, ``node``/``oracle`` may be ``None`` for data-only
+    deployments.
     """
 
     name: str
@@ -207,6 +213,32 @@ class SiteService:
             return int(counter(dataset_id))
         return len(self.store.get_records(dataset_id))
 
+    def _datasets(self) -> List[Dict[str, Any]]:
+        return [
+            {
+                "site": self.name,
+                "dataset_id": dataset_id,
+                "record_count": self._record_count(dataset_id),
+                "schema": self.schema,
+            }
+            for dataset_id in self.store.dataset_ids()
+        ]
+
+    def catalog_version(self) -> str:
+        """What a gateway's cached listing must still hash to on this site."""
+        versioned = getattr(self.store, "catalog_version", None)
+        if versioned is not None:
+            return versioned()
+        return hash_value_hex(self._datasets())[:16]
+
+    def catalog(self) -> Dict[str, Any]:
+        """The ``site.catalog`` reply (also the payload of ``STALE_CATALOG``)."""
+        # Version first: a dataset added in between makes the listing newer
+        # than its tag, which the next query corrects; the other order would
+        # tag an old listing as current.
+        version = self.catalog_version()
+        return {"site": self.name, "datasets": self._datasets(), "version": version}
+
 
 def build_site_registry(
     service: SiteService,
@@ -233,18 +265,7 @@ def build_site_registry(
         return {"payload": payload}
 
     def site_catalog() -> Dict[str, Any]:
-        return {
-            "site": service.name,
-            "datasets": [
-                {
-                    "site": service.name,
-                    "dataset_id": dataset_id,
-                    "record_count": service._record_count(dataset_id),
-                    "schema": service.schema,
-                }
-                for dataset_id in service.store.dataset_ids()
-            ],
-        }
+        return service.catalog()
 
     def site_run_task(
         task_id: str,
@@ -270,7 +291,10 @@ def build_site_registry(
         vector: Dict[str, Any],
         dataset_ids: Optional[List[str]] = None,
         task_id: str = "",
+        catalog_version: Optional[str] = None,
     ) -> Dict[str, Any]:
+        if catalog_version is not None and catalog_version != service.catalog_version():
+            raise StaleCatalogError(data=service.catalog())
         built = vector_from_wire(vector)
         outcome = site_run_task(
             task_id=task_id or f"{built.query_id}-{service.name}",

@@ -258,3 +258,21 @@ class TestDeterminismAcrossExecutors:
                 executor.apply(state, tx, ctx)
             results.append(state.state_root())
         assert results[0] == results[1]
+
+    def test_executors_share_one_compilation_per_source(self, alice, monkeypatch):
+        """The compile cache is per process: a node's executor must not
+        compile a source that another node in the process already did."""
+        from repro.contracts import runtime
+
+        compiled = []
+        real = runtime.compile_contract
+        monkeypatch.setattr(
+            runtime, "compile_contract", lambda src: compiled.append(src) or real(src)
+        )
+        source = COUNTER_SOURCE + "\n# a source no other test compiles\n"
+        for __ in range(3):
+            state = StateDB()
+            state.credit(alice.address, 10_000)
+            tx = make_deploy(alice, "counter", source, init={"start": 0}, nonce=0)
+            assert ContractExecutor().apply(state, tx, ExecutionContext()).success
+        assert compiled == [source]

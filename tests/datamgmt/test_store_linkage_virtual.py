@@ -58,6 +58,104 @@ class TestHospitalDataStore:
         store.add_canonical("ds", small_cohort)
         assert store.record_count("ds") == len(small_cohort)
 
+    def test_tamper_reaches_every_reader_of_a_cached_view(self, small_cohort):
+        """The canonical view is parsed once; ``tamper`` must drop it."""
+        from repro.offchain.anchoring import verify_dataset
+
+        store = HospitalDataStore("h0")
+        store.add_canonical("ds", small_cohort, fmt="hl7v2")
+        anchor = store.anchor("ds")  # parses, and caches, the view
+        assert verify_dataset(store.get_records("ds"), anchor.root_hex)
+        flipped = 1 - small_cohort[7]["outcomes"]["stroke"]
+        store.tamper("ds", 7, "ZOC", {**small_cohort[7]["outcomes"], "stroke": flipped})
+        assert store.get_records("ds")[7]["outcomes"]["stroke"] == flipped
+        assert store.anchor("ds").root_hex != anchor.root_hex
+        assert not verify_dataset(store.get_records("ds"), anchor.root_hex)
+
+    def test_tamper_that_breaks_the_schema_is_rejected_on_the_next_read(self, small_cohort):
+        import copy
+
+        store = HospitalDataStore("h0")
+        # fmt="canonical": the view aliases the stored dicts, so it is dropping
+        # the view that makes the next read validate again.
+        store.add_canonical("ds", copy.deepcopy(small_cohort[:5]))
+        store.get_records("ds")
+        store.tamper("ds", 0, "sex", "X")
+        with pytest.raises(DataFormatError):
+            store.get_records("ds")
+
+    def test_get_records_hands_out_a_list_of_its_own(self, small_cohort):
+        store = HospitalDataStore("h0")
+        store.add_canonical("ds", small_cohort, fmt="fhirjson")
+        first = store.get_records("ds")
+        first.reverse()
+        del first[10:]
+        again = store.get_records("ds")
+        assert len(again) == len(small_cohort)
+        assert [r["patient_id"] for r in again] == [r["patient_id"] for r in small_cohort]
+
+    def test_legacy_records_are_parsed_once_per_content(self, small_cohort, monkeypatch):
+        from repro.datamgmt import store as store_module
+
+        parsed = []
+        real = store_module.parse_record
+        monkeypatch.setattr(
+            store_module, "parse_record", lambda raw, fmt: parsed.append(1) or real(raw, fmt)
+        )
+        store = HospitalDataStore("h0")
+        store.add_canonical("ds", small_cohort, fmt="legacycsv")
+        store.get_records("ds"), store.anchor("ds"), store.get_records("ds")
+        assert len(parsed) == len(small_cohort)
+        store.tamper("ds", 3, "bp_sys", 999.0)
+        store.get_records("ds")
+        assert len(parsed) == 2 * len(small_cohort)
+
+    def test_readers_racing_a_writer_never_keep_a_stale_view(self, small_cohort):
+        """RPC handlers read the store from worker threads: a view parsed
+        from the old content must not outlive the ``tamper`` that replaced it."""
+        import sys
+        import threading
+
+        store = HospitalDataStore("h0")
+        store.add_canonical("ds", small_cohort, fmt="legacycsv")
+        done = threading.Event()
+        seen = [[] for __ in range(6)]
+
+        def read(mine):
+            while not done.is_set():
+                mine.append(store.get_records("ds")[3]["vitals"]["sbp"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read, args=(mine,)) for mine in seen]
+        try:
+            for reader in readers:
+                reader.start()
+            for value in range(1000, 1200):  # above any generated pressure
+                store.tamper("ds", 3, "bp_sys", float(value))
+                assert store.get_records("ds")[3]["vitals"]["sbp"] == float(value)
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        for mine in seen:  # the writer only counts up: no reader went back in time
+            assert mine == sorted(mine)
+
+    def test_catalog_version_follows_the_listing_not_the_content(self, small_cohort):
+        store = HospitalDataStore("h0")
+        empty = store.catalog_version()
+        store.add_canonical("ds", small_cohort, fmt="legacycsv")
+        one = store.catalog_version()
+        store.tamper("ds", 3, "bp_sys", 999.0)
+        assert store.catalog_version() == one
+        store.add_raw("more", store.get_raw("ds")[:5], "legacycsv")
+        assert len({empty, one, store.catalog_version()}) == 3
+        twin = HospitalDataStore("elsewhere")
+        twin.add_canonical("ds", small_cohort)
+        assert twin.catalog_version() == one
+
 
 class TestLinkage:
     def _records(self, mask_fraction, count=40, seed=0):
