@@ -64,6 +64,27 @@ class ExecutionContext:
 BASE_TX_GAS = 21_000
 
 
+def apply_transfer(state: StateDB, tx: Transaction) -> Receipt:
+    """The value-transfer arm every executor shares (nonce already bumped)."""
+    to = tx.payload.get("to")
+    amount = tx.payload.get("amount")
+    if not isinstance(to, str) or not isinstance(amount, int) or amount < 0:
+        return Receipt(
+            tx_id=tx.tx_id,
+            success=False,
+            gas_used=BASE_TX_GAS,
+            error="malformed transfer payload",
+        )
+    try:
+        state.debit(tx.sender, amount)
+    except ChainError as exc:
+        return Receipt(
+            tx_id=tx.tx_id, success=False, gas_used=BASE_TX_GAS, error=str(exc)
+        )
+    state.credit(to, amount)
+    return Receipt(tx_id=tx.tx_id, success=True, gas_used=BASE_TX_GAS)
+
+
 class TransferExecutor:
     """Minimal executor: nonces + value transfers; rejects contract txs."""
 
@@ -85,23 +106,7 @@ class TransferExecutor:
                 gas_used=BASE_TX_GAS,
                 error=f"TransferExecutor cannot execute {tx.kind!r} transactions",
             )
-        to = tx.payload.get("to")
-        amount = tx.payload.get("amount")
-        if not isinstance(to, str) or not isinstance(amount, int) or amount < 0:
-            return Receipt(
-                tx_id=tx.tx_id,
-                success=False,
-                gas_used=BASE_TX_GAS,
-                error="malformed transfer payload",
-            )
-        try:
-            state.debit(tx.sender, amount)
-        except ChainError as exc:
-            return Receipt(
-                tx_id=tx.tx_id, success=False, gas_used=BASE_TX_GAS, error=str(exc)
-            )
-        state.credit(to, amount)
-        return Receipt(tx_id=tx.tx_id, success=True, gas_used=BASE_TX_GAS)
+        return apply_transfer(state, tx)
 
 
 def apply_block_transactions(

@@ -16,19 +16,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.chain.executor import (
-    BASE_TX_GAS,
     ContractEvent,
     ExecutionContext,
     Receipt,
+    apply_transfer,
 )
 from repro.chain.state import StateDB
 from repro.chain.transactions import TX_CALL, TX_DEPLOY, TX_TRANSFER, Transaction
-from repro.common.errors import (
-    ChainError,
-    ContractError,
-    OutOfGasError,
-    SerializationError,
-)
+from repro.common.errors import ContractError, OutOfGasError, SerializationError
 from repro.common.hashing import hash_value_hex, sha256_hex
 from repro.common.serialize import canonical_bytes
 from repro.obs.tracer import trace_span
@@ -78,15 +73,60 @@ def _isolate(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
+#: Containers nested deeper than this are not data a contract may hand to the
+#: host or return; a list that contains itself is the limiting case.
+MAX_VALUE_DEPTH = 32
+
+
+def _data_fault(value: Any, depth: int = 0, checked: Optional[set] = None) -> str:
+    """Why ``value`` is not data every node can serialize ("" when it is).
+
+    Function values are first-class in a contract (``return len``) and slice
+    assignment can build a list that holds itself; depth is bounded here so
+    the verdict does not depend on how deep the interpreter's own stack is.
+    """
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return ""
+    if not isinstance(value, (list, tuple, dict)):
+        return f"a {type(value).__name__} is not data"
+    checked = set() if checked is None else checked
+    if id(value) in checked:  # shared sub-structure: walk it once
+        return ""
+    if depth >= MAX_VALUE_DEPTH:
+        return f"nested deeper than {MAX_VALUE_DEPTH}"
+    items = value
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            return "dict keys must be str"
+        items = value.values()
+    for item in items:
+        fault = _data_fault(item, depth + 1, checked)
+        if fault:
+            return fault
+    checked.add(id(value))
+    return ""
+
+
+def _as_result(value: Any) -> Any:
+    """``value`` if a receipt can carry it; the call fails otherwise."""
+    fault = _data_fault(value)
+    if fault:
+        raise ContractError(f"result is not serializable: {fault}")
+    return value
+
+
 def _deterministic_bytes(value: Any) -> bytes:
     """Canonical encoding of a value a contract hands to the host.
 
     Anything with no canonical form (a float, a function, a dict keyed by
     ints) would differ between nodes or crash the encoder; it fails the call.
     """
+    fault = _data_fault(value)
+    if fault:
+        raise ContractError(f"value is not serializable: {fault}")
     try:
         return canonical_bytes(value, allow_float=False)
-    except SerializationError as exc:
+    except SerializationError as exc:  # a float
         raise ContractError(f"value is not serializable: {exc}") from exc
 
 
@@ -257,7 +297,7 @@ class ContractExecutor:
             )
         state.bump_nonce(tx.sender)
         if tx.kind == TX_TRANSFER:
-            return self._apply_transfer(state, tx)
+            return apply_transfer(state, tx)
         if tx.kind == TX_DEPLOY:
             return self._apply_deploy(state, tx, context)
         if tx.kind == TX_CALL:
@@ -265,27 +305,6 @@ class ContractExecutor:
         return Receipt(
             tx_id=tx.tx_id, success=False, error=f"unknown tx kind {tx.kind!r}"
         )
-
-    # -- transfer ------------------------------------------------------------
-    @staticmethod
-    def _apply_transfer(state: StateDB, tx: Transaction) -> Receipt:
-        to = tx.payload.get("to")
-        amount = tx.payload.get("amount")
-        if not isinstance(to, str) or not isinstance(amount, int) or amount < 0:
-            return Receipt(
-                tx_id=tx.tx_id,
-                success=False,
-                gas_used=BASE_TX_GAS,
-                error="malformed transfer payload",
-            )
-        try:
-            state.debit(tx.sender, amount)
-        except ChainError as exc:
-            return Receipt(
-                tx_id=tx.tx_id, success=False, gas_used=BASE_TX_GAS, error=str(exc)
-            )
-        state.credit(to, amount)
-        return Receipt(tx_id=tx.tx_id, success=True, gas_used=BASE_TX_GAS)
 
     # -- deploy -----------------------------------------------------------
     def _apply_deploy(
@@ -387,8 +406,8 @@ class ContractExecutor:
         state.snapshot()
         try:
             bridge = HostBridge(state, contract_id, tx.sender, context, meter, events)
-            output = Interpreter(compiled, bridge.functions(), meter).call(
-                method, dict(args)
+            output = _as_result(
+                Interpreter(compiled, bridge.functions(), meter).call(method, dict(args))
             )
             state.commit()
         except (ContractError, OutOfGasError) as exc:
@@ -442,8 +461,8 @@ class ContractExecutor:
             events,
             read_only=True,
         )
-        return Interpreter(compiled, bridge.functions(), meter).call(
-            method, dict(args or {})
+        return _as_result(
+            Interpreter(compiled, bridge.functions(), meter).call(method, dict(args or {}))
         )
 
     # -- helpers ----------------------------------------------------------

@@ -1,13 +1,14 @@
 """RpcTransport — the p2p Transport over PR 4's framed-TCP JSON-RPC stack.
 
 The protocol engine stays single-threaded: it runs on a discrete-event
-kernel driven against the wall clock by a :class:`~repro.p2p.host.KernelPump`.
-``request`` submits the async pool call to the shared asyncio loop thread
-and marshals the completion back onto the kernel thread via
-``pump.inject``, so engine callbacks never race.  Timers are real: the
-pump advances the kernel clock with wall time, so the same
-``schedule``-based ping/backoff/timeout logic that runs in simulation
-runs here unchanged.
+kernel that a :class:`~repro.p2p.host.KernelPump` drives against the wall
+clock on the host's asyncio loop — the same loop that owns the sockets.
+``request`` is therefore always called on that loop: it starts the pool
+call as a task there and the task's done-callback completes straight into
+the engine (as a pump turn), so engine callbacks never race and nothing
+crosses a thread.  Timers are real: the pump advances the kernel clock
+with wall time, so the same ``schedule``-based ping/backoff/timeout logic
+that runs in simulation runs here unchanged.
 
 Retries are owned by the engine (redial backoff, fetch-from-next-source),
 so the pools are built with a single-attempt policy — stacking the RPC
@@ -16,7 +17,8 @@ layer's own retries underneath would double-apply announcements.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+import asyncio
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.p2p.transport import DispatchFn, ErrorCallback, P2PError, PeerUnreachable, ResultCallback
 from repro.rpc.client import ConnectionPool, RetryPolicy
@@ -35,19 +37,18 @@ class RpcTransport:
     def __init__(
         self,
         pump,
-        loop,
         local_addr: str,
         *,
         connect_timeout_s: float = 3.0,
         max_connections: int = 2,
     ):
-        self.pump = pump
-        self.loop = loop  # repro.rpc.runtime.EventLoopThread
+        self.pump = pump  # repro.p2p.host.KernelPump
         self.local_addr = local_addr
         self.connect_timeout_s = connect_timeout_s
         self.max_connections = max_connections
         self.dispatch: Optional[DispatchFn] = None
         self._pools: Dict[str, ConnectionPool] = {}
+        self._inflight: Set[asyncio.Task] = set()
         self._closed = False
 
     # -- Transport surface ---------------------------------------------------
@@ -72,30 +73,35 @@ class RpcTransport:
         timeout_s: float = 5.0,
     ) -> None:
         if self._closed:
-            self._deliver_error(on_error, PeerUnreachable("transport closed"))
+            if on_error is not None:
+                self.schedule(0.0, lambda: on_error(PeerUnreachable("transport closed")))
             return
-        pool = self._pool(peer)
-
-        async def roundtrip() -> Any:
-            return await pool.call(method, params, timeout_s=timeout_s)
-
-        future = self.loop.submit(roundtrip())
-        future.add_done_callback(
-            lambda f: self.pump.inject(lambda: self._complete(f, on_result, on_error))
+        task = self.pump.loop.create_task(
+            self._pool(peer).call(method, params, timeout_s=timeout_s)
         )
+        self._inflight.add(task)
+
+        def done(task: asyncio.Task) -> None:
+            self._inflight.discard(task)
+            self.pump.call(lambda: self._complete(task, on_result, on_error))
+
+        task.add_done_callback(done)
 
     def close(self) -> None:
+        # Reached from ``node.stop()`` on the loop, where waiting for the
+        # pools would be waiting on ourselves: ``aclose`` releases them.
         self._closed = True
+
+    async def aclose(self) -> None:
+        """Fail what is in flight and close every pool."""
+        self._closed = True
+        tasks = list(self._inflight)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         pools, self._pools = list(self._pools.values()), {}
-
-        async def shutdown() -> None:
-            for pool in pools:
-                await pool.close()
-
-        try:
-            self.loop.run(shutdown(), timeout_s=self.connect_timeout_s + 2.0)
-        except Exception:
-            pass  # sockets die with the loop thread anyway
+        for pool in pools:
+            await pool.close()
 
     # -- plumbing ------------------------------------------------------------
     def _pool(self, peer: str) -> ConnectionPool:
@@ -114,13 +120,15 @@ class RpcTransport:
 
     def _complete(
         self,
-        future,
+        task: asyncio.Task,
         on_result: ResultCallback,
         on_error: Optional[ErrorCallback],
     ) -> None:
-        error = future.exception()
+        error: Optional[BaseException] = (
+            ConnectionError("transport closed") if task.cancelled() else task.exception()
+        )
         if error is None:
-            on_result(future.result())
+            on_result(task.result())
             return
         if on_error is None:
             return
@@ -128,10 +136,6 @@ class RpcTransport:
             on_error(P2PError(str(error)))
         else:
             on_error(PeerUnreachable(str(error)))
-
-    def _deliver_error(self, on_error: Optional[ErrorCallback], error: Exception) -> None:
-        if on_error is not None:
-            self.pump.inject(lambda: on_error(error))
 
 
 def _is_transient(error: RpcError) -> bool:

@@ -66,37 +66,6 @@ def vector_to_wire(vector: QueryVector) -> Dict[str, Any]:
     return to_jsonable(vector)
 
 
-def transaction_from_wire(tx: Dict[str, Any]):
-    """Rebuild a signed :class:`Transaction` from its wire dict."""
-    from repro.chain.transactions import Transaction
-
-    if not isinstance(tx, dict):
-        raise InvalidParamsError("tx must be an object")
-
-    def _bytes(value: Any) -> bytes:
-        if isinstance(value, str):
-            return bytes.fromhex(value[2:] if value.startswith("0x") else value)
-        if isinstance(value, (bytes, bytearray)):
-            return bytes(value)
-        raise InvalidParamsError("byte fields must be hex strings")
-
-    try:
-        return Transaction(
-            sender=tx["sender"],
-            nonce=int(tx["nonce"]),
-            kind=tx["kind"],
-            payload=dict(tx["payload"]),
-            gas_limit=int(tx.get("gas_limit", 2_000_000)),
-            max_fee_per_gas=int(tx.get("max_fee_per_gas", 0)),
-            priority_fee_per_gas=int(tx.get("priority_fee_per_gas", 0)),
-            timestamp_ms=int(tx.get("timestamp_ms", 0)),
-            public_key=_bytes(tx.get("public_key", b"")),
-            signature=_bytes(tx.get("signature", b"")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParamsError(f"malformed transaction: {exc}") from exc
-
-
 def admission_to_wire(admission: Any, tx_id: str) -> Dict[str, Any]:
     """Map a mempool :class:`AdmissionResult` onto the RPC error band.
 
@@ -146,16 +115,20 @@ def admission_to_wire(admission: Any, tx_id: str) -> Dict[str, Any]:
 def register_p2p_methods(registry: MethodRegistry, dispatch: Any) -> None:
     """Expose the p2p method surface on an RPC server.
 
-    ``dispatch(method, params)`` is the host's bridge onto its node's
-    single-threaded kernel executor (``KernelPump.call`` into
-    ``P2PService.dispatch``).  Reads are idempotent; ``p2p.announce`` is
-    kept non-retryable — the gossip engine owns redundancy, and an RPC
-    retry would inflate the duplicate-announcement counters it measures.
+    ``dispatch(method, params)`` is the host's entry into its node
+    (``P2PService.dispatch`` as a ``KernelPump`` turn).  The handlers are
+    ``async def`` because the server runs those inline on its event loop —
+    the thread the node lives on — where a sync handler would be sent to a
+    worker thread only to come straight back; ``dispatch`` must therefore
+    be safe to call on that loop and must not block.  Reads are idempotent;
+    ``p2p.announce`` is kept non-retryable — the gossip engine owns
+    redundancy, and an RPC retry would inflate the duplicate-announcement
+    counters it measures.
     """
     from repro.p2p.service import P2P_METHODS
 
     def make_handler(method: str):
-        def handler(**params: Any) -> Any:
+        async def handler(**params: Any) -> Any:
             return dispatch(method, params)
 
         return handler
@@ -418,8 +391,10 @@ def build_site_registry(
     def node_submit_tx(tx: Dict[str, Any]) -> Dict[str, Any]:
         if service.node is None:
             raise InvalidParamsError(f"site {service.name!r} serves no chain node")
-        transaction = transaction_from_wire(tx)
-        transaction.validate()  # raises ValidationError -> INVALID_TX
+        from repro.p2p.wire import tx_from_wire
+
+        transaction = tx_from_wire(tx)  # raises ValidationError -> INVALID_TX
+        transaction.validate()
         admission = service.node.submit_tx(transaction)
         return admission_to_wire(admission, transaction.tx_id)
 

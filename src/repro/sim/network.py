@@ -46,7 +46,7 @@ class Message:
 
 
 class Network:
-    """Point-to-point and broadcast message delivery over a kernel.
+    """Point-to-point message delivery over a kernel.
 
     Endpoints register a handler; :meth:`send` schedules delivery after the
     link's latency/serialization delay; partitions and loss silently drop
@@ -159,23 +159,6 @@ class Network:
             delay, lambda: self._deliver(message), label=f"msg:{kind}"
         )
         return True
-
-    def broadcast(
-        self,
-        sender: str,
-        kind: str,
-        payload: Any,
-        size_bytes: int = 256,
-        include_self: bool = False,
-    ) -> int:
-        """Send to every registered endpoint; returns attempted count."""
-        count = 0
-        for name in self.endpoints:
-            if name == sender and not include_self:
-                continue
-            self.send(sender, name, kind, payload, size_bytes)
-            count += 1
-        return count
 
     def _deliver(self, message: Message) -> None:
         handler = self._handlers.get(message.recipient)

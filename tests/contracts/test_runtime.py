@@ -6,6 +6,7 @@ from repro.chain.executor import ExecutionContext
 from repro.chain.state import StateDB
 from repro.chain.transactions import make_call, make_deploy
 from repro.common.errors import ContractError
+from repro.common.hashing import hash_value_hex
 from repro.contracts.library import COUNTER_SOURCE
 from repro.contracts.runtime import ContractExecutor
 
@@ -186,6 +187,26 @@ ESCAPING_SHAPES = {
     "break_outside_loop": ("if y == 0:\n        break", "'break' outside loop"),
     "store_a_function": ("storage_set('k', len)", "not serializable"),
     "emit_int_keyed_dict": ("emit('E', {'v': {1: 2}})", "not serializable"),
+    "store_a_list_holding_itself": (
+        "l = [1]\n    l[0:] = [l]\n    storage_set('k', l)",
+        "value is not serializable: nested deeper",
+    ),
+    "emit_a_list_holding_itself": (
+        "l = [1]\n    l[0:] = [l]\n    emit('E', {'v': l})",
+        "value is not serializable: nested deeper",
+    ),
+    # Function values are first-class in MedScript; a receipt carries data only.
+    "return_a_builtin": ("return len", "result is not serializable: a builtin_function"),
+    "return_a_contract_function": ("return [_h]", "result is not serializable: a FunctionDef"),
+    "return_a_host_function": ("return {'k': storage_get}", "result is not serializable: a method"),
+    # Found by hypothesis: the bridge deep-copies the default it hands back.
+    "return_a_copied_function": ("return [storage_get(x, _h)]", "result is not serializable"),
+    "return_an_iterator": ("return [1, reversed([x])]", "result is not serializable"),
+    "return_int_keyed_dict": ("return {'v': {1: 2}}", "result is not serializable: dict keys"),
+    "return_a_list_holding_itself": (
+        "l = [1]\n    l[0:] = [l]\n    return l",
+        "result is not serializable: nested deeper",
+    ),
 }
 
 
@@ -197,6 +218,8 @@ class TestPythonErrorsBecomeFailedReceipts:
         source = (
             "def init():\n"
             "    storage_set('v', 1)\n"
+            "def _h(a):\n"
+            "    return a\n"
             "def run(x, y):\n"
             "    storage_set('v', 999)\n"
             f"    {body}\n"
@@ -213,6 +236,23 @@ class TestPythonErrorsBecomeFailedReceipts:
         assert state.journal_depth == 0
         assert state.get_slot(contract_id, "s/v") == 1
         assert state.state_root() == expected_state.state_root()
+
+    def test_every_result_a_receipt_carries_can_be_hashed(self, env, alice):
+        state, executor, ctx = env
+        source = (
+            "def run(x, ratio):\n"
+            "    shared = [x, 'a', None, True]\n"
+            "    return {'t': (1, ratio), 'l': [shared, shared], 'd': {'k': {}}, 'deep': _nest(x, 31)}\n"
+            "def _nest(v, n):\n"
+            "    for i in range(n):\n"
+            "        v = [v]\n"
+            "    return v\n"
+        )
+        contract_id = executor.apply(state, make_deploy(alice, "data", source, nonce=0), ctx).output
+        receipt = executor.apply(state, make_call(alice, contract_id, "run", {"x": 7, "ratio": [2, 5]}, nonce=1), ctx)
+        assert receipt.success, receipt.error
+        assert receipt.output["l"] == [[7, "a", None, True]] * 2
+        assert len(hash_value_hex(receipt.output)) == 64
 
     def test_failing_init_leaves_no_open_snapshot(self, env, alice):
         state, executor, ctx = env
@@ -236,6 +276,14 @@ class TestViews:
         contract_id = deploy_counter(state, executor, ctx, alice)
         with pytest.raises(ContractError):
             executor.execute_view(state, contract_id, "increment")
+
+    def test_view_refuses_a_result_that_is_not_data(self, env, alice):
+        state, executor, ctx = env
+        source = "def peek():\n    return [len]\ndef get():\n    return [1]\n"
+        contract_id = executor.apply(state, make_deploy(alice, "peek", source, nonce=0), ctx).output
+        assert executor.execute_view(state, contract_id, "get") == [1]
+        with pytest.raises(ContractError, match="result is not serializable"):
+            executor.execute_view(state, contract_id, "peek")
 
     def test_view_unknown_contract(self, env, alice):
         state, executor, ctx = env

@@ -257,6 +257,27 @@ def test_malformed_fee_bid_is_invalid_tx(transport, alice):
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
+def test_tx_missing_a_signed_field_is_invalid_tx(transport, alice):
+    """One wire decoder (``p2p.wire.tx_from_wire``): a signed field the sender
+    left out is not filled in with a default the signature never covered."""
+
+    async def scenario(call, node):
+        wire = tx_to_wire(_paid(alice, 0, fee=1))
+        for field in ("gas_limit", "timestamp_ms", "public_key", "signature", "payload"):
+            partial = {key: value for key, value in wire.items() if key != field}
+            with pytest.raises(RpcError) as err:
+                await call("node.submit_tx", {"tx": partial})
+            assert err.value.code == -32014, field  # INVALID_TX
+            assert field in err.value.message
+        with pytest.raises(RpcError) as err:
+            await call("node.submit_tx", {"tx": "not an object"})
+        assert err.value.code == -32014
+        assert len(node.mempool) == 0
+
+    run_conformance(transport, scenario)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
 def test_real_node_accepted_and_duplicate(transport, alice):
     """The full node keeps the same wire contract the stub pins."""
 

@@ -42,22 +42,6 @@ def test_bandwidth_serialization_delay():
     assert inbox["b"][0].delivered_at == pytest.approx(1.0, abs=1e-6)
 
 
-def test_broadcast_excludes_sender_by_default():
-    kernel, network, inbox = _pair()
-    count = network.broadcast("a", "hello", None)
-    kernel.run()
-    assert count == 2
-    assert len(inbox["a"]) == 0
-    assert len(inbox["b"]) == len(inbox["c"]) == 1
-
-
-def test_broadcast_include_self():
-    kernel, network, inbox = _pair()
-    network.broadcast("a", "hello", None, include_self=True)
-    kernel.run()
-    assert len(inbox["a"]) == 1
-
-
 def test_unknown_recipient_raises():
     __, network, __ = _pair()
     with pytest.raises(SimulationError):
