@@ -86,13 +86,20 @@ def _jac_to_affine(p: _JPoint) -> Point:
 
 
 def _odd_multiples(point: Tuple[int, int], count: int) -> List[Tuple[int, int]]:
-    """``[P, 3P, 5P, ...]``, ``count`` affine entries."""
+    """``[P, 3P, 5P, ...]``, ``count`` affine entries, one inversion.
+
+    With ``2P == (dx, dy, dz)``, the map ``(x, y) -> (x * dz**2, y * dz**3)``
+    carries the curve onto an isomorphic one where ``2P`` is the affine point
+    ``(dx, dy)``, so the chain still runs on mixed additions (their formulas
+    do not use the curve constant); a ``Z`` found there is ``Z * dz`` here.
+    """
     x, y = point
-    ((x2, y2),) = _batch_to_affine([_jac_double((x, y, 1))])
-    chain: List[_JPoint] = [(x, y, 1)]
+    dx, dy, dz = _jac_double((x, y, 1))
+    dzsq = dz * dz % _P
+    chain: List[_JPoint] = [(x * dzsq % _P, y * dzsq * dz % _P, 1)]
     for _ in range(count - 1):
-        chain.append(_jac_add_affine(chain[-1], x2, y2))
-    return _batch_to_affine(chain)
+        chain.append(_jac_add_affine(chain[-1], dx, dy))
+    return _batch_to_affine([(cx, cy, cz * dz % _P) for cx, cy, cz in chain])
 
 
 def _wnaf(k: int, width: int) -> List[int]:
@@ -126,17 +133,48 @@ _G_WIDTH = 8
 _VAR_WIDTH = 5
 _COMB_ROWS = 64  # 4-bit windows of a 256-bit scalar
 
-# Both G tables are built on first use (~20 ms, ~200 kB together): a process
+# The curve's efficient endomorphism: for every point of the group,
+# _LAMBDA * (x, y) == (_BETA * x, y), where _LAMBDA is a cube root of unity
+# mod n and _BETA the matching one mod p (GLV; Guide to Elliptic Curve
+# Cryptography, alg. 3.74).  (_A1, _B1) and (_A2, _B2) are a short basis of
+# the lattice {(a, b) : a + b * _LAMBDA == 0 (mod n)}; both vectors are about
+# sqrt(n) long, which is what lets _split halve a scalar.
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_A1 = _B2 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+
+
+def _split(k: int) -> Tuple[int, int]:
+    """``(k1, k2)`` with ``k == k1 + k2 * _LAMBDA (mod n)``, both signed.
+
+    Subtracts from ``(k, 0)`` the lattice vector nearest to it, so for
+    ``0 <= k < n`` each half is below ``2**128`` in magnitude.
+    """
+    c1 = (_B2 * k + _N // 2) // _N
+    c2 = (-_B1 * k + _N // 2) // _N
+    return (k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2)
+
+
+def _endo_table(table: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """``_LAMBDA`` times every entry: one field multiplication each."""
+    return [(x * _BETA % _P, y) for x, y in table]
+
+
+# The G tables are built on first use (~20 ms, ~210 kB together): a process
 # that only queries never pays for them.  A concurrent first use builds the
 # same table twice and keeps one.
-_g_odd: Optional[List[Tuple[int, int]]] = None
+_g_odd: Optional[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]] = None
 _g_comb: Optional[List[List[Tuple[int, int]]]] = None
 
 
-def _g_odd_multiples() -> List[Tuple[int, int]]:
+def _g_odd_multiples() -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """The odd multiples of ``G`` and the same multiples of ``_LAMBDA * G``."""
     global _g_odd
     if _g_odd is None:
-        _g_odd = _odd_multiples((_GX, _GY), 1 << (_G_WIDTH - 2))
+        table = _odd_multiples((_GX, _GY), 1 << (_G_WIDTH - 2))
+        _g_odd = (table, _endo_table(table))
     return _g_odd
 
 
@@ -171,27 +209,37 @@ def _base_mul(k: int) -> Point:
 def _double_mul(s: int, e: int, point: Tuple[int, int]) -> Point:
     """``s*G + e*point`` in one interleaved pass (Strauss-Shamir over wNAF).
 
-    The two scalars share the 256 doublings; each contributes only its own
-    table additions.  ``s`` and ``e`` must be non-negative.
+    Each scalar is split into two signed halves, ``k == k1 + k2 * _LAMBDA``,
+    and the ``k2`` half draws from the ``_LAMBDA`` image of the same table, so
+    four half-length streams share about 128 doublings where the two full
+    scalars would share 256; each stream contributes only its own table
+    additions.  ``s`` and ``e`` must lie in ``[0, n)``.
     """
-    g_digits = _wnaf(s, _G_WIDTH)
-    p_digits = _wnaf(e, _VAR_WIDTH)
-    g_table = _g_odd_multiples()
+    g_table, g_endo = _g_odd_multiples()
     p_table = _odd_multiples(point, 1 << (_VAR_WIDTH - 2))
-    length = max(len(g_digits), len(p_digits))
-    g_digits += [0] * (length - len(g_digits))
-    p_digits += [0] * (length - len(p_digits))
+    s1, s2 = _split(s)
+    e1, e2 = _split(e)
+    # adds[i] holds the affine points due once the running sum stands at bit i.
+    adds: List[List[Tuple[int, int]]] = []
+    for half, width, table in (
+        (s1, _G_WIDTH, g_table),
+        (s2, _G_WIDTH, g_endo),
+        (e1, _VAR_WIDTH, p_table),
+        (e2, _VAR_WIDTH, _endo_table(p_table)),
+    ):
+        digits = _wnaf(abs(half), width)
+        adds += [[] for _ in range(len(digits) - len(adds))]
+        for i, digit in enumerate(digits):
+            if digit:
+                x2, y2 = table[abs(digit) >> 1]
+                # A negative half negates each of its digits.
+                adds[i].append((x2, y2 if (digit > 0) == (half > 0) else _P - y2))
     acc = _INFINITY
-    for i in range(length - 1, -1, -1):
+    for due in reversed(adds):
         if acc[2]:
             acc = _jac_double(acc)
-        for digit, table in ((g_digits[i], g_table), (p_digits[i], p_table)):
-            if digit > 0:
-                x2, y2 = table[digit >> 1]
-                acc = _jac_add_affine(acc, x2, y2)
-            elif digit:
-                x2, y2 = table[-digit >> 1]
-                acc = _jac_add_affine(acc, x2, _P - y2)
+        for x2, y2 in due:
+            acc = _jac_add_affine(acc, x2, y2)
     return _jac_to_affine(acc)
 
 

@@ -265,6 +265,19 @@ _COMPILED_CAPACITY = 512
 _COMPILED_LOCK = threading.Lock()
 
 
+def _is_call_shape(contract_id: Any, method: Any, args: Any) -> bool:
+    """Whether a call names its contract and method by ``str`` and passes a ``dict``.
+
+    A signed payload is any JSON object, so nothing narrower may be assumed
+    before this has been checked.
+    """
+    return (
+        isinstance(contract_id, str)
+        and isinstance(method, str)
+        and isinstance(args, dict)
+    )
+
+
 class ContractExecutor:
     """Full executor: transfers, deployments, and contract calls.
 
@@ -313,6 +326,17 @@ class ContractExecutor:
         name = tx.payload.get("contract", "")
         source = tx.payload.get("source", "")
         init_args = tx.payload.get("init", {}) or {}
+        if not (
+            isinstance(name, str)
+            and isinstance(source, str)
+            and isinstance(init_args, dict)
+        ):
+            return Receipt(
+                tx_id=tx.tx_id,
+                success=False,
+                gas_used=min(G.GAS_DEPLOY_BASE, tx.gas_limit),
+                error="malformed deploy payload",
+            )
         gas_used = G.GAS_DEPLOY_BASE + G.GAS_DEPLOY_PER_BYTE * len(source)
         if gas_used > tx.gas_limit:
             return Receipt(
@@ -384,6 +408,13 @@ class ContractExecutor:
         contract_id = tx.payload.get("contract", "")
         method = tx.payload.get("method", "")
         args = tx.payload.get("args", {}) or {}
+        if not _is_call_shape(contract_id, method, args):
+            return Receipt(
+                tx_id=tx.tx_id,
+                success=False,
+                gas_used=G.GAS_CALL_BASE,
+                error="malformed call payload",
+            )
         info = self.contract_info(state, contract_id)
         if info is None:
             return Receipt(
@@ -446,6 +477,9 @@ class ContractExecutor:
         path of Figure 1.  The fork is an O(1) overlay rather than a full
         copy; the read-only bridge rejects writes before they reach it.
         """
+        args = args or {}
+        if not _is_call_shape(contract_id, method, args):
+            raise ContractError("malformed view call")
         info = self.contract_info(state, contract_id)
         if info is None:
             raise ContractError(f"unknown contract {contract_id[:12]}")
@@ -462,7 +496,7 @@ class ContractExecutor:
             read_only=True,
         )
         return _as_result(
-            Interpreter(compiled, bridge.functions(), meter).call(method, dict(args or {}))
+            Interpreter(compiled, bridge.functions(), meter).call(method, dict(args))
         )
 
     # -- helpers ----------------------------------------------------------

@@ -250,6 +250,21 @@ def _oracle_double_mul(s, e, point):
     return _oracle_point_add(_oracle_point_mul(s, _G), _oracle_point_mul(e, point))
 
 
+def _neg(point):
+    return (point[0], _P - point[1])
+
+
+def _from_halves(k1, k2):
+    """The scalar that splits into ``(k1, k2)``, when both are short enough."""
+    return (k1 + k2 * sigs._LAMBDA) % _N
+
+
+# The images of G under the endomorphism and its square: with one of these as
+# the public point, two of the four streams draw from coincident tables.
+_LAM_G = _oracle_point_mul(sigs._LAMBDA, _G)
+_LAM2_G = _oracle_point_mul(sigs._LAMBDA**2 % _N, _G)
+
+
 # -- corpus -------------------------------------------------------------------
 
 # Long zero runs, all-ones, the group-order neighbourhood, and the keys whose
@@ -345,16 +360,33 @@ def test_public_keys_g_and_minus_g():
     assert PrivateKey(_N - 1).public_key().point == _NEG_G
 
 
-@pytest.mark.parametrize("point", [_G, _NEG_G, "random"], ids=["G", "minus-G", "random"])
-def test_double_mul_agrees_with_oracle(point):
-    if point == "random":
-        point = _oracle_point_mul(0xDEADBEEF, _G)
+_DOUBLE_MUL_POINTS = {
+    "G": _G,
+    "minus-G": _NEG_G,
+    "random": _oracle_point_mul(0xDEADBEEF, _G),
+    "lambda-G": _LAM_G,
+    "minus-lambda-G": _neg(_LAM_G),
+    "lambda2-G": _LAM2_G,
+    "minus-lambda2-G": _neg(_LAM2_G),
+}
+
+# Scalars picked by their halves: a zero first half, a zero second half (any
+# short scalar), both negative, mixed signs, and halves of full length.
+_HALVES = [(0, 1), (0, 5), (1, 0), (-3, -5), (3, -5), (-3, 5), (-1, -1),
+           (-(1 << 127) + 1, -(1 << 126) - 3), (-(1 << 126), (1 << 126) + 7)]
+
+
+@pytest.mark.parametrize("name", list(_DOUBLE_MUL_POINTS))
+def test_double_mul_agrees_with_oracle(name):
+    point = _DOUBLE_MUL_POINTS[name]
     scalars = [0, 1, 2, 3, 127, 128, 129, 1 << 255, _N - 1, _N - 2, (1 << 252) - 1]
     rng = random.Random(13)
     pairs = [(s, e) for s in scalars[:6] for e in scalars[:6]]
     pairs += [(rng.choice(scalars), rng.randrange(_N)) for _ in range(6)]
     pairs += [(rng.randrange(_N), rng.choice(scalars)) for _ in range(6)]
     pairs += [(_N - 1, 1), (1, _N - 1), (_N - 2, 2), (1 << 255, 1 << 255)]
+    split = [_from_halves(k1, k2) for k1, k2 in _HALVES]
+    pairs += list(zip(split, split)) + list(zip(split, reversed(split)))
     for s, e in pairs:
         assert sigs._double_mul(s, e, point) == _oracle_double_mul(s, e, point), (s, e)
 
@@ -368,6 +400,62 @@ def test_double_mul_degenerate_scalars():
     assert sigs._double_mul(1, 1, _NEG_G) is None  # cancels to infinity
     assert sigs._double_mul(7, 7, _NEG_G) is None
     assert sigs._point_mul(_N, point) is None
+    # s == lambda splits to (0, 1): its one digit draws lambda*G from the
+    # endomorphism's G table and meets the same point from the P table.
+    lam = sigs._LAMBDA
+    assert sigs._double_mul(lam, 1, _LAM_G) == _oracle_point_mul(2, _LAM_G)
+    assert sigs._double_mul(lam, 1, _neg(_LAM_G)) is None
+    assert sigs._double_mul(1, lam, _LAM2_G) == _oracle_point_mul(2, _G)  # lambda**3 == 1
+    assert sigs._double_mul(1, lam, _neg(_LAM2_G)) is None
+    assert sigs._double_mul(0, lam, point) == _oracle_point_mul(lam, point)  # zero first half
+    assert sigs._double_mul(lam, 0, point) == _LAM_G
+    both_negative = _from_halves(-3, -5)
+    assert sigs._double_mul(both_negative, both_negative, point) == _oracle_double_mul(
+        both_negative, both_negative, point
+    )
+
+
+def test_endomorphism_constants_check_themselves():
+    lam, beta = sigs._LAMBDA, sigs._BETA
+    assert lam != 1 and (lam * lam + lam + 1) % _N == 0  # a primitive cube root of 1 mod n
+    assert beta != 1 and pow(beta, 3, _P) == 1  # and one mod p
+    for a, b in ((sigs._A1, sigs._B1), (sigs._A2, sigs._B2)):
+        assert (a + b * lam) % _N == 0  # a lattice vector
+        assert max(abs(a), abs(b)) < 1 << 129  # and a short one
+    assert sigs._A1 * sigs._B2 - sigs._A2 * sigs._B1 == _N  # the two span the whole lattice
+
+
+def _assert_splits_into_short_halves(k):
+    k1, k2 = sigs._split(k)
+    assert (k1 + k2 * sigs._LAMBDA) % _N == k % _N
+    assert abs(k1) < 1 << 128 and abs(k2) < 1 << 128, (k, k1, k2)
+
+
+def test_split_reconstructs_the_scalar_from_short_halves():
+    lam = sigs._LAMBDA
+    for k in [0, _N - 1, lam, _N - lam, lam - 1, lam + 1] + EDGE_SCALARS:
+        _assert_splits_into_short_halves(k)
+    for halves in _HALVES:
+        assert sigs._split(_from_halves(*halves)) == halves
+
+
+# Bare @given: integers are cheap, so the ci-stress profile decides the depth.
+@given(st.integers(min_value=0, max_value=_N - 1))
+def test_property_split_reconstructs_the_scalar_from_short_halves(k):
+    _assert_splits_into_short_halves(k)
+
+
+@pytest.mark.parametrize("name", ["G", "minus-G", "random"])
+def test_endomorphism_table_is_lambda_times_each_entry(name):
+    point = _DOUBLE_MUL_POINTS[name]
+    assert sigs._endo_table([point]) == [_oracle_point_mul(sigs._LAMBDA, point)]
+
+
+def test_odd_multiples_agree_with_oracle():
+    for point in (_G, _DOUBLE_MUL_POINTS["random"], _LAM_G):
+        expected = [_oracle_point_mul(2 * i + 1, point) for i in range(8)]
+        assert sigs._odd_multiples(point, 8) == expected
+    assert sigs._odd_multiples(_G, 1) == [_G]
 
 
 @pytest.mark.parametrize("width", [2, 5, 8])
@@ -461,7 +549,10 @@ def _best_ratio(slow, fast, trials=5):
 
 
 def test_verify_and_sign_stay_well_ahead_of_double_and_add(alice):
-    """Measured 2.9x (verify) and 12x (sign); a ratio does not care how fast the host is."""
+    """Measured 4.6x (verify) and 11x (sign); a ratio does not care how fast the host is.
+
+    Each floor sits about 40 % under its measurement.
+    """
     message = b"ratio gate"
     signature = alice.sign(message)
     assert alice.public.verify(message, signature)  # tables built before timing
@@ -474,5 +565,5 @@ def test_verify_and_sign_stay_well_ahead_of_double_and_add(alice):
         lambda: _oracle_sign(alice.private, message),
         lambda: alice.sign(message),
     )
-    assert verify_ratio >= 1.8, f"verify only {verify_ratio:.2f}x the oracle"
+    assert verify_ratio >= 2.6, f"verify only {verify_ratio:.2f}x the oracle"
     assert sign_ratio >= 5.0, f"sign only {sign_ratio:.2f}x the oracle"

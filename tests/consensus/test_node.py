@@ -4,7 +4,7 @@
 from repro.chain.state import StateDB
 from repro.chain.blocks import build_block, make_genesis
 from repro.chain.executor import ExecutionContext
-from repro.chain.transactions import make_deploy, make_call, make_transfer
+from repro.chain.transactions import Transaction, make_deploy, make_call, make_transfer
 from repro.common.signatures import KeyPair
 from repro.consensus.node import make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
@@ -109,6 +109,27 @@ class TestContractsOnChain:
         commit(kernel, nodes, call)
         for node in nodes.values():
             assert node.call_view(contract_id, "get") == 2
+
+    def test_malformed_payload_is_committed_as_failed_and_the_chain_keeps_sealing(self, alice):
+        """A signed tx whose payload has the wrong shape must not raise in every proposer."""
+        kernel, __, ___, nodes = build_network(3, funder=alice)
+        bad = Transaction(
+            sender=alice.address, nonce=0, kind="call", payload={"contract": 5}
+        ).signed_by(alice)
+        assert nodes["n0"].submit_tx(bad)
+        commit(kernel, nodes, bad)
+        for node in nodes.values():
+            receipt = node.receipt(bad.tx_id)
+            assert receipt is not None and not receipt.success
+            assert receipt.error == "malformed call payload"
+            assert bad.tx_id not in node.mempool
+        height = nodes["n0"].head.height
+        after = make_transfer(alice, "dest", 7, nonce=1)
+        nodes["n1"].submit_tx(after)
+        commit(kernel, nodes, after)
+        assert all(node.receipt(after.tx_id).success for node in nodes.values())
+        assert all(node.head.height > height for node in nodes.values())
+        assert len({node.state.state_root() for node in nodes.values()}) == 1
 
     def test_events_reach_subscribers_on_every_node(self, alice):
         kernel, __, ___, nodes = build_network(3, funder=alice)

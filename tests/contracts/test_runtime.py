@@ -4,9 +4,10 @@ import pytest
 
 from repro.chain.executor import ExecutionContext
 from repro.chain.state import StateDB
-from repro.chain.transactions import make_call, make_deploy
+from repro.chain.transactions import Transaction, make_call, make_deploy
 from repro.common.errors import ContractError
 from repro.common.hashing import hash_value_hex
+from repro.contracts import gas as G
 from repro.contracts.library import COUNTER_SOURCE
 from repro.contracts.runtime import ContractExecutor
 
@@ -263,6 +264,64 @@ class TestPythonErrorsBecomeFailedReceipts:
         assert state.journal_depth == 0
 
 
+# ``Transaction.validate`` admits any dict as a payload, so a validly signed tx
+# can carry these; each used to leave ``apply`` as a TypeError / ValueError.
+def malformed_payloads(cid):
+    return {
+        "call_contract_int": ("call", {"contract": 5}),
+        "call_contract_list": ("call", {"contract": [cid], "method": "get"}),
+        "call_method_int": ("call", {"contract": cid, "method": 5}),
+        "call_method_list": ("call", {"contract": cid, "method": ["get"]}),
+        "call_args_list": ("call", {"contract": cid, "method": "get", "args": [1]}),
+        "call_args_str": ("call", {"contract": cid, "method": "get", "args": "ab"}),
+        "deploy_source_int": ("deploy", {"source": 7}),
+        "deploy_source_none": ("deploy", {"contract": "c", "source": None}),
+        "deploy_name_int": ("deploy", {"contract": 7, "source": COUNTER_SOURCE}),
+        "deploy_init_list": ("deploy", {"contract": "c", "source": COUNTER_SOURCE, "init": [1]}),
+    }
+
+
+class TestMalformedPayloadsBecomeFailedReceipts:
+    @pytest.mark.parametrize("shape", sorted(malformed_payloads("")))
+    def test_failed_receipt_then_the_sender_carries_on(self, env, alice, shape):
+        state, executor, ctx = env
+        contract_id = deploy_counter(state, executor, ctx, alice)
+        kind, payload = malformed_payloads(contract_id)[shape]
+        tx = Transaction(sender=alice.address, nonce=1, kind=kind, payload=payload).signed_by(alice)
+        tx.validate()  # admission has no objection
+        expected_state = state.copy()
+        expected_state.bump_nonce(alice.address)
+        receipt = executor.apply(state, tx, ctx)
+        assert not receipt.success
+        assert receipt.error == f"malformed {kind} payload"
+        assert receipt.gas_used == (G.GAS_CALL_BASE if kind == "call" else G.GAS_DEPLOY_BASE)
+        assert state.journal_depth == 0
+        assert state.state_root() == expected_state.state_root()
+        follow_up = make_call(alice, contract_id, "increment", {"by": 3}, nonce=2)
+        assert executor.apply(state, follow_up, ctx).success
+        assert executor.execute_view(state, contract_id, "get") == 3
+
+    def test_malformed_deploy_charges_no_more_than_its_gas_limit(self, env, alice):
+        state, executor, ctx = env
+        tx = Transaction(
+            sender=alice.address, nonce=0, kind="deploy", payload={"source": 7}, gas_limit=10
+        ).signed_by(alice)
+        assert executor.apply(state, tx, ctx).gas_used == 10
+
+    def test_empty_or_absent_args_still_mean_no_arguments(self, env, alice):
+        state, executor, ctx = env
+        contract_id = deploy_counter(state, executor, ctx, alice, start=4)
+        for nonce, payload in enumerate(
+            [{"args": None}, {"args": []}, {"args": {}}, {}], start=1
+        ):
+            payload = {"contract": contract_id, "method": "get", **payload}
+            tx = Transaction(
+                sender=alice.address, nonce=nonce, kind="call", payload=payload
+            ).signed_by(alice)
+            receipt = executor.apply(state, tx, ctx)
+            assert receipt.success and receipt.output == 4
+
+
 class TestViews:
     def test_view_does_not_mutate(self, env, alice):
         state, executor, ctx = env
@@ -289,6 +348,13 @@ class TestViews:
         state, executor, ctx = env
         with pytest.raises(ContractError):
             executor.execute_view(state, "ab" * 20, "get")
+
+    def test_view_of_the_wrong_shape_is_a_contract_error(self, env, alice):
+        state, executor, ctx = env
+        contract_id = deploy_counter(state, executor, ctx, alice)
+        for call in [(5, "get"), (contract_id, 5), (contract_id, "get", [1])]:
+            with pytest.raises(ContractError, match="malformed view call"):
+                executor.execute_view(state, *call)
 
 
 class TestDeterminismAcrossExecutors:
