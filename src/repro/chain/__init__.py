@@ -8,9 +8,6 @@ from repro.chain.executor import (
     ExecutionContext,
     Executor,
     Receipt,
-    TransferExecutor,
-    apply_block_transactions,
-    speculate_block_transactions,
 )
 from repro.chain.mempool import AdmissionResult, Mempool, MempoolConfig
 from repro.chain.state import (
@@ -74,9 +71,6 @@ __all__ = [
     "TX_DEPLOY",
     "TX_TRANSFER",
     "Transaction",
-    "TransferExecutor",
-    "apply_block_transactions",
-    "speculate_block_transactions",
     "set_debug_aliasing",
     "build_block",
     "make_call",

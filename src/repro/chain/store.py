@@ -1,37 +1,35 @@
 """Chain store: block persistence, linkage validation, and fork choice.
 
-Each node owns a :class:`ChainStore`.  Blocks attach to known parents;
-orphans are buffered (up to a capacity bound, oldest evicted first) until
-their parent arrives.  Fork choice is
-longest-chain (by height, then lowest block hash as a deterministic
-tie-break), matching the paper's "current commercial blockchain" framing.
+Each node owns a :class:`ChainStore`.  Blocks attach to stored parents (a
+node buffers a block whose parent has not arrived; the store never sees
+it).  Fork choice is longest-chain (by height, then lowest block hash as a
+deterministic tie-break), matching the paper's "current commercial
+blockchain" framing.  The canonical branch is kept as a list of block ids
+indexed by height, spliced where fork choice runs, so every question about
+it is an index lookup and :meth:`ChainStore.add` can say exactly which
+blocks a reorg removed from it and which it added.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.chain.blocks import Block
 from repro.common.errors import ChainError, ValidationError
 
 
 class ChainStore:
-    """Append-only block DAG with a canonical head."""
+    """Append-only block DAG with a canonical branch indexed by height."""
 
-    DEFAULT_MAX_ORPHANS = 512
-
-    def __init__(self, genesis: Block, max_orphans: int = DEFAULT_MAX_ORPHANS):
+    def __init__(self, genesis: Block):
         if genesis.height != 0:
             raise ChainError("genesis must have height 0")
         self._blocks: Dict[str, Block] = {genesis.block_id: genesis}
-        self._children: Dict[str, List[str]] = {}
-        # Bounded insertion-ordered buffer; the oldest orphan is evicted
-        # deterministically once the capacity is exceeded.
-        self._orphans: Dict[str, Block] = {}
-        self._max_orphans = max(0, max_orphans)
-        self.orphans_evicted = 0
         self.genesis = genesis
         self._head = genesis
+        #: Canonical block ids, ``canonical_ids[h]`` at height ``h``.  Read
+        #: it, never write it; it changes in place as the head moves.
+        self.canonical_ids: List[str] = [genesis.block_id]
 
     # -- queries ----------------------------------------------------------
     @property
@@ -54,64 +52,51 @@ class ChainStore:
             raise ChainError(f"unknown block {block_id[:12]}")
         return block
 
-    def has_parent(self, block: Block) -> bool:
-        return block.header.parent_hash.hex() in self._blocks
-
-    def orphan_count(self) -> int:
-        return len(self._orphans)
+    def is_canonical(self, block: Block) -> bool:
+        ids = self.canonical_ids
+        return block.height < len(ids) and ids[block.height] == block.block_id
 
     # -- insertion ----------------------------------------------------------
-    def add(self, block: Block) -> bool:
-        """Insert a structurally valid block.
+    def add(self, block: Block) -> Tuple[List[Block], List[Block]]:
+        """Insert a block the caller has validated, under its stored parent.
 
-        Returns True when the canonical head changed.  Unknown-parent blocks
-        are buffered as orphans and connected when the parent shows up.
+        Returns the canonical diff ``(left, joined)``: the blocks that
+        stopped and the blocks that started being canonical, each oldest
+        first.  Both are empty when the head did not move (a duplicate, or
+        a block on a branch that does not win fork choice); a plain
+        extension is ``([], [block])``.  A block whose parent is not
+        stored is a caller error.
         """
-        block.validate_structure()
         block_id = block.block_id
         if block_id in self._blocks:
-            return False
-        parent_id = block.header.parent_hash.hex()
-        if parent_id not in self._blocks:
-            self._orphans[block_id] = block
-            while len(self._orphans) > self._max_orphans:
-                oldest = next(iter(self._orphans))
-                del self._orphans[oldest]
-                self.orphans_evicted += 1
-            return False
-        parent = self._blocks[parent_id]
+            return [], []
+        parent = self._blocks.get(block.header.parent_hash.hex())
+        if parent is None:
+            raise ChainError(f"parent of block {block_id[:12]} is not stored")
         if block.height != parent.height + 1:
             raise ValidationError(
                 f"height {block.height} does not follow parent {parent.height}"
             )
         self._blocks[block_id] = block
-        self._children.setdefault(parent_id, []).append(block_id)
-        head_changed = self._maybe_reorg(block)
-        head_changed |= self._connect_orphans(block_id)
-        return head_changed
-
-    def _connect_orphans(self, new_parent_id: str) -> bool:
-        changed = False
-        ready = [
-            block
-            for block in self._orphans.values()
-            if block.header.parent_hash.hex() == new_parent_id
-        ]
-        for block in ready:
-            del self._orphans[block.block_id]
-            changed |= self.add(block)
-        return changed
-
-    def _maybe_reorg(self, candidate: Block) -> bool:
-        """Longest chain wins; ties broken by lexicographically lowest hash."""
-        if candidate.height > self._head.height or (
-            candidate.height == self._head.height
-            and candidate.block_id < self._head.block_id
+        # Longest chain wins; ties broken by lexicographically lowest hash.
+        head = self._head
+        if block.height < head.height or (
+            block.height == head.height and block_id > head.block_id
         ):
-            changed = candidate.block_id != self._head.block_id
-            self._head = candidate
-            return changed
-        return False
+            return [], []
+        # Walk down to the first block that is canonical at its height and
+        # splice the new branch in above it.
+        joined: List[Block] = []
+        current = block
+        while not self.is_canonical(current):
+            joined.append(current)
+            current = self._blocks[current.header.parent_hash.hex()]
+        joined.reverse()
+        fork = current.height + 1
+        left = [self._blocks[left_id] for left_id in self.canonical_ids[fork:]]
+        self.canonical_ids[fork:] = [b.block_id for b in joined]
+        self._head = block
+        return left, joined
 
     # -- chain walks ---------------------------------------------------------
     def ancestors(self, block: Block) -> Iterable[Block]:
@@ -125,17 +110,12 @@ class ChainStore:
 
     def canonical_chain(self) -> List[Block]:
         """Genesis-to-head block list along the canonical branch."""
-        chain = list(self.ancestors(self._head))
-        chain.reverse()
-        return chain
+        return [self._blocks[block_id] for block_id in self.canonical_ids]
 
     def block_at_height(self, height: int) -> Optional[Block]:
         """Canonical block at ``height``, or None above the head."""
-        if height > self._head.height or height < 0:
-            return None
-        for block in self.ancestors(self._head):
-            if block.height == height:
-                return block
+        if 0 <= height < len(self.canonical_ids):
+            return self._blocks[self.canonical_ids[height]]
         return None
 
     def headers_after(self, locator_ids: List[str], limit: int = 256) -> List[Block]:
@@ -146,28 +126,19 @@ class ChainStore:
         our canonical chain anchors the reply.  An empty or entirely-unknown
         locator anchors at genesis, so a fresh node always makes progress.
         The p2p headers-first sync protocol serves ``chain.get_headers``
-        from this.
+        from this, at a cost of ``len(locator_ids) + limit`` lookups.
         """
-        chain = self.canonical_chain()
-        index = {block.block_id: i for i, block in enumerate(chain)}
         anchor = 0
         for block_id in locator_ids:
-            position = index.get(block_id)
-            if position is not None:
-                anchor = position
+            block = self._blocks.get(block_id)
+            if block is not None and self.is_canonical(block):
+                anchor = block.height
                 break
         limit = max(1, min(int(limit), 1024))
-        return chain[anchor + 1 : anchor + 1 + limit]
-
-    def canonical_tx_ids(self) -> List[str]:
-        """Every tx id on the canonical chain, in execution order."""
-        out: List[str] = []
-        for block in self.canonical_chain():
-            out.extend(tx.tx_id for tx in block.transactions)
-        return out
-
-    def contains_tx(self, tx_id: str) -> bool:
-        return tx_id in set(self.canonical_tx_ids())
+        return [
+            self._blocks[block_id]
+            for block_id in self.canonical_ids[anchor + 1 : anchor + 1 + limit]
+        ]
 
     def verify_chain_integrity(self) -> bool:
         """Re-validate every canonical block and its parent linkage.

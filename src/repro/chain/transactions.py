@@ -32,11 +32,11 @@ class VerifiedSignatures:
     The wire hands a validator a fresh :class:`Transaction` for the same
     bytes several times (submission or gossip body, then the block body), and
     EC verification is the dearest step of admission.  The digest covers
-    ``sender`` and ``public_key``, so digest and signature together fix every
-    input of the check: an entry can only ever answer for a transaction that
-    would verify again.  Only successes are remembered (a forgery costs its
-    sender a full verification every time), the oldest entry is evicted first,
-    and a miss merely verifies again.
+    ``sender``, ``public_key`` and ``payload``, so digest and signature
+    together fix every input of the check: an entry can only ever answer for
+    a transaction that would verify again.  Only successes are remembered (a
+    forgery costs its sender a full verification every time), the oldest
+    entry is evicted first, and a miss merely verifies again.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -63,6 +63,27 @@ class VerifiedSignatures:
 # entries (~0.4 MB full) span ten full blocks between a transaction's
 # admission and the arrival of the block that carries it.
 _VERIFIED = VerifiedSignatures(2048)
+
+
+def _encodes_as_utf8(value: Any) -> bool:
+    """Whether every string in ``value`` — keys included, at any depth —
+    encodes as UTF-8.  A lone surrogate survives JSON and the signing digest
+    (whose canonical form is ASCII-escaped) but not ``str.encode``, which
+    the state trie applies to keys and the contract compiler to source."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return True
+    if isinstance(value, dict):
+        return all(
+            _encodes_as_utf8(key) and _encodes_as_utf8(item)
+            for key, item in value.items()
+        )
+    if isinstance(value, (list, tuple)):
+        return all(map(_encodes_as_utf8, value))
+    return True
 
 
 @dataclass(frozen=True)
@@ -139,18 +160,25 @@ class Transaction:
         return replace(unsigned, signature=signature.to_bytes())
 
     def verify_signature(self) -> bool:
-        """True when signature is valid and matches the sender address.
+        """True when signature is valid and matches the sender address (and
+        the signed payload is text a validator can store, see ``validate``).
 
         Answered from the process-wide :class:`VerifiedSignatures` when these
         exact bytes verified before, whichever instance carried them.
         """
+        return not self._first_contact_error()
+
+    def _first_contact_error(self) -> str:
+        """Why these bytes fail the checks made once per process, or ``""``."""
         key = self.signing_digest() + self.signature
         if key in _VERIFIED:
-            return True
+            return ""
+        if not _encodes_as_utf8(self.payload):
+            return "payload holds a string that does not encode as UTF-8"
         if not self._verify_signature_uncached():
-            return False
+            return f"bad signature on tx from {self.sender}"
         _VERIFIED.add(key)
-        return True
+        return ""
 
     def _verify_signature_uncached(self) -> bool:
         if not self.public_key or not self.signature:
@@ -165,7 +193,12 @@ class Transaction:
         return public.verify(self.signing_digest(), signature)
 
     def validate(self) -> None:
-        """Structural validation; raises :class:`ValidationError`."""
+        """Structural validation; raises :class:`ValidationError`.
+
+        The signature and the payload's strings (all must encode as UTF-8,
+        or ``state_root()`` and the contract compiler would raise in every
+        validator after admission) are checked once per process per tx.
+        """
         if self.kind not in VALID_TX_KINDS:
             raise ValidationError(f"unknown tx kind {self.kind!r}")
         if self.nonce < 0:
@@ -181,8 +214,9 @@ class Transaction:
             )
         if not isinstance(self.payload, dict):
             raise ValidationError("payload must be a dict")
-        if not self.verify_signature():
-            raise ValidationError(f"bad signature on tx from {self.sender}")
+        error = self._first_contact_error()
+        if error:
+            raise ValidationError(error)
 
     def estimated_size_bytes(self) -> int:
         """Wire-size estimate used by the network simulator (memoized)."""

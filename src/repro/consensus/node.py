@@ -19,7 +19,7 @@ once per node, and a missed ancestor is repaired by headers-first sync
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chain.blocks import Block, build_block
 from repro.chain.executor import ContractEvent, ExecutionContext, Receipt
@@ -37,12 +37,19 @@ from repro.consensus.base import ConsensusEngine
 from repro.obs.tracer import trace_span
 from repro.contracts.runtime import ContractExecutor
 from repro.p2p.config import P2PConfig
+from repro.p2p.gossip import SeenCache
 from repro.p2p.service import P2PService
 from repro.p2p.transport import SimTransport, Transport
 from repro.sim.kernel import EventHandle, Kernel, Process
 from repro.sim.metrics import MetricsRegistry
 
 EventSubscriber = Callable[[ContractEvent], None]
+
+#: Blocks held while their parent has not arrived; the oldest is dropped
+#: (and may be offered again) once the buffer is full.
+MAX_WAITING_BLOCKS = 512
+#: Ids of refused blocks remembered (LRU) so they are not fetched again.
+MAX_REJECTED_BLOCKS = 4096
 
 
 @dataclass
@@ -71,8 +78,6 @@ class NodeConfig:
     # O(state/interval + write-set) per block — instead of rebuilding the
     # full state dict on every new head.  1 collapses on every block.
     state_collapse_interval: int = 16
-    # Cap on the ChainStore orphan buffer (oldest-first eviction).
-    max_orphan_blocks: int = 512
     # Optimistic parallel block execution (repro.chain.scheduler): derive
     # static read/write sets, execute non-conflicting transactions
     # concurrently, validate observed reads at commit.  Off by default —
@@ -96,6 +101,17 @@ class NodeConfig:
     p2p: P2PConfig = field(default_factory=P2PConfig)
 
 
+@dataclass
+class _Executed:
+    """What a node keeps per executed block while it is inside the prune window."""
+
+    state: StateDB
+    receipts: List[Receipt]
+    # Events go to subscribers once, however often the block re-joins the
+    # canonical chain.
+    emitted: bool = False
+
+
 class BlockchainNode(Process):
     """One participant in the medical blockchain network (Figure 2)."""
 
@@ -116,22 +132,26 @@ class BlockchainNode(Process):
         self.executor = executor or ContractExecutor()
         self.metrics = metrics or MetricsRegistry()
         self.config = config or NodeConfig()
-        self.store = ChainStore(genesis, max_orphans=self.config.max_orphan_blocks)
+        self.store = ChainStore(genesis)
         self.mempool = Mempool(
             config=self.config.mempool,
             time_source=lambda: self.now,
             metrics=self.metrics,
             scope=name,
         )
-        self._orphan_evictions_reported = 0
-        self._states: Dict[str, StateDB] = {genesis.block_id: genesis_state.copy()}
-        self._block_receipts: Dict[str, List[Receipt]] = {genesis.block_id: []}
+        # One record per block: at most the prune window, the window
+        # boundary and the fork tips inside the window (_prune_states).
+        self._executed: Dict[str, _Executed] = {
+            genesis.block_id: _Executed(genesis_state.copy(), [])
+        }
         self._receipts_by_tx: Dict[str, Receipt] = {}
-        self._seen_blocks: Set[str] = {genesis.block_id}
-        # Blocks waiting for an ancestor that headers-first sync is fetching.
-        self._pending_blocks: Dict[str, List[Block]] = {}
-        self._emitted_blocks: Set[str] = {genesis.block_id}
+        # Blocks waiting for an ancestor that headers-first sync is
+        # fetching, by block id, oldest first (<= MAX_WAITING_BLOCKS).
+        self._waiting: Dict[str, Block] = {}
+        self._rejected = SeenCache(MAX_REJECTED_BLOCKS)
         self._event_subscribers: List[EventSubscriber] = []
+        # Submission time of txs submitted here, until they commit; never
+        # more entries than the pool has room for, oldest dropped first.
         self._tx_submit_times: Dict[str, float] = {}
         self._proposal_handle: Optional[EventHandle] = None
         self._round_start: Optional[float] = None
@@ -176,7 +196,7 @@ class BlockchainNode(Process):
     @property
     def state(self) -> StateDB:
         """World state at the canonical head."""
-        return self._states[self.store.head.block_id]
+        return self._executed[self.store.head.block_id].state
 
     def receipt(self, tx_id: str) -> Optional[Receipt]:
         return self._receipts_by_tx.get(tx_id)
@@ -205,7 +225,12 @@ class BlockchainNode(Process):
             )
         added = self._admit_tx(tx)
         if added:
-            self._tx_submit_times.setdefault(tx.tx_id, self.now)
+            times = self._tx_submit_times
+            times.setdefault(tx.tx_id, self.now)
+            if len(times) > self.mempool.max_size:
+                # Only entries whose tx the pool evicted uncommitted can
+                # push it past the pool's size; one latency sample is lost.
+                del times[next(iter(times))]
             self.p2p.announce_tx(tx)
             if self._started and self._proposal_handle is None:
                 self._plan_round()
@@ -258,29 +283,63 @@ class BlockchainNode(Process):
                 self._plan_round()
 
     def has_block(self, block_id: str) -> bool:
-        """Whether a block body has reached this node (valid or not)."""
-        return block_id in self._seen_blocks
+        """Whether a block body has reached this node: stored, waiting for
+        its parent, or refused (while the refusal is remembered)."""
+        return (
+            block_id in self.store
+            or block_id in self._waiting
+            or block_id in self._rejected
+        )
 
     def receive_block(self, block: Block) -> None:
         """A block body from gossip or sync: verify, execute, adopt, relay."""
-        if block.block_id in self._seen_blocks:
+        if self.has_block(block.block_id):
             return
-        self._seen_blocks.add(block.block_id)
-        parent_id = block.header.parent_hash.hex()
-        if parent_id not in self._states:
-            if parent_id in self.store and self._recover_states(parent_id):
-                # Parent block known but its state was pruned or skipped
-                # (e.g. after a restart): re-executing the gap recovers it,
-                # so the block need not be rejected.
-                self._ingest_block(block)
-                return
-            # We missed an ancestor (e.g. during a partition): buffer the
-            # block and let headers-first sync fill the gap.
-            self._pending_blocks.setdefault(parent_id, []).append(block)
-            self.metrics.add("blocks_waiting_parent", 1, scope=self.name)
-            self.p2p.request_backfill()
+        if block.header.parent_hash.hex() in self.store:
+            self._ingest_block(block)
             return
-        self._ingest_block(block)
+        # We missed an ancestor (e.g. during a partition): buffer the block
+        # and let headers-first sync fill the gap.
+        self._waiting[block.block_id] = block
+        self.metrics.add("blocks_waiting_parent", 1, scope=self.name)
+        if len(self._waiting) > MAX_WAITING_BLOCKS:
+            del self._waiting[next(iter(self._waiting))]
+            self.metrics.add("blocks_waiting_dropped", 1, scope=self.name)
+        self.p2p.request_backfill()
+
+    def _ingest_block(self, block: Block) -> None:
+        """Verify, execute and adopt a block whose parent is stored, then
+        the blocks that were waiting for it, depth first."""
+        stack = [block]
+        while stack:
+            block = stack.pop()
+            executed = self._verify_and_execute(block)
+            if executed is None:
+                self._rejected.add(block.block_id)
+                continue
+            self._adopt(block, *executed)
+            stack.extend(reversed(self._take_waiting(block.block_id)))
+
+    def _take_waiting(self, parent_id: str) -> List[Block]:
+        """Remove and return the buffered children of ``parent_id``, oldest first."""
+        if not self._waiting:
+            return []
+        children = [
+            block
+            for block in self._waiting.values()
+            if block.header.parent_hash.hex() == parent_id
+        ]
+        for child in children:
+            del self._waiting[child.block_id]
+        return children
+
+    def _adopt(self, block: Block, state: StateDB, receipts: List[Receipt]) -> None:
+        """Keep an executed block: record, store, announce, follow the head."""
+        self._executed[block.block_id] = _Executed(state, receipts)
+        left, joined = self.store.add(block)
+        self.p2p.announce_block(block)
+        if joined:
+            self._on_new_head(left, joined)
 
     def _recover_states(self, block_id: str, max_depth: Optional[int] = None) -> bool:
         """Rebuild the post-state of a stored block by re-executing forward.
@@ -291,43 +350,39 @@ class BlockchainNode(Process):
         the path.  Returns True when ``block_id``'s state is available
         afterwards.
         """
-        if block_id in self._states:
+        if block_id in self._executed:
             return True
         if max_depth is None:
             max_depth = self.config.state_prune_window or len(self.store)
         path: List[Block] = []
         current_id = block_id
-        while current_id not in self._states:
+        while current_id not in self._executed:
             if current_id not in self.store or len(path) >= max_depth:
                 return False  # gap reaches below the retained window
             block = self.store.get(current_id)
             path.append(block)
             current_id = block.header.parent_hash.hex()
         for block in reversed(path):
-            if not self._verify_and_execute(block):
+            executed = self._verify_and_execute(block)
+            if executed is None:
                 return False
+            # A block that is canonical joined the chain, and had its
+            # events emitted, before its record was lost.
+            self._executed[block.block_id] = _Executed(
+                *executed, emitted=self.store.is_canonical(block)
+            )
             self.metrics.add("states_recovered", 1, scope=self.name)
         return True
 
-    def _ingest_block(self, block: Block) -> None:
-        """Verify, execute, adopt, and drain any blocks waiting on this one."""
-        if not self._verify_and_execute(block):
-            return
-        old_head = self.store.head
-        self.store.add(block)
-        self._report_orphan_evictions()
-        self.p2p.announce_block(block)
-        if self.store.head.block_id != old_head.block_id:
-            self._on_new_head(old_head)
-        for child in self._pending_blocks.pop(block.block_id, []):
-            self._ingest_block(child)
-
     # -- verification (the duplicated computing) -----------------------------
-    def _verify_and_execute(self, block: Block) -> bool:
+    def _verify_and_execute(
+        self, block: Block
+    ) -> Optional[Tuple[StateDB, List[Receipt]]]:
         """Verify proof and re-execute the block's transactions.
 
         Every node does this for every block — the per-node gas charged here
-        is the paper's duplicated smart-contract computation.
+        is the paper's duplicated smart-contract computation.  Returns the
+        post-state and receipts, or None when the block is refused.
         """
         with trace_span(
             "consensus.verify_block",
@@ -337,41 +392,38 @@ class BlockchainNode(Process):
             txs=len(block.transactions),
             sim_time=self.now,
         ) as span:
-            valid = self._verify_and_execute_inner(block)
-            span.set_attr("valid", valid)
-            state = self._states.get(block.block_id)
-            if state is not None:
-                self._set_state_span_attrs(span, state)
-        return valid
+            executed = self._verify_and_execute_inner(block)
+            span.set_attr("valid", executed is not None)
+            if executed is not None:
+                self._set_state_span_attrs(span, executed[0])
+        return executed
 
-    def _verify_and_execute_inner(self, block: Block) -> bool:
+    def _verify_and_execute_inner(
+        self, block: Block
+    ) -> Optional[Tuple[StateDB, List[Receipt]]]:
         parent_id = block.header.parent_hash.hex()
-        parent_state = self._states.get(parent_id)
-        if parent_state is None:
-            # The parent block may be stored with its state pruned/skipped;
-            # re-execute the gap rather than silently rejecting the block.
-            if parent_id in self.store and self._recover_states(parent_id):
-                parent_state = self._states[parent_id]
-            else:
-                self.metrics.add(
-                    "blocks_missing_parent_state", 1, scope=self.name
-                )
-                return False
+        # The parent block may be stored with its state pruned/skipped
+        # (e.g. after a restart): re-execute the gap rather than silently
+        # rejecting the block.
+        if not self._recover_states(parent_id):
+            self.metrics.add("blocks_missing_parent_state", 1, scope=self.name)
+            return None
         parent = self.store.get(parent_id)
         try:
             block.validate_structure()
         except ValidationError:
-            return False
-        if not self.consensus.verify(block, parent):
-            return False
+            return None
+        if block.height != parent.height + 1 or not self.consensus.verify(
+            block, parent
+        ):
+            return None
         state, receipts = self._execute_transactions(
-            parent_state, block.transactions, block
+            self._executed[parent_id].state, block.transactions, block
         )
         if state.state_root() != block.header.state_root:
             self.metrics.add("blocks_rejected_state_root", 1, scope=self.name)
-            return False
-        self._remember_execution(block, state, receipts)
-        return True
+            return None
+        return state, receipts
 
     def _execute_transactions(
         self, parent_state: StateDB, txs: List[Transaction], block: Block
@@ -408,12 +460,6 @@ class BlockchainNode(Process):
             receipts.append(receipt)
         return state, receipts
 
-    def _remember_execution(
-        self, block: Block, state: StateDB, receipts: List[Receipt]
-    ) -> None:
-        self._states[block.block_id] = state
-        self._block_receipts[block.block_id] = receipts
-
     def _set_state_span_attrs(self, span, state: StateDB) -> None:
         stats = state.stats()
         span.set_attr("state_writes", stats["local_keys"])
@@ -422,19 +468,28 @@ class BlockchainNode(Process):
         span.set_attr("root_cache_hits", stats["root_cache_hits"])
         span.set_attr("root_recomputes", stats["root_recomputes"])
 
-    def _report_orphan_evictions(self) -> None:
-        evicted = self.store.orphans_evicted - self._orphan_evictions_reported
-        if evicted > 0:
-            self.metrics.add("orphans_evicted", evicted, scope=self.name)
-            self._orphan_evictions_reported = self.store.orphans_evicted
-
     # -- head adoption -----------------------------------------------------
-    def _on_new_head(self, old_head: Block) -> None:
+    def _on_new_head(self, left: List[Block], joined: List[Block]) -> None:
+        """Follow the store's canonical diff (``ChainStore.add``).
+
+        The order matters: event subscribers submit transactions, so
+        receipts and the pool are settled before any event goes out.
+        """
         self._charge_lost_race()
-        new_blocks = self._new_canonical_blocks()
-        self._evict_committed(new_blocks)
-        self._record_commits(new_blocks)
-        self._emit_new_canonical_events(new_blocks)
+        for block in left:
+            for tx in block.transactions:
+                self._receipts_by_tx.pop(tx.tx_id, None)
+        # A branch that forked below the prune window re-joins without the
+        # records of its pruned blocks (the finality assumption).
+        records = [
+            self._executed[block.block_id]
+            for block in joined
+            if block.block_id in self._executed
+        ]
+        self._evict_committed(joined)
+        self._record_commits(records)
+        self._readmit(left)
+        self._emit_events(records)
         self._prune_states()
         self.metrics.add("blocks_adopted", 1, scope=self.name)
         if self._started:
@@ -442,12 +497,12 @@ class BlockchainNode(Process):
 
     # -- state pruning ------------------------------------------------------
     def _prune_states(self) -> None:
-        """Bound per-block state retention to the finality window.
+        """Bound per-block record retention to the finality window.
 
         Full (collapsed) state is kept only at (or a bounded distance
         below) the window boundary on the canonical chain; newer blocks —
         canonical or recent forks — keep their copy-on-write overlays.
-        Everything older is dropped from the per-block maps, so state
+        Everything older is dropped with its receipts, so state
         memory scales with chain width inside the window rather than with
         total chain length.  The boundary state is collapsed only once its
         overlay chain reaches ``state_collapse_interval`` layers, keeping
@@ -459,47 +514,27 @@ class BlockchainNode(Process):
         window = self.config.state_prune_window
         if window <= 0:
             return
-        head = self.store.head
-        boundary_height = head.height - window
-        if boundary_height < 0:
+        boundary_height = self.store.height - window
+        boundary = self.store.block_at_height(boundary_height)
+        if boundary is None:
             return
-        boundary = head
-        for _ in range(window):
-            boundary = self.store.get(boundary.header.parent_hash.hex())
-        boundary_state = self._states.get(boundary.block_id)
-        if boundary_state is not None and boundary_state.overlay_depth >= max(
+        kept = self._executed.get(boundary.block_id)
+        if kept is not None and kept.state.overlay_depth >= max(
             1, self.config.state_collapse_interval
         ):
-            boundary_state.collapse()
+            kept.state.collapse()
         stale = [
             block_id
-            for block_id in self._states
+            for block_id in self._executed
             if block_id != boundary.block_id
             and self.store.get(block_id).height <= boundary_height
         ]
         for block_id in stale:
-            del self._states[block_id]
-            self._block_receipts.pop(block_id, None)
+            del self._executed[block_id]
         if stale:
             self.metrics.add("state_entries_pruned", len(stale), scope=self.name)
 
-    def _new_canonical_blocks(self) -> List[Block]:
-        """Canonical blocks not yet processed, oldest first.
-
-        Walks back from the head until it meets an already-emitted block;
-        with longest-chain consensus reorgs are shallow, so this is O(new
-        blocks) instead of O(chain length).  Transactions reorged *out* are
-        not returned to the mempool (documented simplification).
-        """
-        fresh: List[Block] = []
-        for block in self.store.ancestors(self.store.head):
-            if block.block_id in self._emitted_blocks:
-                break
-            fresh.append(block)
-        fresh.reverse()
-        return fresh
-
-    def _evict_committed(self, new_blocks: List[Block]) -> None:
+    def _evict_committed(self, joined: List[Block]) -> None:
         """Drop committed txs and purge nonces the chain has moved past.
 
         The post-block account nonce of every sender touched by the new
@@ -509,34 +544,48 @@ class BlockchainNode(Process):
         """
         committed: List[str] = []
         senders: Set[str] = set()
-        for block in new_blocks:
+        for block in joined:
             for tx in block.transactions:
                 committed.append(tx.tx_id)
                 senders.add(tx.sender)
         if not committed:
             return
-        head_state = self._states[self.store.head.block_id]
+        head_state = self.state
         nonces = {sender: head_state.nonce(sender) for sender in senders}
         self.mempool.commit(committed, nonces)
 
-    def _record_commits(self, new_blocks: List[Block]) -> None:
-        for block in new_blocks:
-            for receipt in self._block_receipts.get(block.block_id, []):
+    def _record_commits(self, records: List[_Executed]) -> None:
+        for record in records:
+            for receipt in record.receipts:
                 if receipt.tx_id not in self._receipts_by_tx:
                     self._receipts_by_tx[receipt.tx_id] = receipt
-                    submitted = self._tx_submit_times.get(receipt.tx_id)
+                    submitted = self._tx_submit_times.pop(receipt.tx_id, None)
                     if submitted is not None:
                         self.metrics.observe(
                             "tx_commit_latency_s", self.now - submitted
                         )
                         self.metrics.add("txs_committed", 1, scope=self.name)
 
-    def _emit_new_canonical_events(self, new_blocks: List[Block]) -> None:
-        for block in new_blocks:
-            if block.block_id in self._emitted_blocks:
+    def _readmit(self, left: List[Block]) -> None:
+        """Offer the txs of reorged-out blocks to the pool again.
+
+        A fork must not lose transactions: what the winning branch did not
+        commit goes back through normal admission (a stale-nonce or
+        underpriced refusal is the pool's typed, counted outcome) and, when
+        pooled, is announced — the winning side may never have seen it.
+        """
+        for block in left:
+            for tx in block.transactions:
+                if tx.tx_id not in self._receipts_by_tx and self._admit_tx(tx):
+                    self.metrics.add("txs_readmitted", 1, scope=self.name)
+                    self.p2p.announce_tx(tx)
+
+    def _emit_events(self, records: List[_Executed]) -> None:
+        for record in records:
+            if record.emitted:
                 continue
-            self._emitted_blocks.add(block.block_id)
-            for receipt in self._block_receipts.get(block.block_id, []):
+            record.emitted = True
+            for receipt in record.receipts:
                 for event in receipt.events:
                     self.events.append(event)
                     for subscriber in self._event_subscribers:
@@ -592,7 +641,7 @@ class BlockchainNode(Process):
 
     def _propose_inner(self, span) -> None:
         parent = self.store.head
-        parent_state = self._states[parent.block_id]
+        parent_state = self._executed[parent.block_id].state
         # Priority-ordered executable selection: the pool looks up each
         # candidate sender's account nonce lazily and drains by effective
         # fee (replaces the old two-pass FIFO scan).
@@ -624,19 +673,11 @@ class BlockchainNode(Process):
         if attempts:
             self.metrics.add_hashes(attempts, scope=self.name)
         self._round_start = None
-        self._seen_blocks.add(sealed.block_id)
-        self._remember_execution(sealed, state, receipts)
-        old_head = self.store.head
-        self.store.add(sealed)
         self.metrics.add("blocks_proposed", 1, scope=self.name)
-        self.p2p.announce_block(sealed)
-        if self.store.head.block_id != old_head.block_id:
-            self._on_new_head(old_head)
-        else:
-            self._plan_round()
+        self._adopt(sealed, state, receipts)
         # A gossiped block buffered on us may have been waiting for exactly
         # this proposal (we re-proposed a parent another branch built on).
-        for child in self._pending_blocks.pop(sealed.block_id, []):
+        for child in self._take_waiting(sealed.block_id):
             self._ingest_block(child)
 
 

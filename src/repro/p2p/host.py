@@ -30,8 +30,8 @@ from repro.consensus.base import ConsensusEngine
 from repro.consensus.node import BlockchainNode, NodeConfig
 from repro.p2p.config import P2PConfig
 from repro.p2p.rpc_transport import RpcTransport, split_addr
+from repro.p2p.service import P2P_METHODS
 from repro.p2p.wire import tx_from_wire
-from repro.rpc.methods import register_p2p_methods
 from repro.rpc.runtime import EventLoopThread
 from repro.rpc.server import MethodRegistry, RpcServer
 from repro.sim.kernel import Kernel
@@ -139,6 +139,35 @@ def _resolve(future: concurrent.futures.Future, fn: Callable[[], Any]) -> None:
         future.set_result(fn())
     except BaseException as exc:  # re-raised in the caller by ``result()``
         future.set_exception(exc)
+
+
+def register_p2p_methods(registry: MethodRegistry, dispatch: Any) -> None:
+    """Expose the p2p method surface on an RPC server.
+
+    ``dispatch(method, params)`` is the host's entry into its node
+    (``P2PService.dispatch`` as a ``KernelPump`` turn).  The handlers are
+    ``async def`` because the server runs those inline on its event loop —
+    the thread the node lives on — where a sync handler would be sent to a
+    worker thread only to come straight back; ``dispatch`` must therefore
+    be safe to call on that loop and must not block.  Reads are idempotent;
+    ``p2p.announce`` is kept non-retryable — the gossip engine owns
+    redundancy, and an RPC retry would inflate the duplicate-announcement
+    counters it measures.
+    """
+
+    def make_handler(method: str):
+        async def handler(**params: Any) -> Any:
+            return dispatch(method, params)
+
+        return handler
+
+    for method in P2P_METHODS:
+        registry.register(
+            method,
+            make_handler(method),
+            idempotent=(method != "p2p.announce"),
+            timeout_s=15.0,
+        )
 
 
 class P2PHost:

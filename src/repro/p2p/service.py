@@ -58,7 +58,7 @@ class P2PService:
             transport,
             self.peers,
             self.config,
-            canonical_ids=lambda: [b.block_id for b in node.store.canonical_chain()],
+            canonical_ids=lambda: node.store.canonical_ids,
             has_block=lambda block_id: block_id in node.store,
             # Sync delivers oldest-first, so the parent is already present;
             # the node's one inbound path handles dedup, verification, and

@@ -112,36 +112,6 @@ def admission_to_wire(admission: Any, tx_id: str) -> Dict[str, Any]:
     raise OverloadedError(admission.reason or admission.code, data=data)
 
 
-def register_p2p_methods(registry: MethodRegistry, dispatch: Any) -> None:
-    """Expose the p2p method surface on an RPC server.
-
-    ``dispatch(method, params)`` is the host's entry into its node
-    (``P2PService.dispatch`` as a ``KernelPump`` turn).  The handlers are
-    ``async def`` because the server runs those inline on its event loop —
-    the thread the node lives on — where a sync handler would be sent to a
-    worker thread only to come straight back; ``dispatch`` must therefore
-    be safe to call on that loop and must not block.  Reads are idempotent;
-    ``p2p.announce`` is kept non-retryable — the gossip engine owns
-    redundancy, and an RPC retry would inflate the duplicate-announcement
-    counters it measures.
-    """
-    from repro.p2p.service import P2P_METHODS
-
-    def make_handler(method: str):
-        async def handler(**params: Any) -> Any:
-            return dispatch(method, params)
-
-        return handler
-
-    for method in P2P_METHODS:
-        registry.register(
-            method,
-            make_handler(method),
-            idempotent=(method != "p2p.announce"),
-            timeout_s=15.0,
-        )
-
-
 @dataclass
 class SiteService:
     """The components of one site that the method surface binds to.

@@ -1,6 +1,8 @@
 """Block structure and chain-store tests."""
 
 
+import dataclasses
+
 import pytest
 
 from repro.chain.blocks import Block, build_block, make_genesis
@@ -71,8 +73,9 @@ class TestChainStore:
     def test_add_extends_head(self, genesis, alice):
         store = ChainStore(genesis)
         child = _child(genesis, alice)
-        assert store.add(child)
+        assert store.add(child) == ([], [child])
         assert store.head.block_id == child.block_id
+        assert store.canonical_ids == [genesis.block_id, child.block_id]
 
     def test_non_genesis_start_rejected(self, genesis, alice):
         child = _child(genesis, alice)
@@ -83,36 +86,59 @@ class TestChainStore:
         store = ChainStore(genesis)
         child = _child(genesis, alice)
         store.add(child)
-        assert not store.add(child)
+        assert store.add(child) == ([], [])
+        assert len(store) == 2
 
-    def test_orphans_connected_when_parent_arrives(self, genesis, alice):
+    def test_parentless_add_raises(self, genesis, alice):
+        """Buffering a block whose parent has not arrived is the node's job."""
         store = ChainStore(genesis)
         child = _child(genesis, alice)
         grandchild = _child(child, alice, ts=2000)
-        store.add(grandchild)  # parent unknown -> orphan
-        assert store.orphan_count() == 1
+        with pytest.raises(ChainError):
+            store.add(grandchild)
+        assert grandchild.block_id not in store
         assert store.head.height == 0
-        store.add(child)
-        assert store.orphan_count() == 0
-        assert store.head.height == 2
+
+    def test_height_must_follow_parent(self, genesis, alice):
+        store = ChainStore(genesis)
+        child = _child(genesis, alice)
+        skipped = Block(
+            header=dataclasses.replace(child.header, height=2), transactions=[]
+        )
+        with pytest.raises(ValidationError):
+            store.add(skipped)
 
     def test_longest_chain_wins(self, genesis, alice):
         store = ChainStore(genesis)
-        short = _child(genesis, alice, ts=1)
-        long1 = _child(genesis, alice, ts=2)
-        long2 = _child(long1, alice, ts=3)
-        store.add(short)
-        store.add(long1)
-        store.add(long2)
-        assert store.head.block_id == long2.block_id
+        a, b = sorted(
+            (_child(genesis, alice, ts=1), _child(genesis, alice, ts=2)),
+            key=lambda block: block.block_id,
+        )
+        b2 = _child(b, alice, ts=3)
+        b3 = _child(b2, alice, ts=4)
+        assert store.add(a) == ([], [a])
+        assert store.add(b) == ([], [])  # loses the tie: stored, not canonical
+        assert store.add(b2) == ([a], [b, b2])  # the reorg diff, oldest first
+        assert store.add(b3) == ([], [b3])
+        assert store.head.block_id == b3.block_id
+        assert store.canonical_chain() == [genesis, b, b2, b3]
+        assert store.is_canonical(b) and not store.is_canonical(a)
+        assert len(store) == 5
 
     def test_tie_broken_by_lowest_hash(self, genesis, alice):
+        a, b = sorted(
+            (_child(genesis, alice, ts=1), _child(genesis, alice, ts=2)),
+            key=lambda block: block.block_id,
+        )
         store = ChainStore(genesis)
-        a = _child(genesis, alice, ts=1)
-        b = _child(genesis, alice, ts=2)
-        store.add(a)
-        store.add(b)
-        assert store.head.block_id == min(a.block_id, b.block_id)
+        assert store.add(a) == ([], [a])
+        assert store.add(b) == ([], [])
+        assert store.head.block_id == a.block_id
+        store = ChainStore(genesis)  # the other arrival order swaps the head
+        assert store.add(b) == ([], [b])
+        assert store.add(a) == ([b], [a])
+        assert store.head.block_id == a.block_id
+        assert store.block_at_height(1) is a
 
     def test_canonical_chain_order(self, genesis, alice):
         store = ChainStore(genesis)
@@ -129,13 +155,6 @@ class TestChainStore:
         store.add(child)
         assert store.block_at_height(1).block_id == child.block_id
         assert store.block_at_height(5) is None
-
-    def test_canonical_tx_ids(self, genesis, alice):
-        tx = make_transfer(alice, "r", 1, nonce=0)
-        store = ChainStore(genesis)
-        store.add(_child(genesis, alice, [tx]))
-        assert store.canonical_tx_ids() == [tx.tx_id]
-        assert store.contains_tx(tx.tx_id)
 
     def test_verify_chain_integrity_clean(self, genesis, alice):
         store = ChainStore(genesis)
@@ -183,38 +202,3 @@ class TestHeadersAfter:
     def test_caught_up_requester_gets_nothing(self, genesis, alice):
         store = self._store_with_chain(genesis, alice, 4)
         assert store.headers_after([store.head.block_id]) == []
-
-
-class TestOrphanBound:
-    def _disconnected_chain(self, genesis, alice, length):
-        """Build a chain off genesis and return it without its first block."""
-        blocks = []
-        parent = genesis
-        for i in range(length):
-            parent = _child(parent, alice, ts=1000 + i)
-            blocks.append(parent)
-        return blocks
-
-    def test_orphan_pool_bounded_with_oldest_first_eviction(self, genesis, alice):
-        store = ChainStore(genesis, max_orphans=3)
-        chain = self._disconnected_chain(genesis, alice, 6)
-        link, orphans = chain[0], chain[1:]
-        for block in orphans:  # parents unknown -> all orphaned
-            store.add(block)
-        assert store.orphan_count() == 3
-        assert store.orphans_evicted == 2
-        # Oldest orphans were evicted, so connecting the missing link only
-        # recovers the survivors that still chain onto it.
-        store.add(link)
-        assert store.head.height == 1  # orphans 2..3 were evicted, chain broke
-        assert store.orphan_count() == 3  # survivors still disconnected
-
-    def test_orphans_under_capacity_never_evicted(self, genesis, alice):
-        store = ChainStore(genesis, max_orphans=10)
-        chain = self._disconnected_chain(genesis, alice, 4)
-        for block in chain[1:]:
-            store.add(block)
-        assert store.orphans_evicted == 0
-        store.add(chain[0])
-        assert store.orphan_count() == 0
-        assert store.head.height == 4

@@ -1,12 +1,7 @@
-"""Mempool selection and transfer-executor tests."""
+"""Mempool selection and transfer-execution tests."""
 
 
-from repro.chain.executor import (
-    BASE_TX_GAS,
-    ExecutionContext,
-    TransferExecutor,
-    apply_block_transactions,
-)
+from repro.chain.executor import BASE_TX_GAS, ExecutionContext
 from repro.chain.mempool import (
     ACCEPTED,
     DUPLICATE,
@@ -18,6 +13,7 @@ from repro.chain.mempool import (
 from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
 from repro.common.signatures import KeyPair
+from repro.contracts.runtime import ContractExecutor
 
 
 def _paid(keypair, nonce, fee, amount=1):
@@ -134,10 +130,12 @@ class TestMempool:
 
 
 class TestTransferExecutor:
+    """The transfer arm of ``ContractExecutor``, the one executor."""
+
     def _setup(self, alice):
         state = StateDB()
         state.credit(alice.address, 1000)
-        return state, TransferExecutor(), ExecutionContext(block_height=1)
+        return state, ContractExecutor(), ExecutionContext(block_height=1)
 
     def test_successful_transfer(self, alice):
         state, executor, ctx = self._setup(alice)
@@ -173,13 +171,3 @@ class TestTransferExecutor:
         ).signed_by(alice)
         receipt = executor.apply(state, bad, ctx)
         assert not receipt.success
-
-    def test_apply_block_transactions_in_order(self, alice):
-        state, executor, ctx = self._setup(alice)
-        txs = [
-            make_transfer(alice, "d1", 100, nonce=0),
-            make_transfer(alice, "d2", 100, nonce=1),
-        ]
-        receipts = apply_block_transactions(executor, state, txs, ctx)
-        assert all(receipt.success for receipt in receipts)
-        assert state.balance("d1") == state.balance("d2") == 100

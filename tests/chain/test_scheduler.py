@@ -8,11 +8,7 @@ and receipt list bit-identical to the serial fork-and-apply loop.
 import pytest
 
 from repro.chain import scheduler as scheduler_mod
-from repro.chain.executor import (
-    ExecutionContext,
-    Receipt,
-    speculate_block_transactions,
-)
+from repro.chain.executor import ExecutionContext, Receipt
 from repro.chain.scheduler import (
     BlockScheduler,
     TxAccess,
@@ -365,18 +361,6 @@ class TestEquivalence:
             content = hash_value(overlay.to_dict(), allow_float=False)
             overlay.discard()
         assert content.hex() == LEGACY_MIXED_BLOCK_CONTENT_DIGEST
-
-    def test_speculate_block_transactions_routes_scheduler(self, ledger):
-        state, cid = ledger
-        txs = mixed_block(cid)
-        serial_root, serial_receipts = serial_reference(state, txs)
-        with BlockScheduler(ContractExecutor(), backend="thread") as sched:
-            overlay, receipts = speculate_block_transactions(
-                ContractExecutor(), state, txs, CTX, scheduler=sched
-            )
-            assert overlay.state_root() == serial_root
-            assert receipts == serial_receipts
-            overlay.discard()
 
 
 class TestOrderingBackstop:

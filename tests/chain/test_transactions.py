@@ -234,3 +234,61 @@ def test_eight_threads_validating_overlapping_txs_agree(alice, bob, verified):
     assert errors == []
     assert disagreements == []
     assert len(verified) == verified.capacity
+
+
+# -- payload strings must encode as UTF-8 ----------------------------------------
+
+
+def lone_surrogate_txs(keypair, nonce=0):
+    """Three signed txs a lone surrogate used to carry into ``state_root()``
+    (transfer ``to``, a storage key via call args) or the contract compiler
+    (deploy source); all survive JSON and keep their id across the wire."""
+    return [
+        make_transfer(keypair, "\ud800", 1, nonce=nonce),
+        make_call(keypair, "c", "put", {"key": {"nested\udfff": [1]}}, nonce=nonce),
+        make_deploy(keypair, "c", "def f():\n    return '\ud800'\n", nonce=nonce),
+    ]
+
+
+def test_lone_surrogate_in_any_payload_string_is_refused(alice, verified):
+    for tx in lone_surrogate_txs(alice):
+        assert _over_the_wire(tx).tx_id == tx.tx_id  # nothing upstream stops it
+        with pytest.raises(ValidationError, match="UTF-8"):
+            tx.validate()
+        with pytest.raises(ValidationError, match="UTF-8"):
+            _over_the_wire(tx).validate()
+        assert not tx.verify_signature()
+    assert len(verified) == 0
+
+
+def test_well_formed_non_ascii_payloads_keep_their_ids(alice):
+    golden = {
+        "\u00e9": "2901cd0f6a57ae1825e82a4750da9ca63ef1567e0e141e2a6caf8cf9d0a2bc72",
+        "\u60a3\u8005": "808f450d14a3c18f142b01d9ecb03f5f63dd3c9b42ecea7a13f4b1d95b0988cf",
+        "\U0001f600": "4719645518238224c3ac771f11f354dbb7443ea94c0fe5f40aa13f54a60834b3",
+    }
+    for to, tx_id in golden.items():
+        tx = make_transfer(alice, to, 1, nonce=0)
+        tx.validate()
+        assert tx.tx_id == tx_id
+    nested = make_call(
+        alice, "c", "put", {"\u60a3\u8005": ["\u00e9", {"k\U0001f600": "v"}]}, nonce=0
+    )
+    nested.validate()
+    assert nested.tx_id == "c242c3f365d6f0ca5c2f35f6deaade5e071747a538605f61a0723f0788eeac75"
+
+
+def test_payload_strings_are_checked_once_per_tx_per_process(alice, verified, monkeypatch):
+    calls = []
+    real = transactions._encodes_as_utf8
+
+    def counting(value):
+        if isinstance(value, dict) and "to" in value:
+            calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(transactions, "_encodes_as_utf8", counting)
+    tx = make_transfer(alice, "\u60a3\u8005", 5, nonce=0)
+    for copy in (tx, tx, _over_the_wire(tx), _over_the_wire(tx)):
+        copy.validate()
+    assert len(calls) == 1

@@ -163,12 +163,12 @@ def _head_id_under_content_digest_roots(node) -> str:
     while chain[-1].height:
         chain.append(node.store.get(chain[-1].header.parent_hash.hex()))
     chain.reverse()
-    legacy = make_genesis(_content_digest(node._states[chain[0].block_id]))
+    legacy = make_genesis(_content_digest(node._executed[chain[0].block_id].state))
     for block in chain[1:]:
         unsealed = build_block(
             legacy,
             block.transactions,
-            _content_digest(node._states[block.block_id]),
+            _content_digest(node._executed[block.block_id].state),
             block.header.proposer,
             block.header.timestamp_ms,
         )
@@ -197,7 +197,7 @@ def test_incremental_machinery_agrees_with_naive_recomputation():
         node = nodes[name]
         # Every retained per-block state, not just the head: each was rooted
         # incrementally on top of its parent's trie.
-        for state in node._states.values():
+        for state in (record.state for record in node._executed.values()):
             assert state.state_root() == oracle_root(state.to_dict())
 
 
@@ -210,5 +210,5 @@ def test_aggressive_pruning_does_not_change_consensus_results():
     # The retained state map is bounded by the window, not chain length.
     for name in names:
         node = nodes[name]
-        assert len(node._states) <= node.store.height + 1
-        assert len(node._states) <= 1 + 2  # boundary + head window + slack
+        assert len(node._executed) <= node.store.height + 1
+        assert len(node._executed) <= 1 + 2  # boundary + head window + slack

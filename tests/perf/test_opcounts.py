@@ -12,14 +12,15 @@ code under measurement.
 
 import json
 import random
+import sys
 from pathlib import Path
 
-from repro.chain.blocks import make_genesis
+from repro.chain.blocks import Block, make_genesis
 from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
 from repro.common import signatures as sigs
 from repro.common.signatures import KeyPair, PrivateKey, PublicKey
-from repro.consensus.node import make_network_nodes
+from repro.consensus.node import BlockchainNode, make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network
@@ -81,7 +82,9 @@ def test_point_operations_per_signature_verify(monkeypatch):
 def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch):
     """Three validators in one process: the first to meet a tx pays for its
     signature check, the other two find it in ``_VERIFIED``; every follower
-    checks every block's seal."""
+    checks every block's seal and validates its structure (tx Merkle tree,
+    every ``tx.validate()``) once — the proposer, which built the block from
+    admitted txs, not at all."""
     names = ["v0", "v1", "v2"]
     senders = [KeyPair.generate(f"opcounts-sender-{i}") for i in range(4)]
     kernel = Kernel(seed=21)
@@ -110,6 +113,19 @@ def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch)
         return original(self, message, signature)
 
     monkeypatch.setattr(PublicKey, "verify", counted)
+
+    structure = {"proposer": 0, "follower": 0}
+    validate_structure = Block.validate_structure
+
+    def counted_structure(block):
+        frame = sys._getframe(1)  # whose call is it: the nearest node up the stack
+        while not isinstance(frame.f_locals.get("self"), BlockchainNode):
+            frame = frame.f_back
+        own = frame.f_locals["self"].name == block.header.proposer
+        structure["proposer" if own else "follower"] += 1
+        return validate_structure(block)
+
+    monkeypatch.setattr(Block, "validate_structure", counted_structure)
     for node in nodes.values():
         node.start()
     for i, tx in enumerate(txs):
@@ -130,5 +146,7 @@ def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch)
         {
             "tx_verifications_per_committed_tx": verified["tx"] / len(txs),
             "seal_verifications_per_block_per_follower": verified["seal"] / (blocks * 2),
+            "structure_validations_per_block_per_follower": structure["follower"] / (blocks * 2),
+            "structure_validations_per_block_per_proposer": structure["proposer"] / blocks,
         },
     )
