@@ -10,17 +10,17 @@ This benchmark sweeps total state size and measures, per size:
 
 - tx apply latency (snapshot + writes + commit, the per-transaction path),
 - snapshot + rollback cost (the failed-transaction path),
-- state-root time after a fixed 20-key write set, with 1, 16 and 64
-  copy-on-write layers stacked under the state being rooted (a validator
-  keeps up to ``state_prune_window + state_collapse_interval`` = 80).
+- state-root time after a fixed 20-key write set, and the time of one read,
+  on a state 1, 16 and 64 forks since the base — a validator's head is
+  ``state_prune_window`` = 64 rooted forks above the oldest state it keeps.
 
-With the journaled implementation all three should stay ~flat as the state
-grows and as layers stack (cost tracks the write-set size); with ``--naive``
-(an inline replica of the seed semantics) they grow with total state size.
-Every measured root is cross-checked against ``tests/chain/root_oracle.py``
-(the trie rebuilt from a plain dict).  CI gates on that boolean and on
-``root_flatness``: root time at (largest size, depth 64) over root time at
-(smallest size, depth 1).
+With the journaled implementation all of them should stay ~flat as the state
+grows and as forks pile up (a root tracks the write-set size, a read is one
+trie descent); with ``--naive`` (an inline replica of the seed semantics)
+they grow with total state size.  Every measured root is cross-checked
+against ``tests/chain/root_oracle.py`` (the trie rebuilt from a plain dict).
+CI gates on that boolean and on ``root_flatness`` / ``read_flatness``: the
+time at (largest size, depth 64) over the time at (smallest size, depth 1).
 """
 
 from __future__ import annotations
@@ -48,8 +48,10 @@ FAST_SIZES = (1_000, 100_000)  # the flatness gate needs both ends
 WRITES_PER_TX = 20
 TXS_PER_SIZE = 10
 ROOT_DEPTHS = (1, 16, 64)
-ROOT_REPEATS = 15  # root_ms is the median of this many probes per (size, depth)
+ROOT_REPEATS = 15  # root_ms / read_us: median of this many probes per (size, depth)
+READS_PER_PROBE = 200
 MAX_ROOT_FLATNESS = 3.0
+MAX_READ_FLATNESS = 3.0
 
 
 class NaiveStateDB:
@@ -109,11 +111,24 @@ def _bump(state, keys) -> None:
         state.set(key, {**value, "v": value["v"] + 1})
 
 
-def _root_ms_by_depth(state: StateDB, size: int) -> dict:
-    """Median root time after a 20-key write set at each of ROOT_DEPTHS.
+def _read_us(state, size: int) -> float:
+    """Median time of one ``get``, over keys spread across the key space."""
+    keys = [f"k/{(i * 104729) % size:08d}" for i in range(READS_PER_PROBE)]
+    samples = []
+    for _ in range(ROOT_REPEATS):
+        start = time.perf_counter()
+        for key in keys:
+            state.get(key)
+        samples.append((time.perf_counter() - start) * 1e6 / len(keys))
+    return statistics.median(samples)
 
-    The chain under the probe is built the way a validator builds it: one
-    overlay per block, 20 writes, rooted.  Each probe is a fresh overlay at
+
+def _probe_by_depth(state: StateDB, size: int) -> dict:
+    """Median root time after a 20-key write set, and median read time, at
+    each of ROOT_DEPTHS forks since ``state``.
+
+    The lineage under the probe is built the way a validator builds it: one
+    fork per block, 20 writes, rooted.  Each root probe is a fresh fork at
     the target depth, so repeats measure the same thing.
     """
     rows = {}
@@ -123,13 +138,14 @@ def _root_ms_by_depth(state: StateDB, size: int) -> dict:
         if depth in ROOT_DEPTHS:
             samples = []
             for _ in range(ROOT_REPEATS):
-                probe = head.fork(freeze=False)
+                probe = head.fork()
                 _bump(probe, _write_keys(size, round_index))
                 round_index += 1
                 start = time.perf_counter()
                 root = probe.state_root()
                 samples.append((time.perf_counter() - start) * 1000)
             rows[depth] = {"root_ms": statistics.median(samples),
+                           "read_us": _read_us(probe, size),
                            "root_equivalent": root == oracle_root(probe.to_dict())}
         head = head.fork()
         _bump(head, _write_keys(size, round_index))
@@ -168,15 +184,17 @@ def _bench_one_size(size: int, naive: bool) -> dict:
         "snapshot_rollback_ms": snapshot_rollback_ms,
     }
     if naive:
-        # No layers to stack: one root after a bounded write set.
+        # Nothing to fork: one root after a bounded write set.
         _bump(state, _write_keys(size, TXS_PER_SIZE + 1))
         start = time.perf_counter()
         state.state_root()
         row["root_ms"] = {"1": (time.perf_counter() - start) * 1000}
+        row["read_us"] = {"1": _read_us(state, size)}
         return row
     state.state_root()
-    by_depth = _root_ms_by_depth(state, size)
+    by_depth = _probe_by_depth(state, size)
     row["root_ms"] = {str(d): by_depth[d]["root_ms"] for d in ROOT_DEPTHS}
+    row["read_us"] = {str(d): by_depth[d]["read_us"] for d in ROOT_DEPTHS}
     row["root_equivalent"] = all(by_depth[d]["root_equivalent"] for d in ROOT_DEPTHS)
     return row
 
@@ -191,10 +209,11 @@ def report(rows):
         f"E14: state scaling — {impl} implementation, "
         f"{WRITES_PER_TX} writes/tx",
         ["state size", "tx apply (ms)", "snapshot+rollback (ms)",
-         *(f"root @ depth {depth} (ms)" for depth in rows[0]["root_ms"])],
+         *(f"root @ depth {depth} (ms)" for depth in rows[0]["root_ms"]),
+         *(f"read @ depth {depth} (us)" for depth in rows[0]["read_us"])],
         [
             [r["state_size"], r["tx_apply_ms"], r["snapshot_rollback_ms"],
-             *r["root_ms"].values()]
+             *r["root_ms"].values(), *r["read_us"].values()]
             for r in rows
         ],
     )
@@ -211,9 +230,12 @@ def _metrics(rows):
         "tx_apply_growth": largest["tx_apply_ms"] / max(smallest["tx_apply_ms"], 1e-9),
         "snapshot_growth": largest["snapshot_rollback_ms"]
         / max(smallest["snapshot_rollback_ms"], 1e-9),
-        # Deepest stack on the largest state over shallowest on the smallest.
+        # Most forks since the base on the largest state over fewest on the
+        # smallest.
         "root_flatness": list(largest["root_ms"].values())[-1]
         / max(smallest["root_ms"]["1"], 1e-9),
+        "read_flatness": list(largest["read_us"].values())[-1]
+        / max(smallest["read_us"]["1"], 1e-9),
         "root_equivalent": all(r.get("root_equivalent", True) for r in rows),
     }
 
@@ -227,10 +249,11 @@ def test_e14_state_scaling(benchmark):
     # Consensus-critical: the persistent trie must agree with the
     # from-scratch oracle, always.
     assert metrics["root_equivalent"]
-    # Cost tracks the write set, not the state or the layers under it:
+    # Cost tracks the write set, not the state or the forks since the base:
     # (10^5 keys, depth 64) within 3x of (10^3 keys, depth 1).
     assert (rows[0]["state_size"], rows[-1]["state_size"]) == (1_000, 100_000)
     assert metrics["root_flatness"] <= MAX_ROOT_FLATNESS, metrics["root_flatness"]
+    assert metrics["read_flatness"] <= MAX_READ_FLATNESS, metrics["read_flatness"]
 
 
 def main(argv=None):
@@ -255,11 +278,12 @@ def main(argv=None):
     if not args.naive and not metrics["root_equivalent"]:
         print("E14 FAIL: state root diverged from the oracle's", file=sys.stderr)
         return 1
-    if not args.naive and metrics["root_flatness"] > MAX_ROOT_FLATNESS:
-        print(f"E14 FAIL: root cost grew {metrics['root_flatness']:.2f}x from "
-              f"({sizes[0]} keys, depth 1) to ({sizes[-1]} keys, depth "
-              f"{ROOT_DEPTHS[-1]}); limit {MAX_ROOT_FLATNESS}x", file=sys.stderr)
-        return 1
+    for name, limit in (("root", MAX_ROOT_FLATNESS), ("read", MAX_READ_FLATNESS)):
+        if not args.naive and metrics[f"{name}_flatness"] > limit:
+            print(f"E14 FAIL: {name} cost grew {metrics[f'{name}_flatness']:.2f}x "
+                  f"from ({sizes[0]} keys, depth 1) to ({sizes[-1]} keys, depth "
+                  f"{ROOT_DEPTHS[-1]}); limit {limit}x", file=sys.stderr)
+            return 1
     return 0
 
 

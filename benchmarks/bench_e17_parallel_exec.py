@@ -83,7 +83,6 @@ def run_serial(state, txs):
     receipts = [executor.apply(overlay, tx, CTX) for tx in txs]
     elapsed = time.perf_counter() - start
     root = overlay.state_root()
-    overlay.discard()
     return elapsed, root, receipts
 
 
@@ -93,7 +92,6 @@ def run_scheduled(scheduler, state, txs):
     overlay, receipts = scheduler.execute_block(state, txs, CTX)
     elapsed = time.perf_counter() - start
     root = overlay.state_root()
-    overlay.discard()
     delta = {k: scheduler.stats[k] - before[k] for k in before}
     return elapsed, root, receipts, delta
 

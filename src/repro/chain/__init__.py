@@ -13,7 +13,6 @@ from repro.chain.mempool import AdmissionResult, Mempool, MempoolConfig
 from repro.chain.state import (
     StateAliasingError,
     StateDB,
-    StateOverlay,
     set_debug_aliasing,
 )
 from repro.chain.store import ChainStore
@@ -66,7 +65,6 @@ __all__ = [
     "Receipt",
     "StateAliasingError",
     "StateDB",
-    "StateOverlay",
     "TX_CALL",
     "TX_DEPLOY",
     "TX_TRANSFER",

@@ -51,7 +51,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.rwsets import MethodRWSet, read_write_sets
 from repro.chain.executor import ExecutionContext, Executor, Receipt
-from repro.chain.state import ACCOUNT_PREFIX, StateDB, StateOverlay
+from repro.chain.state import ACCOUNT_PREFIX, StateDB
 from repro.chain.transactions import TX_CALL, TX_TRANSFER, Transaction
 from repro.common.errors import ChainError
 from repro.common.hashing import sha256_hex
@@ -216,8 +216,8 @@ def plan_waves(accesses: Sequence[TxAccess]) -> List[List[int]]:
     return [waves[level] for level in sorted(waves)]
 
 
-class _RecordingOverlay(StateOverlay):
-    """Overlay that records every key (and prefix) actually read.
+class _RecordingOverlay(StateDB):
+    """Fork of a base state that records what one transaction does to it.
 
     Observed reads are what commit-time validation compares against earlier
     commits — the runtime ground truth the static sets only approximate.
@@ -226,10 +226,14 @@ class _RecordingOverlay(StateOverlay):
     speculation.
     """
 
-    def __init__(self, parent: StateDB):
-        super().__init__(parent)
+    def __init__(self, base: StateDB):
+        super().__init__()
+        base._fork_into(self)
         self.observed_reads: Set[str] = set()
         self.observed_prefixes: Set[str] = set()
+        # The frame under the executor's own snapshots ends up naming every
+        # key written and not rolled back.
+        self.snapshot()
 
     def get(self, key: str, default: Any = None) -> Any:
         self.observed_reads.add(key)
@@ -246,6 +250,20 @@ class _RecordingOverlay(StateOverlay):
     def keys_with_prefix(self, prefix: str) -> List[str]:
         self.observed_prefixes.add(prefix)
         return super().keys_with_prefix(prefix)
+
+    def local_delta(self) -> Tuple[Dict[str, Any], List[str]]:
+        """``(writes, deleted_keys)``: the effect as plain data that can be
+        replayed onto (or shipped between) states.  Values are references
+        (immutable-value convention); deleted keys are sorted."""
+        writes: Dict[str, Any] = {}
+        deletes: List[str] = []
+        for key in self._journal[0]:
+            value = StateDB.get(self, key, _SNAP_MISSING)
+            if value is _SNAP_MISSING:
+                deletes.append(key)
+            else:
+                writes[key] = value
+        return writes, sorted(deletes)
 
 
 @dataclass
@@ -401,11 +419,11 @@ class BlockScheduler:
         transactions: Sequence[Transaction],
         context: ExecutionContext,
         validate: bool = False,
-    ) -> Tuple[StateOverlay, List[Receipt]]:
-        """Execute a block against an overlay of ``base_state``.
+    ) -> Tuple[StateDB, List[Receipt]]:
+        """Execute a block against a fork of ``base_state``.
 
         Drop-in replacement for the serial fork-and-apply loop: returns the
-        same ``(overlay, receipts)`` pair with a bit-identical state root
+        same ``(state, receipts)`` pair with a bit-identical state root
         and receipt list.  ``validate=True`` structurally validates every
         transaction up front (the gateway path does this; consensus nodes
         validate on gossip ingress instead).
@@ -464,7 +482,7 @@ class BlockScheduler:
         base_state: StateDB,
         transactions: Sequence[Transaction],
         context: ExecutionContext,
-    ) -> Tuple[StateOverlay, List[Receipt]]:
+    ) -> Tuple[StateDB, List[Receipt]]:
         overlay = base_state.fork()
         receipts = [
             self.executor.apply(overlay, tx, context) for tx in transactions
@@ -479,7 +497,7 @@ class BlockScheduler:
         waves: Sequence[Sequence[int]],
         context: ExecutionContext,
         span: Any,
-    ) -> Tuple[StateOverlay, List[Receipt]]:
+    ) -> Tuple[StateDB, List[Receipt]]:
         metrics = current_metrics()
         state = base_state.fork()
         receipts: List[Optional[Receipt]] = [None] * len(transactions)
@@ -487,48 +505,44 @@ class BlockScheduler:
         # cross-wave ordering cross-check (see _check_ordering).
         writer_index: Dict[str, int] = {}
         parallel_committed = conflicts = fallbacks = speculated = 0
-        try:
-            for wave in waves:
-                pooled = (
-                    len(wave) >= self.min_wave_size
-                    and not any(accesses[i].unknown for i in wave)
+        for wave in waves:
+            pooled = (
+                len(wave) >= self.min_wave_size
+                and not any(accesses[i].unknown for i in wave)
+            )
+            outcomes: Dict[int, Any] = {}
+            shipped: Dict[int, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
+            if pooled:
+                speculated += len(wave)
+                outcomes = self._speculate_wave(
+                    state, transactions, accesses, wave, context, shipped
                 )
-                outcomes: Dict[int, Any] = {}
-                shipped: Dict[int, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
-                if pooled:
-                    speculated += len(wave)
-                    outcomes = self._speculate_wave(
-                        state, transactions, accesses, wave, context, shipped
+            # Canonical-order commit with validation.
+            wave_writes: Set[str] = set()
+            for index in wave:
+                outcome = outcomes.get(index)
+                ok = outcome is not None and not isinstance(
+                    outcome, TaskFailure
+                )
+                if ok and index in shipped:
+                    keys, prefixes = shipped[index]
+                    ok = _covered(outcome, keys, prefixes)
+                if ok and _wave_conflict(outcome, wave_writes):
+                    ok = False
+                    conflicts += 1
+                if not ok:
+                    if outcome is not None:  # a speculation was discarded
+                        fallbacks += 1
+                    outcome = _speculate(
+                        self.executor, state, transactions[index], context
                     )
-                # Canonical-order commit with validation.
-                wave_writes: Set[str] = set()
-                for index in wave:
-                    outcome = outcomes.get(index)
-                    ok = outcome is not None and not isinstance(
-                        outcome, TaskFailure
-                    )
-                    if ok and index in shipped:
-                        keys, prefixes = shipped[index]
-                        ok = _covered(outcome, keys, prefixes)
-                    if ok and _wave_conflict(outcome, wave_writes):
-                        ok = False
-                        conflicts += 1
-                    if not ok:
-                        if outcome is not None:  # a speculation was discarded
-                            fallbacks += 1
-                        outcome = _speculate(
-                            self.executor, state, transactions[index], context
-                        )
-                    elif pooled:
-                        parallel_committed += 1
-                    self._check_ordering(index, outcome, writer_index)
-                    self._commit(state, outcome, index, writer_index)
-                    wave_writes.update(outcome.writes)
-                    wave_writes.update(outcome.deletes)
-                    receipts[index] = outcome.receipt
-        except _OrderingViolation:
-            state.discard()
-            raise
+                elif pooled:
+                    parallel_committed += 1
+                self._check_ordering(index, outcome, writer_index)
+                self._commit(state, outcome, index, writer_index)
+                wave_writes.update(outcome.writes)
+                wave_writes.update(outcome.deletes)
+                receipts[index] = outcome.receipt
         self.stats["txs_speculated"] += speculated
         self.stats["txs_parallel_committed"] += parallel_committed
         self.stats["conflicts"] += conflicts

@@ -59,25 +59,13 @@ class NodeConfig:
     max_txs_per_block: int = 200
     mine_empty: bool = False
     # Per-block states older than this many blocks below the head are
-    # pruned, so state memory is bounded by chain *width* within the
-    # window rather than chain *length*.  Longest-chain reorgs deeper than
-    # the window cannot be re-validated (their parent states are gone);
-    # 0 disables pruning.  Matches the fork-choice finality assumption of
-    # ChainStore.  Caveat: states retained inside the window (the
-    # canonical boundary and recent fork tips) may still reference pruned
-    # ancestor *layers* through their copy-on-write parent chains until
-    # they are collapsed or age out, so reclamation of a pruned layer can
-    # lag by up to a window; the retained chain below the boundary is
-    # bounded by state_collapse_interval layers (each the size of one
-    # block's write-set) plus one shared collapsed base, so the lag is
-    # bounded, never proportional to chain length.
+    # dropped, so state memory is bounded by chain *width* within the
+    # window rather than chain *length* (a dropped state's trie nodes that
+    # no retained state shares are garbage).  Longest-chain reorgs deeper
+    # than the window cannot be re-validated (their parent states are
+    # gone); 0 disables pruning.  Matches the fork-choice finality
+    # assumption of ChainStore.
     state_prune_window: int = 64
-    # The window-boundary state is collapsed into a standalone base only
-    # once its overlay chain is at least this deep, so the O(state-size)
-    # collapse cost is paid once per interval — amortized
-    # O(state/interval + write-set) per block — instead of rebuilding the
-    # full state dict on every new head.  1 collapses on every block.
-    state_collapse_interval: int = 16
     # Optimistic parallel block execution (repro.chain.scheduler): derive
     # static read/write sets, execute non-conflicting transactions
     # concurrently, validate observed reads at commit.  Off by default —
@@ -142,7 +130,7 @@ class BlockchainNode(Process):
         # One record per block: at most the prune window, the window
         # boundary and the fork tips inside the window (_prune_states).
         self._executed: Dict[str, _Executed] = {
-            genesis.block_id: _Executed(genesis_state.copy(), [])
+            genesis.block_id: _Executed(genesis_state.fork(), [])
         }
         self._receipts_by_tx: Dict[str, Receipt] = {}
         # Blocks waiting for an ancestor that headers-first sync is
@@ -462,8 +450,7 @@ class BlockchainNode(Process):
 
     def _set_state_span_attrs(self, span, state: StateDB) -> None:
         stats = state.stats()
-        span.set_attr("state_writes", stats["local_keys"])
-        span.set_attr("overlay_depth", stats["overlay_depth"])
+        span.set_attr("state_writes", stats["keys_folded"])
         span.set_attr("journal_depth", stats["journal_depth"])
         span.set_attr("root_cache_hits", stats["root_cache_hits"])
         span.set_attr("root_recomputes", stats["root_recomputes"])
@@ -499,15 +486,10 @@ class BlockchainNode(Process):
     def _prune_states(self) -> None:
         """Bound per-block record retention to the finality window.
 
-        Full (collapsed) state is kept only at (or a bounded distance
-        below) the window boundary on the canonical chain; newer blocks —
-        canonical or recent forks — keep their copy-on-write overlays.
-        Everything older is dropped with its receipts, so state
-        memory scales with chain width inside the window rather than with
-        total chain length.  The boundary state is collapsed only once its
-        overlay chain reaches ``state_collapse_interval`` layers, keeping
-        steady-state per-block cost at O(write-set) amortized instead of
-        rebuilding the full state dict on every head change.  Blocks
+        The canonical block at the window boundary, everything newer and
+        the recent fork tips keep their records; everything older is
+        dropped with its receipts, so state memory scales with chain width
+        inside the window rather than with total chain length.  Blocks
         attaching below the boundary can no longer be validated
         (documented finality assumption).
         """
@@ -518,11 +500,6 @@ class BlockchainNode(Process):
         boundary = self.store.block_at_height(boundary_height)
         if boundary is None:
             return
-        kept = self._executed.get(boundary.block_id)
-        if kept is not None and kept.state.overlay_depth >= max(
-            1, self.config.state_collapse_interval
-        ):
-            kept.state.collapse()
         stale = [
             block_id
             for block_id in self._executed

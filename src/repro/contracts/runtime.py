@@ -474,8 +474,8 @@ class ContractExecutor:
 
         This is how off-chain control code inspects contract state without
         paying consensus cost — the "light-weight policy control point" read
-        path of Figure 1.  The fork is an O(1) overlay rather than a full
-        copy; the read-only bridge rejects writes before they reach it.
+        path of Figure 1.  The fork shares the state's trie rather than
+        copying it; the read-only bridge rejects writes before they reach it.
         """
         args = args or {}
         if not _is_call_shape(contract_id, method, args):
@@ -487,7 +487,7 @@ class ContractExecutor:
         meter = GasMeter(gas_limit)
         events: List[ContractEvent] = []
         bridge = HostBridge(
-            state.fork(freeze=False),
+            state.fork(),
             contract_id,
             caller,
             context or ExecutionContext(),

@@ -86,6 +86,8 @@ class Gossip:
         # id -> remaining announcer addresses to try if a fetch fails.
         self._sources: Dict[str, List[str]] = {}
         self._in_flight: Dict[str, str] = {}  # id -> kind
+        # Block fetches put off while sync runs, oldest first; never more
+        # than ``seen_cache_size``, and their ``_sources`` go with them.
         self._deferred: "OrderedDict[Tuple[str, str], None]" = OrderedDict()
 
     # -- outbound ------------------------------------------------------------
@@ -130,8 +132,8 @@ class Gossip:
                 if not fresh:
                     self.metrics.add("p2p_announce_duplicate", 1, scope=self.scope)
                 continue
-            if sender:
-                self._sources.setdefault(item_id, []).append(sender)
+            if sender and sender not in self._sources.setdefault(item_id, []):
+                self._sources[item_id].append(sender)
             if item_id in self._in_flight:
                 self.metrics.add("p2p_announce_duplicate", 1, scope=self.scope)
                 continue
@@ -142,6 +144,10 @@ class Gossip:
                 # blocks in parallel would double-deliver bodies.
                 self._deferred[(kind, item_id)] = None
                 self.metrics.add("p2p_fetch_deferred", 1, scope=self.scope)
+                while len(self._deferred) > self.seen.capacity:
+                    (_, dropped), _ = self._deferred.popitem(last=False)
+                    self._sources.pop(dropped, None)
+                    self.metrics.add("p2p_fetch_deferred_dropped", 1, scope=self.scope)
                 continue
             self._fetch(kind, item_id)
         return {"ok": True}
@@ -167,7 +173,11 @@ class Gossip:
         """Re-evaluate fetches deferred while sync was running."""
         deferred, self._deferred = list(self._deferred), OrderedDict()
         for kind, item_id in deferred:
-            if not self.has_item(kind, item_id) and item_id not in self._in_flight:
+            if item_id in self._in_flight:
+                continue
+            if self.has_item(kind, item_id):  # sync delivered it
+                self._sources.pop(item_id, None)
+            else:
                 self._fetch(kind, item_id)
 
     def _fetch(self, kind: str, item_id: str) -> None:

@@ -70,11 +70,6 @@ class FrameDecoder:
             self._expected = None
         return frames
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame (0 when clean)."""
-        return len(self._buffer) + (0 if self._expected is None else 0)
-
     def at_boundary(self) -> bool:
         """True when no partial frame is buffered (clean EOF point)."""
         return not self._buffer and self._expected is None

@@ -97,6 +97,14 @@ class MethodRegistry:
         return sorted(self._methods)
 
 
+def _encode_responses(responses: List[Response]) -> bytes:
+    """One frame payload: a lone response to a lone request goes out bare,
+    the responses to a batch as an array (even when there is only one)."""
+    if len(responses) == 1 and not getattr(responses[0], "_from_batch", False):
+        return codec.encode_payload(responses[0].to_wire())
+    return codec.encode_payload([response.to_wire() for response in responses])
+
+
 class RpcServer:
     """Serves a method registry over framed JSON-RPC."""
 
@@ -225,12 +233,7 @@ class RpcServer:
         write_lock: asyncio.Lock,
         responses: List[Response],
     ) -> None:
-        payload: Any
-        if len(responses) == 1 and not getattr(responses[0], "_from_batch", False):
-            payload = responses[0].to_wire()
-        else:
-            payload = [response.to_wire() for response in responses]
-        data = codec.encode_payload(payload)
+        data = _encode_responses(responses)
         try:
             async with write_lock:
                 await write_frame(writer, data, self.max_frame_bytes)
@@ -249,9 +252,7 @@ class RpcServer:
         responses = await self.dispatch_frame(data)
         if not responses:
             return None
-        if len(responses) == 1 and not getattr(responses[0], "_from_batch", False):
-            return codec.encode_payload(responses[0].to_wire())
-        return codec.encode_payload([response.to_wire() for response in responses])
+        return _encode_responses(responses)
 
     async def dispatch_frame(self, data: bytes) -> List[Response]:
         try:

@@ -75,7 +75,6 @@ def serial_reference(base_state, transactions):
     executor = ContractExecutor()
     receipts = [executor.apply(overlay, tx, CTX) for tx in transactions]
     root = overlay.state_root()
-    overlay.discard()
     return root, receipts
 
 
@@ -86,7 +85,6 @@ def run_scheduled(base_state, transactions, **kwargs):
         )
         root = overlay.state_root()
         stats = dict(scheduler.stats)
-        overlay.discard()
     return root, receipts, stats
 
 
@@ -359,7 +357,6 @@ class TestEquivalence:
         with BlockScheduler(ContractExecutor(), backend="thread") as scheduler:
             overlay, _ = scheduler.execute_block(state, mixed_block(cid), CTX)
             content = hash_value(overlay.to_dict(), allow_float=False)
-            overlay.discard()
         assert content.hex() == LEGACY_MIXED_BLOCK_CONTENT_DIGEST
 
 

@@ -102,12 +102,10 @@ def test_parallel_block_equals_serial(scheduler, ops):
         _REFERENCE_EXECUTOR.apply(serial, tx, CTX) for tx in txs
     ]
     serial_root = serial.state_root()
-    serial.discard()
 
     overlay, receipts = scheduler.execute_block(state, txs, CTX)
     assert overlay.state_root() == serial_root
     assert receipts == serial_receipts
-    overlay.discard()
 
 
 @given(ops=OPS)

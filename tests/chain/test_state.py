@@ -6,12 +6,7 @@ import pytest
 from root_oracle import EMPTY, leaf_digest, oracle_root
 
 from repro.chain import state as state_mod
-from repro.chain.state import (
-    StateAliasingError,
-    StateDB,
-    StateOverlay,
-    set_debug_aliasing,
-)
+from repro.chain.state import StateAliasingError, StateDB, set_debug_aliasing
 from repro.common.errors import ChainError, SerializationError
 from repro.common.hashing import hash_value
 
@@ -40,6 +35,13 @@ def test_debug_aliasing_mode_catches_in_place_mutation():
         state.get("k")["list"].append(2)  # convention violation
         with pytest.raises(StateAliasingError):
             state.state_root()
+        # ...and of a value already folded into the trie, seen from a fork.
+        state = StateDB({"k": {"list": [1]}, "other": 0})
+        state.state_root()
+        fork = state.fork()
+        fork.get("k")["list"].append(2)
+        with pytest.raises(StateAliasingError):
+            fork.snapshot()
     finally:
         set_debug_aliasing(False)
 
@@ -178,7 +180,7 @@ class TestRoots:
     def test_copy_is_independent(self):
         a = StateDB()
         a.set("x", 1)
-        b = a.copy()
+        b = a.fork()  # the one way to copy a state
         b.set("x", 2)
         assert a.get("x") == 1
         assert a.state_root() != b.state_root()
@@ -225,60 +227,44 @@ class TestOverlay:
         base = StateDB()
         base.set("x", 1)
         overlay = base.fork()
-        assert isinstance(overlay, StateOverlay)
         assert overlay.get("x") == 1
         overlay.set("x", 2)
         assert overlay.get("x") == 2
         assert base.get("x") == 1
 
     def test_parent_frozen_after_fork(self):
+        # What a fork sees of its parent is frozen at the fork: the parent
+        # stays writable, and none of it shows in the child.
         base = StateDB()
         base.set("x", 1)
         overlay = base.fork()
-        with pytest.raises(ChainError):
-            base.set("x", 2)
-        assert overlay.get("x") == 1
-
-    def test_parent_unfreezes_when_last_overlay_discarded(self):
-        # Regression: a speculative fork must not freeze the base forever.
-        # Dropping the last live overlay lifts the freeze automatically.
-        base = StateDB()
-        base.set("x", 1)
-        overlay = base.fork()
-        with pytest.raises(ChainError):
-            base.set("x", 2)
-        del overlay
         base.set("x", 2)
-        assert base.get("x") == 2
+        base.set("y", 3)
+        assert overlay.get("x") == 1
+        assert not overlay.contains("y")
+        assert overlay.state_root() == oracle_root({"x": 1})
+        assert base.state_root() == oracle_root({"x": 2, "y": 3})
 
     def test_parent_stays_frozen_while_any_overlay_lives(self):
-        base = StateDB()
-        base.set("x", 1)
+        # ...for every fork, however many there are and whichever are dropped.
+        base = StateDB({"x": 1, "y": 2})
+        base.state_root()
         o1 = base.fork()
         o2 = base.fork()
+        o1.set("x", "o1")
         del o1
-        with pytest.raises(ChainError):
-            base.set("x", 2)
-        o2.discard()  # deterministic release of the last overlay
-        base.set("x", 2)
-        assert base.get("x") == 2
-
-    def test_collapse_releases_parent_freeze(self):
-        base = StateDB()
-        base.set("x", 1)
-        overlay = base.fork()
-        overlay.set("y", 2)
-        overlay.collapse()
-        base.set("x", 3)  # overlay is standalone; base writable again
-        assert overlay.get("x") == 1
-        assert overlay.get("y") == 2
+        base.delete("y")
+        assert dict(o2.items()) == {"x": 1, "y": 2}
+        assert o2.state_root() == oracle_root({"x": 1, "y": 2})
+        assert dict(base.items()) == {"x": 1}
 
     def test_transient_fork_leaves_parent_writable(self):
         base = StateDB()
         base.set("x", 1)
-        view = base.fork(freeze=False)
+        view = base.fork()
         assert view.get("x") == 1
-        base.set("x", 2)  # still allowed
+        base.set("x", 2)
+        assert view.get("x") == 1
 
     def test_tombstone_hides_parent_key(self):
         base = StateDB()
@@ -312,68 +298,57 @@ class TestOverlay:
         o2 = o1.fork()
         o2.delete("a")
         o2.set("c", 3)
-        assert o2.overlay_depth == 2
         assert dict(o2.items()) == {"b": 2, "c": 3}
         assert dict(o1.items()) == {"a": 1, "b": 2}
 
     def test_flatten_matches_effective_view(self):
+        # A state rebuilt flat from another's pairs is the same state.
         base = StateDB()
         base.set("a", 1)
         overlay = base.fork()
         overlay.set("b", 2)
         overlay.delete("a")
-        flat = overlay.flatten()
-        assert flat.overlay_depth == 0
-        assert dict(flat.items()) == {"b": 2}
+        flat = StateDB(overlay.to_dict())
+        assert dict(flat.items()) == dict(overlay.items()) == {"b": 2}
+        assert len(flat) == len(overlay) == 1
         assert flat.state_root() == overlay.state_root()
 
     def test_flatten_root_fresh_after_overlay_shadows_cached_fragment(self):
-        # Regression: the base had hashed a leaf for "k" (state_root was
-        # computed), then an overlay overwrote "k" and was flattened
-        # WITHOUT an intervening state_root() on the overlay.  The flat
-        # state carries the base's trie, so "k" must travel with it as
-        # dirty, or the next root would commit to the old value — a silent
-        # consensus-root divergence.
+        # The base folded a leaf for "k" into the trie, then a fork overwrote
+        # "k" and was itself forked WITHOUT an intervening state_root().  The
+        # grandchild starts from the base's trie, so the write to "k" must
+        # travel with it as pending, or its root would commit to the old
+        # value — a silent consensus-root divergence.
         base = StateDB()
         base.set("k", 1)
         base.set("other", "x")
-        base.state_root()  # caches base's fragment for "k"
-        overlay = base.fork()
-        overlay.set("k", 999)
-        flat = overlay.flatten()
-        assert flat.get("k") == 999
-        assert flat.state_root() == oracle_root(flat.to_dict())
-        expected = StateDB({"k": 999, "other": "x"})
-        assert flat.state_root() == expected.state_root()
-
-    def test_collapse_root_fresh_after_overlay_shadows_cached_fragment(self):
-        # Same regression as above, through the in-place collapse() path.
-        base = StateDB()
-        base.set("k", 1)
         base.state_root()
         overlay = base.fork()
         overlay.set("k", 999)
-        overlay.collapse()
-        assert overlay.get("k") == 999
-        assert overlay.state_root() == oracle_root({"k": 999})
+        child = overlay.fork()
+        assert child.get("k") == 999
+        assert child.state_root() == oracle_root({"k": 999, "other": "x"})
+        assert overlay.state_root() == child.state_root()
 
     def test_chained_flatten_keeps_shallowest_writer_fragment(self):
-        # Three layers: the middle layer's hashed leaf must win over the
-        # base's, and the top layer's not-yet-hashed write must win over
-        # both.
+        # Three generations: the middle one's folded leaf must win over the
+        # base's, and the youngest's not-yet-folded write over both.
         base = StateDB()
         base.set("a", 1)
         base.set("b", 1)
         base.state_root()
         mid = base.fork()
         mid.set("a", 2)
-        mid.state_root()  # hashes mid's leaf for "a"
+        mid.state_root()  # folds mid's leaf for "a"
         top = mid.fork()
-        top.set("b", 3)  # shadows base's hashed "b" leaf, itself unhashed
-        flat = top.flatten()
-        assert flat.state_root() == oracle_root({"a": 2, "b": 3})
+        top.set("b", 3)  # shadows base's folded "b" leaf, itself pending
+        assert dict(top.fork().items()) == {"a": 2, "b": 3}
+        assert top.fork().state_root() == oracle_root({"a": 2, "b": 3})
+        assert base.state_root() == oracle_root({"a": 1, "b": 1})
 
     def test_collapse_preserves_content_and_children(self):
+        # Pruning is dropping a reference: with its ancestors gone a state
+        # (and a child forked off it) still holds everything it held.
         base = StateDB()
         base.set("a", 1)
         mid = base.fork()
@@ -381,11 +356,12 @@ class TestOverlay:
         child = mid.fork()
         child.set("c", 3)
         root_before = child.state_root()
-        mid.collapse()
-        assert mid.overlay_depth == 0
+        base.set("a", "rewritten")
+        del base
         assert dict(mid.items()) == {"a": 1, "b": 2}
+        del mid
+        assert dict(child.items()) == {"a": 1, "b": 2, "c": 3}
         assert child.state_root() == root_before
-        assert child.overlay_depth == 1
 
     def test_overlay_snapshot_rollback(self):
         base = StateDB()
@@ -421,37 +397,65 @@ class TestOverlay:
         assert base.balance("bob") == 0
 
 
+def _write(state, op):
+    if op == "set":
+        state.set("k", "written")
+        state.set("fresh", 1)
+    elif op == "delete":
+        state.delete("k")
+    else:  # a rollback re-marks the keys it restores as pending
+        state.snapshot()
+        state.set("k", "doomed")
+        state.delete("other")
+        state.state_root()  # folds the doomed writes into the writer's trie
+        state.rollback()
+        state.set("k", "after")
+
+
 class TestCopyIsolation:
+    """A fork shares only immutable trie nodes with the state it came from."""
+
+    @pytest.mark.parametrize("rooted", [True, False], ids=["rooted", "pending"])
+    @pytest.mark.parametrize("writer", ["parent", "child"])
+    @pytest.mark.parametrize("op", ["set", "delete", "rollback"])
+    def test_write_on_one_side_is_invisible_on_the_other(self, op, writer, rooted):
+        content = {"k": {"v": 1}, "other": 2, **{f"pad/{i}": i for i in range(40)}}
+        parent = StateDB(content)
+        if rooted:
+            parent.state_root()
+        child = parent.fork()
+        written, untouched = (parent, child) if writer == "parent" else (child, parent)
+        _write(written, op)
+        assert untouched.to_dict() == content
+        assert untouched.keys_with_prefix("") == sorted(content)
+        assert len(untouched) == len(content)
+        assert untouched.state_root() == oracle_root(content)
+        assert written.state_root() == oracle_root(written.to_dict())
+        assert written.to_dict() != content
+        # ...and the other way round afterwards, on the same pair.
+        theirs = written.to_dict()
+        _write(untouched, "set")
+        assert written.to_dict() == theirs
+        assert written.state_root() == oracle_root(theirs)
+
     def test_copy_shares_no_structure_with_parent_or_siblings(self):
-        # Regression for the copy() docstring contract: a copy never leaks
-        # mutations into the state it came from, its parents, or sibling
-        # overlays — even for nested container values.
+        # A fork of a fork never leaks writes into the state it came from,
+        # that state's parent, or a sibling fork.
         base = StateDB()
         base.set("box", {"items": [1, 2]})
         overlay = base.fork()
         overlay.set("box2", {"items": [3]})
         sibling = base.fork()
-        copied = overlay.copy()
-        copied.get("box")["items"].append(99)  # mutate through the copy
+        copied = overlay.fork()
         copied.set("box", {"items": ["replaced"]})
+        copied.delete("box2")
         copied.credit("alice", 5)
         assert base.get("box") == {"items": [1, 2]}
         assert overlay.get("box") == {"items": [1, 2]}
         assert sibling.get("box") == {"items": [1, 2]}
         assert overlay.get("box2") == {"items": [3]}
-        assert base.balance("alice") == 0
-
-    def test_copy_drops_snapshot_history(self):
-        state = StateDB()
-        state.set("x", 1)
-        state.snapshot()
-        state.set("x", 2)
-        copied = state.copy()
-        with pytest.raises(ChainError):
-            copied.rollback()
-        state.rollback()
-        assert state.get("x") == 1
-        assert copied.get("x") == 2
+        assert base.balance("alice") == sibling.balance("alice") == 0
+        assert not base.contains("box2") and not sibling.contains("box2")
 
 
 class TestIncrementalRoot:
@@ -539,9 +543,9 @@ class TestIncrementalRoot:
             assert state.state_root() == expected
 
     def test_ancestor_root_survives_70_rooted_descendants(self):
-        # No published node is ever mutated: after 70 layers were written
-        # and rooted on top of it, the ancestor's trie still hashes to its
-        # own content — checked through a fresh overlay that starts from
+        # No published node is ever mutated: after 70 generations were
+        # written and rooted on top of it, the ancestor's trie still hashes
+        # to its own content — checked through a fresh fork that starts from
         # that trie, not through the ancestor's cached digest.
         base = StateDB({f"k/{i}": i for i in range(300)})
         base_root = base.state_root()
@@ -559,7 +563,7 @@ class TestIncrementalRoot:
             layers.append(state)
         assert base.state_root() == base_root == oracle_root(base.to_dict())
         mid = layers[35]
-        probe = mid.fork(freeze=False)
+        probe = mid.fork()
         probe.set("probe", 1)
         assert probe.state_root() == oracle_root({**mid.to_dict(), "probe": 1})
 
@@ -574,29 +578,28 @@ class TestIncrementalRoot:
         return hashed
 
     def test_fork_copy_flatten_collapse_hash_nothing(self, monkeypatch):
+        # fork() is the one operation left of the four; it hashes nothing,
+        # whether or not the state it copies still has writes pending.
         base = StateDB({f"k/{i}": i for i in range(500)})
         base.state_root()
         head = base.fork()
         for i in range(10):
             head.set(f"k/{i}", "written")
-        root = head.state_root()
-
         hashed = self._count_hashes(monkeypatch)
+        pending_child = head.fork()
+        assert hashed == []
+        root = head.state_root()
+        del hashed[:]
+
         child = head.fork()
-        assert child.state_root() == root
-        flat = head.flatten()
-        assert flat.state_root() == root and flat.stats()["root_recomputes"] == 0
-        duplicate = head.copy()
-        assert duplicate.state_root() == root
-        assert duplicate.stats()["root_recomputes"] == 0
-        child.discard()
-        head.collapse()
-        assert head.state_root() == root and head.stats()["root_recomputes"] == 1
+        assert child.state_root() == root and child.stats()["root_recomputes"] == 0
+        assert child.fork().state_root() == root
         assert hashed == []
         # ...and a one-key write afterwards hashes a path, not the state.
-        flat.set("k/0", "again")
-        flat.state_root()
+        child.set("k/0", "again")
+        child.state_root()
         assert 0 < len(hashed) <= 8
+        assert pending_child.state_root() == root
 
     def test_never_rooted_overlay_hands_on_its_parents_trie(self, monkeypatch):
         base = StateDB({f"k/{i}": i for i in range(500)})
@@ -604,7 +607,7 @@ class TestIncrementalRoot:
         overlay = base.fork()
         overlay.set("k/1", "x")
         overlay.delete("k/2")
-        flat = overlay.flatten()  # overlay itself was never rooted
+        child = overlay.fork()  # overlay itself was never rooted
         hashed = self._count_hashes(monkeypatch)
-        assert flat.state_root() == oracle_root(flat.to_dict())
+        assert child.state_root() == oracle_root(child.to_dict())
         assert len(hashed) <= 16  # two paths, not 500 leaves

@@ -2,7 +2,7 @@
 
 The journaled :class:`StateDB` is checked against a *model*: a plain dict
 with full-copy snapshots (the semantics of the historical implementation).
-Any divergence between the journal/overlay machinery and the model under a
+Any divergence between the journal/fork machinery and the model under a
 randomized operation sequence is a consensus bug.
 """
 
@@ -136,11 +136,11 @@ class TestJournalProperties:
         assert state.to_dict() == parent_dict
 
 
-_SHAPE_OPS = ["snapshot", "commit", "rollback", "fork", "discard",
-              "collapse", "flatten", "copy"]
+_SHAPE_OPS = ["snapshot", "commit", "rollback", "fork"]
 
-# Writes and layer operations, each with a flag: take a root right after?
-_LAYER_OPS = st.lists(
+# One step of a walk over a tree of forks: the operation, whether a root is
+# taken right after it, and which of the states forked so far it lands on.
+_TREE_OPS = st.lists(
     st.tuples(
         st.one_of(
             st.tuples(st.just("set"), _KEYS, _VALUES),
@@ -148,59 +148,49 @@ _LAYER_OPS = st.lists(
             st.tuples(st.sampled_from(_SHAPE_OPS), st.none(), st.none()),
         ),
         st.booleans(),
+        st.integers(min_value=0, max_value=7),
     ),
     max_size=60,
 )
 
 
 def _walk_against_oracle(initial, ops):
-    """Drive one state through ``ops``; whenever a root is taken — inside a
-    snapshot, on a fresh fork, after a collapse — it must be the oracle's
-    root of the model dict, and every ancestor left behind must still root
-    to the content it had when it was forked."""
-    state = StateDB(dict(initial))
-    model = _ModelState(initial)
-    ancestors = []  # (state, its content) of every state forked on the way
-    for (op, key, value), take_root in ops:
-        if op in ("set", "delete", "snapshot", "commit", "rollback"):
-            if model.apply(op, key, value):
-                _apply_to_state(state, op, key, value)
-        elif op == "fork":
-            if state.journal_depth:
-                continue
-            ancestors.append((state, copy.deepcopy(model.data)))
-            state = state.fork()
-        elif op == "discard":
-            parent = getattr(state, "parent", None)
-            if not ancestors or parent is not ancestors[-1][0]:
-                continue
-            state.discard()
-            state, data = ancestors.pop()
-            model = _ModelState(data)
-        elif op == "collapse":
-            if state.journal_depth:
-                continue
-            state.collapse()
-        else:  # flatten / copy: a standalone state, journal not carried
-            state = getattr(state, op)()
-            model.snapshots = []
+    """Drive a growing tree of forks through ``ops``, each state beside its
+    own plain-dict model.  ``fork`` adds a state; every other operation lands
+    on whichever state the step picks, so parents keep writing, rolling back
+    and rooting after they were forked, and so do their children.  Whenever a
+    root is taken — inside a snapshot, on a fresh fork — it must be the
+    oracle's root of that state's model, and at the end every state in the
+    tree must hold exactly its model: nothing any other state did shows."""
+    tree = [(StateDB(dict(initial)), _ModelState(initial))]
+    for (op, key, value), take_root, pick in ops:
+        state, model = tree[pick % len(tree)]
+        if op == "fork":
+            if state.journal_depth == 0:
+                tree.append((state.fork(), _ModelState(copy.deepcopy(model.data))))
+        elif model.apply(op, key, value):
+            _apply_to_state(state, op, key, value)
         if take_root:
             assert state.state_root() == oracle_root(model.data)
-    assert state.to_dict() == model.data
-    assert state.state_root() == oracle_root(model.data)
-    for ancestor, data in ancestors:
-        assert ancestor.state_root() == oracle_root(data)
+    for state, model in tree:
+        assert state.to_dict() == model.data
+        assert dict(state.items()) == model.data
+        assert state.keys_with_prefix("") == sorted(model.data)
+        assert len(state) == len(model.data)
+        assert all(state.get(key) == value for key, value in model.data.items())
+        assert state.state_root() == oracle_root(model.data)
 
 
 class TestRootEquivalenceProperties:
     @settings(max_examples=100, deadline=None)
-    @given(st.dictionaries(_KEYS, _VALUES, max_size=8), _LAYER_OPS)
+    @given(st.dictionaries(_KEYS, _VALUES, max_size=8), _TREE_OPS)
     def test_incremental_roots_match_recomputation(self, initial, ops):
         _walk_against_oracle(initial, ops)
 
     def test_long_seeded_walks_match_recomputation(self):
         # Hypothesis keeps its sequences short (a handful of ops); these
-        # run long enough to stack overlays, nest snapshots and revisit keys.
+        # run long enough to grow a tree of forks, nest snapshots and
+        # revisit keys on every branch.
         for seed in range(25):
             rng = random.Random(seed)
             keys = [f"k/{i}" for i in range(24)]
@@ -211,9 +201,11 @@ class TestRootEquivalenceProperties:
                     op = ("set", rng.choice(keys), [rng.randrange(5)])
                 elif roll < 0.65:
                     op = ("delete", rng.choice(keys), None)
+                elif roll < 0.97:
+                    op = (rng.choice(_SHAPE_OPS[:3]), None, None)
                 else:
-                    op = (rng.choice(_SHAPE_OPS), None, None)
-                ops.append((op, rng.random() < 0.3))
+                    op = ("fork", None, None)
+                ops.append((op, rng.random() < 0.3, rng.randrange(8)))
             _walk_against_oracle({key: 0 for key in keys[::2]}, ops)
 
     @settings(max_examples=30)

@@ -227,7 +227,7 @@ class TestPythonErrorsBecomeFailedReceipts:
             "    return 1\n"
         )
         contract_id = executor.apply(state, make_deploy(alice, shape, source, nonce=0), ctx).output
-        expected_state = state.copy()
+        expected_state = state.fork()
         expected_state.bump_nonce(alice.address)  # all a failed call keeps
         call = make_call(alice, contract_id, "run", {"x": 1, "y": 0}, nonce=1)
         receipt = executor.apply(state, call, ctx)
@@ -289,7 +289,7 @@ class TestMalformedPayloadsBecomeFailedReceipts:
         kind, payload = malformed_payloads(contract_id)[shape]
         tx = Transaction(sender=alice.address, nonce=1, kind=kind, payload=payload).signed_by(alice)
         tx.validate()  # admission has no objection
-        expected_state = state.copy()
+        expected_state = state.fork()
         expected_state.bump_nonce(alice.address)
         receipt = executor.apply(state, tx, ctx)
         assert not receipt.success

@@ -11,7 +11,8 @@ from repro.common.signatures import KeyPair
 from repro.consensus.node import make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
 from repro.consensus.pos import ProofOfStake
-from repro.p2p.gossip import SeenCache
+from repro.p2p.config import P2PConfig
+from repro.p2p.gossip import KIND_BLOCK, Gossip, SeenCache
 from repro.sim.kernel import Kernel
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
@@ -24,6 +25,57 @@ def test_seen_cache_is_a_bounded_lru():
     cache.add("d")  # evicts b (a was refreshed)
     assert "a" in cache and "b" not in cache
     assert len(cache) == 3
+
+
+class _StubTransport:
+    local_addr = "me"
+
+    def __init__(self):
+        self.requests = []
+
+    def request(self, addr, method, params, **_callbacks):
+        self.requests.append((addr, method, params["ids"]))
+
+
+class _StubPeers:
+    def note_alive(self, addr):
+        pass
+
+
+def test_announces_during_a_sync_cannot_grow_the_fetch_bookkeeping():
+    """A peer announcing block ids while sync runs is deferred, not fetched —
+    at most ``seen_cache_size`` of them, oldest dropped first — and the retry
+    sources of a deferred id that sync then delivered go when sync ends."""
+    cap, have, syncing = 8, set(), [True]
+    metrics, transport = MetricsRegistry(), _StubTransport()
+    gossip = Gossip(
+        transport,
+        _StubPeers(),
+        P2PConfig(seen_cache_size=cap),
+        has_item=lambda kind, item_id: item_id in have,
+        get_item=lambda kind, item_id: None,
+        deliver_tx=lambda tx: None,
+        deliver_block=lambda block: None,
+        sync_active=lambda: syncing[0],
+        metrics=metrics,
+    )
+    ids = [f"block-{n}" for n in range(3 * cap)]
+    for item_id in ids:
+        for _ in range(3):  # a peer may repeat itself
+            gossip.handle_announce({"from": "peer", "kind": KIND_BLOCK, "ids": [item_id]})
+    assert list(gossip._deferred) == [(KIND_BLOCK, item_id) for item_id in ids[-cap:]]
+    assert gossip._sources == {item_id: ["peer"] for item_id in ids[-cap:]}
+    assert metrics.counter_total("p2p_fetch_deferred_dropped") == 2 * cap
+    assert transport.requests == []
+
+    have.update(ids[-cap:-1])  # sync delivered all but the newest
+    syncing[0] = False
+    gossip.resume_after_sync()
+    assert transport.requests == [("peer", "p2p.get_data", [ids[-1]])]
+    assert not gossip._deferred
+    assert gossip._sources == {ids[-1]: []}  # the one in flight; gone on reply
+    gossip._on_bodies(KIND_BLOCK, ids[-1], {"bodies": []})
+    assert gossip._sources == {} and gossip._in_flight == {}
 
 
 def test_tx_gossip_propagates_via_fetch_on_miss(p2p_world):

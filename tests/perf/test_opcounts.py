@@ -15,6 +15,7 @@ import random
 import sys
 from pathlib import Path
 
+from repro.chain import state as state_mod
 from repro.chain.blocks import Block, make_genesis
 from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
@@ -84,7 +85,8 @@ def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch)
     signature check, the other two find it in ``_VERIFIED``; every follower
     checks every block's seal and validates its structure (tx Merkle tree,
     every ``tx.validate()``) once — the proposer, which built the block from
-    admitted txs, not at all."""
+    admitted txs, not at all; and every validator hashes the trie branches on
+    the paths its own execution of the block wrote, nothing else."""
     names = ["v0", "v1", "v2"]
     senders = [KeyPair.generate(f"opcounts-sender-{i}") for i in range(4)]
     kernel = Kernel(seed=21)
@@ -92,6 +94,8 @@ def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch)
     state = StateDB()
     for sender in senders:
         state.credit(sender.address, 10**6)
+    for i in range(500):  # bystanders, so that the trie has paths to copy
+        state.credit(f"opcounts-holder-{i}", 1)
     engine = ProofOfAuthority(
         names, {name: KeyPair.generate(name) for name in names}, block_interval_s=0.5
     )
@@ -126,6 +130,12 @@ def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch)
         return validate_structure(block)
 
     monkeypatch.setattr(Block, "validate_structure", counted_structure)
+
+    branches = []
+    build_branch = state_mod._branch
+    monkeypatch.setattr(
+        state_mod, "_branch", lambda children: branches.append(1) or build_branch(children)
+    )
     for node in nodes.values():
         node.start()
     for i, tx in enumerate(txs):
@@ -148,5 +158,50 @@ def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch)
             "seal_verifications_per_block_per_follower": verified["seal"] / (blocks * 2),
             "structure_validations_per_block_per_follower": structure["follower"] / (blocks * 2),
             "structure_validations_per_block_per_proposer": structure["proposer"] / blocks,
+            "trie_branch_builds_per_block_per_validator": len(branches) / (blocks * 3),
         },
     )
+
+
+class _CountingDict(dict):
+    """A dict that reports every lookup made on it."""
+
+    def __init__(self, data, probes):
+        super().__init__(data)
+        self._probes = probes
+
+    def get(self, key, default=None):
+        self._probes.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self._probes.append(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self._probes.append(key)
+        return super().__contains__(key)
+
+
+def test_steps_to_read_a_key_last_written_64_forks_below(monkeypatch):
+    """A read costs one probe of the reader's own pending writes plus a trie
+    descent, however many generations ago the key was written: no state in
+    the lineage is consulted on the way."""
+    lineage = [StateDB({f"k/{i}": i for i in range(2000)})]
+    lineage[0].state_root()
+    for generation in range(64):
+        head = lineage[-1].fork()
+        for i in range(4):
+            head.set(f"k/{4 * generation + i}", [generation])
+        head.state_root()
+        lineage.append(head)
+    steps = []
+    for state in lineage:  # every dict any state of the lineage holds
+        for name, value in vars(state).items():
+            if type(value) is dict:
+                setattr(state, name, _CountingDict(value, steps))
+    is_leaf = state_mod._is_leaf
+    monkeypatch.setattr(state_mod, "_is_leaf", lambda node: steps.append(node) or is_leaf(node))
+
+    assert lineage[-1].get("k/1999") == 1999  # last written in lineage[0]
+    _assert_within_pins("state_read", {"steps_64_forks_below": len(steps)})
