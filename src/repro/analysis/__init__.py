@@ -34,7 +34,6 @@ from repro.analysis.engine import (
     analyze_contract_source,
     analyze_file,
     analyze_paths,
-    collect_module,
     extract_embedded_contracts,
     parse_suppressions,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "apply_baseline",
     "check_contract",
     "check_module",
-    "collect_module",
     "contract_checkers",
     "contract_rules",
     "dataflow",

@@ -19,8 +19,14 @@ Rule catalog:
   VM's pure builtins, nor :data:`repro.contracts.runtime.HOST_FUNCTION_NAMES`
 - MED007 — unreachable statements after ``return`` / ``break`` / ``continue``
 - MED008 — static worst-case gas estimate exceeds the configured ceiling
-- MED009 — syntax the VM forbids (imports, attributes, comprehensions, ...)
-- MED010 — read of a name that is never bound
+- MED009 — syntax the VM forbids (imports, attributes, comprehensions,
+  non-literal constants, a module with no functions, ...)
+- MED010 — read of a name that is never bound, or of a function outside
+  call position
+
+MED002, MED003 and MED009 are not rules of their own: they report
+:func:`repro.contracts.vm.parse_contract`'s violations, so the gate admits
+exactly what ``compile_contract`` compiles.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ from repro.analysis.registry import (
     ContractChecker,
     ContractContext,
     register,
+    register_rule_info,
 )
+from repro.contracts.vm import assigned_names, bound_names
 
 #: Names whose appearance in contract code signals nondeterminism (or an
 #: attempt to reach outside the sandbox).  The VM would raise ``undefined
@@ -77,54 +85,13 @@ FORBIDDEN_NAMES = frozenset(
 
 _TERMINATORS = (ast.Return, ast.Break, ast.Continue)
 
-_DISALLOWED_NODE_LABELS: Dict[type, str] = {
-    ast.Import: "import",
-    ast.ImportFrom: "import",
-    ast.Attribute: "attribute access",
-    ast.Lambda: "lambda",
-    ast.GeneratorExp: "generator expression",
-    ast.ListComp: "list comprehension",
-    ast.SetComp: "set comprehension",
-    ast.DictComp: "dict comprehension",
-    ast.With: "with block",
-    ast.Try: "try block",
-    ast.Raise: "raise",
-    ast.Global: "global declaration",
-    ast.Nonlocal: "nonlocal declaration",
-    ast.ClassDef: "class definition",
-    ast.AsyncFunctionDef: "async function",
-    ast.Await: "await",
-    ast.Yield: "yield",
-    ast.YieldFrom: "yield from",
-    ast.Starred: "starred expression",
-    ast.NamedExpr: "walrus assignment",
-    ast.Set: "set literal",
-}
-
-
-def _bound_names(func: ast.FunctionDef) -> Set[str]:
-    """Every name the function can bind: params plus assignment targets."""
-    bound: Set[str] = {arg.arg for arg in func.args.args}
-    for node in ast.walk(func):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        elif isinstance(node, ast.For):
-            targets = [node.target]
-        for target in targets:
-            for sub in ast.walk(target):
-                if isinstance(sub, ast.Name):
-                    bound.add(sub.id)
-    return bound
-
 
 def _known_names(ctx: ContractContext, func: ast.FunctionDef) -> Set[str]:
+    """Names a call in ``func`` can reach."""
     return (
-        _bound_names(func)
-        | set(ctx.constants)
-        | set(ctx.functions)
+        bound_names(func)
+        | set(ctx.module.constants)
+        | set(ctx.module.functions)
         | set(ctx.pure_builtins)
         | set(ctx.host_functions)
     )
@@ -133,7 +100,7 @@ def _known_names(ctx: ContractContext, func: ast.FunctionDef) -> Set[str]:
 def _walk_functions(
     ctx: ContractContext,
 ) -> Iterable[Tuple[str, ast.FunctionDef]]:
-    for name, func in sorted(ctx.functions.items()):
+    for name, func in sorted(ctx.module.functions.items()):
         yield name, func
 
 
@@ -150,7 +117,7 @@ class ForbiddenNameChecker(ContractChecker):
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
         for name, func in _walk_functions(ctx):
-            local = _bound_names(func)
+            local = bound_names(func)
             for node in ast.walk(func):
                 if (
                     isinstance(node, ast.Name)
@@ -162,64 +129,6 @@ class ForbiddenNameChecker(ContractChecker):
                         code=self.rule.code,
                         message=f"use of forbidden name {node.id!r} "
                         "(nondeterministic or outside the VM sandbox)",
-                        severity=self.rule.default_severity,
-                        file=ctx.file,
-                        line=ctx.map_line(node.lineno),
-                        col=node.col_offset,
-                        symbol=name,
-                    )
-
-
-@register
-class FloatLiteralChecker(ContractChecker):
-    rule = RuleInfo(
-        code="MED002",
-        name="float-literal",
-        family=CONTRACT_FAMILY,
-        default_severity=Severity.ERROR,
-        summary="float/complex literal (floats are nondeterministic across "
-        "nodes; use milli-unit integers)",
-    )
-
-    def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
-            for node in ast.walk(func):
-                if isinstance(node, ast.Constant) and isinstance(
-                    node.value, (float, complex)
-                ):
-                    yield Finding(
-                        code=self.rule.code,
-                        message=f"float literal {node.value!r} is forbidden; "
-                        "use scaled integers (e.g. value_milli)",
-                        severity=self.rule.default_severity,
-                        file=ctx.file,
-                        line=ctx.map_line(node.lineno),
-                        col=node.col_offset,
-                        symbol=name,
-                    )
-
-
-@register
-class TrueDivisionChecker(ContractChecker):
-    rule = RuleInfo(
-        code="MED003",
-        name="true-division",
-        family=CONTRACT_FAMILY,
-        default_severity=Severity.ERROR,
-        summary="true division `/` yields floats; use `//`",
-    )
-
-    def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
-            for node in ast.walk(func):
-                op = None
-                if isinstance(node, (ast.BinOp, ast.AugAssign)):
-                    op = node.op
-                if isinstance(op, ast.Div):
-                    yield Finding(
-                        code=self.rule.code,
-                        message="true division `/` is forbidden "
-                        "(float result); use floor division `//`",
                         severity=self.rule.default_severity,
                         file=ctx.file,
                         line=ctx.map_line(node.lineno),
@@ -290,8 +199,9 @@ class StorageAliasChecker(ContractChecker):
         for name, func in _walk_functions(ctx):
             written: Dict[str, int] = {}  # value name -> first write line
             for node in self._statements_in_order(func):
-                rebound = self._rebound_names(node)
-                for rebound_name in rebound:
+                # A rebinding (``AugAssign`` included: MedScript computes
+                # ``a <op> b`` afresh) clears the alias.
+                for rebound_name in assigned_names(node):
                     written.pop(rebound_name, None)
                 for call in self._storage_set_calls(node):
                     if len(call.args) < 2:
@@ -331,24 +241,6 @@ class StorageAliasChecker(ContractChecker):
 
         visit(func.body)
         return out
-
-    @staticmethod
-    def _rebound_names(stmt: ast.stmt) -> Set[str]:
-        targets: List[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, ast.AugAssign):
-            # MedScript AugAssign re-evaluates `a <op> b` and rebinds: it
-            # produces a fresh object, so it clears the alias.
-            targets = [stmt.target]
-        elif isinstance(stmt, ast.For):
-            targets = [stmt.target]
-        names: Set[str] = set()
-        for target in targets:
-            for sub in ast.walk(target):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-        return names
 
     @staticmethod
     def _storage_set_calls(stmt: ast.stmt) -> List[ast.Call]:
@@ -460,10 +352,10 @@ class GasCeilingChecker(ContractChecker):
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
         if ctx.max_gas is None:
             return
-        estimator = GasEstimator(ctx.functions)
+        estimator = GasEstimator(ctx.module.functions)
         for name, cost in estimator.estimate_all().items():
             if cost > ctx.max_gas:
-                func = ctx.functions[name]
+                func = ctx.module.functions[name]
                 yield Finding(
                     code=self.rule.code,
                     message=f"worst-case gas {format_gas(cost)} exceeds the "
@@ -481,8 +373,35 @@ class GasCeilingChecker(ContractChecker):
                 )
 
 
+register_rule_info(
+    RuleInfo(
+        code="MED002",
+        name="float-literal",
+        family=CONTRACT_FAMILY,
+        default_severity=Severity.ERROR,
+        summary="float/complex literal (floats are nondeterministic across "
+        "nodes; use milli-unit integers)",
+    )
+)
+register_rule_info(
+    RuleInfo(
+        code="MED003",
+        name="true-division",
+        family=CONTRACT_FAMILY,
+        default_severity=Severity.ERROR,
+        summary="true division `/` yields floats; use `//`",
+    )
+)
+
+
+#: The kind of violation each of MED002/MED003 reports; every other is MED009.
+_GATE_CODE = {"float": "MED002", "division": "MED003"}
+
+
 @register
-class DisallowedSyntaxChecker(ContractChecker):
+class GrammarChecker(ContractChecker):
+    """The VM's grammar, reported: every violation, not just the first."""
+
     rule = RuleInfo(
         code="MED009",
         name="disallowed-syntax",
@@ -493,48 +412,17 @@ class DisallowedSyntaxChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for node in ctx.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.Assign)):
-                continue
-            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-                continue  # module docstring
-            yield self._finding(
-                ctx, node, "", f"disallowed top-level statement "
-                f"({self._label(node)})"
+        for violation in ctx.module.violations:
+            node = violation.node
+            yield Finding(
+                code=_GATE_CODE.get(violation.kind, self.rule.code),
+                message=violation.text,
+                severity=Severity.ERROR,
+                file=ctx.file,
+                line=ctx.map_line(getattr(node, "lineno", 1)),
+                col=getattr(node, "col_offset", 0),
+                symbol=violation.function,
             )
-        for name, func in _walk_functions(ctx):
-            if func.args.vararg or func.args.kwarg or func.args.kwonlyargs:
-                yield self._finding(
-                    ctx, func, name,
-                    "only plain positional parameters are allowed",
-                )
-            for node in ast.walk(func):
-                if isinstance(node, tuple(_DISALLOWED_NODE_LABELS)):
-                    yield self._finding(
-                        ctx, node, name,
-                        f"disallowed syntax: {self._label(node)}",
-                    )
-                elif isinstance(node, ast.FunctionDef) and node is not func:
-                    yield self._finding(
-                        ctx, node, name, "nested functions are not allowed"
-                    )
-
-    @staticmethod
-    def _label(node: ast.AST) -> str:
-        return _DISALLOWED_NODE_LABELS.get(type(node), type(node).__name__)
-
-    def _finding(
-        self, ctx: ContractContext, node: ast.AST, symbol: str, message: str
-    ) -> Finding:
-        return Finding(
-            code=self.rule.code,
-            message=message,
-            severity=self.rule.default_severity,
-            file=ctx.file,
-            line=ctx.map_line(getattr(node, "lineno", 1)),
-            col=getattr(node, "col_offset", 0),
-            symbol=symbol,
-        )
 
 
 @register
@@ -550,7 +438,9 @@ class UndefinedNameChecker(ContractChecker):
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
         for name, func in _walk_functions(ctx):
-            known = _known_names(ctx, func)
+            # Outside call position a name has a value only if the
+            # activation holds it: a parameter, a local or a constant.
+            values = bound_names(func) | set(ctx.module.constants)
             call_targets = {
                 node.func
                 for node in ast.walk(func)
@@ -560,14 +450,19 @@ class UndefinedNameChecker(ContractChecker):
                 if (
                     isinstance(node, ast.Name)
                     and isinstance(node.ctx, ast.Load)
-                    and node.id not in known
+                    and node.id not in values
                     and node.id not in FORBIDDEN_NAMES  # MED001's job
                     and node not in call_targets  # MED006's job
                 ):
                     yield Finding(
                         code=self.rule.code,
-                        message=f"name {node.id!r} is never bound; the VM "
-                        "would raise at runtime on every node",
+                        message=(
+                            f"function {node.id!r} read as a value; the VM "
+                            "only calls functions"
+                            if node.id in _known_names(ctx, func)
+                            else f"name {node.id!r} is never bound; the VM "
+                            "would raise at runtime on every node"
+                        ),
                         severity=self.rule.default_severity,
                         file=ctx.file,
                         line=ctx.map_line(node.lineno),

@@ -155,7 +155,7 @@ def check_module(ctx: ModuleContext) -> List[Finding]:
 
 def check_contract(ctx: ContractContext) -> List[Finding]:
     """Run the taint pass over one MedScript contract module."""
-    engine = TaintEngine(ctx.tree, contract_mode=True)
+    engine = TaintEngine(ctx.module.tree, contract_mode=True)
     flows = engine.run()
     return [
         _finding_from_flow(flow, file=ctx.file, map_line=ctx.map_line)

@@ -31,7 +31,7 @@ from repro.analysis.registry import (
     repo_checkers,
 )
 from repro.contracts.runtime import HOST_FUNCTION_NAMES
-from repro.contracts.vm import _PURE_BUILTINS
+from repro.contracts.vm import _PURE_BUILTINS, parse_contract
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<codes>[A-Z0-9,\s]+)\])?", re.IGNORECASE
@@ -80,26 +80,6 @@ def apply_suppressions(
     return kept
 
 
-def collect_module(
-    tree: ast.Module,
-) -> Tuple[Dict[str, ast.FunctionDef], Dict[str, ast.expr]]:
-    """Top-level functions and single-name constant assignments of a module.
-
-    The shared front half of every contract-source consumer: the MED-rule
-    engine below and the read/write-set deriver (``repro.analysis.rwsets``)
-    both build on this instead of growing second parsers.
-    """
-    functions: Dict[str, ast.FunctionDef] = {}
-    constants: Dict[str, ast.expr] = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            functions[node.name] = node
-        elif isinstance(node, ast.Assign):
-            if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-                constants[node.targets[0].id] = node.value
-    return functions, constants
-
-
 def analyze_contract_source(
     source: str,
     *,
@@ -115,7 +95,7 @@ def analyze_contract_source(
     gate must reject PHI-escaping contracts without opt-in flags.
     """
     try:
-        tree = ast.parse(source)
+        module = parse_contract(source)
     except SyntaxError as exc:
         return [
             Finding(
@@ -127,12 +107,9 @@ def analyze_contract_source(
                 col=exc.offset or 0,
             )
         ]
-    functions, constants = collect_module(tree)
     ctx = ContractContext(
         source=source,
-        tree=tree,
-        functions=functions,
-        constants=constants,
+        module=module,
         host_functions=HOST_FUNCTION_NAMES,
         pure_builtins=PURE_BUILTIN_NAMES,
         file=file,

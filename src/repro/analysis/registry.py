@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Type
 
 from repro.analysis.findings import Finding, RuleInfo
+from repro.contracts.vm import ContractModule
 
 CONTRACT_FAMILY = "contract"
 REPO_FAMILY = "repo"
@@ -31,9 +32,7 @@ class ContractContext:
     """Everything a contract checker may inspect for one contract module."""
 
     source: str
-    tree: ast.Module
-    functions: Dict[str, ast.FunctionDef]
-    constants: Dict[str, ast.expr]
+    module: ContractModule  # the VM's one parse: tree, functions, constants, violations
     host_functions: FrozenSet[str]
     pure_builtins: FrozenSet[str]
     file: str = "<contract>"

@@ -3,8 +3,8 @@
 The optimistic parallel block scheduler (``repro.chain.scheduler``) needs to
 know, *before executing anything*, which storage slots a contract call may
 touch.  This module derives that from the deployed source with the same AST
-machinery the MED-rule checkers use (one parse, :func:`collect_module` from
-the analysis engine — never a second parser), producing per-method
+machinery the MED-rule checkers use (the VM's one parse,
+:func:`repro.contracts.vm.parse_contract` — never a second parser), producing per-method
 :class:`MethodRWSet` summaries whose slots are :class:`SlotTemplate`\\ s:
 sequences of literal fragments and method-parameter placeholders that the
 scheduler specializes with a transaction's actual arguments.
@@ -39,8 +39,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.engine import PURE_BUILTIN_NAMES, collect_module
+from repro.analysis.engine import PURE_BUILTIN_NAMES
 from repro.contracts.runtime import HOST_FUNCTION_NAMES
+from repro.contracts.vm import assigned_names, parse_contract
 
 #: Host functions that read a storage slot named by their first argument.
 READING_HOST_CALLS = frozenset({"storage_get", "storage_has"})
@@ -175,22 +176,6 @@ def _literal_value(node: ast.expr) -> Optional[Any]:
     return value if isinstance(value, (str, int, bool)) else None
 
 
-def _rebound_names(func: ast.FunctionDef) -> Set[str]:
-    """Names (re)bound anywhere inside the function body."""
-    bound: Set[str] = set()
-    for node in ast.walk(func):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.For, ast.NamedExpr)):
-            targets = [node.target]
-        for target in targets:
-            for sub in ast.walk(target):
-                if isinstance(sub, ast.Name):
-                    bound.add(sub.id)
-    return bound
-
-
 class _Deriver:
     """One pass over a parsed contract module."""
 
@@ -278,14 +263,14 @@ class _Deriver:
             acc.unknown = True
             return
         env = dict(env)
-        rebound = _rebound_names(func)
-        for name in rebound:
+        assign_counts: Dict[str, int] = {}
+        for node in ast.walk(func):
+            for name in assigned_names(node):
+                assign_counts[name] = assign_counts.get(name, 0) + 1
+        for name in assign_counts:  # rebound somewhere: not a known value
             env.pop(name, None)
         # Single top-level assignments from resolvable expressions extend
         # the environment (straight-line constant propagation).
-        assign_counts: Dict[str, int] = {}
-        for name in self._assigned_names(func):
-            assign_counts[name] = assign_counts.get(name, 0) + 1
         for stmt in func.body:
             if (
                 isinstance(stmt, ast.Assign)
@@ -339,21 +324,6 @@ class _Deriver:
                 # A name we cannot prove storage-free (an aliased helper, a
                 # shadowed builtin): assume the worst.
                 acc.unknown = True
-
-    @staticmethod
-    def _assigned_names(func: ast.FunctionDef) -> List[str]:
-        names: List[str] = []
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Name):
-                            names.append(sub.id)
-            elif isinstance(node, (ast.AugAssign, ast.For, ast.NamedExpr)):
-                for sub in ast.walk(node.target):
-                    if isinstance(sub, ast.Name):
-                        names.append(sub.id)
-        return names
 
     def _follow_call(
         self,
@@ -428,13 +398,12 @@ def read_write_sets(
     scheduler then serializes it) rather than ever mis-resolving.
     """
     try:
-        tree = ast.parse(source)
+        module = parse_contract(source)
     except SyntaxError:
         return {}
-    functions, constant_nodes = collect_module(tree)
-    deriver = _Deriver(functions, constant_nodes, max_depth=max_depth)
+    deriver = _Deriver(module.functions, module.constants, max_depth=max_depth)
     sets: Dict[str, MethodRWSet] = {}
-    for name, func in sorted(functions.items()):
+    for name, func in sorted(module.functions.items()):
         if name.startswith("_"):
             continue
         params = [arg.arg for arg in func.args.args]

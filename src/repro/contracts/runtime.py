@@ -28,7 +28,14 @@ from repro.common.hashing import hash_value_hex, sha256_hex
 from repro.common.serialize import canonical_bytes
 from repro.obs.tracer import trace_span
 from repro.contracts import gas as G
-from repro.contracts.vm import ContractSource, GasMeter, Interpreter, compile_contract
+from repro.contracts.vm import (
+    ContractSource,
+    GasMeter,
+    Interpreter,
+    _data_fault,
+    _text,
+    compile_contract,
+)
 
 META_SLOT = "__meta__"
 STORAGE_PREFIX = "s/"
@@ -73,40 +80,6 @@ def _isolate(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
-#: Containers nested deeper than this are not data a contract may hand to the
-#: host or return; a list that contains itself is the limiting case.
-MAX_VALUE_DEPTH = 32
-
-
-def _data_fault(value: Any, depth: int = 0, checked: Optional[set] = None) -> str:
-    """Why ``value`` is not data every node can serialize ("" when it is).
-
-    Function values are first-class in a contract (``return len``) and slice
-    assignment can build a list that holds itself; depth is bounded here so
-    the verdict does not depend on how deep the interpreter's own stack is.
-    """
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return ""
-    if not isinstance(value, (list, tuple, dict)):
-        return f"a {type(value).__name__} is not data"
-    checked = set() if checked is None else checked
-    if id(value) in checked:  # shared sub-structure: walk it once
-        return ""
-    if depth >= MAX_VALUE_DEPTH:
-        return f"nested deeper than {MAX_VALUE_DEPTH}"
-    items = value
-    if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            return "dict keys must be str"
-        items = value.values()
-    for item in items:
-        fault = _data_fault(item, depth + 1, checked)
-        if fault:
-            return fault
-    checked.add(id(value))
-    return ""
-
-
 def _as_result(value: Any) -> Any:
     """``value`` if a receipt can carry it; the call fails otherwise."""
     fault = _data_fault(value)
@@ -118,7 +91,7 @@ def _as_result(value: Any) -> Any:
 def _deterministic_bytes(value: Any) -> bytes:
     """Canonical encoding of a value a contract hands to the host.
 
-    Anything with no canonical form (a float, a function, a dict keyed by
+    Anything with no canonical form (a float, an iterator, a dict keyed by
     ints) would differ between nodes or crash the encoder; it fails the call.
     """
     fault = _data_fault(value)
@@ -197,7 +170,7 @@ class HostBridge:
     def storage_get(self, key: str, default: Any = None) -> Any:
         self._meter.charge(G.GAS_STORAGE_READ)
         return _isolate(
-            self._state.get_slot(self._contract_id, STORAGE_PREFIX + str(key), default)
+            self._state.get_slot(self._contract_id, STORAGE_PREFIX + _text(key), default)
         )
 
     def storage_set(self, key: str, value: Any) -> None:
@@ -205,25 +178,25 @@ class HostBridge:
         self._meter.charge(G.GAS_STORAGE_WRITE)
         _deterministic_bytes(value)
         self._state.set_slot(
-            self._contract_id, STORAGE_PREFIX + str(key), _isolate(value)
+            self._contract_id, STORAGE_PREFIX + _text(key), _isolate(value)
         )
 
     def storage_has(self, key: str) -> bool:
         self._meter.charge(G.GAS_STORAGE_READ)
         return self._state.contains(
-            self._state.contract_key(self._contract_id, STORAGE_PREFIX + str(key))
+            self._state.contract_key(self._contract_id, STORAGE_PREFIX + _text(key))
         )
 
     def storage_delete(self, key: str) -> None:
         self._guard_write()
         self._meter.charge(G.GAS_STORAGE_WRITE)
         self._state.delete(
-            self._state.contract_key(self._contract_id, STORAGE_PREFIX + str(key))
+            self._state.contract_key(self._contract_id, STORAGE_PREFIX + _text(key))
         )
 
     def storage_keys(self, prefix: str = "") -> List[str]:
         full_prefix = self._state.contract_key(
-            self._contract_id, STORAGE_PREFIX + str(prefix)
+            self._contract_id, STORAGE_PREFIX + _text(prefix)
         )
         keys = self._state.keys_with_prefix(full_prefix)
         self._meter.charge(G.GAS_STORAGE_READ * max(1, len(keys)))
@@ -237,7 +210,7 @@ class HostBridge:
         self._events.append(
             ContractEvent(
                 contract_id=self._contract_id,
-                name=str(name),
+                name=_text(name),
                 data=dict(data),
                 block_height=self._context.block_height,
             )
@@ -246,7 +219,7 @@ class HostBridge:
     @staticmethod
     def require(condition: Any, message: str = "requirement failed") -> bool:
         if not condition:
-            raise ContractError(str(message))
+            raise ContractError(_text(message))
         return True
 
     def sha256_hex(self, value: Any) -> str:

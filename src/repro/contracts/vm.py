@@ -11,14 +11,24 @@ runs "the identical smart contract code in all the nodes" (section I):
 - host functions injected by the runtime (``storage_get``, ``storage_set``,
   ``emit``, ``require``, ``sender``, ``block_height``, ``timestamp_ms``,
   ``sha256_hex``);
+- functions are called, never handled: outside call position a name reads
+  only a parameter, a local or a module constant, so no function value (and
+  no address) exists in a contract;
+- only data (``None``, scalars, lists, tuples, str-keyed dicts) has a text
+  form: ``str``, f-strings, ``%`` and the host's key/message/name arguments
+  refuse an iterator or a ``range``, whose text would be an address;
 - every AST node evaluated charges gas; storage and events cost extra.
+
+:func:`parse_contract` is the one definition of this subset: the VM
+compiles a module only if it lists no violation, and the deploy gate
+(``repro.analysis``, MED002/MED003/MED009) reports the same list.
 
 No attribute access, no imports, no comprehensions, no closures over
 mutable state: what remains is small enough to audit and big enough to be
 Turing-complete (bounded by gas), matching the paper's "arbitrary
 computation codes" framing.
 
-Execution model: :func:`compile_contract` validates the module and then
+Execution model: :func:`compile_contract` parses the module and then
 lowers every function, once, into a tree of Python closures.  Each AST node
 becomes one callable ``(meter, env, interpreter)`` whose node type, operator,
 child closures and gas constants were resolved when it was built, so running
@@ -55,7 +65,7 @@ from __future__ import annotations
 import ast
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.common.errors import ContractError, OutOfGasError
 from repro.contracts import gas as G
@@ -83,12 +93,80 @@ class GasMeter:
         return max(0, self.limit - self.used)
 
 
+_FLOAT_ERROR = "floats are forbidden in contracts (non-deterministic)"
+
+
+def _check_value(value: Any) -> Any:
+    """Reject non-deterministic value types (floats, sets, objects)."""
+    if isinstance(value, float):
+        raise ContractError(_FLOAT_ERROR)
+    return value
+
+
+#: Containers nested deeper than this are not data a contract may hand to the
+#: host or return; a list that contains itself is the limiting case.
+MAX_VALUE_DEPTH = 32
+
+
+def _data_fault(value: Any, depth: int = 0, checked: Optional[set] = None) -> str:
+    """Why ``value`` is not a MedScript value every node agrees on ("" when it is).
+
+    Data is ``None``, scalars, and lists, tuples and str-keyed dicts of data.
+    An iterator (``reversed(xs)``, ``zip(a, b)``), a ``range`` or a slice is
+    not, and neither is a list that holds itself; depth is bounded here so the
+    verdict does not depend on how deep the interpreter's own stack is.
+    """
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return ""
+    if not isinstance(value, (list, tuple, dict)):
+        return f"a {type(value).__name__} is not data"
+    checked = set() if checked is None else checked
+    if id(value) in checked:  # shared sub-structure: walk it once
+        return ""
+    if depth >= MAX_VALUE_DEPTH:
+        return f"nested deeper than {MAX_VALUE_DEPTH}"
+    items = value
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            return "dict keys must be str"
+        items = value.values()
+    for item in items:
+        fault = _data_fault(item, depth + 1, checked)
+        if fault:
+            return fault
+    checked.add(id(value))
+    return ""
+
+
+def _text(value: Any) -> str:
+    """``str(value)``, for data only: anything else would print an address."""
+    if value.__class__ is not str:
+        fault = _data_fault(value)
+        if fault:
+            raise ContractError(f"value has no text form: {fault}")
+    return str(value)
+
+
+def _str(*args: Any, **kwargs: Any) -> str:
+    """The ``str`` builtin, refusing to convert what is not data."""
+    for value in args + tuple(kwargs.values()):
+        _text(value)
+    return str(*args, **kwargs)
+
+
+def _mod(a: Any, b: Any) -> Any:
+    """``a % b``; ``%`` on a string formats ``b`` as text, so ``b`` must be data."""
+    if isinstance(a, (str, bytes)):
+        _text(b)
+    return a % b
+
+
 _ALLOWED_BINOPS = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
     ast.Mult: operator.mul,
     ast.FloorDiv: operator.floordiv,
-    ast.Mod: operator.mod,
+    ast.Mod: _mod,
     ast.Pow: operator.pow,
 }
 
@@ -121,7 +199,7 @@ _PURE_BUILTINS: Dict[str, Callable[..., Any]] = {
     "abs": abs,
     "sorted": sorted,
     "int": int,
-    "str": str,
+    "str": _str,
     "bool": bool,
     "list": list,
     "dict": dict,
@@ -143,14 +221,149 @@ _VALUE_ERRORS = (
     IndexError,
 )
 
-_FLOAT_ERROR = "floats are forbidden in contracts (non-deterministic)"
+# -- the grammar -----------------------------------------------------------------
+
+#: Syntax a contract may not contain.
+DISALLOWED_SYNTAX = frozenset(
+    {
+        ast.Import,
+        ast.ImportFrom,
+        ast.Attribute,
+        ast.Lambda,
+        ast.GeneratorExp,
+        ast.ListComp,
+        ast.SetComp,
+        ast.DictComp,
+        ast.With,
+        ast.Try,
+        ast.Raise,
+        ast.Global,
+        ast.Nonlocal,
+        ast.ClassDef,
+        ast.AsyncFunctionDef,
+        ast.Await,
+        ast.Yield,
+        ast.YieldFrom,
+        ast.Starred,
+        ast.NamedExpr,
+        ast.Set,
+    }
+)
+
+#: ``ContractError`` text per violation kind (prefixed ``"<function>: "``
+#: inside a function); ``{node}`` is the offending node's type.
+_VIOLATION_TEXT = {
+    "statement": "disallowed top-level statement: {node}",
+    "target": "top-level assignments must bind a single name",
+    "constant": "top-level constants must be literals",
+    "empty": "contract defines no functions",
+    "parameters": "only plain positional parameters are allowed",
+    "syntax": "disallowed syntax {node}",
+    "nested": "nested functions are not allowed",
+    "float": "float literals are forbidden",
+    "division": "use // (true division yields floats)",
+}
 
 
-def _check_value(value: Any) -> Any:
-    """Reject non-deterministic value types (floats, sets, objects)."""
-    if isinstance(value, float):
-        raise ContractError(_FLOAT_ERROR)
-    return value
+@dataclass(frozen=True)
+class Violation:
+    """One place where a module leaves the MedScript subset."""
+
+    node: ast.AST
+    function: str  # the enclosing function; "" at top level
+    kind: str  # a key of ``_VIOLATION_TEXT``
+
+    @property
+    def text(self) -> str:
+        """What is wrong, without where."""
+        return _VIOLATION_TEXT[self.kind].format(node=type(self.node).__name__)
+
+    @property
+    def message(self) -> str:
+        """The text :func:`compile_contract` rejects the module with."""
+        if self.function:
+            return f"{self.function}: {self.text}"
+        return _FLOAT_ERROR if self.kind == "float" else self.text
+
+
+@dataclass
+class ContractModule:
+    """One parse of contract source: everything any consumer of it reads."""
+
+    tree: ast.Module
+    functions: Dict[str, ast.FunctionDef] = field(default_factory=dict)
+    #: value node of every top-level ``NAME = ...``
+    constants: Dict[str, ast.expr] = field(default_factory=dict)
+    #: in the order the VM meets them: top-level statements in order; per
+    #: function, the parameter shape, then ``ast.walk`` order
+    violations: List[Violation] = field(default_factory=list)
+
+
+def parse_contract(source: str) -> ContractModule:
+    """Parse ``source`` and list every grammar violation; ``SyntaxError`` if it is not Python."""
+    module = ContractModule(ast.parse(source))
+    violations = module.violations
+    for node in module.tree.body:
+        if isinstance(node, ast.FunctionDef):
+            module.functions[node.name] = node
+            if node.args.vararg or node.args.kwarg or node.args.kwonlyargs:
+                violations.append(Violation(node, node.name, "parameters"))
+            violations.extend(_node_violations(node, node.name))
+        elif isinstance(node, ast.Assign):
+            if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
+                violations.append(Violation(node, "", "target"))
+                continue
+            module.constants[node.targets[0].id] = node.value
+            try:
+                ast.literal_eval(node.value)
+            except (ValueError, TypeError, SyntaxError):
+                violations.append(Violation(node.value, "", "constant"))
+                continue
+            violations.extend(_node_violations(node.value, ""))
+        elif not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
+            violations.append(Violation(node, "", "statement"))  # else: a docstring
+    if not module.functions:
+        violations.append(Violation(module.tree, "", "empty"))
+    return module
+
+
+def _node_violations(root: ast.AST, function: str) -> Iterator[Violation]:
+    for node in ast.walk(root):
+        if type(node) in DISALLOWED_SYNTAX:
+            kind = "syntax"
+        elif isinstance(node, ast.FunctionDef) and node is not root:
+            kind = "nested"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            kind = "float"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            kind = "division"
+        else:
+            continue
+        yield Violation(node, function, kind)
+
+
+def assigned_names(node: ast.AST) -> List[str]:
+    """Names one statement binds itself, not those of statements nested in it."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.For, ast.NamedExpr)):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        sub.id
+        for target in targets
+        for sub in ast.walk(target)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+    ]
+
+
+def bound_names(func: ast.FunctionDef) -> Set[str]:
+    """Every name an activation of ``func`` can hold: parameters and assignment targets."""
+    names = {arg.arg for arg in func.args.args}
+    for node in ast.walk(func):
+        names.update(assigned_names(node))
+    return names
 
 
 @dataclass
@@ -171,30 +384,19 @@ class ContractSource:
 def compile_contract(source: str) -> ContractSource:
     """Parse, statically validate and lower a MedScript contract module.
 
-    Top level may contain only function definitions and constant
-    assignments.  Raises :class:`ContractError` on any disallowed syntax.
+    Raises :class:`ContractError` with the first violation of the grammar.
     """
     try:
-        module = ast.parse(source)
+        module = parse_contract(source)
     except SyntaxError as exc:
         raise ContractError(f"contract syntax error: {exc}") from exc
-    compiled = ContractSource(source=source)
-    for node in module.body:
-        if isinstance(node, ast.FunctionDef):
-            _validate_function(node)
-            compiled.functions[node.name] = node
-        elif isinstance(node, ast.Assign):
-            if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
-                raise ContractError("top-level assignments must bind a single name")
-            compiled.constants[node.targets[0].id] = _literal(node.value)
-        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-            continue  # docstring
-        else:
-            raise ContractError(
-                f"disallowed top-level statement: {type(node).__name__}"
-            )
-    if not compiled.functions:
-        raise ContractError("contract defines no functions")
+    if module.violations:
+        raise ContractError(module.violations[0].message)
+    compiled = ContractSource(
+        source=source,
+        functions=module.functions,
+        constants={name: _literal(node) for name, node in module.constants.items()},
+    )
     # Lowered last: a closure binds the module's constants and sibling
     # functions, which may be defined below the function that names them.
     for name, func in compiled.functions.items():
@@ -205,51 +407,9 @@ def compile_contract(source: str) -> ContractSource:
 def _literal(node: ast.AST) -> Any:
     try:
         value = ast.literal_eval(node)
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, TypeError, SyntaxError) as exc:
         raise ContractError("top-level constants must be literals") from exc
     return _check_value(value)
-
-
-_DISALLOWED_IN_FUNCTIONS = (
-    ast.Import,
-    ast.ImportFrom,
-    ast.Attribute,
-    ast.Lambda,
-    ast.GeneratorExp,
-    ast.ListComp,
-    ast.SetComp,
-    ast.DictComp,
-    ast.With,
-    ast.Try,
-    ast.Raise,
-    ast.Global,
-    ast.Nonlocal,
-    ast.ClassDef,
-    ast.AsyncFunctionDef,
-    ast.Await,
-    ast.Yield,
-    ast.YieldFrom,
-    ast.Starred,
-    ast.NamedExpr,
-)
-
-
-def _validate_function(func: ast.FunctionDef) -> None:
-    if func.args.vararg or func.args.kwarg or func.args.kwonlyargs:
-        raise ContractError(
-            f"{func.name}: only plain positional parameters are allowed"
-        )
-    for node in ast.walk(func):
-        if isinstance(node, _DISALLOWED_IN_FUNCTIONS):
-            raise ContractError(
-                f"{func.name}: disallowed syntax {type(node).__name__}"
-            )
-        if isinstance(node, ast.FunctionDef) and node is not func:
-            raise ContractError(f"{func.name}: nested functions are not allowed")
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            raise ContractError(f"{func.name}: float literals are forbidden")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            raise ContractError(f"{func.name}: use // (true division yields floats)")
 
 
 # -- lowering ------------------------------------------------------------------
@@ -338,17 +498,9 @@ class _Lowering:
     def __init__(self, func: ast.FunctionDef, contract: ContractSource):
         self.functions = contract.functions
         self.code = contract.code
-        # Only these names can ever be in ``env``; any other resolves straight
-        # to host functions, builtins or contract functions.
-        self.maybe_local = (
-            {arg.arg for arg in func.args.args}
-            | set(contract.constants)
-            | {
-                node.id
-                for node in ast.walk(func)
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
-            }
-        )
+        # Only these names can ever be in ``env``; any other is a function
+        # (host, builtin or contract) or undefined.
+        self.maybe_local = bound_names(func) | set(contract.constants)
 
     # -- statements ----------------------------------------------------------
     def block(self, body: Sequence[ast.stmt]) -> Optional[_Closure]:
@@ -581,7 +733,7 @@ class _Lowering:
             m.charge(_GAS_STMT)
             if not test(m, env, rt):
                 text = message(m, env, rt) if message else "assertion failed"
-                raise ContractError(str(text))
+                raise ContractError(_text(text))
 
         return run
 
@@ -636,7 +788,7 @@ class _Lowering:
         return lower(node)
 
     def _expr_Constant(self, node: ast.Constant) -> _Closure:
-        value = node.value  # never a float: _validate_function rejects those
+        value = node.value  # never a float: parse_contract rejects those
 
         def run(m, env, rt):
             used = m.used + _GAS_EXPR
@@ -647,15 +799,11 @@ class _Lowering:
 
         return run
 
-    def _expr_Name(self, node: ast.Name) -> _Closure:
-        name = node.id
-        if name in _PURE_BUILTINS:
-            static = _PURE_BUILTINS[name]
-        else:
-            static = self.functions.get(name, _MISSING)
+    def _resolver(self, name: str) -> Callable[["Interpreter"], Any]:
+        """The function ``name`` calls when no local holds it: host → builtins → contract."""
+        static = _PURE_BUILTINS.get(name, self.functions.get(name, _MISSING))
 
         def resolve(rt):
-            """Resolution below ``env``: host → builtins → contract functions."""
             hosts = rt.host_functions
             if name in hosts:
                 return hosts[name]
@@ -663,6 +811,27 @@ class _Lowering:
                 raise ContractError(f"undefined name {name!r}")
             return static
 
+        return resolve
+
+    def _expr_Name(self, node: ast.Name) -> _Closure:
+        """A name read as a value: only a parameter, local or module constant has one."""
+        name = node.id
+        resolve = self._resolver(name)
+
+        def not_a_value(rt):
+            resolve(rt)  # raises when nothing defines the name
+            raise ContractError(f"function {name!r} can only be called")
+
+        return self._load(name, not_a_value)
+
+    def callee(self, node: ast.expr) -> _Closure:
+        """What a call calls: a name the activation does not hold is resolved."""
+        if not isinstance(node, ast.Name):
+            return self.expr(node)
+        return self._load(node.id, self._resolver(node.id))
+
+    def _load(self, name: str, miss: Callable[["Interpreter"], Any]) -> _Closure:
+        """``env[name]``, or ``miss(rt)`` when the activation does not hold ``name``."""
         if name not in self.maybe_local:
 
             def run_global(m, env, rt):
@@ -670,7 +839,7 @@ class _Lowering:
                 m.used = used
                 if used > m.limit:
                     raise _out_of_gas(m)
-                return resolve(rt)
+                return miss(rt)
 
             return run_global
 
@@ -682,7 +851,7 @@ class _Lowering:
             try:
                 return env[name]
             except KeyError:
-                return resolve(rt)
+                return miss(rt)
 
         return run
 
@@ -769,7 +938,7 @@ class _Lowering:
         return run
 
     def _expr_Call(self, node: ast.Call) -> _Closure:
-        func = self.expr(node.func)
+        func = self.callee(node.func)
         args = tuple(self.expr(arg) for arg in node.args)
         # ``f(**kw)`` parses; it fails when evaluation reaches it.
         keywords = tuple(
@@ -908,7 +1077,7 @@ class _Lowering:
         def run(m, env, rt):
             m.charge(_GAS_EXPR)
             return "".join(
-                [part if part.__class__ is str else str(part(m, env, rt)) for part in parts]
+                [part if part.__class__ is str else _text(part(m, env, rt)) for part in parts]
             )
 
         return run

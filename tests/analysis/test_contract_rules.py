@@ -78,6 +78,17 @@ class TestBadCorpus:
         )
         assert analyze_contract_source(source) == []
 
+    def test_function_read_as_value_is_med010(self):
+        source = (
+            "def _h(a):\n"
+            "    return a\n"
+            "def f(len):\n"
+            "    return [len, _h(1), _h, storage_get, abs]\n"
+        )
+        findings = analyze_contract_source(source)
+        assert [(f.code, f.col) for f in findings] == [("MED010", 24), ("MED010", 28), ("MED010", 41)]
+        assert all("read as a value" in f.message for f in findings)
+
     def test_bounded_while_not_flagged(self):
         source = (
             "def f(n):\n"

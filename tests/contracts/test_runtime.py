@@ -186,7 +186,7 @@ ESCAPING_SHAPES = {
     "builtin_zero_division": ("x = divmod(x, y)", "call error"),
     "slice_step_zero": ("x = [1, 2][::y]", "subscript error"),
     "break_outside_loop": ("if y == 0:\n        break", "'break' outside loop"),
-    "store_a_function": ("storage_set('k', len)", "not serializable"),
+    "store_a_function": ("storage_set('k', len)", "function 'len' can only be called"),
     "emit_int_keyed_dict": ("emit('E', {'v': {1: 2}})", "not serializable"),
     "store_a_list_holding_itself": (
         "l = [1]\n    l[0:] = [l]\n    storage_set('k', l)",
@@ -196,13 +196,38 @@ ESCAPING_SHAPES = {
         "l = [1]\n    l[0:] = [l]\n    emit('E', {'v': l})",
         "value is not serializable: nested deeper",
     ),
-    # Function values are first-class in MedScript; a receipt carries data only.
-    "return_a_builtin": ("return len", "result is not serializable: a builtin_function"),
-    "return_a_contract_function": ("return [_h]", "result is not serializable: a FunctionDef"),
-    "return_a_host_function": ("return {'k': storage_get}", "result is not serializable: a method"),
-    # Found by hypothesis: the bridge deep-copies the default it hands back.
-    "return_a_copied_function": ("return [storage_get(x, _h)]", "result is not serializable"),
+    # A function name has no value outside call position; a receipt carries data only.
+    "return_a_builtin": ("return len", "function 'len' can only be called"),
+    "return_a_contract_function": ("return [_h]", "function '_h' can only be called"),
+    "return_a_host_function": ("return {'k': storage_get}", "function 'storage_get' can only be called"),
+    # Found by hypothesis: the bridge used to deep-copy the default it hands back.
+    "return_a_copied_function": ("return [storage_get(x, _h)]", "function '_h' can only be called"),
+    "text_of_a_function": ("storage_set('k', str(_h))", "function '_h' can only be called"),
+    "format_a_host_function": ("storage_set('k', f'{sender}')", "function 'sender' can only be called"),
     "return_an_iterator": ("return [1, reversed([x])]", "result is not serializable"),
+    # An iterator's text is its memory address, different on every node.
+    "store_text_of_an_iterator": (
+        "storage_set('k', str(reversed([x])))",
+        "value has no text form: a list_reverseiterator is not data",
+    ),
+    "format_an_iterator": ("storage_set('k', f'{zip([x], [y])!r}')", "value has no text form: a zip"),
+    "percent_format_an_iterator": ("storage_set('k', '%s' % (reversed([x]),))", "value has no text form"),
+    "text_of_a_range": ("storage_set('k', str(range(3)))", "value has no text form: a range"),
+    "iterator_as_storage_key": ("storage_set(reversed([x]), 1)", "value has no text form"),
+    "iterator_as_require_message": ("require(False, enumerate([x]))", "value has no text form"),
+    "iterator_as_event_name": ("emit(zip([x]), {})", "value has no text form"),
+    "iterator_as_assert_message": ("assert False, reversed([x])", "value has no text form"),
+    # Text is given to data only, so these three are refused too, although
+    # their text would be the same on every node.
+    "text_of_int_keyed_dict": ("storage_set('k', str({1: 2}))", "value has no text form: dict keys"),
+    "text_of_a_list_holding_itself": (
+        "l = [1]\n    l[0:] = [l]\n    storage_set('k', f'{l}')",
+        "value has no text form: nested deeper",
+    ),
+    "text_of_a_deeply_nested_list": (
+        "l = 1\n    while x < 40:\n        l = [l]\n        x = x + 1\n    require(True, l)\n    storage_set(l, 1)",
+        "value has no text form: nested deeper",
+    ),
     "return_int_keyed_dict": ("return {'v': {1: 2}}", "result is not serializable: dict keys"),
     "return_a_list_holding_itself": (
         "l = [1]\n    l[0:] = [l]\n    return l",
@@ -237,6 +262,32 @@ class TestPythonErrorsBecomeFailedReceipts:
         assert state.journal_depth == 0
         assert state.get_slot(contract_id, "s/v") == 1
         assert state.state_root() == expected_state.state_root()
+
+    # Each of these used to store a per-process address (or, for the second,
+    # deep-copy the bound bridge and the whole state with it).  Each now fails
+    # at the same point, after the same charges, as the shape beside it that
+    # fails for an old reason.
+    @pytest.mark.parametrize(
+        "body, same_gas_as",
+        [
+            ("storage_set('k', str(_h))", "storage_set('k', str(ghost))"),
+            ("storage_get('k', storage_set)", "storage_get('k', ghost)"),
+            ("storage_set('k', str(reversed([x])))", "storage_set('k', int(reversed([x])))"),
+        ],
+    )
+    def test_no_address_reaches_state_or_receipt(self, env, alice, body, same_gas_as):
+        state, executor, ctx = env
+        receipts = []
+        for nonce, line in enumerate((body, same_gas_as)):
+            source = f"def _h(a):\n    return a\ndef run(x):\n    {line}\n    return 1\n"
+            deploy = executor.apply(state, make_deploy(alice, "c", source, nonce=2 * nonce), ctx)
+            before = state.fork()
+            before.bump_nonce(alice.address)
+            call = make_call(alice, deploy.output, "run", {"x": 1}, nonce=2 * nonce + 1)
+            receipts.append(executor.apply(state, call, ctx))
+            assert state.state_root() == before.state_root()
+        assert not receipts[0].success and "0x" not in receipts[0].error
+        assert receipts[0].gas_used == receipts[1].gas_used
 
     def test_every_result_a_receipt_carries_can_be_hashed(self, env, alice):
         state, executor, ctx = env
@@ -338,7 +389,7 @@ class TestViews:
 
     def test_view_refuses_a_result_that_is_not_data(self, env, alice):
         state, executor, ctx = env
-        source = "def peek():\n    return [len]\ndef get():\n    return [1]\n"
+        source = "def peek():\n    return [reversed([1])]\ndef get():\n    return [1]\n"
         contract_id = executor.apply(state, make_deploy(alice, "peek", source, nonce=0), ctx).output
         assert executor.execute_view(state, contract_id, "get") == [1]
         with pytest.raises(ContractError, match="result is not serializable"):

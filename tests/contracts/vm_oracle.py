@@ -7,9 +7,10 @@ time.  It defines what a contract call means — result, gas, error text and
 the order of host calls — and ``test_vm_differential.py`` holds the compiled
 VM to it.  It is test code: nothing under ``src/`` imports it.
 
-It shares the parser, the validator and ``GasMeter`` with the VM (they are
-not what is being checked) and keeps its own operator tables and its own
-list of convertible errors.
+It shares the grammar, ``GasMeter`` and the definition of a value (what
+``_text`` may print) with the VM (they are not what is being checked) and
+keeps its own operator tables, name resolution and list of convertible
+errors.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.contracts.vm import (
     GasMeter,
     _check_value,
     _literal,
+    _text,
 )
 
 
@@ -41,12 +43,18 @@ class _ContinueSignal(Exception):
     pass
 
 
+def _percent(a: Any, b: Any) -> Any:
+    if isinstance(a, (str, bytes)):
+        _text(b)  # string formatting prints ``b``
+    return a % b
+
+
 _ALLOWED_BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b,
     ast.FloorDiv: lambda a, b: a // b,
-    ast.Mod: lambda a, b: a % b,
+    ast.Mod: _percent,
     ast.Pow: lambda a, b: a ** b,
 }
 
@@ -218,7 +226,7 @@ class OracleInterpreter:
         if isinstance(stmt, ast.Assert):
             if not self._eval(stmt.test, env):
                 message = self._eval(stmt.msg, env) if stmt.msg else "assertion failed"
-                raise ContractError(str(message))
+                raise ContractError(_text(message))
             return
         raise ContractError(f"disallowed statement {type(stmt).__name__}")
 
@@ -268,13 +276,8 @@ class OracleInterpreter:
         if isinstance(node, ast.Name):
             if node.id in env:
                 return env[node.id]
-            if node.id in self.host_functions:
-                return self.host_functions[node.id]
-            if node.id in _PURE_BUILTINS:
-                return _PURE_BUILTINS[node.id]
-            if node.id in self.contract.functions:
-                return self.contract.functions[node.id]
-            raise ContractError(f"undefined name {node.id!r}")
+            self._resolve(node.id)
+            raise ContractError(f"function {node.id!r} can only be called")
         if isinstance(node, ast.BinOp):
             op = type(node.op)
             if op not in _ALLOWED_BINOPS:
@@ -363,12 +366,27 @@ class OracleInterpreter:
                 if isinstance(value_node, ast.Constant):
                     parts.append(str(value_node.value))
                 elif isinstance(value_node, ast.FormattedValue):
-                    parts.append(str(self._eval(value_node.value, env)))
+                    parts.append(_text(self._eval(value_node.value, env)))
             return "".join(parts)
         raise ContractError(f"disallowed expression {type(node).__name__}")
 
+    def _resolve(self, name: str) -> Any:
+        """The function ``name`` calls: host, builtin or contract function."""
+        if name in self.host_functions:
+            return self.host_functions[name]
+        if name in _PURE_BUILTINS:
+            return _PURE_BUILTINS[name]
+        if name in self.contract.functions:
+            return self.contract.functions[name]
+        raise ContractError(f"undefined name {name!r}")
+
     def _eval_call(self, node: ast.Call, env: Dict[str, Any]) -> Any:
-        func = self._eval(node.func, env)
+        if isinstance(node.func, ast.Name):
+            self.meter.charge(G.GAS_EXPRESSION)
+            name = node.func.id
+            func = env[name] if name in env else self._resolve(name)
+        else:
+            func = self._eval(node.func, env)
         args = [self._eval(arg, env) for arg in node.args]
         kwargs = {}
         for keyword in node.keywords:
