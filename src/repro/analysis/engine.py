@@ -12,7 +12,9 @@ Three entrypoints:
 Suppressions: a ``# repro: noqa`` comment suppresses every finding on its
 line; ``# repro: noqa[MED001,MED005]`` suppresses just those codes.  The
 comment lives on the offending line (inside contract literals too — the
-engine maps embedded lines back to host-file coordinates).
+engine maps embedded lines back to host-file coordinates).  The grammar
+findings (MED002, MED003, MED009) cannot be suppressed: they are the VM's
+own compile errors, so a silenced one would only fail the deploy on chain.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ _NOQA_RE = re.compile(
 )
 
 PURE_BUILTIN_NAMES: FrozenSet[str] = frozenset(_PURE_BUILTINS)
+
+#: Codes a ``noqa`` comment cannot silence: ``vm.parse_contract``'s violations.
+UNSUPPRESSIBLE_CODES: FrozenSet[str] = frozenset({"MED002", "MED003", "MED009"})
 
 #: suffix marking module-level string constants audited as contract source
 EMBEDDED_SOURCE_SUFFIX = "_SOURCE"
@@ -71,6 +76,9 @@ def apply_suppressions(
 ) -> List[Finding]:
     kept = []
     for finding in findings:
+        if finding.code in UNSUPPRESSIBLE_CODES:
+            kept.append(finding)
+            continue
         allowed = suppressions.get(finding.line, ())
         if allowed is None:  # blanket noqa
             continue

@@ -147,6 +147,16 @@ def _text(value: Any) -> str:
     return str(value)
 
 
+def _contract_error(label: str, exc: BaseException) -> ContractError:
+    """The receipt error for ``exc``: ``label: exc``, but a missing key that is
+    not data (``str(KeyError)`` is its repr, an address) is named by its kind."""
+    if isinstance(exc, KeyError) and exc.args:
+        fault = _data_fault(exc.args[0])
+        if fault:
+            return ContractError(f"{label}: missing key ({fault})")
+    return ContractError(f"{label}: {exc}")
+
+
 def _str(*args: Any, **kwargs: Any) -> str:
     """The ``str`` builtin, refusing to convert what is not data."""
     for value in args + tuple(kwargs.values()):
@@ -389,7 +399,7 @@ def compile_contract(source: str) -> ContractSource:
     try:
         module = parse_contract(source)
     except SyntaxError as exc:
-        raise ContractError(f"contract syntax error: {exc}") from exc
+        raise _contract_error("contract syntax error", exc) from exc
     if module.violations:
         raise ContractError(module.violations[0].message)
     compiled = ContractSource(
@@ -589,7 +599,7 @@ class _Lowering:
                 try:
                     return items[index]
                 except _VALUE_ERRORS as exc:
-                    raise ContractError(f"subscript error: {exc}") from exc
+                    raise _contract_error("subscript error", exc) from exc
 
         else:
             return _raising(_GAS_STMT, "invalid augmented-assignment target")
@@ -601,7 +611,7 @@ class _Lowering:
             try:
                 result = op(current, operand)
             except _VALUE_ERRORS as exc:
-                raise ContractError(f"arithmetic error: {exc}") from exc
+                raise _contract_error("arithmetic error", exc) from exc
             store(_check_value(result), m, env, rt)
 
         return run
@@ -664,13 +674,13 @@ class _Lowering:
             try:
                 iterator = iter(values)
             except TypeError as exc:
-                raise ContractError(f"iteration error: {exc}") from exc
+                raise _contract_error("iteration error", exc) from exc
             iterations = 0
             while True:
                 try:
                     item = next(iterator, _MISSING)
                 except RuntimeError as exc:  # dict resized by the loop body
-                    raise ContractError(f"iteration error: {exc}") from exc
+                    raise _contract_error("iteration error", exc) from exc
                 if item is _MISSING:
                     break
                 iterations += 1
@@ -756,7 +766,7 @@ class _Lowering:
                 try:
                     items[index] = value
                 except _VALUE_ERRORS as exc:
-                    raise ContractError(f"subscript error: {exc}") from exc
+                    raise _contract_error("subscript error", exc) from exc
 
             return store_item
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -766,7 +776,7 @@ class _Lowering:
                 try:
                     values = list(value)
                 except TypeError as exc:
-                    raise ContractError(f"unpacking error: {exc}") from exc
+                    raise _contract_error("unpacking error", exc) from exc
                 if len(values) != len(stores):
                     raise ContractError("unpacking arity mismatch")
                 for store, item in zip(stores, values):
@@ -875,7 +885,7 @@ class _Lowering:
             try:
                 result = op(a, b)
             except _VALUE_ERRORS as exc:
-                raise ContractError(f"arithmetic error: {exc}") from exc
+                raise _contract_error("arithmetic error", exc) from exc
             if isinstance(result, float):
                 raise ContractError(_FLOAT_ERROR)
             return result
@@ -894,7 +904,7 @@ class _Lowering:
             try:
                 return op(value)
             except _VALUE_ERRORS as exc:
-                raise ContractError(f"arithmetic error: {exc}") from exc
+                raise _contract_error("arithmetic error", exc) from exc
 
         return run
 
@@ -931,7 +941,7 @@ class _Lowering:
                     if not op(a, b):
                         return False
                 except _VALUE_ERRORS as exc:
-                    raise ContractError(f"comparison error: {exc}") from exc
+                    raise _contract_error("comparison error", exc) from exc
                 a = b
             return True
 
@@ -969,7 +979,7 @@ class _Lowering:
                 try:
                     result = target(*positional, **named)
                 except _VALUE_ERRORS as exc:
-                    raise ContractError(f"call error: {exc}") from exc
+                    raise _contract_error("call error", exc) from exc
                 return _check_value(result)
             raise ContractError("attempt to call a non-function")
 
@@ -989,7 +999,7 @@ class _Lowering:
             try:
                 result = items[index]
             except _VALUE_ERRORS as exc:
-                raise ContractError(f"subscript error: {exc}") from exc
+                raise _contract_error("subscript error", exc) from exc
             if isinstance(result, float):
                 raise ContractError(_FLOAT_ERROR)
             return result
@@ -1047,7 +1057,7 @@ class _Lowering:
                 try:
                     out[name] = item
                 except TypeError as exc:
-                    raise ContractError(f"dict key error: {exc}") from exc
+                    raise _contract_error("dict key error", exc) from exc
             return out
 
         return run

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+from collections import deque
 from dataclasses import replace
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.chain.blocks import Block
 from repro.chain.state import StateDB
@@ -43,8 +44,12 @@ class KernelPump:
     A *turn* is a loop callback: run every kernel event due by now, leave
     the clock at now, arm one ``call_later`` for the next event.  ``inject``
     asks for a turn that runs a callback, from any thread; ``call`` also
-    returns its result — the two bridges into the kernel's domain.
+    returns its result — the two bridges into the kernel's domain.  Nothing
+    else runs on the loop during a turn, so each turn's length is kept: the
+    last ``TURN_RING`` of them, and the longest ever (:meth:`turn_ms`).
     """
+
+    TURN_RING = 4096
 
     def __init__(
         self,
@@ -62,6 +67,8 @@ class KernelPump:
         self._timer: Optional[asyncio.TimerHandle] = None
         self._wall0 = 0.0
         self._kernel0 = 0.0
+        self._turns: Deque[float] = deque(maxlen=self.TURN_RING)
+        self._longest_turn = 0.0
 
     def start(self) -> None:
         if self._running:
@@ -102,15 +109,26 @@ class KernelPump:
             raise TimeoutError("kernel did not run the call in time")
         return future.result()
 
-    def _now(self) -> float:
-        """Wall time on the kernel's clock."""
-        return self._kernel0 + (self._time() - self._wall0)
+    def turn_ms(self) -> Dict[str, float]:
+        """p50 / p99 of the recent turns and the longest turn, in ms."""
+        ordered = sorted(self._turns) or [0.0]
+        last = len(ordered) - 1
+        return {
+            "p50": ordered[round(0.50 * last)] * 1e3,
+            "p99": ordered[round(0.99 * last)] * 1e3,
+            "max": self._longest_turn * 1e3,
+        }
+
+    def _on_kernel_clock(self, wall: float) -> float:
+        """A ``time_source`` reading mapped onto the kernel's clock."""
+        return self._kernel0 + (wall - self._wall0)
 
     def _turn(self, callback: Optional[Callable[[], None]] = None) -> None:
         if not self._running:
             return
         kernel = self.kernel
-        target = max(kernel.now, self._now())
+        started = self._time()
+        target = max(kernel.now, self._on_kernel_clock(started))
         self._in_turn = True
         try:
             kernel.run(until=target)
@@ -122,12 +140,15 @@ class KernelPump:
                 kernel.run(until=target)  # and what it schedules for "now"
         finally:
             self._in_turn = False
+            ended = self._time()
+            self._turns.append(ended - started)
+            self._longest_turn = max(self._longest_turn, ended - started)
             if self._timer is not None:
                 self._timer.cancel()
             next_time = kernel.next_event_time()
             # Against wall time, not ``kernel.now``: the turn itself took time.
             self._timer = None if next_time is None else self.loop.call_later(
-                max(0.0, next_time - self._now()), self._turn
+                max(0.0, next_time - self._on_kernel_clock(ended)), self._turn
             )
 
 
@@ -149,10 +170,8 @@ def register_p2p_methods(registry: MethodRegistry, dispatch: Any) -> None:
     ``async def`` because the server runs those inline on its event loop —
     the thread the node lives on — where a sync handler would be sent to a
     worker thread only to come straight back; ``dispatch`` must therefore
-    be safe to call on that loop and must not block.  Reads are idempotent;
-    ``p2p.announce`` is kept non-retryable — the gossip engine owns
-    redundancy, and an RPC retry would inflate the duplicate-announcement
-    counters it measures.
+    be safe to call on that loop and must not block.  ``p2p.announce``
+    arrives as a notification: the server runs it and sends nothing back.
     """
 
     def make_handler(method: str):
@@ -162,12 +181,7 @@ def register_p2p_methods(registry: MethodRegistry, dispatch: Any) -> None:
         return handler
 
     for method in P2P_METHODS:
-        registry.register(
-            method,
-            make_handler(method),
-            idempotent=(method != "p2p.announce"),
-            timeout_s=15.0,
-        )
+        registry.register(method, make_handler(method), idempotent=True, timeout_s=15.0)
 
 
 class P2PHost:
@@ -283,11 +297,14 @@ class P2PHost:
             }
 
         async def counters(**_params: Any) -> Dict[str, float]:
+            metrics = self.node.metrics
             names = (
                 "p2p_announce_sent",
                 "p2p_announce_recv",
                 "p2p_announce_duplicate",
                 "p2p_fetches",
+                "p2p_fetch_retries",
+                "p2p_compact_misses",
                 "p2p_duplicate_bodies",
                 "p2p_bodies_served",
                 "p2p_sync_rounds",
@@ -295,10 +312,15 @@ class P2PHost:
                 "p2p_sync_completed",
                 "blocks_adopted",
             )
-            return {
-                name: self.node.metrics.counter(name, scope=self.name)
-                for name in names
-            }
+            reply = {name: metrics.counter(name, scope=self.name) for name in names}
+            # Peer requests this host's server shed: the refusals fetch retries absorb.
+            reply["p2p_refusals"] = sum(
+                metrics.counter(f"rpc_errors[{method}:overloaded]", scope=self.name)
+                for method in P2P_METHODS
+            )
+            for stat, value in self.pump.turn_ms().items():
+                reply[f"pump_turn_ms_{stat}"] = value
+            return reply
 
         self.registry.register("ctl.submit_tx", submit_tx)
         self.registry.register("ctl.status", status, idempotent=True)

@@ -6,13 +6,15 @@ clock on the host's asyncio loop — the same loop that owns the sockets.
 ``request`` is therefore always called on that loop: it starts the pool
 call as a task there and the task's done-callback completes straight into
 the engine (as a pump turn), so engine callbacks never race and nothing
-crosses a thread.  Timers are real: the pump advances the kernel clock
-with wall time, so the same ``schedule``-based ping/backoff/timeout logic
-that runs in simulation runs here unchanged.
+crosses a thread.  ``notify`` starts a pool notification the same way and
+completes into nothing: no response frame, future or timer exists for it.
+Timers are real: the pump advances the kernel clock with wall time, so the
+same ``schedule``-based ping/backoff/timeout logic that runs in simulation
+runs here unchanged.
 
-Retries are owned by the engine (redial backoff, fetch-from-next-source),
+Retries are owned by the engine (redial backoff, fetch retry and failover),
 so the pools are built with a single-attempt policy — stacking the RPC
-layer's own retries underneath would double-apply announcements.
+layer's own retries underneath would double every engine retry.
 """
 
 from __future__ import annotations
@@ -86,6 +88,18 @@ class RpcTransport:
             self.pump.call(lambda: self._complete(task, on_result, on_error))
 
         task.add_done_callback(done)
+
+    def notify(self, peer: str, method: str, params: Dict[str, Any]) -> None:
+        if self._closed:
+            return
+        task = self.pump.loop.create_task(self._pool(peer).notify(method, params))
+        self._inflight.add(task)
+        task.add_done_callback(self._notified)
+
+    def _notified(self, task: asyncio.Task) -> None:
+        self._inflight.discard(task)
+        if not task.cancelled():
+            task.exception()  # retrieved and dropped: a lost notification is no error
 
     def close(self) -> None:
         # Reached from ``node.stop()`` on the loop, where waiting for the

@@ -1,8 +1,8 @@
 """Transport abstraction shared by the sim kernel and the RPC stack.
 
 The p2p protocol engine (peer manager, gossip, chain sync) is written
-against a tiny callback transport — ``request`` plus timers — so the same
-logic runs deterministically on the discrete-event kernel
+against a tiny callback transport — ``request``, ``notify`` and timers — so
+the same logic runs deterministically on the discrete-event kernel
 (:class:`SimTransport`, here) and over real framed TCP
 (:class:`repro.p2p.rpc_transport.RpcTransport`).  Everything is
 single-threaded from the engine's point of view: completions and timer
@@ -56,6 +56,9 @@ class Transport(Protocol):
         timeout_s: float = 5.0,
     ) -> None: ...
 
+    def notify(self, peer: str, method: str, params: Dict[str, Any]) -> None:
+        """Fire-and-forget: ``peer`` dispatches it and sends no reply."""
+
     def close(self) -> None: ...
 
 
@@ -63,8 +66,11 @@ class SimTransport:
     """Request/response p2p messaging over the deterministic sim network.
 
     Requests and responses travel as ``p2p.req`` / ``p2p.resp`` message
-    kinds with correlation ids; a dropped message (loss, partition) simply
-    times out, and an unregistered endpoint (crashed node) fails fast.
+    kinds with correlation ids; a notification is a ``p2p.req`` without an
+    id, and is never answered.  A dropped message (loss, partition) simply
+    times out, and an unregistered endpoint (crashed node) fails fast.  A
+    handler that raises :class:`PeerUnreachable` refuses transiently — the
+    sim's ``OVERLOADED`` — and the requester sees ``PeerUnreachable`` too.
     Wire payloads are the same plain-JSON dicts the TCP transport carries,
     so serialization is exercised under the sim kernel too.
     """
@@ -130,6 +136,20 @@ class SimTransport:
             handle.cancel()
             self._fail_soon(on_error, PeerUnreachable(f"{peer} is not reachable"))
 
+    def notify(self, peer: str, method: str, params: Dict[str, Any]) -> None:
+        if self._closed:
+            return
+        try:
+            self.network.send(
+                self.local_addr,
+                peer,
+                self.KIND_REQUEST,
+                {"method": method, "params": params},
+                size_bytes=payload_size(params),
+            )
+        except SimulationError:
+            pass  # the peer is gone, and a notification has nobody to fail to
+
     def _fail_soon(self, on_error: Optional[ErrorCallback], error: Exception) -> None:
         """Deliver a failure asynchronously so callers never re-enter."""
         if on_error is not None:
@@ -153,14 +173,19 @@ class SimTransport:
     def _handle_request(self, sender: str, envelope: Any) -> None:
         if not isinstance(envelope, dict) or self.dispatch is None:
             return
-        request_id = envelope.get("id")
-        body: Dict[str, Any] = {"id": request_id}
+        method, params = envelope.get("method", ""), envelope.get("params") or {}
+        if "id" not in envelope:
+            try:
+                self.dispatch(sender, method, params)
+            except Exception:
+                pass  # a notification's failure has nobody to go to
+            return
+        body: Dict[str, Any] = {"id": envelope["id"]}
         try:
-            body["result"] = self.dispatch(
-                sender, envelope.get("method", ""), envelope.get("params") or {}
-            )
+            body["result"] = self.dispatch(sender, method, params)
         except Exception as exc:
             body["error"] = str(exc)
+            body["transient"] = isinstance(exc, PeerUnreachable)
         try:
             self.network.send(
                 self.local_addr,
@@ -182,7 +207,8 @@ class SimTransport:
         handle.cancel()
         if "error" in envelope:
             if on_error is not None:
-                on_error(P2PError(str(envelope["error"])))
+                error = PeerUnreachable if envelope.get("transient") else P2PError
+                on_error(error(str(envelope["error"])))
             return
         on_result(envelope.get("result"))
 

@@ -4,12 +4,14 @@ Both transports carry the same plain-JSON dict shapes (bytes hex-encoded
 with a ``"0x"`` prefix, the repo's canonical convention), so gossip and
 sync logic is transport-uniform and a round-tripped block re-hashes to the
 same block id — decode failures and id mismatches raise
-:class:`ValidationError` and the sender is simply ignored.
+:class:`ValidationError` and the sender is simply ignored.  Gossip ships a
+block *compact* (header plus tx ids): the receiver rebuilds it from its own
+pool.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chain.blocks import Block, BlockHeader
 from repro.chain.transactions import Transaction
@@ -103,6 +105,30 @@ def block_from_wire(wire: Any) -> Block:
             f"decoded {block.block_id[:12]}"
         )
     return block
+
+
+def compact_block_to_wire(block: Block) -> Dict[str, Any]:
+    """A block as its header and tx ids, for a receiver that pools the txs."""
+    return {
+        "header": header_to_wire(block.header),
+        "tx_ids": [tx.tx_id for tx in block.transactions],
+    }
+
+
+def compact_block_from_wire(wire: Any, block_id: str) -> Tuple[BlockHeader, List[str]]:
+    """The header and tx ids of compact block ``block_id``.
+
+    The header must hash to ``block_id``.  The txs' root is checked by block
+    validation, as for a full body: a tx id is its signing digest, the tx
+    root's leaf, so a block rebuilt from the pool by id is the block sent.
+    """
+    tx_ids = wire.get("tx_ids") if isinstance(wire, dict) else None
+    if not isinstance(tx_ids, list) or not all(isinstance(tx_id, str) for tx_id in tx_ids):
+        raise ValidationError("wire compact block must carry a list of tx ids")
+    header = header_from_wire(wire.get("header"))
+    if header.block_hash().hex() != block_id:
+        raise ValidationError(f"compact block is not {block_id[:12]}")
+    return header, tx_ids
 
 
 def payload_size(payload: Any) -> int:

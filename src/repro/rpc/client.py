@@ -327,6 +327,11 @@ class ConnectionPool:
         assert last_error is not None
         raise last_error
 
+    async def notify(self, method: str, params: Optional[Dict[str, Any]] = None) -> None:
+        """One notification on a pooled connection: no reply, so no retry."""
+        client = await self._acquire()
+        await client.notify(method, params)
+
     async def call_batch(
         self,
         calls: Sequence[Tuple[str, Optional[Dict[str, Any]]]],

@@ -103,13 +103,27 @@ class TestBadCorpus:
 
 class TestSuppressions:
     def test_targeted_noqa_suppresses_only_listed_code(self):
-        source = "def f(a, b):\n    return a / 2.0  # repro: noqa[MED002]\n"
+        source = "def f(x):\n    return x + time + unknown_var  # repro: noqa[MED001]\n"
         findings = analyze_contract_source(source)
-        assert {f.code for f in findings} == {"MED003"}
+        assert {f.code for f in findings} == {"MED010"}
 
     def test_blanket_noqa_suppresses_everything_on_line(self):
-        source = "def f(a, b):\n    return a / 2.0  # repro: noqa\n"
+        source = "def f(x):\n    return x + time + unknown_var  # repro: noqa\n"
         assert analyze_contract_source(source) == []
+
+    @pytest.mark.parametrize(
+        "line, codes",
+        [
+            ("return a / 2.0  # repro: noqa", {"MED002", "MED003"}),
+            ("return a / b  # repro: noqa[MED003]", {"MED003"}),
+            ("return a.append  # repro: noqa[MED009]", {"MED009"}),
+        ],
+    )
+    def test_grammar_findings_cannot_be_suppressed(self, line, codes):
+        """MED002/003/009 are the VM's compile errors: the deploy would fail on
+        chain anyway, so the gate reports them whatever the comment says."""
+        findings = analyze_contract_source(f"def f(a, b):\n    {line}\n")
+        assert {f.code for f in findings} == codes
 
     def test_noqa_on_other_line_does_not_suppress(self):
         source = "def f():  # repro: noqa\n    return 1.5\n"
@@ -167,7 +181,7 @@ class TestEmbeddedContracts:
         host.write_text(
             "BAD_SOURCE = '''\n"
             "def f():\n"
-            "    return 1.5  # repro: noqa[MED002]\n"
+            "    return time  # repro: noqa[MED001]\n"
             "'''\n"
         )
         assert analyze_file(str(host)) == []

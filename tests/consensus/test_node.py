@@ -23,7 +23,7 @@ from repro.consensus.poa import ProofOfAuthority
 from repro.consensus.pow import ProofOfWork
 from repro.contracts.library import COUNTER_SOURCE
 from repro.p2p.transport import SimTransport
-from repro.p2p.wire import block_to_wire, tx_from_wire, tx_to_wire
+from repro.p2p.wire import block_to_wire, compact_block_to_wire, tx_from_wire, tx_to_wire
 from repro.sim.kernel import Kernel
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
@@ -76,18 +76,25 @@ def commit(kernel, nodes, tx, timeout=120.0):
     )
 
 
-def inject(network, targets, kind, item_id, wire):
-    """A byzantine endpoint announces ``item_id`` to ``targets`` and serves
-    ``wire`` as its body: announce, get_data, body — three hops."""
+def inject(network, targets, kind, item):
+    """A byzantine endpoint announces ``item`` to ``targets`` and serves it as
+    an honest peer would: a tx as its body (announce, get_data, body — three
+    hops), a block compact and then, since its txs are in no pool, whole
+    (two hops more)."""
     mallory = SimTransport(network, "mallory")
-    mallory.dispatch = lambda sender, method, params: {"kind": kind, "bodies": [wire]}
+    if kind == "tx":
+        item_id, body = item.tx_id, tx_to_wire(item)
+    else:
+        item_id, body = item.block_id, compact_block_to_wire(item)
+
+    def serve(sender, method, params):
+        if method == "chain.get_blocks":
+            return {"blocks": [block_to_wire(item)]}
+        return {"kind": kind, "bodies": [body]}
+
+    mallory.dispatch = serve
     for target in targets:
-        mallory.request(
-            target,
-            "p2p.announce",
-            {"from": "mallory", "kind": kind, "ids": [item_id]},
-            on_result=lambda reply: None,
-        )
+        mallory.notify(target, "p2p.announce", {"from": "mallory", "kind": kind, "ids": [item_id]})
 
 
 class TestConvergence:
@@ -207,7 +214,7 @@ class TestRobustness:
         tx = make_transfer(alice, "d", 1, nonce=0)
         bad = dataclasses.replace(tx, payload={"to": "evil", "amount": 1})
         # the tampered tx is announced, fetched, and dies at validation
-        inject(network, ["n1"], "tx", bad.tx_id, tx_to_wire(bad))
+        inject(network, ["n1"], "tx", bad)
         kernel.run(until=5.0)
         assert metrics.counter("p2p_fetches", scope="n1") == 1
         assert len(nodes["n1"].mempool) == 0
@@ -230,8 +237,8 @@ class TestRobustness:
         block = byzantine.consensus.seal(
             "n1", build_block(parent, [tx], bytes(root), "n1", 500)
         )
-        inject(network, ["n0", "n2"], "block", block.block_id, block_to_wire(block))
-        kernel.run(until=kernel.now + 0.4)  # three hops; no honest round has fired
+        inject(network, ["n0", "n2"], "block", block)
+        kernel.run(until=kernel.now + 0.4)  # five hops; no honest round has fired
         for name in ("n0", "n2"):
             assert metrics.counter("blocks_rejected_state_root", scope=name) == 1
         assert {node.head.block_id for node in nodes.values()} == {parent.block_id}
@@ -643,7 +650,7 @@ class TestBoundedBookkeeping:
             "n1", build_block(node.head, good.transactions, bytes(root), "n1", 500)
         )
         for __ in range(2):
-            inject(network, ["n0"], "block", bad.block_id, block_to_wire(bad))
+            inject(network, ["n0"], "block", bad)
             kernel.run(until=kernel.now + 0.4)
             network.unregister("mallory")
         assert metrics.counter("blocks_rejected_state_root", scope="n0") == 1

@@ -72,6 +72,15 @@ class TestVerifyGate:
         assert record.verified
         assert record.tx_id == tx.tx_id
 
+    def test_noqa_cannot_wave_a_float_past_the_gate(self, registry):
+        """A float is a compile error of the VM; silencing MED002 at the gate
+        would only move the refusal into a failed deploy receipt on chain."""
+        source = "def f():\n    return 1.5  # repro: noqa\n"
+        with pytest.raises(ContractVerificationError) as excinfo:
+            registry.deploy("floaty", source, verify=True)
+        assert [f.code for f in excinfo.value.findings] == ["MED002"]
+        assert registry.node.txs == []
+
     def test_verify_false_skips_the_gate(self, registry):
         tx = registry.deploy("rng", NONDETERMINISTIC_SOURCE, verify=False)
         assert registry.node.txs == [tx]

@@ -217,6 +217,11 @@ ESCAPING_SHAPES = {
     "iterator_as_require_message": ("require(False, enumerate([x]))", "value has no text form"),
     "iterator_as_event_name": ("emit(zip([x]), {})", "value has no text form"),
     "iterator_as_assert_message": ("assert False, reversed([x])", "value has no text form"),
+    # ``str(KeyError(key))`` is the key's repr: for an iterator, its address.
+    "iterator_as_missing_key": (
+        "d = {}\n    x = d[reversed([x])]",
+        "subscript error: missing key (a list_reverseiterator is not data)",
+    ),
     # Text is given to data only, so these three are refused too, although
     # their text would be the same on every node.
     "text_of_int_keyed_dict": ("storage_set('k', str({1: 2}))", "value has no text form: dict keys"),
@@ -262,6 +267,23 @@ class TestPythonErrorsBecomeFailedReceipts:
         assert state.journal_depth == 0
         assert state.get_slot(contract_id, "s/v") == 1
         assert state.state_root() == expected_state.state_root()
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ("d = {}\n    d['k'] += 1", "subscript error: 'k'"),
+            ("d = {'a': 1}\n    x = d[('a', x)]", "subscript error: ('a', 1)"),
+            ("d = {}\n    x = d[(1, zip([x]))]", "subscript error: missing key (a zip is not data)"),
+        ],
+    )
+    def test_a_missing_keys_receipt_text(self, env, alice, body, error):
+        """A data key prints as it always did; any other is named by its kind,
+        so no node writes its own memory address into a receipt."""
+        state, executor, ctx = env
+        source = f"def run(x):\n    {body}\n    return 1\n"
+        contract_id = executor.apply(state, make_deploy(alice, "keys", source, nonce=0), ctx).output
+        receipt = executor.apply(state, make_call(alice, contract_id, "run", {"x": 1}, nonce=1), ctx)
+        assert receipt.error == error
 
     # Each of these used to store a per-process address (or, for the second,
     # deep-copy the bound bridge and the whole state with it).  Each now fails

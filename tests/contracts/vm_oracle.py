@@ -8,7 +8,8 @@ the order of host calls — and ``test_vm_differential.py`` holds the compiled
 VM to it.  It is test code: nothing under ``src/`` imports it.
 
 It shares the grammar, ``GasMeter`` and the definition of a value (what
-``_text`` may print) with the VM (they are not what is being checked) and
+``_text`` and ``_contract_error`` may print) with the VM (they are not what
+is being checked) and
 keeps its own operator tables, name resolution and list of convertible
 errors.
 """
@@ -25,6 +26,7 @@ from repro.contracts.vm import (
     ContractSource,
     GasMeter,
     _check_value,
+    _contract_error,
     _literal,
     _text,
 )
@@ -161,7 +163,7 @@ class OracleInterpreter:
             try:
                 value = _ALLOWED_BINOPS[op](current, operand)
             except _PYTHON_ERRORS as exc:
-                raise ContractError(f"arithmetic error: {exc}") from exc
+                raise _contract_error("arithmetic error", exc) from exc
             self._assign(stmt.target, _check_value(value), env)
             return
         if isinstance(stmt, ast.If):
@@ -189,14 +191,14 @@ class OracleInterpreter:
             try:
                 iterator = iter(iterable)
             except TypeError as exc:
-                raise ContractError(f"iteration error: {exc}") from exc
+                raise _contract_error("iteration error", exc) from exc
             iterations = 0
             broke = False
             while True:
                 try:
                     item = next(iterator, _END)
                 except RuntimeError as exc:
-                    raise ContractError(f"iteration error: {exc}") from exc
+                    raise _contract_error("iteration error", exc) from exc
                 if item is _END:
                     break
                 iterations += 1
@@ -240,13 +242,13 @@ class OracleInterpreter:
             try:
                 container[key] = value
             except _PYTHON_ERRORS as exc:
-                raise ContractError(f"subscript error: {exc}") from exc
+                raise _contract_error("subscript error", exc) from exc
             return
         if isinstance(target, (ast.Tuple, ast.List)):
             try:
                 values = list(value)
             except TypeError as exc:
-                raise ContractError(f"unpacking error: {exc}") from exc
+                raise _contract_error("unpacking error", exc) from exc
             if len(values) != len(target.elts):
                 raise ContractError("unpacking arity mismatch")
             for element, item in zip(target.elts, values):
@@ -265,7 +267,7 @@ class OracleInterpreter:
             try:
                 return container[key]
             except _PYTHON_ERRORS as exc:
-                raise ContractError(f"subscript error: {exc}") from exc
+                raise _contract_error("subscript error", exc) from exc
         raise ContractError("invalid augmented-assignment target")
 
     # -- expressions ---------------------------------------------------------
@@ -289,7 +291,7 @@ class OracleInterpreter:
             try:
                 return _check_value(_ALLOWED_BINOPS[op](left, right))
             except _PYTHON_ERRORS as exc:
-                raise ContractError(f"arithmetic error: {exc}") from exc
+                raise _contract_error("arithmetic error", exc) from exc
         if isinstance(node, ast.UnaryOp):
             operand = self._eval(node.operand, env)
             try:
@@ -298,7 +300,7 @@ class OracleInterpreter:
                 if isinstance(node.op, ast.UAdd):
                     return +operand
             except _PYTHON_ERRORS as exc:
-                raise ContractError(f"arithmetic error: {exc}") from exc
+                raise _contract_error("arithmetic error", exc) from exc
             if isinstance(node.op, ast.Not):
                 return not operand
             raise ContractError("disallowed unary operator")
@@ -323,7 +325,7 @@ class OracleInterpreter:
                     if not _ALLOWED_COMPARE[type(op)](left, right):
                         return False
                 except _PYTHON_ERRORS as exc:
-                    raise ContractError(f"comparison error: {exc}") from exc
+                    raise _contract_error("comparison error", exc) from exc
                 left = right
             return True
         if isinstance(node, ast.Call):
@@ -334,7 +336,7 @@ class OracleInterpreter:
             try:
                 return _check_value(container[key])
             except _PYTHON_ERRORS as exc:
-                raise ContractError(f"subscript error: {exc}") from exc
+                raise _contract_error("subscript error", exc) from exc
         if isinstance(node, ast.Slice):
             lower = self._eval(node.lower, env) if node.lower else None
             upper = self._eval(node.upper, env) if node.upper else None
@@ -354,7 +356,7 @@ class OracleInterpreter:
                 try:
                     out[key] = value
                 except TypeError as exc:
-                    raise ContractError(f"dict key error: {exc}") from exc
+                    raise _contract_error("dict key error", exc) from exc
             return out
         if isinstance(node, ast.IfExp):
             if self._eval(node.test, env):
@@ -409,5 +411,5 @@ class OracleInterpreter:
             except ContractError:
                 raise
             except _PYTHON_ERRORS as exc:
-                raise ContractError(f"call error: {exc}") from exc
+                raise _contract_error("call error", exc) from exc
         raise ContractError("attempt to call a non-function")

@@ -15,17 +15,23 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
 
 
-def node_config(max_txs_per_block=200, **overrides) -> NodeConfig:
+def node_config(max_txs_per_block=200, mine_empty=False, **overrides) -> NodeConfig:
     """Node settings with the small-mesh p2p tunables the suite runs on."""
     settings = dict(fanout=2, ping_interval_s=2.0, request_timeout_s=3.0)
     settings.update(overrides)
-    return NodeConfig(max_txs_per_block=max_txs_per_block, p2p=P2PConfig(**settings))
+    return NodeConfig(
+        max_txs_per_block=max_txs_per_block,
+        mine_empty=mine_empty,
+        p2p=P2PConfig(**settings),
+    )
 
 
 class P2PWorld:
     """A PoA validator network where dissemination runs through repro.p2p."""
 
-    def __init__(self, alice, n_validators: int = 3, seed: int = 31, **p2p_overrides):
+    def __init__(
+        self, alice, n_validators: int = 3, seed: int = 31, mine_empty=False, **p2p_overrides
+    ):
         self.kernel = Kernel(seed=seed)
         self.metrics = MetricsRegistry()
         self.network = Network(self.kernel, self.metrics)
@@ -44,7 +50,7 @@ class P2PWorld:
             self.genesis_state,
             lambda: self.engine,
             metrics=self.metrics,
-            config=node_config(max_txs_per_block=3, **p2p_overrides),
+            config=node_config(max_txs_per_block=3, mine_empty=mine_empty, **p2p_overrides),
         )
         for node in self.nodes.values():
             node.start()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain.blocks import make_genesis
+from repro.chain.blocks import build_block, make_genesis
 from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
 from repro.common.signatures import KeyPair
@@ -12,10 +12,13 @@ from repro.consensus.node import make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
 from repro.consensus.pos import ProofOfStake
 from repro.p2p.config import P2PConfig
-from repro.p2p.gossip import KIND_BLOCK, Gossip, SeenCache
+from repro.p2p.gossip import KIND_BLOCK, KIND_TX, Gossip, SeenCache
+from repro.p2p.transport import PeerUnreachable
 from repro.sim.kernel import Kernel
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
+
+from tests.p2p.conftest import P2PWorld
 
 
 def test_seen_cache_is_a_bounded_lru():
@@ -27,19 +30,95 @@ def test_seen_cache_is_a_bounded_lru():
     assert len(cache) == 3
 
 
+def test_seen_cache_keeps_each_ids_holders_and_forgets_them_with_it():
+    cache = SeenCache(2)
+    assert cache.add("a", "p1")
+    assert not cache.add("a", "p2") and not cache.add("a", "p1") and not cache.add("a")
+    assert cache.holders("a") == ("p1", "p2")
+    cache.add("b")
+    cache.add("c")  # evicts a, holders and all
+    assert cache.holders("a") == () and cache.holders("b") == ()
+
+
 class _StubTransport:
     local_addr = "me"
 
     def __init__(self):
         self.requests = []
+        self.notifications = []
 
     def request(self, addr, method, params, **_callbacks):
         self.requests.append((addr, method, params["ids"]))
 
+    def notify(self, addr, method, params):
+        self.notifications.append((addr, method, params["ids"]))
+
 
 class _StubPeers:
+    connected = ["p1", "p2", "p3"]
+
     def note_alive(self, addr):
         pass
+
+    def sample(self, count, exclude=()):
+        return [addr for addr in self.connected if addr not in exclude][:count]
+
+
+def _stub_gossip(transport, **overrides):
+    settings = dict(
+        has_item=lambda kind, item_id: False,
+        get_item=lambda kind, item_id: None,
+        deliver_tx=lambda tx: None,
+        deliver_block=lambda block: None,
+    )
+    settings.update(overrides)
+    return Gossip(transport, _StubPeers(), P2PConfig(fanout=4), **settings)
+
+
+def test_announce_skips_peers_that_announced_or_fetched_the_id():
+    """An announce is a notification, and goes only to peers not known to
+    hold the id: p1 announced it to us, p2 fetched it from us."""
+    transport = _StubTransport()
+    gossip = _stub_gossip(transport, get_item=lambda kind, item_id: "body")
+    gossip.handle_announce({"from": "p1", "kind": KIND_BLOCK, "ids": ["x"]})
+    gossip.handle_get_data({"from": "p2", "kind": KIND_TX, "ids": ["x"]})
+    assert gossip.announce(KIND_TX, "x") == 1
+    assert transport.notifications == [("p3", "p2p.announce", ["x"])]
+    assert gossip.announce(KIND_TX, "fresh") == 3
+
+
+def test_a_compact_block_that_misses_the_pool_is_fetched_whole_from_its_source():
+    """``get_data`` serves a block as its header and tx ids; the receiver
+    rebuilds it from its pool, and on a miss asks the same peer for the whole
+    block once — the missing tx counting as in flight meanwhile."""
+    sender = KeyPair.generate("compact-sender")
+    txs = [make_transfer(sender, "sink", 1, nonce=n) for n in range(3)]
+    block = build_block(make_genesis(b"\0" * 32), txs, b"\1" * 32, "p1", 1000)
+    server = _stub_gossip(_StubTransport(), get_item=lambda kind, item_id: block)
+    reply = server.handle_get_data({"from": "me", "kind": KIND_BLOCK, "ids": [block.block_id]})
+    (compact,) = reply["bodies"]
+    assert compact["tx_ids"] == [tx.tx_id for tx in txs] and "transactions" not in compact
+
+    pool = {tx.tx_id: tx for tx in txs}
+    delivered, transport = [], _StubTransport()
+    gossip = _stub_gossip(
+        transport,
+        get_item=lambda kind, item_id: pool.get(item_id),
+        deliver_block=delivered.append,
+    )
+    gossip.handle_announce({"from": "p1", "kind": KIND_BLOCK, "ids": [block.block_id]})
+    gossip._on_bodies(KIND_BLOCK, block.block_id, {"bodies": [compact]})
+    assert [b.block_id for b in delivered] == [block.block_id]
+    assert delivered[0].transactions == txs
+
+    del pool[txs[1].tx_id]
+    gossip = _stub_gossip(transport, get_item=lambda kind, item_id: pool.get(item_id))
+    gossip.handle_announce({"from": "p1", "kind": KIND_BLOCK, "ids": [block.block_id]})
+    gossip._on_bodies(KIND_BLOCK, block.block_id, {"bodies": [compact]})
+    assert transport.requests[-1] == ("p1", "chain.get_blocks", [block.block_id])
+    gossip.handle_announce({"from": "p2", "kind": KIND_TX, "ids": [txs[1].tx_id]})
+    assert transport.requests[-1][1] == "chain.get_blocks"  # no fetch of the rider
+    assert gossip._sources[txs[1].tx_id] == ["p2"]
 
 
 def test_announces_during_a_sync_cannot_grow_the_fetch_bookkeeping():
@@ -119,6 +198,30 @@ def test_bodies_are_never_flooded_full_size(p2p_world):
     served = world.metrics.counter_total("p2p_bodies_served")
     assert fetches > 0
     assert served <= fetches  # one body per fetch, never pushed unrequested
+
+
+def test_a_fetch_its_only_source_refuses_is_retried(alice):
+    """n0 refuses the first ``get_data`` it is sent, as an overloaded server
+    does.  n1 has no other source, so it asks n0 again after a short backoff
+    rather than leaving the tx out of its pool.  (The tx's nonce is one
+    ahead, so no block can bring it instead.)"""
+    world = P2PWorld(alice, n_validators=2)
+    transport = world.nodes["n0"].p2p.transport
+    dispatch, refused = transport.dispatch, []
+
+    def refusing(sender, method, params):
+        if method == "p2p.get_data" and not refused:
+            refused.append(sender)
+            raise PeerUnreachable("overloaded")
+        return dispatch(sender, method, params)
+
+    transport.dispatch = refusing
+    tx = make_transfer(alice, "sink", 1, nonce=1)
+    assert world.nodes["n0"].submit_tx(tx)
+    world.kernel.run(until=world.kernel.now + 2.0)
+    assert refused == ["n1"]
+    assert all(tx.tx_id in node.mempool for node in world.nodes.values())
+    assert world.metrics.counter("p2p_fetch_retries", scope="n1") == 1
 
 
 @pytest.mark.parametrize("consensus", ["poa", "pos"])

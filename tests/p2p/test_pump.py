@@ -220,6 +220,24 @@ def test_a_long_turn_does_not_postpone_what_fell_due_meanwhile(loop_thread):
     assert fired.wait(0.5)
 
 
+def test_a_long_callback_is_the_longest_turn(loop_thread):
+    """Each turn is timed on the pump's own clock; ``ctl.counters`` reports
+    the p50 / p99 of the recent ones and the longest."""
+    clock = FakeTime()
+    pump = started_pump(loop_thread, clock.now)
+    for _ in range(20):
+        pump.call(lambda: None)
+
+    def long_callback():
+        clock.value += 0.25
+
+    pump.call(long_callback)
+    pump.call(lambda: None)
+    turns = pump.call(pump.turn_ms)
+    assert turns["max"] == pytest.approx(250.0)
+    assert turns["p50"] == 0.0 and turns["p99"] == pytest.approx(250.0)
+
+
 def test_a_stopped_pump_runs_nothing(loop_thread):
     pump = started_pump(loop_thread)
     fired = []

@@ -143,6 +143,11 @@ def test_validators_converge_over_tcp(tcp_net):
     for addr in addrs:
         counters = client.call(addr, "ctl.counters")
         assert counters["p2p_duplicate_bodies"] == 0
+        # Announces went out as notifications, and no peer request was shed.
+        assert counters["p2p_announce_recv"] > 0 and counters["p2p_refusals"] == 0
+        assert counters["p2p_fetch_retries"] >= 0
+        turns = [counters[f"pump_turn_ms_{stat}"] for stat in ("p50", "p99", "max")]
+        assert 0 <= turns[0] <= turns[1] <= turns[2]
 
 
 def test_fresh_node_joins_mid_chain_and_crash_rejoins(tcp_net):

@@ -23,6 +23,7 @@ from repro.common import signatures as sigs
 from repro.common.signatures import KeyPair, PrivateKey, PublicKey
 from repro.consensus.node import BlockchainNode, make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
+from repro.p2p.transport import SimTransport
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 
@@ -80,14 +81,12 @@ def test_point_operations_per_signature_verify(monkeypatch):
     _assert_within_pins("signature_verify", measured)
 
 
-def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch):
-    """Three validators in one process: the first to meet a tx pays for its
-    signature check, the other two find it in ``_VERIFIED``; every follower
-    checks every block's seal and validates its structure (tx Merkle tree,
-    every ``tx.validate()``) once — the proposer, which built the block from
-    admitted txs, not at all; and every validator hashes the trie branches on
-    the paths its own execution of the block wrote, nothing else."""
-    names = ["v0", "v1", "v2"]
+NAMES = ["v0", "v1", "v2"]
+
+
+def _three_validators():
+    """The fixed network: three PoA validators in one process on the sim, 16
+    transfers from 4 senders, and 500 bystander accounts in the genesis."""
     senders = [KeyPair.generate(f"opcounts-sender-{i}") for i in range(4)]
     kernel = Kernel(seed=21)
     network = Network(kernel)
@@ -97,16 +96,42 @@ def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch)
     for i in range(500):  # bystanders, so that the trie has paths to copy
         state.credit(f"opcounts-holder-{i}", 1)
     engine = ProofOfAuthority(
-        names, {name: KeyPair.generate(name) for name in names}, block_interval_s=0.5
+        NAMES, {name: KeyPair.generate(name) for name in NAMES}, block_interval_s=0.5
     )
     nodes = make_network_nodes(
-        kernel, network, names, make_genesis(state.state_root()), state, lambda: engine
+        kernel, network, NAMES, make_genesis(state.state_root()), state, lambda: engine
     )
     txs = [
         make_transfer(sender, "opcounts-dest", 1 + nonce, nonce=nonce)
         for nonce in range(4)
         for sender in senders
     ]
+    return kernel, network, nodes, txs
+
+
+def _submit_and_commit(kernel, nodes, txs):
+    """Each tx to the next validator in turn; run until all commit on one head."""
+    for i, tx in enumerate(txs):
+        assert nodes[NAMES[i % 3]].submit_tx(tx)
+    kernel.run(
+        until=60.0,
+        stop_when=lambda: all(node.receipt(txs[-1].tx_id) for node in nodes.values())
+        and len({node.head.block_id for node in nodes.values()}) == 1,
+    )
+    for node in nodes.values():
+        node.stop()
+    assert all(node.receipt(tx.tx_id).success for node in nodes.values() for tx in txs)
+    assert len({node.head.block_id for node in nodes.values()}) == 1
+
+
+def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch):
+    """Three validators in one process: the first to meet a tx pays for its
+    signature check, the other two find it in ``_VERIFIED``; every follower
+    checks every block's seal and validates its structure (tx Merkle tree,
+    every ``tx.validate()``) once — the proposer, which built the block from
+    admitted txs, not at all; and every validator hashes the trie branches on
+    the paths its own execution of the block wrote, nothing else."""
+    kernel, network, nodes, txs = _three_validators()
     digests = {tx.signing_digest() for tx in txs}
 
     verified = {"tx": 0, "seal": 0}
@@ -138,18 +163,7 @@ def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch)
     )
     for node in nodes.values():
         node.start()
-    for i, tx in enumerate(txs):
-        assert nodes[names[i % 3]].submit_tx(tx)
-    kernel.run(
-        until=60.0,
-        stop_when=lambda: all(node.receipt(txs[-1].tx_id) for node in nodes.values())
-        and len({node.head.block_id for node in nodes.values()}) == 1,
-    )
-    for node in nodes.values():
-        node.stop()
-
-    assert all(node.receipt(tx.tx_id).success for node in nodes.values() for tx in txs)
-    assert len({node.head.block_id for node in nodes.values()}) == 1
+    _submit_and_commit(kernel, nodes, txs)
     blocks = nodes["v0"].head.height
     _assert_within_pins(
         "sim_network",
@@ -159,6 +173,48 @@ def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch)
             "structure_validations_per_block_per_follower": structure["follower"] / (blocks * 2),
             "structure_validations_per_block_per_proposer": structure["proposer"] / blocks,
             "trie_branch_builds_per_block_per_validator": len(branches) / (blocks * 3),
+        },
+    )
+
+
+def test_gossip_messages_per_committed_tx(monkeypatch):
+    """The same network with its handshakes done before the first submit, so
+    every id travels by ``announce``: no peer is sent an id it is known to
+    hold (it announced the id to us, or fetched it from us), an announce is a
+    notification that nothing answers, and a follower is sent a block as its
+    header and tx ids, rebuilding the rest from its own pool.  Counted on the
+    wire, by wrapping ``Network.send``."""
+    kernel, network, nodes, txs = _three_validators()
+    for node in nodes.values():
+        node.start()
+    kernel.run(until=1.0)  # hellos answered; the first ping is >= 2.5 s away
+
+    counts = {"announced_ids": 0, "get_data": 0, "responses": 0, "block_body_bytes": 0}
+    send = network.send
+
+    def counted_send(sender, recipient, kind, payload, size_bytes=256):
+        if kind == SimTransport.KIND_REQUEST:
+            if payload["method"] == "p2p.announce":
+                counts["announced_ids"] += len(payload["params"]["ids"])
+            elif payload["method"] == "p2p.get_data":
+                counts["get_data"] += 1
+        elif kind == SimTransport.KIND_RESPONSE:
+            counts["responses"] += 1
+            result = payload.get("result")
+            if isinstance(result, dict) and (result.get("kind") == "block" or "blocks" in result):
+                counts["block_body_bytes"] += size_bytes
+        return send(sender, recipient, kind, payload, size_bytes)
+
+    monkeypatch.setattr(network, "send", counted_send)
+    _submit_and_commit(kernel, nodes, txs)
+    blocks = nodes["v0"].head.height
+    _assert_within_pins(
+        "gossip",
+        {
+            "announces_per_committed_tx": counts["announced_ids"] / len(txs),
+            "fetches_per_committed_tx": counts["get_data"] / len(txs),
+            "p2p_resp_messages_per_committed_tx": counts["responses"] / len(txs),
+            "block_body_bytes_per_block_per_follower": counts["block_body_bytes"] / (blocks * 2),
         },
     )
 
