@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -131,7 +133,11 @@ def _wnaf(k: int, width: int) -> List[int]:
 # multiples of the other point once per multiplication.
 _G_WIDTH = 8
 _VAR_WIDTH = 5
-_COMB_ROWS = 64  # 4-bit windows of a 256-bit scalar
+
+# Lim-Lee comb: 8 teeth 16 bits apart span one 128-bit GLV half, so a comb is
+# 255 affine points and a half costs <= 15 doublings and <= 16 additions.
+_TEETH = 8
+_SPACING = 16
 
 # The curve's efficient endomorphism: for every point of the group,
 # _LAMBDA * (x, y) == (_BETA * x, y), where _LAMBDA is a cube root of unity
@@ -162,11 +168,43 @@ def _endo_table(table: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return [(x * _BETA % _P, y) for x, y in table]
 
 
-# The G tables are built on first use (~20 ms, ~210 kB together): a process
+def _comb_table(point: Tuple[int, int]) -> List[Tuple[int, int]]:
+    """``table[b - 1] == sum(2**(16*j) * point for each bit j of b)``, b in 1..255.
+
+    Two inversions: one for the teeth ``2**(16*j) * point``, and one for the
+    table, each of whose entries adds one affine tooth to an earlier entry
+    still in Jacobian form.  Every entry is ``m * point`` with
+    ``0 < m < 2**128 < n``, so none is infinity and no addition meets its
+    own operand or its negation.
+    """
+    teeth: List[_JPoint] = [(point[0], point[1], 1)]
+    for _ in range(_TEETH - 1):
+        tooth = teeth[-1]
+        for _ in range(_SPACING):
+            tooth = _jac_double(tooth)
+        teeth.append(tooth)
+    table: List[_JPoint] = []
+    for x, y in _batch_to_affine(teeth):
+        table.append((x, y, 1))
+        table += [_jac_add_affine(entry, x, y) for entry in table[:-1]]
+    return _batch_to_affine(table)
+
+
+def _comb_columns(k: int) -> List[int]:
+    """The comb index of each row for ``0 <= k < 2**128``, top row first.
+
+    Row ``i``'s index has bit ``j`` equal to bit ``16*j + i`` of ``k``; in the
+    big-endian bit string of ``k`` those bits sit 16 apart.
+    """
+    bits = format(k, f"0{_TEETH * _SPACING}b")
+    return [int(bits[i::_SPACING], 2) for i in range(_SPACING)]
+
+
+# The G tables are built on first use (~3 ms, ~85 kB together): a process
 # that only queries never pays for them.  A concurrent first use builds the
 # same table twice and keeps one.
 _g_odd: Optional[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]] = None
-_g_comb: Optional[List[List[Tuple[int, int]]]] = None
+_g_comb: Optional[List[Tuple[int, int]]] = None
 
 
 def _g_odd_multiples() -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
@@ -178,32 +216,40 @@ def _g_odd_multiples() -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
     return _g_odd
 
 
-def _g_comb_table() -> List[List[Tuple[int, int]]]:
-    """``table[i][j - 1] == j * 16**i * G`` for ``j`` in 1..15."""
+def _comb_mul(s: int, e: int, p_comb: Optional[List[Tuple[int, int]]]) -> Point:
+    """``s*G + e*P`` over the combs of ``G`` and ``P`` (``P``'s may be None when
+    ``e == 0``); ``s`` and ``e`` must lie in ``[0, n)``.
+
+    The four GLV half-streams of ``_double_mul`` each read one comb entry
+    per row, the ``k2`` halves through ``_LAMBDA`` applied on the fly as
+    ``x * _BETA``, so they share at most 15 doublings and 64 additions.
+    """
     global _g_comb
     if _g_comb is None:
-        rows = []
-        base = (_GX, _GY)
-        for _ in range(_COMB_ROWS):
-            chain: List[_JPoint] = [(base[0], base[1], 1)]
-            for _ in range(15):
-                chain.append(_jac_add_affine(chain[-1], base[0], base[1]))
-            multiples = _batch_to_affine(chain)
-            base = multiples.pop()  # 16 * base starts the next row
-            rows.append(multiples)
-        _g_comb = rows
-    return _g_comb
+        _g_comb = _comb_table((_GX, _GY))
+    streams = []
+    for k, comb in ((s, _g_comb), (e, p_comb)):
+        for half, endo in zip(_split(k), (False, True)):
+            if half:
+                streams.append((_comb_columns(abs(half)), comb, endo, half < 0))
+    acc = _INFINITY
+    for row in range(_SPACING):
+        if acc[2]:
+            acc = _jac_double(acc)
+        for columns, comb, endo, negative in streams:
+            index = columns[row]
+            if index:
+                x2, y2 = comb[index - 1]
+                # A negative half negates every entry it draws.
+                acc = _jac_add_affine(
+                    acc, x2 * _BETA % _P if endo else x2, _P - y2 if negative else y2
+                )
+    return _jac_to_affine(acc)
 
 
 def _base_mul(k: int) -> Point:
-    """``k * G`` for ``0 <= k < 2**256``: one table addition per non-zero nibble."""
-    acc = _INFINITY
-    for row in _g_comb_table():
-        nibble = k & 15
-        if nibble:
-            acc = _jac_add_affine(acc, *row[nibble - 1])
-        k >>= 4
-    return _jac_to_affine(acc)
+    """``k * G`` for ``0 <= k < 2**256``: the comb of ``G`` on ``k mod n``."""
+    return _comb_mul(k % _N, 0, None)
 
 
 def _double_mul(s: int, e: int, point: Tuple[int, int]) -> Point:
@@ -280,6 +326,62 @@ def _lift_x(data: bytes) -> Tuple[int, int]:
     return (x, y)
 
 
+# Ski rental: a comb costs about 2.5 cold verifies to build, so a key earns one
+# once it has paid for about that many, at its third verification, which builds
+# the comb and runs on it; every later one costs under half a cold verify.
+_COMB_AFTER = 2
+_COMB_MEMO_SIZE = 64  # ~60 kB per comb
+
+
+class _CombMemo:
+    """LRU of the keys verified most recently: key bytes -> ``[verifications,
+    comb or None]``, at most ``capacity`` of them.
+
+    A node sees few distinct keys (validators, active senders) and sees each
+    of them on every transaction, so from a key's third verification on the
+    key's half of ``s*G - e*P`` is paid once.  A key earns its comb only by
+    being verified that often while it stays among the ``capacity`` most
+    recent keys; one that drops out loses its count and comb together and
+    starts cold again.  So with more than ``capacity`` keys in round robin no
+    comb is built, and no comb can push out another that was used more
+    recently.  A comb is built outside the lock, by the one verification
+    whose count reaches the threshold.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[bytes, list]" = OrderedDict()  # least recent first
+
+    def sizes(self) -> Tuple[int, int]:
+        """``(keys counted, combs held)``."""
+        with self._lock:
+            entries = list(self._entries.values())
+        return len(entries), sum(comb is not None for _, comb in entries)
+
+    def for_verify(self, data: bytes, point: Tuple[int, int]) -> Optional[List[Tuple[int, int]]]:
+        """Count one verification under the key ``data`` (whose point is
+        ``point``) and return the key's comb, or None while it is cold."""
+        with self._lock:
+            entry = self._entries.get(data)
+            if entry is None:
+                entry = self._entries[data] = [0, None]
+                if len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+            else:
+                self._entries.move_to_end(data)
+            entry[0] += 1
+            seen, comb = entry
+        if comb is None and seen == _COMB_AFTER + 1:
+            # An entry evicted meanwhile is unreachable, and its comb with it.
+            comb = entry[1] = _comb_table(point)
+        return comb
+
+
+# One per process, shared by every key object and thread in it.
+_COMBS = _CombMemo(_COMB_MEMO_SIZE)
+
+
 def _tagged_hash(tag: bytes, data: bytes) -> int:
     digest = hashlib.sha256(tag + data).digest()
     return int.from_bytes(digest, "big") % _N
@@ -310,7 +412,9 @@ class PublicKey:
         ``R`` is not lifted to a point: the candidate is on the curve, so it
         equals the point ``signature.r`` encodes exactly when x-coordinate
         and y-parity match, and an ``r`` whose x is not on the curve matches
-        no candidate.
+        no candidate.  Both passes compute the same group element ``s*G -
+        e*P``: the wNAF pass under a cold key, the comb pass under a key
+        verified often enough to have earned one.
         """
         if not 0 < signature.s < _N:
             return False
@@ -319,7 +423,13 @@ class PublicKey:
         except CryptoError:
             return False
         e = _tagged_hash(b"medchain/schnorr", signature.r + self.data + message)
-        candidate = _double_mul(signature.s, (_N - e) % _N, self.point)
+        point = _lift_x(self.data)
+        comb = _COMBS.for_verify(self.data, point)
+        minus_e = (_N - e) % _N
+        if comb is None:
+            candidate = _double_mul(signature.s, minus_e, point)
+        else:
+            candidate = _comb_mul(signature.s, minus_e, comb)
         return (
             candidate is not None
             and candidate[0] == r_x

@@ -39,8 +39,9 @@ def _assert_within_pins(section, measured):
     assert not over, f"{section}: (measured, pinned) {over}; all measured: {measured}"
 
 
-def test_point_operations_per_signature_verify(monkeypatch):
-    """32 signatures under 8 keys, static tables built before counting."""
+def _signature_corpus():
+    """32 signatures under 8 keys, after one verification has built the
+    static tables of ``G``."""
     rng = random.Random(21)
     privates = [PrivateKey(rng.randrange(1, sigs._N)) for _ in range(8)]
     publics = [private.public_key() for private in privates]
@@ -49,7 +50,13 @@ def test_point_operations_per_signature_verify(monkeypatch):
         message = rng.randbytes(40)
         corpus.append((publics[i % 8], message, privates[i % 8].sign(message, publics[i % 8])))
     assert publics[0].verify(*corpus[0][1:])
+    return corpus
 
+
+def _count_point_operations(monkeypatch, runs):
+    """Doublings, mixed additions and inversions (one per ``_batch_to_affine``)
+    of each run, as ``{label_mean, label_max}`` over the runs; every run must
+    return something true (a verification that passed, a table)."""
     calls = {"_jac_double": 0, "_jac_add_affine": 0, "_batch_to_affine": 0}
 
     def counting(name):
@@ -63,22 +70,55 @@ def test_point_operations_per_signature_verify(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(sigs, name, counting(name))
-    per_verify = []
-    for public, message, signature in corpus:
+    per_run = []
+    for run in runs:
         calls.update(dict.fromkeys(calls, 0))
-        assert public.verify(message, signature)
-        per_verify.append(dict(calls))
-
+        assert run()
+        per_run.append(dict(calls))
     measured = {}
     for label, name in (
         ("doublings", "_jac_double"),
         ("mixed_additions", "_jac_add_affine"),
-        ("inversions", "_batch_to_affine"),  # one modular inversion per call
+        ("inversions", "_batch_to_affine"),
     ):
-        counts = [verify[name] for verify in per_verify]
+        counts = [run[name] for run in per_run]
         measured[f"{label}_mean"] = sum(counts) / len(counts)
         measured[f"{label}_max"] = max(counts)
-    _assert_within_pins("signature_verify", measured)
+    return measured
+
+
+def _fresh_comb_memo():
+    return sigs._CombMemo(sigs._COMB_MEMO_SIZE)
+
+
+def test_point_operations_per_signature_verify(monkeypatch):
+    """Each signature verified as its key's first verification: the wNAF pass."""
+
+    def first_verification(public, message, signature):
+        monkeypatch.setattr(sigs, "_COMBS", _fresh_comb_memo())
+        return public.verify(message, signature)
+
+    runs = [lambda item=item: first_verification(*item) for item in _signature_corpus()]
+    _assert_within_pins("signature_verify_cold", _count_point_operations(monkeypatch, runs))
+
+
+def test_point_operations_per_warm_signature_verify(monkeypatch):
+    """The same signatures under keys whose combs were built before counting."""
+    corpus = _signature_corpus()
+    monkeypatch.setattr(sigs, "_COMBS", _fresh_comb_memo())
+    for public, message, signature in corpus[:8]:
+        for _ in range(sigs._COMB_AFTER + 1):
+            assert public.verify(message, signature)
+    assert sigs._COMBS.sizes() == (8, 8)
+    runs = [lambda item=item: item[0].verify(*item[1:]) for item in corpus]
+    _assert_within_pins("signature_verify_warm", _count_point_operations(monkeypatch, runs))
+
+
+def test_point_operations_per_comb_build(monkeypatch):
+    """What a key pays once, at its third verification."""
+    points = [public.point for public, _, _ in _signature_corpus()[:8]]
+    runs = [lambda point=point: sigs._comb_table(point) for point in points]
+    _assert_within_pins("signature_comb_build", _count_point_operations(monkeypatch, runs))
 
 
 NAMES = ["v0", "v1", "v2"]
