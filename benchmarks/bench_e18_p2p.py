@@ -1,12 +1,15 @@
 """E18 — p2p dissemination: propagation latency, dedup, and cold sync.
 
-Three measurements over ``repro.p2p``'s announce-by-hash gossip and
-headers-first sync:
+Three measurements over ``repro.p2p``'s gossip (the creator of a tx or
+block pushes its body to ``fanout`` peers and names them; relays announce
+the id and a peer that lacks the body fetches it once) and headers-first
+sync:
 
-- *Propagation matrix* (sim): time for a transaction announced at one
+- *Propagation matrix* (sim): time for a transaction submitted at one
   node to reach every mempool, across network size x gossip fanout,
-  plus the duplicate-delivery ratio (bodies fetched more than once per
-  node — the zero-flood property says this stays at exactly zero).
+  plus the pushes sent and the duplicate-delivery ratio (bodies received
+  more than once per node — the zero-flood property says this stays at
+  exactly zero).
 - *Cold sync* (sim): time for a fresh node joining mid-chain to reach
   the network head via locator-based header windows, vs chain length.
 - *TCP acceptance* (real sockets): a 5-node validator network over the
@@ -135,6 +138,7 @@ def measure_propagation(n_nodes, fanout, n_txs):
         "p50_s": percentile(latencies, 0.50),
         "p95_s": percentile(latencies, 0.95),
         "max_s": max(latencies) if latencies else 0.0,
+        "pushes": world.metrics.counter_total("p2p_push_sent"),
         "fetches": fetches,
         "duplicate_bodies": duplicates,
         "dup_ratio": duplicates / fetches if fetches else 0.0,
@@ -270,6 +274,7 @@ def run_tcp_acceptance(n_validators=5, n_txs=8):
             and len({s["head_id"] for s in statuses}) == 1
             and len({s["state_root"] for s in statuses}) == 1,
             "zero_flood": all(c["p2p_duplicate_bodies"] == 0 for c in counters),
+            "pushes": sum(c["p2p_push_sent"] for c in counters),
             "sync_blocks": counters[-1]["p2p_sync_blocks"],
         }
     finally:
@@ -299,9 +304,9 @@ def report(result):
         format_table(
             "E18a: gossip propagation (sim; tx arrival latency across nodes)",
             ["nodes", "fanout", "p50 (s)", "p95 (s)", "max (s)",
-             "fetches", "dup bodies", "dup ratio"],
+             "pushes", "fetches", "dup bodies", "dup ratio"],
             [[r["nodes"], r["fanout"], r["p50_s"], r["p95_s"], r["max_s"],
-              r["fetches"], r["duplicate_bodies"], r["dup_ratio"]]
+              r["pushes"], r["fetches"], r["duplicate_bodies"], r["dup_ratio"]]
              for r in result["propagation"]],
         ),
     )
@@ -322,9 +327,10 @@ def report(result):
         format_table(
             "E18c: TCP acceptance (5 validators + fresh joiner, real sockets)",
             ["validators", "chain height", "cold sync (s)", "sync blocks",
-             "equivalent", "zero flood"],
+             "pushes", "equivalent", "zero flood"],
             [[tcp["validators"], tcp["chain_height"], tcp["cold_sync_s"],
-              tcp["sync_blocks"], tcp["equivalent"], tcp["zero_flood"]]],
+              tcp["sync_blocks"], tcp["pushes"], tcp["equivalent"],
+              tcp["zero_flood"]]],
         ),
     )
     return result
@@ -337,6 +343,7 @@ def check(result):
             f"{row['nodes']}x{row['fanout']}: {row['duplicate_bodies']} "
             "duplicate body deliveries (zero-flood property violated)"
         )
+        assert row["pushes"] > 0, f"{row['nodes']}x{row['fanout']}: no body was pushed"
     for row in result["cold_sync"]:
         assert row["root_equal"], f"cold sync diverged at {row['chain_blocks']}"
         assert row["duplicate_bodies"] == 0, row

@@ -11,9 +11,10 @@ saves.
 Dissemination has one path: every node owns a
 :class:`~repro.p2p.service.P2PService` over the ``Transport`` it is built
 with (``SimTransport`` on the simulation kernel, ``RpcTransport`` over
-TCP).  Transactions and blocks are announced by id, bodies are fetched
-once per node, and a missed ancestor is repaired by headers-first sync
-(DESIGN.md §11).
+TCP).  A node pushes the body of a transaction it admits from a client, or
+a block it seals, to its peers and names them; a relay announces by id, a
+body is fetched once per node, and a missed ancestor is repaired by
+headers-first sync (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -194,11 +195,11 @@ class BlockchainNode(Process):
         self._event_subscribers.append(subscriber)
 
     def submit_tx(self, tx: Transaction) -> AdmissionResult:
-        """Inject a transaction locally and gossip it to every peer.
+        """Inject a transaction locally and push its body to the peers.
 
         Returns the pool's typed admission outcome (truthy iff the pool
         now holds the transaction).  Rejected transactions are *not*
-        announced to peers — an underpriced or rate-limited bid dies
+        sent to peers — an underpriced or rate-limited bid dies
         here instead of consuming network-wide gossip bandwidth — and
         are *forgotten*: the duplicate check is answered by current
         pool membership and committed receipts, never by a
@@ -219,7 +220,7 @@ class BlockchainNode(Process):
                 # Only entries whose tx the pool evicted uncommitted can
                 # push it past the pool's size; one latency sample is lost.
                 del times[next(iter(times))]
-            self.p2p.announce_tx(tx)
+            self.p2p.push_tx(tx)
             if self._started and self._proposal_handle is None:
                 self._plan_round()
         return added
@@ -251,7 +252,7 @@ class BlockchainNode(Process):
 
     # -- inbound from p2p ---------------------------------------------------
     def receive_tx(self, tx: Transaction) -> None:
-        """A transaction body fetched from a peer: admit, then relay."""
+        """A transaction body a peer pushed or served us: admit, then relay."""
         if tx.tx_id in self.mempool or tx.tx_id in self._receipts_by_tx:
             return
         try:
@@ -305,7 +306,7 @@ class BlockchainNode(Process):
             if executed is None:
                 self._rejected.add(block.block_id)
                 continue
-            self._adopt(block, *executed)
+            self._adopt(block, *executed, relay=self.p2p.announce_block)
             stack.extend(reversed(self._take_waiting(block.block_id)))
 
     def _take_waiting(self, parent_id: str) -> List[Block]:
@@ -321,11 +322,17 @@ class BlockchainNode(Process):
             del self._waiting[child.block_id]
         return children
 
-    def _adopt(self, block: Block, state: StateDB, receipts: List[Receipt]) -> None:
-        """Keep an executed block: record, store, announce, follow the head."""
+    def _adopt(
+        self,
+        block: Block,
+        state: StateDB,
+        receipts: List[Receipt],
+        relay: Callable[[Block], None],
+    ) -> None:
+        """Keep an executed block: record, store, ``relay`` it, follow the head."""
         self._executed[block.block_id] = _Executed(state, receipts)
         left, joined = self.store.add(block)
-        self.p2p.announce_block(block)
+        relay(block)
         if joined:
             self._on_new_head(left, joined)
 
@@ -651,7 +658,7 @@ class BlockchainNode(Process):
             self.metrics.add_hashes(attempts, scope=self.name)
         self._round_start = None
         self.metrics.add("blocks_proposed", 1, scope=self.name)
-        self._adopt(sealed, state, receipts)
+        self._adopt(sealed, state, receipts, relay=self.p2p.push_block)
         # A gossiped block buffered on us may have been waiting for exactly
         # this proposal (we re-proposed a parent another branch built on).
         for child in self._take_waiting(sealed.block_id):

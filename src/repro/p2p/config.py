@@ -10,9 +10,10 @@ from typing import List
 class P2PConfig:
     """Knobs shared by both transports (sim and TCP).
 
-    Gossip is announce-by-hash: a block or transaction is announced to
-    ``fanout`` peers as its id only, and the body is fetched once, on
-    miss — never flooded.  ``seen_cache_size`` bounds the dedup cache;
+    Gossip: the node that creates a block or transaction pushes its body
+    to ``fanout`` peers and names them; beyond that first hop an item is
+    announced to ``fanout`` peers as its id only, and the body is fetched
+    once, on miss — never flooded.  ``seen_cache_size`` bounds the dedup cache;
     ``sync_batch_size`` bounds one ``chain.get_blocks`` request during
     headers-first sync.  Pings double as the anti-entropy head exchange:
     every reply carries the peer's head and known peer addresses.
@@ -23,7 +24,7 @@ class P2PConfig:
     #: capped exponential backoff; learned peers are dropped after
     #: ``max_connect_attempts`` consecutive failures.
     seeds: List[str] = field(default_factory=list)
-    #: Peers a gossip announcement is relayed to.
+    #: Peers a new body is pushed to, and a gossip announcement relayed to.
     fanout: int = 4
     #: Bounded LRU of announced ids (blocks and txs each get one).
     seen_cache_size: int = 4096

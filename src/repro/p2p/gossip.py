@@ -1,27 +1,39 @@
-"""Announce-by-hash gossip with fetch-on-miss: each peer is sent only what it lacks.
+"""Gossip: the node that creates a body pushes it; relays announce its hash.
 
-A node never floods full bodies.  It announces the *id* of a new
-transaction or block to up to ``fanout`` sampled peers, skipping every peer
-known to hold it: one that announced the id to us, or fetched it from us.
-That holder set is the value of the id's :class:`SeenCache` entry, so it is
-bounded and forgotten with the id.  An announce is a notification
-(``Transport.notify``): it is never answered, so it costs no response
-frame, future or timer.  The on-connect inventory skips the filter — a
-peer that reconnects may have restarted empty.
+A node that creates a transaction (``submit_tx``) or seals a block pushes
+the body to up to ``fanout`` peers in one ``p2p.push`` notification each.
+Every copy names all the peers it went to, so a receiver knows each of
+them holds the id.  A block is pushed *compact*, its header plus tx ids,
+and the receiver rebuilds it from its own pool, which already holds almost
+every tx; on a pool miss it falls back to one ``chain.get_blocks`` for the
+full block from the pusher.
 
-A peer that lacks the body fetches it once via ``p2p.get_data`` (an
-in-flight guard dedups concurrent announcements, alternate announcers are
-kept as failover sources).  A fetch the only source refuses transiently
-(overloaded, timed out, shutting down: ``PeerUnreachable``) is retried
-against it after a short kernel-scheduled backoff, ``FETCH_ATTEMPTS`` tries
-in all.  A block is served *compact*, its header plus tx ids, and the
-receiver rebuilds it from its own pool, which already holds almost every
-tx; on a pool miss it falls back to one ``chain.get_blocks`` for the full
-block from the same source.  Received bodies are handed to the node, which
-relays by re-announcing — so propagation is O(fanout · nodes) id-sized
-messages plus one compact body per block per node, and the
-``p2p_duplicate_bodies`` counter (bodies received for an id we already
-had) is the experiment's zero-flood gate.
+Every other hop is announce-by-hash with fetch-on-miss, and each peer is
+sent only what it lacks.  A relay announces the *id* to up to ``fanout``
+sampled peers, skipping every peer known to hold it: one that announced or
+pushed the id to us, fetched it from us, or was named by a push.  That
+holder set is the value of the id's :class:`SeenCache` entry, so it is
+bounded and forgotten with the id.  On a full mesh the push reaches every
+peer and names them all, so nothing is re-announced.  An announce, like a
+push, is a notification (``Transport.notify``): it is never answered, so
+it costs no response frame, future or timer.  The on-connect inventory
+skips the filter — a peer that reconnects may have restarted empty.
+
+A peer that lacks an announced body fetches it once via ``p2p.get_data``
+(an in-flight guard dedups concurrent announcements, alternate announcers
+are kept as failover sources; a block comes compact, as a push does).  A
+fetch the only source refuses transiently (overloaded, timed out, shutting
+down: ``PeerUnreachable``) is retried against it after a short
+kernel-scheduled backoff, ``FETCH_ATTEMPTS`` tries in all.  Received bodies
+are handed to the node, which relays by announcing — so propagation is one
+pushed body per first-hop peer, O(fanout · nodes) id-sized messages beyond
+it, and one body per block per node; the ``p2p_duplicate_bodies`` counter
+(bodies received for an id we already had) is the experiment's zero-flood
+gate.
+
+A lost push is not repaired by relays, which believe the named peer holds
+the item: that peer receives a tx in the block that commits it (a compact
+miss, then ``chain.get_blocks``), and a block by headers-first sync.
 
 While headers-first sync is active, announce-triggered fetches are
 deferred: sync will deliver those blocks in order anyway, and fetching
@@ -125,6 +137,26 @@ class Gossip:
         self._parked: Dict[str, Tuple[BlockHeader, List[str]]] = {}
 
     # -- outbound ------------------------------------------------------------
+    def push(self, kind: str, item_id: str, item: Any) -> None:
+        """Send the body of a new ``item`` to up to ``fanout`` peers not known
+        to hold it; each copy names every recipient, and they become holders."""
+        self.seen.add(item_id)
+        targets = self.peers.sample(self.config.fanout, exclude=self.seen.holders(item_id))
+        if not targets:
+            return
+        body = tx_to_wire(item) if kind == KIND_TX else compact_block_to_wire(item)
+        params = {
+            "from": self.transport.local_addr,
+            "kind": kind,
+            "id": item_id,
+            "bodies": [body],
+            "to": targets,
+        }
+        for addr in targets:
+            self.seen.add(item_id, addr)
+            self.transport.notify(addr, "p2p.push", params)
+        self.metrics.add("p2p_push_sent", len(targets), scope=self.scope)
+
     def announce(self, kind: str, item_id: str) -> int:
         """Advertise ``item_id`` to up to ``fanout`` peers not known to hold it."""
         self.seen.add(item_id)
@@ -168,6 +200,53 @@ class Gossip:
                 self.metrics.add("p2p_announce_duplicate", 1, scope=self.scope)
                 continue
             self._fetch(kind, item_id)
+
+    def handle_push(self, params: Dict[str, Any]) -> None:
+        """A body its creator sent unasked, naming the peers it went to.
+
+        The push must carry exactly one body, and that body must be the
+        pushed id (a compact block's header hashes to it); otherwise it is
+        counted as invalid and nothing is recorded or delivered.  The sender
+        and the named peers this node tracks, at most ``max_peers`` of them,
+        become holders of the id, so the relay that follows skips them.
+        """
+        self.metrics.add("p2p_push_recv", 1, scope=self.scope)
+        sender = params.get("from")
+        sender = sender if isinstance(sender, str) else ""
+        kind, item_id = params.get("kind"), params.get("id")
+        bodies, named = params.get("bodies"), params.get("to")
+        try:
+            if (
+                kind not in (KIND_TX, KIND_BLOCK)
+                or not isinstance(item_id, str)
+                or not isinstance(bodies, list)
+                or len(bodies) != 1
+                or not isinstance(named, list)
+            ):
+                raise ValidationError("malformed push")
+            if kind == KIND_TX:
+                item = tx_from_wire(bodies[0])
+                if item.tx_id != item_id:
+                    raise ValidationError(f"pushed tx is not {item_id[:12]}")
+            else:
+                header, tx_ids = compact_block_from_wire(bodies[0], item_id)
+        except ValidationError:
+            self.metrics.add("p2p_invalid_bodies", 1, scope=self.scope)
+            return
+        if sender:
+            self.peers.note_alive(sender)
+        self.seen.add(item_id, sender)
+        tracked = [addr for addr in named if isinstance(addr, str) and addr in self.peers.peers]
+        for addr in tracked[: self.config.max_peers]:
+            self.seen.add(item_id, addr)
+        if self.has_item(kind, item_id):
+            self.metrics.add("p2p_duplicate_bodies", 1, scope=self.scope)
+        elif kind == KIND_TX:
+            self.deliver_tx(item)
+            self._settle(item_id)  # and assemble the blocks parked for it
+        else:
+            self._in_flight.setdefault(item_id, (sender, 1))  # a pool miss asks the pusher
+            self._assemble(item_id, header, tx_ids)
 
     def handle_get_data(self, params: Dict[str, Any]) -> Dict[str, Any]:
         kind = params.get("kind")

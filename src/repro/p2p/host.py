@@ -170,8 +170,9 @@ def register_p2p_methods(registry: MethodRegistry, dispatch: Any) -> None:
     ``async def`` because the server runs those inline on its event loop —
     the thread the node lives on — where a sync handler would be sent to a
     worker thread only to come straight back; ``dispatch`` must therefore
-    be safe to call on that loop and must not block.  ``p2p.announce``
-    arrives as a notification: the server runs it and sends nothing back.
+    be safe to call on that loop and must not block.  ``p2p.push`` and
+    ``p2p.announce`` arrive as notifications: the server runs them and sends
+    nothing back.
     """
 
     def make_handler(method: str):
@@ -226,7 +227,8 @@ class P2PHost:
         self._register_control_methods()
         # Inline handlers never wait: their "in flight" is the backlog read
         # after a long turn (a block executing).  Shedding it at the default 64
-        # refuses the ``get_data`` for the block just proposed (DESIGN.md §11).
+        # drops the pushes and refuses the fetches that came in meanwhile
+        # (DESIGN.md §11).
         self.server = RpcServer(
             self.registry, name=name, metrics=self.node.metrics, max_inflight=1024
         )
@@ -299,6 +301,8 @@ class P2PHost:
         async def counters(**_params: Any) -> Dict[str, float]:
             metrics = self.node.metrics
             names = (
+                "p2p_push_sent",
+                "p2p_push_recv",
                 "p2p_announce_sent",
                 "p2p_announce_recv",
                 "p2p_announce_duplicate",

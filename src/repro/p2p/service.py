@@ -28,6 +28,7 @@ from repro.p2p.wire import block_to_wire, header_to_wire
 P2P_METHODS = (
     "p2p.hello",
     "p2p.ping",
+    "p2p.push",
     "p2p.announce",
     "p2p.get_data",
     "chain.get_headers",
@@ -154,6 +155,12 @@ class P2PService:
             self.sync.maybe_sync(best.addr, best.head_height, best.head_id)
 
     # -- node-facing broadcast API ------------------------------------------
+    def push_tx(self, tx: Transaction) -> None:
+        self.gossip.push(KIND_TX, tx.tx_id, tx)
+
+    def push_block(self, block: Block) -> None:
+        self.gossip.push(KIND_BLOCK, block.block_id, block)
+
     def announce_tx(self, tx: Transaction) -> None:
         self.gossip.announce(KIND_TX, tx.tx_id)
 
@@ -183,6 +190,8 @@ class P2PService:
             return self.peers.serve_hello(params)
         if method == "p2p.ping":
             return self.peers.serve_ping(params)
+        if method == "p2p.push":
+            return self.gossip.handle_push(params)
         if method == "p2p.announce":
             return self.gossip.handle_announce(params)
         if method == "p2p.get_data":

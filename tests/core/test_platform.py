@@ -246,8 +246,9 @@ class TestSiteOracle:
 
 
 def test_default_platform_disseminates_through_p2p():
-    """The flagship path runs the system E22 measures: a default platform
-    moves every tx and block by announce + fetch-once, never by flood."""
+    """The flagship path runs the system E22 measures: in a default platform
+    every node creates txs and blocks and pushes their bodies to its peers,
+    and every node receives each body once."""
     from repro.core.queryservice import GlobalQueryService
     from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
     from repro.query.vector import QueryVector
@@ -264,7 +265,8 @@ def test_default_platform_disseminates_through_p2p():
     assert answer.result["count"] == 20
     platform.run(5)  # let the last block reach every follower
     for name in platform.nodes:
-        assert platform.metrics.counter("p2p_fetches", scope=name) > 0
+        assert platform.metrics.counter("p2p_push_sent", scope=name) > 0
+        assert platform.metrics.counter("p2p_push_recv", scope=name) > 0
         assert platform.metrics.counter("p2p_duplicate_bodies", scope=name) == 0
     assert len({node.head.block_id for node in platform.nodes.values()}) == 1
     assert len({node.state.state_root() for node in platform.nodes.values()}) == 1

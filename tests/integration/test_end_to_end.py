@@ -68,7 +68,14 @@ class TestHeterogeneousIntegration:
 
     def test_chain_remains_consistent_after_workload(self, world):
         platform, __, ___ = world
-        roots = {node.state.state_root() for node in platform.nodes.values()}
+        nodes = platform.nodes.values()
+        # The block sealed last may still be on its way to a follower.
+        platform.kernel.run(
+            until=platform.kernel.now + 60.0,
+            stop_when=lambda: len({node.head.block_id for node in nodes}) == 1,
+        )
+        assert len({node.head.block_id for node in nodes}) == 1
+        roots = {node.state.state_root() for node in nodes}
         assert len(roots) == 1
         for node in platform.nodes.values():
             assert node.store.verify_chain_integrity()

@@ -14,6 +14,7 @@ from repro.consensus.pos import ProofOfStake
 from repro.p2p.config import P2PConfig
 from repro.p2p.gossip import KIND_BLOCK, KIND_TX, Gossip, SeenCache
 from repro.p2p.transport import PeerUnreachable
+from repro.p2p.wire import compact_block_to_wire, tx_to_wire
 from repro.sim.kernel import Kernel
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
@@ -56,6 +57,7 @@ class _StubTransport:
 
 class _StubPeers:
     connected = ["p1", "p2", "p3"]
+    peers = dict.fromkeys(connected)  # the PeerManager's table
 
     def note_alive(self, addr):
         pass
@@ -121,6 +123,101 @@ def test_a_compact_block_that_misses_the_pool_is_fetched_whole_from_its_source()
     assert gossip._sources[txs[1].tx_id] == ["p2"]
 
 
+def _push(kind, item_id, bodies, to=("p2", "p3"), sender="p1"):
+    return {"from": sender, "kind": kind, "id": item_id, "bodies": list(bodies), "to": list(to)}
+
+
+def test_a_push_is_delivered_once_and_its_named_peers_are_not_announced_to():
+    """The sender and the named peers become holders — the receiver's own
+    address is not in its peer table and is skipped — so the relay has
+    nobody left to announce to."""
+    tx = make_transfer(KeyPair.generate("push-sender"), "sink", 1, nonce=0)
+    delivered, transport = [], _StubTransport()
+    gossip = _stub_gossip(transport, deliver_tx=delivered.append)
+    gossip.handle_push(_push(KIND_TX, tx.tx_id, [tx_to_wire(tx)], to=["me", "p2", "p3"]))
+    assert [item.tx_id for item in delivered] == [tx.tx_id]
+    assert gossip.seen.holders(tx.tx_id) == ("p1", "p2", "p3")
+    assert gossip.announce(KIND_TX, tx.tx_id) == 0 and transport.notifications == []
+
+
+def test_a_pushed_block_that_misses_the_pool_is_fetched_whole_from_its_pusher():
+    sender = KeyPair.generate("push-sender")
+    txs = [make_transfer(sender, "sink", 1, nonce=n) for n in range(3)]
+    block = build_block(make_genesis(b"\0" * 32), txs, b"\1" * 32, "p1", 1000)
+    pool = {tx.tx_id: tx for tx in txs[:2]}
+    delivered, transport = [], _StubTransport()
+    gossip = _stub_gossip(
+        transport, get_item=lambda kind, item_id: pool.get(item_id), deliver_block=delivered.append
+    )
+    gossip.handle_push(_push(KIND_BLOCK, block.block_id, [compact_block_to_wire(block)]))
+    assert delivered == []
+    assert transport.requests == [("p1", "chain.get_blocks", [block.block_id])]
+
+
+def _malformed_pushes():
+    sender = KeyPair.generate("push-sender")
+    tx, other = (make_transfer(sender, "sink", 1, nonce=n) for n in range(2))
+    block = build_block(make_genesis(b"\0" * 32), [tx], b"\1" * 32, "p1", 1000)
+    sibling = build_block(make_genesis(b"\0" * 32), [tx], b"\2" * 32, "p1", 1000)
+    wire = tx_to_wire(tx)
+    return {
+        "no body": _push(KIND_TX, tx.tx_id, []),
+        "two bodies": _push(KIND_TX, tx.tx_id, [wire, wire]),
+        "bodies not a list": dict(_push(KIND_TX, tx.tx_id, []), bodies=wire),
+        "tx body is another tx": _push(KIND_TX, tx.tx_id, [tx_to_wire(other)]),
+        "tx body undecodable": _push(KIND_TX, tx.tx_id, [{"sender": 1}]),
+        "header is another block": _push(
+            KIND_BLOCK, block.block_id, [compact_block_to_wire(sibling)]
+        ),
+        "unknown kind": _push("receipt", tx.tx_id, [wire]),
+        "id not a string": _push(KIND_TX, 7, [wire]),
+        "named peers not a list": dict(_push(KIND_TX, tx.tx_id, [wire]), to="p2"),
+    }
+
+
+MALFORMED_PUSHES = _malformed_pushes()
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_PUSHES))
+def test_a_malformed_push_is_counted_and_delivers_nothing(shape):
+    params = MALFORMED_PUSHES[shape]
+    metrics, delivered = MetricsRegistry(), []
+    gossip = Gossip(
+        _StubTransport(),
+        _StubPeers(),
+        P2PConfig(),
+        has_item=lambda kind, item_id: False,
+        get_item=lambda kind, item_id: None,
+        deliver_tx=delivered.append,
+        deliver_block=delivered.append,
+        metrics=metrics,
+    )
+    gossip.handle_push(params)
+    assert metrics.counter_total("p2p_invalid_bodies") == 1
+    assert delivered == [] and len(gossip.seen) == 0 and gossip._in_flight == {}
+
+
+def test_an_unsolicited_push_cannot_grow_a_seen_cache_entry():
+    """Named peers count as holders only if the peer table tracks them, and
+    at most ``max_peers`` of them: strangers are never recorded."""
+    tx = make_transfer(KeyPair.generate("push-sender"), "sink", 1, nonce=0)
+    gossip = Gossip(
+        _StubTransport(),
+        _StubPeers(),
+        P2PConfig(max_peers=1),
+        has_item=lambda kind, item_id: True,
+        get_item=lambda kind, item_id: None,
+        deliver_tx=lambda tx: None,
+        deliver_block=lambda block: None,
+    )
+    strangers = [f"stranger-{n}" for n in range(500)]
+    for _ in range(3):
+        gossip.handle_push(
+            _push(KIND_TX, tx.tx_id, [tx_to_wire(tx)], to=strangers + ["p2", "p3"])
+        )
+    assert gossip.seen.holders(tx.tx_id) == ("p1", "p2")
+
+
 def test_announces_during_a_sync_cannot_grow_the_fetch_bookkeeping():
     """A peer announcing block ids while sync runs is deferred, not fetched —
     at most ``seen_cache_size`` of them, oldest dropped first — and the retry
@@ -157,8 +254,11 @@ def test_announces_during_a_sync_cannot_grow_the_fetch_bookkeeping():
     assert gossip._sources == {} and gossip._in_flight == {}
 
 
-def test_tx_gossip_propagates_via_fetch_on_miss(p2p_world):
-    world = p2p_world
+def test_tx_gossip_propagates_via_fetch_on_miss(alice):
+    """With fanout 1 of 3 peers the origin pushes a new tx to one peer, naming
+    it; beyond that first hop, relays announce the id and a peer that lacks
+    the body fetches it once."""
+    world = P2PWorld(alice, n_validators=4, fanout=1)
     tx = make_transfer(world.alice, "sink", 1, nonce=0)
     world.nodes["n0"].submit_tx(tx)
     world.kernel.run(
@@ -170,11 +270,16 @@ def test_tx_gossip_propagates_via_fetch_on_miss(p2p_world):
         tx.tx_id in node.mempool or node.receipt(tx.tx_id)
         for node in world.nodes.values()
     )
+    assert world.metrics.counter("p2p_push_sent", scope="n0") == 1
     assert world.metrics.counter_total("p2p_announce_sent") > 0
     assert world.metrics.counter_total("p2p_fetches") > 0
+    assert world.metrics.counter_total("p2p_duplicate_bodies") == 0
 
 
 def test_block_propagation_never_duplicates_bodies(p2p_world):
+    """On a full mesh every body reaches every node in its creator's push,
+    which names all its recipients: nothing is re-announced or fetched, and
+    no node receives a body twice."""
     world = p2p_world
     txs = [make_transfer(world.alice, "sink", 1, nonce=n) for n in range(9)]
     for tx in txs:
@@ -182,29 +287,31 @@ def test_block_propagation_never_duplicates_bodies(p2p_world):
     world.commit(txs[-1])
     assert world.converged()
     assert world.nodes["n0"].head.height >= 3
-    # The zero-flood property: every node received each block body at most
-    # once; redundant announcements were deduplicated by id.
     assert world.metrics.counter_total("p2p_duplicate_bodies") == 0
-    assert world.metrics.counter_total("p2p_announce_duplicate") > 0
+    assert world.metrics.counter_total("p2p_announce_sent") == 0
+    assert world.metrics.counter_total("p2p_fetches") == 0
 
 
 def test_bodies_are_never_flooded_full_size(p2p_world):
-    """Announcements are id-sized; bodies move only via explicit fetch."""
+    """A body is sent unasked only by its creator, once to each peer: one tx
+    and the block that commits it reach each of the two followers once."""
     world = p2p_world
     tx = make_transfer(world.alice, "sink", 1, nonce=0)
     world.nodes["n0"].submit_tx(tx)
     world.commit(tx)
-    fetches = world.metrics.counter_total("p2p_fetches")
-    served = world.metrics.counter_total("p2p_bodies_served")
-    assert fetches > 0
-    assert served <= fetches  # one body per fetch, never pushed unrequested
+    world.kernel.run(until=world.kernel.now + 1.0)  # the block's last push lands
+    assert world.nodes["n0"].head.height == 1
+    assert world.metrics.counter_total("p2p_push_sent") == 2 * 2
+    assert world.metrics.counter_total("p2p_push_recv") == 2 * 2
+    assert world.metrics.counter_total("p2p_bodies_served") == 0
 
 
 def test_a_fetch_its_only_source_refuses_is_retried(alice):
-    """n0 refuses the first ``get_data`` it is sent, as an overloaded server
-    does.  n1 has no other source, so it asks n0 again after a short backoff
-    rather than leaving the tx out of its pool.  (The tx's nonce is one
-    ahead, so no block can bring it instead.)"""
+    """n0 relays a tx it did not create, so it announces the id; it refuses
+    the first ``get_data`` it is sent, as an overloaded server does.  n1 has
+    no other source, so it asks n0 again after a short backoff rather than
+    leaving the tx out of its pool.  (The tx's nonce is one ahead, so no block
+    can bring it instead.)"""
     world = P2PWorld(alice, n_validators=2)
     transport = world.nodes["n0"].p2p.transport
     dispatch, refused = transport.dispatch, []
@@ -217,11 +324,43 @@ def test_a_fetch_its_only_source_refuses_is_retried(alice):
 
     transport.dispatch = refusing
     tx = make_transfer(alice, "sink", 1, nonce=1)
-    assert world.nodes["n0"].submit_tx(tx)
+    world.nodes["n0"].receive_tx(tx)
     world.kernel.run(until=world.kernel.now + 2.0)
     assert refused == ["n1"]
     assert all(tx.tx_id in node.mempool for node in world.nodes.values())
     assert world.metrics.counter("p2p_fetch_retries", scope="n1") == 1
+
+
+def test_a_lost_push_is_repaired_by_the_block_that_commits_the_tx(alice):
+    """n0's push of a new tx to n1 is dropped.  n2 holds it but does not
+    announce it to n1, which the push named; n1 receives the tx inside the
+    block that commits it (a pool miss, then one ``chain.get_blocks``), and
+    no node receives any body twice."""
+    world = P2PWorld(alice)
+    send, dropped = world.network.send, []
+
+    def lossy_send(sender, recipient, kind, payload, size_bytes=256):
+        if (
+            (sender, recipient) == ("n0", "n1")
+            and payload.get("method") == "p2p.push"
+            and payload["params"]["kind"] == KIND_TX
+            and not dropped
+        ):
+            dropped.append(payload["params"]["id"])
+            return None
+        return send(sender, recipient, kind, payload, size_bytes)
+
+    world.network.send = lossy_send
+    tx = make_transfer(alice, "sink", 1, nonce=0)
+    assert world.nodes["n0"].submit_tx(tx)
+    world.kernel.run(until=world.kernel.now + 0.2)
+    assert dropped == [tx.tx_id] and tx.tx_id not in world.nodes["n1"].mempool
+    world.commit(tx)
+    assert all(node.receipt(tx.tx_id).success for node in world.nodes.values())
+    assert world.converged()
+    assert world.metrics.counter("p2p_compact_misses", scope="n1") == 1
+    assert world.metrics.counter_total("p2p_announce_sent") == 0
+    assert world.metrics.counter_total("p2p_duplicate_bodies") == 0
 
 
 @pytest.mark.parametrize("consensus", ["poa", "pos"])

@@ -218,25 +218,36 @@ def test_verifications_per_committed_tx_on_a_shared_process_network(monkeypatch)
 
 
 def test_gossip_messages_per_committed_tx(monkeypatch):
-    """The same network with its handshakes done before the first submit, so
-    every id travels by ``announce``: no peer is sent an id it is known to
-    hold (it announced the id to us, or fetched it from us), an announce is a
-    notification that nothing answers, and a follower is sent a block as its
-    header and tx ids, rebuilding the rest from its own pool.  Counted on the
-    wire, by wrapping ``Network.send``."""
+    """The same network with its handshakes done before the first submit.  The
+    validator a tx is submitted to pushes its body to both others in one
+    ``p2p.push`` notification each, and the proposer pushes each block the
+    same way, as its header and tx ids; every copy names both recipients, so
+    no relay announces anything and nobody fetches.  Counted on the wire, by
+    wrapping ``Network.send``."""
     kernel, network, nodes, txs = _three_validators()
     for node in nodes.values():
         node.start()
     kernel.run(until=1.0)  # hellos answered; the first ping is >= 2.5 s away
 
-    counts = {"announced_ids": 0, "get_data": 0, "responses": 0, "block_body_bytes": 0}
+    counts = {
+        "pushes": 0,
+        "announced_ids": 0,
+        "get_data": 0,
+        "responses": 0,
+        "block_body_bytes": 0,
+    }
     send = network.send
 
     def counted_send(sender, recipient, kind, payload, size_bytes=256):
         if kind == SimTransport.KIND_REQUEST:
-            if payload["method"] == "p2p.announce":
-                counts["announced_ids"] += len(payload["params"]["ids"])
-            elif payload["method"] == "p2p.get_data":
+            method, params = payload["method"], payload["params"]
+            if method == "p2p.push":
+                counts["pushes"] += 1
+                if params["kind"] == "block":
+                    counts["block_body_bytes"] += size_bytes
+            elif method == "p2p.announce":
+                counts["announced_ids"] += len(params["ids"])
+            elif method == "p2p.get_data":
                 counts["get_data"] += 1
         elif kind == SimTransport.KIND_RESPONSE:
             counts["responses"] += 1
@@ -251,6 +262,7 @@ def test_gossip_messages_per_committed_tx(monkeypatch):
     _assert_within_pins(
         "gossip",
         {
+            "pushed_bodies_per_committed_tx": counts["pushes"] / len(txs),
             "announces_per_committed_tx": counts["announced_ids"] / len(txs),
             "fetches_per_committed_tx": counts["get_data"] / len(txs),
             "p2p_resp_messages_per_committed_tx": counts["responses"] / len(txs),
