@@ -25,3 +25,7 @@ GAS_CALL_BASE = 5_000  # intrinsic cost of a call transaction
 
 MAX_CALL_DEPTH = 32
 MAX_ITERATIONS_PER_LOOP = 1_000_000
+#: Gas bounds time, not memory: ``x = x + x`` doubles a string for a few gas.
+#: So no str / bytes / list / tuple that ``+``, ``*`` or ``**`` builds may be
+#: longer than this, and no int they build wider than this many bits.
+MAX_VALUE_SIZE = 1 << 16

@@ -41,6 +41,12 @@ Gas is consensus: a closure charges exactly what the node-by-node tree walk
 it replaced charged, in the same order relative to every child evaluation,
 host call and raise site.  ``GasMeter.used`` is therefore the same integer on
 success, on a ``ContractError`` and at the charge that overshoots the limit.
+A call-free expression whose gas is fixed at compile time (names, constants,
+``+ - * // %``, one comparison other than ``in``, subscripts, list and tuple
+displays) is also lowered unmetered: it runs with one check that the meter
+holds its whole charge, and falls back to its node-by-node closure, from the
+untouched meter, when the meter is short or it raises.  It calls nothing,
+advances no iterator and writes nothing, so that replay sees what it saw.
 The walker lives on as ``tests/contracts/vm_oracle.py``, and the differential
 suite holds the two to identical results, gas, error text and host-call order,
 at every gas limit from zero to the full cost.
@@ -65,7 +71,7 @@ from __future__ import annotations
 import ast
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ContractError, OutOfGasError
 from repro.contracts import gas as G
@@ -171,13 +177,55 @@ def _mod(a: Any, b: Any) -> Any:
     return a % b
 
 
+_MAX_SIZE = G.MAX_VALUE_SIZE
+_SEQUENCES = (str, bytes, list, tuple)
+_TOO_LARGE = f"arithmetic error: result over {_MAX_SIZE} items or bits"
+
+
+def _sized(result: Any) -> Any:
+    """``result``, unless it is a sequence longer than the cap."""
+    if isinstance(result, _SEQUENCES) and len(result) > _MAX_SIZE:
+        raise ContractError(_TOO_LARGE)
+    return result
+
+
+def _add(a: Any, b: Any) -> Any:
+    """``a + b``; an int grows a bit per gas, so only a sequence is sized."""
+    result = a + b
+    return result if result.__class__ is int else _sized(result)
+
+
+def _mul(a: Any, b: Any) -> Any:
+    """``a * b``: an int product no wider than the cap; a repetition checked before it is built."""
+    if isinstance(a, int) and isinstance(b, int):
+        result = a * b
+        if result.bit_length() > _MAX_SIZE:
+            raise ContractError(_TOO_LARGE)
+        return result
+    count, items = (a, b) if isinstance(a, int) else (b, a)
+    if isinstance(count, int) and isinstance(items, _SEQUENCES) and len(items) * count > _MAX_SIZE:
+        raise ContractError(_TOO_LARGE)
+    return a * b
+
+
+def _pow(a: Any, b: Any) -> Any:
+    """``a ** b``, no wider than the cap; refused unbuilt when even its lower bound is wider."""
+    # ``a ** b`` has more than ``(a.bit_length() - 1) * b`` bits.
+    if isinstance(a, int) and isinstance(b, int) and b > 0 and (a.bit_length() - 1) * b > _MAX_SIZE:
+        raise ContractError(_TOO_LARGE)
+    result = a ** b
+    if isinstance(result, int) and result.bit_length() > _MAX_SIZE:
+        raise ContractError(_TOO_LARGE)
+    return result
+
+
 _ALLOWED_BINOPS = {
-    ast.Add: operator.add,
+    ast.Add: _add,
     ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
+    ast.Mult: _mul,
     ast.FloorDiv: operator.floordiv,
     ast.Mod: _mod,
-    ast.Pow: operator.pow,
+    ast.Pow: _pow,
 }
 
 _ALLOWED_UNARY = {
@@ -433,10 +481,15 @@ def _literal(node: ast.AST) -> Any:
 #
 # The hot closures spell ``meter.charge(n)`` out in place (add, store, compare,
 # raise ``_out_of_gas``) because that method call would be a third of their
-# cost; the rest call it.
+# cost; the rest call it.  A pure expression (``_Lowering.pure``) also has an
+# unmetered form ``env -> value``, which ``_fused`` runs.
 
 _Closure = Callable[["GasMeter", Dict[str, Any], "Interpreter"], Any]
 _Store = Callable[[Any, "GasMeter", Dict[str, Any], "Interpreter"], None]
+#: The unmetered form of a pure expression: ``env -> value``.
+_Pure = Callable[[Dict[str, Any]], Any]
+#: What a pure form may raise; the walk then runs and raises it (or not) itself.
+_REPLAYED = _VALUE_ERRORS + (ContractError,)
 
 _GAS_EXPR = G.GAS_EXPRESSION
 _GAS_STMT = G.GAS_STATEMENT
@@ -455,6 +508,47 @@ def _raising(gas: int, message: str) -> _Closure:
     def run(m, env, rt):
         m.charge(gas)
         raise ContractError(message)
+
+    return run
+
+
+def _fused(fast: _Pure, gas: int, walk: _Closure) -> _Closure:
+    """Pay ``gas`` in one check and return ``fast(env)``; if the meter is short
+    or ``fast`` raises, run ``walk`` from the untouched meter instead.
+
+    ``fast`` calls nothing, advances no iterator and writes nothing, so the
+    walk sees what ``fast`` saw and decides the gas, the error and its text.
+    """
+
+    def run(m, env, rt):
+        used = m.used + gas
+        if used > m.limit:
+            return walk(m, env, rt)
+        try:
+            value = fast(env)
+        except _REPLAYED:
+            return walk(m, env, rt)
+        m.used = used
+        return value
+
+    return run
+
+
+def _fused_assign(name: str, fast: _Pure, gas: int, walk: _Closure) -> _Closure:
+    """``name = ...`` whose value and statement charge are fused: :func:`_fused`, then the store."""
+
+    def run(m, env, rt):
+        used = m.used + gas
+        if used <= m.limit:
+            try:
+                value = fast(env)
+            except _REPLAYED:
+                pass
+            else:
+                m.used = used
+                env[name] = value
+                return
+        env[name] = walk(m, env, rt)
 
     return run
 
@@ -511,6 +605,8 @@ class _Lowering:
         # Only these names can ever be in ``env``; any other is a function
         # (host, builtin or contract) or undefined.
         self.maybe_local = bound_names(func) | set(contract.constants)
+        self.pure_forms: Dict[ast.expr, Optional[Tuple[_Pure, int]]] = {}
+        self.fuse = True  # off while lowering the walk beneath a fused node
 
     # -- statements ----------------------------------------------------------
     def block(self, body: Sequence[ast.stmt]) -> Optional[_Closure]:
@@ -534,38 +630,59 @@ class _Lowering:
             return _raising(_GAS_STMT, f"disallowed statement {type(node).__name__}")
         return lower(node)
 
-    def _stmt_Return(self, node: ast.Return) -> _Closure:
-        value = self.expr(node.value) if node.value else None
+    def charged(self, node: ast.expr) -> _Closure:
+        """A statement's charge, then the value of ``node``: one check for both when ``node`` is pure."""
+        form, walked = self._charged(node)
+        return walked if form is None else _fused(*form, walked)
 
-        def run(m, env, rt):
+    def _charged(self, node: ast.expr) -> Tuple[Optional[Tuple[_Pure, int]], _Closure]:
+        """``node``'s pure form, charged for the statement too (``None`` if it has
+        none), and the statement charge followed by ``node``'s walk."""
+        form = self.pure(node)
+        value = self.walk(node) if form else self.expr(node)
+
+        def walked(m, env, rt):
             used = m.used + _GAS_STMT
             m.used = used
             if used > m.limit:
                 raise _out_of_gas(m)
-            return (value(m, env, rt),) if value else _RETURN_NONE
+            return value(m, env, rt)
+
+        if form is None:
+            return None, walked
+        fast, gas = form
+        return (fast, _GAS_STMT + gas), walked
+
+    def _stmt_Return(self, node: ast.Return) -> _Closure:
+        if node.value is None:
+
+            def run_none(m, env, rt):
+                m.charge(_GAS_STMT)
+                return _RETURN_NONE
+
+            return run_none
+        value = self.charged(node.value)
+
+        def run(m, env, rt):
+            return (value(m, env, rt),)
 
         return run
 
     def _stmt_Assign(self, node: ast.Assign) -> _Closure:
-        value = self.expr(node.value)
+        form, walked = self._charged(node.value)
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             name = node.targets[0].id
+            if form is not None:
+                return _fused_assign(name, *form, walked)
 
             def run_name(m, env, rt):
-                used = m.used + _GAS_STMT
-                m.used = used
-                if used > m.limit:
-                    raise _out_of_gas(m)
-                env[name] = value(m, env, rt)
+                env[name] = walked(m, env, rt)
 
             return run_name
+        value = walked if form is None else _fused(*form, walked)
         stores = tuple(self.store(target) for target in node.targets)
 
         def run(m, env, rt):
-            used = m.used + _GAS_STMT
-            m.used = used
-            if used > m.limit:
-                raise _out_of_gas(m)
             result = value(m, env, rt)
             for store in stores:
                 store(result, m, env, rt)
@@ -617,15 +734,11 @@ class _Lowering:
         return run
 
     def _stmt_If(self, node: ast.If) -> _Closure:
-        test = self.expr(node.test)
+        test = self.charged(node.test)
         body = self.block(node.body)
         orelse = self.block(node.orelse)
 
         def run(m, env, rt):
-            used = m.used + _GAS_STMT
-            m.used = used
-            if used > m.limit:
-                raise _out_of_gas(m)
             if test(m, env, rt):
                 return body(m, env, rt)
             if orelse is not None:
@@ -704,13 +817,9 @@ class _Lowering:
         return run
 
     def _stmt_Expr(self, node: ast.Expr) -> _Closure:
-        value = self.expr(node.value)
+        value = self.charged(node.value)
 
         def run(m, env, rt):
-            used = m.used + _GAS_STMT
-            m.used = used
-            if used > m.limit:
-                raise _out_of_gas(m)
             value(m, env, rt)
 
         return run
@@ -792,10 +901,135 @@ class _Lowering:
 
     # -- expressions ---------------------------------------------------------
     def expr(self, node: ast.expr) -> _Closure:
+        """``node``'s closure: fused when it is pure and more than a leaf."""
+        if self.fuse and not isinstance(node, (ast.Name, ast.Constant)):
+            form = self.pure(node)
+            if form is not None:
+                return _fused(*form, self.walk(node))
         lower = getattr(self, "_expr_" + type(node).__name__, None)
         if lower is None:
             return _raising(_GAS_EXPR, f"disallowed expression {type(node).__name__}")
         return lower(node)
+
+    def walk(self, node: ast.expr) -> _Closure:
+        """``node``'s node-by-node closure, with nothing beneath it fused."""
+        fuse, self.fuse = self.fuse, False
+        try:
+            return self.expr(node)
+        finally:
+            self.fuse = fuse
+
+    # -- pure forms: unmetered ``env -> value``, and the gas the walk charges --
+    def pure(self, node: ast.expr) -> Optional[Tuple[_Pure, int]]:
+        """``node`` as an unmetered function of ``env`` and its fixed gas, or
+        ``None`` when it calls, advances an iterator or costs what values decide."""
+        if node not in self.pure_forms:
+            lower = getattr(self, "_pure_" + type(node).__name__, None)
+            self.pure_forms[node] = lower(node) if lower is not None else None
+        return self.pure_forms[node]
+
+    def _pure_Constant(self, node: ast.Constant) -> Tuple[_Pure, int]:
+        value = node.value
+        return (lambda env: value), _GAS_EXPR
+
+    def _pure_Name(self, node: ast.Name) -> Optional[Tuple[_Pure, int]]:
+        # Only a maybe-local can have a value; a miss raises ``KeyError``.
+        if node.id not in self.maybe_local:
+            return None
+        return operator.itemgetter(node.id), _GAS_EXPR
+
+    def _pure_BinOp(self, node: ast.BinOp) -> Optional[Tuple[_Pure, int]]:
+        op = _ALLOWED_BINOPS.get(type(node.op))
+        if op is None or op is _pow:  # ``**``: rare, and the costliest to compute twice on a replay
+            return None
+        left, right = self.pure(node.left), self.pure(node.right)
+        if left is None or right is None:
+            return None
+        (lhs, lhs_gas), (rhs, rhs_gas) = left, right
+        # No float check: no ``env`` value is a float, and without ``**`` no
+        # operator makes one from non-floats.
+        if op is _add:  # ``_add`` and ``_mul`` spelled out for ints, the hot case
+
+            def fast(env):
+                result = lhs(env) + rhs(env)
+                return result if result.__class__ is int else _sized(result)
+
+        elif op is _mul:
+
+            def fast(env):
+                a = lhs(env)
+                b = rhs(env)
+                if a.__class__ is int and b.__class__ is int:
+                    result = a * b
+                    if result.bit_length() <= _MAX_SIZE:
+                        return result
+                return _mul(a, b)
+
+        else:
+
+            def fast(env):
+                return op(lhs(env), rhs(env))
+
+        return fast, _GAS_EXPR + lhs_gas + rhs_gas
+
+    def _pure_Compare(self, node: ast.Compare) -> Optional[Tuple[_Pure, int]]:
+        if len(node.ops) != 1 or isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            return None
+        op = _COMPARE[type(node.ops[0])]
+        left, right = self.pure(node.left), self.pure(node.comparators[0])
+        if left is None or right is None:
+            return None
+        (lhs, lhs_gas), (rhs, rhs_gas) = left, right
+
+        def fast(env):
+            return True if op(lhs(env), rhs(env)) else False
+
+        return fast, _GAS_EXPR + lhs_gas + rhs_gas
+
+    def _pure_Subscript(self, node: ast.Subscript) -> Optional[Tuple[_Pure, int]]:
+        container, key = self.pure(node.value), self.pure(node.slice)
+        if container is None or key is None:
+            return None
+        (items, items_gas), (index, index_gas) = container, key
+        if isinstance(node.value, ast.Subscript):
+            # ``a[i][k]`` in one frame: a float ``a[i]`` fails ``[k]``, and the walk raises for it.
+            outer, inner = self.pure(node.value.value)[0], self.pure(node.value.slice)[0]
+
+            def fast(env):
+                result = outer(env)[inner(env)][index(env)]
+                if isinstance(result, float):
+                    raise ContractError(_FLOAT_ERROR)
+                return result
+
+        else:
+
+            def fast(env):
+                result = items(env)[index(env)]
+                if isinstance(result, float):
+                    raise ContractError(_FLOAT_ERROR)
+                return result
+
+        return fast, _GAS_EXPR + items_gas + index_gas
+
+    def _pure_List(self, node: ast.List) -> Optional[Tuple[_Pure, int]]:
+        elements = self._pure_elements(node.elts)
+        if elements is None:
+            return None
+        values, gas = elements
+        return (lambda env: [value(env) for value in values]), _GAS_EXPR + gas
+
+    def _pure_Tuple(self, node: ast.Tuple) -> Optional[Tuple[_Pure, int]]:
+        elements = self._pure_elements(node.elts)
+        if elements is None:
+            return None
+        values, gas = elements
+        return (lambda env: tuple([value(env) for value in values])), _GAS_EXPR + gas
+
+    def _pure_elements(self, nodes: Sequence[ast.expr]) -> Optional[Tuple[Tuple[_Pure, ...], int]]:
+        forms = [self.pure(node) for node in nodes]
+        if None in forms:
+            return None
+        return tuple(value for value, _ in forms), sum(gas for _, gas in forms)
 
     def _expr_Constant(self, node: ast.Constant) -> _Closure:
         value = node.value  # never a float: parse_contract rejects those

@@ -233,6 +233,15 @@ ESCAPING_SHAPES = {
         "l = 1\n    while x < 40:\n        l = [l]\n        x = x + 1\n    require(True, l)\n    storage_set(l, 1)",
         "value has no text form: nested deeper",
     ),
+    # Gas bounds time, not memory: the first left ``apply`` as a MemoryError
+    # after 40 gas, the second built a 268 MB string for 468 gas.
+    "repeat_past_the_size_cap": ("return len([0] * 10**12)", "arithmetic error: result over 65536 items or bits"),
+    "double_a_string_past_the_size_cap": (
+        "s = 'ab'\n    while x < 28:\n        s = s + s\n        x = x + 1",
+        "arithmetic error: result over 65536 items or bits",
+    ),
+    "power_past_the_size_cap": ("x = 3 ** 10**9", "arithmetic error: result over 65536 items or bits"),
+    "square_past_the_size_cap": ("x = 2 ** 40000\n    x = x * x", "arithmetic error: result over 65536 items or bits"),
     "return_int_keyed_dict": ("return {'v': {1: 2}}", "result is not serializable: dict keys"),
     "return_a_list_holding_itself": (
         "l = [1]\n    l[0:] = [l]\n    return l",

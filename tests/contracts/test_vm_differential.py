@@ -8,8 +8,8 @@ Two references, two questions:
   results — the strongest available evidence that contract authors can rely
   on their Python intuition.
 - **The tree-walking oracle** (``vm_oracle.py``).  The VM runs contracts
-  lowered to closures, and pays the gas of side-effect-free expressions in
-  one sum; the walker it replaced charges node by node.  The second half
+  lowered to closures, and pays the gas of call-free expressions in one
+  sum; the walker it replaced charges node by node.  The second half
   requires the two to agree on everything consensus can see: the result,
   ``GasMeter.used``, the exception type and text, and the ordered log of
   host calls with the meter reading at each — on the shipped library, on
@@ -400,7 +400,7 @@ class TestLibraryMatchesOracle:
 # zero divisors, bad subscripts, type confusion, unbound and shadowed names,
 # stray ``break``.  Failing identically is part of the contract.
 #
-# Gas bounds how long a contract runs, not how large its values grow
+# The VM's size cap still lets a value grow to 65 536 items for a few gas
 # (``x = x + x`` in a loop), so every value a generated program stores goes
 # through the ``cap`` host function, ``*`` and ``**`` take a literal operand,
 # and the gas limit is small.  ``cap`` is logged like any host call, which
@@ -834,6 +834,33 @@ SWEEP_PROGRAMS = {
         "            items[9] = 1 if x == 2 else 0\n"
         "    return x\n",
         {"x": 1, "items": [0] * 10},
+    ),
+    # The fused forms' hazards: a pure expression whose unmetered run raises
+    # must be replayed node by node, from the meter it started with.
+    # ``%`` refuses to format an iterator with a ContractError, not a Python error.
+    "mod_formats_an_iterator": (
+        "def f(x, items):\n    it = reversed(items)\n    y = x % it\n    return y\n",
+        {"x": "%s", "items": [4, 5, 6]},
+    ),
+    "unbound_local_in_a_fused_expression": (
+        "def f(x, items):\n"
+        "    if x > 5:\n"
+        "        late = 1\n"
+        "    y = items[0] * x + [x, 1][x - 2]\n"
+        "    return (y - items[1]) * x + late\n"
+    ),
+    "subscript_fails_after_a_costly_left_operand": (
+        "def f(x, items):\n"
+        "    y = (items[0] * x + items[1] - items[2] // x) % 7\n"
+        "    return y + (items[1] - items[0]) * [1, 2, 3][y + items[x]]\n"
+    ),
+    "size_cap": (
+        "def f(x, items):\n"
+        "    s = 'ab' * 32768\n"
+        "    t = items * 21845\n"
+        "    n = 2 ** 65535\n"
+        "    out = [len(s), len(t + [x]), n * (x - 1) == n, len(s[1:] + 'c')]\n"
+        "    return out + [len(t + items)]\n"
     ),
 }
 SWEEP_PROGRAMS = {

@@ -2,8 +2,11 @@
 
 ``onchain_compute`` (E22) is the workload where the VM dominates CPU per op;
 its unit of work is one ``matmul`` call at n=10.  The compiled VM has to run
-it at least 2.5x as fast as the tree-walking oracle it replaced, in the same
-process, on whatever host the tests land on.
+it at least 5x as fast as the tree-walking oracle it replaced, in the same
+process, on whatever host the tests land on.  Node-by-node closures alone
+read ~3.6x; the rest is the fused expressions (``acc = acc + a[i][k] *
+b[k][j]`` runs unmetered and pays its 15 gas in one check), so a change
+that quietly loses them fails here.
 """
 
 from vm_oracle import OracleInterpreter
@@ -13,10 +16,10 @@ from repro.contracts.vm import GasMeter, Interpreter, compile_contract
 
 N = 10
 TRIALS = 12
-MIN_SPEEDUP = 2.5
+MIN_SPEEDUP = 5.0
 
 
-def test_compiled_matmul_at_least_2_5x_the_oracle(lower_quartile_pair):
+def test_compiled_matmul_at_least_5x_the_oracle(lower_quartile_pair):
     contract = compile_contract(library.COMPUTE_CONTRACT_SOURCE)
     args = {
         "a": [[(i * j + 1) % 7 for j in range(N)] for i in range(N)],

@@ -51,13 +51,54 @@ def _percent(a: Any, b: Any) -> Any:
     return a % b
 
 
+_TOO_LARGE = f"arithmetic error: result over {G.MAX_VALUE_SIZE} items or bits"
+
+
+def _size(value: Any) -> int:
+    """Length of a str / bytes / list / tuple, bit length of an int, else 0."""
+    if isinstance(value, int):
+        return value.bit_length()
+    if isinstance(value, (str, bytes, list, tuple)):
+        return len(value)
+    return 0
+
+
+def _capped(result: Any) -> Any:
+    if _size(result) > G.MAX_VALUE_SIZE:
+        raise ContractError(_TOO_LARGE)
+    return result
+
+
+def _plus(a: Any, b: Any) -> Any:
+    if isinstance(a, int) and isinstance(b, int):
+        return a + b  # one bit wider at most: never worth a check
+    return _capped(a + b)
+
+
+def _times(a: Any, b: Any) -> Any:
+    # A repetition is sized before it is built.
+    for items, count in ((a, b), (b, a)):
+        if isinstance(count, int) and not isinstance(items, int):
+            if _size(items) * count > G.MAX_VALUE_SIZE:
+                raise ContractError(_TOO_LARGE)
+    return _capped(a * b)
+
+
+def _power(a: Any, b: Any) -> Any:
+    # Sized before it is built when even the least it could be is too wide.
+    if isinstance(a, int) and isinstance(b, int) and b > 0:
+        if (a.bit_length() - 1) * b > G.MAX_VALUE_SIZE:
+            raise ContractError(_TOO_LARGE)
+    return _capped(a ** b)
+
+
 _ALLOWED_BINOPS = {
-    ast.Add: lambda a, b: a + b,
+    ast.Add: _plus,
     ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
+    ast.Mult: _times,
     ast.FloorDiv: lambda a, b: a // b,
     ast.Mod: _percent,
-    ast.Pow: lambda a, b: a ** b,
+    ast.Pow: _power,
 }
 
 _ALLOWED_COMPARE = {
