@@ -44,7 +44,6 @@ from repro.analysis.rwsets import (
     read_write_sets,
 )
 from repro.analysis.findings import AnalysisResult, Finding, RuleInfo, Severity
-from repro.analysis.gasmodel import GasEstimator, estimate_contract_gas
 from repro.analysis.registry import (
     ContractChecker,
     ContractContext,
@@ -64,7 +63,6 @@ __all__ = [
     "ContractContext",
     "ContractVerificationError",
     "Finding",
-    "GasEstimator",
     "MethodRWSet",
     "ModuleContext",
     "RepoChecker",
@@ -86,7 +84,6 @@ __all__ = [
     "fingerprint",
     "load_baseline",
     "write_baseline",
-    "estimate_contract_gas",
     "extract_embedded_contracts",
     "parse_suppressions",
     "read_write_sets",

@@ -17,7 +17,8 @@ Rule catalog:
   rebinding (aliasing hazard for any runtime without copy-on-bridge)
 - MED006 — call to a function that exists neither in the contract, the
   VM's pure builtins, nor :data:`repro.contracts.runtime.HOST_FUNCTION_NAMES`
-- MED007 — unreachable statements after ``return`` / ``break`` / ``continue``
+- MED007 — unreachable statements after ``return`` / ``break`` / ``continue``,
+  and a function whose name a host function or builtin takes first
 - MED008 — static worst-case gas estimate exceeds the configured ceiling
 - MED009 — syntax the VM forbids (imports, attributes, comprehensions,
   non-literal constants, a module with no functions, ...)
@@ -26,17 +27,19 @@ Rule catalog:
 
 MED002, MED003 and MED009 are not rules of their own: they report
 :func:`repro.contracts.vm.parse_contract`'s violations, so the gate admits
-exactly what ``compile_contract`` compiles.
+exactly what ``compile_contract`` compiles.  MED004-MED008 and MED010 are
+filters and folds over the contract IR (:mod:`repro.analysis.contract_ir`),
+which resolves every call and charges every node as the VM does.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable
 
+from repro.analysis.contract_ir import format_gas
 from repro.analysis.findings import Finding, RuleInfo, Severity
-from repro.analysis.gasmodel import GasEstimator, format_gas
 from repro.analysis.registry import (
     CONTRACT_FAMILY,
     ContractChecker,
@@ -44,7 +47,7 @@ from repro.analysis.registry import (
     register,
     register_rule_info,
 )
-from repro.contracts.vm import assigned_names, bound_names
+from repro.contracts.vm import FUNCTION, HOST, UNDEFINED, assigned_names, bound_names
 
 #: Names whose appearance in contract code signals nondeterminism (or an
 #: attempt to reach outside the sandbox).  The VM would raise ``undefined
@@ -86,22 +89,18 @@ FORBIDDEN_NAMES = frozenset(
 _TERMINATORS = (ast.Return, ast.Break, ast.Continue)
 
 
-def _known_names(ctx: ContractContext, func: ast.FunctionDef) -> Set[str]:
-    """Names a call in ``func`` can reach."""
-    return (
-        bound_names(func)
-        | set(ctx.module.constants)
-        | set(ctx.module.functions)
-        | set(ctx.pure_builtins)
-        | set(ctx.host_functions)
+def _finding(
+    rule: RuleInfo, ctx: ContractContext, node: ast.AST, symbol: str, message: str
+) -> Finding:
+    return Finding(
+        code=rule.code,
+        message=message,
+        severity=rule.default_severity,
+        file=ctx.file,
+        line=ctx.map_line(node.lineno),
+        col=node.col_offset,
+        symbol=symbol,
     )
-
-
-def _walk_functions(
-    ctx: ContractContext,
-) -> Iterable[Tuple[str, ast.FunctionDef]]:
-    for name, func in sorted(ctx.module.functions.items()):
-        yield name, func
 
 
 @register
@@ -116,7 +115,7 @@ class ForbiddenNameChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
+        for name, func in sorted(ctx.module.functions.items()):
             local = bound_names(func)
             for node in ast.walk(func):
                 if (
@@ -125,31 +124,14 @@ class ForbiddenNameChecker(ContractChecker):
                     and node.id in FORBIDDEN_NAMES
                     and node.id not in local
                 ):
-                    yield Finding(
-                        code=self.rule.code,
-                        message=f"use of forbidden name {node.id!r} "
+                    yield _finding(
+                        self.rule,
+                        ctx,
+                        node,
+                        name,
+                        f"use of forbidden name {node.id!r} "
                         "(nondeterministic or outside the VM sandbox)",
-                        severity=self.rule.default_severity,
-                        file=ctx.file,
-                        line=ctx.map_line(node.lineno),
-                        col=node.col_offset,
-                        symbol=name,
                     )
-
-
-def _has_escape(body: List[ast.stmt]) -> bool:
-    """True when any path out of the loop body exists (break/return)."""
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.Break, ast.Return)):
-                return True
-    return False
-
-
-def _is_constant_true(test: ast.expr) -> bool:
-    if isinstance(test, ast.Constant):
-        return bool(test.value)
-    return False
 
 
 @register
@@ -164,23 +146,17 @@ class UnboundedLoopChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
-            for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.While)
-                    and _is_constant_true(node.test)
-                    and not _has_escape(node.body)
-                ):
-                    yield Finding(
-                        code=self.rule.code,
-                        message="loop has no gas-reachable bound: the test "
-                        "is constant-true and the body never breaks or "
-                        "returns, so every call burns its entire gas limit",
-                        severity=self.rule.default_severity,
-                        file=ctx.file,
-                        line=ctx.map_line(node.lineno),
-                        col=node.col_offset,
-                        symbol=name,
+        for name, function in sorted(ctx.ir.functions.items()):
+            for node in function.nodes:
+                if node.loop and node.loop.forever and not node.loop.escapes:
+                    yield _finding(
+                        self.rule,
+                        ctx,
+                        node.ast,
+                        name,
+                        "loop has no gas-reachable bound: the test is "
+                        "constant-true and the body never breaks or returns, "
+                        "so every call burns its entire gas limit",
                     )
 
 
@@ -196,73 +172,37 @@ class StorageAliasChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
+        for name, function in sorted(ctx.ir.functions.items()):
             written: Dict[str, int] = {}  # value name -> first write line
-            for node in self._statements_in_order(func):
+            for stmt in function.statements():
                 # A rebinding (``AugAssign`` included: MedScript computes
                 # ``a <op> b`` afresh) clears the alias.
-                for rebound_name in assigned_names(node):
+                for rebound_name in assigned_names(stmt.ast):
                     written.pop(rebound_name, None)
-                for call in self._storage_set_calls(node):
-                    if len(call.args) < 2:
+                for node in stmt.walk(nested=False):
+                    call = node.ast
+                    if not (
+                        isinstance(call, ast.Call)
+                        and node.ref is not None
+                        and (node.ref.name, node.ref.kind) == ("storage_set", HOST)
+                        and len(call.args) >= 2
+                        and isinstance(call.args[1], ast.Name)
+                    ):
                         continue
-                    value = call.args[1]
-                    if not isinstance(value, ast.Name):
+                    value = call.args[1].id
+                    if value not in written:
+                        written[value] = call.lineno
                         continue
-                    if value.id in written:
-                        yield Finding(
-                            code=self.rule.code,
-                            message=f"{value.id!r} was already written to "
-                            f"storage on line "
-                            f"{ctx.map_line(written[value.id])} and has not "
-                            "been rebound: two storage slots would alias "
-                            "the same mutable value on runtimes without "
-                            "copy-on-write bridges",
-                            severity=self.rule.default_severity,
-                            file=ctx.file,
-                            line=ctx.map_line(call.lineno),
-                            col=call.col_offset,
-                            symbol=name,
-                        )
-                    else:
-                        written[value.id] = call.lineno
-
-    @staticmethod
-    def _statements_in_order(func: ast.FunctionDef) -> List[ast.stmt]:
-        out: List[ast.stmt] = []
-
-        def visit(body: List[ast.stmt]) -> None:
-            for stmt in body:
-                out.append(stmt)
-                for attr in ("body", "orelse", "finalbody"):
-                    inner = getattr(stmt, attr, None)
-                    if inner:
-                        visit(inner)
-
-        visit(func.body)
-        return out
-
-    @staticmethod
-    def _storage_set_calls(stmt: ast.stmt) -> List[ast.Call]:
-        calls = []
-        # Only look at this statement's own expression, not nested blocks
-        # (nested statements are visited separately, in order).
-        nodes: List[ast.AST] = []
-        if isinstance(stmt, ast.Expr):
-            nodes = [stmt.value]
-        elif isinstance(stmt, ast.Assign):
-            nodes = [stmt.value]
-        elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            nodes = [stmt.value]
-        for root in nodes:
-            for node in ast.walk(root):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "storage_set"
-                ):
-                    calls.append(node)
-        return calls
+                    yield _finding(
+                        self.rule,
+                        ctx,
+                        call,
+                        name,
+                        f"{value!r} was already written to storage on line "
+                        f"{ctx.map_line(written[value])} and has not been "
+                        "rebound: two storage slots would alias the same "
+                        "mutable value on runtimes without copy-on-write bridges",
+                    )
 
 
 @register
@@ -277,24 +217,23 @@ class UnknownHostFunctionChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
-            known = _known_names(ctx, func)
-            for node in ast.walk(func):
+        for name, function in sorted(ctx.ir.functions.items()):
+            for node in function.nodes:
+                ref = node.ref
                 if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id not in known
-                    and node.func.id not in FORBIDDEN_NAMES  # MED001's job
+                    isinstance(node.ast, ast.Call)
+                    and ref is not None
+                    and not ref.local
+                    and ref.kind == UNDEFINED
+                    and ref.name not in FORBIDDEN_NAMES  # MED001's job
                 ):
-                    yield Finding(
-                        code=self.rule.code,
-                        message=f"call to {node.func.id!r}: no such contract "
-                        "function, VM builtin, or HostBridge host function",
-                        severity=self.rule.default_severity,
-                        file=ctx.file,
-                        line=ctx.map_line(node.lineno),
-                        col=node.col_offset,
-                        symbol=name,
+                    yield _finding(
+                        self.rule,
+                        ctx,
+                        node.ast,
+                        name,
+                        f"call to {ref.name!r}: no such contract function, "
+                        "VM builtin, or HostBridge host function",
                     )
 
 
@@ -305,37 +244,35 @@ class UnreachableCodeChecker(ContractChecker):
         name="unreachable-code",
         family=CONTRACT_FAMILY,
         default_severity=Severity.WARNING,
-        summary="statements after return/break/continue never execute",
+        summary="statements after return/break/continue, or a function a "
+        "host function or builtin shadows, never execute",
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
-            yield from self._check_block(ctx, name, func.body)
-
-    def _check_block(
-        self, ctx: ContractContext, symbol: str, body: List[ast.stmt]
-    ) -> Iterable[Finding]:
-        terminated_at: Optional[ast.stmt] = None
-        for stmt in body:
-            if terminated_at is not None:
-                yield Finding(
-                    code=self.rule.code,
-                    message="unreachable: execution cannot continue past "
-                    f"the {type(terminated_at).__name__.lower()} on line "
-                    f"{ctx.map_line(terminated_at.lineno)}",
-                    severity=self.rule.default_severity,
-                    file=ctx.file,
-                    line=ctx.map_line(stmt.lineno),
-                    col=stmt.col_offset,
-                    symbol=symbol,
+        for name, function in sorted(ctx.ir.functions.items()):
+            if function.ref.kind != FUNCTION:
+                yield _finding(
+                    self.rule,
+                    ctx,
+                    function.ast,
+                    name,
+                    f"unreachable from contract code: a call to {name!r} "
+                    f"reaches the {function.ref.kind} function, never this one",
                 )
-                break  # one finding per dead block is enough
-            if isinstance(stmt, _TERMINATORS):
-                terminated_at = stmt
-            for attr in ("body", "orelse"):
-                inner = getattr(stmt, attr, None)
-                if inner:
-                    yield from self._check_block(ctx, symbol, inner)
+            nested = (block for stmt in function.statements() for block in stmt.blocks)
+            for block in (function.body, *nested):
+                for stmt, after in zip(block, block[1:]):
+                    if isinstance(stmt.ast, _TERMINATORS):
+                        yield _finding(
+                            self.rule,
+                            ctx,
+                            after.ast,
+                            name,
+                            "unreachable: execution cannot continue past the "
+                            f"{type(stmt.ast).__name__.lower()} on line "
+                            f"{ctx.map_line(stmt.ast.lineno)}",
+                        )
+                        break  # one finding per dead block is enough
 
 
 @register
@@ -352,24 +289,16 @@ class GasCeilingChecker(ContractChecker):
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
         if ctx.max_gas is None:
             return
-        estimator = GasEstimator(ctx.module.functions)
-        for name, cost in estimator.estimate_all().items():
+        for name, cost in ctx.ir.bounds().items():
             if cost > ctx.max_gas:
-                func = ctx.module.functions[name]
-                yield Finding(
-                    code=self.rule.code,
-                    message=f"worst-case gas {format_gas(cost)} exceeds the "
-                    f"ceiling {format_gas(ctx.max_gas)}"
-                    + (
-                        " (unbounded: recursion or VM-limit loops)"
-                        if math.isinf(cost)
-                        else ""
-                    ),
-                    severity=self.rule.default_severity,
-                    file=ctx.file,
-                    line=ctx.map_line(func.lineno),
-                    col=func.col_offset,
-                    symbol=name,
+                yield _finding(
+                    self.rule,
+                    ctx,
+                    ctx.ir.functions[name].ast,
+                    name,
+                    f"worst-case gas {format_gas(cost)} exceeds the ceiling "
+                    f"{format_gas(ctx.max_gas)}"
+                    + (" (unbounded: recursion or VM-limit loops)" if math.isinf(cost) else ""),
                 )
 
 
@@ -437,35 +366,24 @@ class UndefinedNameChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
-            # Outside call position a name has a value only if the
-            # activation holds it: a parameter, a local or a constant.
-            values = bound_names(func) | set(ctx.module.constants)
-            call_targets = {
-                node.func
-                for node in ast.walk(func)
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            }
-            for node in ast.walk(func):
+        for name, function in sorted(ctx.ir.functions.items()):
+            for node in function.nodes:
+                # Outside call position a name has a value only if the
+                # activation holds it: a parameter, a local or a constant.
+                ref = node.ref
                 if (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.id not in values
-                    and node.id not in FORBIDDEN_NAMES  # MED001's job
-                    and node not in call_targets  # MED006's job
+                    isinstance(node.ast, ast.Name)
+                    and ref is not None
+                    and not ref.local
+                    and ref.name not in FORBIDDEN_NAMES  # MED001's job
                 ):
-                    yield Finding(
-                        code=self.rule.code,
-                        message=(
-                            f"function {node.id!r} read as a value; the VM "
-                            "only calls functions"
-                            if node.id in _known_names(ctx, func)
-                            else f"name {node.id!r} is never bound; the VM "
-                            "would raise at runtime on every node"
-                        ),
-                        severity=self.rule.default_severity,
-                        file=ctx.file,
-                        line=ctx.map_line(node.lineno),
-                        col=node.col_offset,
-                        symbol=name,
+                    yield _finding(
+                        self.rule,
+                        ctx,
+                        node.ast,
+                        name,
+                        f"function {ref.name!r} read as a value; the VM only calls functions"
+                        if ref.kind != UNDEFINED
+                        else f"name {ref.name!r} is never bound; the VM would "
+                        "raise at runtime on every node",
                     )

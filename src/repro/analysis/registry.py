@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Type
 
+from repro.analysis.contract_ir import ContractIR, build
 from repro.analysis.findings import Finding, RuleInfo
 from repro.contracts.vm import ContractModule
 
@@ -38,6 +40,11 @@ class ContractContext:
     file: str = "<contract>"
     line_offset: int = 0  # added to every reported line (embedded sources)
     max_gas: Optional[int] = None  # gas ceiling for MED008; None disables
+
+    @cached_property
+    def ir(self) -> ContractIR:
+        """The contract IR the MED0xx rules read, built from ``module`` on first use."""
+        return build(self.module)
 
     def map_line(self, line: int) -> int:
         return line + self.line_offset

@@ -27,5 +27,7 @@ MAX_CALL_DEPTH = 32
 MAX_ITERATIONS_PER_LOOP = 1_000_000
 #: Gas bounds time, not memory: ``x = x + x`` doubles a string for a few gas.
 #: So no str / bytes / list / tuple that ``+``, ``*`` or ``**`` builds may be
-#: longer than this, and no int they build wider than this many bits.
+#: longer than this, and no int they build wider than this many bits; no
+#: builtin that reads a sequence (``sum``, ``sorted``, ``list``, ...) takes a
+#: longer one, and no ``%`` conversion is wider or more precise than this.
 MAX_VALUE_SIZE = 1 << 16

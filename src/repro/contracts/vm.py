@@ -70,8 +70,10 @@ from __future__ import annotations
 
 import ast
 import operator
+import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Any, Callable, Container, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ContractError, OutOfGasError
 from repro.contracts import gas as G
@@ -174,12 +176,59 @@ def _mod(a: Any, b: Any) -> Any:
     """``a % b``; ``%`` on a string formats ``b`` as text, so ``b`` must be data."""
     if isinstance(a, (str, bytes)):
         _text(b)
+        _check_format(a, b)
     return a % b
 
 
 _MAX_SIZE = G.MAX_VALUE_SIZE
 _SEQUENCES = (str, bytes, list, tuple)
 _TOO_LARGE = f"arithmetic error: result over {_MAX_SIZE} items or bits"
+
+#: One ``%`` conversion: mapping key, flags, width, precision, length, type.
+_CONVERSION = re.compile(r"%(?:\([^)]*\))?[-+ #0]*(\*|\d+)?(?:\.(\*|\d*))?[hlL]?(.?)", re.DOTALL)
+
+
+def _check_format(template: Any, values: Any) -> None:
+    """Refuse, before formatting, a ``%`` conversion whose width or precision
+    (written out, or a ``*`` that takes it from ``values``) is over the cap."""
+    text = template if isinstance(template, str) else template.decode("latin-1")
+    values = values if isinstance(values, tuple) else (values,)
+    taken = 0
+    for conversion in _CONVERSION.finditer(text):
+        for size in conversion.group(1, 2):
+            if size == "*":
+                size = values[taken] if taken < len(values) else 0
+                taken += 1
+            elif size:
+                size = int(size)
+            if isinstance(size, int) and abs(size) > _MAX_SIZE:
+                raise ContractError(_TOO_LARGE)
+        taken += conversion.group(3) != "%"
+
+
+def _consuming(builtin: Callable[..., Any]) -> Callable[..., Any]:
+    """``builtin``, refusing a first argument of more than the cap's items before it is read.
+
+    A ``range`` or a container has a length; an iterator (``zip``,
+    ``enumerate``, ``reversed``) is read up to one item past the cap.
+    """
+
+    def call(*args: Any, **kwargs: Any) -> Any:
+        if args:
+            items = args[0]
+            if hasattr(items, "__next__"):
+                items = list(islice(items, _MAX_SIZE + 1))
+                args = (items,) + args[1:]
+            if hasattr(items, "__len__"):
+                try:
+                    size = len(items)
+                except OverflowError:  # a ``range`` too long for a machine int
+                    size = _MAX_SIZE + 1
+                if size > _MAX_SIZE:
+                    raise ContractError(f"call error: argument over {_MAX_SIZE} items")
+        return builtin(*args, **kwargs)
+
+    return call
 
 
 def _sized(result: Any) -> Any:
@@ -251,17 +300,17 @@ _COMPARE = {
 _PURE_BUILTINS: Dict[str, Callable[..., Any]] = {
     "len": len,
     "range": range,
-    "min": min,
-    "max": max,
-    "sum": sum,
+    "min": _consuming(min),
+    "max": _consuming(max),
+    "sum": _consuming(sum),
     "abs": abs,
-    "sorted": sorted,
+    "sorted": _consuming(sorted),
     "int": int,
     "str": _str,
     "bool": bool,
-    "list": list,
-    "dict": dict,
-    "tuple": tuple,
+    "list": _consuming(list),
+    "dict": _consuming(dict),
+    "tuple": _consuming(tuple),
     "enumerate": enumerate,
     "zip": zip,
     "reversed": reversed,
@@ -422,6 +471,29 @@ def bound_names(func: ast.FunctionDef) -> Set[str]:
     for node in ast.walk(func):
         names.update(assigned_names(node))
     return names
+
+
+#: What a call to a bare name reaches when the activation holds no local of
+#: that name (a local is tried first and, holding data, fails the call).
+HOST, BUILTIN, FUNCTION, UNDEFINED = "host", "builtin", "function", "undefined"
+
+
+def callee(
+    name: str, functions: Dict[str, ast.FunctionDef], hosts: Container[str] = ()
+) -> Tuple[str, Any]:
+    """``(kind, function)`` a call to ``name`` reaches when no local holds it.
+
+    The host's function first, if ``hosts`` names one (the lowering passes
+    none: it looks the host up when the call runs), then the pure builtin,
+    then the contract function; ``(UNDEFINED, None)`` when nothing does.
+    """
+    if name in hosts:
+        return HOST, None
+    if name in _PURE_BUILTINS:
+        return BUILTIN, _PURE_BUILTINS[name]
+    if name in functions:
+        return FUNCTION, functions[name]
+    return UNDEFINED, None
 
 
 @dataclass
@@ -1045,7 +1117,9 @@ class _Lowering:
 
     def _resolver(self, name: str) -> Callable[["Interpreter"], Any]:
         """The function ``name`` calls when no local holds it: host → builtins → contract."""
-        static = _PURE_BUILTINS.get(name, self.functions.get(name, _MISSING))
+        kind, static = callee(name, self.functions)
+        if kind == UNDEFINED:
+            static = _MISSING
 
         def resolve(rt):
             hosts = rt.host_functions

@@ -89,6 +89,34 @@ class TestBadCorpus:
         assert [(f.code, f.col) for f in findings] == [("MED010", 24), ("MED010", 28), ("MED010", 41)]
         assert all("read as a value" in f.message for f in findings)
 
+    def test_function_a_host_or_builtin_takes_first_is_med007(self):
+        """A call to ``storage_set`` or ``len`` reaches the host function or the
+        builtin, so no call reaches a contract function of that name."""
+        source = (
+            "def storage_set(k, v):\n"
+            "    return 0\n"
+            "def len(x):\n"
+            "    return 1\n"
+            "def f():\n"
+            "    return storage_set('k', len([1]))\n"
+        )
+        findings = analyze_contract_source(source)
+        assert [(f.code, f.symbol, f.line) for f in findings] == [("MED007", "len", 3), ("MED007", "storage_set", 1)]
+        assert "reaches the host function" in findings[1].message
+
+    def test_break_of_an_inner_loop_does_not_bound_the_outer(self):
+        source = (
+            "def f(xs):\n"
+            "    while True:\n"
+            "        for x in xs:\n"
+            "            break\n"
+            "    return 1\n"
+        )
+        assert [(f.code, f.line) for f in analyze_contract_source(source)] == [("MED004", 2)]
+        # A ``return`` anywhere in the body, or a ``break`` in the inner loop's ``else``, leaves it.
+        for exit_line in ("            return x\n", "            pass\n        else:\n            break\n"):
+            assert analyze_contract_source(source.replace("            break\n", exit_line)) == []
+
     def test_bounded_while_not_flagged(self):
         source = (
             "def f(n):\n"

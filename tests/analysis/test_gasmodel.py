@@ -1,27 +1,26 @@
-"""Gas-estimator tests: soundness (estimate >= metered usage) and bounds."""
+"""The contract IR's gas bound: soundness (bound >= metered usage) and loop bounds."""
 
-import ast
 import math
 
 import pytest
 
-from repro.analysis.gasmodel import (
-    GasEstimator,
-    estimate_contract_gas,
-    format_gas,
-    static_loop_bound,
-)
+from repro.analysis.contract_ir import build, format_gas
 from repro.contracts import gas as G
 from repro.contracts import library
-from repro.contracts.vm import GasMeter, Interpreter, compile_contract
+from repro.contracts.vm import GasMeter, Interpreter, compile_contract, parse_contract
 
 
 def estimate(source):
-    tree = ast.parse(source)
-    functions = {
-        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
-    }
-    return estimate_contract_gas(functions)
+    """Worst-case gas of every public entrypoint of ``source``."""
+    return build(parse_contract(source)).bounds()
+
+
+def loop_bound(loop_source):
+    """The IR's static bound of the one loop in ``loop_source``."""
+    body = "".join(f"    {line}\n" for line in loop_source.splitlines())
+    (function,) = build(parse_contract(f"def f(n, items):\n{body}")).functions.values()
+    (loop,) = [node.loop for node in function.nodes if node.loop]
+    return loop.bound
 
 
 def metered_run(source, method, args=None, hosts=None):
@@ -32,35 +31,43 @@ def metered_run(source, method, args=None, hosts=None):
     return result, meter
 
 
+#: Loops and their static bounds; each runs exactly that many times.
+LOOP_BOUNDS = [
+    ("for i in range(10):\n    pass", 10),
+    ("for i in range(2, 12):\n    pass", 10),
+    ("for i in range(0, 10, 3):\n    pass", 4),
+    ("for i in range(10, 0, -2):\n    pass", 5),
+    ("for i in [1, 2, 3]:\n    pass", 3),
+    ("for c in 'abcd':\n    pass", 4),
+    ("while False:\n    pass", 0),
+]
+
+
 class TestLoopBounds:
-    @pytest.mark.parametrize(
-        "loop_source,expected",
-        [
-            ("for i in range(10):\n    pass", 10),
-            ("for i in range(2, 12):\n    pass", 10),
-            ("for i in range(0, 10, 3):\n    pass", 4),
-            ("for i in range(10, 0, -2):\n    pass", 5),
-            ("for i in [1, 2, 3]:\n    pass", 3),
-            ("for c in 'abcd':\n    pass", 4),
-            ("while False:\n    pass", 0),
-        ],
-    )
+    @pytest.mark.parametrize("loop_source,expected", LOOP_BOUNDS)
     def test_static_bounds(self, loop_source, expected):
-        stmt = ast.parse(loop_source).body[0]
-        assert static_loop_bound(stmt) == expected
+        assert loop_bound(loop_source) == expected
 
     def test_dynamic_loops_use_vm_ceiling(self):
         for loop_source in (
             "for i in range(n):\n    pass",
             "for item in items:\n    pass",
             "while n > 0:\n    pass",
+            "for i in range(10 ** 9):\n    pass",  # past the ceiling, the VM stops the loop there
         ):
-            stmt = ast.parse(loop_source).body[0]
-            assert static_loop_bound(stmt) == G.MAX_ITERATIONS_PER_LOOP
+            assert loop_bound(loop_source) == G.MAX_ITERATIONS_PER_LOOP
+
+    @pytest.mark.parametrize("loop_source,expected", LOOP_BOUNDS)
+    def test_static_bounds_are_tight(self, loop_source, expected):
+        """Each loop runs its bound exactly: the bound of the whole function
+        is what the meter reads."""
+        source = "def f(n, items):\n" + "".join(f"    {line}\n" for line in loop_source.splitlines())
+        _, meter = metered_run(source, "f", {"n": 0, "items": []})
+        assert estimate(source)["f"] == meter.used
 
 
 class TestSoundness:
-    """The estimate must never be below what the GasMeter observes."""
+    """The bound must never be below what the GasMeter observes."""
 
     def test_straight_line_function(self):
         source = "def f(a, b):\n    c = a + b\n    return c * 2\n"
@@ -99,12 +106,9 @@ class TestSoundness:
             "    return _helper(a) + _helper(a + 1)\n"
         )
         _, meter = metered_run(source, "f", {"a": 5})
-        tree = ast.parse(source)
-        functions = {
-            n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)
-        }
-        estimator = GasEstimator(functions)
-        assert estimator.estimate("f") >= meter.used
+        ir = build(parse_contract(source))
+        assert ir.bound("f") >= meter.used
+        assert ir.bound("f") == meter.used  # straight-line code: the bound is exact
 
     def test_library_counter_contract(self):
         storage = {}

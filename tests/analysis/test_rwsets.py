@@ -105,6 +105,48 @@ class TestTemplateDerivation:
         assert rendered(sets["read"].reads) == {"bal:{k}"}
 
 
+class TestCallsGoWhereTheVMSendsThem:
+    def test_host_function_wins_over_contract_function(self):
+        sets = read_write_sets(
+            "def storage_set(k, v):\n"
+            '    return storage_get("shadow")\n'
+            "def f():\n"
+            '    storage_set("k", 1)\n'
+        )
+        assert rendered(sets["f"].writes) == {"k"}
+        assert not sets["f"].reads
+
+    def test_positional_argument_wins_over_keyword(self):
+        sets = read_write_sets(
+            "def _put(k):\n"
+            "    storage_set(k, 1)\n"
+            "def f():\n"
+            '    _put("a", k="b")\n'
+        )
+        assert rendered(sets["f"].writes) == {"a"}
+
+    def test_surplus_positional_arguments_are_dropped(self):
+        sets = read_write_sets(
+            "def _put(k):\n"
+            "    storage_set(k, 1)\n"
+            "def f(u):\n"
+            '    _put(u, "ignored")\n'
+        )
+        assert not sets["f"].unknown
+        assert rendered(sets["f"].writes) == {"{u}"}
+
+    def test_a_call_the_vm_refuses_touches_nothing(self):
+        # An unknown keyword fails the call before the callee's body runs.
+        sets = read_write_sets(
+            "def _put(k):\n"
+            "    storage_set(k, 1)\n"
+            "def f(u):\n"
+            '    _put(u, bogus=1)\n'
+        )
+        assert not sets["f"].unknown
+        assert not sets["f"].writes
+
+
 class TestUnknownPoisoning:
     def test_computed_key_expression(self):
         sets = read_write_sets(

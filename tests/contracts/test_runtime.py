@@ -241,6 +241,21 @@ ESCAPING_SHAPES = {
         "arithmetic error: result over 65536 items or bits",
     ),
     "power_past_the_size_cap": ("x = 3 ** 10**9", "arithmetic error: result over 65536 items or bits"),
+    # Builtins and ``%`` are capped too, before anything is built: the first
+    # three cost 49 gas each, the last built a 200 000-character string for 27.
+    "list_of_a_range_past_the_size_cap": ("return len(list(range(200000)))", "call error: argument over 65536 items"),
+    "sorted_range_past_the_size_cap": ("return len(sorted(range(200000)))", "call error: argument over 65536 items"),
+    "sum_of_a_range_too_long_to_walk": ("x = sum(range(10**12))", "call error: argument over 65536 items"),
+    "tuple_of_an_iterator_past_the_size_cap": (
+        "return len(tuple(enumerate(range(70000))))",
+        "call error: argument over 65536 items",
+    ),
+    "percent_width_past_the_size_cap": ("storage_set('k', '%0200000d' % 1)", "arithmetic error: result over 65536"),
+    "percent_precision_past_the_size_cap": ("storage_set('k', '%.200000d' % 1)", "arithmetic error: result over 65536"),
+    "percent_star_width_past_the_size_cap": (
+        "storage_set('k', '%s%*d' % ('a', -200000, 1))",
+        "arithmetic error: result over 65536",
+    ),
     "square_past_the_size_cap": ("x = 2 ** 40000\n    x = x * x", "arithmetic error: result over 65536 items or bits"),
     "return_int_keyed_dict": ("return {'v': {1: 2}}", "result is not serializable: dict keys"),
     "return_a_list_holding_itself": (

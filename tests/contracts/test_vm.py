@@ -276,6 +276,28 @@ class TestStorageSubscripts:
         assert a.used == b.used
 
 
+class TestSizeCapLeavesSmallValuesAlone:
+    """Builtins and ``%`` refuse only what is over ``MAX_VALUE_SIZE``: a loop
+    over a long ``range``, and ``%`` with a large value but a small width, run."""
+
+    @pytest.mark.parametrize(
+        "expression, expected",
+        [
+            ("len(list(range(65536)))", 65536),
+            ("sum(range(65536))", 65536 * 65535 // 2),
+            ("max(reversed(range(65536)))", 65535),
+            ("'%*d|%-5s|%%' % (4, 200000, 'ab')", "200000|ab   |%"),
+            ("'%(a)05d' % {'a': 7}", "00007"),
+        ],
+    )
+    def test_at_the_cap(self, expression, expected):
+        assert run(f"def f():\n    return {expression}\n", "f")[0] == expected
+
+    def test_for_over_a_long_range_is_untouched(self):
+        source = "def f():\n    for i in range(10**12):\n        if i == 3:\n            return i\n"
+        assert run(source, "f")[0] == 3
+
+
 class TestDeterminism:
     @settings(max_examples=30)
     @given(st.integers(min_value=0, max_value=200), st.integers(min_value=1, max_value=50))

@@ -25,6 +25,7 @@ from repro.contracts.vm import (
     _PURE_BUILTINS,
     ContractSource,
     GasMeter,
+    _check_format,
     _check_value,
     _contract_error,
     _literal,
@@ -48,6 +49,7 @@ class _ContinueSignal(Exception):
 def _percent(a: Any, b: Any) -> Any:
     if isinstance(a, (str, bytes)):
         _text(b)  # string formatting prints ``b``
+        _check_format(a, b)  # and is refused unbuilt past the size cap
     return a % b
 
 
