@@ -37,12 +37,6 @@ from repro.analysis.engine import (
     extract_embedded_contracts,
     parse_suppressions,
 )
-from repro.analysis.rwsets import (
-    MethodRWSet,
-    ResolvedAccess,
-    SlotTemplate,
-    read_write_sets,
-)
 from repro.analysis.findings import AnalysisResult, Finding, RuleInfo, Severity
 from repro.analysis.registry import (
     ContractChecker,
@@ -63,13 +57,10 @@ __all__ = [
     "ContractContext",
     "ContractVerificationError",
     "Finding",
-    "MethodRWSet",
     "ModuleContext",
     "RepoChecker",
-    "ResolvedAccess",
     "RuleInfo",
     "Severity",
-    "SlotTemplate",
     "all_rules",
     "TaintEngine",
     "analyze_contract_source",
@@ -86,7 +77,6 @@ __all__ = [
     "write_baseline",
     "extract_embedded_contracts",
     "parse_suppressions",
-    "read_write_sets",
     "register",
     "repo_checkers",
     "repo_rules",

@@ -1,36 +1,33 @@
 """One model of a MedScript contract for every static pass that reads it.
 
 :func:`build` turns :func:`repro.contracts.vm.parse_contract`'s output into a
-:class:`ContractIR`: per function, its parameters and literal defaults and
-its statements in source order as :class:`Node` s. A node holds the gas the
-VM charges for it (``contracts/gas.py``'s constants, where ``vm._Lowering``
-charges them) and the nodes it runs once; its nested bodies (the arms of an
-``if`` or a conditional expression, or a loop's body and ``else`` with the
-loop's static bound, what runs every iteration and whether a ``break`` or
-``return`` leaves it); for a bare name, read or called, what it reaches in
-the VM's order (:func:`repro.contracts.vm.callee`); and for a call to a
-contract function, its arguments bound as the VM binds them.
+:class:`ContractIR`: per function, its statements in source order as
+:class:`Node` s. A node holds the gas the VM charges for it
+(``contracts/gas.py``'s constants, where ``vm._Lowering`` charges them) and
+the nodes it runs once; its nested bodies (the arms of an ``if`` or a
+conditional expression, or a loop's body and ``else`` with the loop's static
+bound, what runs every iteration and whether a ``break`` or ``return``
+leaves it); and for a bare name, read or called, what it reaches in the
+VM's order (:func:`repro.contracts.vm.callee`).
 
 The IR is the AST's own bodies, not a basic-block graph: MedScript has no
 goto, ``try`` or ``raise``. Its readers are folds and filters: MED008's bound
-(:meth:`ContractIR.bound`), :func:`repro.analysis.rwsets.read_write_sets`,
-MED004-MED007 and MED010. Syntax the VM refuses becomes a node that charges
-what reaching it charges, with everything beneath it as parts, so the rules
-still see the names and calls in it.
+(:meth:`ContractIR.bound`), MED004-MED007 and MED010. Syntax the VM refuses
+becomes a node that charges what reaching it charges, with everything
+beneath it as parts, so the rules still see the names and calls in it.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.contracts import gas as G
 from repro.contracts.runtime import HOST_FUNCTION_NAMES
-from repro.contracts.vm import FUNCTION, ContractModule, assigned_names, callee
+from repro.contracts.vm import FUNCTION, ContractModule, bound_names, callee
 
 Gas = Union[int, float]  # int, or math.inf for "unbounded"
 
@@ -55,12 +52,6 @@ HOST_CHARGES: Dict[str, int] = {
 _STMT = G.GAS_STATEMENT
 _EXPR = G.GAS_EXPRESSION
 _MAX_LOOP = G.MAX_ITERATIONS_PER_LOOP
-
-LIT, PARAM = "lit", "param"
-#: A value known up to a method's parameters: its text as literal fragments
-#: ``(LIT, text)`` and placeholders ``(PARAM, name)``, and whether it is
-#: certainly a ``str``.
-Symbol = Tuple[Tuple[Tuple[str, str], ...], bool]
 
 
 def format_gas(value: Gas) -> str:
@@ -95,9 +86,6 @@ class Node:
     blocks: Tuple[Tuple["Node", ...], ...] = ()
     loop: Optional[Loop] = None
     ref: Optional[Ref] = None
-    #: a call to a contract function: its arguments by parameter, or
-    #: ``None`` when the VM refuses them before the body runs
-    args: Optional[Dict[str, ast.expr]] = None
 
     @property
     def function(self) -> Optional[str]:
@@ -124,11 +112,8 @@ class Node:
 class Function:
     ast: ast.FunctionDef
     ref: Ref  # what a call to its name reaches: not this function if a host or builtin has the name
-    params: Tuple[str, ...]
-    defaults: Dict[str, Any]  # the literal default of each parameter that has one
     head: Tuple[Node, ...]  # defaults, decorators, annotations: read, never charged
     body: Tuple[Node, ...]
-    assigned: Counter  # how many statements bind each name
 
     @property
     def name(self) -> str:
@@ -148,8 +133,6 @@ class Function:
 class ContractIR:
     module: ContractModule
     functions: Dict[str, Function]
-    #: each module constant whose literal value is a str, int or bool
-    symbols: Dict[str, Symbol]
     _bounds: Dict[str, Gas] = field(default_factory=dict, repr=False)
 
     def bounds(self) -> Dict[str, Gas]:
@@ -180,93 +163,18 @@ class ContractIR:
                 total += max(arms)
         return total
 
-    def scope(self, function: Function, arguments: Mapping[str, Symbol]) -> Dict[str, Symbol]:
-        """What an activation of ``function`` holds, as symbols, given its arguments'.
-
-        The module constants its parameters do not shadow and ``arguments``;
-        no name any statement rebinds, except a local bound exactly once, at
-        the top level, to a value with a symbol.
-        """
-        env = {name: value for name, value in self.symbols.items() if name not in function.params}
-        env.update(arguments)
-        for name in function.assigned:
-            env.pop(name, None)
-        for stmt in function.ast.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and function.assigned[stmt.targets[0].id] == 1
-            ):
-                value = symbol(stmt.value, env)
-                if value is not None:
-                    env[stmt.targets[0].id] = value
-        return env
-
-
-def literal_symbol(value: Any) -> Optional[Symbol]:
-    if isinstance(value, (str, int, bool)):
-        return ((LIT, str(value)),), isinstance(value, str)
-    return None
-
-
-def symbol(node: ast.expr, env: Mapping[str, Symbol]) -> Optional[Symbol]:
-    """``node``'s value as a symbol under ``env``; ``None`` when it has none.
-
-    Constants, names ``env`` holds, ``+``, f-strings without a format spec or
-    a conversion other than ``!s``, and ``str(x)``. ``+`` is concatenation only
-    when one side is certainly a str: then so is the other, or the VM raises
-    before the value is used. Without that check ``2 + 3`` would read as
-    ``"23"`` where the VM computes ``5``.
-    """
-    if isinstance(node, ast.Constant):
-        return literal_symbol(node.value)
-    if isinstance(node, ast.Name):
-        return env.get(node.id)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        left, right = symbol(node.left, env), symbol(node.right, env)
-        if left is None or right is None or not (left[1] or right[1]):
-            return None
-        return left[0] + right[0], True
-    if isinstance(node, ast.JoinedStr):
-        parts: Tuple[Tuple[str, str], ...] = ()
-        for value in node.values:
-            if isinstance(value, ast.Constant):
-                parts += ((LIT, str(value.value)),)
-                continue
-            plain = value.format_spec is None and value.conversion in (-1, ord("s"))
-            inner = symbol(value.value, env) if plain else None
-            if inner is None:
-                return None
-            parts += inner[0]
-        return parts, True
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "str"
-        and len(node.args) == 1
-        and not node.keywords
-    ):
-        inner = symbol(node.args[0], env)
-        return None if inner is None else (inner[0], True)
-    return None
-
 
 def build(module: ContractModule) -> ContractIR:
     """The IR of a parsed contract module, whatever violations it lists."""
-    constants = {name: literal_symbol(_literal(node)) for name, node in module.constants.items()}
     functions = {name: _Builder(func, module).function() for name, func in module.functions.items()}
-    return ContractIR(module, functions, {name: s for name, s in constants.items() if s})
-
-
-_NOT_LITERAL: Any = object()
+    return ContractIR(module, functions)
 
 
 def _literal(node: ast.AST) -> Any:
     try:
         return ast.literal_eval(node)
     except (ValueError, TypeError, SyntaxError):
-        return _NOT_LITERAL
+        return None
 
 
 def _for_bound(iterable: ast.expr) -> int:
@@ -297,21 +205,15 @@ class _Builder:
     def __init__(self, func: ast.FunctionDef, module: ContractModule):
         self.func = func
         self.functions = module.functions
-        self.assigned = Counter(name for node in ast.walk(func) for name in assigned_names(node))
-        # As in the lowering (``vm.bound_names``): only these can be in the activation.
-        params = {arg.arg for arg in func.args.args}
-        self.maybe_local = params | set(self.assigned) | set(module.constants)
+        # As in the lowering: only these can be in the activation.
+        self.maybe_local = bound_names(func) | set(module.constants)
         self.loops: List[bool] = []  # per enclosing loop: whether a break or return left it
 
     def function(self) -> Function:
         func = self.func
-        params = tuple(arg.arg for arg in func.args.args)
-        defaulted = zip(params[len(params) - len(func.args.defaults):], func.args.defaults)
-        literals = {param: _literal(node) for param, node in defaulted}
-        defaults = {param: value for param, value in literals.items() if value is not _NOT_LITERAL}
         head = self.generic(func.args) + self.exprs(*func.decorator_list, func.returns)
         ref = self.ref(func.name, local=False)
-        return Function(func, ref, params, defaults, head, self.block(func.body), self.assigned)
+        return Function(func, ref, head, self.block(func.body))
 
     def ref(self, name: str, local: bool = True) -> Ref:
         kind, _ = callee(name, self.functions, HOST_FUNCTION_NAMES)
@@ -414,16 +316,4 @@ class _Builder:
         if ref.kind != FUNCTION:
             charge = 2 * _EXPR + G.GAS_CALL + HOST_CHARGES.get(ref.name, 0)
             return Node(node, charge, values, ref=ref)
-        args = self.bind(self.functions[ref.name], node)
-        return Node(node, 2 * _EXPR, values, ref=ref, args=args)
-
-    @staticmethod
-    def bind(func: ast.FunctionDef, call: ast.Call) -> Optional[Dict[str, ast.expr]]:
-        """``call``'s arguments by parameter of ``func``, bound as the VM binds them."""
-        params = [arg.arg for arg in func.args.args]
-        named: Dict[Any, ast.expr] = {keyword.arg: keyword.value for keyword in call.keywords}
-        named.update(zip(params, call.args))  # a positional argument wins; surplus ones are dropped
-        defaulted = params[len(params) - len(func.args.defaults):]
-        if None in named or set(named) - set(params) or set(params) - set(named) - set(defaulted):
-            return None  # ``**``, an unknown keyword or a missing argument: the call fails
-        return named
+        return Node(node, 2 * _EXPR, values, ref=ref)

@@ -11,11 +11,11 @@ One walker serves both domains:
   messages and public-method return values (receipts) are the sinks.
 
 Statements are interpreted in order (flow-sensitive); branches apply the
-union of their effects to one environment (path-insensitive, matching the
-branches-union stance of ``rwsets``); loop bodies run twice so first-order
-feedback (``acc = acc + row``) converges.  Names bound to one another share
-a :class:`~repro.analysis.dataflow.lattice.Cell`, so mutating a container
-through any alias taints every name that can reach it (MED204).
+union of their effects to one environment (path-insensitive); loop bodies
+run twice so first-order feedback (``acc = acc + row``) converges.  Names
+bound to one another share a :class:`~repro.analysis.dataflow.lattice.Cell`,
+so mutating a container through any alias taints every name that can reach
+it (MED204).
 
 Precision stance (the zero-false-positive dogfood gate): a call the
 analysis cannot see inside returns UNKNOWN when any argument carries

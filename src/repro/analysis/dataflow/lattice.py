@@ -5,9 +5,8 @@ Three-point lattice ordered ``CLEAN < UNKNOWN < TAINTED``:
 - ``CLEAN``   — provably free of raw patient data (literals, aggregates,
   digests, values from no cataloged source);
 - ``UNKNOWN`` — a tainted value passed through a call the analysis cannot
-  see inside; PHI *may* survive.  Mirrors the poison-to-unknown fallback of
-  ``repro.analysis.rwsets``: we never claim CLEAN for flow we cannot prove,
-  but we also never *report* UNKNOWN at a sink (precision over soundness —
+  see inside; PHI *may* survive.  We never claim CLEAN for flow we cannot
+  prove, but we also never *report* UNKNOWN at a sink (precision over soundness —
   the zero-false-positive dogfood gate depends on it; see DESIGN.md §14);
 - ``TAINTED`` — provably derived from a cataloged PHI source, carrying the
   :class:`TaintStep` trace that the finding (and the deploy-gate error)

@@ -2,8 +2,7 @@
 
 A :class:`FunctionSummary` compresses one module-level function into what a
 caller needs to know, so call sites are resolved without re-walking callee
-bodies at every call (the summary-based interprocedural strategy — same
-shape as the per-method templates in ``repro.analysis.rwsets``):
+bodies at every call (the summary-based interprocedural strategy):
 
 - ``returns`` — the taint of the return value, expressed over the callee's
   own parameters (``params={'record'}`` means "returns whatever taint the
@@ -13,8 +12,7 @@ shape as the per-method templates in ``repro.analysis.rwsets``):
   the callee, with the internal trace steps, so the *caller* can report a
   complete source → helper → sink flow (MED203);
 - ``unknown`` — the analysis gave up (recursion, call-depth cap, ambiguous
-  callee).  Mirrors the rwsets poison-to-unknown fallback: an unknown
-  callee's result is UNKNOWN, never silently CLEAN.
+  callee).  An unknown callee's result is UNKNOWN, never silently CLEAN.
 
 Summaries are computed lazily and memoized per analysis run; recursion is
 cut by an in-progress stack that poisons the cycle to ``unknown``.
@@ -28,7 +26,6 @@ from typing import Tuple
 from repro.analysis.dataflow.lattice import CLEAN, Taint, TaintStep
 
 #: Follow helper calls at most this deep before poisoning to unknown.
-#: Matches the rwsets default so the two derivers degrade identically.
 DEFAULT_MAX_CALL_DEPTH = 8
 
 

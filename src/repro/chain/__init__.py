@@ -27,30 +27,10 @@ from repro.chain.transactions import (
     make_transfer,
 )
 
-# The parallel block scheduler is exported lazily (PEP 562): it imports
-# repro.analysis -> repro.contracts, which import chain submodules, so an
-# eager import here would cycle when repro.contracts is imported first.
-_SCHEDULER_EXPORTS = frozenset(
-    {"BlockScheduler", "TxAccess", "derive_tx_access", "plan_waves"}
-)
-
-
-def __getattr__(name: str):
-    if name in _SCHEDULER_EXPORTS:
-        from repro.chain import scheduler
-
-        return getattr(scheduler, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BASE_TX_GAS",
     "Block",
     "BlockHeader",
-    "BlockScheduler",
-    "TxAccess",
-    "derive_tx_access",
-    "plan_waves",
     "ChainStore",
     "ChannelState",
     "SettlementRecord",

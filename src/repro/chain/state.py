@@ -376,12 +376,10 @@ class StateDB:
         builds on it.  Nothing mutable is shared, so writes, deletes and
         rollbacks on either side never show on the other.
         """
-        return self._fork_into(StateDB())
-
-    def _fork_into(self, child: "StateDB") -> "StateDB":
         if self._journal:
             raise ChainError("cannot fork a state with open snapshots")
         self._debug_verify()
+        child = StateDB()
         child._trie = self._trie
         child._pending = dict(self._pending)
         child._keys = self._keys

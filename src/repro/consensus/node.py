@@ -55,7 +55,11 @@ MAX_REJECTED_BLOCKS = 4096
 
 @dataclass
 class NodeConfig:
-    """Tunables for a blockchain node."""
+    """Tunables for a blockchain node.
+
+    None of them changes how a block executes: every node applies a block's
+    transactions one after another, in block order (``_apply_block``).
+    """
 
     max_txs_per_block: int = 200
     mine_empty: bool = False
@@ -67,19 +71,6 @@ class NodeConfig:
     # gone); 0 disables pruning.  Matches the fork-choice finality
     # assumption of ChainStore.
     state_prune_window: int = 64
-    # Optimistic parallel block execution (repro.chain.scheduler): derive
-    # static read/write sets, execute non-conflicting transactions
-    # concurrently, validate observed reads at commit.  Off by default —
-    # results are bit-identical to serial execution either way, so this is
-    # purely a throughput knob.  ``parallel_backend`` is one of "serial"
-    # (full speculate/validate path without concurrency), "thread", or
-    # "process" (real cores; the win for CPU-bound contract code).
-    parallel_execution: bool = False
-    parallel_backend: str = "thread"
-    # Worker pool size (None = available cores) and the smallest wave worth
-    # dispatching to the pool instead of executing inline.
-    parallel_max_workers: Optional[int] = None
-    parallel_min_wave_size: int = 2
     # Fee-market mempool policy (repro.chain.mempool.MempoolConfig): price
     # priority, replace-by-fee, capacity eviction, watermark shedding, and
     # per-account rate limiting.  None uses permissive defaults that admit
@@ -145,7 +136,6 @@ class BlockchainNode(Process):
         self._proposal_handle: Optional[EventHandle] = None
         self._round_start: Optional[float] = None
         self._started = False
-        self._scheduler = None  # built lazily when parallel_execution is on
         self.events: List[ContractEvent] = []
         self.p2p = P2PService(self, transport)
 
@@ -160,22 +150,6 @@ class BlockchainNode(Process):
         self._started = False
         self._cancel_round()
         self.p2p.stop()
-        if self._scheduler is not None:
-            self._scheduler.shutdown()
-            self._scheduler = None
-
-    def _block_scheduler(self):
-        """The node's parallel block scheduler (lazy; owns a worker pool)."""
-        if self._scheduler is None:
-            from repro.chain.scheduler import BlockScheduler
-
-            self._scheduler = BlockScheduler(
-                self.executor,
-                backend=self.config.parallel_backend,
-                max_workers=self.config.parallel_max_workers,
-                min_wave_size=self.config.parallel_min_wave_size,
-            )
-        return self._scheduler
 
     # -- public API --------------------------------------------------------
     @property
@@ -438,15 +412,7 @@ class BlockchainNode(Process):
         txs: List[Transaction],
         context: ExecutionContext,
     ):
-        """Fork the parent and apply ``txs``, serially or via the parallel
-        scheduler per config; results are bit-identical either way."""
-        if self.config.parallel_execution:
-            state, receipts = self._block_scheduler().execute_block(
-                parent_state, txs, context
-            )
-            for receipt in receipts:
-                self.metrics.add_gas(receipt.gas_used, scope=self.name)
-            return state, receipts
+        """Fork the parent and apply ``txs`` to the fork in block order."""
         state = parent_state.fork()
         receipts = []
         for tx in txs:
