@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.contracts import gas as G
 from repro.contracts.runtime import HOST_FUNCTION_NAMES
-from repro.contracts.vm import FUNCTION, ContractModule, bound_names, callee
+from repro.contracts.vm import FUNCTION, HOST, ContractModule, bound_names, callee
 
 Gas = Union[int, float]  # int, or math.inf for "unbounded"
 
@@ -37,6 +37,12 @@ Gas = Union[int, float]  # int, or math.inf for "unbounded"
 ASSUMED_HASH_BYTES = 4096
 #: Keys assumed returned per ``storage_keys`` call.
 ASSUMED_STORAGE_KEYS = 1024
+#: What the bound assumes of each host it prices at an assumed size. Nothing
+#: caps them at run time: a registry past 1024 entries must still list them.
+ASSUMPTIONS = {
+    "sha256_hex": f"sha256_hex hashes at most {ASSUMED_HASH_BYTES:,} bytes a call",
+    "storage_keys": f"storage_keys returns at most {ASSUMED_STORAGE_KEYS:,} keys a call",
+}
 
 #: What a host function charges on top of the ``GAS_CALL`` of every call.
 HOST_CHARGES: Dict[str, int] = {
@@ -146,6 +152,19 @@ class ContractIR:
             self._bounds[name] = math.inf  # what a call cycle back into ``name`` reads
             self._bounds[name] = G.GAS_CALL + self.gas(self.functions[name].body)
         return self._bounds[name]
+
+    def assumptions(self, name: str) -> List[str]:
+        """What :meth:`bound` of ``name`` assumes: an :data:`ASSUMPTIONS` entry
+        per host priced at an assumed size that a call to ``name`` can reach."""
+        seen, todo, hosts = {name}, [name], set()
+        while todo:
+            for node in self.functions[todo.pop()].nodes:
+                if node.ref is not None and node.ref.kind == HOST and isinstance(node.ast, ast.Call):
+                    hosts.add(node.ref.name)
+                elif node.function and node.function not in seen:
+                    seen.add(node.function)
+                    todo.append(node.function)
+        return [ASSUMPTIONS[host] for host in sorted(hosts) if host in ASSUMPTIONS]
 
     def gas(self, nodes: Sequence[Node]) -> Gas:
         """Worst-case gas of running ``nodes`` once each: the max of the arms

@@ -283,7 +283,8 @@ class GasCeilingChecker(ContractChecker):
         family=CONTRACT_FAMILY,
         default_severity=Severity.ERROR,
         summary="static worst-case gas estimate exceeds the configured "
-        "ceiling (only runs when a ceiling is set)",
+        "ceiling (only runs when a ceiling is set; the estimate names the "
+        "sizes it assumes for sha256_hex and storage_keys)",
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
@@ -291,14 +292,19 @@ class GasCeilingChecker(ContractChecker):
             return
         for name, cost in ctx.ir.bounds().items():
             if cost > ctx.max_gas:
+                # A finite bound holds only at the sizes the IR assumes for some hosts.
+                if math.isinf(cost):
+                    condition = " (unbounded: recursion or VM-limit loops)"
+                else:
+                    assumed = ctx.ir.assumptions(name)
+                    condition = f" (if {'; '.join(assumed)})" if assumed else ""
                 yield _finding(
                     self.rule,
                     ctx,
                     ctx.ir.functions[name].ast,
                     name,
                     f"worst-case gas {format_gas(cost)} exceeds the ceiling "
-                    f"{format_gas(ctx.max_gas)}"
-                    + (" (unbounded: recursion or VM-limit loops)" if math.isinf(cost) else ""),
+                    f"{format_gas(ctx.max_gas)}{condition}",
                 )
 
 

@@ -43,10 +43,11 @@ host call and raise site.  ``GasMeter.used`` is therefore the same integer on
 success, on a ``ContractError`` and at the charge that overshoots the limit.
 A call-free expression whose gas is fixed at compile time (names, constants,
 ``+ - * // %``, one comparison other than ``in``, subscripts, list and tuple
-displays) is also lowered unmetered: it runs with one check that the meter
-holds its whole charge, and falls back to its node-by-node closure, from the
-untouched meter, when the meter is short or it raises.  It calls nothing,
-advances no iterator and writes nothing, so that replay sees what it saw.
+displays), and a region (a run of assignments, ``if`` and ``while`` built of
+such expressions only) are also compiled from the validated tree to bytecode
+with empty builtins: that runs unmetered, sums its fixed charges, and falls
+back to the node-by-node closures, from the untouched meter and ``env``, when
+the gas is short or it raises.  It calls nothing and changes nothing.
 The walker lives on as ``tests/contracts/vm_oracle.py``, and the differential
 suite holds the two to identical results, gas, error text and host-call order,
 at every gas limit from zero to the full cost.
@@ -72,7 +73,8 @@ import ast
 import operator
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
+from types import CodeType, FunctionType
 from typing import Any, Callable, Container, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ContractError, OutOfGasError
@@ -553,13 +555,15 @@ def _literal(node: ast.AST) -> Any:
 #
 # The hot closures spell ``meter.charge(n)`` out in place (add, store, compare,
 # raise ``_out_of_gas``) because that method call would be a third of their
-# cost; the rest call it.  A pure expression (``_Lowering.pure``) also has an
-# unmetered form ``env -> value``, which ``_fused`` runs.
+# cost; the rest call it.  Pure expressions and regions built of them also run
+# as bytecode (``_Emitter``), ahead of their walk (``_fused``, ``_region``).
 
 _Closure = Callable[["GasMeter", Dict[str, Any], "Interpreter"], Any]
 _Store = Callable[[Any, "GasMeter", Dict[str, Any], "Interpreter"], None]
-#: The unmetered form of a pure expression: ``env -> value``.
+#: A pure expression compiled: ``env -> value``.
 _Pure = Callable[[Dict[str, Any]], Any]
+#: A region compiled: ``(env, gas left) -> gas used``, or ``-1`` when it gives up.
+_Native = Callable[[Dict[str, Any], int], int]
 #: What a pure form may raise; the walk then runs and raises it (or not) itself.
 _REPLAYED = _VALUE_ERRORS + (ContractError,)
 
@@ -606,23 +610,223 @@ def _fused(fast: _Pure, gas: int, walk: _Closure) -> _Closure:
     return run
 
 
-def _fused_assign(name: str, fast: _Pure, gas: int, walk: _Closure) -> _Closure:
-    """``name = ...`` whose value and statement charge are fused: :func:`_fused`, then the store."""
+def _region(native: _Native, walk: _Closure) -> _Closure:
+    """:func:`_fused` for a region: ``native`` charges what it used of the gas
+    left, and writes ``env`` only then; if it gives up or raises, the walk runs."""
 
     def run(m, env, rt):
-        used = m.used + gas
-        if used <= m.limit:
-            try:
-                value = fast(env)
-            except _REPLAYED:
-                pass
-            else:
-                m.used = used
-                env[name] = value
-                return
-        env[name] = walk(m, env, rt)
+        try:
+            gas = native(env, m.limit - m.used)
+        except Exception:
+            gas = -1
+        if gas < 0:
+            return walk(m, env, rt)
+        m.used += gas
+        return None
 
     return run
+
+
+# -- native regions (DESIGN.md §16) ---------------------------------------------
+#
+# A region is a maximal run of statements built of pure expressions only: name
+# assignments, ``+= -= *= //= %=`` on a name, ``if``, ``while`` (and ``else``),
+# and ``break`` / ``continue`` of a loop in the run.  It becomes one
+# function, built as a Python ``ast`` from the validated tree and compiled with
+# empty builtins.  Contract name ``x`` is the fast local ``l_x``; ``h_*`` are
+# helpers.  Constants are bound from a tuple of the nodes' own values: inline,
+# CPython would fold equal ones into one object, and ``is`` would see it.  No
+# value is a float: a subscript refuses one, or ``+`` / ``*`` taking it do.
+
+_NATIVE_OPS = (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod)
+_GLOBALS = dict(
+    __builtins__={}, h_int=int, h_data=_check_value, h_mod=_mod, h_unbound=UnboundLocalError,
+    h_sized=lambda result: _sized(_check_value(result)),
+    h_mul=lambda a, b: _check_value(_mul(a, b)),
+)
+#: All the emitter builds; :meth:`_Emitter.compile` asserts that nothing else got in.
+_EMITTED = {*_NATIVE_OPS, *_COMPARE} | {getattr(ast, name) for name in (
+    "Module FunctionDef arguments arg Assign AugAssign If While Break Continue Pass Return Try "
+    "ExceptHandler Name Load Store Constant Attribute Call Subscript List Tuple IfExp NamedExpr "
+    "BoolOp And Or BinOp Compare In"
+).split()}
+_EMITTED_NAME = re.compile(r"[lh]_\w+|[ktn]\d+|g|env|left|__class__|bit_length")
+_TYPE_PARAMS = {"type_params": []} if "type_params" in ast.FunctionDef._fields else {}
+
+
+def _name(name: str, store: bool = False) -> ast.Name:
+    return ast.Name(name, ast.Store() if store else ast.Load())
+
+
+def _env(name: str, store: bool = False) -> ast.Subscript:
+    return ast.Subscript(_name("env"), ast.Constant(name), ast.Store() if store else ast.Load())
+
+
+def _assign(name: str, value: ast.expr) -> ast.Assign:
+    return ast.Assign([_name(name, True)], value)
+
+
+def _class(name: str, value: ast.expr) -> ast.Attribute:
+    """``(name := value).__class__``."""
+    return ast.Attribute(ast.NamedExpr(_name(name, True), value), "__class__", ast.Load())
+
+
+_GIVE_UP = ast.Return(ast.Constant(-1))
+_OUT_OF_GAS = ast.Compare(_name("g"), [ast.Gt()], [_name("left")])
+
+
+def _int_or(name: str, value: ast.expr, fallback: str) -> ast.IfExp:
+    """``name if (name := value).__class__ is int else fallback(name)``."""
+    test = ast.Compare(_class(name, value), [ast.Is()], [_name("h_int")])
+    return ast.IfExp(test, _name(name), ast.Call(_name(fallback), [_name(name)], []))
+
+
+class _Emitter:
+    """Emits one pure expression, or one region, as a compiled function."""
+
+    def __init__(self, cost: Callable[[ast.expr], Optional[int]]):
+        self.cost = cost
+        self.constants: List[Any] = []
+        self.reads: Dict[str, None] = {}  # contract names loaded from ``env`` at entry
+        self.bound: Dict[str, None] = {}  # names the region's top level has assigned so far
+        self.temps = 0
+
+    def function(self, node: ast.expr) -> _Pure:
+        """``env -> value`` of pure ``node``; a name ``env`` lacks raises ``KeyError``."""
+        value = self.expr(node)
+        loads = [_assign("l_" + name, _env(name)) for name in self.reads]
+        return self.compile([*loads, ast.Return(value)], "env")
+
+    def region(self, body: Sequence[ast.stmt]) -> _Native:
+        """Gives up past the gas left or an iteration limit; else writes ``env`` at exit."""
+        code = [_assign("g", ast.Constant(0)), *self.block(body, top=True)]
+        for name in reversed(self.reads):  # a name not in ``env`` stays unbound
+            test = ast.Compare(ast.Constant(name), [ast.In()], [_name("env")])
+            code.insert(0, ast.If(test, [_assign("l_" + name, _env(name))], []))
+        nodes = (node for stmt in body for node in ast.walk(stmt))
+        written = dict.fromkeys(name for node in nodes for name in assigned_names(node))
+        for name in written:
+            store: ast.stmt = ast.Assign([_env(name, True)], _name("l_" + name))
+            if name not in self.bound:  # assigned in an arm or a loop only: maybe never
+                handler = ast.ExceptHandler(_name("h_unbound"), None, [ast.Pass()])
+                store = ast.Try([store], [handler], [], [])
+            code.append(store)
+        return self.compile(code + [ast.Return(_name("g"))], "env", "left")
+
+    def compile(self, body: List[ast.stmt], *params: str) -> Callable[..., Any]:
+        """``body`` as a function."""
+        if self.constants:
+            names = [_name(f"k{i}", True) for i in range(len(self.constants))]
+            body.insert(0, ast.Assign([ast.Tuple(names, ast.Store())], _name("h_k")))
+        args = ast.arguments([], list(map(ast.arg, params)), None, [], [], None, [])
+        module = ast.Module([ast.FunctionDef("native", args, body, [], **_TYPE_PARAMS)], [])
+        for node in ast.walk(module):
+            names = [getattr(node, at) for at in ("id", "attr", "arg") if hasattr(node, at)]
+            assert type(node) in _EMITTED and all(map(_EMITTED_NAME.fullmatch, names)), node
+            node.lineno, node.col_offset = 1, 0
+        consts = compile(module, "<medscript>", "exec").co_consts
+        (code,) = [const for const in consts if isinstance(const, CodeType)]
+        return FunctionType(code, dict(_GLOBALS, h_k=tuple(self.constants)))
+
+    def block(self, body: Sequence[ast.stmt], gas=0, top=False, limit=None) -> List[ast.stmt]:
+        """``body`` as Python statements, owing ``gas``.  A segment (assignments and the ``if``,
+        ``while``, ``break`` or ``continue`` after them) adds its charge first and gives up past
+        the gas left, as the walk would run out in it; a loop body's first, also on ``limit``."""
+        out: List[ast.stmt] = []
+        run: List[ast.stmt] = []
+        for node in body:
+            kind = type(node)
+            if kind is ast.Assign or kind is ast.AugAssign:
+                name = node.targets[0].id if kind is ast.Assign else node.target.id
+                if kind is ast.Assign:
+                    value = self.expr(node.value)
+                else:  # the target is read, uncharged, first
+                    value = self.binop(node.op, self.local(name), self.operand(node.value, node.op))
+                gas += _GAS_STMT + self.cost(node.value)
+                run.append(_assign("l_" + name, value))
+                if top:
+                    self.bound[name] = None
+                continue
+            gas += _GAS_STMT
+            if kind is ast.If:
+                gas += self.cost(node.test)
+                arms = self.block(node.body), self.block(node.orelse)
+                last: List[ast.stmt] = [ast.If(self.expr(node.test), *arms)]
+            elif kind is ast.While:  # an iteration pays the test that let it in, ``else`` the last
+                test, count = self.cost(node.test), self.temp("n")
+                over = ast.Compare(_name(count), [ast.Gt()], [ast.Constant(_MAX_LOOP)])
+                each = [ast.AugAssign(_name(count, True), ast.Add(), ast.Constant(1))]
+                each += self.block(node.body, test + _GAS_LOOP, limit=over)
+                loop = ast.While(self.expr(node.test), each, self.block(node.orelse, test))
+                last = [_assign(count, ast.Constant(0)), loop]
+            else:  # ``break`` or ``continue``
+                last = [kind()]
+            out += self.charge(gas, limit) + run + last
+            gas, run, limit = 0, [], None
+        return out + self.charge(gas, limit) + run
+
+    @staticmethod
+    def charge(gas: int, limit: Optional[ast.expr]) -> List[ast.stmt]:
+        """``g += gas``, then give up past the gas left or when ``limit`` holds."""
+        if not gas:
+            return []
+        test = _OUT_OF_GAS if limit is None else ast.BoolOp(ast.Or(), [limit, _OUT_OF_GAS])
+        return [ast.AugAssign(_name("g", True), ast.Add(), ast.Constant(gas)), ast.If(test, [_GIVE_UP], [])]
+
+    def temp(self, prefix: str = "t") -> str:
+        self.temps += 1
+        return f"{prefix}{self.temps}"
+
+    def local(self, name: str) -> ast.Name:
+        if name not in self.bound:
+            self.reads[name] = None
+        return _name("l_" + name)
+
+    def expr(self, node: ast.expr) -> ast.expr:
+        kind = type(node)
+        if kind is ast.Constant:
+            self.constants.append(node.value)
+            return _name(f"k{len(self.constants) - 1}")
+        if kind is ast.Name:
+            return self.local(node.id)
+        if kind is ast.BinOp:
+            left, right = self.operand(node.left, node.op), self.operand(node.right, node.op)
+            return self.binop(node.op, left, right)
+        if kind is ast.Compare:
+            return ast.Compare(self.expr(node.left), node.ops, [self.expr(node.comparators[0])])
+        if kind is ast.Subscript:  # ``h_data`` refuses a float
+            return _int_or(self.temp(), self.item(node), "h_data")
+        # A list or tuple, bound to a name so that CPython warns of no ``[x][[y]]`` or ``x is ()``.
+        display = kind([self.expr(element) for element in node.elts], ast.Load())
+        return ast.NamedExpr(_name(self.temp(), True), display)
+
+    def item(self, node: ast.Subscript) -> ast.Subscript:
+        """``node`` unchecked for a float: inside ``a[i][k]``, a float ``a[i]`` fails ``[k]``."""
+        value = node.value
+        container = self.item(value) if isinstance(value, ast.Subscript) else self.expr(value)
+        return ast.Subscript(container, self.expr(node.slice), ast.Load())
+
+    def operand(self, node: ast.expr, op: ast.operator) -> ast.expr:
+        """An operand of ``op``: a subscript unchecked if ``op``'s result refuses a float."""
+        if isinstance(node, ast.Subscript) and isinstance(op, (ast.Add, ast.Mult)):
+            return self.item(node)
+        return self.expr(node)
+
+    def binop(self, op: ast.operator, left: ast.expr, right: ast.expr) -> ast.expr:
+        if isinstance(op, ast.Mod):
+            return ast.Call(_name("h_mod"), [left, right], [])
+        if isinstance(op, ast.Add):  # an int grows a bit per gas; only a sequence is sized
+            return _int_or(self.temp(), ast.BinOp(left, op, right), "h_sized")
+        if not isinstance(op, ast.Mult):
+            return ast.BinOp(left, op, right)
+        a, b, result = self.temp(), self.temp(), self.temp()
+        is_int = [ast.Is(), ast.Is()], [_class(b, right), _name("h_int")]
+        ints = ast.Compare(_class(a, left), *is_int)
+        product = ast.NamedExpr(_name(result, True), ast.BinOp(_name(a), op, _name(b)))
+        width = ast.Call(ast.Attribute(product, "bit_length", ast.Load()), [], [])
+        small = ast.Compare(width, [ast.LtE()], [ast.Constant(_MAX_SIZE)])
+        fallback = ast.Call(_name("h_mul"), [_name(a), _name(b)], [])
+        return ast.IfExp(ast.BoolOp(ast.And(), [ints, small]), _name(result), fallback)
 
 
 class _Function:
@@ -677,13 +881,21 @@ class _Lowering:
         # Only these names can ever be in ``env``; any other is a function
         # (host, builtin or contract) or undefined.
         self.maybe_local = bound_names(func) | set(contract.constants)
-        self.pure_forms: Dict[ast.expr, Optional[Tuple[_Pure, int]]] = {}
-        self.fuse = True  # off while lowering the walk beneath a fused node
+        self.costs: Dict[ast.expr, Optional[int]] = {}
+        self.fuse = True  # off while lowering the walk behind a fused node or a region
 
     # -- statements ----------------------------------------------------------
     def block(self, body: Sequence[ast.stmt]) -> Optional[_Closure]:
-        """Run statements in order until one signals; ``None`` for an empty block."""
-        stmts = tuple(self.stmt(node) for node in body)
+        """Run statements in order until one signals; ``None`` for an empty block.
+
+        Each maximal run of :meth:`native` statements is one region.
+        """
+        stmts: List[_Closure] = []
+        for native, nodes in groupby(body, self.native):
+            if native:
+                stmts.append(self.region(list(nodes)))
+            else:
+                stmts.extend(map(self.stmt, nodes))
         if len(stmts) <= 1:
             return stmts[0] if stmts else None
 
@@ -696,6 +908,37 @@ class _Lowering:
 
         return run
 
+    def native(self, node: ast.stmt, in_loop: bool = False) -> bool:
+        """Whether ``node`` can be in a region; ``in_loop`` if a loop of the region holds it."""
+        if not self.fuse:
+            return False
+        kind = type(node)
+        if kind is ast.Assign and len(node.targets) == 1:
+            return isinstance(node.targets[0], ast.Name) and self.cost(node.value) is not None
+        if kind is ast.AugAssign and isinstance(node.op, _NATIVE_OPS):
+            return isinstance(node.target, ast.Name) and self.cost(node.value) is not None
+        if kind is ast.If or kind is ast.While:
+            inner = in_loop or kind is ast.While
+            return self.cost(node.test) is not None and all(
+                [self.native(stmt, inner) for stmt in node.body]
+                + [self.native(stmt, in_loop) for stmt in node.orelse]
+            )
+        return in_loop and kind in (ast.Break, ast.Continue)
+
+    def region(self, body: List[ast.stmt]) -> _Closure:
+        """``body`` compiled, with its walk behind it."""
+        walk = self.walk(body, self.block)
+        native = self.compiled(lambda emitter: emitter.region(body))
+        return walk if native is None else _region(native, walk)
+
+    def compiled(self, emit: Callable[["_Emitter"], Any]) -> Any:
+        """``emit(emitter)``; ``None`` for code nested deeper than CPython compiles
+        (a ``RecursionError``, or a ``SyntaxError`` past 20 nested loops)."""
+        try:
+            return emit(_Emitter(self.cost))
+        except (RecursionError, SyntaxError):
+            return None
+
     def stmt(self, node: ast.stmt) -> _Closure:
         lower = getattr(self, "_stmt_" + type(node).__name__, None)
         if lower is None:
@@ -704,12 +947,6 @@ class _Lowering:
 
     def charged(self, node: ast.expr) -> _Closure:
         """A statement's charge, then the value of ``node``: one check for both when ``node`` is pure."""
-        form, walked = self._charged(node)
-        return walked if form is None else _fused(*form, walked)
-
-    def _charged(self, node: ast.expr) -> Tuple[Optional[Tuple[_Pure, int]], _Closure]:
-        """``node``'s pure form, charged for the statement too (``None`` if it has
-        none), and the statement charge followed by ``node``'s walk."""
         form = self.pure(node)
         value = self.walk(node) if form else self.expr(node)
 
@@ -720,10 +957,7 @@ class _Lowering:
                 raise _out_of_gas(m)
             return value(m, env, rt)
 
-        if form is None:
-            return None, walked
-        fast, gas = form
-        return (fast, _GAS_STMT + gas), walked
+        return walked if form is None else _fused(form[0], _GAS_STMT + form[1], walked)
 
     def _stmt_Return(self, node: ast.Return) -> _Closure:
         if node.value is None:
@@ -741,17 +975,14 @@ class _Lowering:
         return run
 
     def _stmt_Assign(self, node: ast.Assign) -> _Closure:
-        form, walked = self._charged(node.value)
+        value = self.charged(node.value)
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             name = node.targets[0].id
-            if form is not None:
-                return _fused_assign(name, *form, walked)
 
             def run_name(m, env, rt):
-                env[name] = walked(m, env, rt)
+                env[name] = value(m, env, rt)
 
             return run_name
-        value = walked if form is None else _fused(*form, walked)
         stores = tuple(self.store(target) for target in node.targets)
 
         def run(m, env, rt):
@@ -974,134 +1205,53 @@ class _Lowering:
     # -- expressions ---------------------------------------------------------
     def expr(self, node: ast.expr) -> _Closure:
         """``node``'s closure: fused when it is pure and more than a leaf."""
-        if self.fuse and not isinstance(node, (ast.Name, ast.Constant)):
-            form = self.pure(node)
-            if form is not None:
-                return _fused(*form, self.walk(node))
+        form = self.pure(node)
+        if form is not None:
+            return _fused(*form, self.walk(node))
         lower = getattr(self, "_expr_" + type(node).__name__, None)
         if lower is None:
             return _raising(_GAS_EXPR, f"disallowed expression {type(node).__name__}")
         return lower(node)
 
-    def walk(self, node: ast.expr) -> _Closure:
-        """``node``'s node-by-node closure, with nothing beneath it fused."""
+    def walk(self, node: Any, lower: Optional[Callable[[Any], Any]] = None) -> Any:
+        """``lower(node)``, by default ``node``'s closure, with nothing beneath it fused."""
         fuse, self.fuse = self.fuse, False
         try:
-            return self.expr(node)
+            return (lower or self.expr)(node)
         finally:
             self.fuse = fuse
 
-    # -- pure forms: unmetered ``env -> value``, and the gas the walk charges --
+    # -- pure expressions: compiled ``env -> value``, and the gas the walk charges --
     def pure(self, node: ast.expr) -> Optional[Tuple[_Pure, int]]:
-        """``node`` as an unmetered function of ``env`` and its fixed gas, or
-        ``None`` when it calls, advances an iterator or costs what values decide."""
-        if node not in self.pure_forms:
-            lower = getattr(self, "_pure_" + type(node).__name__, None)
-            self.pure_forms[node] = lower(node) if lower is not None else None
-        return self.pure_forms[node]
+        """``node`` compiled and its fixed gas; ``None`` for a leaf, if impure or when walking."""
+        leaf = isinstance(node, (ast.Name, ast.Constant))
+        gas = None if leaf or not self.fuse else self.cost(node)
+        fast = None if gas is None else self.compiled(lambda emitter: emitter.function(node))
+        return None if fast is None else (fast, gas)
 
-    def _pure_Constant(self, node: ast.Constant) -> Tuple[_Pure, int]:
-        value = node.value
-        return (lambda env: value), _GAS_EXPR
+    def cost(self, node: ast.expr) -> Optional[int]:
+        """The gas ``node`` charges, or ``None`` when it is not pure: when it
+        calls, advances an iterator or costs what values decide.
 
-    def _pure_Name(self, node: ast.Name) -> Optional[Tuple[_Pure, int]]:
-        # Only a maybe-local can have a value; a miss raises ``KeyError``.
-        if node.id not in self.maybe_local:
-            return None
-        return operator.itemgetter(node.id), _GAS_EXPR
-
-    def _pure_BinOp(self, node: ast.BinOp) -> Optional[Tuple[_Pure, int]]:
-        op = _ALLOWED_BINOPS.get(type(node.op))
-        if op is None or op is _pow:  # ``**``: rare, and the costliest to compute twice on a replay
-            return None
-        left, right = self.pure(node.left), self.pure(node.right)
-        if left is None or right is None:
-            return None
-        (lhs, lhs_gas), (rhs, rhs_gas) = left, right
-        # No float check: no ``env`` value is a float, and without ``**`` no
-        # operator makes one from non-floats.
-        if op is _add:  # ``_add`` and ``_mul`` spelled out for ints, the hot case
-
-            def fast(env):
-                result = lhs(env) + rhs(env)
-                return result if result.__class__ is int else _sized(result)
-
-        elif op is _mul:
-
-            def fast(env):
-                a = lhs(env)
-                b = rhs(env)
-                if a.__class__ is int and b.__class__ is int:
-                    result = a * b
-                    if result.bit_length() <= _MAX_SIZE:
-                        return result
-                return _mul(a, b)
-
-        else:
-
-            def fast(env):
-                return op(lhs(env), rhs(env))
-
-        return fast, _GAS_EXPR + lhs_gas + rhs_gas
-
-    def _pure_Compare(self, node: ast.Compare) -> Optional[Tuple[_Pure, int]]:
-        if len(node.ops) != 1 or isinstance(node.ops[0], (ast.In, ast.NotIn)):
-            return None
-        op = _COMPARE[type(node.ops[0])]
-        left, right = self.pure(node.left), self.pure(node.comparators[0])
-        if left is None or right is None:
-            return None
-        (lhs, lhs_gas), (rhs, rhs_gas) = left, right
-
-        def fast(env):
-            return True if op(lhs(env), rhs(env)) else False
-
-        return fast, _GAS_EXPR + lhs_gas + rhs_gas
-
-    def _pure_Subscript(self, node: ast.Subscript) -> Optional[Tuple[_Pure, int]]:
-        container, key = self.pure(node.value), self.pure(node.slice)
-        if container is None or key is None:
-            return None
-        (items, items_gas), (index, index_gas) = container, key
-        if isinstance(node.value, ast.Subscript):
-            # ``a[i][k]`` in one frame: a float ``a[i]`` fails ``[k]``, and the walk raises for it.
-            outer, inner = self.pure(node.value.value)[0], self.pure(node.value.slice)[0]
-
-            def fast(env):
-                result = outer(env)[inner(env)][index(env)]
-                if isinstance(result, float):
-                    raise ContractError(_FLOAT_ERROR)
-                return result
-
-        else:
-
-            def fast(env):
-                result = items(env)[index(env)]
-                if isinstance(result, float):
-                    raise ContractError(_FLOAT_ERROR)
-                return result
-
-        return fast, _GAS_EXPR + items_gas + index_gas
-
-    def _pure_List(self, node: ast.List) -> Optional[Tuple[_Pure, int]]:
-        elements = self._pure_elements(node.elts)
-        if elements is None:
-            return None
-        values, gas = elements
-        return (lambda env: [value(env) for value in values]), _GAS_EXPR + gas
-
-    def _pure_Tuple(self, node: ast.Tuple) -> Optional[Tuple[_Pure, int]]:
-        elements = self._pure_elements(node.elts)
-        if elements is None:
-            return None
-        values, gas = elements
-        return (lambda env: tuple([value(env) for value in values])), _GAS_EXPR + gas
-
-    def _pure_elements(self, nodes: Sequence[ast.expr]) -> Optional[Tuple[Tuple[_Pure, ...], int]]:
-        forms = [self.pure(node) for node in nodes]
-        if None in forms:
-            return None
-        return tuple(value for value, _ in forms), sum(gas for _, gas in forms)
+        Pure are names that may be local, constants, ``+ - * // %``, one
+        comparison other than ``in``, subscripts, and list and tuple displays.
+        """
+        if node not in self.costs:
+            kind, parts = type(node), None
+            if kind is ast.Constant or (kind is ast.Name and node.id in self.maybe_local):
+                parts = ()
+            elif kind is ast.BinOp and isinstance(node.op, _NATIVE_OPS):
+                parts = (node.left, node.right)
+            elif kind is ast.Compare and len(node.ops) == 1:
+                if not isinstance(node.ops[0], (ast.In, ast.NotIn)):
+                    parts = (node.left, node.comparators[0])
+            elif kind is ast.Subscript:
+                parts = (node.value, node.slice)
+            elif kind is ast.List or kind is ast.Tuple:
+                parts = node.elts
+            costs = [None] if parts is None else [self.cost(part) for part in parts]
+            self.costs[node] = None if None in costs else _GAS_EXPR + sum(costs)
+        return self.costs[node]
 
     def _expr_Constant(self, node: ast.Constant) -> _Closure:
         value = node.value  # never a float: parse_contract rejects those

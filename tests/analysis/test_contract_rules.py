@@ -55,6 +55,24 @@ class TestBadCorpus:
         # Without a ceiling the rule stays silent.
         assert analyze_contract_source(source) == []
 
+    def test_med008_names_the_sizes_it_assumes(self):
+        # The bound prices sha256_hex and storage_keys at assumed sizes; a
+        # finding on a function that reaches either says so, through calls too.
+        source = (
+            "def _digest(v):\n"
+            "    return sha256_hex(v)\n"
+            "def hashed(v):\n"
+            "    return _digest(v)\n"
+            "def listed():\n"
+            '    return storage_keys("ds/")\n'
+            "def read():\n"
+            '    return [storage_get("a"), storage_get("b")]\n'
+        )
+        texts = {f.symbol: f.message for f in analyze_contract_source(source, max_gas=100)}
+        assert texts["hashed"].endswith("(if sha256_hex hashes at most 4,096 bytes a call)")
+        assert texts["listed"].endswith("(if storage_keys returns at most 1,024 keys a call)")
+        assert texts["read"].endswith("exceeds the ceiling 100")
+
     def test_syntax_error_reported_as_med009(self):
         findings = analyze_contract_source("def f(:\n    return 1\n")
         assert len(findings) == 1

@@ -633,6 +633,28 @@ def wild_program(draw):
 
 
 _COPIED_FUNCTION = "def _h(a):\n    return a\ndef f(x, y, items):\n"
+# One native region.  It binds each constant node's own value: inlined,
+# CPython would fold equal constants into one object, and ``is`` would see
+# it.  Its locals are named like the emitter's helpers, temporaries,
+# counters and parameters, and stay the contract's own.
+_IDENTITY_AND_NAMES = (
+    "def f(x, y, items):\n"
+    "    a = 100000\n"
+    "    b = 100000\n"
+    "    h_sized = a is b\n"
+    "    l_x = (1, 2) is (1, 2)\n"
+    "    k0 = 'k0'\n"
+    "    t1 = x\n"
+    "    n1 = 0\n"
+    "    while n1 < 2:\n"
+    "        n1 += 1\n"
+    "        t1 = t1 + n1\n"
+    "    g = t1 * 2\n"
+    "    left = g\n"
+    "    env = left\n"
+    "    __builtins__ = [h_sized, l_x, k0, t1, n1, g, a is 100000]\n"
+    "    return [__builtins__, left, env]\n"
+)
 
 
 class TestGeneratedProgramsMatchOracle:
@@ -652,6 +674,7 @@ class TestGeneratedProgramsMatchOracle:
     @example(_COPIED_FUNCTION + "    return [storage_get(x, _h)]\n", 0, 0, [], WILD_GAS)
     @example(_COPIED_FUNCTION + "    return note(str(storage_get(x, _h)))\n", 0, 0, [], WILD_GAS)
     @example(_COPIED_FUNCTION + "    emit('E', {'v': f'{storage_get(y, _h)!r}'})\n", 0, 0, [], WILD_GAS)
+    @example(_IDENTITY_AND_NAMES, 0, 0, [], WILD_GAS)
     def test_wild_programs_match(self, source, x, y, items, gas):
         assert_same(source, "f", {"x": x, "y": y, "items": items}, gas=gas)
 
@@ -861,6 +884,25 @@ SWEEP_PROGRAMS = {
         "    n = 2 ** 65535\n"
         "    out = [len(s), len(t + [x]), n * (x - 1) == n, len(s[1:] + 'c')]\n"
         "    return out + [len(t + items)]\n"
+    ),
+    # Native regions: the walk replays a region from its entry when it breaks the cap.
+    "size_cap_in_a_region": (
+        "def f(x, items):\n"
+        "    s = 'ab'\n"
+        "    k = 0\n"
+        "    while k < 20:\n"
+        "        s = s + s\n"
+        "        k += 1\n"
+        "    return k\n"
+    ),
+    "repetition_over_the_cap_in_a_region": (
+        "def f(x, items):\n"
+        "    t = items\n"
+        "    while x < 9:\n"
+        "        x += 1\n"
+        "        if x > 4:\n"
+        "            t = t * 30000\n"
+        "    return x\n"
     ),
 }
 SWEEP_PROGRAMS = {

@@ -4,7 +4,9 @@
 E22's validator processes import.  The data plane (analytics, data
 management, query, off-chain control, numpy) costs ~0.2 s of start-up and
 ~14 MB of resident memory per process, and a consensus layer that sits
-under the data layer does not need it.
+under the data layer does not need it.  Nor does it need the static
+analyser (``repro.analysis``, ~55 ms of start-up): the VM prices its native
+regions itself, so running a contract must not import it.
 """
 
 import os
@@ -17,17 +19,35 @@ import repro
 DATA_PLANE = {"analytics", "datamgmt", "offchain", "parallel", "query", "core", "learning", "analysis"}
 
 
-def test_a_validator_process_does_not_import_the_data_plane():
+def _modules_after(code):
+    """Every module a fresh interpreter holds after running ``code``."""
     src = str(Path(repro.__file__).resolve().parents[1])
-    listing = subprocess.run(
-        [sys.executable, "-c", "import repro.p2p.host, sys; print('\\n'.join(sys.modules))"],
+    return subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print('\\n'.join(sys.modules))"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     ).stdout.split()
+
+
+def test_a_validator_process_does_not_import_the_data_plane():
+    listing = _modules_after("import repro.p2p.host")
     assert "repro.p2p.host" in listing
     assert "numpy" not in listing
     packages = {name.split(".")[1] for name in listing if name.startswith("repro.")}
     assert not packages & DATA_PLANE, sorted(packages & DATA_PLANE)
+
+
+def test_running_a_contract_does_not_import_the_analyser():
+    listing = _modules_after(
+        "from repro.contracts import library\n"
+        "from repro.contracts.vm import GasMeter, Interpreter, compile_contract\n"
+        "contract = compile_contract(library.COMPUTE_CONTRACT_SOURCE)\n"
+        "args = {'a': [[1, 2], [3, 4]], 'b': [[5, 6], [7, 8]], 'n': 2}\n"
+        "result = Interpreter(contract, {}, GasMeter(10**6)).call('matmul', args)\n"
+        "assert result == [[19, 22], [43, 50]]"
+    )
+    assert "repro.contracts.vm" in listing
+    assert not [name for name in listing if name.startswith("repro.analysis")]

@@ -23,6 +23,7 @@ from repro.common import signatures as sigs
 from repro.common.signatures import KeyPair, PrivateKey, PublicKey
 from repro.consensus.node import BlockchainNode, make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
+from repro.contracts import library, vm
 from repro.p2p.transport import SimTransport
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network
@@ -313,3 +314,29 @@ def test_steps_to_read_a_key_last_written_64_forks_below(monkeypatch):
 
     assert lineage[-1].get("k/1999") == 1999  # last written in lineage[0]
     _assert_within_pins("state_read", {"steps_64_forks_below": len(steps)})
+
+
+def test_native_regions_per_library_function(monkeypatch):
+    """Regions the VM lowers in each function of the contracts E22 and the
+    platform run: ``matmul``'s whole triple loop is one.  A structural count,
+    so compared ``==``, not ``<=``: a region fewer is statements walked that
+    ran as bytecode, a region more is one cut in two."""
+    counts = {}
+    lower, emit = vm._Function.__init__, vm._Emitter.region
+
+    def counted_lower(function, func, contract):
+        counts[func.name] = 0
+        lower(function, func, contract)
+
+    def counted_emit(emitter, body):
+        counts[next(reversed(counts))] += 1
+        return emit(emitter, body)
+
+    monkeypatch.setattr(vm._Function, "__init__", counted_lower)
+    monkeypatch.setattr(vm._Emitter, "region", counted_emit)
+    measured = {}
+    for source in ("COMPUTE_CONTRACT_SOURCE", "CLINICAL_TRIAL_SOURCE", "DATA_REGISTRY_SOURCE"):
+        counts.clear()
+        vm.compile_contract(getattr(library, source))
+        measured.update({f"{source}.{name}": count for name, count in counts.items()})
+    assert measured == PINNED["vm_regions"]
