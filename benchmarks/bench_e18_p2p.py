@@ -180,8 +180,7 @@ def measure_cold_sync(n_txs):
 
 def run_tcp_acceptance(n_validators=5, n_txs=8):
     """The ISSUE's acceptance scenario over real sockets, measured."""
-    from repro.p2p.host import P2PHost
-    from repro.p2p.node_server import build_world
+    from repro.p2p.host import P2PHost, build_world
     from repro.p2p.wire import tx_to_wire
     from repro.rpc.client import ConnectionPool
     from repro.rpc.runtime import EventLoopThread

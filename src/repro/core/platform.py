@@ -55,6 +55,8 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import LinkSpec, Network
 
 FDA_NODE_NAME = "fda"
+# Genesis balance of the deployer and of every node's key.
+FUNDING = 1_000_000_000
 
 
 @dataclass
@@ -63,23 +65,11 @@ class PlatformConfig:
 
     site_count: int = 4
     consensus: str = "poa"  # "poa" | "pow" | "pos"
-    pow_difficulty_bits: int = 10
-    pow_hash_rate: float = 1e5
     block_interval_s: float = 1.0
     include_fda: bool = True
     seed: int = 0
     link: LinkSpec = field(default_factory=LinkSpec)
     max_txs_per_block: int = 200
-    funding: int = 1_000_000_000
-    register_tools: bool = True  # auto-register the standard tool suite at boot
-    # Statically verify platform contracts (repro.analysis) before the boot
-    # deployments are signed; a failing contract aborts the boot with a
-    # ContractVerificationError instead of reaching the chain.
-    verify_contracts: bool = True
-    # Include the MED2xx PHI taint pass in that boot-time verification: a
-    # platform contract that provably leaks patient data into chain state
-    # is rejected the same way a nondeterministic one is.
-    taint_contracts: bool = True
     # Finality window for per-block state retention (see NodeConfig); long
     # platform runs keep state memory bounded by chain width, not length.
     state_prune_window: int = 64
@@ -154,9 +144,9 @@ class MedicalBlockchainNetwork:
     # -- boot sequence -----------------------------------------------------
     def _boot(self) -> None:
         genesis_state = StateDB()
-        genesis_state.credit(self.deployer.address, self.config.funding)
+        genesis_state.credit(self.deployer.address, FUNDING)
         for keypair in self.keypairs.values():
-            genesis_state.credit(keypair.address, self.config.funding)
+            genesis_state.credit(keypair.address, FUNDING)
         genesis = make_genesis(genesis_state.state_root())
         engine_factory = self._consensus_factory()
         node_config = NodeConfig(
@@ -182,8 +172,7 @@ class MedicalBlockchainNetwork:
             self.fda = TrustedThirdParty(
                 FDA_NODE_NAME, self.keypairs[FDA_NODE_NAME], self.metrics
             )
-        if self.config.register_tools:
-            self.register_standard_tools()
+        self.register_standard_tools()
 
     def _consensus_factory(self) -> Callable[[], ConsensusEngine]:
         kind = self.config.consensus
@@ -195,10 +184,7 @@ class MedicalBlockchainNetwork:
             )
             return lambda: engine
         if kind == "pow":
-            engine = ProofOfWork(
-                difficulty_bits=self.config.pow_difficulty_bits,
-                default_hash_rate=self.config.pow_hash_rate,
-            )
+            engine = ProofOfWork(difficulty_bits=10, default_hash_rate=1e5)
             return lambda: engine
         if kind == "pos":
             stakes = {name: 100 + 10 * index for index, name in enumerate(self.node_names)}
@@ -218,15 +204,16 @@ class MedicalBlockchainNetwork:
         }
         ids: Dict[str, str] = {}
         entry_node = self.nodes[self.node_names[0]]
-        # Platform contracts go through the verifying registry: a
-        # nondeterministic or unbounded contract never reaches the chain
+        # Platform contracts go through the verifying registry, PHI taint
+        # pass included: a nondeterministic or unbounded contract, or one
+        # that provably leaks patient data into chain state, aborts the boot
+        # with a ContractVerificationError instead of reaching the chain
         # (and the shipped library dogfoods the static analyzer at boot).
         registry = ContractRegistry(
             node=entry_node,
             deployer=self.deployer,
             timestamp_source=lambda: int(self.kernel.now * 1000),
-            verify_by_default=self.config.verify_contracts,
-            taint=self.config.taint_contracts,
+            verify_by_default=True,
         )
         for name, source in sources.items():
             tx = registry.deploy(name, source)

@@ -12,8 +12,11 @@ keep its thread pool and reach the node through :meth:`KernelPump.call`.
 
 A host bundles: ``EventLoopThread`` + Kernel + ``KernelPump`` +
 ``RpcTransport`` + ``BlockchainNode`` (which builds its ``P2PService`` over
-that transport) + ``RpcServer`` (p2p method surface plus a small control
-API).  There is no sim ``Network``: the transport is the node's only wire.
+that transport) + ``RpcServer``.  Its registry is the node's whole method
+surface: the p2p methods (sync included), ``ctl.*`` and ``mempool.status``.
+There is no sim ``Network``: the transport is the node's only wire.
+``python -m repro.rpc.site_server --validators ...`` runs one host with a
+site's data methods on the same registry.
 """
 
 from __future__ import annotations
@@ -22,20 +25,47 @@ import asyncio
 import concurrent.futures
 from collections import deque
 from dataclasses import replace
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.chain.blocks import Block
+from repro.chain.blocks import Block, make_genesis
+from repro.chain.mempool import DUPLICATE, POOL_FULL, RATE_LIMITED, STALE_NONCE, UNDERPRICED
 from repro.chain.state import StateDB
 from repro.common.clock import WallClock
+from repro.common.signatures import KeyPair
 from repro.consensus.base import ConsensusEngine
 from repro.consensus.node import BlockchainNode, NodeConfig
+from repro.consensus.poa import ProofOfAuthority
 from repro.p2p.config import P2PConfig
 from repro.p2p.rpc_transport import RpcTransport, split_addr
 from repro.p2p.service import P2P_METHODS
 from repro.p2p.wire import tx_from_wire
+from repro.rpc.errors import (
+    OverloadedError,
+    RateLimitedError,
+    StaleNonceError,
+    TxUnderpricedError,
+)
 from repro.rpc.runtime import EventLoopThread
 from repro.rpc.server import MethodRegistry, RpcServer
 from repro.sim.kernel import Kernel
+
+
+def build_world(
+    validators: List[str], fund: Dict[str, int], block_interval_s: float = 0.5
+) -> Tuple[Block, StateDB, ProofOfAuthority]:
+    """Deterministic genesis + PoA engine shared by every process.
+
+    Key pairs are deterministic in their label and the genesis block hashes
+    only the funded state, so independently launched processes given the
+    same arguments form one network with no shared files.
+    """
+    state = StateDB()
+    for label in sorted(fund):
+        state.credit(KeyPair.generate(label).address, fund[label])
+    genesis = make_genesis(state.state_root())
+    keypairs = {name: KeyPair.generate(name) for name in validators}
+    engine = ProofOfAuthority(validators, keypairs, block_interval_s=block_interval_s)
+    return genesis, state, engine
 
 
 class KernelPump:
@@ -162,6 +192,67 @@ def _resolve(future: concurrent.futures.Future, fn: Callable[[], Any]) -> None:
         future.set_exception(exc)
 
 
+def admission_to_wire(admission: Any, tx_id: str) -> Dict[str, Any]:
+    """Map a mempool :class:`AdmissionResult` onto the RPC error band.
+
+    Accepted/replaced/duplicate outcomes return a result object (duplicate
+    is a no-op success: the tx is already pooled, resubmitting changed
+    nothing).  Every refusal raises the matching typed error so clients
+    branch on stable integer codes, with machine-usable hints — the fee
+    floor for underpriced, the outbid price for a full pool — in ``data``.
+    """
+    if admission:
+        wire: Dict[str, Any] = {
+            "accepted": True,
+            "status": admission.code,
+            "tx_id": tx_id,
+        }
+        if admission.replaced_tx_id:
+            wire["replaced_tx_id"] = admission.replaced_tx_id
+        return wire
+    if admission.code == DUPLICATE:
+        return {"accepted": False, "status": DUPLICATE, "tx_id": tx_id}
+    data: Dict[str, Any] = {"tx_id": tx_id}
+    if admission.reason:
+        data["reason"] = admission.reason
+    if admission.fee_floor is not None:
+        data["fee_floor"] = admission.fee_floor
+    if admission.code == UNDERPRICED:
+        raise TxUnderpricedError(admission.reason, data=data)
+    if admission.code == POOL_FULL:
+        raise OverloadedError(
+            admission.reason or "mempool full; raise fee or retry", data=data
+        )
+    if admission.code == RATE_LIMITED:
+        raise RateLimitedError(admission.reason, data=data)
+    if admission.code == STALE_NONCE:
+        raise StaleNonceError(admission.reason, data=data)
+    raise OverloadedError(admission.reason or admission.code, data=data)
+
+
+def register_node_methods(
+    registry: MethodRegistry, node: Any, call: Callable[[Callable[[], Any]], Any]
+) -> None:
+    """``ctl.submit_tx`` and ``mempool.status`` over ``node``.
+
+    ``call(fn)`` runs ``fn`` where the node lives (``KernelPump.call`` on a
+    host).  A malformed tx raises ``ValidationError`` (INVALID_TX).
+    ``ctl.submit_tx`` is not idempotent: the mempool deduplicates a signed
+    tx, but a client retry could still race a nonce bump, so a
+    ``ConnectionPool`` never retries it on its own.
+    """
+
+    async def submit_tx(tx: Any = None) -> Dict[str, Any]:
+        transaction = tx_from_wire(tx)
+        return admission_to_wire(call(lambda: node.submit_tx(transaction)), transaction.tx_id)
+
+    async def mempool_status() -> Dict[str, Any]:
+        return call(node.mempool.status)
+
+    registry.register("ctl.submit_tx", submit_tx)
+    registry.register("mempool.status", mempool_status, idempotent=True)
+
+
 def register_p2p_methods(registry: MethodRegistry, dispatch: Any) -> None:
     """Expose the p2p method surface on an RPC server.
 
@@ -277,15 +368,6 @@ class P2PHost:
     def _register_control_methods(self) -> None:
         """Small operator API used by the benchmark and CLI tooling."""
 
-        async def submit_tx(**params: Any) -> Dict[str, Any]:
-            tx = tx_from_wire(params.get("tx"))
-            admission = self.pump.call(lambda: self.node.submit_tx(tx))
-            return {
-                "accepted": bool(admission),
-                "status": admission.code,
-                "tx_id": tx.tx_id,
-            }
-
         async def status(**_params: Any) -> Dict[str, Any]:
             head = self.node.store.head
             return {
@@ -326,6 +408,6 @@ class P2PHost:
                 reply[f"pump_turn_ms_{stat}"] = value
             return reply
 
-        self.registry.register("ctl.submit_tx", submit_tx)
+        register_node_methods(self.registry, self.node, self.pump.call)
         self.registry.register("ctl.status", status, idempotent=True)
         self.registry.register("ctl.counters", counters, idempotent=True)

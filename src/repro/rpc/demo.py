@@ -1,26 +1,37 @@
 """Deterministic demo network builders for RPC serving.
 
-The TCP story needs *separate processes* to agree on the world: the
-gateway process and each site server process independently boot the same
-platform from the same seed (key generation, cohort synthesis, and chain
-boot are all seed-deterministic), so a site server holds exactly the data
-the gateway's catalog promises — with no shared memory and nothing copied
-between processes.  The same builders back the in-process transport, which
-is what makes the E15 tcp-vs-inproc hash equivalence check meaningful.
+The TCP story needs *separate processes* to agree on the data: the
+gateway process boots the platform and each site server process builds
+its own site, both from :func:`demo_cohorts` over the same seed, so a site
+server holds exactly the records the in-process platform does — with no
+shared memory and nothing copied between processes.  The same builders
+back the in-process transport, which is what makes the E15 tcp-vs-inproc
+hash equivalence check meaningful.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.common.signatures import KeyPair
-from repro.core.platform import MedicalBlockchainNetwork, PlatformConfig
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
 from repro.rpc.gateway import InprocGateway
 from repro.rpc.methods import SiteService, build_site_registry
 from repro.rpc.server import RpcServer
 
+if TYPE_CHECKING:
+    from repro.core.platform import MedicalBlockchainNetwork
+
 DEFAULT_SEED = 2026
+
+
+def demo_cohorts(
+    site_count: int, records_per_site: int, seed: int
+) -> Dict[str, List[Dict[str, Any]]]:
+    """Each demo site's records, ``emr-<site>``'s content: a pure function."""
+    return CohortGenerator(seed=seed).generate_multi_site(
+        default_site_profiles(site_count), records_per_site
+    )
 
 
 def build_demo_network(
@@ -33,10 +44,11 @@ def build_demo_network(
     Every byte of state is a pure function of the arguments, so any two
     processes calling this with the same arguments hold identical sites.
     """
-    generator = CohortGenerator(seed=seed)
-    cohorts = generator.generate_multi_site(
-        default_site_profiles(site_count), records_per_site
-    )
+    # Imported here: a site server process builds its site from
+    # ``demo_cohorts`` alone and never loads the platform.
+    from repro.core.platform import MedicalBlockchainNetwork, PlatformConfig
+
+    cohorts = demo_cohorts(site_count, records_per_site, seed)
     platform = MedicalBlockchainNetwork(
         PlatformConfig(
             site_count=site_count, consensus="poa", include_fda=False, seed=seed
@@ -50,34 +62,17 @@ def build_demo_network(
     return platform, researcher
 
 
-def build_site_server(
-    platform: MedicalBlockchainNetwork,
-    site_name: str,
-    *,
-    max_inflight: int = 64,
-    default_timeout_s: float = 30.0,
-    task_timeout_s: Optional[float] = None,
-) -> RpcServer:
+def build_site_server(platform: MedicalBlockchainNetwork, site_name: str) -> RpcServer:
     """An :class:`RpcServer` exposing one platform site's method surface."""
     service = SiteService.from_site(platform.sites[site_name])
-    registry = build_site_registry(service, task_timeout_s=task_timeout_s)
     return RpcServer(
-        registry,
-        name=site_name,
-        max_inflight=max_inflight,
-        default_timeout_s=default_timeout_s,
-        metrics=platform.metrics,
+        build_site_registry(service), name=site_name, metrics=platform.metrics
     )
 
 
-def build_inproc_gateway(
-    platform: MedicalBlockchainNetwork,
-    *,
-    max_inflight: int = 64,
-) -> InprocGateway:
+def build_inproc_gateway(platform: MedicalBlockchainNetwork) -> InprocGateway:
     """An in-process gateway over every site of a booted platform."""
     servers: Dict[str, RpcServer] = {
-        site: build_site_server(platform, site, max_inflight=max_inflight)
-        for site in platform.site_names
+        site: build_site_server(platform, site) for site in platform.site_names
     }
     return InprocGateway(servers)

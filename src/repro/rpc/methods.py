@@ -1,7 +1,7 @@
 """Method surface a site server exposes (Figures 3-5 over a real wire).
 
 ``build_site_registry`` binds one hospital site's components — local data
-store, analytics tool runner, blockchain node, data oracle — to the JSON-RPC
+store, analytics tool runner, data oracle, chunk store — to the JSON-RPC
 method names the gateway and external clients call:
 
 - ``health`` / ``rpc.methods`` / ``rpc.echo`` — liveness, discovery, and a
@@ -14,15 +14,16 @@ method names the gateway and external clients call:
   result plus its content hash; a caller that names the ``catalog_version``
   it planned against is refused with ``STALE_CATALOG`` (carrying the fresh
   listing) once the site's listing has changed;
-- ``oracle.fetch`` — the paper's data-oracle bridge, served;
-- ``chain.get_block`` / ``node.submit_tx`` — read blocks and submit signed
-  transactions to this site's blockchain node;
+- ``oracle.fetch`` — the paper's data-oracle bridge, served (a site built
+  from a platform site has one; a ``site_server`` process has none);
 - ``da.put_chunk`` / ``da.get_chunk`` / ``da.sample`` — erasure-coded share
   custody and availability audits over this site's chunk store
   (:mod:`repro.da`).
 
 Handlers return plain jsonable dicts and raise domain errors; the server
-maps those to typed JSON-RPC error objects.
+maps those to typed JSON-RPC error objects.  A site that is also a chain
+node gets the node's methods from :class:`repro.p2p.host.P2PHost`, on the
+same registry; no site handler touches the node.
 """
 
 from __future__ import annotations
@@ -31,18 +32,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.common.errors import ChainError
 from repro.common.hashing import hash_value_hex
 from repro.common.serialize import to_jsonable
 from repro.query.vector import QueryVector
-from repro.rpc.errors import (
-    InvalidParamsError,
-    OverloadedError,
-    RateLimitedError,
-    StaleCatalogError,
-    StaleNonceError,
-    TxUnderpricedError,
-)
+from repro.rpc.errors import InvalidParamsError, StaleCatalogError
 from repro.rpc.server import MethodRegistry
 
 _VECTOR_FIELDS = {field.name for field in dataclasses.fields(QueryVector)}
@@ -66,66 +59,18 @@ def vector_to_wire(vector: QueryVector) -> Dict[str, Any]:
     return to_jsonable(vector)
 
 
-def admission_to_wire(admission: Any, tx_id: str) -> Dict[str, Any]:
-    """Map a mempool :class:`AdmissionResult` onto the RPC error band.
-
-    Accepted/replaced/duplicate outcomes return a result object (duplicate
-    is a no-op success: the tx is already pooled, resubmitting changed
-    nothing).  Every refusal raises the matching typed error so clients
-    branch on stable integer codes, with machine-usable hints — the fee
-    floor for underpriced, the outbid price for a full pool — in ``data``.
-    """
-    from repro.chain.mempool import (
-        DUPLICATE,
-        POOL_FULL,
-        RATE_LIMITED,
-        STALE_NONCE,
-        UNDERPRICED,
-    )
-
-    if admission:
-        wire: Dict[str, Any] = {
-            "accepted": True,
-            "status": admission.code,
-            "tx_id": tx_id,
-        }
-        if admission.replaced_tx_id:
-            wire["replaced_tx_id"] = admission.replaced_tx_id
-        return wire
-    if admission.code == DUPLICATE:
-        return {"accepted": False, "status": DUPLICATE, "tx_id": tx_id}
-    data: Dict[str, Any] = {"tx_id": tx_id}
-    if admission.reason:
-        data["reason"] = admission.reason
-    if admission.fee_floor is not None:
-        data["fee_floor"] = admission.fee_floor
-    if admission.code == UNDERPRICED:
-        raise TxUnderpricedError(admission.reason, data=data)
-    if admission.code == POOL_FULL:
-        raise OverloadedError(
-            admission.reason or "mempool full; raise fee or retry", data=data
-        )
-    if admission.code == RATE_LIMITED:
-        raise RateLimitedError(admission.reason, data=data)
-    if admission.code == STALE_NONCE:
-        raise StaleNonceError(admission.reason, data=data)
-    raise OverloadedError(admission.reason or admission.code, data=data)
-
-
 @dataclass
 class SiteService:
     """The components of one site that the method surface binds to.
 
     Duck-typed: ``store`` needs ``dataset_ids``/``get_records`` (and
     optionally ``record_count``/``catalog_version``), ``runner`` a
-    :class:`TaskRunner`, ``node``/``oracle`` may be ``None`` for data-only
-    deployments.
+    :class:`TaskRunner`; ``oracle`` and ``chunks`` may be ``None``.
     """
 
     name: str
     store: Any
     runner: Any
-    node: Any = None
     oracle: Any = None
     chunks: Any = None  # repro.da.store.ChunkStore for the da.* surface
     schema: str = "patient-canonical-v1"
@@ -137,7 +82,6 @@ class SiteService:
             name=site.name,
             store=site.store,
             runner=site.control.runner,
-            node=site.node,
             oracle=site.monitor.oracle,
             chunks=getattr(site, "chunks", None),
         )
@@ -187,19 +131,17 @@ def build_site_registry(
     service: SiteService,
     *,
     task_timeout_s: Optional[float] = None,
+    registry: Optional[MethodRegistry] = None,
 ) -> MethodRegistry:
-    """The full method registry for one site server."""
-    registry = MethodRegistry()
+    """The method registry for one site server (``registry``'s, if given)."""
+    registry = registry if registry is not None else MethodRegistry()
 
     def health() -> Dict[str, Any]:
-        info: Dict[str, Any] = {
+        return {
             "status": "ok",
             "site": service.name,
             "datasets": service.store.dataset_ids(),
         }
-        if service.node is not None:
-            info["height"] = service.node.head.height
-        return info
 
     def rpc_methods() -> Dict[str, Any]:
         return {"methods": registry.names()}
@@ -255,50 +197,6 @@ def build_site_registry(
         if service.oracle is None:
             raise InvalidParamsError(f"site {service.name!r} serves no oracle")
         return service.oracle.call(endpoint, request)
-
-    def chain_get_block(
-        block_id: Optional[str] = None, height: Optional[int] = None
-    ) -> Dict[str, Any]:
-        if service.node is None:
-            raise InvalidParamsError(f"site {service.name!r} serves no chain node")
-        if (block_id is None) == (height is None):
-            raise InvalidParamsError("pass exactly one of block_id / height")
-        if block_id is not None:
-            block = service.node.store.get(block_id)  # raises ChainError
-        else:
-            block = service.node.store.block_at_height(int(height))
-            if block is None:
-                raise ChainError(f"no canonical block at height {height}")
-        wire = to_jsonable(block)
-        wire["block_id"] = block.block_id
-        return wire
-
-    def chain_get_headers(
-        locator: Optional[List[str]] = None, limit: int = 256, **_extra: Any
-    ) -> Dict[str, Any]:
-        if service.node is None:
-            raise InvalidParamsError(f"site {service.name!r} serves no chain node")
-        from repro.p2p.wire import header_to_wire
-
-        blocks = service.node.store.headers_after(
-            [b for b in (locator or []) if isinstance(b, str)], limit=limit
-        )
-        return {"headers": [header_to_wire(b.header, b.block_id) for b in blocks]}
-
-    def chain_get_blocks(
-        ids: Optional[List[str]] = None, **_extra: Any
-    ) -> Dict[str, Any]:
-        if service.node is None:
-            raise InvalidParamsError(f"site {service.name!r} serves no chain node")
-        from repro.p2p.wire import block_to_wire
-
-        store = service.node.store
-        bodies = [
-            block_to_wire(store.get(block_id))
-            for block_id in (ids or [])[:256]
-            if isinstance(block_id, str) and block_id in store
-        ]
-        return {"blocks": bodies}
 
     def _chunk_store() -> Any:
         if service.chunks is None:
@@ -358,21 +256,6 @@ def build_site_registry(
             ],
         }
 
-    def node_submit_tx(tx: Dict[str, Any]) -> Dict[str, Any]:
-        if service.node is None:
-            raise InvalidParamsError(f"site {service.name!r} serves no chain node")
-        from repro.p2p.wire import tx_from_wire
-
-        transaction = tx_from_wire(tx)  # raises ValidationError -> INVALID_TX
-        transaction.validate()
-        admission = service.node.submit_tx(transaction)
-        return admission_to_wire(admission, transaction.tx_id)
-
-    def mempool_status() -> Dict[str, Any]:
-        if service.node is None:
-            raise InvalidParamsError(f"site {service.name!r} serves no chain node")
-        return service.node.mempool.status()
-
     registry.register("health", health, idempotent=True, timeout_s=5.0)
     registry.register("rpc.methods", rpc_methods, idempotent=True, timeout_s=5.0)
     registry.register("rpc.echo", rpc_echo, idempotent=True)
@@ -384,17 +267,9 @@ def build_site_registry(
         "site.query", site_query, idempotent=True, timeout_s=task_timeout_s
     )
     registry.register("oracle.fetch", oracle_fetch, idempotent=True)
-    registry.register("chain.get_block", chain_get_block, idempotent=True)
-    registry.register("chain.get_headers", chain_get_headers, idempotent=True)
-    registry.register("chain.get_blocks", chain_get_blocks, idempotent=True)
-    registry.register("mempool.status", mempool_status, idempotent=True)
     # Verify-on-ingest makes da.put_chunk naturally idempotent: re-putting
     # an already-held chunk is a no-op answered from the store.
     registry.register("da.put_chunk", da_put_chunk, idempotent=True)
     registry.register("da.get_chunk", da_get_chunk, idempotent=True)
     registry.register("da.sample", da_sample, idempotent=True)
-    # Submitting the same *signed* tx twice is deduplicated by the mempool,
-    # but a client-side retry could still race a nonce bump — keep it
-    # non-idempotent so the pool never auto-retries it.
-    registry.register("node.submit_tx", node_submit_tx)
     return registry

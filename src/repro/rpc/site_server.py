@@ -3,26 +3,55 @@
     PYTHONPATH=src python -m repro.rpc.site_server --site hospital-0 \
         --sites 3 --records 120 --seed 2026 --port 0
 
-The process boots the deterministic demo network (see
-:mod:`repro.rpc.demo`), serves the named site's method surface on the
-given address, and prints one machine-readable line to stdout once bound::
+The process builds the named site's data plane and nothing else: a
+``HospitalDataStore`` holding ``emr-<site>`` (the records of
+:func:`repro.rpc.demo.demo_cohorts`, so the in-process demo network holds
+the same data), a ``TaskRunner`` over the standard tools and a
+``ChunkStore``.  It serves the site's method surface on the given address
+and prints one machine-readable line to stdout once bound::
 
     LISTENING 127.0.0.1 43571
 
-It exits cleanly — draining in-flight requests — when its stdin reaches
-EOF (the supervisor closed the pipe) or on SIGTERM/SIGINT.  The E15
-benchmark and the CI smoke job supervise fleets of these processes.
+Given ``--validators``, the same process and port is also a live chain
+node — the paper's Fig. 2, where the sites that host data are the nodes.
+It runs a :class:`~repro.p2p.host.P2PHost` named ``--site`` and serves the
+site's methods on the host's registry next to the node's (``p2p.*``,
+``chain.get_headers`` / ``chain.get_blocks``, ``ctl.*``,
+``mempool.status``).  Every process derives the same genesis and PoA engine
+from ``--validators`` and ``--fund``.  ``--base-port`` maps validator i to
+port base+i, which gives every seed address and, without ``--port``, the
+process's own; ``--seeds`` names the seeds instead.  A ``--site`` outside
+``--validators`` cold-syncs and follows the chain::
+
+    PYTHONPATH=src python -m repro.rpc.site_server --site hospital-0 \
+        --validators hospital-0,hospital-1,hospital-2 --base-port 9400 \
+        --fund alice:1000000000
+
+It exits cleanly — draining in-flight requests — on SIGTERM/SIGINT or,
+when stdin is a pipe, once it reaches EOF (the supervisor closed the
+pipe).  The E15 and E22 benchmarks and the CI smoke job supervise
+fleets of these processes.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
+import os
 import signal
+import stat
 import sys
+import threading
+from typing import Callable, Dict, List
 
-from repro.rpc.demo import DEFAULT_SEED, build_demo_network, build_site_server
+from repro.analytics.tools import standard_registry
+from repro.common.signatures import KeyPair
+from repro.da.store import ChunkStore
+from repro.datamgmt.store import HospitalDataStore
+from repro.offchain.tasks import TaskRunner
+from repro.rpc.demo import DEFAULT_SEED, demo_cohorts
+from repro.rpc.methods import SiteService, build_site_registry
+from repro.rpc.server import RpcServer
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -33,63 +62,130 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 = ephemeral")
-    parser.add_argument("--max-inflight", type=int, default=64)
-    parser.add_argument("--default-timeout-s", type=float, default=30.0)
+    parser.add_argument(
+        "--validators", default="", help="comma-separated validator names, in order"
+    )
+    parser.add_argument(
+        "--base-port",
+        type=int,
+        default=0,
+        help="validator i listens on base+i; used to derive seed addresses",
+    )
+    parser.add_argument("--seeds", default="", help="comma-separated host:port seed addresses")
+    parser.add_argument(
+        "--fund",
+        action="append",
+        default=[],
+        help="label:amount funded at genesis (repeatable; must match peers)",
+    )
     return parser.parse_args(argv)
 
 
-async def _watch_stdin(stop: asyncio.Event) -> None:
-    """Set ``stop`` when stdin reaches EOF (supervisor closed the pipe)."""
-    loop = asyncio.get_running_loop()
-    try:
-        at_eof = await loop.run_in_executor(None, _stdin_at_eof)
-    except Exception:
-        at_eof = True
-    if at_eof:
-        stop.set()
+def build_site(
+    site: str, site_count: int, records_per_site: int, seed: int
+) -> SiteService:
+    """One demo site's data plane, holding what the platform's copy holds."""
+    cohorts = demo_cohorts(site_count, records_per_site, seed)
+    if site not in cohorts:
+        raise SystemExit(f"unknown site {site!r}; have {sorted(cohorts)}")
+    store = HospitalDataStore(site)
+    store.add_canonical(
+        f"emr-{site}", cohorts[site], owner=KeyPair.generate(site).address
+    )
+    return SiteService(
+        name=site,
+        store=store,
+        runner=TaskRunner(site, standard_registry()),
+        chunks=ChunkStore(site),
+    )
 
 
-def _stdin_at_eof() -> bool:
-    try:
-        while sys.stdin.buffer.read(4096):
+def parse_fund(specs: List[str]) -> Dict[str, int]:
+    fund: Dict[str, int] = {}
+    for spec in specs:
+        label, _, amount = spec.partition(":")
+        if not label or not amount:
+            raise SystemExit(f"--fund expects label:amount, got {spec!r}")
+        fund[label] = int(amount)
+    return fund
+
+
+def _on_stop(stop: Callable[[], None]) -> None:
+    """Call ``stop`` on SIGTERM/SIGINT, or once stdin, if a pipe, hits EOF."""
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: stop())
+    if not stat.S_ISFIFO(os.fstat(0).st_mode):
+        return  # a terminal, or /dev/null under a shell's ``&``
+
+    def watch() -> None:
+        # Raw reads: a daemon thread parked inside sys.stdin's buffered
+        # reader holds its lock and can abort interpreter shutdown.
+        try:
+            while os.read(0, 4096):
+                pass
+        except OSError:
             pass
-    except Exception:
-        pass
-    return True
+        stop()
+
+    threading.Thread(target=watch, name="stdin-eof", daemon=True).start()
 
 
 async def serve(args: argparse.Namespace) -> int:
-    platform, _researcher = build_demo_network(
-        site_count=args.sites, records_per_site=args.records, seed=args.seed
-    )
-    if args.site not in platform.sites:
-        print(f"unknown site {args.site!r}; have {platform.site_names}", file=sys.stderr)
-        return 2
-    server = build_site_server(
-        platform,
-        args.site,
-        max_inflight=args.max_inflight,
-        default_timeout_s=args.default_timeout_s,
-    )
+    service = build_site(args.site, args.sites, args.records, args.seed)
+    server = RpcServer(build_site_registry(service), name=args.site)
     host, port = await server.start(args.host, args.port)
     print(f"LISTENING {host} {port}", flush=True)
-
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        with contextlib.suppress(NotImplementedError, ValueError):
-            loop.add_signal_handler(signum, stop.set)
-    watcher = asyncio.create_task(_watch_stdin(stop))
+    _on_stop(lambda: loop.call_soon_threadsafe(stop.set))
     await stop.wait()
-    watcher.cancel()
-    with contextlib.suppress(asyncio.CancelledError):
-        await watcher
     await server.close()
     return 0
 
 
+def serve_node(args: argparse.Namespace) -> int:
+    """The site's methods on a live chain node's server (``--validators``)."""
+    from repro.consensus.node import NodeConfig
+    from repro.p2p.config import P2PConfig
+    from repro.p2p.host import P2PHost, build_world
+
+    validators = [v for v in args.validators.split(",") if v]
+    service = build_site(args.site, args.sites, args.records, args.seed)
+    if args.seeds:
+        seeds = [s for s in args.seeds.split(",") if s]
+    elif args.base_port:
+        seeds = [f"{args.host}:{args.base_port + i}" for i in range(len(validators))]
+    else:
+        raise SystemExit("--validators needs --seeds or --base-port")
+    port = args.port
+    if not port and args.base_port and args.site in validators:
+        port = args.base_port + validators.index(args.site)
+    listen = f"{args.host}:{port}"
+    genesis, state, engine = build_world(validators, parse_fund(args.fund))
+    host = P2PHost(
+        name=args.site,
+        listen_addr=listen,
+        genesis=genesis,
+        genesis_state=state,
+        consensus=engine,
+        node_config=NodeConfig(mine_empty=False),
+        p2p_config=P2PConfig(seeds=[s for s in seeds if s != listen]),
+    )
+    build_site_registry(service, registry=host.registry)
+    stop = threading.Event()
+    _on_stop(stop.set)
+    bound_host, _, bound_port = host.start().rpartition(":")
+    print(f"LISTENING {bound_host} {bound_port}", flush=True)
+    stop.wait()
+    host.stop()
+    return 0
+
+
 def main(argv=None) -> int:
-    return asyncio.run(serve(parse_args(argv)))
+    args = parse_args(argv)
+    if args.validators:
+        return serve_node(args)
+    return asyncio.run(serve(args))
 
 
 if __name__ == "__main__":

@@ -23,8 +23,7 @@ import pytest
 from repro.chain.transactions import make_transfer
 from repro.common.signatures import KeyPair
 from repro.p2p.config import P2PConfig
-from repro.p2p.host import KernelPump, P2PHost
-from repro.p2p.node_server import build_world
+from repro.p2p.host import KernelPump, P2PHost, build_world
 from repro.p2p.wire import tx_to_wire
 from repro.p2p.rpc_transport import split_addr
 from repro.rpc.client import ConnectionPool, RpcClient

@@ -16,7 +16,7 @@ from repro.common.clock import WallClock
 from repro.common.signatures import KeyPair
 from repro.p2p.config import P2PConfig
 from repro.p2p.host import P2PHost
-from repro.p2p.node_server import build_world
+from repro.p2p.host import build_world
 from repro.p2p.wire import tx_to_wire
 from repro.rpc.client import ConnectionPool
 from repro.rpc.runtime import EventLoopThread

@@ -1,12 +1,13 @@
 """What a validator process loads: the chain side, not the data plane.
 
-``repro.p2p.host`` is everything ``python -m repro.p2p.node_server`` and
-E22's validator processes import.  The data plane (analytics, data
+``repro.p2p.host`` is everything E22's validator processes import.  The data plane (analytics, data
 management, query, off-chain control, numpy) costs ~0.2 s of start-up and
 ~14 MB of resident memory per process, and a consensus layer that sits
 under the data layer does not need it.  Nor does it need the static
 analyser (``repro.analysis``, ~55 ms of start-up): the VM prices its native
-regions itself, so running a contract must not import it.
+regions itself, so running a contract must not import it, and a site
+server, which builds one site's data and never deploys a contract, does not
+load it either.
 """
 
 import os
@@ -50,4 +51,14 @@ def test_running_a_contract_does_not_import_the_analyser():
         "assert result == [[19, 22], [43, 50]]"
     )
     assert "repro.contracts.vm" in listing
+    assert not [name for name in listing if name.startswith("repro.analysis")]
+
+
+def test_a_site_server_boot_does_not_import_the_analyser():
+    listing = _modules_after(
+        "from repro.rpc.site_server import build_site\n"
+        "site = build_site('hospital-0', 3, 20, 2026)\n"
+        "assert site.store.record_count('emr-hospital-0') == 20"
+    )
+    assert "repro.rpc.site_server" in listing
     assert not [name for name in listing if name.startswith("repro.analysis")]

@@ -1,11 +1,13 @@
-"""node.submit_tx / mempool.status conformance over BOTH transports.
+"""ctl.submit_tx / mempool.status conformance over BOTH transports.
 
-Every :class:`AdmissionResult` variant must surface identically whether
-the call travels through a real TCP socket or the in-process dispatch
-path (``RpcServer.dispatch_raw``): same result shape on admit, same
-stable integer error code and machine-usable ``data`` on refusal.  The
-two paths share the server's dispatch code by construction — this suite
-pins the *wire contract* so client SDKs can branch on codes alone.
+The node's submit surface is the one ``P2PHost`` registers
+(``register_node_methods``).  Every :class:`AdmissionResult` variant must
+surface identically whether the call travels through a real TCP socket or
+the in-process dispatch path (``RpcServer.dispatch_raw``): same result
+shape on admit, same stable integer error code and machine-usable ``data``
+on refusal.  The two paths share the server's dispatch code by
+construction — this suite pins the *wire contract* so client SDKs can
+branch on codes alone.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.chain.transactions import make_transfer
 from repro.common.signatures import KeyPair
 from repro.consensus.node import BlockchainNode, NodeConfig
 from repro.consensus.poa import ProofOfAuthority
+from repro.p2p.host import register_node_methods
 from repro.p2p.transport import SimTransport
 from repro.p2p.wire import tx_to_wire
 from repro.sim.kernel import Kernel
@@ -40,18 +43,9 @@ from repro.rpc.errors import (
     TxUnderpricedError,
     error_from_wire,
 )
-from repro.rpc.methods import SiteService, build_site_registry
-from repro.rpc.server import RpcServer
+from repro.rpc.server import MethodRegistry, RpcServer
 
 TRANSPORTS = ["inproc", "tcp"]
-
-
-class _DataStore:
-    def dataset_ids(self):
-        return []
-
-    def get_records(self, dataset_id):
-        return []
 
 
 class _PoolNode:
@@ -62,6 +56,7 @@ class _PoolNode:
         self.nonces = {}
 
     def submit_tx(self, tx):
+        tx.validate()
         return self.mempool.add(tx, account_nonce=self.nonces.get(tx.sender, 0))
 
 
@@ -102,14 +97,14 @@ def _paid(keypair, nonce, fee, amount=1):
 
 
 def run_conformance(transport, scenario, config=None, node_factory=_PoolNode):
-    """Boot a site server, run ``scenario(call, node)``, tear down."""
+    """Serve ``node``'s submit surface, run ``scenario(call, node)``, tear down."""
 
     async def main():
         node = node_factory(config)
-        service = SiteService(
-            name="site-a", store=_DataStore(), runner=None, node=node
-        )
-        server = RpcServer(build_site_registry(service), name="site-a")
+        registry = MethodRegistry()
+        # A host passes ``KernelPump.call``; these nodes live on this thread.
+        register_node_methods(registry, node, lambda fn: fn())
+        server = RpcServer(registry, name="site-a")
         if transport == "tcp":
             host, port = await server.start()
             client = await RpcClient.connect(host, port)
@@ -140,7 +135,7 @@ def run_conformance(transport, scenario, config=None, node_factory=_PoolNode):
 
 
 def submit(call, tx):
-    return call("node.submit_tx", {"tx": tx_to_wire(tx)})
+    return call("ctl.submit_tx", {"tx": tx_to_wire(tx)})
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -266,11 +261,11 @@ def test_tx_missing_a_signed_field_is_invalid_tx(transport, alice):
         for field in ("gas_limit", "timestamp_ms", "public_key", "signature", "payload"):
             partial = {key: value for key, value in wire.items() if key != field}
             with pytest.raises(RpcError) as err:
-                await call("node.submit_tx", {"tx": partial})
+                await call("ctl.submit_tx", {"tx": partial})
             assert err.value.code == -32014, field  # INVALID_TX
             assert field in err.value.message
         with pytest.raises(RpcError) as err:
-            await call("node.submit_tx", {"tx": "not an object"})
+            await call("ctl.submit_tx", {"tx": "not an object"})
         assert err.value.code == -32014
         assert len(node.mempool) == 0
 
