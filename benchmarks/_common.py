@@ -13,10 +13,11 @@ refreshed from actual runs.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 from datetime import datetime, timezone
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -85,6 +86,28 @@ def emit_json(
         with open(path, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
     return payload
+
+
+def json_main(
+    argv: Optional[Sequence[str]],
+    doc: str,
+    bench: str,
+    params: Dict[str, Any],
+    run: Callable[[], Dict[str, Any]],
+) -> int:
+    """The ``--json PATH`` command line of a benchmark with no other flag.
+
+    ``doc`` is the script's docstring (its first line describes the CLI);
+    ``run`` runs and reports the experiment and returns the metrics of
+    the envelope :func:`emit_json` writes.
+    """
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--json", default=None, metavar="PATH",
+                        help="write a {bench, params, metrics, timestamp} "
+                             "envelope to PATH")
+    args = parser.parse_args(argv)
+    emit_json(args.json, bench, params, run())
+    return 0
 
 
 def human_bytes(count: float) -> str:

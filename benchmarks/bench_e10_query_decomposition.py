@@ -13,12 +13,11 @@ granularity ablation (predicate push-down vs fetch-then-filter).
 
 from __future__ import annotations
 
-import argparse
 import sys
 from time import perf_counter
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table, human_bytes
+from _common import emit, format_table, human_bytes, json_main
 
 from repro.common.signatures import KeyPair
 from repro.core.platform import MedicalBlockchainNetwork, PlatformConfig
@@ -139,18 +138,17 @@ def test_e10_query_decomposition(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    rows, ablation = report(run_experiment())
-    emit_json(args.json, "e10_query_decomposition",
-              {"sites": SITES, "records_per_site": RECORDS_PER_SITE,
-               "queries": list(QUERIES)},
-              {"rows": rows, "ablation": ablation,
-               "all_match_pooled": all(r["matches_pooled"] for r in rows)})
-    return 0
+    def metrics():
+        rows, ablation = report(run_experiment())
+        return {"rows": rows, "ablation": ablation,
+                "all_match_pooled": all(r["matches_pooled"] for r in rows)}
+
+    return json_main(
+        argv, __doc__, "e10_query_decomposition",
+        {"sites": SITES, "records_per_site": RECORDS_PER_SITE,
+         "queries": list(QUERIES)},
+        metrics,
+    )
 
 
 if __name__ == "__main__":

@@ -15,11 +15,10 @@ batch-analysis day (end of follow-up).
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table
+from _common import emit, format_table, json_main
 
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
 from repro.trial.monitor import RWEMonitor
@@ -110,16 +109,15 @@ def test_e11_rwe_trial(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    summary, detection, batch = report(run_experiment())
-    emit_json(args.json, "e11_rwe_trial",
-              {"enrollment": ENROLLMENT, "follow_up_days": FOLLOW_UP_DAYS},
-              {"summary": summary, "detection": detection, "batch": batch})
-    return 0
+    def metrics():
+        summary, detection, batch = report(run_experiment())
+        return {"summary": summary, "detection": detection, "batch": batch}
+
+    return json_main(
+        argv, __doc__, "e11_rwe_trial",
+        {"enrollment": ENROLLMENT, "follow_up_days": FOLLOW_UP_DAYS},
+        metrics,
+    )
 
 
 if __name__ == "__main__":

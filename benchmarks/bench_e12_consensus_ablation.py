@@ -13,71 +13,47 @@ energy, and the per-node gas (identical across engines and across nodes).
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table
+from _common import emit, format_table, json_main
 
-from repro.chain.blocks import make_genesis
-from repro.chain.state import StateDB
 from repro.chain.transactions import make_call, make_deploy
 from repro.common.signatures import KeyPair
-from repro.consensus.node import NodeConfig, make_network_nodes
-from repro.consensus.poa import ProofOfAuthority
+from repro.consensus.node import NodeConfig
 from repro.consensus.pos import ProofOfStake
 from repro.consensus.pow import ProofOfWork
+from repro.consensus.simchain import SimChain
 from repro.contracts.library import COUNTER_SOURCE
-from repro.sim.kernel import Kernel
-from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import Network
 
 NODES = 4
 CALLS = 25
 
 
 def run_engine(kind: str, seed: int = 17):
-    kernel = Kernel(seed=seed)
-    metrics = MetricsRegistry()
-    network = Network(kernel, metrics)
     owner = KeyPair.generate("e12-owner")
-    state = StateDB()
-    state.credit(owner.address, 10**9)
-    genesis = make_genesis(state.state_root())
     names = [f"v{i}" for i in range(NODES)]
-    keypairs = {name: KeyPair.generate(name) for name in names}
+    engine = None  # the chain's default: PoA over the names
     if kind == "pow":
         engine = ProofOfWork(difficulty_bits=13, default_hash_rate=1e3)
     elif kind == "pos":
         engine = ProofOfStake({name: 100 for name in names}, round_time_s=0.5)
-    else:
-        engine = ProofOfAuthority(names, keypairs, block_interval_s=0.5)
-    nodes = make_network_nodes(
-        kernel, network, names, genesis, state, lambda: engine,
-        metrics=metrics, config=NodeConfig(max_txs_per_block=5),
+    chain = SimChain(
+        names, {owner.address: 10**9}, engine=engine, block_interval_s=0.5,
+        config=NodeConfig(max_txs_per_block=5), seed=seed,
     )
-    for node in nodes.values():
-        node.start()
+    kernel, metrics, entry = chain.kernel, chain.metrics, chain.nodes["v0"]
     deploy = make_deploy(owner, "counter", COUNTER_SOURCE, nonce=0)
-    nodes[names[0]].submit_tx(deploy)
-    kernel.run(
-        until=600,
-        stop_when=lambda: nodes[names[0]].receipt(deploy.tx_id) is not None,
-    )
-    contract_id = nodes[names[0]].receipt(deploy.tx_id).output
+    entry.submit_tx(deploy)
+    contract_id = chain.commit(deploy, names=["v0"], timeout_s=600).output
     start = kernel.now
     txs = [
         make_call(owner, contract_id, "increment", {"by": 1}, nonce=n + 1)
         for n in range(CALLS)
     ]
     for tx in txs:
-        nodes[names[0]].submit_tx(tx)
-    kernel.run(
-        until=3600,
-        stop_when=lambda: all(
-            nodes[names[0]].receipt(tx.tx_id) is not None for tx in txs
-        ),
-    )
+        entry.submit_tx(tx)
+    chain.commit(*txs, names=["v0"], timeout_s=3600)
     elapsed = kernel.now - start
     # Drain in-flight gossip so every node finishes executing every block
     # (otherwise per-node gas comparisons see a truncated simulation).
@@ -136,16 +112,11 @@ def test_e12_consensus_ablation(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    rows = report(run_experiment())
-    emit_json(args.json, "e12_consensus_ablation",
-              {"nodes": NODES, "calls": CALLS},
-              {"rows": rows})
-    return 0
+    return json_main(
+        argv, __doc__, "e12_consensus_ablation",
+        {"nodes": NODES, "calls": CALLS},
+        lambda: {"rows": report(run_experiment())},
+    )
 
 
 if __name__ == "__main__":

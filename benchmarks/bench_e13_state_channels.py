@@ -13,58 +13,41 @@ executed by every node (duplication survives).
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table, human_bytes
+from _common import emit, format_table, human_bytes, json_main
 
-from repro.chain.blocks import make_genesis
 from repro.chain.channels import StateChannel
-from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
 from repro.common.signatures import KeyPair
-from repro.consensus.node import NodeConfig, make_network_nodes
-from repro.consensus.poa import ProofOfAuthority
-from repro.sim.kernel import Kernel
-from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import Network
+from repro.consensus.node import NodeConfig
+from repro.consensus.simchain import SimChain
 
 PAYMENTS = 80
 NODES = 4
+ALICE = KeyPair.generate("e13-alice")
+BOB = KeyPair.generate("e13-bob")
 
 
-def _network(seed: int):
-    kernel = Kernel(seed=seed)
-    metrics = MetricsRegistry()
-    network = Network(kernel, metrics)
-    alice = KeyPair.generate("e13-alice")
-    bob = KeyPair.generate("e13-bob")
-    state = StateDB()
-    state.credit(alice.address, 10**9)
-    state.credit(bob.address, 10**9)
-    genesis = make_genesis(state.state_root())
-    names = [f"v{i}" for i in range(NODES)]
-    keypairs = {name: KeyPair.generate(name) for name in names}
-    engine = ProofOfAuthority(names, keypairs, block_interval_s=0.5)
-    nodes = make_network_nodes(
-        kernel, network, names, genesis, state, lambda: engine,
-        metrics=metrics, config=NodeConfig(max_txs_per_block=10),
+def _chain(seed: int) -> SimChain:
+    """The 4-node PoA chain both approaches run on; it funds both parties."""
+    return SimChain(
+        [f"v{i}" for i in range(NODES)],
+        {ALICE.address: 10**9, BOB.address: 10**9},
+        block_interval_s=0.5,
+        config=NodeConfig(max_txs_per_block=10),
+        seed=seed,
     )
-    for node in nodes.values():
-        node.start()
-    return kernel, metrics, network, nodes, names, alice, bob
 
 
 def run_onchain(seed: int = 29):
-    kernel, metrics, network, nodes, names, alice, bob = _network(seed)
-    txs = [make_transfer(alice, bob.address, 1, nonce=n) for n in range(PAYMENTS)]
+    chain = _chain(seed)
+    kernel, metrics = chain.kernel, chain.metrics
+    txs = [make_transfer(ALICE, BOB.address, 1, nonce=n) for n in range(PAYMENTS)]
     for tx in txs:
-        nodes[names[0]].submit_tx(tx)
-    kernel.run(
-        until=3600,
-        stop_when=lambda: all(nodes[names[0]].receipt(t.tx_id) for t in txs),
-    )
+        chain.nodes["v0"].submit_tx(tx)
+    chain.commit(*txs, names=["v0"], timeout_s=3600)
     elapsed = kernel.now
     kernel.run(until=kernel.now + 30)
     return {
@@ -77,19 +60,20 @@ def run_onchain(seed: int = 29):
 
 
 def run_channel(seed: int = 29):
-    kernel, metrics, network, nodes, names, alice, bob = _network(seed)
+    chain = _chain(seed)
+    kernel, metrics = chain.kernel, chain.metrics
     # Open: one funding transfer into an escrow address (modelled as a
     # transfer); updates happen entirely off chain; close: one settlement.
-    open_tx = make_transfer(alice, "channel-escrow", 1000, nonce=0)
-    nodes[names[0]].submit_tx(open_tx)
-    kernel.run(until=600, stop_when=lambda: nodes[names[0]].receipt(open_tx.tx_id))
-    channel = StateChannel("e13-chan", alice, bob, deposit_a=1000, deposit_b=0)
+    open_tx = make_transfer(ALICE, "channel-escrow", 1000, nonce=0)
+    chain.nodes["v0"].submit_tx(open_tx)
+    chain.commit(open_tx, names=["v0"], timeout_s=600)
+    channel = StateChannel("e13-chan", ALICE, BOB, deposit_a=1000, deposit_b=0)
     for __ in range(PAYMENTS):
-        channel.propose_update(alice, 1)
+        channel.propose_update(ALICE, 1)
     record = channel.close_cooperative()
-    close_tx = make_transfer(alice, bob.address, 0, nonce=1)  # settlement marker
-    nodes[names[0]].submit_tx(close_tx)
-    kernel.run(until=1200, stop_when=lambda: nodes[names[0]].receipt(close_tx.tx_id))
+    close_tx = make_transfer(ALICE, BOB.address, 0, nonce=1)  # settlement marker
+    chain.nodes["v0"].submit_tx(close_tx)
+    chain.commit(close_tx, names=["v0"], timeout_s=600)
     elapsed = kernel.now
     kernel.run(until=kernel.now + 30)
     per_node_gas = metrics.scopes("gas")
@@ -101,7 +85,7 @@ def run_channel(seed: int = 29):
         "sim_seconds": elapsed,
         "offchain_updates": channel.updates_exchanged,
         "settlement_duplicated": len(set(per_node_gas.values())) == 1,
-        "final_bob_balance": record.final_balances[bob.address],
+        "final_bob_balance": record.final_balances[BOB.address],
     }
 
 
@@ -140,16 +124,11 @@ def test_e13_state_channels(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    rows = report(run_experiment())
-    emit_json(args.json, "e13_state_channels",
-              {"payments": PAYMENTS, "nodes": NODES},
-              {"rows": rows})
-    return 0
+    return json_main(
+        argv, __doc__, "e13_state_channels",
+        {"payments": PAYMENTS, "nodes": NODES},
+        lambda: {"rows": report(run_experiment())},
+    )
 
 
 if __name__ == "__main__":

@@ -27,17 +27,12 @@ import time
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _common import emit, emit_json, format_table
 
-from repro.chain.blocks import make_genesis
-from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
 from repro.common.clock import WallClock
 from repro.common.signatures import KeyPair
-from repro.consensus.node import NodeConfig, make_network_nodes
-from repro.consensus.poa import ProofOfAuthority
+from repro.consensus.node import NodeConfig
+from repro.consensus.simchain import SimChain
 from repro.p2p.config import P2PConfig
-from repro.sim.kernel import Kernel
-from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import Network
 
 BASE_PORT = 9481
 PROBE_INTERVAL_S = 0.01
@@ -51,63 +46,35 @@ def percentile(values, fraction):
     return ordered[index]
 
 
-class SimWorld:
-    """A PoA network of ``n_nodes`` (first 3 validate) gossiping via p2p."""
+ALICE = KeyPair.generate("alice")
 
-    def __init__(self, n_nodes, fanout, seed=18, block_interval_s=0.5):
-        self.kernel = Kernel(seed=seed)
-        self.metrics = MetricsRegistry()
-        self.network = Network(self.kernel, self.metrics)
-        self.alice = KeyPair.generate("alice")
-        self.state = StateDB()
-        self.state.credit(self.alice.address, 10**9)
-        self.genesis = make_genesis(self.state.state_root())
-        validators = [f"n{i}" for i in range(min(3, n_nodes))]
-        keypairs = {name: KeyPair.generate(name) for name in validators}
-        self.engine = ProofOfAuthority(
-            validators, keypairs, block_interval_s=block_interval_s
-        )
-        # Every node bootstraps from the validators; the rest is discovery.
-        self.nodes = self._join(
-            [f"n{i}" for i in range(n_nodes)],
-            validators,
-            NodeConfig(
-                max_txs_per_block=3,
-                p2p=P2PConfig(fanout=fanout, ping_interval_s=2.0),
-            ),
-        )
-        self.kernel.run(until=3.0)  # let the mesh form
 
-    def _join(self, names, seeds, config):
-        nodes = make_network_nodes(
-            self.kernel,
-            self.network,
-            names,
-            self.genesis,
-            self.state,
-            lambda: self.engine,
-            metrics=self.metrics,
-            config=config,
-            seeds=seeds,
-        )
-        for node in nodes.values():
-            node.start()
-        return nodes
+def sim_world(n_nodes, fanout, seed=18):
+    """A PoA chain of ``n_nodes`` (the first 3 validate) gossiping via p2p.
 
-    def add_observer(self, name, seeds, **overrides):
-        config = NodeConfig(
-            p2p=P2PConfig(fanout=2, ping_interval_s=1.0, **overrides)
-        )
-        self.nodes.update(self._join([name], seeds, config))
-        return self.nodes[name]
+    The validators form a full mesh; every other node bootstraps from
+    them, and the rest of the mesh is discovery.
+    """
+    validators = [f"n{i}" for i in range(min(3, n_nodes))]
+    config = NodeConfig(
+        max_txs_per_block=3, p2p=P2PConfig(fanout=fanout, ping_interval_s=2.0)
+    )
+    world = SimChain(
+        validators, {ALICE.address: 10**9}, block_interval_s=0.5,
+        config=config, seed=seed,
+    )
+    for i in range(len(validators), n_nodes):
+        world.add_node(f"n{i}", validators)
+    world.kernel.run(until=3.0)  # let the mesh form
+    return world
 
 
 def measure_propagation(n_nodes, fanout, n_txs):
     """Per-node first-arrival latency of gossiped txs, plus dedup ratios."""
-    world = SimWorld(n_nodes, fanout)
+    world = sim_world(n_nodes, fanout)
     latencies = []
     for n in range(n_txs):
-        tx = make_transfer(world.alice, "sink", 1, nonce=n)
+        tx = make_transfer(ALICE, "sink", 1, nonce=n)
         start = world.kernel.now
         arrivals = {}
 
@@ -148,18 +115,15 @@ def measure_propagation(n_nodes, fanout, n_txs):
 
 def measure_cold_sync(n_txs):
     """Sim time for a fresh joiner to sync a chain of ~n_txs/3 blocks."""
-    world = SimWorld(3, fanout=2)
-    txs = [make_transfer(world.alice, "sink", 1, nonce=n) for n in range(n_txs)]
+    world = sim_world(3, fanout=2)
+    txs = [make_transfer(ALICE, "sink", 1, nonce=n) for n in range(n_txs)]
     for tx in txs:
         world.nodes["n0"].submit_tx(tx)
-    world.kernel.run(
-        until=world.kernel.now + 600.0,
-        stop_when=lambda: all(
-            n.receipt(txs[-1].tx_id) for n in world.nodes.values()
-        ),
-    )
+    world.commit(txs[-1], timeout_s=600.0)
     head = world.nodes["n0"].head
-    joiner = world.add_observer("joiner", seeds=["n0", "n1"])
+    joiner = world.add_node(
+        "joiner", ["n0", "n1"], NodeConfig(p2p=P2PConfig(fanout=2, ping_interval_s=1.0))
+    )
     start = world.kernel.now
     world.kernel.run(
         until=start + 600.0,
@@ -186,7 +150,6 @@ def run_tcp_acceptance(n_validators=5, n_txs=8):
     from repro.rpc.runtime import EventLoopThread
 
     names = [f"v{i}" for i in range(n_validators)]
-    alice = KeyPair.generate("alice")
     world = build_world(names, {"alice": 10**9}, block_interval_s=0.2)
     clock = WallClock()
     addrs = [f"127.0.0.1:{BASE_PORT + i}" for i in range(n_validators)]
@@ -240,7 +203,7 @@ def run_tcp_acceptance(n_validators=5, n_txs=8):
             lambda: all(call(a, "ctl.status")["peers"] for a in addrs)
         ), "validators never interconnected"
         for n in range(n_txs):
-            tx = make_transfer(alice, "sink", 1, nonce=n)
+            tx = make_transfer(ALICE, "sink", 1, nonce=n)
             call(addrs[0], "ctl.submit_tx", {"tx": tx_to_wire(tx)})
         assert wait_for(
             lambda: all(call(a, "ctl.status")["mempool"] == 0 for a in addrs)

@@ -29,16 +29,11 @@ import sys
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _common import emit, emit_json, format_table
 
-from repro.chain.blocks import make_genesis
 from repro.chain.mempool import MempoolConfig
-from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
 from repro.common.signatures import KeyPair
-from repro.consensus.node import NodeConfig, make_network_nodes
-from repro.consensus.poa import ProofOfAuthority
-from repro.sim.kernel import Kernel
-from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import Network
+from repro.consensus.node import NodeConfig
+from repro.consensus.simchain import SimChain
 
 NODES = 3
 BLOCK_INTERVAL_S = 0.5
@@ -46,26 +41,16 @@ SEED = 19
 
 
 def build_chain(mempool_config, max_txs_per_block, funded, seed=SEED):
-    kernel = Kernel(seed=seed)
-    metrics = MetricsRegistry()
-    network = Network(kernel, metrics)
-    state = StateDB()
-    for keypair in funded:
-        state.credit(keypair.address, 10**9)
-    genesis = make_genesis(state.state_root())
-    names = [f"n{i}" for i in range(NODES)]
-    keypairs = {name: KeyPair.generate(name) for name in names}
-    engine = ProofOfAuthority(names, keypairs, block_interval_s=BLOCK_INTERVAL_S)
-    nodes = make_network_nodes(
-        kernel, network, names, genesis, state, lambda: engine,
-        metrics=metrics,
+    chain = SimChain(
+        [f"n{i}" for i in range(NODES)],
+        {keypair.address: 10**9 for keypair in funded},
+        block_interval_s=BLOCK_INTERVAL_S,
         config=NodeConfig(
             max_txs_per_block=max_txs_per_block, mempool=mempool_config
         ),
+        seed=seed,
     )
-    for node in nodes.values():
-        node.start()
-    return kernel, metrics, nodes
+    return chain.kernel, chain.metrics, chain.nodes
 
 
 def commit_times(entry):

@@ -16,21 +16,16 @@ latency, and broadcast messages sent.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table
+from _common import emit, format_table, json_main
 
-from repro.chain.blocks import make_genesis
-from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
 from repro.common.signatures import KeyPair
-from repro.consensus.node import NodeConfig, make_network_nodes
+from repro.consensus.node import NodeConfig
 from repro.consensus.pow import ProofOfWork
-from repro.sim.kernel import Kernel
-from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import Network
+from repro.consensus.simchain import SimChain
 
 TX_COUNT = 40
 NODE_COUNTS = (1, 2, 4, 8)
@@ -38,33 +33,22 @@ TOTAL_HASH_RATE = 4e3  # hashes/second across the whole network
 
 
 def run_network(node_count: int, seed: int = 3):
-    kernel = Kernel(seed=seed)
-    metrics = MetricsRegistry()
-    network = Network(kernel, metrics)
     funder = KeyPair.generate("e1-funder")
-    state = StateDB()
-    state.credit(funder.address, 10**9)
-    genesis = make_genesis(state.state_root())
-    names = [f"n{i}" for i in range(node_count)]
-    engine = ProofOfWork(
-        difficulty_bits=10, default_hash_rate=TOTAL_HASH_RATE / node_count
+    chain = SimChain(
+        [f"n{i}" for i in range(node_count)],
+        {funder.address: 10**9},
+        engine=ProofOfWork(
+            difficulty_bits=10, default_hash_rate=TOTAL_HASH_RATE / node_count
+        ),
+        config=NodeConfig(max_txs_per_block=5),
+        seed=seed,
     )
-    nodes = make_network_nodes(
-        kernel, network, names, genesis, state, lambda: engine,
-        metrics=metrics, config=NodeConfig(max_txs_per_block=5),
-    )
-    for node in nodes.values():
-        node.start()
+    kernel, metrics, entry = chain.kernel, chain.metrics, chain.nodes["n0"]
     txs = [make_transfer(funder, "sink", 1, nonce=n) for n in range(TX_COUNT)]
     start = kernel.now
     for index, tx in enumerate(txs):
-        kernel.schedule(0.2 * index, lambda t=tx: nodes[names[0]].submit_tx(t))
-    kernel.run(
-        until=3600,
-        stop_when=lambda: all(
-            nodes[names[0]].receipt(tx.tx_id) is not None for tx in txs
-        ),
-    )
+        kernel.schedule(0.2 * index, lambda t=tx: entry.submit_tx(t))
+    chain.commit(*txs, names=["n0"], timeout_s=3600)
     elapsed = kernel.now - start
     latency = metrics.histogram("tx_commit_latency_s")
     return {
@@ -73,7 +57,7 @@ def run_network(node_count: int, seed: int = 3):
         "throughput_tps": TX_COUNT / elapsed if elapsed else 0.0,
         "mean_latency_s": latency.mean,
         "p95_latency_s": latency.percentile(0.95),
-        "messages": network.messages_sent,
+        "messages": chain.network.messages_sent,
     }
 
 
@@ -108,17 +92,12 @@ def test_e1_consensus_scalability(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    rows = report(run_experiment())
-    emit_json(args.json, "e1_consensus_scalability",
-              {"tx_count": TX_COUNT, "node_counts": list(NODE_COUNTS),
-               "total_hash_rate": TOTAL_HASH_RATE},
-              {"rows": rows})
-    return 0
+    return json_main(
+        argv, __doc__, "e1_consensus_scalability",
+        {"tx_count": TX_COUNT, "node_counts": list(NODE_COUNTS),
+         "total_hash_rate": TOTAL_HASH_RATE},
+        lambda: {"rows": report(run_experiment())},
+    )
 
 
 if __name__ == "__main__":

@@ -13,35 +13,24 @@ attempts, energy in joules, and energy per committed transaction.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table
+from _common import emit, format_table, json_main
 
-from repro.chain.blocks import make_genesis
-from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
 from repro.common.signatures import KeyPair
-from repro.consensus.node import NodeConfig, make_network_nodes
+from repro.consensus.node import NodeConfig
 from repro.consensus.pos import ProofOfStake
 from repro.consensus.pow import ProofOfWork
-from repro.sim.kernel import Kernel
-from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import Network
+from repro.consensus.simchain import SimChain
 
 TX_COUNT = 20
 MINER_COUNTS = (1, 2, 4, 8)
 
 
 def run_load(node_count: int, consensus: str, seed: int = 11):
-    kernel = Kernel(seed=seed)
-    metrics = MetricsRegistry()
-    network = Network(kernel, metrics)
     funder = KeyPair.generate("e2-funder")
-    state = StateDB()
-    state.credit(funder.address, 10**9)
-    genesis = make_genesis(state.state_root())
     names = [f"m{i}" for i in range(node_count)]
     if consensus == "pow":
         # Real PoW networks retarget difficulty to hold block time constant:
@@ -52,21 +41,15 @@ def run_load(node_count: int, consensus: str, seed: int = 11):
         engine = ProofOfWork(difficulty_bits=bits, default_hash_rate=2e3)
     else:
         engine = ProofOfStake({name: 100 for name in names}, round_time_s=1.0)
-    nodes = make_network_nodes(
-        kernel, network, names, genesis, state, lambda: engine,
-        metrics=metrics, config=NodeConfig(max_txs_per_block=4),
+    chain = SimChain(
+        names, {funder.address: 10**9}, engine=engine,
+        config=NodeConfig(max_txs_per_block=4), seed=seed,
     )
-    for node in nodes.values():
-        node.start()
     txs = [make_transfer(funder, "sink", 1, nonce=n) for n in range(TX_COUNT)]
     for tx in txs:
-        nodes[names[0]].submit_tx(tx)
-    kernel.run(
-        until=7200,
-        stop_when=lambda: all(
-            nodes[names[0]].receipt(tx.tx_id) is not None for tx in txs
-        ),
-    )
+        chain.nodes["m0"].submit_tx(tx)
+    chain.commit(*txs, names=["m0"], timeout_s=7200)
+    metrics = chain.metrics
     hashes = metrics.counter_total("hashes")
     energy = metrics.total_energy_joules()
     return {
@@ -111,16 +94,11 @@ def test_e2_duplicated_energy(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    rows = report(run_experiment())
-    emit_json(args.json, "e2_duplicated_energy",
-              {"tx_count": TX_COUNT, "miner_counts": list(MINER_COUNTS)},
-              {"rows": rows})
-    return 0
+    return json_main(
+        argv, __doc__, "e2_duplicated_energy",
+        {"tx_count": TX_COUNT, "miner_counts": list(MINER_COUNTS)},
+        lambda: {"rows": report(run_experiment())},
+    )
 
 
 if __name__ == "__main__":

@@ -16,13 +16,12 @@ waste factor, and how both scale with network size.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 import numpy as np
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table
+from _common import emit, format_table, json_main
 
 from repro.baselines.duplicated import run_onchain_training, run_transformed_training
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
@@ -96,17 +95,12 @@ def test_e3_contract_duplication(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    rows = report(run_experiment())
-    emit_json(args.json, "e3_contract_duplication",
-              {"node_counts": list(NODE_COUNTS), "samples": SAMPLES,
-               "features": FEATURES, "steps": STEPS},
-              {"rows": rows})
-    return 0
+    return json_main(
+        argv, __doc__, "e3_contract_duplication",
+        {"node_counts": list(NODE_COUNTS), "samples": SAMPLES,
+         "features": FEATURES, "steps": STEPS},
+        lambda: {"rows": report(run_experiment())},
+    )
 
 
 if __name__ == "__main__":

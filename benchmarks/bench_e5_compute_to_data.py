@@ -14,11 +14,10 @@ wire and simulated completion time for both, plus the ratio.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table, human_bytes
+from _common import emit, format_table, human_bytes, json_main
 
 from repro.common.signatures import KeyPair
 from repro.core.platform import MedicalBlockchainNetwork, PlatformConfig
@@ -103,16 +102,11 @@ def test_e5_compute_to_data(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    rows = report(run_experiment())
-    emit_json(args.json, "e5_compute_to_data",
-              {"sites": SITES, "records_per_site": list(RECORDS_PER_SITE)},
-              {"rows": rows})
-    return 0
+    return json_main(
+        argv, __doc__, "e5_compute_to_data",
+        {"sites": SITES, "records_per_site": list(RECORDS_PER_SITE)},
+        lambda: {"rows": report(run_experiment())},
+    )
 
 
 if __name__ == "__main__":

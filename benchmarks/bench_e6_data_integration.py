@@ -14,13 +14,12 @@ precision/recall as the fraction of records carrying a national id falls.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 import numpy as np
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table
+from _common import emit, format_table, json_main
 
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles, shared_patients
 from repro.datamgmt.linkage import RecordLinker, evaluate_linkage
@@ -136,18 +135,17 @@ def test_e6_data_integration(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    composition, rows = report(run_experiment())
-    emit_json(args.json, "e6_data_integration",
-              {"sites": SITES, "records_per_site": RECORDS_PER_SITE,
-               "shared_patients": SHARED_PATIENTS,
-               "mask_fractions": list(MASK_FRACTIONS)},
-              {"composition": composition, "linkage_rows": rows})
-    return 0
+    def metrics():
+        composition, rows = report(run_experiment())
+        return {"composition": composition, "linkage_rows": rows}
+
+    return json_main(
+        argv, __doc__, "e6_data_integration",
+        {"sites": SITES, "records_per_site": RECORDS_PER_SITE,
+         "shared_patients": SHARED_PATIENTS,
+         "mask_fractions": list(MASK_FRACTIONS)},
+        metrics,
+    )
 
 
 if __name__ == "__main__":

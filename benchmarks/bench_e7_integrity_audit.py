@@ -13,13 +13,12 @@ trials, and per-trial audit cost (timed by the benchmark harness).
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 import numpy as np
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table
+from _common import emit, format_table, json_main
 
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
 from repro.offchain.anchoring import DatasetAnchor
@@ -115,17 +114,12 @@ def test_e7_integrity_audit(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    row = report(run_experiment())
-    emit_json(args.json, "e7_integrity_audit",
-              {"trials": TRIALS, "tamper_fraction": TAMPER_FRACTION,
-               "switch_fraction": SWITCH_FRACTION},
-              {"row": row})
-    return 0
+    return json_main(
+        argv, __doc__, "e7_integrity_audit",
+        {"trials": TRIALS, "tamper_fraction": TAMPER_FRACTION,
+         "switch_fraction": SWITCH_FRACTION},
+        lambda: {"row": report(run_experiment())},
+    )
 
 
 if __name__ == "__main__":

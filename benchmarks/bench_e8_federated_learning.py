@@ -14,13 +14,12 @@ ablation (FedAvg vs FedSGD vs single-shot averaging) — DESIGN.md ablation 4.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 import numpy as np
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table, human_bytes
+from _common import emit, format_table, human_bytes, json_main
 
 from repro.analytics.features import FEATURE_DIM, dataset_for
 from repro.analytics.models import LogisticModel
@@ -144,29 +143,27 @@ def test_e8_federated_learning(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    result = report(run_experiment())
-    mean_local = float(np.mean(list(result["local_aucs"].values())))
-    emit_json(args.json, "e8_federated_learning",
-              {"sites": SITES, "records_per_site": RECORDS_PER_SITE},
-              {
-                  "fed_auc": float(result["fed_auc"]),
-                  "central_auc": float(result["central_auc"]),
-                  "mean_local_auc": mean_local,
-                  "fed_bytes": int(result["fed_bytes"]),
-                  "central_bytes": int(result["central_bytes"]),
-                  "severity": float(result["severity"]),
-                  "series": result["series"],
-                  "ablation": [
-                      [name, float(auc), int(bytes_)]
-                      for name, auc, bytes_ in result["ablation"]
-                  ],
-              })
-    return 0
+    def metrics():
+        result = report(run_experiment())
+        return {
+            "fed_auc": float(result["fed_auc"]),
+            "central_auc": float(result["central_auc"]),
+            "mean_local_auc": float(np.mean(list(result["local_aucs"].values()))),
+            "fed_bytes": int(result["fed_bytes"]),
+            "central_bytes": int(result["central_bytes"]),
+            "severity": float(result["severity"]),
+            "series": result["series"],
+            "ablation": [
+                [name, float(auc), int(bytes_)]
+                for name, auc, bytes_ in result["ablation"]
+            ],
+        }
+
+    return json_main(
+        argv, __doc__, "e8_federated_learning",
+        {"sites": SITES, "records_per_site": RECORDS_PER_SITE},
+        metrics,
+    )
 
 
 if __name__ == "__main__":

@@ -13,11 +13,10 @@ the transfer-vs-scratch AUC learning curve.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table
+from _common import emit, format_table, json_main
 
 from repro.analytics.features import dataset_for, multitask_dataset_for
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
@@ -85,19 +84,14 @@ def test_e9_transfer_learning(benchmark):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write a {bench, params, metrics, timestamp} "
-                             "envelope to PATH")
-    args = parser.parse_args(argv)
-    rows = report(run_experiment())
-    emit_json(args.json, "e9_transfer_learning",
-              {"source_outcomes": list(SOURCE_OUTCOMES),
-               "target_outcome": TARGET_OUTCOME, "sites": SITES,
-               "records_per_site": RECORDS_PER_SITE,
-               "target_sizes": list(TARGET_SIZES)},
-              {"rows": rows})
-    return 0
+    return json_main(
+        argv, __doc__, "e9_transfer_learning",
+        {"source_outcomes": list(SOURCE_OUTCOMES),
+         "target_outcome": TARGET_OUTCOME, "sites": SITES,
+         "records_per_site": RECORDS_PER_SITE,
+         "target_sizes": list(TARGET_SIZES)},
+        lambda: {"rows": report(run_experiment())},
+    )
 
 
 if __name__ == "__main__":

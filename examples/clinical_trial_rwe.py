@@ -46,7 +46,7 @@ def main() -> None:
         "register_trial",
         protocol.to_registration_args(),
     )
-    receipt = platform.run_until_committed(tx)
+    receipt = platform.chain.commit(tx)
     assert receipt.success, receipt.error
 
     print("recruiting through the clinical-trial contract at 3 hospitals...")
@@ -71,7 +71,7 @@ def main() -> None:
                 },
             )
             arm_flip += 1
-    platform.run_until_committed(last_tx, timeout_s=1200)
+    platform.chain.commit(last_tx, timeout_s=1200)
     platform.run(30)
     trial = platform.nodes["fda"].call_view(
         platform.contracts.trial_contract_id,

@@ -134,16 +134,3 @@ def render_rules() -> str:
             f"{rule.default_severity.name.lower():<7} {rule.summary}"
         )
     return "\n".join(lines)
-
-
-def rules_as_dict() -> List[Dict[str, str]]:
-    return [
-        {
-            "code": rule.code,
-            "name": rule.name,
-            "family": rule.family,
-            "severity": rule.default_severity.name.lower(),
-            "summary": rule.summary,
-        }
-        for rule in all_rules()
-    ]

@@ -59,10 +59,6 @@ class AnalyticsPipeline:
         self._steps.append(PipelineStep(name, fn, guard, description))
         return self
 
-    @property
-    def step_names(self) -> List[str]:
-        return [step.name for step in self._steps]
-
     def run(
         self, initial_context: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:

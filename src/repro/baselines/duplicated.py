@@ -13,17 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
-from repro.chain.blocks import make_genesis
-from repro.chain.state import StateDB
 from repro.chain.transactions import make_call, make_deploy
 from repro.common.errors import ChainError
 from repro.common.signatures import KeyPair
-from repro.consensus.node import NodeConfig, make_network_nodes
-from repro.consensus.poa import ProofOfAuthority
+from repro.consensus.node import NodeConfig
+from repro.consensus.simchain import SimChain
 from repro.contracts.library import COMPUTE_CONTRACT_SOURCE
-from repro.sim.kernel import Kernel
-from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import Network
 
 
 @dataclass
@@ -51,45 +46,34 @@ def run_onchain_training(
     steps: int = 3,
     seed: int = 0,
 ) -> ComputeReport:
-    """Execute the training analytic as an on-chain contract on N nodes."""
-    kernel = Kernel(seed=seed)
-    metrics = MetricsRegistry()
-    network = Network(kernel, metrics)
+    """Execute the training analytic as an on-chain contract on N nodes.
+
+    The same :class:`SimChain` as every other simulated network: PoA over
+    ``node_count`` miners, each of which re-executes every training step.
+    """
     owner = KeyPair.generate("onchain-owner")
-    state = StateDB()
-    state.credit(owner.address, 10**9)
-    genesis = make_genesis(state.state_root())
     names = [f"miner-{index}" for index in range(node_count)]
-    keypairs = {name: KeyPair.generate(name) for name in names}
-    engine = ProofOfAuthority(names, keypairs, block_interval_s=1.0)
-    nodes = make_network_nodes(
-        kernel,
-        network,
+    chain = SimChain(
         names,
-        genesis,
-        state,
-        lambda: engine,
-        metrics=metrics,
+        {owner.address: 10**9},
         # Keep the full-state finality window wider than the run so the
         # baseline's per-block gas accounting never loses a fork state.
         config=NodeConfig(max_txs_per_block=10, state_prune_window=64),
+        seed=seed,
     )
-    for node in nodes.values():
-        node.start()
-    entry = nodes[names[0]]
+    entry = chain.nodes[names[0]]
     deploy = make_deploy(
         owner, "onchain-trainer", COMPUTE_CONTRACT_SOURCE, nonce=0, gas_limit=10**9
     )
     entry.submit_tx(deploy)
-    _run_until(kernel, nodes, deploy.tx_id)
-    receipt = entry.receipt(deploy.tx_id)
-    if not receipt or not receipt.success:
-        raise ChainError(f"deploy failed: {receipt.error if receipt else 'timeout'}")
+    receipt = chain.commit(deploy, timeout_s=600)
+    if not receipt.success:
+        raise ChainError(f"deploy failed: {receipt.error}")
     contract_id = receipt.output
     fixed_features = _fixed_point(features)
     int_labels = [int(label) for label in labels]
     weights = [0] * len(features[0])
-    start = kernel.now
+    start = chain.kernel.now
     for step in range(steps):
         tx = make_call(
             owner,
@@ -105,21 +89,18 @@ def run_onchain_training(
             gas_limit=10**9,
         )
         entry.submit_tx(tx)
-        _run_until(kernel, nodes, tx.tx_id)
-        receipt = entry.receipt(tx.tx_id)
-        if not receipt or not receipt.success:
-            raise ChainError(
-                f"train_step failed: {receipt.error if receipt else 'timeout'}"
-            )
+        receipt = chain.commit(tx, timeout_s=600)
+        if not receipt.success:
+            raise ChainError(f"train_step failed: {receipt.error}")
         weights = receipt.output
     return ComputeReport(
         architecture="on-chain (duplicated)",
         node_count=node_count,
-        total_gas=metrics.counter_total("gas"),
-        gas_per_node=metrics.scopes("gas"),
+        total_gas=chain.metrics.counter_total("gas"),
+        gas_per_node=chain.metrics.scopes("gas"),
         offchain_flops=0.0,
-        sim_seconds=kernel.now - start,
-        energy_joules=metrics.total_energy_joules(),
+        sim_seconds=chain.kernel.now - start,
+        energy_joules=chain.metrics.total_energy_joules(),
     )
 
 
@@ -150,7 +131,9 @@ def run_transformed_training(
     researcher = KP.generate("transformed-researcher")
     platform.grant_access(site, "train-data", researcher.address, "research")
     service = GlobalQueryService(platform, researcher)
-    _settle(platform)
+    # Gas is read on a settled chain: ``execute`` returns once the entry
+    # node holds the result, before followers re-execute the last blocks.
+    platform.chain.settle()
     baseline_gas = platform.metrics.counter_total("gas")
     baseline_flops = platform.metrics.counter_total("flops")
     start = platform.kernel.now
@@ -158,7 +141,7 @@ def run_transformed_training(
         intent="train", outcome=outcome, model="logistic", rounds=steps
     )
     service.execute(vector)
-    _settle(platform)
+    platform.chain.settle()
     return ComputeReport(
         architecture="transformed (off-chain)",
         node_count=node_count,
@@ -169,28 +152,3 @@ def run_transformed_training(
         energy_joules=platform.metrics.total_energy_joules(),
     )
 
-
-def _settle(platform, timeout: float = 600.0) -> None:
-    """Run until every node shares one head and no tx is pooled.
-
-    ``execute`` returns as soon as the entry node holds the result, while
-    followers are still fetching and re-executing the last blocks; a gas
-    sample taken then misses their share of the duplicated work.
-    """
-    nodes = list(platform.nodes.values())
-
-    def settled() -> bool:
-        return len({node.head.block_id for node in nodes}) == 1 and not any(
-            len(node.mempool) for node in nodes
-        )
-
-    platform.kernel.run(until=platform.kernel.now + timeout, stop_when=settled)
-
-
-def _run_until(kernel: Kernel, nodes: Dict[str, Any], tx_id: str, timeout: float = 600.0) -> None:
-    deadline = kernel.now + timeout
-
-    def committed() -> bool:
-        return all(node.receipt(tx_id) is not None for node in nodes.values())
-
-    kernel.run(until=deadline, stop_when=committed)

@@ -87,10 +87,6 @@ def set_debug_aliasing(enabled: bool) -> None:
     _debug_aliasing = bool(enabled)
 
 
-def debug_aliasing_enabled() -> bool:
-    return _debug_aliasing
-
-
 # -- the trie (DESIGN.md §17) -------------------------------------------------
 # Nodes are immutable tuples, shared freely between states once built:
 #   leaf   = (digest, key, value)   digest = H(0x00 ‖ canonical "key":value)

@@ -145,10 +145,6 @@ class Transaction:
         """
         return min(self.max_fee_per_gas, base_fee + self.priority_fee_per_gas)
 
-    def effective_priority_fee(self, base_fee: int = 0) -> int:
-        """Proposer tip realized against ``base_fee`` (never negative)."""
-        return max(0, self.effective_fee_per_gas(base_fee) - base_fee)
-
     @property
     def tx_id(self) -> str:
         return self.signing_digest().hex()

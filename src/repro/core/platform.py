@@ -19,19 +19,17 @@ one object:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.chain.blocks import make_genesis
-from repro.chain.state import StateDB
 from repro.chain.transactions import Transaction, make_call
 from repro.common.errors import ChainError, MedchainError
 from repro.common.hashing import hash_value_hex
 from repro.common.signatures import KeyPair
 from repro.consensus.base import ConsensusEngine
-from repro.consensus.node import BlockchainNode, NodeConfig, make_network_nodes
-from repro.consensus.poa import ProofOfAuthority
+from repro.consensus.node import BlockchainNode, NodeConfig
 from repro.consensus.pos import ProofOfStake
 from repro.consensus.pow import ProofOfWork
+from repro.consensus.simchain import SimChain
 from repro.contracts.library import (
     ANALYTICS_SOURCE,
     BLOB_REGISTRY_SOURCE,
@@ -50,9 +48,7 @@ from repro.offchain.tasks import TaskRunner
 from repro.analytics.tools import standard_registry
 from repro.sharing.audit import AuditLog
 from repro.sharing.exchange import ExchangeService, TrustedThirdParty
-from repro.sim.kernel import Kernel
-from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import LinkSpec, Network
+from repro.sim.network import LinkSpec
 
 FDA_NODE_NAME = "fda"
 # Genesis balance of the deployer and of every node's key.
@@ -119,11 +115,6 @@ class MedicalBlockchainNetwork:
 
     def __init__(self, config: Optional[PlatformConfig] = None):
         self.config = config or PlatformConfig()
-        self.kernel = Kernel(seed=self.config.seed)
-        self.metrics = MetricsRegistry()
-        self.network = Network(
-            self.kernel, self.metrics, default_link=self.config.link
-        )
         self.depot = ParamsDepot()
         self.deployer = KeyPair.generate("platform-deployer")
         self._deployer_nonces = NonceTracker()
@@ -138,33 +129,25 @@ class MedicalBlockchainNetwork:
         self.contract_registry: Optional[ContractRegistry] = None
         self.sites: Dict[str, Site] = {}
         self.fda: Optional[TrustedThirdParty] = None
-        self.nodes: Dict[str, BlockchainNode] = {}
         self._boot()
 
     # -- boot sequence -----------------------------------------------------
     def _boot(self) -> None:
-        genesis_state = StateDB()
-        genesis_state.credit(self.deployer.address, FUNDING)
-        for keypair in self.keypairs.values():
-            genesis_state.credit(keypair.address, FUNDING)
-        genesis = make_genesis(genesis_state.state_root())
-        engine_factory = self._consensus_factory()
-        node_config = NodeConfig(
-            max_txs_per_block=self.config.max_txs_per_block,
-            state_prune_window=self.config.state_prune_window,
-        )
-        self.nodes = make_network_nodes(
-            self.kernel,
-            self.network,
+        funded = [self.deployer, *self.keypairs.values()]
+        self.chain = SimChain(
             self.node_names,
-            genesis,
-            genesis_state,
-            engine_factory,
-            metrics=self.metrics,
-            config=node_config,
+            {keypair.address: FUNDING for keypair in funded},
+            engine=self._consensus_engine(),
+            block_interval_s=self.config.block_interval_s,
+            config=NodeConfig(
+                max_txs_per_block=self.config.max_txs_per_block,
+                state_prune_window=self.config.state_prune_window,
+            ),
+            seed=self.config.seed,
+            link=self.config.link,
         )
-        for node in self.nodes.values():
-            node.start()
+        self.kernel, self.metrics = self.chain.kernel, self.chain.metrics
+        self.network, self.nodes = self.chain.network, self.chain.nodes
         self.contracts = self._deploy_platform_contracts()
         for name in self.site_names:
             self.sites[name] = self._build_site(name)
@@ -174,24 +157,17 @@ class MedicalBlockchainNetwork:
             )
         self.register_standard_tools()
 
-    def _consensus_factory(self) -> Callable[[], ConsensusEngine]:
+    def _consensus_engine(self) -> Optional[ConsensusEngine]:
+        """The engine for ``config.consensus``; ``None`` is the chain's
+        default, PoA over the node names keyed like ``self.keypairs``."""
         kind = self.config.consensus
         if kind == "poa":
-            engine = ProofOfAuthority(
-                validators=self.node_names,
-                keypairs=self.keypairs,
-                block_interval_s=self.config.block_interval_s,
-            )
-            return lambda: engine
+            return None
         if kind == "pow":
-            engine = ProofOfWork(difficulty_bits=10, default_hash_rate=1e5)
-            return lambda: engine
+            return ProofOfWork(difficulty_bits=10, default_hash_rate=1e5)
         if kind == "pos":
             stakes = {name: 100 + 10 * index for index, name in enumerate(self.node_names)}
-            engine = ProofOfStake(
-                stakes=stakes, round_time_s=self.config.block_interval_s
-            )
-            return lambda: engine
+            return ProofOfStake(stakes=stakes, round_time_s=self.config.block_interval_s)
         raise MedchainError(f"unknown consensus kind {kind!r}")
 
     def _deploy_platform_contracts(self) -> PlatformContracts:
@@ -217,7 +193,7 @@ class MedicalBlockchainNetwork:
         )
         for name, source in sources.items():
             tx = registry.deploy(name, source)
-            receipt = self.run_until_committed(tx, timeout_s=600)
+            receipt = self.chain.commit(tx, timeout_s=600)
             if not receipt.success:
                 raise ChainError(f"failed to deploy {name}: {receipt.error}")
             ids[name] = receipt.output
@@ -306,25 +282,6 @@ class MedicalBlockchainNetwork:
         """Advance the simulation by ``duration_s`` seconds."""
         self.kernel.run(until=self.kernel.now + duration_s)
 
-    def run_until_committed(
-        self, tx: Transaction, timeout_s: float = 300.0, quorum: Optional[int] = None
-    ) -> Any:
-        """Run until ``quorum`` nodes (default: all) hold a receipt for ``tx``."""
-        wanted = quorum or len(self.nodes)
-        deadline = self.kernel.now + timeout_s
-
-        def committed() -> bool:
-            return (
-                sum(1 for node in self.nodes.values() if node.receipt(tx.tx_id))
-                >= wanted
-            )
-
-        self.kernel.run(until=deadline, stop_when=committed)
-        receipt = self.nodes[self.node_names[0]].receipt(tx.tx_id)
-        if receipt is None:
-            raise ChainError(f"tx {tx.tx_id[:12]} not committed within {timeout_s}s")
-        return receipt
-
     def submit_as(self, signer_name: str, contract_id: str, method: str, args: Dict[str, Any]) -> Transaction:
         """Sign a contract call with a named node's key and submit it."""
         site = self.sites.get(signer_name)
@@ -373,7 +330,7 @@ class MedicalBlockchainNetwork:
             },
         )
         if wait:
-            receipt = self.run_until_committed(tx)
+            receipt = self.chain.commit(tx)
             if not receipt.success:
                 raise ChainError(f"dataset registration failed: {receipt.error}")
         return anchor
@@ -400,7 +357,7 @@ class MedicalBlockchainNetwork:
             },
         )
         if wait:
-            receipt = self.run_until_committed(tx)
+            receipt = self.chain.commit(tx)
             if not receipt.success:
                 raise ChainError(f"grant failed: {receipt.error}")
         return tx
@@ -426,7 +383,7 @@ class MedicalBlockchainNetwork:
             },
         )
         if wait:
-            receipt = self.run_until_committed(tx)
+            receipt = self.chain.commit(tx)
             if not receipt.success:
                 raise ChainError(f"consent update failed: {receipt.error}")
         return tx
@@ -462,7 +419,7 @@ class MedicalBlockchainNetwork:
                 },
             )
         if wait and last_tx is not None:
-            self.run_until_committed(last_tx)
+            self.chain.commit(last_tx)
 
     # -- erasure-coded blob custody (repro.da) ------------------------------
     def da_clients(self) -> Dict[str, Any]:
@@ -513,7 +470,7 @@ class MedicalBlockchainNetwork:
             },
         )
         if wait:
-            chain_receipt = self.run_until_committed(tx)
+            chain_receipt = self.chain.commit(tx)
             if not chain_receipt.success:
                 raise ChainError(f"blob registration failed: {chain_receipt.error}")
         return receipt
@@ -574,7 +531,7 @@ class MedicalBlockchainNetwork:
             },
         )
         if wait:
-            chain_receipt = self.run_until_committed(tx)
+            chain_receipt = self.chain.commit(tx)
             if not chain_receipt.success:
                 raise ChainError(f"audit report failed: {chain_receipt.error}")
         return report
@@ -597,7 +554,7 @@ class MedicalBlockchainNetwork:
                 {"blob_id": blob_id, "restored": report.restored},
             )
             if wait:
-                chain_receipt = self.run_until_committed(tx)
+                chain_receipt = self.chain.commit(tx)
                 if not chain_receipt.success:
                     raise ChainError(
                         f"repair report failed: {chain_receipt.error}"

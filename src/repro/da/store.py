@@ -112,10 +112,6 @@ class ChunkStore:
             for index in indices
         ]
 
-    def has_chunk(self, blob_id: str, index: int) -> bool:
-        holding = self._blobs.get(blob_id)
-        return holding is not None and index in holding.chunks
-
     def indices(self, blob_id: str) -> List[int]:
         holding = self._blobs.get(blob_id)
         return sorted(holding.chunks) if holding is not None else []

@@ -64,10 +64,6 @@ class LinkageResult:
     deterministic_links: int
     probabilistic_links: int
 
-    @property
-    def person_count(self) -> int:
-        return len(self.clusters)
-
 
 class RecordLinker:
     """Links records from many sites into per-person clusters."""

@@ -22,7 +22,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.chain.executor import ContractEvent
 from repro.chain.transactions import Transaction, make_call
 from repro.common.errors import AccessDeniedError, IntegrityError, OracleError
-from repro.common.serialize import canonical_bytes
 from repro.common.signatures import KeyPair
 from repro.consensus.node import BlockchainNode
 from repro.offchain.anchoring import require_dataset_integrity
@@ -63,9 +62,6 @@ class DatasetHost:
 
     def __init__(self, datasets: Optional[Dict[str, List[Dict[str, Any]]]] = None):
         self._datasets = dict(datasets or {})
-
-    def add_dataset(self, dataset_id: str, records: List[Dict[str, Any]]) -> None:
-        self._datasets[dataset_id] = list(records)
 
     def has_dataset(self, dataset_id: str) -> bool:
         return dataset_id in self._datasets
@@ -272,8 +268,3 @@ class ControlNode:
         if entry is None:
             raise IntegrityError(f"dataset {dataset_id} has no on-chain registration")
         require_dataset_integrity(records, entry["merkle_root"], dataset_id)
-
-    @staticmethod
-    def result_size_bytes(result: TaskResult) -> int:
-        """Wire size of a result payload (for data-movement accounting)."""
-        return len(canonical_bytes(result.result)) + 128

@@ -11,12 +11,13 @@ full block from the pusher.
 Every other hop is announce-by-hash with fetch-on-miss, and each peer is
 sent only what it lacks.  A relay announces the *id* to up to ``fanout``
 sampled peers, skipping every peer known to hold it: one that announced or
-pushed the id to us, fetched it from us, or was named by a push.  That
-holder set is the value of the id's :class:`SeenCache` entry, so it is
-bounded and forgotten with the id.  On a full mesh the push reaches every
-peer and names them all, so nothing is re-announced.  An announce, like a
-push, is a notification (``Transport.notify``): it is never answered, so
-it costs no response frame, future or timer.  The on-connect inventory
+pushed the id to us, fetched it from us, or was named by a push or an
+announce.  That holder set is the value of the id's :class:`SeenCache`
+entry, so it is bounded and forgotten with the id, and an announce names
+it, so the next relay skips those peers too.  On a full mesh the push
+reaches every peer and names them all, so nothing is re-announced.  An
+announce, like a push, is a notification (``Transport.notify``): it is
+never answered, so it costs no response frame, future or timer.  The on-connect inventory
 skips the filter — a peer that reconnects may have restarted empty.
 
 A peer that lacks an announced body fetches it once via ``p2p.get_data``
@@ -158,21 +159,24 @@ class Gossip:
         self.metrics.add("p2p_push_sent", len(targets), scope=self.scope)
 
     def announce(self, kind: str, item_id: str) -> int:
-        """Advertise ``item_id`` to up to ``fanout`` peers not known to hold it."""
+        """Advertise ``item_id`` to up to ``fanout`` peers not known to hold
+        it, naming the peers that are known to."""
         self.seen.add(item_id)
-        targets = self.peers.sample(self.config.fanout, exclude=self.seen.holders(item_id))
+        holders = self.seen.holders(item_id)
+        targets = self.peers.sample(self.config.fanout, exclude=holders)
         for addr in targets:
-            self.announce_to(addr, kind, [item_id])
+            self.announce_to(addr, kind, [item_id], holders[: self.config.max_peers])
         return len(targets)
 
-    def announce_to(self, addr: str, kind: str, ids: List[str]) -> None:
-        """One ``p2p.announce`` notification carrying ``ids`` to ``addr`` (none if empty)."""
+    def announce_to(self, addr: str, kind: str, ids: List[str], holders=()) -> None:
+        """One ``p2p.announce`` of ``ids`` to ``addr`` (none if empty), naming ``holders``."""
         if not ids:
             return
         self.metrics.add("p2p_announce_sent", len(ids), scope=self.scope)
-        self.transport.notify(
-            addr, "p2p.announce", {"from": self.transport.local_addr, "kind": kind, "ids": ids}
-        )
+        params = {"from": self.transport.local_addr, "kind": kind, "ids": ids}
+        if holders:
+            params["holders"] = list(holders)
+        self.transport.notify(addr, "p2p.announce", params)
 
     # -- inbound -------------------------------------------------------------
     def handle_announce(self, params: Dict[str, Any]) -> None:
@@ -190,6 +194,7 @@ class Gossip:
                 continue
             self.metrics.add("p2p_announce_recv", 1, scope=self.scope)
             fresh = self.seen.add(item_id, sender)
+            self._note_holders(item_id, params.get("holders"))
             if self.has_item(kind, item_id):
                 if not fresh:
                     self.metrics.add("p2p_announce_duplicate", 1, scope=self.scope)
@@ -207,8 +212,8 @@ class Gossip:
         The push must carry exactly one body, and that body must be the
         pushed id (a compact block's header hashes to it); otherwise it is
         counted as invalid and nothing is recorded or delivered.  The sender
-        and the named peers this node tracks, at most ``max_peers`` of them,
-        become holders of the id, so the relay that follows skips them.
+        and the named peers become holders of the id, so the relay that
+        follows skips them.
         """
         self.metrics.add("p2p_push_recv", 1, scope=self.scope)
         sender = params.get("from")
@@ -236,9 +241,7 @@ class Gossip:
         if sender:
             self.peers.note_alive(sender)
         self.seen.add(item_id, sender)
-        tracked = [addr for addr in named if isinstance(addr, str) and addr in self.peers.peers]
-        for addr in tracked[: self.config.max_peers]:
-            self.seen.add(item_id, addr)
+        self._note_holders(item_id, named)
         if self.has_item(kind, item_id):
             self.metrics.add("p2p_duplicate_bodies", 1, scope=self.scope)
         elif kind == KIND_TX:
@@ -247,6 +250,14 @@ class Gossip:
         else:
             self._in_flight.setdefault(item_id, (sender, 1))  # a pool miss asks the pusher
             self._assemble(item_id, header, tx_ids)
+
+    def _note_holders(self, item_id: str, named: Any) -> None:
+        """Record the ``named`` peers this node tracks, at most ``max_peers``, as holders."""
+        if not isinstance(named, list):
+            return
+        tracked = [addr for addr in named if isinstance(addr, str) and addr in self.peers.peers]
+        for addr in tracked[: self.config.max_peers]:
+            self.seen.add(item_id, addr)
 
     def handle_get_data(self, params: Dict[str, Any]) -> Dict[str, Any]:
         kind = params.get("kind")

@@ -347,14 +347,3 @@ class ConnectionPool:
         clients, self._clients = self._clients, []
         for client in clients:
             await client.close()
-
-    async def close_idle(self) -> None:
-        """Drop connections with no in-flight requests."""
-        async with self._get_lock():
-            keep: List[RpcClient] = []
-            for client in self._clients:
-                if client.closed or not client._pending:
-                    await client.close()
-                else:
-                    keep.append(client)
-            self._clients = keep

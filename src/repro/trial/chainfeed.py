@@ -123,7 +123,3 @@ class ChainTrialFeed:
     @property
     def patients_tracked(self) -> int:
         return len(self._patients)
-
-    @property
-    def reports_ingested(self) -> int:
-        return self.rwe_monitor.reports_seen

@@ -37,7 +37,7 @@ def fed_world():
         "register_trial",
         protocol.to_registration_args(),
     )
-    assert platform.run_until_committed(tx).success
+    assert platform.chain.commit(tx).success
     genomics = {record["patient_id"]: record["genomics"] for record in patients}
     # The FDA watches the chain: feed wires its monitor node to an RWE monitor.
     fda_monitor_node = platform.sites["hospital-0"].monitor  # any node sees all events
@@ -70,7 +70,7 @@ def fed_world():
                     "arm": arms[record["patient_id"]],
                 },
             )
-    platform.run_until_committed(last_tx, timeout_s=900)
+    platform.chain.commit(last_tx, timeout_s=900)
     by_patient = {o.patient_pseudo_id: o for o in outcomes}
     for site_name in platform.site_names:
         site = platform.sites[site_name]
@@ -98,7 +98,7 @@ def fed_world():
                     "data_hash": "cd" * 32,
                 },
             )
-    platform.run_until_committed(last_tx, timeout_s=900)
+    platform.chain.commit(last_tx, timeout_s=900)
     platform.run(60)
     return platform, feed, rwe, outcomes
 
@@ -140,7 +140,7 @@ def test_feed_ignores_other_trials(fed_world):
             "target_enrollment": 5,
         },
     )
-    platform.run_until_committed(tx)
+    platform.chain.commit(tx)
     tx = site.control.submit_signed_call(
         platform.contracts.trial_contract_id,
         "enroll",
@@ -151,6 +151,6 @@ def test_feed_ignores_other_trials(fed_world):
             "arm": "treatment",
         },
     )
-    platform.run_until_committed(tx)
+    platform.chain.commit(tx)
     platform.run(15)
     assert feed.patients_tracked == before

@@ -70,10 +70,7 @@ class TestHeterogeneousIntegration:
         platform, __, ___ = world
         nodes = platform.nodes.values()
         # The block sealed last may still be on its way to a follower.
-        platform.kernel.run(
-            until=platform.kernel.now + 60.0,
-            stop_when=lambda: len({node.head.block_id for node in nodes}) == 1,
-        )
+        platform.chain.settle(60.0)
         assert len({node.head.block_id for node in nodes}) == 1
         roots = {node.state.state_root() for node in nodes}
         assert len(roots) == 1

@@ -35,7 +35,7 @@ def trial_world():
         "register_trial",
         protocol.to_registration_args(),
     )
-    receipt = platform.run_until_committed(tx)
+    receipt = platform.chain.commit(tx)
     assert receipt.success, receipt.error
     return platform, protocol, cohorts
 
@@ -70,7 +70,7 @@ class TestOnChainTrial:
                     },
                 )
                 enrolled += 1
-        platform.run_until_committed(last_tx, timeout_s=900)
+        platform.chain.commit(last_tx, timeout_s=900)
         platform.run(60)
         trial = platform.nodes["fda"].call_view(
             platform.contracts.trial_contract_id,
@@ -106,7 +106,7 @@ class TestOnChainTrial:
                 "data_hash": "aa" * 32,
             },
         )
-        receipt = platform.run_until_committed(tx)
+        receipt = platform.chain.commit(tx)
         assert not receipt.success
         platform.run(30)
         switching_events = platform.sites["hospital-1"].monitor.events_named(
@@ -131,7 +131,7 @@ class TestOnChainTrial:
                 "data_hash": "bb" * 32,
             },
         )
-        receipt = platform.run_until_committed(tx)
+        receipt = platform.chain.commit(tx)
         assert receipt.success
 
     def test_adverse_events_counted_on_chain(self, trial_world):
@@ -149,7 +149,7 @@ class TestOnChainTrial:
                     "description_hash": "cc" * 32,
                 },
             )
-        platform.run_until_committed(last_tx, timeout_s=300)
+        platform.chain.commit(last_tx, timeout_s=300)
         count = platform.nodes["fda"].call_view(
             platform.contracts.trial_contract_id,
             "adverse_event_count",

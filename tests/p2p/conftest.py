@@ -4,15 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain.blocks import make_genesis
-from repro.chain.state import StateDB
-from repro.common.signatures import KeyPair
-from repro.consensus.node import BlockchainNode, NodeConfig, make_network_nodes
-from repro.consensus.poa import ProofOfAuthority
+from repro.consensus.node import BlockchainNode, NodeConfig
+from repro.consensus.simchain import SimChain
 from repro.p2p.config import P2PConfig
-from repro.sim.kernel import Kernel
-from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import Network
 
 
 def node_config(max_txs_per_block=200, mine_empty=False, **overrides) -> NodeConfig:
@@ -26,66 +20,30 @@ def node_config(max_txs_per_block=200, mine_empty=False, **overrides) -> NodeCon
     )
 
 
-class P2PWorld:
+class P2PWorld(SimChain):
     """A PoA validator network where dissemination runs through repro.p2p."""
 
     def __init__(
         self, alice, n_validators: int = 3, seed: int = 31, mine_empty=False, **p2p_overrides
     ):
-        self.kernel = Kernel(seed=seed)
-        self.metrics = MetricsRegistry()
-        self.network = Network(self.kernel, self.metrics)
-        self.alice = alice
-        self.genesis_state = StateDB()
-        self.genesis_state.credit(alice.address, 10**9)
-        self.genesis = make_genesis(self.genesis_state.state_root())
-        self.names = [f"n{i}" for i in range(n_validators)]
-        keypairs = {name: KeyPair.generate(name) for name in self.names}
-        self.engine = ProofOfAuthority(self.names, keypairs, block_interval_s=0.5)
-        self.nodes = make_network_nodes(
-            self.kernel,
-            self.network,
-            self.names,
-            self.genesis,
-            self.genesis_state,
-            lambda: self.engine,
-            metrics=self.metrics,
+        super().__init__(
+            [f"n{i}" for i in range(n_validators)],
+            {alice.address: 10**9},
+            block_interval_s=0.5,
             config=node_config(max_txs_per_block=3, mine_empty=mine_empty, **p2p_overrides),
+            seed=seed,
         )
-        for node in self.nodes.values():
-            node.start()
+        self.alice = alice
         self.kernel.run(until=2.0)  # let handshakes settle
 
     def add_observer(self, name: str, seeds, **p2p_overrides) -> BlockchainNode:
         """A fresh non-validator node joining the running network."""
-        node = make_network_nodes(
-            self.kernel,
-            self.network,
-            [name],
-            self.genesis,
-            self.genesis_state,
-            lambda: self.engine,
-            metrics=self.metrics,
-            config=node_config(**p2p_overrides),
-            seeds=seeds,
-        )[name]
-        self.nodes[name] = node
-        node.start()
-        return node
+        return self.add_node(name, seeds, node_config(**p2p_overrides))
 
     def crash(self, name: str) -> None:
         """Kill a node mid-run: it stops scheduling and leaves the network."""
         self.nodes[name].stop()
         del self.nodes[name]
-
-    def commit(self, tx, names=None, timeout: float = 300.0) -> None:
-        wanted = names or list(self.nodes)
-        self.kernel.run(
-            until=self.kernel.now + timeout,
-            stop_when=lambda: all(
-                self.nodes[name].receipt(tx.tx_id) for name in wanted
-            ),
-        )
 
     def converged(self, names=None) -> bool:
         wanted = names or list(self.nodes)

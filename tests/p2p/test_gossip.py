@@ -5,19 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.blocks import build_block, make_genesis
-from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
 from repro.common.signatures import KeyPair
-from repro.consensus.node import make_network_nodes
-from repro.consensus.poa import ProofOfAuthority
 from repro.consensus.pos import ProofOfStake
+from repro.consensus.simchain import SimChain
 from repro.p2p.config import P2PConfig
 from repro.p2p.gossip import KIND_BLOCK, KIND_TX, Gossip, SeenCache
 from repro.p2p.transport import PeerUnreachable
 from repro.p2p.wire import compact_block_to_wire, tx_to_wire
-from repro.sim.kernel import Kernel
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import Network
+from repro.sim.network import LinkSpec
 
 from tests.p2p.conftest import P2PWorld
 
@@ -369,25 +366,16 @@ def test_tx_submitted_before_first_handshake_reaches_every_pool(alice, consensus
     tx submitted before the first ``p2p.hello`` completed was offered to
     nobody and never again; under PoS (no backup proposer) it then never
     committed.  The on-connect inventory offers it once the link is up."""
-    kernel = Kernel(seed=5)
-    metrics = MetricsRegistry()
-    network = Network(kernel, metrics)
-    state = StateDB()
-    state.credit(alice.address, 10**9)
-    genesis = make_genesis(state.state_root())
     names = [f"n{i}" for i in range(4)]
-    if consensus == "poa":
-        keypairs = {name: KeyPair.generate(name) for name in names}
-        engine = ProofOfAuthority(names, keypairs, block_interval_s=1.0)
-        proposer = engine.proposer_at(1)
-    else:
+    engine = None  # the chain's default: PoA over the names
+    if consensus == "pos":
         engine = ProofOfStake({name: 100 for name in names}, round_time_s=1.0)
-        proposer = engine.winner_at(genesis, 1)
-    nodes = make_network_nodes(
-        kernel, network, names, genesis, state, lambda: engine, metrics=metrics
-    )
-    for node in nodes.values():
-        node.start()
+    chain = SimChain(names, {alice.address: 10**9}, engine=engine, seed=5)
+    kernel, metrics, nodes = chain.kernel, chain.metrics, chain.nodes
+    if consensus == "poa":
+        proposer = chain.engine.proposer_at(1)
+    else:
+        proposer = chain.engine.winner_at(chain.genesis, 1)
     entry = next(nodes[name] for name in names if name != proposer)
     tx = make_transfer(alice, "sink", 1, nonce=0)
     assert entry.submit_tx(tx)  # t = 0: no handshake has completed yet
@@ -402,3 +390,26 @@ def test_tx_submitted_before_first_handshake_reaches_every_pool(alice, consensus
         stop_when=lambda: all(n.receipt(tx.tx_id) for n in nodes.values()),
     )
     assert all(node.receipt(tx.tx_id) for node in nodes.values())
+
+
+def test_a_relay_announce_names_the_holders_so_a_slow_push_target_is_not_fed_twice(alice):
+    """n0's push of a new tx to its second named target is slow.  The first
+    target relays it to the peers the push did not name, and their relay
+    must skip the slow target too: the announce they got names the peers
+    known to hold the id.  Without that, the slow target fetched the tx
+    from a second-hop relay before the push landed, and got one body twice."""
+    world = P2PWorld(alice, n_validators=5)
+    send, slowed = world.network.send, []
+
+    def slow_second_push(sender, recipient, kind, payload, size_bytes=256):
+        if sender == "n0" and payload.get("method") == "p2p.push" and not slowed:
+            slowed.append(payload["params"]["to"][-1])
+            world.network.set_link("n0", slowed[0], LinkSpec(latency_s=0.5))
+        return send(sender, recipient, kind, payload, size_bytes)
+
+    world.network.send = slow_second_push
+    tx = make_transfer(alice, "sink", 1, nonce=0)
+    assert world.nodes["n0"].submit_tx(tx)
+    world.commit(tx)
+    assert slowed and world.metrics.counter_total("p2p_announce_sent") > 0
+    assert world.metrics.counter_total("p2p_duplicate_bodies") == 0

@@ -16,19 +16,12 @@ import asyncio
 
 import pytest
 
-from repro.chain.blocks import make_genesis
 from repro.chain.mempool import Mempool, MempoolConfig
-from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
-from repro.common.signatures import KeyPair
-from repro.consensus.node import BlockchainNode, NodeConfig
-from repro.consensus.poa import ProofOfAuthority
+from repro.consensus.node import NodeConfig
+from repro.consensus.simchain import SimChain
 from repro.p2p.host import register_node_methods
-from repro.p2p.transport import SimTransport
 from repro.p2p.wire import tx_to_wire
-from repro.sim.kernel import Kernel
-from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import Network
 from repro.rpc import codec
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import (
@@ -61,28 +54,14 @@ class _PoolNode:
 
 
 def _real_node(config=None):
-    """A full :class:`BlockchainNode` on a one-node sim network.
+    """A full :class:`BlockchainNode`, the one node of a sim chain.
 
     The stub above pins the pool's admission codes; this pins the *node*
     layer stacked in front of it (duplicate gating, gossip suppression,
     retry-after-rejection), which is what production RPC servers serve.
     """
-    kernel = Kernel(seed=0)
-    network = Network(kernel, MetricsRegistry())
-    state = StateDB()
-    genesis = make_genesis(state.state_root())
-    engine = ProofOfAuthority(
-        ["site-a"], {"site-a": KeyPair.generate("site-a")}, block_interval_s=0.5
-    )
-    return BlockchainNode(
-        kernel,
-        SimTransport(network, "site-a"),
-        "site-a",
-        genesis,
-        state,
-        engine,
-        config=NodeConfig(mempool=config),
-    )
+    chain = SimChain(["site-a"], {}, block_interval_s=0.5, config=NodeConfig(mempool=config))
+    return chain.nodes["site-a"]
 
 
 def _paid(keypair, nonce, fee, amount=1):
