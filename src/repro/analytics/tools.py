@@ -8,7 +8,7 @@ The federated trainer and the query engine both dispatch onto these.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -17,20 +17,29 @@ from repro.analytics.features import FEATURE_DIM, dataset_for, featurize
 from repro.analytics.models import LogisticModel, MLPModel, params_size_bytes
 from repro.analytics.stats import describe
 from repro.common.errors import OracleError
+from repro.datamgmt.columns import (
+    LIST,
+    NUMBER,
+    Column,
+    Table,
+    as_table,
+    kind_of,
+    split_path,
+)
 from repro.datamgmt.virtual import NumericSummary, field_getter
 from repro.offchain.tasks import ToolRegistry, ToolSpec
 
 Records = Sequence[Dict[str, Any]]
 Check = Callable[[Dict[str, Any]], bool]
+Mask = np.ndarray
 
 
 def _compile_filters(filters: Dict[str, Any]) -> List[Check]:
     """One check per filter entry, in the dict's order.
 
-    Simple equality/range filter: ``{"sex": "F", "age_min": 50}``.  The key
-    kind is decided here, once per call, instead of once per record; each
-    check keeps the comparison its key always had, so a record matches (or
-    raises) exactly as before.
+    Simple equality/range filter: ``{"sex": "F", "age_min": 50}``.  These
+    checks define what a filter means for one record; :func:`_selected`
+    runs them only on the records its column masks cannot decide.
     """
     checks: List[Check] = []
     for key, wanted in filters.items():
@@ -52,16 +61,106 @@ def _compile_filters(filters: Dict[str, Any]) -> List[Check]:
     return checks
 
 
+def _scalar(value: Any) -> np.ndarray:
+    """``value`` as a 0-d object array: compared as one object, never broadcast."""
+    boxed = np.empty((), dtype=object)
+    boxed[()] = value
+    return boxed
+
+
+def _defaulted(table: Table, column: Column, plain: Check) -> Mask:
+    """The records without ``column``'s path on which ``plain`` holds: those
+    a ``.get(key, default)`` chain answers with its default, not an error."""
+    defaulted = np.zeros(len(table), dtype=bool)
+    absent = np.flatnonzero(~column.present)
+    defaulted[absent] = [plain(table[index]) for index in absent]
+    return defaulted
+
+
+def _outcome_flags(table: Table, outcome: Any) -> Tuple[Mask, Mask]:
+    """``bool(record.get("outcomes", {}).get(outcome, 0))`` per record, and
+    where the column decides it."""
+    try:
+        hash(outcome)
+    except TypeError:  # ``.get`` raises on the record
+        return np.zeros(len(table), dtype=bool), np.zeros(len(table), dtype=bool)
+    column = table.column(("outcomes", outcome))
+    defaulted = _defaulted(
+        table, column, lambda r: isinstance(r, dict) and isinstance(r.get("outcomes", {}), dict)
+    )
+    return column.truthy, column.present | defaulted
+
+
+def _filter_mask(table: Table, key: str, wanted: Any) -> Tuple[Mask, Mask]:
+    """One filter over the columns: where it passes, and where that is decided.
+
+    An undecided record is one the record's own check may raise on (a
+    missing path, a value of a type the comparison may refuse).
+    """
+    size = len(table)
+    if key in ("age_min", "age_max"):
+        if kind_of(wanted) != NUMBER:  # the record's own check decides
+            return np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+        birth = table.column(("birth_year",))
+        age = 2018 - birth.floats
+        passes = ~(age < wanted) if key == "age_min" else ~(age > wanted)
+        return passes, birth.kinds == NUMBER
+    if key == "diagnosis":
+        diagnoses = table.column(("diagnoses",))
+        lists = diagnoses.kinds == LIST
+        passes = np.zeros(size, dtype=bool)
+        passes[lists] = [wanted in value for value in diagnoses.values[lists]]
+        return passes, lists | _defaulted(table, diagnoses, lambda r: isinstance(r, dict))
+    if key.startswith("has_outcome_"):
+        flags, decided = _outcome_flags(table, key[len("has_outcome_"):])
+        return flags == bool(wanted), decided
+    column = table.column(split_path(key))
+    return ~np.not_equal(column.values, _scalar(wanted)), column.present
+
+
+def _selected(table: Table, params: Dict[str, Any]) -> Mask:
+    """Where the records match ``params["filters"]``.
+
+    Record-major, as a loop over records would be: a record the masks leave
+    undecided is run through every check in order, and the first such record
+    to raise stops the scan with its error.
+    """
+    filters = params.get("filters") or {}
+    checks = _compile_filters(filters)
+    selected = np.ones(len(table), dtype=bool)
+    undecided = np.zeros(len(table), dtype=bool)
+    for key, wanted in filters.items():
+        passes, decided = _filter_mask(table, key, wanted)
+        undecided |= selected & ~decided
+        selected &= decided & passes
+    for index in np.flatnonzero(undecided):
+        record = table[index]
+        selected[index] = all(check(record) for check in checks)
+    return selected
+
+
 def _filtered(records: Records, params: Dict[str, Any]) -> List[Dict[str, Any]]:
-    checks = _compile_filters(params.get("filters") or {})
-    matching = []
-    for record in records:
-        for check in checks:
-            if not check(record):
-                break
-        else:
-            matching.append(record)
-    return matching
+    """The records matching ``params["filters"]``, in order."""
+    table = as_table(records)
+    return table.rows(_selected(table, params))
+
+
+def _floats(
+    table: Table, rows: Mask, path: str, field: Callable[[Dict[str, Any]], Any]
+) -> np.ndarray:
+    """``float(field(record))`` for every record (meaningful in ``rows``).
+
+    A record of ``rows`` whose value is not a plain number runs that step
+    itself, in order: the first one it fails on raises the loop's error.
+    """
+    column = table.column(split_path(path))
+    odd = np.flatnonzero(rows & (column.kinds != NUMBER))
+    if not odd.size:
+        return column.floats
+    values = column.floats.copy()
+    for index in odd:
+        values[index] = float(field(table[index]))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +169,7 @@ def _filtered(records: Records, params: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 def tool_count(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     """Count records matching the filters."""
-    return {"count": len(_filtered(records, params))}
+    return {"count": int(np.count_nonzero(_selected(as_table(records), params)))}
 
 
 def tool_numeric_summary(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -79,10 +178,10 @@ def tool_numeric_summary(records: Records, params: Dict[str, Any]) -> Dict[str, 
     if not path:
         raise OracleError("numeric_summary requires params['field']")
     field = field_getter(path)
-    summary = NumericSummary()
-    for record in _filtered(records, params):
-        summary.add(field(record))
-    return {"field": path, "summary": summary.to_dict()}
+    table = as_table(records)
+    selected = _selected(table, params)
+    values = _floats(table, selected, path, field)[selected]
+    return {"field": path, "summary": NumericSummary.of_floats(values).to_dict()}
 
 
 def tool_prevalence(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -90,11 +189,14 @@ def tool_prevalence(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     outcome = params.get("outcome")
     if not outcome:
         raise OracleError("prevalence requires params['outcome']")
-    matching = _filtered(records, params)
-    positives = sum(
-        1 for record in matching if record.get("outcomes", {}).get(outcome, 0)
-    )
-    return {"outcome": outcome, "n": len(matching), "positives": positives}
+    table = as_table(records)
+    selected = _selected(table, params)
+    flags, decided = _outcome_flags(table, outcome)
+    positives = int(np.count_nonzero(selected & decided & flags))
+    for index in np.flatnonzero(selected & ~decided):
+        if table[index].get("outcomes", {}).get(outcome, 0):
+            positives += 1
+    return {"outcome": outcome, "n": int(np.count_nonzero(selected)), "positives": positives}
 
 
 def tool_histogram(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -106,12 +208,20 @@ def tool_histogram(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     if not path or bins <= 0 or high <= low:
         raise OracleError("histogram requires field, low < high, bins > 0")
     field = field_getter(path)
-    counts = [0] * bins
     width = (high - low) / bins
-    for record in _filtered(records, params):
-        value = float(field(record))
-        index = int((value - low) / width)
-        counts[min(max(index, 0), bins - 1)] += 1
+    table = as_table(records)
+    selected = _selected(table, params)
+    column = table.column(split_path(path))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaled = (column.floats - low) / width
+        # int() truncates toward zero; clamp before the cast so no value overflows.
+        index = np.clip(np.trunc(scaled), 0, bins - 1).astype(np.int64)
+    # Not a plain number, or a NaN / infinite bin that int() refuses: the
+    # record runs the loop's step itself, in order.
+    odd = selected & ~((column.kinds == NUMBER) & np.isfinite(scaled))
+    for row in np.flatnonzero(odd):
+        index[row] = min(max(int((float(field(table[row])) - low) / width), 0), bins - 1)
+    counts = np.bincount(index[selected], minlength=bins).tolist()
     return {"field": path, "low": low, "high": high, "counts": counts}
 
 
@@ -121,8 +231,12 @@ def tool_describe(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     if not path:
         raise OracleError("describe requires params['field']")
     field = field_getter(path)
-    values = [field(record) for record in _filtered(records, params)]
-    return {"field": path, "stats": describe(values)}
+    table = as_table(records)
+    selected = _selected(table, params)
+    column = table.column(split_path(path))
+    for row in np.flatnonzero(selected & ~column.present)[:1]:
+        field(table[row])  # raises the loop's error for the first missing value
+    return {"field": path, "stats": describe(list(column.values[selected]))}
 
 
 def tool_local_train(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -134,8 +248,7 @@ def tool_local_train(records: Records, params: Dict[str, Any]) -> Dict[str, Any]
     """
     outcome = params.get("outcome", "stroke")
     model_kind = params.get("model", "logistic")
-    matching = _filtered(records, params)
-    X, y = dataset_for(matching, outcome)
+    X, y = dataset_for(_filtered(records, params), outcome)
     if model_kind == "logistic":
         model: Any = LogisticModel(FEATURE_DIM, seed=int(params.get("seed", 0)))
     elif model_kind == "mlp":
@@ -171,8 +284,7 @@ def tool_evaluate_model(records: Records, params: Dict[str, Any]) -> Dict[str, A
     """Evaluate supplied model parameters on local data (no training)."""
     outcome = params.get("outcome", "stroke")
     model_kind = params.get("model", "logistic")
-    matching = _filtered(records, params)
-    X, y = dataset_for(matching, outcome)
+    X, y = dataset_for(_filtered(records, params), outcome)
     if model_kind == "logistic":
         model: Any = LogisticModel(FEATURE_DIM)
     else:
@@ -198,29 +310,27 @@ def tool_compare_groups(records: Records, params: Dict[str, Any]) -> Dict[str, A
     if not field_path or not group_field or len(group_values) != 2:
         raise OracleError("compare_groups requires field, group_field, 2 group_values")
     field = field_getter(field_path)
-    group = field_getter(group_field)
-    summaries = [NumericSummary(), NumericSummary()]
-    for record in _filtered(records, params):
-        try:
-            group_value = group(record)
-        except Exception:
-            continue
-        for index, wanted in enumerate(group_values):
-            if group_value == wanted:
-                summaries[index].add(field(record))
+    field_getter(group_field)
+    table = as_table(records)
+    selected = _selected(table, params)
+    group = table.column(split_path(group_field))  # a record without one is skipped
+    members = [
+        selected & group.present & np.equal(group.values, _scalar(wanted))
+        for wanted in group_values
+    ]
+    values = _floats(table, members[0] | members[1], field_path, field)
     return {
         "field": field_path,
         "group_field": group_field,
         "group_values": list(group_values),
-        "groups": [summary.to_dict() for summary in summaries],
+        "groups": [NumericSummary.of_floats(values[rows]).to_dict() for rows in members],
     }
 
 
 def tool_cluster(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     """Local k-means subtyping; returns centroids and sizes only."""
     k = int(params.get("k", 3))
-    matching = _filtered(records, params)
-    X = featurize(matching)
+    X = featurize(_filtered(records, params))
     if len(X) < k:
         return {"k": k, "centroids": [], "sizes": [], "inertia": 0.0}
     result = kmeans(X, k, seed=int(params.get("seed", 0)))

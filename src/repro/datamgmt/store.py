@@ -5,17 +5,21 @@ section III.A).  The store exposes the :class:`DatasetHost` duck-type the
 control node expects — ``get_records`` serves the canonical view of the
 legacy rows, so the schema mappers and the canonical validation sit on every
 real access path.  The view is parsed and validated once per dataset content
-(not once per access) and dropped by every mutation the store performs.
+(not once per access), kept as a :class:`~repro.datamgmt.columns.Table` whose
+columns the site tools scan, and dropped, columns and all, by every mutation
+the store performs.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.common.errors import DataFormatError, OracleError
 from repro.common.hashing import hash_value_hex
+from repro.datamgmt.columns import Path, Table
 from repro.datamgmt.formats import KNOWN_FORMATS, export_record, parse_record
 from repro.offchain.anchoring import DatasetAnchor
 
@@ -45,8 +49,11 @@ class HospitalDataStore:
         # the store from worker threads, so both are guarded by ``_lock`` and
         # dropped by ``_changed`` — the one place a mutation reports itself.
         self._lock = threading.Lock()
-        self._views: Dict[str, List[Dict[str, Any]]] = {}
+        self._tables: Dict[str, Table] = {}
         self._catalog_version: Optional[str] = None
+        #: Columns projected from a dataset's records, per (dataset id, path):
+        #: one per content and path, however many queries read it.
+        self.column_projections: Counter = Counter()
 
     # -- ingestion -----------------------------------------------------------
     def add_canonical(
@@ -98,13 +105,28 @@ class HospitalDataStore:
         The list is the caller's to reorder or filter; the records in it are
         shared with every other reader and must not be mutated.
         """
+        return list(self._table(dataset_id).records)
+
+    def table(self, dataset_ids: Sequence[str]) -> Table:
+        """The datasets' canonical views, in the order given, as one table.
+
+        A table is read-only; its columns are projected on first use and
+        kept until the dataset next changes.
+        """
+        return Table.concat([self._table(dataset_id) for dataset_id in dataset_ids])
+
+    def _table(self, dataset_id: str) -> Table:
         with self._lock:
-            view = self._views.get(dataset_id)
-            if view is None:
+            table = self._tables.get(dataset_id)
+            if table is None:
                 dataset = self._require(dataset_id)
                 view = [parse_record(raw, dataset.fmt) for raw in dataset.raw_records]
-                self._views[dataset_id] = view
-            return list(view)
+
+                def projected(path: Path) -> None:
+                    self.column_projections[(dataset_id, path)] += 1
+
+                table = self._tables[dataset_id] = Table(view, projected)
+            return table
 
     # -- management -----------------------------------------------------------
     def get_raw(self, dataset_id: str) -> List[Dict[str, Any]]:
@@ -152,9 +174,10 @@ class HospitalDataStore:
 
     def _changed(self, dataset_id: str) -> None:
         """Every mutation path ends here: drop what was derived from the old
-        content (the dataset's canonical view, the memoised listing hash)."""
+        content (the dataset's canonical view and its columns, the memoised
+        listing hash)."""
         with self._lock:
-            self._views.pop(dataset_id, None)
+            self._tables.pop(dataset_id, None)
             self._catalog_version = None
 
     def _require(self, dataset_id: str) -> StoredDataset:

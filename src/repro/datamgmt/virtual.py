@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.common.errors import QueryError
+from repro.datamgmt.columns import split_path
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,7 @@ HostResolver = Callable[[str], Any]
 
 def field_getter(path: str) -> Callable[[Dict[str, Any]], Any]:
     """``get_field`` for one path, split once: use it in per-record loops."""
-    parts = path.split(".")
+    parts = split_path(path)
 
     def getter(record: Dict[str, Any]) -> Any:
         value: Any = record
@@ -105,6 +108,23 @@ class NumericSummary:
         return summary
 
     @classmethod
+    def of_floats(cls, values: np.ndarray) -> "NumericSummary":
+        """What :meth:`add` gives over ``values`` in order, bit for bit.
+
+        The sums run left to right from ``0.0`` (``np.sum`` is pairwise and
+        would round differently), and ``min``/``max`` skip NaN and keep the
+        first of equal values, as the running ``min(minimum, value)`` does.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(
+                count=int(values.size),
+                total=_running_sum(values),
+                total_sq=_running_sum(values * values),
+                minimum=_first_extreme(values, np.min, float("inf")),
+                maximum=_first_extreme(values, np.max, float("-inf")),
+            )
+
+    @classmethod
     def from_dict_parts(cls, parts: Dict[str, float]) -> "NumericSummary":
         summary = cls()
         summary.count = int(parts["count"])
@@ -113,6 +133,21 @@ class NumericSummary:
         summary.minimum = parts.get("min", 0.0)
         summary.maximum = parts.get("max", 0.0)
         return summary
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """``((0.0 + v0) + v1) + ...``: ``accumulate`` adds strictly in order."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+
+
+def _first_extreme(values: np.ndarray, reduce: Callable, start: float) -> float:
+    kept = values[~np.isnan(values)]
+    if not kept.size:
+        return start
+    best = float(reduce(kept))
+    if best == 0.0:  # 0.0 and -0.0 tie; the running fold keeps the first
+        best = float(kept[kept == 0.0][0])
+    return best
 
 
 class VirtualCohort:

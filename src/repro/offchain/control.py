@@ -186,7 +186,7 @@ class ControlNode:
         """Run one task end to end: policy check, integrity check, execute,
         anchor the result on chain, deliver the payload off chain."""
         records: List[Dict[str, Any]] = []
-        for dataset_id in dataset_ids:
+        for dataset_id in dict.fromkeys(dataset_ids):  # each named dataset once
             self._enforce_access(dataset_id, requester, purpose)
             dataset_records = self.host.get_records(dataset_id)
             if self.verify_integrity:

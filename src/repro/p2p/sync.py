@@ -87,9 +87,12 @@ class ChainSync:
 
     # -- triggers ------------------------------------------------------------
     def maybe_sync(self, peer_addr: str, height: int, head_id: str) -> bool:
-        """Start syncing from ``peer_addr`` if it is ahead of us."""
-        our_height, _ = self.head_info()
-        if height <= our_height or self.has_block(head_id):
+        """Start syncing from ``peer_addr`` if its head would win our fork
+        choice: it is higher, or level with a lower id (the store's tie-break).
+        A level fork nobody builds on (no txs left to propose) would
+        otherwise never heal."""
+        our_height, our_id = self.head_info()
+        if (height, our_id) <= (our_height, head_id) or self.has_block(head_id):
             return False
         if self.active:
             # One download pipeline at a time; the periodic ping exchange

@@ -63,8 +63,8 @@ def vector_to_wire(vector: QueryVector) -> Dict[str, Any]:
 class SiteService:
     """The components of one site that the method surface binds to.
 
-    Duck-typed: ``store`` needs ``dataset_ids``/``get_records`` (and
-    optionally ``record_count``/``catalog_version``), ``runner`` a
+    Duck-typed: ``store`` needs ``dataset_ids``/``table``/``get_records``
+    (and optionally ``record_count``/``catalog_version``), ``runner`` a
     :class:`TaskRunner`; ``oracle`` and ``chunks`` may be ``None``.
     """
 
@@ -87,12 +87,11 @@ class SiteService:
         )
 
     # -- local helpers -----------------------------------------------------
-    def _records_for(self, dataset_ids: Optional[Sequence[str]]) -> List[Dict[str, Any]]:
-        ids = list(dataset_ids) if dataset_ids else self.store.dataset_ids()
-        records: List[Dict[str, Any]] = []
-        for dataset_id in sorted(ids):
-            records.extend(self.store.get_records(dataset_id))
-        return records
+    def _records_for(self, dataset_ids: Optional[Sequence[str]]) -> Sequence[Dict[str, Any]]:
+        """The named datasets' records as the store's cached table: each
+        dataset once, in id order (every dataset if none is named)."""
+        ids = sorted(set(dataset_ids)) if dataset_ids else self.store.dataset_ids()
+        return self.store.table(ids)
 
     def _record_count(self, dataset_id: str) -> int:
         counter = getattr(self.store, "record_count", None)

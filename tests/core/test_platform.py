@@ -139,6 +139,45 @@ class TestControlPath:
         assert task["status"] == "completed"
         assert task["result_hash"] == result.result_hash
 
+    def test_a_dataset_named_twice_is_read_once(self, platform, researcher, monkeypatch):
+        """Regression: a repeated id in ``TaskRequested`` counted the
+        dataset's records twice and ran its access check twice."""
+        from repro.chain.transactions import make_call
+
+        node = platform.nodes["hospital-0"]
+        control = platform.sites["hospital-1"].control
+        checks = []
+        enforce = control._enforce_access
+        monkeypatch.setattr(
+            control, "_enforce_access", lambda *args: checks.append(args) or enforce(*args)
+        )
+        params_ref = platform.depot.put({"outcome": "stroke", "filters": {}})
+        tx = make_call(
+            researcher,
+            platform.contracts.analytics_contract_id,
+            "request_task",
+            {
+                "task_id": "ctl-test-twice",
+                "tool_id": "prevalence",
+                "dataset_ids": ["emr-hospital-1", "emr-hospital-1"],
+                "params": {"params_ref": params_ref},
+                "purpose": "research",
+            },
+            nonce=node.state.nonce(researcher.address),
+            timestamp_ms=int(platform.kernel.now * 1000),
+        )
+        node.submit_tx(tx)
+        platform.kernel.run(
+            until=platform.kernel.now + 120,
+            stop_when=lambda: "ctl-test-twice" in control.completed,
+        )
+        result = control.completed["ctl-test-twice"]
+        assert result.records_used == platform.sites["hospital-1"].store.record_count(
+            "emr-hospital-1"
+        )
+        assert result.result["n"] == result.records_used
+        assert len(checks) == 1
+
     def test_task_denied_without_grant(self, platform):
         from repro.chain.transactions import make_call
 

@@ -15,6 +15,25 @@ from repro.datamgmt.store import HospitalDataStore
 from repro.datamgmt.virtual import DatasetRef, NumericSummary, VirtualCohort, get_field
 
 
+def _site_query(store, text):
+    from repro.analytics.tools import standard_registry
+    from repro.offchain.tasks import TaskRunner
+    from repro.query.parser import parse_query
+    from repro.rpc.methods import SiteService, build_site_registry, vector_to_wire
+
+    service = SiteService(name="h0", store=store, runner=TaskRunner("h0", standard_registry()))
+    handler = build_site_registry(service).get("site.query").handler
+    return handler(vector=vector_to_wire(parse_query(text)), dataset_ids=["ds"])["result"]
+
+
+def _stroke_prevalence(store):
+    return _site_query(store, "prevalence of stroke")["positives"]
+
+
+def _highest_sbp(store):
+    return _site_query(store, "describe systolic blood pressure")["stats"]["max"]
+
+
 class TestHospitalDataStore:
     def test_add_and_read_canonical(self, small_cohort):
         store = HospitalDataStore("h0")
@@ -59,18 +78,21 @@ class TestHospitalDataStore:
         assert store.record_count("ds") == len(small_cohort)
 
     def test_tamper_reaches_every_reader_of_a_cached_view(self, small_cohort):
-        """The canonical view is parsed once; ``tamper`` must drop it."""
+        """The canonical view is parsed once, and its columns projected once;
+        ``tamper`` must drop both."""
         from repro.offchain.anchoring import verify_dataset
 
         store = HospitalDataStore("h0")
         store.add_canonical("ds", small_cohort, fmt="hl7v2")
         anchor = store.anchor("ds")  # parses, and caches, the view
         assert verify_dataset(store.get_records("ds"), anchor.root_hex)
+        before = _stroke_prevalence(store)  # projects, and caches, the columns
         flipped = 1 - small_cohort[7]["outcomes"]["stroke"]
         store.tamper("ds", 7, "ZOC", {**small_cohort[7]["outcomes"], "stroke": flipped})
         assert store.get_records("ds")[7]["outcomes"]["stroke"] == flipped
         assert store.anchor("ds").root_hex != anchor.root_hex
         assert not verify_dataset(store.get_records("ds"), anchor.root_hex)
+        assert _stroke_prevalence(store) == before + (1 if flipped else -1)
 
     def test_tamper_that_breaks_the_schema_is_rejected_on_the_next_read(self, small_cohort):
         import copy
@@ -111,8 +133,9 @@ class TestHospitalDataStore:
         assert len(parsed) == 2 * len(small_cohort)
 
     def test_readers_racing_a_writer_never_keep_a_stale_view(self, small_cohort):
-        """RPC handlers read the store from worker threads: a view parsed
-        from the old content must not outlive the ``tamper`` that replaced it."""
+        """RPC handlers read the store from worker threads: a view parsed, or
+        a column projected, from the old content must not outlive the
+        ``tamper`` that replaced it."""
         import sys
         import threading
 
@@ -121,19 +144,24 @@ class TestHospitalDataStore:
         done = threading.Event()
         seen = [[] for __ in range(6)]
 
-        def read(mine):
+        def read(mine, look):
             while not done.is_set():
-                mine.append(store.get_records("ds")[3]["vitals"]["sbp"])
+                mine.append(look())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
-        readers = [threading.Thread(target=read, args=(mine,)) for mine in seen]
+        looks = [lambda: store.get_records("ds")[3]["vitals"]["sbp"], lambda: _highest_sbp(store)]
+        readers = [
+            threading.Thread(target=read, args=(mine, looks[index % 2]))
+            for index, mine in enumerate(seen)
+        ]
         try:
             for reader in readers:
                 reader.start()
             for value in range(1000, 1200):  # above any generated pressure
                 store.tamper("ds", 3, "bp_sys", float(value))
                 assert store.get_records("ds")[3]["vitals"]["sbp"] == float(value)
+                assert _highest_sbp(store) == float(value)
         finally:
             done.set()
             for reader in readers:

@@ -202,3 +202,24 @@ def test_sync_source_dying_mid_sync_does_not_spin(p2p_world):
     assert joiner.head.block_id == world.nodes["n0"].head.block_id
     assert world.metrics.counter("p2p_sync_aborted", scope="joiner") >= 1
     assert world.metrics.counter("p2p_peers_evicted", scope="joiner") >= 1
+
+
+def test_level_fork_with_nothing_left_to_propose_heals(p2p_world):
+    """Regression: two heads at one height and no tx left to build on. Pings
+    only ever synced from a higher peer, so the fork stood for good (a lossy
+    platform boot stalled on it); the side whose head loses the store's
+    tie-break (lowest id) now fetches the other."""
+    world = p2p_world
+    world.network.partition({"n0", "n1"}, {"n2"})
+    # Same nonce, so the losing branch's tx cannot come back as a new block.
+    world.nodes["n0"].submit_tx(make_transfer(world.alice, "sink", 1, nonce=0))
+    world.nodes["n2"].submit_tx(make_transfer(world.alice, "sink", 2, nonce=0))
+    world.kernel.run(
+        until=world.kernel.now + 30,
+        stop_when=lambda: all(node.head.height == 1 for node in world.nodes.values()),
+    )
+    assert len({node.head.block_id for node in world.nodes.values()}) == 2
+    world.network.heal()
+    world.kernel.run(until=world.kernel.now + 60, stop_when=world.converged)
+    assert world.converged()
+    assert world.nodes["n2"].head.height == 1

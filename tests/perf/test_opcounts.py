@@ -7,7 +7,8 @@ change that does less work lowers the pin in the same commit, so
 more fails here before any benchmark is run.
 
 The counters wrap module attributes from outside; nothing is added to the
-code under measurement.
+code under measurement, except one plain counter the data store keeps
+(``column_projections``), outside the query loop.
 """
 
 import json
@@ -25,6 +26,11 @@ from repro.consensus.node import BlockchainNode, make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
 from repro.contracts import library, vm
 from repro.p2p.transport import SimTransport
+from repro.query.parser import parse_query
+from repro.rpc.gateway import InprocGateway
+from repro.rpc.methods import build_site_registry
+from repro.rpc.server import RpcServer
+from repro.rpc.site_server import build_site
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 
@@ -340,3 +346,63 @@ def test_native_regions_per_library_function(monkeypatch):
         vm.compile_contract(getattr(library, source))
         measured.update({f"{source}.{name}": count for name, count in counts.items()})
     assert measured == PINNED["vm_regions"]
+
+
+#: The five query shapes of the E22 ``federated_query`` workload.
+E22_SHAPES = (
+    "how many patients have diabetes",
+    "prevalence of stroke among smokers",
+    "average systolic blood pressure for women over 50",
+    "histogram of bmi between 15 and 55 with 8 bins",
+    "how many women over 60 have hypertension",
+)
+
+
+def test_site_read_work_per_warm_query():
+    """Three data-only sites behind an in-process gateway, 20 queries of the
+    five shapes, then a ``tamper`` at one site and 20 more.  A site projects
+    each column it scans once per dataset content, and no more however many
+    queries read it; the ``tamper`` costs each of that dataset's columns one
+    projection, exactly.  A warm gateway plans from its cached catalog and
+    asks no site for it.  Structural, so compared ``==``."""
+    sites = {name: build_site(name, 3, 150, 2026) for name in ("hospital-0", "hospital-1", "hospital-2")}
+    servers = {name: RpcServer(build_site_registry(site), name=name) for name, site in sites.items()}
+    gateway = InprocGateway(servers)
+
+    def catalog_calls():
+        return sum(
+            server.metrics.counter("rpc_calls[site.catalog]", scope=name)
+            for name, server in servers.items()
+        )
+
+    def queries(count):
+        for index in range(count):
+            answer = gateway.execute(parse_query(E22_SHAPES[index % len(E22_SHAPES)]))
+            assert not answer.failed_sites
+
+    def projections():
+        return {
+            (name, key): count
+            for name, site in sites.items()
+            for key, count in site.store.column_projections.items()
+        }
+
+    try:
+        queries(1)
+        warm_from = catalog_calls()
+        queries(19)
+        cold = projections()
+        catalog_per_warm_query = (catalog_calls() - warm_from) / 19
+        store = sites["hospital-0"].store
+        store.tamper("emr-hospital-0", 0, "birth_year", 1940)
+        queries(20)
+        after = projections()
+    finally:
+        gateway.close()
+    tampered = {key: count - cold[key] for key, count in after.items() if key[0] == "hospital-0"}
+    assert PINNED["site_read"] == {
+        "column_projections_per_content_path_20_queries": max(cold.values()),
+        "extra_projections_per_path_after_a_tamper_low": min(tampered.values()),
+        "extra_projections_per_path_after_a_tamper_high": max(tampered.values()),
+        "gateway_catalog_calls_per_warm_query": catalog_per_warm_query,
+    }
