@@ -310,7 +310,7 @@ def tool_compare_groups(records: Records, params: Dict[str, Any]) -> Dict[str, A
     if not field_path or not group_field or len(group_values) != 2:
         raise OracleError("compare_groups requires field, group_field, 2 group_values")
     field = field_getter(field_path)
-    field_getter(group_field)
+    field_getter(group_field)  # a bad group_field raises here, as it always did
     table = as_table(records)
     selected = _selected(table, params)
     group = table.column(split_path(group_field))  # a record without one is skipped

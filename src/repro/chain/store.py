@@ -78,11 +78,7 @@ class ChainStore:
                 f"height {block.height} does not follow parent {parent.height}"
             )
         self._blocks[block_id] = block
-        # Longest chain wins; ties broken by lexicographically lowest hash.
-        head = self._head
-        if block.height < head.height or (
-            block.height == head.height and block_id > head.block_id
-        ):
+        if not self.would_win(block.height, block_id):
             return [], []
         # Walk down to the first block that is canonical at its height and
         # splice the new branch in above it.
@@ -97,6 +93,13 @@ class ChainStore:
         self.canonical_ids[fork:] = [b.block_id for b in joined]
         self._head = block
         return left, joined
+
+    def would_win(self, height: int, block_id: str) -> bool:
+        """Fork choice: a head at ``height`` with id ``block_id`` replaces
+        ours if it is longer, or level with an id no higher (the lowest id
+        breaks a tie)."""
+        head = self._head
+        return (height, head.block_id) >= (head.height, block_id)
 
     # -- chain walks ---------------------------------------------------------
     def ancestors(self, block: Block) -> Iterable[Block]:

@@ -1,9 +1,10 @@
 """Columnar view of canonical records: what a site tool scans.
 
-A :class:`Table` is a list of canonical records plus, per path asked for,
-a :class:`Column` projected once and kept: the path's values in record
-order and what the tools need to know about each (present or not, its
-kind, its float64 value if it is a plain number, ``bool(value)``).  The tools in
+A :class:`Table` is a list of canonical records plus, per path asked for
+that some record holds, a :class:`Column` projected once and kept: the
+path's values in record order and what the tools need to know about each
+(present or not, its kind, its float64 value if it is a plain number,
+``bool(value)``).  The tools in
 :mod:`repro.analytics.tools` evaluate filters and aggregates as array
 operations over these columns; a record the arrays cannot decide (a
 missing path, a value of the wrong type) is handed back to the tool's
@@ -127,56 +128,36 @@ class Column:
             kinds[at] = kind
         return cls(values, kinds, floats, truthy)
 
-    @classmethod
-    def concat(cls, columns: List["Column"]) -> "Column":
-        return cls(
-            *(
-                np.concatenate([getattr(column, name) for column in columns])
-                for name in cls.__slots__
-            )
-        )
-
 
 class Table(Sequence):
     """Canonical records in a fixed order, with columns projected on first use.
 
     It is a read-only sequence of the records, so a tool that loops over
-    records works on it unchanged.  ``on_projection(path)`` is told of every
-    column projected from the records (a store counts them).
+    records works on it unchanged.  A column is kept only if some record
+    holds its path, so the paths a client names cannot grow the table past
+    the records' own; ``on_projection(path)`` is told of every column kept
+    (a store counts them).
     """
 
     def __init__(
         self,
         records: List[Dict[str, Any]],
         on_projection: Optional[Callable[[Path], None]] = None,
-        *,
-        parts: Optional[List["Table"]] = None,
     ) -> None:
         self.records = records
         self._on_projection = on_projection
-        self._parts = parts
         self._columns: Dict[Path, Column] = {}
         self._lock = threading.Lock()
-
-    @classmethod
-    def concat(cls, tables: List["Table"]) -> "Table":
-        """The tables' records one after the other; a column of the result is
-        its parts' columns, concatenated."""
-        if len(tables) == 1:
-            return tables[0]
-        return cls([r for table in tables for r in table.records], parts=list(tables))
 
     def column(self, path: Path) -> Column:
         with self._lock:
             column = self._columns.get(path)
             if column is None:
-                if self._parts:
-                    column = Column.concat([part.column(path) for part in self._parts])
-                else:
-                    column = Column.project(self.records, path)
+                column = Column.project(self.records, path)
+                if column.present.any():
+                    self._columns[path] = column
                     if self._on_projection is not None:
                         self._on_projection(path)
-                self._columns[path] = column
             return column
 
     def rows(self, mask: np.ndarray) -> List[Dict[str, Any]]:

@@ -51,8 +51,8 @@ class HospitalDataStore:
         self._lock = threading.Lock()
         self._tables: Dict[str, Table] = {}
         self._catalog_version: Optional[str] = None
-        #: Columns projected from a dataset's records, per (dataset id, path):
-        #: one per content and path, however many queries read it.
+        #: Columns projected from a dataset's records and kept, per (dataset
+        #: id, path): one per content and path, however many queries read it.
         self.column_projections: Counter = Counter()
 
     # -- ingestion -----------------------------------------------------------
@@ -110,10 +110,14 @@ class HospitalDataStore:
     def table(self, dataset_ids: Sequence[str]) -> Table:
         """The datasets' canonical views, in the order given, as one table.
 
-        A table is read-only; its columns are projected on first use and
-        kept until the dataset next changes.
+        A table is read-only.  One dataset's table is the cached one: its
+        columns are projected on first use and kept until the dataset next
+        changes.  Several datasets make a new table, projected per call.
         """
-        return Table.concat([self._table(dataset_id) for dataset_id in dataset_ids])
+        tables = [self._table(dataset_id) for dataset_id in dataset_ids]
+        if len(tables) == 1:
+            return tables[0]
+        return Table([record for table in tables for record in table.records])
 
     def _table(self, dataset_id: str) -> Table:
         with self._lock:

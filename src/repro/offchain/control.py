@@ -185,15 +185,21 @@ class ControlNode:
     ) -> TaskResult:
         """Run one task end to end: policy check, integrity check, execute,
         anchor the result on chain, deliver the payload off chain."""
+        ids = list(dict.fromkeys(dataset_ids))  # each named dataset once
         records: List[Dict[str, Any]] = []
-        for dataset_id in dict.fromkeys(dataset_ids):  # each named dataset once
+        for dataset_id in ids:
             self._enforce_access(dataset_id, requester, purpose)
             dataset_records = self.host.get_records(dataset_id)
             if self.verify_integrity:
                 self._enforce_integrity(dataset_id, dataset_records)
             records.extend(dataset_records)
-        records = self._apply_consent(records, purpose)
-        result = self.runner.run(task_id, tool_id, records, params)
+        consented = self._apply_consent(records, purpose)
+        table = getattr(self.host, "table", None)
+        if consented is records and table is not None:
+            # Nobody opted out: the store's cached table holds the same
+            # records, with the columns earlier tasks projected.
+            consented = table(ids)
+        result = self.runner.run(task_id, tool_id, consented, params)
         self.node.metrics.add_flops(result.flops, scope=self.site)
         if self.compute_rate_flops:
             # Model local compute time: finish (post + deliver) after the

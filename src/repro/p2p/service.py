@@ -66,6 +66,7 @@ class P2PService:
             # draining of buffered children.
             ingest_block=node.receive_block,
             head_info=self._head_info,
+            would_win=node.store.would_win,
             on_complete=self._on_sync_complete,
             metrics=metrics,
             scope=scope,

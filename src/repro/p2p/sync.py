@@ -66,6 +66,7 @@ class ChainSync:
         has_block: Callable[[str], bool],
         ingest_block: Callable[[Any], None],
         head_info: Callable[[], Tuple[int, str]],
+        would_win: Callable[[int, str], bool],
         on_complete: Optional[Callable[[], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
         scope: str = "",
@@ -77,6 +78,7 @@ class ChainSync:
         self.has_block = has_block
         self.ingest_block = ingest_block
         self.head_info = head_info
+        self.would_win = would_win
         self.on_complete = on_complete
         self.metrics = metrics or MetricsRegistry()
         self.scope = scope or transport.local_addr
@@ -88,11 +90,9 @@ class ChainSync:
     # -- triggers ------------------------------------------------------------
     def maybe_sync(self, peer_addr: str, height: int, head_id: str) -> bool:
         """Start syncing from ``peer_addr`` if its head would win our fork
-        choice: it is higher, or level with a lower id (the store's tie-break).
-        A level fork nobody builds on (no txs left to propose) would
-        otherwise never heal."""
-        our_height, our_id = self.head_info()
-        if (height, our_id) <= (our_height, head_id) or self.has_block(head_id):
+        choice: higher, or level with a lower id.  A level fork nobody
+        builds on (no txs left to propose) would otherwise never heal."""
+        if self.has_block(head_id) or not self.would_win(height, head_id):
             return False
         if self.active:
             # One download pipeline at a time; the periodic ping exchange

@@ -177,6 +177,10 @@ class TestControlPath:
         )
         assert result.result["n"] == result.records_used
         assert len(checks) == 1
+        # Nobody opted out, so the tool read the store's cached table: its
+        # outcome column was projected once and kept.
+        projections = platform.sites["hospital-1"].store.column_projections
+        assert projections[("emr-hospital-1", ("outcomes", "stroke"))] == 1
 
     def test_task_denied_without_grant(self, platform):
         from repro.chain.transactions import make_call

@@ -69,3 +69,30 @@ def test_a_dataset_named_twice_is_counted_once():
     twice = site_query(site, SHAPES[0], ["emr-hospital-0", "emr-hospital-0"])
     assert twice["records_used"] == once["records_used"] == 200
     assert twice["result_hash"] == once["result_hash"]
+
+
+def test_made_up_paths_leave_no_columns_behind():
+    """A column is kept only for a path some record holds, so the filter
+    keys and fields a client names cannot grow a site's memory."""
+    site = build_site("hospital-0", 3, 200, 2026)
+    run_task = build_site_registry(site).get("site.run_task").handler
+    for text in SHAPES:
+        site_query(site, text)
+    table = site.store.table(["emr-hospital-0"])
+    kept, counted = dict(table._columns), dict(site.store.column_projections)
+    unknown = {f"made.up{index}": 1 for index in range(500)}
+    outcomes = {f"has_outcome_made_up{index}": 0 for index in range(500)}
+    assert run_task("t0", "count", params={"filters": outcomes})["result"]["count"] == 200
+    for tool_id, params in [
+        ("count", {"filters": unknown}),
+        ("numeric_summary", {"field": "made.up"}),
+        ("prevalence", {"outcome": "made_up"}),
+        ("compare_groups", {"field": "made.up", "group_field": "made.up", "group_values": [0, 1]}),
+    ]:
+        try:
+            run_task("t1", tool_id, params=params)
+        except Exception:  # a missing path raises, as the record loop did
+            pass
+    assert site.store.table(["emr-hospital-0"]) is table
+    assert dict(table._columns).keys() == kept.keys()
+    assert dict(site.store.column_projections) == counted
