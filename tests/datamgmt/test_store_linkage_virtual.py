@@ -16,6 +16,8 @@ from repro.datamgmt.virtual import DatasetRef, NumericSummary, VirtualCohort, ge
 
 
 def _site_query(store, text):
+    import asyncio
+
     from repro.analytics.tools import standard_registry
     from repro.offchain.tasks import TaskRunner
     from repro.query.parser import parse_query
@@ -23,7 +25,8 @@ def _site_query(store, text):
 
     service = SiteService(name="h0", store=store, runner=TaskRunner("h0", standard_registry()))
     handler = build_site_registry(service).get("site.query").handler
-    return handler(vector=vector_to_wire(parse_query(text)), dataset_ids=["ds"])["result"]
+    answer = asyncio.run(handler(vector=vector_to_wire(parse_query(text)), dataset_ids=["ds"]))
+    return answer["result"]
 
 
 def _stroke_prevalence(store):

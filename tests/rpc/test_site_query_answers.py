@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import asyncio
+import threading
 from typing import Any, Dict, List, Optional
 
 import pytest
 
+from repro.analytics.tools import STANDARD_TOOLS
+from repro.offchain.tasks import ToolRegistry, ToolSpec
 from repro.query.parser import parse_query
 from repro.rpc.methods import build_site_registry, vector_to_wire
 from repro.rpc.site_server import build_site
@@ -50,7 +54,7 @@ def site_query(site, text: str, dataset_ids: Optional[List[str]] = None) -> Dict
     """``site.query`` on a data-only site, through its method registry."""
     handler = build_site_registry(site).get("site.query").handler
     ids = dataset_ids if dataset_ids is not None else [f"emr-{site.name}"]
-    return handler(vector=vector_to_wire(parse_query(text)), dataset_ids=ids)
+    return asyncio.run(handler(vector=vector_to_wire(parse_query(text)), dataset_ids=ids))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -96,3 +100,28 @@ def test_made_up_paths_leave_no_columns_behind():
     assert site.store.table(["emr-hospital-0"]) is table
     assert dict(table._columns).keys() == kept.keys()
     assert dict(site.store.column_projections) == counted
+
+
+def test_aggregates_run_on_the_event_loop_and_model_fits_in_a_worker():
+    """A column scan is answered on the loop that received the query; a
+    model fit is handed to a worker thread so it cannot stall that loop."""
+    site = build_site("hospital-0", 3, 50, 2026)
+    threads: Dict[str, int] = {}
+    registry = ToolRegistry()
+    for spec in STANDARD_TOOLS:
+
+        def spy(records, params, spec=spec):
+            threads[spec.tool_id] = threading.get_ident()
+            return spec.fn(records, params)
+
+        registry.register(ToolSpec(spec.tool_id, spy, spec.description, spec.flops_per_record))
+    site.runner.registry = registry
+    handler = build_site_registry(site).get("site.query").handler
+
+    async def ask(text: str) -> int:
+        vector = vector_to_wire(parse_query(text))
+        await handler(vector=vector, dataset_ids=["emr-hospital-0"])
+        return threading.get_ident()
+
+    assert asyncio.run(ask(SHAPES[0])) == threads["count"]
+    assert asyncio.run(ask("train a stroke model")) != threads["local_train"]
