@@ -316,13 +316,7 @@ class P2PHost:
         self.registry = MethodRegistry()
         register_p2p_methods(self.registry, self._dispatch_p2p)
         self._register_control_methods()
-        # Inline handlers never wait: their "in flight" is the backlog read
-        # after a long turn (a block executing).  Shedding it at the default 64
-        # drops the pushes and refuses the fetches that came in meanwhile
-        # (DESIGN.md §11).
-        self.server = RpcServer(
-            self.registry, name=name, metrics=self.node.metrics, max_inflight=1024
-        )
+        self.server = RpcServer(self.registry, name=name, metrics=self.node.metrics)
         self.bound_addr: Optional[str] = None
         self._started = False
 

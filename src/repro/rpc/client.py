@@ -280,7 +280,9 @@ class ConnectionPool:
 
     async def _acquire(self) -> RpcClient:
         async with self._get_lock():
-            self._clients = [c for c in self._clients if not c.closed]
+            for client in [c for c in self._clients if c.closed]:
+                self._clients.remove(client)
+                await client.close()  # a dead reader still holds its socket
             if len(self._clients) < self.max_connections:
                 client = await RpcClient.connect(
                     self.host,

@@ -150,17 +150,17 @@ def build_site_registry(
     """The method registry for one site server (``registry``'s, if given)."""
     registry = registry if registry is not None else MethodRegistry()
 
-    def health() -> Dict[str, Any]:
+    async def health() -> Dict[str, Any]:
         return {
             "status": "ok",
             "site": service.name,
             "datasets": service.store.dataset_ids(),
         }
 
-    def rpc_methods() -> Dict[str, Any]:
+    async def rpc_methods() -> Dict[str, Any]:
         return {"methods": registry.names()}
 
-    def rpc_echo(payload: Any = None) -> Dict[str, Any]:
+    async def rpc_echo(payload: Any = None) -> Dict[str, Any]:
         return {"payload": payload}
 
     def site_catalog() -> Dict[str, Any]:

@@ -15,20 +15,24 @@ transport.  Three serving disciplines distinguish it from a toy dispatcher:
   in-flight requests drain up to ``drain_timeout_s``, cancels stragglers,
   and closes every connection — tests assert no lingering tasks or sockets.
 
-Sync handlers run via ``asyncio.to_thread`` so a CPU-heavy tool run does
-not stall the event loop; contextvars (ambient metrics, tracer overrides)
-propagate into the worker thread.  When the request envelope carries trace
-metadata, the handler executes inside an isolated span collector and the
-response ships those spans back for client-side re-parenting.
+A request is served in the callback that read its frame; only a handler
+that suspends continues on a task.  Sync handlers run via
+``asyncio.to_thread`` so a CPU-heavy tool run does not stall the event loop;
+contextvars (ambient metrics, tracer overrides) propagate into the worker
+thread.  When the request envelope carries trace metadata, the handler
+executes inside an isolated span collector and the response ships those
+spans back for client-side re-parenting.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import inspect
+import types
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Coroutine, Dict, List, Optional, Set, Tuple, Union
 
 from repro.obs.tracer import collect_spans, trace_span
 from repro.rpc import codec
@@ -37,7 +41,6 @@ from repro.rpc.errors import (
     InvalidParamsError,
     MethodNotFoundError,
     OverloadedError,
-    ParseError,
     RpcError,
     RpcTimeoutError,
     ShuttingDownError,
@@ -45,13 +48,14 @@ from repro.rpc.errors import (
 )
 from repro.rpc.framing import (
     DEFAULT_MAX_FRAME_BYTES,
+    FrameDecoder,
     FrameTooLargeError,
-    read_frame,
-    write_frame,
+    encode_frame,
 )
 from repro.sim.metrics import MetricsRegistry
 
 Handler = Callable[..., Any]
+Outcome = Union[Response, None, "asyncio.Task[Optional[Response]]"]
 
 
 @dataclass
@@ -97,12 +101,127 @@ class MethodRegistry:
         return sorted(self._methods)
 
 
-def _encode_responses(responses: List[Response]) -> bytes:
+def _encode_responses(responses: List[Response], was_batch: bool) -> bytes:
     """One frame payload: a lone response to a lone request goes out bare,
     the responses to a batch as an array (even when there is only one)."""
-    if len(responses) == 1 and not getattr(responses[0], "_from_batch", False):
+    if len(responses) == 1 and not was_batch:
         return codec.encode_payload(responses[0].to_wire())
     return codec.encode_payload([response.to_wire() for response in responses])
+
+
+@types.coroutine
+def _suspend(awaited: Any) -> Any:
+    """Suspend the running task on what a coroutine stepped outside it yielded."""
+    yield awaited
+
+
+async def _resume(context: contextvars.Context, coro: Coroutine, awaited: Any, timeout_s: float):
+    """Finish, as a task, a coroutine stepped once outside any task and
+    suspended on ``awaited``.  Each step runs in ``context``; the deadline,
+    armed here, wakes the task and reaches the coroutine as a TimeoutError."""
+    task = asyncio.current_task()
+    expired = False
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    timer = asyncio.get_running_loop().call_later(timeout_s, expire)
+    try:
+        while True:
+            error: Optional[BaseException] = None
+            try:
+                await _suspend(awaited)
+            except BaseException as exc:  # a cancellation: handed to the coroutine
+                error = exc
+            if expired:
+                error, expired = asyncio.TimeoutError(), False
+            try:
+                step = coro.send if error is None else coro.throw
+                awaited = context.run(step, error)
+            except StopIteration as stop:
+                return stop.value
+    finally:
+        timer.cancel()
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: each frame is served in the callback that read it."""
+
+    def __init__(self, server: "RpcServer"):
+        self.server = server
+        self.decoder = FrameDecoder(server.max_frame_bytes)
+        self.lost = asyncio.get_running_loop().create_future()
+        self.owed = 0  # frames read whose answer a suspended handler still owes
+        self.hung_up = False
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._connections.discard(self)
+        self.lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        # The peer stopped reading its answers: stop reading its requests.
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if not self.hung_up:
+            self.transport.resume_reading()
+
+    def eof_received(self) -> bool:
+        self._hang_up()
+        return True  # the write half stays open for the answers still owed
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            frames = self.decoder.feed(data)
+        except FrameTooLargeError as exc:
+            self._reply([codec.error_response(None, exc)], False)
+            self._hang_up()
+            return
+        for frame in frames:
+            outcomes, was_batch = self.server._open(frame)
+            tasks = [outcome for outcome in outcomes if isinstance(outcome, asyncio.Task)]
+            if tasks:
+                self._reply_when_done(outcomes, was_batch, tasks)
+            else:
+                self._reply(outcomes, was_batch)
+
+    def _hang_up(self) -> None:
+        """Read nothing more; close once every frame read is answered."""
+        self.hung_up = True
+        self.transport.pause_reading()
+        if not self.owed:
+            self.transport.close()
+
+    def _reply_when_done(self, outcomes: List[Outcome], was_batch: bool, tasks: list) -> None:
+        self.owed += 1
+        remaining = len(tasks)
+
+        def settle(_task: asyncio.Task) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if remaining:
+                return
+            self.owed -= 1
+            if not any(task.cancelled() for task in tasks):
+                results = [o.result() if isinstance(o, asyncio.Task) else o for o in outcomes]
+                self._reply(results, was_batch)
+            if self.hung_up and not self.owed:
+                self.transport.close()
+
+        for task in tasks:
+            task.add_done_callback(settle)
+
+    def _reply(self, outcomes: List[Outcome], was_batch: bool) -> None:
+        responses = [response for response in outcomes if response is not None]
+        if responses and not self.transport.is_closing():
+            payload = _encode_responses(responses, was_batch)
+            self.transport.write(encode_frame(payload, self.server.max_frame_bytes))
 
 
 class RpcServer:
@@ -129,17 +248,19 @@ class RpcServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._inflight = 0
         self._closing = False
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._idle = asyncio.Event()
-        self._idle.set()
+        self._connections: Set[_Connection] = set()
+        #: Requests whose handler suspended, on either transport: the only
+        #: ones that can be in flight when nothing else runs.
+        self._tasks: Set[asyncio.Task] = set()
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
         """Bind and accept; returns the bound (host, port)."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._server = await asyncio.start_server(self._on_connection, host, port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host, port
+        )
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
@@ -148,24 +269,21 @@ class RpcServer:
         self._closing = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        # Let in-flight requests finish inside the drain budget.
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=self.drain_timeout_s)
-        except asyncio.TimeoutError:
-            pass
-        for task in list(self._conn_tasks):
+        if self._tasks:  # let in-flight requests finish inside the drain budget
+            await asyncio.wait(self._tasks, timeout=self.drain_timeout_s)
+        for task in list(self._tasks):
             task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        for writer in list(self._writers):
-            writer.close()
-        for writer in list(self._writers):
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-        self._writers.clear()
+        if self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)
+        connections = list(self._connections)
+        for connection in connections:
+            connection.transport.close()
+        if connections:
+            await asyncio.wait([c.lost for c in connections], timeout=self.drain_timeout_s)
+        for connection in list(self._connections):
+            connection.transport.abort()  # a peer that never read its answers
+        if self._server is not None:
+            await self._server.wait_closed()
         self._server = None
 
     @property
@@ -174,71 +292,7 @@ class RpcServer:
 
     @property
     def connection_count(self) -> int:
-        return len(self._writers)
-
-    # -- connection handling ----------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        request_tasks: Set[asyncio.Task] = set()
-        try:
-            while not self._closing:
-                try:
-                    frame = await read_frame(reader, self.max_frame_bytes)
-                except FrameTooLargeError as exc:
-                    await self._send(writer, write_lock, [codec.error_response(None, exc)])
-                    break
-                except (ConnectionError, OSError):
-                    break
-                if frame is None:
-                    break
-                # Pipelining: each inbound frame dispatches concurrently so
-                # a slow method does not head-of-line-block the connection.
-                request_task = asyncio.create_task(
-                    self._serve_frame(frame, writer, write_lock)
-                )
-                request_tasks.add(request_task)
-                request_task.add_done_callback(request_tasks.discard)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if request_tasks:
-                await asyncio.gather(*request_tasks, return_exceptions=True)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, Exception):
-                pass  # tearing down regardless; nothing left to cancel
-
-    async def _serve_frame(
-        self,
-        frame: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        responses = await self.dispatch_frame(frame)
-        if responses:
-            await self._send(writer, write_lock, responses)
-
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        responses: List[Response],
-    ) -> None:
-        data = _encode_responses(responses)
-        try:
-            async with write_lock:
-                await write_frame(writer, data, self.max_frame_bytes)
-        except (ConnectionError, OSError):
-            pass
+        return len(self._connections)
 
     # -- dispatch (shared by TCP and in-process transports) ----------------
     async def dispatch_raw(self, data: bytes) -> Optional[bytes]:
@@ -249,69 +303,81 @@ class RpcServer:
         serialization behaviour.  Returns ``None`` when every request in the
         frame was a notification.
         """
-        responses = await self.dispatch_frame(data)
-        if not responses:
-            return None
-        return _encode_responses(responses)
+        responses, was_batch = await self.dispatch_frame(data)
+        return _encode_responses(responses, was_batch) if responses else None
 
-    async def dispatch_frame(self, data: bytes) -> List[Response]:
+    async def dispatch_frame(self, data: bytes) -> Tuple[List[Response], bool]:
+        """The responses to one frame payload, in request order, and whether
+        it was a batch; only the requests whose handler suspended are awaited."""
+        outcomes, was_batch = self._open(data)
+        responses = [await o if isinstance(o, asyncio.Task) else o for o in outcomes]
+        return [response for response in responses if response is not None], was_batch
+
+    def _open(self, data: bytes) -> Tuple[List[Outcome], bool]:
+        """Decode one frame payload and start each request in it, in order."""
         try:
-            payload = codec.decode_payload(data)
-        except ParseError as exc:
-            return [codec.error_response(None, exc)]
-        try:
-            requests, was_batch = codec.parse_batch(payload)
+            requests, was_batch = codec.parse_batch(codec.decode_payload(data))
         except RpcError as exc:
-            return [codec.error_response(None, exc)]
-        results = await asyncio.gather(
-            *(self._dispatch_object(obj) for obj in requests)
-        )
-        responses = [response for response in results if response is not None]
-        if was_batch:
-            for response in responses:
-                response._from_batch = True  # type: ignore[attr-defined]
-        return responses
+            return [codec.error_response(None, exc)], False
+        return [self._start(obj) for obj in requests], was_batch
 
-    async def _dispatch_object(self, obj: Any) -> Optional[Response]:
+    def _start(self, obj: Any) -> Outcome:
+        """Serve one request object up to its handler's first suspension.
+
+        Returns the response (``None`` for a notification) when the handler
+        finished without waiting, else the task that finishes it.
+        """
         try:
             request = codec.parse_request(obj)
         except RpcError as exc:
             request_id = obj.get("id") if isinstance(obj, dict) else None
             return codec.error_response(request_id, exc)
-        response = await self._dispatch_request(request)
-        if request.is_notification:
-            return None
-        return response
-
-    async def _dispatch_request(self, request: Request) -> Response:
-        request_id = None if request.is_notification else request.request_id
         if self._closing:
-            self._count_error(request.method, "shutting_down")
-            return codec.error_response(request_id, ShuttingDownError())
+            return self._refuse(request, "shutting_down", ShuttingDownError())
         if self._inflight >= self.max_inflight:
             # Backpressure: reject now, queue never.
-            self._count_error(request.method, "overloaded")
-            return codec.error_response(
-                request_id,
-                OverloadedError(data={"inflight": self._inflight,
-                                      "limit": self.max_inflight}),
+            return self._refuse(
+                request,
+                "overloaded",
+                OverloadedError(data={"inflight": self._inflight, "limit": self.max_inflight}),
             )
         self._inflight += 1
-        self._idle.clear()
-        started = perf_counter()
+        coro = self._answer(request, perf_counter())
+        context = contextvars.copy_context()
         try:
-            return await self._run_handler(request, request_id)
+            awaited = context.run(coro.send, None)
+        except StopIteration as stop:
+            return stop.value
+        # It suspended, so the method exists and its handler is running.
+        timeout_s = self.registry.get(request.method).timeout_s or self.default_timeout_s
+        task = asyncio.get_running_loop().create_task(
+            _resume(context, coro, awaited, timeout_s)
+        )
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
+
+    def _refuse(self, request: Request, kind: str, error: RpcError) -> Optional[Response]:
+        self._count_error(request.method, kind)
+        if request.is_notification:
+            return None
+        return codec.error_response(request.request_id, error)
+
+    async def _answer(self, request: Request, started: float) -> Optional[Response]:
+        """Run the handler; its response (``None`` for a notification)."""
+        try:
+            response = await self._run_handler(request)
         finally:
             self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
             elapsed = perf_counter() - started
             self.metrics.add(f"rpc_calls[{request.method}]", 1, scope=self.name)
             self.metrics.add(
                 f"rpc_latency_s[{request.method}]", elapsed, scope=self.name
             )
+        return None if request.is_notification else response
 
-    async def _run_handler(self, request: Request, request_id: Any) -> Response:
+    async def _run_handler(self, request: Request) -> Response:
+        request_id = None if request.is_notification else request.request_id
         try:
             spec = self.registry.get(request.method)
         except MethodNotFoundError as exc:
@@ -336,14 +402,10 @@ class RpcServer:
                     with trace_span(
                         "rpc.serve", method=request.method, server=self.name
                     ):
-                        result = await asyncio.wait_for(
-                            self._invoke(spec.handler, params), timeout_s
-                        )
+                        result = await self._invoke(spec.handler, params)
                 meta = {"spans": collector.export()} if collector.spans else {}
                 return Response(request_id=request_id, result=result, meta=meta)
-            result = await asyncio.wait_for(
-                self._invoke(spec.handler, params), timeout_s
-            )
+            result = await self._invoke(spec.handler, params)
             return Response(request_id=request_id, result=result)
         except asyncio.TimeoutError:
             self._count_error(request.method, "timeout")

@@ -8,9 +8,11 @@ more fails here before any benchmark is run.
 
 The counters wrap module attributes from outside; nothing is added to the
 code under measurement, except one plain counter the data store keeps
-(``column_projections``), outside the query loop.
+(``column_projections``), outside the query loop.  Tasks are counted by a
+task factory the test installs on the serving loop.
 """
 
+import asyncio
 import json
 import random
 import sys
@@ -25,10 +27,14 @@ from repro.common.signatures import KeyPair, PrivateKey, PublicKey
 from repro.consensus.node import BlockchainNode, make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
 from repro.contracts import library, vm
+from repro.p2p.gossip import KIND_TX
+from repro.p2p.host import P2PHost, build_world
 from repro.p2p.transport import SimTransport
+from repro.p2p.wire import tx_to_wire
 from repro.query.parser import parse_query
+from repro.rpc.client import RpcClient
 from repro.rpc.gateway import InprocGateway
-from repro.rpc.methods import build_site_registry
+from repro.rpc.methods import build_site_registry, vector_to_wire
 from repro.rpc.server import RpcServer
 from repro.rpc.site_server import build_site
 from repro.sim.kernel import Kernel
@@ -406,3 +412,68 @@ def test_site_read_work_per_warm_query():
         "extra_projections_per_path_after_a_tamper_high": max(tampered.values()),
         "gateway_catalog_calls_per_warm_query": catalog_per_warm_query,
     }
+
+
+def test_tasks_per_served_request():
+    """One validator that is also a site, served over TCP; tasks created on
+    its loop per request.  A handler that never waits is answered in the
+    read callback: no task for a ``p2p.push``, a ``ctl.submit_tx`` or a
+    ``site.query`` aggregate.  A model fit waits for its worker thread, so
+    it continues on one task."""
+    validators = ["v0"]
+    genesis, state, engine = build_world(validators, {"alice": 10**9}, block_interval_s=0.5)
+    host = P2PHost("v0", "127.0.0.1:0", genesis, state, engine)
+    build_site_registry(build_site("hospital-0", 3, 150, 2026), registry=host.registry)
+    created = []
+
+    def counting_factory(loop, coro, **kwargs):
+        created.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    alice = KeyPair.generate("alice")
+    txs = [make_transfer(alice, "opcounts-dest", 1, nonce=nonce) for nonce in range(32)]
+    vectors = [vector_to_wire(parse_query(text)) for text in E22_SHAPES]
+    fit = vector_to_wire(parse_query("train a stroke model"))
+
+    async def serve_and_count(client, calls, notifications=()):
+        before = len(created)
+        for method, params in notifications:
+            await client.notify(method, params)
+        for method, params in calls:
+            await client.call(method, params)
+        await client.call("ctl.status")  # answered inline, after the notifications
+        return (len(created) - before) / (len(calls) or len(notifications))
+
+    async def scenario(addr):
+        host_name, port = addr.rsplit(":", 1)
+        client = await RpcClient.connect(host_name, int(port))
+        try:
+            await client.call("ctl.status")  # the connection is accepted, on a task
+            host.pump.call(lambda: host.loop.loop.set_task_factory(counting_factory))
+            pushes = [
+                ("p2p.push", {"from": "", "kind": KIND_TX, "id": tx.tx_id,
+                              "bodies": [tx_to_wire(tx)], "to": []})
+                for tx in txs[:16]
+            ]
+            return {
+                "tasks_per_p2p_push": await serve_and_count(client, [], pushes),
+                "tasks_per_ctl_submit_tx": await serve_and_count(
+                    client, [("ctl.submit_tx", {"tx": tx_to_wire(tx)}) for tx in txs[16:]]
+                ),
+                "tasks_per_site_query_aggregate": await serve_and_count(
+                    client, [("site.query", {"vector": vectors[i % 5]}) for i in range(20)]
+                ),
+                "tasks_per_site_query_model_fit": await serve_and_count(
+                    client, [("site.query", {"vector": fit})] * 2
+                ),
+            }
+        finally:
+            await client.close()
+
+    addr = host.start()
+    try:
+        measured = asyncio.run(scenario(addr))
+        assert host.pump.call(lambda: len(host.node.mempool) + host.node.head.height) > 0
+    finally:
+        host.stop()
+    _assert_within_pins("rpc_serving", measured)

@@ -79,6 +79,7 @@ def site_nodes():
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
 
 
 async def _poll(call, predicate, timeout_s=15.0):
