@@ -8,13 +8,15 @@ signature, and the signature covers the hash.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Collection, Dict, Optional
 
 from repro.common.errors import CryptoError, ValidationError
 from repro.common.hashing import hash_value
+from repro.common.serialize import FLOAT_LEAVES
 from repro.common.signatures import KeyPair, PublicKey, Signature
 
 # Transaction kinds understood by the executor.
@@ -64,6 +66,8 @@ class VerifiedSignatures:
 # admission and the arrival of the block that carries it.
 _VERIFIED = VerifiedSignatures(2048)
 
+_SEQUENCES = frozenset({list, tuple})
+
 
 def _encodes_as_utf8(value: Any) -> bool:
     """Whether every string in ``value`` — keys included, at any depth —
@@ -77,12 +81,40 @@ def _encodes_as_utf8(value: Any) -> bool:
             return False
         return True
     if isinstance(value, dict):
+        keys, items = _leaves_encode_as_utf8(value.keys()), _leaves_encode_as_utf8(value.values())
+        if keys is not None and items is not None:
+            return keys and items
         return all(
             _encodes_as_utf8(key) and _encodes_as_utf8(item)
             for key, item in value.items()
         )
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= _SEQUENCES:  # rows: their items judged together
+            verdict = _leaves_encode_as_utf8(list(itertools.chain.from_iterable(value)))
+        else:
+            verdict = _leaves_encode_as_utf8(value)
+        if verdict is not None:
+            return verdict
         return all(map(_encodes_as_utf8, value))
+    return True
+
+
+def _leaves_encode_as_utf8(items: Collection[Any]) -> Optional[bool]:
+    """``_encodes_as_utf8`` of every item, or ``None`` unless all are leaves.
+
+    Only a ``str`` can fail, so the strings are joined and encoded once: a
+    surrogate stays one code point in the joined text.
+    """
+    types = set(map(type, items))
+    if not types <= FLOAT_LEAVES:
+        return None
+    if str not in types:
+        return True
+    strings = items if len(types) == 1 else [item for item in items if type(item) is str]
+    try:
+        "".join(strings).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
     return True
 
 

@@ -78,6 +78,7 @@ from types import CodeType, FunctionType
 from typing import Any, Callable, Container, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ContractError, OutOfGasError
+from repro.common.serialize import FLOAT_LEAVES
 from repro.contracts import gas as G
 from repro.obs.tracer import trace_span
 
@@ -113,6 +114,10 @@ def _check_value(value: Any) -> Any:
     return value
 
 
+#: A container of these types only is data without a call per item.
+_DATA_LEAVES = FLOAT_LEAVES | {bytes}
+_STR_KEYS = frozenset({str})
+
 #: Containers nested deeper than this are not data a contract may hand to the
 #: host or return; a list that contains itself is the limiting case.
 MAX_VALUE_DEPTH = 32
@@ -137,13 +142,14 @@ def _data_fault(value: Any, depth: int = 0, checked: Optional[set] = None) -> st
         return f"nested deeper than {MAX_VALUE_DEPTH}"
     items = value
     if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
+        if not (set(map(type, value)) <= _STR_KEYS or all(isinstance(key, str) for key in value)):
             return "dict keys must be str"
         items = value.values()
-    for item in items:
-        fault = _data_fault(item, depth + 1, checked)
-        if fault:
-            return fault
+    if not set(map(type, items)) <= _DATA_LEAVES:
+        for item in items:
+            fault = _data_fault(item, depth + 1, checked)
+            if fault:
+                return fault
     checked.add(id(value))
     return ""
 

@@ -155,7 +155,7 @@ class Gossip:
         }
         for addr in targets:
             self.seen.add(item_id, addr)
-            self.transport.notify(addr, "p2p.push", params)
+        self.transport.notify(targets, "p2p.push", params)
         self.metrics.add("p2p_push_sent", len(targets), scope=self.scope)
 
     def announce(self, kind: str, item_id: str) -> int:
@@ -176,7 +176,7 @@ class Gossip:
         params = {"from": self.transport.local_addr, "kind": kind, "ids": ids}
         if holders:
             params["holders"] = list(holders)
-        self.transport.notify(addr, "p2p.announce", params)
+        self.transport.notify([addr], "p2p.announce", params)
 
     # -- inbound -------------------------------------------------------------
     def handle_announce(self, params: Dict[str, Any]) -> None:

@@ -6,11 +6,11 @@ clock on the host's asyncio loop — the same loop that owns the sockets.
 ``request`` is therefore always called on that loop: it starts the pool
 call as a task there and the task's done-callback completes straight into
 the engine (as a pump turn), so engine callbacks never race and nothing
-crosses a thread.  ``notify`` starts a pool notification the same way and
-completes into nothing: no response frame, future or timer exists for it.
-Timers are real: the pump advances the kernel clock with wall time, so the
-same ``schedule``-based ping/backoff/timeout logic that runs in simulation
-runs here unchanged.
+crosses a thread.  ``notify`` encodes its frame once and starts one pool
+send of those bytes per peer the same way, completing into nothing: no
+response frame, future or timer exists for it.  Timers are real: the pump
+advances the kernel clock with wall time, so the same ``schedule``-based
+ping/backoff/timeout logic that runs in simulation runs here unchanged.
 
 Retries are owned by the engine (redial backoff, fetch retry and failover),
 so the pools are built with a single-attempt policy — stacking the RPC
@@ -20,10 +20,11 @@ layer's own retries underneath would double every engine retry.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Sequence, Set
 
 from repro.p2p.transport import DispatchFn, ErrorCallback, P2PError, PeerUnreachable, ResultCallback
 from repro.rpc.client import ConnectionPool, RetryPolicy
+from repro.rpc.codec import notification_frame
 from repro.rpc.errors import RpcError
 
 
@@ -89,12 +90,14 @@ class RpcTransport:
 
         task.add_done_callback(done)
 
-    def notify(self, peer: str, method: str, params: Dict[str, Any]) -> None:
+    def notify(self, peers: Sequence[str], method: str, params: Dict[str, Any]) -> None:
         if self._closed:
             return
-        task = self.pump.loop.create_task(self._pool(peer).notify(method, params))
-        self._inflight.add(task)
-        task.add_done_callback(self._notified)
+        frame = notification_frame(method, params)  # one encode, however many peers
+        for peer in peers:
+            task = self.pump.loop.create_task(self._pool(peer).send_frame(frame))
+            self._inflight.add(task)
+            task.add_done_callback(self._notified)
 
     def _notified(self, task: asyncio.Task) -> None:
         self._inflight.discard(task)

@@ -12,7 +12,7 @@ callbacks fire on the same execution context that issued them.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, Optional, Protocol, Sequence, Tuple
 
 from repro.common.errors import SimulationError
 from repro.p2p.wire import payload_size
@@ -56,8 +56,9 @@ class Transport(Protocol):
         timeout_s: float = 5.0,
     ) -> None: ...
 
-    def notify(self, peer: str, method: str, params: Dict[str, Any]) -> None:
-        """Fire-and-forget: ``peer`` dispatches it and sends no reply."""
+    def notify(self, peers: Sequence[str], method: str, params: Dict[str, Any]) -> None:
+        """Fire-and-forget, the same message to each of ``peers``: each
+        dispatches it and sends no reply."""
 
     def close(self) -> None: ...
 
@@ -136,19 +137,21 @@ class SimTransport:
             handle.cancel()
             self._fail_soon(on_error, PeerUnreachable(f"{peer} is not reachable"))
 
-    def notify(self, peer: str, method: str, params: Dict[str, Any]) -> None:
+    def notify(self, peers: Sequence[str], method: str, params: Dict[str, Any]) -> None:
         if self._closed:
             return
-        try:
-            self.network.send(
-                self.local_addr,
-                peer,
-                self.KIND_REQUEST,
-                {"method": method, "params": params},
-                size_bytes=payload_size(params),
-            )
-        except SimulationError:
-            pass  # the peer is gone, and a notification has nobody to fail to
+        size_bytes = payload_size(params)
+        for peer in peers:
+            try:
+                self.network.send(
+                    self.local_addr,
+                    peer,
+                    self.KIND_REQUEST,
+                    {"method": method, "params": params},
+                    size_bytes=size_bytes,
+                )
+            except SimulationError:
+                pass  # the peer is gone, and a notification has nobody to fail to
 
     def _fail_soon(self, on_error: Optional[ErrorCallback], error: Exception) -> None:
         """Deliver a failure asynchronously so callers never re-enter."""

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chain.blocks import Block, BlockHeader
 from repro.chain.transactions import Transaction
-from repro.common.errors import ValidationError
+from repro.common.errors import SerializationError, ValidationError
 from repro.common.serialize import canonical_bytes, decode_hex_fields, to_jsonable
 
 
@@ -35,10 +35,16 @@ def tx_to_wire(tx: Transaction) -> Dict[str, Any]:
 
 
 def tx_from_wire(wire: Any) -> Transaction:
+    """The transaction ``wire`` carries, its signing digest already taken.
+
+    JSON admits what no transaction holds (``Infinity`` for a nonce, a float
+    in the payload); every such body raises :class:`ValidationError` here,
+    so ``tx_id`` cannot fail on a decoded transaction.
+    """
     if not isinstance(wire, dict):
         raise ValidationError("wire transaction must be an object")
     try:
-        return Transaction(
+        tx = Transaction(
             sender=wire["sender"],
             nonce=int(wire["nonce"]),
             kind=wire["kind"],
@@ -50,8 +56,10 @@ def tx_from_wire(wire: Any) -> Transaction:
             public_key=_bytes_field(wire["public_key"], "public_key"),
             signature=_bytes_field(wire["signature"], "signature"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        tx.signing_digest()
+    except (KeyError, TypeError, ValueError, OverflowError, SerializationError) as exc:
         raise ValidationError(f"malformed wire transaction: {exc}") from exc
+    return tx
 
 
 def header_to_wire(header: BlockHeader, block_id: Optional[str] = None) -> Dict[str, Any]:

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import Span, current_span_id, current_tracer, trace_span
 from repro.rpc import codec
-from repro.rpc.codec import NO_ID, Request, Response
+from repro.rpc.codec import Request, Response
 from repro.rpc.errors import (
     OverloadedError,
     RpcError,
@@ -191,7 +191,15 @@ class RpcClient:
 
     async def notify(self, method: str, params: Optional[Dict[str, Any]] = None) -> None:
         """Fire-and-forget notification (no id, no response)."""
-        await self._send(Request(method=method, params=params, request_id=NO_ID).to_wire())
+        await self.send_frame(codec.notification_frame(method, params))
+
+    async def send_frame(self, data: bytes) -> None:
+        """Write one frame of payload bytes already encoded (by
+        :mod:`repro.rpc.codec`); several connections may send the same bytes."""
+        if self._closed:
+            raise ConnectionError("client is closed")
+        async with self._write_lock:
+            await write_frame(self._writer, data, self.max_frame_bytes)
 
     # -- plumbing ----------------------------------------------------------
     def _register(self, request_id: Any) -> asyncio.Future:
@@ -200,11 +208,7 @@ class RpcClient:
         return future
 
     async def _send(self, payload: Any) -> None:
-        if self._closed:
-            raise ConnectionError("client is closed")
-        data = codec.encode_payload(payload)
-        async with self._write_lock:
-            await write_frame(self._writer, data, self.max_frame_bytes)
+        await self.send_frame(codec.encode_payload(payload))
 
     async def _read_loop(self) -> None:
         error: Optional[BaseException] = None
@@ -329,10 +333,11 @@ class ConnectionPool:
         assert last_error is not None
         raise last_error
 
-    async def notify(self, method: str, params: Optional[Dict[str, Any]] = None) -> None:
-        """One notification on a pooled connection: no reply, so no retry."""
+    async def send_frame(self, data: bytes) -> None:
+        """One pre-encoded notification frame on a pooled connection: no
+        reply, so no retry."""
         client = await self._acquire()
-        await client.notify(method, params)
+        await client.send_frame(data)
 
     async def call_batch(
         self,

@@ -89,6 +89,11 @@ def encode_payload(obj: Any) -> bytes:
     return canonical_bytes(obj)
 
 
+def notification_frame(method: str, params: Optional[Dict[str, Any]] = None) -> bytes:
+    """The payload bytes of one notification (no id, so no reply)."""
+    return encode_payload(Request(method=method, params=params, request_id=NO_ID).to_wire())
+
+
 def decode_payload(data: bytes) -> Any:
     """Parse raw frame bytes; malformed JSON becomes a typed parse error."""
     try:

@@ -76,8 +76,7 @@ def inject(network, targets, kind, item):
         return {"kind": kind, "bodies": [body]}
 
     mallory.dispatch = serve
-    for target in targets:
-        mallory.notify(target, "p2p.announce", {"from": "mallory", "kind": kind, "ids": [item_id]})
+    mallory.notify(targets, "p2p.announce", {"from": "mallory", "kind": kind, "ids": [item_id]})
 
 
 class TestConvergence:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.chain.blocks import build_block, make_genesis
@@ -11,7 +13,7 @@ from repro.consensus.pos import ProofOfStake
 from repro.consensus.simchain import SimChain
 from repro.p2p.config import P2PConfig
 from repro.p2p.gossip import KIND_BLOCK, KIND_TX, Gossip, SeenCache
-from repro.p2p.transport import PeerUnreachable
+from repro.p2p.transport import PeerUnreachable, SimTransport
 from repro.p2p.wire import compact_block_to_wire, tx_to_wire
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import LinkSpec
@@ -48,8 +50,8 @@ class _StubTransport:
     def request(self, addr, method, params, **_callbacks):
         self.requests.append((addr, method, params["ids"]))
 
-    def notify(self, addr, method, params):
-        self.notifications.append((addr, method, params["ids"]))
+    def notify(self, peers, method, params):
+        self.notifications.extend((addr, method, params["ids"]) for addr in peers)
 
 
 class _StubPeers:
@@ -163,6 +165,10 @@ def _malformed_pushes():
         "bodies not a list": dict(_push(KIND_TX, tx.tx_id, []), bodies=wire),
         "tx body is another tx": _push(KIND_TX, tx.tx_id, [tx_to_wire(other)]),
         "tx body undecodable": _push(KIND_TX, tx.tx_id, [{"sender": 1}]),
+        "tx nonce not finite": _push(KIND_TX, tx.tx_id, [dict(wire, nonce=math.inf)]),
+        "float in the tx payload": _push(
+            KIND_TX, tx.tx_id, [dict(wire, payload=dict(wire["payload"], amount=1.5))]
+        ),
         "header is another block": _push(
             KIND_BLOCK, block.block_id, [compact_block_to_wire(sibling)]
         ),
@@ -192,6 +198,20 @@ def test_a_malformed_push_is_counted_and_delivers_nothing(shape):
     gossip.handle_push(params)
     assert metrics.counter_total("p2p_invalid_bodies") == 1
     assert delivered == [] and len(gossip.seen) == 0 and gossip._in_flight == {}
+
+
+def test_a_pushed_tx_with_an_infinite_nonce_or_a_float_counts_as_invalid(p2p_world):
+    """Over the sim transport, into a running node: a push whose body has
+    ``Infinity`` for its nonce or a float in its payload counts one invalid
+    body each, and nothing is pooled."""
+    tx = make_transfer(p2p_world.alice, "sink", 1, nonce=0)
+    wire = tx_to_wire(tx)
+    pusher = SimTransport(p2p_world.network, "pusher")
+    for body in (dict(wire, nonce=math.inf), dict(wire, payload=dict(wire["payload"], amount=1.5))):
+        pusher.notify(["n1"], "p2p.push", _push(KIND_TX, tx.tx_id, [body], to=[], sender="pusher"))
+    p2p_world.kernel.run(until=p2p_world.kernel.now + 1.0)
+    assert p2p_world.metrics.counter("p2p_invalid_bodies", scope="n1") == 2
+    assert all(len(node.mempool) == 0 for node in p2p_world.nodes.values())
 
 
 def test_an_unsolicited_push_cannot_grow_a_seen_cache_entry():

@@ -7,6 +7,7 @@ deterministic — assertions poll with deadlines.
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -18,7 +19,8 @@ from repro.p2p.config import P2PConfig
 from repro.p2p.host import P2PHost
 from repro.p2p.host import build_world
 from repro.p2p.wire import tx_to_wire
-from repro.rpc.client import ConnectionPool
+from repro.p2p.rpc_transport import split_addr
+from repro.rpc.client import ConnectionPool, RpcClient
 from repro.rpc.runtime import EventLoopThread
 
 BASE_PORT = 9461
@@ -150,6 +152,31 @@ def test_validators_converge_over_tcp(tcp_net):
         assert host["p2p_fetch_retries"] >= 0
         turns = [host[f"pump_turn_ms_{stat}"] for stat in ("p50", "p99", "max")]
         assert 0 <= turns[0] <= turns[1] <= turns[2]
+
+
+def test_a_pushed_tx_with_an_infinite_nonce_or_a_float_counts_as_invalid(tcp_net):
+    """Over TCP: ``Infinity`` as a pushed tx's nonce and a float in its
+    payload arrive as JSON numbers; each push counts one invalid body."""
+    host, addr = tcp_net["hosts"][1], tcp_net["addrs"][1]
+    wire = tx_to_wire(make_transfer(tcp_net["alice"], "sink", 1, nonce=10**6))
+    bodies = [dict(wire, nonce=math.inf), dict(wire, payload=dict(wire["payload"], amount=1.5))]
+
+    def invalid_bodies():
+        return host.pump.call(lambda: host.node.metrics.counter_total("p2p_invalid_bodies"))
+
+    async def push_all():
+        client = await RpcClient.connect(*split_addr(addr))
+        try:
+            for body in bodies:
+                push = {"from": "", "kind": "tx", "id": "00" * 32, "bodies": [body], "to": []}
+                await client.notify("p2p.push", push)
+            await client.call("ctl.status")  # served after the pushes, on one connection
+        finally:
+            await client.close()
+
+    before = invalid_bodies()
+    tcp_net["client"].loop.run(push_all(), timeout_s=10.0)
+    assert invalid_bodies() - before == 2
 
 
 def test_fresh_node_joins_mid_chain_and_crash_rejoins(tcp_net):

@@ -16,22 +16,28 @@ import asyncio
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 from repro.chain import state as state_mod
 from repro.chain.blocks import Block, make_genesis
 from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
+from repro.common import serialize
 from repro.common import signatures as sigs
+from repro.common.clock import WallClock
 from repro.common.signatures import KeyPair, PrivateKey, PublicKey
 from repro.consensus.node import BlockchainNode, make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
 from repro.contracts import library, vm
+from repro.p2p.config import P2PConfig
 from repro.p2p.gossip import KIND_TX
 from repro.p2p.host import P2PHost, build_world
+from repro.p2p.rpc_transport import RpcTransport
 from repro.p2p.transport import SimTransport
 from repro.p2p.wire import tx_to_wire
 from repro.query.parser import parse_query
+from repro.rpc import codec
 from repro.rpc.client import RpcClient
 from repro.rpc.gateway import InprocGateway
 from repro.rpc.methods import build_site_registry, vector_to_wire
@@ -41,6 +47,8 @@ from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 
 PINNED = json.loads((Path(__file__).parent / "opcounts.json").read_text())
+#: Loopback ports of the TCP validators below (tests bind 9441-9490).
+TCP_BASE_PORT = 9471
 
 
 def _assert_within_pins(section, measured):
@@ -137,7 +145,7 @@ def test_point_operations_per_comb_build(monkeypatch):
 NAMES = ["v0", "v1", "v2"]
 
 
-def _three_validators():
+def _three_validators(block_interval_s=0.5):
     """The fixed network: three PoA validators in one process on the sim, 16
     transfers from 4 senders, and 500 bystander accounts in the genesis."""
     senders = [KeyPair.generate(f"opcounts-sender-{i}") for i in range(4)]
@@ -149,7 +157,7 @@ def _three_validators():
     for i in range(500):  # bystanders, so that the trie has paths to copy
         state.credit(f"opcounts-holder-{i}", 1)
     engine = ProofOfAuthority(
-        NAMES, {name: KeyPair.generate(name) for name in NAMES}, block_interval_s=0.5
+        NAMES, {name: KeyPair.generate(name) for name in NAMES}, block_interval_s=block_interval_s
     )
     nodes = make_network_nodes(
         kernel, network, NAMES, make_genesis(state.state_root()), state, lambda: engine
@@ -477,3 +485,100 @@ def test_tasks_per_served_request():
     finally:
         host.stop()
     _assert_within_pins("rpc_serving", measured)
+
+
+def test_serialization_work_per_admitted_tx(monkeypatch):
+    """Canonical encodes (``serialize.canonical_json``, which ``canonical_bytes``
+    and every hash of a value go through) per admitted tx, over the sim with
+    no block due: on the validator a tx is submitted to, its signing digest
+    and one size of the push for both peers; on a follower, the digest of the
+    body it decoded.  Then over TCP, ``codec.encode_payload`` calls for
+    ``p2p.push`` frames per fan-out to two peers: one, its bytes written to
+    both."""
+    kernel, network, nodes, txs = _three_validators(block_interval_s=3600.0)
+    for node in nodes.values():
+        node.start()
+    kernel.run(until=1.0)  # hellos answered; the first ping is >= 2.5 s away
+    encodes = []
+    canonical_json = serialize.canonical_json
+    monkeypatch.setattr(
+        serialize, "canonical_json", lambda *args: encodes.append(1) or canonical_json(*args)
+    )
+    origin = follower = 0
+    for tx in txs:
+        del encodes[:]
+        assert nodes["v0"].submit_tx(tx)
+        origin += len(encodes)
+        del encodes[:]
+
+        def pooled(tx=tx):
+            return all(tx.tx_id in node.mempool for node in nodes.values())
+
+        kernel.run(until=kernel.now + 1.0, stop_when=pooled)
+        assert pooled()
+        follower += len(encodes)
+    for node in nodes.values():
+        node.stop()
+    monkeypatch.undo()
+
+    measured = {
+        "canonical_encodes_per_admitted_tx_origin": origin / len(txs),
+        "canonical_encodes_per_admitted_tx_follower": follower / (2 * len(txs)),
+        "push_frame_encodes_per_fanout": _push_frame_encodes_per_fanout(monkeypatch),
+    }
+    _assert_within_pins("serialization", measured)
+
+
+def _push_frame_encodes_per_fanout(monkeypatch):
+    """Three validators over loopback TCP at fanout 2, 8 transfers submitted
+    to ``v0``: push frames encoded per ``p2p.push`` fan-out (txs and blocks)."""
+    world = build_world(NAMES, {"alice": 10**9}, block_interval_s=0.5)
+    clock = WallClock()
+    addrs = [f"127.0.0.1:{TCP_BASE_PORT + i}" for i in range(len(NAMES))]
+    hosts = [
+        P2PHost(
+            name, addrs[i], *world,
+            p2p_config=P2PConfig(seeds=[a for a in addrs if a != addrs[i]], fanout=2),
+            seed=i, time_source=clock.now,
+        )
+        for i, name in enumerate(NAMES)
+    ]
+    frames, fanouts = [], []  # appended to from every host's loop thread
+    encode_payload, notify = codec.encode_payload, RpcTransport.notify
+
+    def counted_encode(payload):
+        if isinstance(payload, dict) and payload.get("method") == "p2p.push":
+            frames.append(1)
+        return encode_payload(payload)
+
+    def counted_notify(transport, peers, method, params):
+        if method == "p2p.push":
+            fanouts.append(len(peers))
+        return notify(transport, peers, method, params)
+
+    def on_host(host, fn):
+        return host.pump.call(lambda: fn(host.node))
+
+    alice = KeyPair.generate("alice")
+    txs = [make_transfer(alice, "opcounts-dest", 1, nonce=nonce) for nonce in range(8)]
+    for host in hosts:
+        host.start()
+    try:
+        deadline = time.monotonic() + 15.0
+        while not all(len(on_host(host, lambda node: node.p2p.peers.connected())) == 2
+                      for host in hosts):
+            assert time.monotonic() < deadline, "validators never interconnected"
+            time.sleep(0.05)
+        monkeypatch.setattr(codec, "encode_payload", counted_encode)
+        monkeypatch.setattr(RpcTransport, "notify", counted_notify)
+        for tx in txs:
+            assert on_host(hosts[0], lambda node, tx=tx: node.submit_tx(tx))
+        deadline = time.monotonic() + 30.0
+        while not all(on_host(host, lambda node: node.receipt(txs[-1].tx_id)) for host in hosts):
+            assert time.monotonic() < deadline, "the transfers never committed everywhere"
+            time.sleep(0.05)
+    finally:
+        for host in hosts:
+            host.stop()
+    assert fanouts and set(fanouts) == {2}, fanouts
+    return len(frames) / len(fanouts)

@@ -13,6 +13,7 @@ branch on codes alone.
 from __future__ import annotations
 
 import asyncio
+import math
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.p2p.wire import tx_to_wire
 from repro.rpc import codec
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import (
+    INVALID_TX,
     OVERLOADED,
     RATE_LIMITED,
     STALE_NONCE,
@@ -249,6 +251,27 @@ def test_tx_missing_a_signed_field_is_invalid_tx(transport, alice):
         assert len(node.mempool) == 0
 
     run_conformance(transport, scenario)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_an_infinite_nonce_or_a_float_in_the_payload_is_invalid_tx(transport, alice):
+    """``Infinity`` as the nonce (``int()`` overflows) and a float in the
+    payload (the signing digest refuses it) are malformed bodies, not
+    server faults: the decoder says so, before the node sees the tx."""
+
+    async def scenario(call, node):
+        wire = tx_to_wire(_paid(alice, 0, fee=1))
+        malformed = {
+            "nonce": dict(wire, nonce=math.inf),
+            "payload": dict(wire, payload=dict(wire["payload"], amount=1.5)),
+        }
+        for field, tx in malformed.items():
+            with pytest.raises(RpcError) as err:
+                await call("ctl.submit_tx", {"tx": tx})
+            assert err.value.code == INVALID_TX, field
+        assert len(node.mempool) == 0
+
+    run_conformance(transport, scenario, node_factory=_real_node)
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
