@@ -106,6 +106,13 @@ def default_disease_models() -> Dict[str, DiseaseModel]:
     }
 
 
+def clip_scalar(value, low, high):
+    """``value`` bounded to ``[low, high]``: ``np.clip`` on one scalar, without
+    the array round trip.  Returns ``value``, ``low`` or ``high`` itself (a
+    NaN passes through, as it does ``np.clip``); callers convert the result."""
+    return low if value < low else high if value > high else value
+
+
 def latent_factors(base: Dict[str, float]) -> Dict[str, float]:
     """Shared nonlinear latent risk factors.
 
@@ -180,7 +187,13 @@ class CohortGenerator:
 
     # -- patient generation --------------------------------------------------
     def generate_patient(self, profile: SiteProfile) -> Dict[str, Any]:
-        """One canonical record drawn from a site's population."""
+        """One canonical record drawn from a site's population.
+
+        The features are derived once: only ``diabetic`` differs between
+        the outcomes, and the latent factors do not read it.  Every draw
+        keeps its place in the stream, so a seed gives the same records as
+        ever (``tests/datamgmt/test_cohort_oracle.py``).
+        """
         self._counter += 1
         rng = self.rng
         record = empty_record()
@@ -190,52 +203,46 @@ class CohortGenerator:
             ("medchain-salt:" + national_id).encode()
         )[:32]
         record["birth_year"] = int(
-            np.clip(
-                rng.normal(profile.mean_birth_year, profile.birth_year_sd), 1920, 2000
-            )
+            clip_scalar(rng.normal(profile.mean_birth_year, profile.birth_year_sd), 1920, 2000)
         )
         record["sex"] = "F" if rng.random() < 0.52 else "M"
         record["zip3"] = profile.zip3
         record["site"] = profile.name
         record["vitals"] = {
-            "sbp": float(np.clip(rng.normal(128, 18), 90, 220)),
-            "dbp": float(np.clip(rng.normal(80, 11), 50, 130)),
-            "bmi": float(np.clip(rng.normal(profile.mean_bmi, 4.5), 15, 55)),
-            "heart_rate": float(np.clip(rng.normal(72, 10), 40, 140)),
+            "sbp": float(clip_scalar(rng.normal(128, 18), 90, 220)),
+            "dbp": float(clip_scalar(rng.normal(80, 11), 50, 130)),
+            "bmi": float(clip_scalar(rng.normal(profile.mean_bmi, 4.5), 15, 55)),
+            "heart_rate": float(clip_scalar(rng.normal(72, 10), 40, 140)),
         }
         record["labs"] = {
-            "glucose": float(np.clip(rng.normal(104, 22), 60, 350)),
-            "ldl": float(np.clip(rng.normal(118, 30), 40, 250)),
-            "hdl": float(np.clip(rng.normal(52, 13), 20, 110)),
-            "hba1c": float(np.clip(rng.normal(5.7, 0.9), 4.0, 13.0)),
-            "creatinine": float(np.clip(rng.normal(0.95, 0.25), 0.4, 4.0)),
+            "glucose": float(clip_scalar(rng.normal(104, 22), 60, 350)),
+            "ldl": float(clip_scalar(rng.normal(118, 30), 40, 250)),
+            "hdl": float(clip_scalar(rng.normal(52, 13), 20, 110)),
+            "hba1c": float(clip_scalar(rng.normal(5.7, 0.9), 4.0, 13.0)),
+            "creatinine": float(clip_scalar(rng.normal(0.95, 0.25), 0.4, 4.0)),
         }
         record["lifestyle"] = {
             "smoker": int(rng.random() < profile.smoking_rate),
-            "alcohol_units_week": float(np.clip(rng.gamma(2.0, 2.0), 0, 40)),
-            "exercise_hours_week": float(np.clip(rng.gamma(2.0, 1.2), 0, 20)),
+            "alcohol_units_week": float(clip_scalar(rng.gamma(2.0, 2.0), 0, 40)),
+            "exercise_hours_week": float(clip_scalar(rng.gamma(2.0, 1.2), 0, 20)),
         }
+        frequencies = self.variant_frequencies
+        shift = profile.variant_freq_shift
         record["genomics"] = {
             rsid: int(
                 rng.binomial(
-                    2,
-                    float(
-                        np.clip(
-                            self.variant_frequencies.get(rsid, 0.2)
-                            + profile.variant_freq_shift,
-                            0.01,
-                            0.95,
-                        )
-                    ),
+                    2, float(clip_scalar(frequencies.get(rsid, 0.2) + shift, 0.01, 0.95))
                 )
             )
             for rsid in VARIANT_PANEL
         }
         # Outcomes are sampled in dependency order (diabetes feeds stroke).
         record["outcomes"] = {}
+        features = self._derive_features(record)
         for outcome in ("diabetes", "stroke", "cancer"):
             model = self.models[outcome]
-            probability = model.probability(self._derive_features(record))
+            features["diabetic"] = float(record["outcomes"].get("diabetes", 0))
+            probability = model.probability(features)
             record["outcomes"][outcome] = int(rng.random() < probability)
         if record["outcomes"]["diabetes"]:
             record["diagnoses"].append("E11.9")

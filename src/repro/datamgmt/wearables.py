@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Sequence
 import numpy as np
 
 from repro.common.errors import DataFormatError
+from repro.datamgmt.cohort import clip_scalar
 from repro.datamgmt.virtual import NumericSummary
 
 
@@ -95,8 +96,8 @@ class WearableGenerator:
             weekend = day % 7 in (5, 6)
             step_mean = base_steps * (1.15 if weekend else 1.0)
             steps.append(int(max(0, rng.normal(step_mean, step_mean * 0.25))))
-            resting_hr.append(float(np.clip(rng.normal(base_hr, 2.5), 38, 130)))
-            sleep_hours.append(float(np.clip(rng.normal(base_sleep, 0.8), 3, 12)))
+            resting_hr.append(float(clip_scalar(rng.normal(base_hr, 2.5), 38, 130)))
+            sleep_hours.append(float(clip_scalar(rng.normal(base_sleep, 0.8), 3, 12)))
         series = WearableSeries(
             patient_id=record["patient_id"],
             days=days,

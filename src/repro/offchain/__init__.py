@@ -1,47 +1,7 @@
-"""Off-chain layer: control nodes, monitor/oracle, task running, anchoring."""
+"""Off-chain layer: control nodes, monitor/oracle, task running, anchoring.
 
-from repro.offchain.anchoring import (
-    DatasetAnchor,
-    record_leaf,
-    require_dataset_integrity,
-    verify_dataset,
-    verify_record_proof,
-)
-from repro.offchain.control import (
-    ControlNode,
-    DatasetHost,
-    NonceTracker,
-    PlatformContracts,
-)
-from repro.offchain.oracle import DataOracle, MonitorNode, RpcCallRecord
-from repro.offchain.tasks import (
-    TaskRequest,
-    TaskResult,
-    TaskRunner,
-    ToolRegistry,
-    ToolSpec,
-    batch_flops,
-    run_many_across_sites,
-)
-
-__all__ = [
-    "ControlNode",
-    "DataOracle",
-    "DatasetAnchor",
-    "DatasetHost",
-    "MonitorNode",
-    "NonceTracker",
-    "PlatformContracts",
-    "RpcCallRecord",
-    "TaskRequest",
-    "TaskResult",
-    "TaskRunner",
-    "batch_flops",
-    "run_many_across_sites",
-    "ToolRegistry",
-    "ToolSpec",
-    "record_leaf",
-    "require_dataset_integrity",
-    "verify_dataset",
-    "verify_record_proof",
-]
+Import from the submodules (``repro.offchain.tasks``, ``.control``,
+``.oracle``, ``.anchoring``).  The package itself loads nothing, so a
+data-only site server, which needs ``tasks`` alone, does not pull in the
+chain stack that ``control`` and ``oracle`` sit on.
+"""

@@ -2,16 +2,17 @@
 
 The TCP story needs *separate processes* to agree on the data: the
 gateway process boots the platform and each site server process builds
-its own site, both from :func:`demo_cohorts` over the same seed, so a site
-server holds exactly the records the in-process platform does — with no
-shared memory and nothing copied between processes.  The same builders
+its own site, both from one seeded stream of records (:func:`demo_cohorts`,
+and :func:`demo_site_records` for one site of it), so a site server holds
+exactly the records the in-process platform does — with no shared memory
+and nothing copied between processes.  The same builders
 back the in-process transport, which is what makes the E15 tcp-vs-inproc
 hash equivalence check meaningful.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
 
 from repro.common.signatures import KeyPair
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
@@ -25,13 +26,36 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 2026
 
 
+def _demo_stream(
+    site_count: int, records_per_site: int, seed: int
+) -> Iterator[Tuple[str, List[Dict[str, Any]]]]:
+    """``(site, records)`` in site order, drawn lazily from one generator:
+    a site's records depend on every draw before them."""
+    generator = CohortGenerator(seed=seed)
+    for profile in default_site_profiles(site_count):
+        yield profile.name, generator.generate_cohort(profile, records_per_site)
+
+
 def demo_cohorts(
     site_count: int, records_per_site: int, seed: int
 ) -> Dict[str, List[Dict[str, Any]]]:
     """Each demo site's records, ``emr-<site>``'s content: a pure function."""
-    return CohortGenerator(seed=seed).generate_multi_site(
-        default_site_profiles(site_count), records_per_site
-    )
+    return dict(_demo_stream(site_count, records_per_site, seed))
+
+
+def demo_site_records(
+    site: str, site_count: int, records_per_site: int, seed: int
+) -> List[Dict[str, Any]]:
+    """``demo_cohorts(site_count, records_per_site, seed)[site]``, drawing
+    the stream only up to ``site`` and keeping no other site's records.
+
+    An unknown ``site`` raises ``ValueError`` before anything is drawn.
+    """
+    names = [profile.name for profile in default_site_profiles(site_count)]
+    if site not in names:
+        raise ValueError(f"unknown site {site!r}; have {sorted(names)}")
+    stream = _demo_stream(site_count, records_per_site, seed)
+    return next(records for name, records in stream if name == site)
 
 
 def build_demo_network(

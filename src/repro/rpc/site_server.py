@@ -4,10 +4,11 @@
         --sites 3 --records 120 --seed 2026 --port 0
 
 The process builds the named site's data plane and nothing else: a
-``HospitalDataStore`` holding ``emr-<site>`` (the records of
+``HospitalDataStore`` holding ``emr-<site>`` (the site's records of
 :func:`repro.rpc.demo.demo_cohorts`, so the in-process demo network holds
-the same data), a ``TaskRunner`` over the standard tools and a
-``ChunkStore``.  It serves the site's method surface on the given address
+the same data, drawn only as far as this site), a ``TaskRunner`` over the
+standard tools and a ``ChunkStore``.  Without ``--validators`` it loads no
+chain code.  It serves the site's method surface on the given address
 and prints one machine-readable line to stdout once bound::
 
     LISTENING 127.0.0.1 43571
@@ -49,7 +50,7 @@ from repro.common.signatures import KeyPair
 from repro.da.store import ChunkStore
 from repro.datamgmt.store import HospitalDataStore
 from repro.offchain.tasks import TaskRunner
-from repro.rpc.demo import DEFAULT_SEED, demo_cohorts
+from repro.rpc.demo import DEFAULT_SEED, demo_site_records
 from repro.rpc.methods import SiteService, build_site_registry
 from repro.rpc.server import RpcServer
 
@@ -85,13 +86,12 @@ def build_site(
     site: str, site_count: int, records_per_site: int, seed: int
 ) -> SiteService:
     """One demo site's data plane, holding what the platform's copy holds."""
-    cohorts = demo_cohorts(site_count, records_per_site, seed)
-    if site not in cohorts:
-        raise SystemExit(f"unknown site {site!r}; have {sorted(cohorts)}")
+    try:
+        records = demo_site_records(site, site_count, records_per_site, seed)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     store = HospitalDataStore(site)
-    store.add_canonical(
-        f"emr-{site}", cohorts[site], owner=KeyPair.generate(site).address
-    )
+    store.add_canonical(f"emr-{site}", records, owner=KeyPair.generate(site).address)
     return SiteService(
         name=site,
         store=store,

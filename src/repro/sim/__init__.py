@@ -1,19 +1,7 @@
-"""Discrete-event simulation substrate: kernel, network, metrics."""
+"""Discrete-event simulation substrate: kernel, network, metrics.
 
-from repro.sim.kernel import EventHandle, Kernel, Process, run_to_completion
-from repro.sim.metrics import EnergyModel, Histogram, MetricsRegistry, Stopwatch
-from repro.sim.network import LinkSpec, Message, Network
-
-__all__ = [
-    "EnergyModel",
-    "EventHandle",
-    "Histogram",
-    "Kernel",
-    "LinkSpec",
-    "Message",
-    "MetricsRegistry",
-    "Network",
-    "Process",
-    "Stopwatch",
-    "run_to_completion",
-]
+Import from the submodules (``repro.sim.kernel``, ``.network``,
+``.metrics``).  The package itself loads nothing, so a process that only
+records into a ``MetricsRegistry`` (a data-only site server) does not load
+the simulation kernel and network.
+"""

@@ -1,4 +1,5 @@
-"""What a validator process loads: the chain side, not the data plane.
+"""What a validator process loads: the chain side, not the data plane; and
+what a data-only site server loads: the data plane, not the chain side.
 
 ``repro.p2p.host`` is everything E22's validator processes import.  The data plane (analytics, data
 management, query, off-chain control, numpy) costs ~0.2 s of start-up and
@@ -8,6 +9,11 @@ analyser (``repro.analysis``, ~55 ms of start-up): the VM prices its native
 regions itself, so running a contract must not import it, and a site
 server, which builds one site's data and never deploys a contract, does not
 load it either.
+
+The other way round, a site server without ``--validators`` serves data and
+runs no chain: it loads no consensus, chain, contract, p2p or simulation
+code (~0.15 s of start-up).  Of ``repro.sim`` it holds only the metrics
+registry every layer records into.
 """
 
 import os
@@ -17,6 +23,7 @@ from pathlib import Path
 
 import repro
 
+CHAIN_SIDE = {"consensus", "chain", "contracts", "p2p", "sim"}
 DATA_PLANE = {"analytics", "datamgmt", "offchain", "parallel", "query", "core", "learning", "analysis"}
 
 
@@ -62,3 +69,17 @@ def test_a_site_server_boot_does_not_import_the_analyser():
     )
     assert "repro.rpc.site_server" in listing
     assert not [name for name in listing if name.startswith("repro.analysis")]
+
+
+def test_a_data_only_site_boot_does_not_import_the_chain_side():
+    listing = _modules_after(
+        "from repro.rpc.site_server import build_site\n"
+        "site = build_site('hospital-1', 3, 20, 2026)\n"
+        "assert site.store.record_count('emr-hospital-1') == 20"
+    )
+    assert "repro.rpc.site_server" in listing
+    loaded = {
+        name for name in listing
+        if name.startswith("repro.") and name.split(".")[1] in CHAIN_SIDE
+    }
+    assert loaded <= {"repro.sim", "repro.sim.metrics"}, sorted(loaded)

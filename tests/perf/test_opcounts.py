@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy
+
 from repro.chain import state as state_mod
 from repro.chain.blocks import Block, make_genesis
 from repro.chain.state import StateDB
@@ -30,6 +32,7 @@ from repro.common.signatures import KeyPair, PrivateKey, PublicKey
 from repro.consensus.node import BlockchainNode, make_network_nodes
 from repro.consensus.poa import ProofOfAuthority
 from repro.contracts import library, vm
+from repro.datamgmt.cohort import CohortGenerator
 from repro.p2p.config import P2PConfig
 from repro.p2p.gossip import KIND_TX
 from repro.p2p.host import P2PHost, build_world
@@ -420,6 +423,37 @@ def test_site_read_work_per_warm_query():
         "extra_projections_per_path_after_a_tamper_high": max(tampered.values()),
         "gateway_catalog_calls_per_warm_query": catalog_per_warm_query,
     }
+
+
+def test_cohort_work_per_site_boot(monkeypatch):
+    """Booting each site of a 3-site demo network: patients drawn per record
+    held (site k draws the stream up to its own records, (k+1) per record);
+    ``_derive_features`` and ``numpy.clip`` calls per patient drawn."""
+    records = 40
+    calls = {"generate_patient": 0, "_derive_features": 0, "clip": 0}
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(CohortGenerator, "generate_patient", "generate_patient")
+    counting(CohortGenerator, "_derive_features", "_derive_features")
+    counting(numpy, "clip", "clip")
+    measured = {}
+    for index in range(3):
+        calls.update(dict.fromkeys(calls, 0))
+        site = build_site(f"hospital-{index}", 3, records, 2026)
+        assert site.store.record_count(f"emr-hospital-{index}") == records
+        measured[f"patients_drawn_per_record_site_{index}"] = calls["generate_patient"] / records
+    patients = calls["generate_patient"]
+    measured["derive_features_calls_per_patient"] = calls["_derive_features"] / patients
+    measured["numpy_clip_calls_per_patient"] = calls["clip"] / patients
+    _assert_within_pins("cohort", measured)
 
 
 def test_tasks_per_served_request():
