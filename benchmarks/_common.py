@@ -16,10 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import select
+import subprocess
+import sys
+import time
 from datetime import datetime, timezone
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -116,3 +121,68 @@ def human_bytes(count: float) -> str:
             return f"{count:.1f}{unit}"
         count /= 1024
     return f"{count:.1f}TB"
+
+
+# -- site server process fleet ------------------------------------------------
+def start_site_fleet(
+    sites: Sequence[str],
+    site_count: int,
+    records: int,
+    seed: int,
+    boot_timeout_s: float = 60.0,
+) -> Tuple[List[subprocess.Popen], Dict[str, Tuple[str, int]]]:
+    """One ``repro.rpc.site_server`` process per name in ``sites``, all of
+    the demo network of ``site_count`` sites; returns ``(procs, {site:
+    (host, port)})``.
+
+    Raises ``RuntimeError`` if a site exits or does not print ``LISTENING``
+    within ``boot_timeout_s`` of the launch, after stopping every process
+    it spawned.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    procs: List[subprocess.Popen] = []
+    try:
+        for site in sites:
+            procs.append(
+                subprocess.Popen(
+                    [
+                        sys.executable, "-m", "repro.rpc.site_server",
+                        "--site", site,
+                        "--sites", str(site_count),
+                        "--records", str(records),
+                        "--seed", str(seed),
+                    ],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    env=env,
+                    text=True,
+                )
+            )
+        deadline = time.monotonic() + boot_timeout_s
+        addrs = {}
+        for site, proc in zip(sites, procs):
+            wait_s = max(0.0, deadline - time.monotonic())
+            ready, _, _ = select.select([proc.stdout], [], [], wait_s)
+            line = proc.stdout.readline().strip() if ready else ""
+            if not line.startswith("LISTENING"):
+                raise RuntimeError(f"site server {site} failed to boot: {line!r}")
+            _, host, port = line.split()
+            addrs[site] = (host, int(port))
+    except BaseException:
+        stop_site_fleet(procs)
+        raise
+    return procs, addrs
+
+
+def stop_site_fleet(procs: Sequence[subprocess.Popen]) -> None:
+    """Close each site's stdin (it drains and exits); kill what lingers."""
+    for proc in procs:
+        proc.stdin.close()
+    for proc in procs:
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()

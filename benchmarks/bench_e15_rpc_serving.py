@@ -26,16 +26,21 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
-import subprocess
 import sys
 from collections import Counter
 from time import perf_counter
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table, human_bytes
+from _common import (
+    SRC,
+    emit,
+    emit_json,
+    format_table,
+    human_bytes,
+    start_site_fleet,
+    stop_site_fleet,
+)
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(REPO_ROOT, "src")
 sys.path.insert(0, SRC)
 
 from repro.obs.tracer import Tracer, tracer_override, trace_span
@@ -62,50 +67,6 @@ FAST_RECORDS = 60
 FAST_PAYLOAD_BYTES = (64, 4096)
 FAST_CONCURRENCY = (1, 8)
 FAST_REQUESTS = 60
-
-
-# -- site server process fleet ------------------------------------------------
-def start_site_fleet(site_count, records, seed):
-    """One OS process per site; returns (procs, {site: (host, port)})."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    procs = []
-    for index in range(site_count):
-        procs.append(
-            subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro.rpc.site_server",
-                    "--site", f"hospital-{index}",
-                    "--sites", str(site_count),
-                    "--records", str(records),
-                    "--seed", str(seed),
-                ],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                env=env,
-                text=True,
-            )
-        )
-    addrs = {}
-    for index, proc in enumerate(procs):
-        line = proc.stdout.readline().strip()
-        if not line.startswith("LISTENING"):
-            raise RuntimeError(f"site server {index} failed to boot: {line!r}")
-        _, host, port = line.split()
-        addrs[f"hospital-{index}"] = (host, int(port))
-    return procs, addrs
-
-
-def stop_site_fleet(procs):
-    for proc in procs:
-        if proc.stdin:
-            proc.stdin.close()  # EOF -> graceful drain and exit
-    for proc in procs:
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.terminate()
-            proc.wait(timeout=10)
 
 
 # -- phase 1+3: equivalence under tracing -------------------------------------
@@ -260,7 +221,8 @@ def main(argv=None):
     concurrency_levels = FAST_CONCURRENCY if args.fast else CONCURRENCY
     requests = FAST_REQUESTS if args.fast else REQUESTS_PER_COMBO
 
-    procs, addrs = start_site_fleet(site_count, records, SEED)
+    sites = [f"hospital-{index}" for index in range(site_count)]
+    procs, addrs = start_site_fleet(sites, site_count, records, SEED)
     try:
         equiv_rows, trace_stats, rpc_calls = run_equivalence(addrs, site_count, records)
         load_rows = run_load(

@@ -11,41 +11,38 @@ every site runs the ``local_train`` analytic on its shard (with a simulated
 compute rate so analytics take simulated time).  Reported: makespan,
 speedup vs one site, parallel efficiency, and the coordination floor.
 
-``--wallclock`` switches from simulated to *measured* time: the same
-sharded corpus is fanned out through ``run_many_across_sites`` under the
-serial, thread, and process executor backends, a CPU-bound genomic risk
-scan runs at every site, and the script asserts that all backends commit
-bit-identical result hashes (the regression gate CI enforces via
-``BENCH_e4.json``).  A >= 2x speedup at 4 workers is additionally gated
-when the host actually exposes >= 4 cores.
+``--wallclock`` switches from simulated to *measured* time on the
+architecture's own parallel computer, the site processes: ``--workers`` W
+``repro.rpc.site_server`` processes boot as one demo network of W sites,
+and for S in 1, 2, 4 (at most W) the same MLP ``local_train`` task runs on
+the first S sites at once through a ``TcpGateway``; right after, the
+serial reference runs the same tasks one after another in this process
+over the records each site holds.  The script asserts that every site's result hash is
+bit-identical across every S and to the reference (the regression gate CI
+enforces via ``BENCH_e4.json``).  A >= 2x speedup at 4 sites is
+additionally gated when the host actually exposes >= W cores.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
+import os
 import sys
+from time import perf_counter
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, emit_json, format_table
+from _common import emit, emit_json, format_table, start_site_fleet, stop_site_fleet
 
 from repro import obs
 from repro.common.signatures import KeyPair
 from repro.core.platform import MedicalBlockchainNetwork, PlatformConfig
 from repro.core.queryservice import GlobalQueryService
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
-from repro.offchain.tasks import (
-    TaskRequest,
-    TaskResult,
-    TaskRunner,
-    ToolRegistry,
-    ToolSpec,
-    batch_flops,
-    run_many_across_sites,
-)
-from repro.parallel import available_workers, make_executor
 from repro.query.vector import QueryVector
-from repro.sim.metrics import MetricsRegistry
+from repro.rpc.gateway import TcpGateway
+from repro.rpc.site_server import build_site
 
 TOTAL_RECORDS = 480
 SITE_COUNTS = (1, 2, 4, 8)
@@ -114,136 +111,125 @@ def test_e4_parallel_speedup(benchmark):
 
 # -- wall-clock mode ---------------------------------------------------------
 
-WALLCLOCK_BACKENDS = ("serial", "thread", "process")
-SCAN_FLOPS_PER_RECORD = 1e5
+WALLCLOCK_SEED = 2026
+WALLCLOCK_SITE_COUNTS = (1, 2, 4)
 
 
-def genomic_risk_scan(records, params):
-    """CPU-bound analytic: a pure-Python per-record iterative risk scan.
-
-    Deliberately GIL-bound (no NumPy) so the thread backend shows no gain
-    and the process backend shows real-core speedup.  Deterministic LCG
-    arithmetic only — no ``hash()`` — so results are identical across
-    worker processes regardless of ``PYTHONHASHSEED``.
-    """
-    iters = int(params.get("iters", 20000))
-    checksum = 0
-    risk_total = 0.0
-    for rec in records:
-        x = (int(rec["seed"]) * 2654435761 + 97) & 0x7FFFFFFF
-        for __ in range(iters):
-            x = (x * 1103515245 + 12345) & 0x7FFFFFFF
-        checksum = (checksum ^ x) & 0x7FFFFFFF
-        risk_total += (x % 1000) / 1000.0
-    return {
-        "records": len(records),
-        "checksum": checksum,
-        "mean_risk": round(risk_total / max(1, len(records)), 6),
-    }
+def train_params(epochs):
+    """The ``local_train`` task every site runs: one MLP, fixed seed."""
+    return {"model": "mlp", "outcome": "stroke", "epochs": epochs, "lr": 0.1,
+            "batch_size": 32, "seed": 7}
 
 
-def _make_wallclock_sites(workers, records_per_site):
-    registry = ToolRegistry()
-    registry.register(
-        ToolSpec(
-            "genomic_risk_scan",
-            genomic_risk_scan,
-            description="iterative per-record risk scan (CPU-bound)",
-            flops_per_record=SCAN_FLOPS_PER_RECORD,
-        )
-    )
-    runners = {}
-    site_requests = []
-    for index in range(workers):
-        site = f"site-{index}"
-        runners[site] = TaskRunner(site, registry)
-        shard = [
-            {"id": f"p{index}-{row}", "seed": index * 100003 + row * 31 + 7}
-            for row in range(records_per_site)
-        ]
-        site_requests.append(
-            (
-                site,
-                TaskRequest(
-                    task_id=f"scan-{index}",
-                    tool_id="genomic_risk_scan",
-                    records=shard,
-                    params={"iters": None},  # filled by run_wallclock
-                ),
+def run_serially(services, epochs):
+    """Run the task over each site's records in this process, one after
+    another; returns ``(seconds, [hash])``.  Only the tool calls are timed."""
+    seconds, hashes = 0.0, []
+    for service in services:
+        records = service.store.table(service.store.dataset_ids())
+        started = perf_counter()
+        result = service.runner.run(f"e4-{service.name}", "local_train",
+                                    records, train_params(epochs))
+        seconds += perf_counter() - started
+        hashes.append(result.result_hash)
+    return seconds, hashes
+
+
+async def measure(addrs, services, site_counts, epochs):
+    """Warm every site process; then, for each S, run the task on the first
+    S site processes at once and, right after, serially in this process over
+    the same sites' records, so a change in the host's speed does not fall
+    between the two.  Returns ``{S: (serial s, concurrent s, [site hash or
+    error], [in-process hash])}``."""
+    gateway = TcpGateway(addrs, max_connections_per_site=1,
+                         request_timeout_s=300.0)
+    sites = [service.name for service in services]
+    rows = {}
+    try:
+        for site in sites:
+            await gateway.acall(site, "rpc.echo", {"payload": "warm"})
+            await gateway.acall(site, "site.run_task", {
+                "task_id": "warmup", "tool_id": "local_train",
+                "params": train_params(1)})
+        for count in site_counts:
+            started = perf_counter()
+            replies = await asyncio.gather(
+                *(gateway.acall(site, "site.run_task", {
+                    "task_id": f"e4-{site}", "tool_id": "local_train",
+                    "params": train_params(epochs)})
+                  for site in sites[:count]),
+                return_exceptions=True,
             )
-        )
-    return runners, site_requests
+            wall = perf_counter() - started
+            hashes = [
+                f"FAILED: {reply!r}" if isinstance(reply, BaseException)
+                else reply["result_hash"]
+                for reply in replies
+            ]
+            serial, reference = await asyncio.to_thread(
+                run_serially, services[:count], epochs)
+            rows[count] = (serial, wall, hashes, reference)
+    finally:
+        await gateway.aclose()
+    return rows
 
 
-def run_wallclock(workers=4, records_per_site=60, iters=50000,
+def run_wallclock(workers=4, records_per_site=480, epochs=1200,
                   require_speedup=None):
-    """Measure real serial/thread/process times on identical shards.
+    """Measure serial in-process time against concurrent site processes.
 
-    Hard gate: every backend must commit bit-identical result hashes.
-    Optional gate: process speedup >= ``require_speedup``, enforced only
-    when the host exposes at least ``workers`` usable cores (a 1-core CI
-    box cannot physically show parallel speedup).
+    Hard gate: every site's result hash must be equal across every S and
+    equal to the in-process run's.  Optional gate: the speed-up at the
+    largest S >= ``require_speedup``, enforced only when the host exposes
+    at least ``workers`` usable cores (a 1-core CI box cannot physically
+    show parallel speedup).
     """
-    runners, site_requests = _make_wallclock_sites(workers, records_per_site)
-    site_requests = [
-        (site, TaskRequest(req.task_id, req.tool_id, req.records, {"iters": iters}))
-        for site, req in site_requests
-    ]
-    metrics = MetricsRegistry()
-    hashes = {}
-    timings = {}
-    failures = {}
-    for backend in WALLCLOCK_BACKENDS:
-        executor = make_executor(backend, max_workers=workers)
-        with executor:
-            # Warm the pool so process spin-up is not billed to the workload.
-            warm = [(site_requests[0][0], TaskRequest("warmup", "genomic_risk_scan",
-                                                      [], {"iters": 1}))]
-            run_many_across_sites(runners, warm, executor)
-            with metrics.wallclock(f"e4_{backend}"):
-                outcomes = run_many_across_sites(runners, site_requests, executor)
-        bad = [o for o in outcomes if not isinstance(o, TaskResult)]
-        failures[backend] = [str(b) for b in bad]
-        hashes[backend] = [
-            o.result_hash if isinstance(o, TaskResult) else "FAILED" for o in outcomes
-        ]
-        timings[backend] = metrics.wallclock_total(f"e4_{backend}")
-        if backend == "serial":
-            flops = batch_flops(outcomes)
+    sites = [f"hospital-{index}" for index in range(workers)]
+    site_counts = sorted({min(count, workers) for count in WALLCLOCK_SITE_COUNTS})
+    largest = site_counts[-1]
+    services = [build_site(site, workers, records_per_site, WALLCLOCK_SEED)
+                for site in sites[:largest]]
+    procs, addrs = start_site_fleet(sites, workers, records_per_site,
+                                    WALLCLOCK_SEED)
+    try:
+        rows = asyncio.run(measure(addrs, services, site_counts, epochs))
+    finally:
+        stop_site_fleet(procs)
+    reference = rows[largest][3]
+    serial = {c: rows[c][0] for c in site_counts}
+    walls = {c: rows[c][1] for c in site_counts}
+    speedup = {c: serial[c] / walls[c] for c in site_counts}
     equivalence = {
-        backend: hashes[backend] == hashes["serial"] and not failures[backend]
-        for backend in WALLCLOCK_BACKENDS
+        c: rows[c][2] == rows[c][3] == reference[:c] for c in site_counts
     }
-    equivalent = all(equivalence.values())
-    cores = available_workers()
-    speedup = {
-        backend: (timings["serial"] / timings[backend]) if timings[backend] else 0.0
-        for backend in WALLCLOCK_BACKENDS
-    }
+    cores = len(os.sched_getaffinity(0))
     payload = {
         "available_cores": cores,
-        "timings_s": timings,
-        "speedup": speedup,
-        "equivalence": equivalence,
-        "equivalent": equivalent,
-        "failures": failures,
-        "flops_per_backend_run": flops,
-        "result_hashes": hashes["serial"],
+        "site_counts": site_counts,
+        "serial_s": {str(c): serial[c] for c in site_counts},
+        "concurrent_s": {str(c): walls[c] for c in site_counts},
+        "speedup": {str(c): speedup[c] for c in site_counts},
+        "equivalence": {str(c): equivalence[c] for c in site_counts},
+        "equivalent": all(equivalence.values()),
+        "reference_hashes": reference,
+        "result_hashes": {str(c): rows[c][2] for c in site_counts},
         "speedup_gate": {
+            "sites": largest,
             "required": require_speedup,
             "enforced": bool(require_speedup) and cores >= workers,
             "passed": (
-                speedup["process"] >= require_speedup if require_speedup else None
+                speedup[largest] >= require_speedup if require_speedup else None
             ),
         },
     }
     table = format_table(
-        f"E4 (wall-clock): {workers} sites x {records_per_site} records, "
-        f"{iters} iters/record, {cores} core(s) visible",
-        ["backend", "wall s", "speedup", "hashes equal serial"],
+        f"E4 (wall-clock): local_train (mlp, {epochs} epochs) on S of "
+        f"{workers} site processes x {records_per_site} records, "
+        f"{cores} core(s) visible",
+        ["sites", "serial s", "concurrent s", "speedup", "hashes equal"],
         [
-            [b, timings[b], speedup[b], equivalence[b]]
-            for b in WALLCLOCK_BACKENDS
+            [c, serial[c], walls[c], speedup[c], equivalence[c]]
+            for c in site_counts
         ],
     )
     emit("e4_wallclock", table)
@@ -253,7 +239,8 @@ def run_wallclock(workers=4, records_per_site=60, iters=50000,
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--wallclock", action="store_true",
-                        help="measure real serial/thread/process times")
+                        help="measure serial in-process time against "
+                             "concurrent site server processes")
     parser.add_argument("--fast", action="store_true",
                         help="small CI-smoke workload (equivalence gate only)")
     parser.add_argument("--workers", type=int, default=4)
@@ -265,7 +252,7 @@ def main(argv=None):
                              "trace to PATH (inspect with "
                              "python -m repro.obs.summary)")
     parser.add_argument("--require-speedup", type=float, default=None,
-                        help="fail unless process speedup meets this "
+                        help="fail unless the speedup at 4 sites meets this "
                              "(only enforced when enough cores are visible; "
                              "default 2.0 in non-fast wallclock mode)")
     args = parser.parse_args(argv)
@@ -285,35 +272,36 @@ def main(argv=None):
     require = args.require_speedup
     if require is None and not args.fast and args.workers >= 2:
         require = 2.0
-    records_per_site = 10 if args.fast else 60
-    iters = 3000 if args.fast else 50000
+    records_per_site = 60 if args.fast else 480
+    epochs = 20 if args.fast else 1200
     payload = run_wallclock(workers=args.workers,
                             records_per_site=records_per_site,
-                            iters=iters, require_speedup=require)
+                            epochs=epochs, require_speedup=require)
     emit_json(args.json, "e4_parallel_speedup",
               {"mode": "wallclock", "workers": args.workers,
-               "records_per_site": records_per_site, "iters": iters,
-               "fast": args.fast},
+               "records_per_site": records_per_site, "epochs": epochs,
+               "seed": WALLCLOCK_SEED, "fast": args.fast},
               payload)
     if tracer is not None:
         count = obs.write_trace_jsonl(tracer, args.trace)
         print(f"wrote {count} spans to {args.trace}")
     if not payload["equivalent"]:
-        print("FAIL: backends disagree on result hashes", file=sys.stderr)
-        print(json.dumps(payload["equivalence"], indent=2), file=sys.stderr)
+        print("FAIL: site processes disagree with the in-process result "
+              "hashes", file=sys.stderr)
+        print(json.dumps(payload["result_hashes"], indent=2), file=sys.stderr)
         return 1
     gate = payload["speedup_gate"]
+    speedup = payload["speedup"][str(gate["sites"])]
     if gate["enforced"] and not gate["passed"]:
         print(
-            f"FAIL: process speedup {payload['speedup']['process']:.2f}x "
+            f"FAIL: speedup {speedup:.2f}x at {gate['sites']} sites "
             f"< required {gate['required']}x with "
             f"{payload['available_cores']} cores",
             file=sys.stderr,
         )
         return 1
-    summary = ("equivalence OK; process speedup "
-               f"{payload['speedup']['process']:.2f}x on "
-               f"{payload['available_cores']} core(s)")
+    summary = (f"equivalence OK; speedup {speedup:.2f}x at {gate['sites']} "
+               f"sites on {payload['available_cores']} core(s)")
     if gate["required"] and not gate["enforced"]:
         summary += (f" (speedup gate {gate['required']}x skipped: "
                     f"needs >= {args.workers} cores)")

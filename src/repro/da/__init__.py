@@ -23,58 +23,3 @@ failure:
   sampling with Merkle-proof-verified responses and the standard
   ``1 - (1 - loss_frac)**s`` detection bound.
 """
-
-from repro.da.clients import LocalSiteClient, RpcSiteClient, SiteClient
-from repro.da.dispersal import (
-    DispersalReceipt,
-    Disperser,
-    RepairReport,
-    Repairer,
-    Retriever,
-)
-from repro.da.erasure import (
-    CodingParams,
-    ReferenceCoder,
-    VectorCoder,
-    default_coder,
-    have_numpy,
-)
-from repro.da.manifest import (
-    BlobManifest,
-    decode_blob,
-    encode_blob,
-    proof_from_wire,
-    proof_to_wire,
-    records_blob,
-    records_from_blob,
-)
-from repro.da.sampling import AuditReport, Sampler, confidence, miss_probability
-from repro.da.store import ChunkStore
-
-__all__ = [
-    "AuditReport",
-    "BlobManifest",
-    "ChunkStore",
-    "CodingParams",
-    "DispersalReceipt",
-    "Disperser",
-    "LocalSiteClient",
-    "ReferenceCoder",
-    "RepairReport",
-    "Repairer",
-    "Retriever",
-    "RpcSiteClient",
-    "Sampler",
-    "SiteClient",
-    "VectorCoder",
-    "confidence",
-    "decode_blob",
-    "default_coder",
-    "encode_blob",
-    "have_numpy",
-    "miss_probability",
-    "proof_from_wire",
-    "proof_to_wire",
-    "records_blob",
-    "records_from_blob",
-]

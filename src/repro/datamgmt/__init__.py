@@ -1,84 +1,1 @@
 """Distributed data management: synthetic cohorts, formats, stores, linkage."""
-
-from repro.datamgmt.cohort import (
-    CohortGenerator,
-    DiseaseModel,
-    SiteProfile,
-    default_disease_models,
-    default_site_profiles,
-    shared_patients,
-)
-from repro.datamgmt.formats import (
-    FORMAT_EXPORTERS,
-    FORMAT_PARSERS,
-    KNOWN_FORMATS,
-    export_record,
-    parse_record,
-)
-from repro.datamgmt.linkage import (
-    LinkageResult,
-    LinkageWeights,
-    RecordLinker,
-    evaluate_linkage,
-    pair_score,
-)
-from repro.datamgmt.schema import (
-    CANONICAL_FIELDS,
-    CANONICAL_LAB_UNITS,
-    OUTCOME_NAMES,
-    VARIANT_PANEL,
-    age_in,
-    empty_record,
-    is_canonical,
-    validate_canonical,
-)
-from repro.datamgmt.store import HospitalDataStore, StoredDataset
-from repro.datamgmt.wearables import (
-    WearableGenerator,
-    WearableSeries,
-    merge_wearable_summaries,
-    tool_wearable_summary,
-)
-from repro.datamgmt.virtual import (
-    DatasetRef,
-    NumericSummary,
-    VirtualCohort,
-    get_field,
-)
-
-__all__ = [
-    "CANONICAL_FIELDS",
-    "CANONICAL_LAB_UNITS",
-    "CohortGenerator",
-    "DatasetRef",
-    "DiseaseModel",
-    "FORMAT_EXPORTERS",
-    "FORMAT_PARSERS",
-    "HospitalDataStore",
-    "KNOWN_FORMATS",
-    "LinkageResult",
-    "LinkageWeights",
-    "NumericSummary",
-    "OUTCOME_NAMES",
-    "RecordLinker",
-    "SiteProfile",
-    "StoredDataset",
-    "VARIANT_PANEL",
-    "VirtualCohort",
-    "WearableGenerator",
-    "WearableSeries",
-    "age_in",
-    "default_disease_models",
-    "default_site_profiles",
-    "empty_record",
-    "evaluate_linkage",
-    "export_record",
-    "get_field",
-    "is_canonical",
-    "pair_score",
-    "parse_record",
-    "shared_patients",
-    "validate_canonical",
-    "merge_wearable_summaries",
-    "tool_wearable_summary",
-]

@@ -28,7 +28,6 @@ from repro.analytics.models import (
 )
 from repro.common.errors import LearningError
 from repro.obs.tracer import trace_span
-from repro.parallel.executor import Executor, SerialExecutor, TaskFailure, TaskSpec
 from repro.sim.metrics import current_metrics
 
 SiteData = Dict[str, Tuple[np.ndarray, np.ndarray]]
@@ -84,12 +83,10 @@ def _train_site_worker(
     batch_size: int,
     seed: int,
 ) -> Tuple[Params, float, float, int]:
-    """One site's local training step, as a picklable executor task.
+    """One site's local training step.
 
     Returns ``(params, loss, flops, n_samples)`` so the coordinator can do
     the weighted FedAvg reduction in deterministic (sorted-site) order.
-    Under the process backend ``model_factory`` must be picklable — a
-    module-level function or class, not a lambda.
     """
     with trace_span("fl.local_train", samples=len(X), epochs=epochs) as span:
         local_model = model_factory()
@@ -106,23 +103,18 @@ def _train_site_worker(
 class FederatedTrainer:
     """Coordinates FedAvg/FedSGD rounds over per-site (X, y) shards.
 
-    Pass ``executor`` to run per-site local training through a
-    :mod:`repro.parallel` backend: each round's participants become one
-    executor batch, so hospital servers train concurrently on real cores
-    under :class:`~repro.parallel.ProcessExecutor`.  Local seeding is
-    deterministic per round and the FedAvg reduction is ordered, so every
-    backend produces bit-identical global models.
+    Each round trains its participants one after another in sorted-site
+    order; local seeding is deterministic per round and the FedAvg
+    reduction is ordered, so a run is reproducible bit for bit.
     """
 
     def __init__(
         self,
         model_factory: ModelFactory,
         config: Optional[FederatedConfig] = None,
-        executor: Optional[Executor] = None,
     ):
         self.model_factory = model_factory
         self.config = config or FederatedConfig()
-        self.executor = executor or SerialExecutor()
 
     def train(
         self,
@@ -142,10 +134,7 @@ class FederatedTrainer:
         total_flops = 0.0
         site_names = sorted(site_data)
         with trace_span(
-            "fl.train",
-            rounds=config.rounds,
-            sites=len(site_names),
-            backend=self.executor.name,
+            "fl.train", rounds=config.rounds, sites=len(site_names)
         ) as train_span:
             for round_index in range(config.rounds):
                 with trace_span("fl.round", round=round_index) as round_span:
@@ -156,38 +145,28 @@ class FederatedTrainer:
                         if len(site_data[site][0]) > 0
                     ]
                     epochs = 1 if config.fedsgd else config.local_epochs
-                    specs: List[TaskSpec] = []
-                    for site in active:
-                        X, y = site_data[site]
-                        batch = len(X) if config.fedsgd else config.batch_size
-                        specs.append(
-                            TaskSpec(
-                                key=f"{site}/round-{round_index}",
-                                fn=_train_site_worker,
-                                args=(
-                                    self.model_factory,
-                                    global_params,
-                                    X,
-                                    y,
-                                    epochs,
-                                    config.lr,
-                                    batch,
-                                    config.seed * 1000 + round_index,
-                                ),
-                            )
-                        )
-                    outcomes = self.executor.map_tasks(specs)
                     collected: List[Params] = []
                     weights: List[float] = []
                     losses: List[float] = []
                     round_bytes = 0
-                    for site, outcome in zip(active, outcomes):
-                        if isinstance(outcome, TaskFailure):
-                            raise LearningError(
-                                f"local training failed at site {site!r}: "
-                                f"{outcome}"
+                    for site in active:
+                        X, y = site_data[site]
+                        batch = len(X) if config.fedsgd else config.batch_size
+                        try:
+                            params, loss, flops, sample_count = _train_site_worker(
+                                self.model_factory,
+                                global_params,
+                                X,
+                                y,
+                                epochs,
+                                config.lr,
+                                batch,
+                                config.seed * 1000 + round_index,
                             )
-                        params, loss, flops, sample_count = outcome
+                        except Exception as exc:
+                            raise LearningError(
+                                f"local training failed at site {site!r}: {exc}"
+                            ) from exc
                         collected.append(params)
                         weights.append(float(sample_count))
                         losses.append(loss)

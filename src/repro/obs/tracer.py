@@ -14,13 +14,12 @@ Design constraints:
   dict build per call.
 - **Context-propagated nesting.**  The active span is tracked in a
   ``contextvars.ContextVar``, so parent/child links are correct across
-  nested ``with`` blocks and across executor worker threads (each thread
-  sees its own active-span chain).
+  nested ``with`` blocks and across threads (each thread sees its own
+  active-span chain).
 - **Cross-process portability.**  :class:`Span` is a plain dataclass of
   primitives, picklable, with ids unique across processes (the pid is part
-  of the id), so ``parallel.Executor`` workers can ship their spans back to
-  the coordinator and :meth:`Tracer.adopt` can stitch them under the
-  submitting span.
+  of the id), so an RPC server can ship its spans back to the caller and
+  :meth:`Tracer.adopt` can stitch them under the calling span.
 """
 
 from __future__ import annotations
@@ -209,8 +208,8 @@ class Tracer:
 # -- module-level tracer management ------------------------------------------
 #
 # Two layers: a process-wide default (set by ``enable``/``disable``) and a
-# per-context override (used by executor workers to capture their own spans
-# without racing the coordinator's tracer).
+# per-context override (used by an RPC server to capture one request's spans
+# without racing the process's own tracer).
 
 _default_tracer: Optional[Tracer] = None
 _override_tracer: ContextVar[Optional[Tracer]] = ContextVar(

@@ -5,29 +5,16 @@ Control nodes execute registered tools against *local* records — the
 plain callable ``(records, params) -> result dict``; the runner wraps it
 with flop accounting (for the energy model) and result hashing (so the
 on-chain ``post_result`` commitment is verifiable).
-
-Batch execution (``run_many`` / ``run_many_across_sites``) fans tasks out
-through a pluggable :mod:`repro.parallel` executor — the paper's "sites
-compute concurrently" path — while preserving per-task flop accounting and
-result hashing, so on-chain commitments are identical no matter which
-backend ran the tool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import OracleError
 from repro.common.hashing import hash_value_hex
 from repro.obs.tracer import trace_span
-from repro.parallel.executor import (
-    Executor,
-    RetryPolicy,
-    SerialExecutor,
-    TaskFailure,
-    TaskSpec,
-)
 from repro.sim.metrics import current_metrics
 
 ToolFn = Callable[[Sequence[Dict[str, Any]], Dict[str, Any]], Dict[str, Any]]
@@ -98,60 +85,6 @@ class ToolRegistry:
         return sorted(self._tools)
 
 
-@dataclass(frozen=True)
-class TaskRequest:
-    """One task in a ``run_many`` batch."""
-
-    task_id: str
-    tool_id: str
-    records: Sequence[Dict[str, Any]]
-    params: Dict[str, Any] = field(default_factory=dict)
-
-
-# A batch slot is either the task's result or a structured failure.
-BatchOutcome = Union[TaskResult, TaskFailure]
-
-
-def _execute_tool_task(
-    site: str,
-    tool_id: str,
-    fn: ToolFn,
-    flops_per_record: float,
-    task_id: str,
-    records: Sequence[Dict[str, Any]],
-    params: Dict[str, Any],
-) -> TaskResult:
-    """Module-level task body so the process backend can pickle it.
-
-    Flop accounting and result hashing happen *inside* the worker, so the
-    :class:`TaskResult` a site would commit on chain is the same object no
-    matter which executor backend ran the tool.
-    """
-    with trace_span(
-        "tool.run", tool=tool_id, site=site, records=len(records)
-    ) as span:
-        result = fn(records, dict(params))
-        if not isinstance(result, dict):
-            raise OracleError(f"tool {tool_id!r} must return a dict")
-        flops = flops_per_record * max(1, len(records))
-        span.set_attr("flops", flops)
-    # Distinct counter names from the sim-side "flops" resource counter:
-    # ControlNode already charges result.flops to the platform registry, and
-    # these ambient counters must stay identical across executor backends.
-    metrics = current_metrics()
-    metrics.add("tool_tasks", 1, scope=site)
-    metrics.add("tool_flops", flops, scope=site)
-    return TaskResult(
-        task_id=task_id,
-        tool_id=tool_id,
-        site=site,
-        result=result,
-        result_hash=hash_value_hex(result),
-        records_used=len(records),
-        flops=flops,
-    )
-
-
 class TaskRunner:
     """Executes tools over local records with resource accounting."""
 
@@ -167,90 +100,25 @@ class TaskRunner:
         params: Dict[str, Any],
     ) -> TaskResult:
         spec = self.registry.get(tool_id)
-        return _execute_tool_task(
-            self.site,
-            spec.tool_id,
-            spec.fn,
-            spec.flops_per_record,
-            task_id,
-            records,
-            params,
-        )
-
-    def task_spec(self, request: TaskRequest) -> TaskSpec:
-        """Lower a :class:`TaskRequest` to an executor :class:`TaskSpec`."""
-        spec = self.registry.get(request.tool_id)
-        return TaskSpec(
-            key=f"{self.site}/{request.task_id}",
-            fn=_execute_tool_task,
-            args=(
-                self.site,
-                spec.tool_id,
-                spec.fn,
-                spec.flops_per_record,
-                request.task_id,
-                request.records,
-                dict(request.params),
-            ),
-        )
-
-    def run_many(
-        self,
-        requests: Sequence[TaskRequest],
-        executor: Optional[Executor] = None,
-        *,
-        timeout_s: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> List[BatchOutcome]:
-        """Run a batch of tool tasks through a parallel executor.
-
-        Returns one :class:`TaskResult` or :class:`TaskFailure` per request,
-        in request order (ordered reduction — deterministic aggregation).
-        Unknown tools fail fast with :class:`OracleError` before anything is
-        submitted, matching :meth:`run`.
-        """
-        specs = [self.task_spec(request) for request in requests]
-        backend = executor or SerialExecutor()
         with trace_span(
-            "offchain.run_many",
+            "tool.run", tool=spec.tool_id, site=self.site, records=len(records)
+        ) as span:
+            result = spec.fn(records, dict(params))
+            if not isinstance(result, dict):
+                raise OracleError(f"tool {spec.tool_id!r} must return a dict")
+            flops = spec.flops_per_record * max(1, len(records))
+            span.set_attr("flops", flops)
+        # Distinct counter names from the sim-side "flops" resource counter:
+        # ControlNode already charges result.flops to the platform registry.
+        metrics = current_metrics()
+        metrics.add("tool_tasks", 1, scope=self.site)
+        metrics.add("tool_flops", flops, scope=self.site)
+        return TaskResult(
+            task_id=task_id,
+            tool_id=spec.tool_id,
             site=self.site,
-            tasks=len(specs),
-            backend=backend.name,
-        ):
-            return backend.map_tasks(specs, timeout_s=timeout_s, retry=retry)
-
-
-def run_many_across_sites(
-    runners: Mapping[str, TaskRunner],
-    site_requests: Sequence[Tuple[str, TaskRequest]],
-    executor: Optional[Executor] = None,
-    *,
-    timeout_s: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-) -> List[BatchOutcome]:
-    """Fan one batch of tasks out across many sites' runners.
-
-    ``site_requests`` pairs each request with the site that must execute it
-    (compute moves to the data, never the reverse).  All tasks go into a
-    single executor batch so sites genuinely compute concurrently under the
-    thread/process backends; results come back in submission order.
-    """
-    specs: List[TaskSpec] = []
-    for site, request in site_requests:
-        runner = runners.get(site)
-        if runner is None:
-            raise OracleError(f"no task runner registered for site {site!r}")
-        specs.append(runner.task_spec(request))
-    backend = executor or SerialExecutor()
-    with trace_span(
-        "offchain.run_many_across_sites",
-        sites=len({site for site, __ in site_requests}),
-        tasks=len(specs),
-        backend=backend.name,
-    ):
-        return backend.map_tasks(specs, timeout_s=timeout_s, retry=retry)
-
-
-def batch_flops(outcomes: Sequence[BatchOutcome]) -> float:
-    """Total flops across the successful tasks of a batch (energy model)."""
-    return sum(o.flops for o in outcomes if isinstance(o, TaskResult))
+            result=result,
+            result_hash=hash_value_hex(result),
+            records_used=len(records),
+            flops=flops,
+        )

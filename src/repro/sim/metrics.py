@@ -5,18 +5,10 @@ duplicated mining/validation (Digiconomist, section I) and the cost of
 moving huge medical data sets (section IV).  This module gives every
 experiment a uniform way to account CPU work, hash operations, bytes moved,
 and derived energy, so benchmarks E1–E12 can report them.
-
-Simulated time (the kernel's clock) and *wall-clock* time are distinct
-axes: the former is what experiments model, the latter is what the parallel
-executor backends actually change.  ``MetricsRegistry`` tracks both — use
-:meth:`MetricsRegistry.wallclock` to time real code blocks so benchmarks
-like E4's ``--wallclock`` mode report measured speedups alongside simulated
-ones.
 """
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -91,32 +83,6 @@ class Histogram:
         return ordered[rank]
 
 
-class Stopwatch:
-    """Context manager timing a real (wall-clock) code block.
-
-    On exit, records the elapsed seconds as both a counter
-    (``wallclock_<name>_s``, summed across entries) and a histogram
-    (``wallclock_<name>``, for percentiles) on the owning registry.
-    """
-
-    def __init__(self, registry: "MetricsRegistry", name: str, scope: str = ""):
-        self.registry = registry
-        self.name = name
-        self.scope = scope
-        self.elapsed_s = 0.0
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._start is None:  # pragma: no cover - misuse guard
-            return
-        self.elapsed_s = time.perf_counter() - self._start
-        self.registry.add_wallclock(self.name, self.elapsed_s, self.scope)
-
-
 class MetricsRegistry:
     """Per-experiment counter/histogram store with resource accounting.
 
@@ -161,20 +127,6 @@ class MetricsRegistry:
     def add_flops(self, count: float, scope: str = "") -> None:
         self.add("flops", count, scope)
 
-    # -- wall-clock timing --------------------------------------------------
-    def add_wallclock(self, name: str, seconds: float, scope: str = "") -> None:
-        """Record real elapsed seconds for a named operation."""
-        self.add(f"wallclock_{name}_s", seconds, scope)
-        self.observe(f"wallclock_{name}", seconds)
-
-    def wallclock(self, name: str, scope: str = "") -> Stopwatch:
-        """Time a real code block: ``with metrics.wallclock("e4_process"): ...``"""
-        return Stopwatch(self, name, scope)
-
-    def wallclock_total(self, name: str) -> float:
-        """Total real seconds recorded under ``name`` (all scopes)."""
-        return self.counter_total(f"wallclock_{name}_s")
-
     def total_energy_joules(self) -> float:
         """Energy implied by all recorded resource counters."""
         return self.energy_model.energy_joules(
@@ -206,15 +158,9 @@ class MetricsRegistry:
         out["energy_joules"] = self.total_energy_joules()
         return out
 
-    # -- snapshot / merge (cross-process collection) ------------------------
+    # -- snapshot ------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Picklable dump of every counter and histogram.
-
-        Executor workers snapshot their capture registry and ship it back in
-        the task result envelope; the coordinator replays it with
-        :meth:`merge_snapshot`, so counters recorded inside a
-        ``ProcessExecutor`` worker are not lost with the worker process.
-        """
+        """Plain-data dump of every counter and histogram."""
         return {
             "counters": [
                 [name, scope, value]
@@ -226,30 +172,14 @@ class MetricsRegistry:
             },
         }
 
-    def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Add another registry's snapshot into this one (sums counters,
-        extends histograms)."""
-        for name, scope, value in snapshot.get("counters", []):
-            self.add(name, value, scope)
-        for name, values in snapshot.get("histograms", {}).items():
-            histogram = self._histograms[name]
-            for value in values:
-                histogram.record(value)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        self.merge_snapshot(other.snapshot())
-
 
 _DEFAULT_ENERGY_MODEL = EnergyModel()
 
 # -- ambient registry ---------------------------------------------------------
 #
-# Library code that has no registry handed to it (analytics tools running
-# inside executor workers, picklable task bodies) records into the *current*
-# registry: a context-local override when installed, else a process-wide
-# fallback.  ``repro.parallel`` installs a fresh capture registry around each
-# task and merges the deltas back into the submitting context's registry, so
-# totals agree across serial/thread/process backends.
+# Library code that has no registry handed to it (analytics tools, the
+# task runner) records into the *current* registry: a context-local override
+# when installed, else a process-wide fallback.
 
 _GLOBAL_REGISTRY = MetricsRegistry()
 _CURRENT_REGISTRY: ContextVar[Optional[MetricsRegistry]] = ContextVar(

@@ -121,6 +121,22 @@ class TestFederatedTrainer:
         with pytest.raises(LearningError):
             trainer.train({})
 
+    def test_local_training_failure_names_the_site(self, eval_data):
+        class FailsOnSmallShards(LogisticModel):
+            def train_epochs(self, X, *args, **kwargs):
+                if len(X) < 20:
+                    raise FloatingPointError("diverged")
+                return super().train_epochs(X, *args, **kwargs)
+
+        X, y = eval_data
+        data = {"a": (X[:40], y[:40]), "b": (X[:10], y[:10]), "c": (X[:40], y[:40])}
+        trainer = FederatedTrainer(
+            lambda: FailsOnSmallShards(FEATURE_DIM, seed=7), FederatedConfig(rounds=2)
+        )
+        with pytest.raises(LearningError, match="local training failed at site 'b'") as info:
+            trainer.train(data)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
     def test_on_round_callback(self, site_data):
         seen = []
         trainer = FederatedTrainer(logistic_factory, FederatedConfig(rounds=3))

@@ -1,13 +1,12 @@
 """Disabled-tracer overhead guard.
 
-The instrumentation contract (ISSUE: repro.obs) is near-zero cost when
-tracing is off: ``trace_span`` returns a shared no-op and the executor's
-telemetry envelope adds only a registry allocation and an empty snapshot
-merge per task.  This guard runs an instrumented ``map_tasks`` batch over a
-workload of a few milliseconds per task and requires it to stay within 5%
-of a bare Python loop over the same functions (a *stricter* baseline than
-pre-instrumentation ``map_tasks``, which already carried retry/ordering
-machinery).
+The instrumentation contract (``repro.obs``) is near-zero cost when tracing
+is off: ``trace_span`` returns a shared no-op, so ``TaskRunner.run`` adds
+only its ``tool.run`` span and its ``tool_tasks`` / ``tool_flops`` counters
+around the tool.  This guard runs a registered tool of a few milliseconds
+per call through ``TaskRunner.run`` and requires it to stay within 5% of a
+bare Python loop that calls the same function and hashes its result, so the
+ratio measures the instrumentation alone.
 
 The two sides are timed alternately, in short back-to-back pairs, and each
 pair gives one instrumented/raw ratio; the guard reads the lower quartile of
@@ -19,8 +18,9 @@ read 0.86x-1.17x from run to run and the lower-quartile pair ratio
 0.97x-1.01x.
 """
 
+from repro.common.hashing import hash_value_hex
 from repro.obs.tracer import NOOP_SPAN, disable, trace_span
-from repro.parallel.executor import SerialExecutor, TaskSpec
+from repro.offchain.tasks import TaskRunner, ToolRegistry, ToolSpec
 
 TASK_ITERS = 50000
 TASK_COUNT = 5
@@ -28,29 +28,32 @@ TRIALS = 28
 MAX_OVERHEAD = 1.05
 
 
-def _busy_task(iters):
+def _busy_task(records, params):
     total = 0
-    for value in range(iters):
+    for value in range(params["iters"]):
         total += value * value
-    return total
+    return {"total": total}
 
 
-def test_disabled_tracer_map_tasks_overhead_within_5_percent(lower_quartile_pair):
+def test_disabled_tracer_tool_run_overhead_within_5_percent(lower_quartile_pair):
     disable()
     assert trace_span("probe") is NOOP_SPAN  # precondition: tracing is off
 
-    specs = [
-        TaskSpec(key=f"t{i}", fn=_busy_task, args=(TASK_ITERS,))
-        for i in range(TASK_COUNT)
-    ]
-    expected = [_busy_task(TASK_ITERS)] * TASK_COUNT
-    executor = SerialExecutor()
+    registry = ToolRegistry()
+    registry.register(ToolSpec("busy", _busy_task))
+    runner = TaskRunner("site-a", registry)
+    params = {"iters": TASK_ITERS}
+    expected = [hash_value_hex(_busy_task([], params))] * TASK_COUNT
 
     def raw_loop():
-        return [_busy_task(TASK_ITERS) for __ in range(TASK_COUNT)]
+        return [hash_value_hex(_busy_task([], dict(params))) for __ in range(TASK_COUNT)]
 
     def instrumented():
-        assert executor.map_tasks(specs) == expected
+        hashes = [
+            runner.run(f"t{i}", "busy", [], params).result_hash
+            for i in range(TASK_COUNT)
+        ]
+        assert hashes == expected
 
     # Warm both paths (bytecode caches, allocator) before timing.
     raw_loop()
@@ -59,7 +62,7 @@ def test_disabled_tracer_map_tasks_overhead_within_5_percent(lower_quartile_pair
     baseline, traced = lower_quartile_pair(TRIALS, raw_loop, instrumented)
     overhead = traced / baseline
     assert overhead <= MAX_OVERHEAD, (
-        f"disabled-tracer map_tasks took {overhead:.3f}x the raw loop "
+        f"disabled-tracer TaskRunner.run took {overhead:.3f}x the raw loop "
         f"({traced * 1000:.1f}ms vs {baseline * 1000:.1f}ms baseline; "
         f"limit {MAX_OVERHEAD}x)"
     )

@@ -12,24 +12,8 @@ from repro.offchain.anchoring import (
     verify_record_proof,
 )
 from repro.offchain.oracle import DataOracle
-from repro.offchain.tasks import (
-    TaskRequest,
-    TaskResult,
-    TaskRunner,
-    ToolRegistry,
-    ToolSpec,
-    batch_flops,
-    run_many_across_sites,
-)
-from repro.parallel import TaskFailure
-
-
-def _count_tool(recs, params):
-    return {"n": len(recs)}
-
-
-def _boom_tool(recs, params):
-    raise ValueError("tool exploded")
+from repro.offchain.tasks import TaskRunner, ToolRegistry, ToolSpec
+from repro.sim.metrics import MetricsRegistry, use_metrics
 
 
 def _records(n=5):
@@ -154,6 +138,22 @@ class TestTaskRunner:
         b = runner.run("t2", "count", _records(4), {})
         assert a.result_hash == b.result_hash
 
+    def test_run_counts_tasks_and_flops_per_site(self):
+        runner = self._runner()
+        with use_metrics(MetricsRegistry()) as metrics:
+            runner.run("t1", "count", _records(4), {})
+            runner.run("t2", "count", _records(2), {})
+        assert metrics.counter("tool_tasks", "site-a") == 2
+        assert metrics.counter("tool_flops", "site-a") == 40 + 20
+
+    def test_raising_tool_propagates_uncounted(self):
+        registry = ToolRegistry()
+        registry.register(ToolSpec("boom", lambda recs, params: 1 / 0))
+        with use_metrics(MetricsRegistry()) as metrics:
+            with pytest.raises(ZeroDivisionError):
+                TaskRunner("s", registry).run("t", "boom", _records(1), {})
+        assert metrics.counter_total("tool_tasks") == 0
+
     def test_unknown_tool(self):
         runner = self._runner()
         with pytest.raises(OracleError):
@@ -184,75 +184,3 @@ class TestTaskRunner:
         registry.register(spec)
         with pytest.raises(OracleError):
             registry.register(spec)
-
-
-class TestRunMany:
-    def _runner(self):
-        registry = ToolRegistry()
-        registry.register(ToolSpec("count", _count_tool, flops_per_record=10))
-        registry.register(ToolSpec("boom", _boom_tool))
-        return TaskRunner("site-a", registry)
-
-    def _requests(self, n=3):
-        return [
-            TaskRequest(f"t{i}", "count", _records(i + 1), {}) for i in range(n)
-        ]
-
-    def test_batch_results_in_request_order(self):
-        runner = self._runner()
-        outcomes = runner.run_many(self._requests())
-        assert [o.result for o in outcomes] == [{"n": 1}, {"n": 2}, {"n": 3}]
-        assert all(o.site == "site-a" for o in outcomes)
-        assert batch_flops(outcomes) == 10 + 20 + 30
-
-    def test_batch_matches_single_run_hashes(self):
-        runner = self._runner()
-        requests = self._requests()
-        singles = [
-            runner.run(r.task_id, r.tool_id, r.records, r.params) for r in requests
-        ]
-        batched = runner.run_many(requests)
-        assert [b.result_hash for b in batched] == [s.result_hash for s in singles]
-
-    def test_raising_tool_contained_as_failure(self):
-        runner = self._runner()
-        outcomes = runner.run_many(
-            [
-                TaskRequest("good", "count", _records(2), {}),
-                TaskRequest("bad", "boom", _records(1), {}),
-            ]
-        )
-        assert isinstance(outcomes[0], TaskResult)
-        failure = outcomes[1]
-        assert isinstance(failure, TaskFailure)
-        assert failure.error_type == "ValueError"
-        assert failure.key == "site-a/bad"
-        assert batch_flops(outcomes) == 20
-
-    def test_unknown_tool_fails_fast_before_submission(self):
-        runner = self._runner()
-        with pytest.raises(OracleError):
-            runner.run_many([TaskRequest("t", "ghost", [], {})])
-
-    def test_across_sites_routes_to_owning_runner(self):
-        registry = ToolRegistry()
-        registry.register(ToolSpec("count", _count_tool, flops_per_record=10))
-        runners = {
-            "site-a": TaskRunner("site-a", registry),
-            "site-b": TaskRunner("site-b", registry),
-        }
-        outcomes = run_many_across_sites(
-            runners,
-            [
-                ("site-b", TaskRequest("t1", "count", _records(2), {})),
-                ("site-a", TaskRequest("t2", "count", _records(3), {})),
-            ],
-        )
-        assert [o.site for o in outcomes] == ["site-b", "site-a"]
-        assert [o.result["n"] for o in outcomes] == [2, 3]
-
-    def test_across_sites_unknown_site_rejected(self):
-        with pytest.raises(OracleError):
-            run_many_across_sites(
-                {}, [("ghost", TaskRequest("t", "count", [], {}))]
-            )

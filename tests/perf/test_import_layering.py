@@ -13,7 +13,9 @@ load it either.
 The other way round, a site server without ``--validators`` serves data and
 runs no chain: it loads no consensus, chain, contract, p2p or simulation
 code (~0.15 s of start-up).  Of ``repro.sim`` it holds only the metrics
-registry every layer records into.
+registry every layer records into.  Nor does it load the parts of
+``repro.da`` and ``repro.datamgmt`` that one site's data does not use:
+dispersal, erasure coding and sampling, record linkage and wearables.
 """
 
 import os
@@ -24,7 +26,18 @@ from pathlib import Path
 import repro
 
 CHAIN_SIDE = {"consensus", "chain", "contracts", "p2p", "sim"}
-DATA_PLANE = {"analytics", "datamgmt", "offchain", "parallel", "query", "core", "learning", "analysis"}
+DATA_PLANE = {"analytics", "datamgmt", "offchain", "query", "core", "learning", "analysis"}
+# Modules of the two data packages that one site's data plane does not use.
+SITE_UNUSED = {
+    "repro.da.clients",
+    "repro.da.dispersal",
+    "repro.da.erasure",
+    "repro.da.gf256",
+    "repro.da.manifest",
+    "repro.da.sampling",
+    "repro.datamgmt.linkage",
+    "repro.datamgmt.wearables",
+}
 
 
 def _modules_after(code):
@@ -83,3 +96,13 @@ def test_a_data_only_site_boot_does_not_import_the_chain_side():
         if name.startswith("repro.") and name.split(".")[1] in CHAIN_SIDE
     }
     assert loaded <= {"repro.sim", "repro.sim.metrics"}, sorted(loaded)
+
+
+def test_a_site_boot_loads_only_the_data_modules_it_uses():
+    listing = _modules_after(
+        "from repro.rpc.site_server import build_site\n"
+        "site = build_site('hospital-2', 3, 20, 2026)\n"
+        "assert site.store.record_count('emr-hospital-2') == 20"
+    )
+    assert "repro.da.store" in listing and "repro.datamgmt.store" in listing
+    assert not SITE_UNUSED & set(listing), sorted(SITE_UNUSED & set(listing))

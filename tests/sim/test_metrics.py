@@ -114,82 +114,15 @@ class TestMetricsRegistry:
         assert metrics.histogram("latency").mean == pytest.approx(0.3)
 
 
-class TestWallClock:
-    def test_stopwatch_records_counter_and_histogram(self):
-        metrics = MetricsRegistry()
-        with metrics.wallclock("phase") as watch:
-            pass
-        assert watch.elapsed_s >= 0.0
-        assert metrics.wallclock_total("phase") == pytest.approx(watch.elapsed_s)
-        assert metrics.histogram("wallclock_phase").count == 1
-
-    def test_wallclock_totals_accumulate(self):
-        metrics = MetricsRegistry()
-        metrics.add_wallclock("fanout", 0.25)
-        metrics.add_wallclock("fanout", 0.75, scope="site-b")
-        assert metrics.wallclock_total("fanout") == pytest.approx(1.0)
-        assert metrics.counter("wallclock_fanout_s", "site-b") == pytest.approx(0.75)
-
-    def test_wallclock_appears_in_summary(self):
-        metrics = MetricsRegistry()
-        metrics.add_wallclock("bench", 1.5)
-        assert metrics.summary()["wallclock_bench_s"] == pytest.approx(1.5)
-
-    def test_wallclock_distinct_from_simulated_counters(self):
-        metrics = MetricsRegistry()
-        metrics.add_wallclock("x", 2.0)
-        assert metrics.total_energy_joules() == 0.0
-
-    def test_nested_stopwatches_accumulate_independently(self):
-        metrics = MetricsRegistry()
-        with metrics.wallclock("outer") as outer:
-            with metrics.wallclock("inner") as inner:
-                sum(range(1000))
-        assert inner.elapsed_s <= outer.elapsed_s
-        assert metrics.wallclock_total("outer") == pytest.approx(outer.elapsed_s)
-        assert metrics.wallclock_total("inner") == pytest.approx(inner.elapsed_s)
-        assert metrics.histogram("wallclock_outer").count == 1
-        assert metrics.histogram("wallclock_inner").count == 1
-
-    def test_nested_stopwatches_same_name_sum(self):
-        metrics = MetricsRegistry()
-        with metrics.wallclock("phase") as outer:
-            with metrics.wallclock("phase") as inner:
-                pass
-        assert metrics.wallclock_total("phase") == pytest.approx(
-            outer.elapsed_s + inner.elapsed_s
-        )
-        assert metrics.histogram("wallclock_phase").count == 2
-
-
-class TestSnapshotMerge:
+class TestSnapshot:
     def test_snapshot_round_trip(self):
         source = MetricsRegistry()
         source.add("gas", 5, scope="n0")
         source.observe("lat", 0.5)
-        target = MetricsRegistry()
-        target.merge_snapshot(source.snapshot())
-        assert target.counter("gas", "n0") == 5
-        assert target.histogram("lat").values == [0.5]
-
-    def test_merge_sums_counters_and_extends_histograms(self):
-        first = MetricsRegistry()
-        first.add("gas", 5, scope="n0")
-        first.observe("lat", 1.0)
-        second = MetricsRegistry()
-        second.add("gas", 3, scope="n0")
-        second.add("gas", 2, scope="n1")
-        second.observe("lat", 2.0)
-        first.merge(second)
-        assert first.counter("gas", "n0") == 8
-        assert first.counter("gas", "n1") == 2
-        assert first.histogram("lat").values == [1.0, 2.0]
-
-    def test_merge_empty_snapshot_is_noop(self):
-        metrics = MetricsRegistry()
-        metrics.add("gas", 1)
-        metrics.merge_snapshot({})
-        assert metrics.counter_total("gas") == 1
+        assert source.snapshot() == {
+            "counters": [["gas", "n0", 5.0]],
+            "histograms": {"lat": [0.5]},
+        }
 
 
 class TestAmbientRegistry:
