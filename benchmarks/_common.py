@@ -130,9 +130,11 @@ def start_site_fleet(
     records: int,
     seed: int,
     boot_timeout_s: float = 60.0,
+    src: str = SRC,
 ) -> Tuple[List[subprocess.Popen], Dict[str, Tuple[str, int]]]:
     """One ``repro.rpc.site_server`` process per name in ``sites``, all of
-    the demo network of ``site_count`` sites; returns ``(procs, {site:
+    the demo network of ``site_count`` sites, run from the source tree
+    ``src`` (this checkout's by default); returns ``(procs, {site:
     (host, port)})``.
 
     Raises ``RuntimeError`` if a site exits or does not print ``LISTENING``
@@ -140,7 +142,7 @@ def start_site_fleet(
     it spawned.
     """
     env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     procs: List[subprocess.Popen] = []
     try:
         for site in sites:

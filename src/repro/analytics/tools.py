@@ -68,13 +68,17 @@ def _scalar(value: Any) -> np.ndarray:
     return boxed
 
 
-def _defaulted(table: Table, column: Column, plain: Check) -> Mask:
-    """The records without ``column``'s path on which ``plain`` holds: those
-    a ``.get(key, default)`` chain answers with its default, not an error."""
-    defaulted = np.zeros(len(table), dtype=bool)
+def _with_defaults(table: Table, column: Column, decided: Mask, plain: Check) -> Mask:
+    """``decided`` plus the records without ``column``'s path on which
+    ``plain`` holds: those a ``.get(key, default)`` chain answers with its
+    default, not an error.  ``decided`` itself (a column's own mask, which
+    no caller writes to) when every record holds the path."""
+    if column.present.all():
+        return decided
+    decided = decided.copy()
     absent = np.flatnonzero(~column.present)
-    defaulted[absent] = [plain(table[index]) for index in absent]
-    return defaulted
+    decided[absent] = [plain(table[index]) for index in absent]
+    return decided
 
 
 def _outcome_flags(table: Table, outcome: Any) -> Tuple[Mask, Mask]:
@@ -85,10 +89,34 @@ def _outcome_flags(table: Table, outcome: Any) -> Tuple[Mask, Mask]:
     except TypeError:  # ``.get`` raises on the record
         return np.zeros(len(table), dtype=bool), np.zeros(len(table), dtype=bool)
     column = table.column(("outcomes", outcome))
-    defaulted = _defaulted(
-        table, column, lambda r: isinstance(r, dict) and isinstance(r.get("outcomes", {}), dict)
+    return column.truthy, _with_defaults(
+        table,
+        column,
+        column.present,
+        lambda r: isinstance(r, dict) and isinstance(r.get("outcomes", {}), dict),
     )
-    return column.truthy, column.present | defaulted
+
+
+def _equal(column: Column, wanted: Any) -> Mask:
+    """``not (value != wanted)`` at each present record of ``column``.
+
+    Typed first: a plain-number ``wanted`` meets the ``NUMBER`` values in
+    float64 (exact, as both are below 2**52 or floats), a ``str`` meets the
+    strings by code, and a number never equals a string.  Only the records
+    neither rule decides are compared as Python objects.
+    """
+    if kind_of(wanted) == NUMBER:
+        equal = column.numeric & (column.floats == float(wanted))
+    elif type(wanted) is str:
+        code = column.code_of.get(wanted, -1) if column.code_of is not None else -1
+        equal = column.codes == code if code >= 0 else np.zeros(len(column.kinds), dtype=bool)
+    else:
+        return ~np.not_equal(column.values, _scalar(wanted))
+    decided = column.numeric if column.codes is None else column.numeric | (column.codes >= 0)
+    rest = column.present & ~decided
+    if rest.any():
+        equal[rest] = ~np.not_equal(column.values[rest], _scalar(wanted))
+    return equal
 
 
 def _filter_mask(table: Table, key: str, wanted: Any) -> Tuple[Mask, Mask]:
@@ -104,18 +132,18 @@ def _filter_mask(table: Table, key: str, wanted: Any) -> Tuple[Mask, Mask]:
         birth = table.column(("birth_year",))
         age = 2018 - birth.floats
         passes = ~(age < wanted) if key == "age_min" else ~(age > wanted)
-        return passes, birth.kinds == NUMBER
+        return passes, birth.numeric
     if key == "diagnosis":
         diagnoses = table.column(("diagnoses",))
         lists = diagnoses.kinds == LIST
         passes = np.zeros(size, dtype=bool)
         passes[lists] = [wanted in value for value in diagnoses.values[lists]]
-        return passes, lists | _defaulted(table, diagnoses, lambda r: isinstance(r, dict))
+        return passes, _with_defaults(table, diagnoses, lists, lambda r: isinstance(r, dict))
     if key.startswith("has_outcome_"):
         flags, decided = _outcome_flags(table, key[len("has_outcome_"):])
         return flags == bool(wanted), decided
     column = table.column(split_path(key))
-    return ~np.not_equal(column.values, _scalar(wanted)), column.present
+    return _equal(column, wanted), column.present
 
 
 def _selected(table: Table, params: Dict[str, Any]) -> Mask:
@@ -126,16 +154,23 @@ def _selected(table: Table, params: Dict[str, Any]) -> Mask:
     to raise stops the scan with its error.
     """
     filters = params.get("filters") or {}
-    checks = _compile_filters(filters)
-    selected = np.ones(len(table), dtype=bool)
-    undecided = np.zeros(len(table), dtype=bool)
+    if not isinstance(filters, dict):
+        raise TypeError(f"filters must be an object, not {type(filters).__name__}")
+    if not filters:
+        return np.ones(len(table), dtype=bool)
+    selected = undecided = None
     for key, wanted in filters.items():
         passes, decided = _filter_mask(table, key, wanted)
-        undecided |= selected & ~decided
-        selected &= decided & passes
-    for index in np.flatnonzero(undecided):
-        record = table[index]
-        selected[index] = all(check(record) for check in checks)
+        if selected is None:
+            selected, undecided = decided & passes, ~decided
+        else:
+            undecided |= selected & ~decided
+            selected &= decided & passes
+    if undecided.any():
+        checks = _compile_filters(filters)
+        for index in np.flatnonzero(undecided):
+            record = table[index]
+            selected[index] = all(check(record) for check in checks)
     return selected
 
 
@@ -154,11 +189,11 @@ def _floats(
     itself, in order: the first one it fails on raises the loop's error.
     """
     column = table.column(split_path(path))
-    odd = np.flatnonzero(rows & (column.kinds != NUMBER))
-    if not odd.size:
+    odd = rows & ~column.numeric
+    if not odd.any():
         return column.floats
     values = column.floats.copy()
-    for index in odd:
+    for index in np.flatnonzero(odd):
         values[index] = float(field(table[index]))
     return values
 
@@ -193,9 +228,11 @@ def tool_prevalence(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     selected = _selected(table, params)
     flags, decided = _outcome_flags(table, outcome)
     positives = int(np.count_nonzero(selected & decided & flags))
-    for index in np.flatnonzero(selected & ~decided):
-        if table[index].get("outcomes", {}).get(outcome, 0):
-            positives += 1
+    odd = selected & ~decided
+    if odd.any():
+        for index in np.flatnonzero(odd):
+            if table[index].get("outcomes", {}).get(outcome, 0):
+                positives += 1
     return {"outcome": outcome, "n": int(np.count_nonzero(selected)), "positives": positives}
 
 
@@ -218,7 +255,7 @@ def tool_histogram(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
         index = np.clip(np.trunc(scaled), 0, bins - 1).astype(np.int64)
     # Not a plain number, or a NaN / infinite bin that int() refuses: the
     # record runs the loop's step itself, in order.
-    odd = selected & ~((column.kinds == NUMBER) & np.isfinite(scaled))
+    odd = selected & ~(column.numeric & np.isfinite(scaled))
     for row in np.flatnonzero(odd):
         index[row] = min(max(int((float(field(table[row])) - low) / width), 0), bins - 1)
     counts = np.bincount(index[selected], minlength=bins).tolist()

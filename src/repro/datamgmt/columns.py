@@ -4,7 +4,7 @@ A :class:`Table` is a list of canonical records plus, per path asked for
 that some record holds, a :class:`Column` projected once and kept: the
 path's values in record order and what the tools need to know about each
 (present or not, its kind, its float64 value if it is a plain number,
-``bool(value)``).  The tools in
+``bool(value)``, a code if it is a string).  The tools in
 :mod:`repro.analytics.tools` evaluate filters and aggregates as array
 operations over these columns; a record the arrays cannot decide (a
 missing path, a value of the wrong type) is handed back to the tool's
@@ -82,22 +82,31 @@ class Column:
     ``NUMBER`` (and means nothing elsewhere), and ``truthy`` is
     ``bool(value)`` (``False`` where absent).  ``present`` is where
     :func:`repro.datamgmt.virtual.field_getter` would return instead of
-    raising.
+    raising, and ``numeric`` where the kind is ``NUMBER``.  If some value is
+    a ``str``, ``codes`` numbers each distinct string from 0 in order of
+    first appearance (-1 where the value is not a ``str``) and ``code_of``
+    maps a string to its code; otherwise both are ``None``.
     """
 
-    __slots__ = ("values", "kinds", "floats", "truthy")
+    __slots__ = ("values", "kinds", "floats", "truthy", "present", "numeric", "codes", "code_of")
 
     def __init__(
-        self, values: np.ndarray, kinds: np.ndarray, floats: np.ndarray, truthy: np.ndarray
+        self,
+        values: np.ndarray,
+        kinds: np.ndarray,
+        floats: np.ndarray,
+        truthy: np.ndarray,
+        codes: Optional[np.ndarray] = None,
+        code_of: Optional[Dict[str, int]] = None,
     ) -> None:
         self.values = values
         self.kinds = kinds
         self.floats = floats
         self.truthy = truthy
-
-    @property
-    def present(self) -> np.ndarray:
-        return self.kinds != ABSENT
+        self.present = kinds != ABSENT
+        self.numeric = kinds == NUMBER
+        self.codes = codes
+        self.code_of = code_of
 
     @classmethod
     def project(cls, records: List[Dict[str, Any]], path: Path) -> "Column":
@@ -109,11 +118,13 @@ class Column:
         kinds = np.zeros(size, dtype=np.int8)
         floats = np.zeros(size)
         truthy = np.zeros(size, dtype=bool)
+        codes = code_of = None
         if count:
             at = np.arange(size) if count == size else np.asarray(found, dtype=np.intp)
             values[at] = np.fromiter(got, dtype=object, count=count)
             truthy[at] = np.fromiter(map(bool, got), dtype=bool, count=count)
-            kind = np.fromiter(map(_TYPE_KINDS.get, map(type, got), repeat(OTHER)), np.int8, count)
+            types = list(map(type, got))
+            kind = np.fromiter(map(_TYPE_KINDS.get, types, repeat(OTHER)), np.int8, count)
             numeric = (kind == NUMBER) | (kind == _INT)
             try:
                 numbers = np.fromiter(values[at[numeric]], dtype=float)
@@ -126,7 +137,14 @@ class Column:
             kind[(kind == _INT) & (np.abs(floats[at]) >= _EXACT_INT)] = OTHER
             kind[kind == _INT] = NUMBER
             kinds[at] = kind
-        return cls(values, kinds, floats, truthy)
+            if str in types:
+                code_of = {}
+                codes = np.full(size, -1, dtype=np.int32)
+                codes[at] = [
+                    code_of.setdefault(value, len(code_of)) if of is str else -1
+                    for value, of in zip(got, types)
+                ]
+        return cls(values, kinds, floats, truthy, codes, code_of)
 
 
 class Table(Sequence):

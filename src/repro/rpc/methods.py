@@ -11,11 +11,11 @@ method names the gateway and external clients call:
 - ``site.run_task`` — run a registered analytics tool over local records
   ("move compute to the data" as a served endpoint);
 - ``site.query`` — execute one decomposed sub-query and return the partial
-  result plus its content hash; a caller that names the ``catalog_version``
-  it planned against is refused with ``STALE_CATALOG`` (carrying the fresh
-  listing) once the site's listing has changed.  An aggregate (a column
-  scan) is answered on the server's event loop, a model fit in a worker
-  thread;
+  result plus its content hash, in ``site.run_task``'s outcome shape; a
+  caller that names the ``catalog_version`` it planned against is refused
+  with ``STALE_CATALOG`` (carrying the fresh listing) once the site's
+  listing has changed.  An aggregate (a column scan) is answered on the
+  server's event loop, a model fit in a worker thread;
 - ``oracle.fetch`` — the paper's data-oracle bridge, served (a site built
   from a platform site has one; a ``site_server`` process has none);
 - ``da.put_chunk`` / ``da.get_chunk`` / ``da.sample`` — erasure-coded share
@@ -36,6 +36,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.common.errors import LearningError
 from repro.common.hashing import hash_value_hex
 from repro.common.serialize import to_jsonable
 from repro.query.vector import QueryVector
@@ -174,7 +175,12 @@ def build_site_registry(
         purpose: str = "research",
     ) -> Dict[str, Any]:
         records = service._records_for(dataset_ids)
-        result = service.runner.run(task_id, tool_id, records, dict(params or {}))
+        try:
+            result = service.runner.run(task_id, tool_id, records, dict(params or {}))
+        except LearningError as exc:
+            # A model a tool cannot build from these params (an outcome no
+            # record holds, global_params of the wrong shape): the request's fault.
+            raise InvalidParamsError(str(exc)) from exc
         return {
             "task_id": result.task_id,
             "tool_id": result.tool_id,
@@ -192,6 +198,13 @@ def build_site_registry(
         task_id: str = "",
         catalog_version: Optional[str] = None,
     ) -> Dict[str, Any]:
+        """One decomposed sub-query over this site's records.
+
+        Answers ``site.run_task``'s outcome for the vector's tool and params:
+        ``task_id``, ``tool_id``, ``site``, ``result``, ``result_hash``,
+        ``records_used``, ``flops`` and ``purpose``.  A gateway names the
+        query in ``task_id``; without one it is ``<query_id>-<site>``.
+        """
         if catalog_version is not None and catalog_version != service.catalog_version():
             raise StaleCatalogError(data=service.catalog())
         built = vector_from_wire(vector)
@@ -204,9 +217,7 @@ def build_site_registry(
             params=built.tool_params(),
             purpose=built.purpose,
         )
-        outcome = run() if tool_id in LOOP_TOOLS else await asyncio.to_thread(run)
-        outcome["query_id"] = built.query_id
-        return outcome
+        return run() if tool_id in LOOP_TOOLS else await asyncio.to_thread(run)
 
     def oracle_fetch(
         endpoint: str, request: Optional[Dict[str, Any]] = None

@@ -10,10 +10,8 @@ and derived energy, so benchmarks E1–E12 can report them.
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -175,29 +173,14 @@ class MetricsRegistry:
 
 _DEFAULT_ENERGY_MODEL = EnergyModel()
 
-# -- ambient registry ---------------------------------------------------------
+# -- process-wide registry ---------------------------------------------------
 #
 # Library code that has no registry handed to it (analytics tools, the
-# task runner) records into the *current* registry: a context-local override
-# when installed, else a process-wide fallback.
+# task runner) records into the one registry of the process.
 
 _GLOBAL_REGISTRY = MetricsRegistry()
-_CURRENT_REGISTRY: ContextVar[Optional[MetricsRegistry]] = ContextVar(
-    "repro_current_metrics", default=None
-)
 
 
 def current_metrics() -> MetricsRegistry:
-    """The registry in effect for this context (never None)."""
-    registry = _CURRENT_REGISTRY.get()
-    return registry if registry is not None else _GLOBAL_REGISTRY
-
-
-@contextmanager
-def use_metrics(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Route :func:`current_metrics` to ``registry`` within the block."""
-    token = _CURRENT_REGISTRY.set(registry)
-    try:
-        yield registry
-    finally:
-        _CURRENT_REGISTRY.reset(token)
+    """The process-wide registry (never None)."""
+    return _GLOBAL_REGISTRY

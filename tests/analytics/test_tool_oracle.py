@@ -23,11 +23,23 @@ _NUMBER = st.one_of(
 )
 _ODD = st.sampled_from(["150", "abc", None, [1.0], {"x": 1}])
 _VALUE = st.one_of(_NUMBER, _NUMBER, _NUMBER, _ODD)
+# Every kind a column can hold, evenly: strings (decided by code), plain
+# numbers (in float64), ints past 2**52 and floats of the same value (as
+# Python objects), and containers and None (as Python objects).
+_MIXED = st.one_of(
+    st.sampled_from(["F", "M", "A", ""]),
+    st.integers(-2, 2),
+    st.booleans(),
+    st.sampled_from([0.0, -0.0, 1.0, 1.5, float("nan"), 2.0**52, 2.0**60]),
+    st.sampled_from([2**52, 2**52 + 1, 2**60, 10**400]),
+    st.sampled_from([None, {"x": 1}, [1], [1.0], ["F"]]),
+)
 
 _RECORD = st.fixed_dictionaries(
-    {},
-    # Every key may be missing: a missing path must raise (dotted paths,
-    # ``birth_year``) or default (``outcomes``, ``diagnoses``) as it did.
+    # A column of strings only, held by every record.
+    {"ward": st.sampled_from(["A", "B", "C"])},
+    # Every other key may be missing: a missing path must raise (dotted
+    # paths, ``birth_year``) or default (``outcomes``, ``diagnoses``) as it did.
     optional={
         "birth_year": st.one_of(
             st.integers(1930, 2010), st.booleans(), st.floats(1900, 2020), st.just(10**400), _ODD
@@ -42,6 +54,7 @@ _RECORD = st.fixed_dictionaries(
         ),
         "lifestyle": st.fixed_dictionaries({}, optional={"smoker": _VALUE}),
         "vitals": st.fixed_dictionaries({}, optional={"sbp": _VALUE, "bmi": _VALUE}),
+        "mixed": _MIXED,
     },
 )
 
@@ -50,9 +63,17 @@ _FILTERS = st.dictionaries(
         [
             "age_min", "age_max", "diagnosis", "has_outcome_stroke", "has_outcome_cancer",
             "sex", "lifestyle.smoker", "vitals.sbp", "vitals.nope", "sex.deeper",
+            "ward", "mixed", "mixed", "mixed",
         ]
     ),
-    st.sampled_from([0, 1, 40, 70, 1.5, "F", "I10", True, None, [1]]),
+    # A wanted value of every type, and a string that no record holds.
+    st.sampled_from(
+        [
+            0, 1, 40, 70, 2**52, 2**53 + 1, 2**60, 2**60 + 1, True, False,
+            1.5, -0.0, 2.0**60, float("nan"),
+            "F", "A", "I10", "nobody", None, [1], ["F"], {"x": 1},
+        ]
+    ),
     max_size=3,
 )
 
@@ -68,7 +89,7 @@ _PARAMS = st.fixed_dictionaries(
         "low": st.sampled_from([-1e308, 0.0, 15.0, 100.0]),
         "high": st.sampled_from([1.0, 55.0, 200.0, 1e308]),
         "bins": st.integers(0, 8),
-        "group_field": st.sampled_from(["sex", "lifestyle.smoker", "vitals.nope"]),
+        "group_field": st.sampled_from(["sex", "lifestyle.smoker", "vitals.nope", "mixed"]),
         "group_values": st.lists(
             st.sampled_from(["F", "M", 0, 1, True, None]), min_size=2, max_size=2
         ),
@@ -87,6 +108,10 @@ def _answer(tool, records: List[Dict[str, Any]], params: Dict[str, Any]) -> Any:
 
 
 _BASE = {"birth_year": 1950, "sex": "F", "vitals": {"sbp": 150.0}}
+_MIXED_COLUMN = [
+    {"ward": "A", "mixed": value}
+    for value in (2.0**60, 2**60, "F", None, 1, True, float("nan"), [1], "")
+]
 
 
 @settings(max_examples=400, deadline=None)
@@ -114,6 +139,14 @@ _BASE = {"birth_year": 1950, "sex": "F", "vitals": {"sbp": 150.0}}
     [{"vitals": {"bmi": 20.0}}, {"vitals": {"bmi": float("inf")}}],
     {"filters": {}, "field": "vitals.bmi", "low": 15.0, "high": 55.0, "bins": 8},
 )
+# Equality by type: an int past 2**52 is compared as a Python object, so
+# 2**60 + 1 equals no float and 2.0**60 equals the int 2**60; a string no
+# record holds equals nothing, a number no string.
+@example("count", _MIXED_COLUMN, {"filters": {"mixed": 2**60 + 1}})
+@example("count", _MIXED_COLUMN, {"filters": {"mixed": 2.0**60}})
+@example("count", _MIXED_COLUMN, {"filters": {"mixed": "nobody"}})
+@example("count", _MIXED_COLUMN, {"filters": {"mixed": True, "ward": "A"}})
+@example("count", _MIXED_COLUMN, {"filters": {"mixed": "F"}})
 def test_shipped_tool_agrees_with_the_oracle(
     tool_id: str, records: List[Dict[str, Any]], params: Dict[str, Any]
 ) -> None:

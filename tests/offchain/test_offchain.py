@@ -13,7 +13,7 @@ from repro.offchain.anchoring import (
 )
 from repro.offchain.oracle import DataOracle
 from repro.offchain.tasks import TaskRunner, ToolRegistry, ToolSpec
-from repro.sim.metrics import MetricsRegistry, use_metrics
+from repro.sim.metrics import current_metrics
 
 
 def _records(n=5):
@@ -140,19 +140,21 @@ class TestTaskRunner:
 
     def test_run_counts_tasks_and_flops_per_site(self):
         runner = self._runner()
-        with use_metrics(MetricsRegistry()) as metrics:
-            runner.run("t1", "count", _records(4), {})
-            runner.run("t2", "count", _records(2), {})
-        assert metrics.counter("tool_tasks", "site-a") == 2
-        assert metrics.counter("tool_flops", "site-a") == 40 + 20
+        metrics = current_metrics()
+        tasks, flops = metrics.counter("tool_tasks", "site-a"), metrics.counter("tool_flops", "site-a")
+        runner.run("t1", "count", _records(4), {})
+        runner.run("t2", "count", _records(2), {})
+        assert metrics.counter("tool_tasks", "site-a") - tasks == 2
+        assert metrics.counter("tool_flops", "site-a") - flops == 40 + 20
 
     def test_raising_tool_propagates_uncounted(self):
         registry = ToolRegistry()
         registry.register(ToolSpec("boom", lambda recs, params: 1 / 0))
-        with use_metrics(MetricsRegistry()) as metrics:
-            with pytest.raises(ZeroDivisionError):
-                TaskRunner("s", registry).run("t", "boom", _records(1), {})
-        assert metrics.counter_total("tool_tasks") == 0
+        metrics = current_metrics()
+        tasks = metrics.counter_total("tool_tasks")
+        with pytest.raises(ZeroDivisionError):
+            TaskRunner("s", registry).run("t", "boom", _records(1), {})
+        assert metrics.counter_total("tool_tasks") == tasks
 
     def test_unknown_tool(self):
         runner = self._runner()

@@ -40,7 +40,8 @@ from repro.p2p.rpc_transport import RpcTransport
 from repro.p2p.transport import SimTransport
 from repro.p2p.wire import tx_to_wire
 from repro.query.parser import parse_query
-from repro.rpc import codec
+from repro.query.vector import QueryVector
+from repro.rpc import codec, methods
 from repro.rpc.client import RpcClient
 from repro.rpc.gateway import InprocGateway
 from repro.rpc.methods import build_site_registry, vector_to_wire
@@ -375,22 +376,49 @@ E22_SHAPES = (
 )
 
 
-def test_site_read_work_per_warm_query():
+def test_site_read_work_per_warm_query(monkeypatch):
     """Three data-only sites behind an in-process gateway, 20 queries of the
     five shapes, then a ``tamper`` at one site and 20 more.  A site projects
     each column it scans once per dataset content, and no more however many
     queries read it; the ``tamper`` costs each of that dataset's columns one
     projection, exactly.  A warm gateway plans from its cached catalog and
-    asks no site for it.  Structural, so compared ``==``."""
+    asks no site for it.  A warm query compares no Python objects in its
+    equality filters (``sex = "F"`` by string code, ``smoker = 1`` in
+    float64), and a site does not hash the vector into a ``query_id``.
+    Structural, so compared ``==``."""
     sites = {name: build_site(name, 3, 150, 2026) for name in ("hospital-0", "hospital-1", "hospital-2")}
     servers = {name: RpcServer(build_site_registry(site), name=name) for name, site in sites.items()}
     gateway = InprocGateway(servers)
+    counts = {"object_not_equal": 0, "site_query_id": 0}
+    not_equal, from_wire = numpy.not_equal, methods.vector_from_wire
 
-    def catalog_calls():
+    def counted_not_equal(*args, **kwargs):
+        if any(getattr(arg, "dtype", None) == object for arg in args):
+            counts["object_not_equal"] += 1
+        return not_equal(*args, **kwargs)
+
+    class CountedVector(QueryVector):
+        @property
+        def query_id(self):
+            counts["site_query_id"] += 1
+            return QueryVector.query_id.fget(self)
+
+    def counted_from_wire(vector):
+        built = from_wire(vector)
+        built.__class__ = CountedVector  # only the vector a site rebuilds
+        return built
+
+    monkeypatch.setattr(numpy, "not_equal", counted_not_equal)
+    monkeypatch.setattr(methods, "vector_from_wire", counted_from_wire)
+
+    def served(method):
         return sum(
-            server.metrics.counter("rpc_calls[site.catalog]", scope=name)
+            server.metrics.counter(f"rpc_calls[{method}]", scope=name)
             for name, server in servers.items()
         )
+
+    def catalog_calls():
+        return served("site.catalog")
 
     def queries(count):
         for index in range(count):
@@ -407,9 +435,11 @@ def test_site_read_work_per_warm_query():
     try:
         queries(1)
         warm_from = catalog_calls()
+        counts["object_not_equal"] = 0
         queries(19)
         cold = projections()
         catalog_per_warm_query = (catalog_calls() - warm_from) / 19
+        object_not_equal_per_warm_query = counts["object_not_equal"] / 19
         store = sites["hospital-0"].store
         store.tamper("emr-hospital-0", 0, "birth_year", 1940)
         queries(20)
@@ -422,6 +452,10 @@ def test_site_read_work_per_warm_query():
         "extra_projections_per_path_after_a_tamper_low": min(tampered.values()),
         "extra_projections_per_path_after_a_tamper_high": max(tampered.values()),
         "gateway_catalog_calls_per_warm_query": catalog_per_warm_query,
+        "object_not_equal_calls_per_warm_query": object_not_equal_per_warm_query,
+        "query_id_evaluations_per_served_site_query": (
+            counts["site_query_id"] / served("site.query")
+        ),
     }
 
 

@@ -125,3 +125,20 @@ def test_aggregates_run_on_the_event_loop_and_model_fits_in_a_worker():
 
     assert asyncio.run(ask(SHAPES[0])) == threads["count"]
     assert asyncio.run(ask("train a stroke model")) != threads["local_train"]
+
+
+def test_site_query_answers_in_run_task_shape():
+    """``site.query`` answers what ``site.run_task`` answers for the vector's
+    tool and params; the query is named by ``task_id`` alone."""
+    site = build_site("hospital-0", 3, 50, 2026)
+    registry = build_site_registry(site)
+    vector = parse_query(SHAPES[2])
+    outcome = asyncio.run(
+        registry.get("site.query").handler(
+            vector=vector_to_wire(vector), dataset_ids=["emr-hospital-0"], task_id="q-s0"
+        )
+    )
+    ran = registry.get("site.run_task").handler(
+        "q-s0", vector.tool_id(), ["emr-hospital-0"], vector.tool_params(), vector.purpose
+    )
+    assert outcome == ran

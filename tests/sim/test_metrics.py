@@ -7,7 +7,6 @@ from repro.sim.metrics import (
     Histogram,
     MetricsRegistry,
     current_metrics,
-    use_metrics,
 )
 
 
@@ -128,19 +127,3 @@ class TestSnapshot:
 class TestAmbientRegistry:
     def test_current_metrics_never_none(self):
         assert current_metrics() is not None
-
-    def test_use_metrics_overrides_and_restores(self):
-        override = MetricsRegistry()
-        ambient_before = current_metrics()
-        with use_metrics(override):
-            assert current_metrics() is override
-            current_metrics().add("gas", 1)
-        assert current_metrics() is ambient_before
-        assert override.counter_total("gas") == 1
-
-    def test_use_metrics_nests(self):
-        outer, inner = MetricsRegistry(), MetricsRegistry()
-        with use_metrics(outer):
-            with use_metrics(inner):
-                assert current_metrics() is inner
-            assert current_metrics() is outer
