@@ -3,11 +3,11 @@
 Boots one ``repro.rpc.site_server`` per source tree (the same site, records
 and seed) and sends both the same calls: E22 ``federated_query``'s five query
 shapes as ``site.query`` frames, as ``TcpGateway`` sends them, from
-``--clients`` concurrent connection pairs.  Each call goes to one server and
+``CLIENTS`` concurrent connection pairs.  Each call goes to one server and
 then the same call to the other (which goes first alternates), so whatever
-else the host does lands on both alike.  The calls run in ``--rounds``
-blocks, and each block is charged each server's CPU over it, read from
-``/proc/<pid>/task/*/schedstat`` (nanoseconds, every thread).
+else the host does lands on both alike.  The calls run in ``ROUNDS``
+blocks of ``CALLS``, and each block is charged each server's CPU over it,
+read from ``/proc/<pid>/task/*/schedstat`` (nanoseconds, every thread).
 
 Prints each server's CPU per call (median and quartiles over blocks) and the
 B/A ratio of the totals, with the quartiles of the per-block ratios.  On a
@@ -22,7 +22,6 @@ aside).
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import glob
 import os
@@ -42,6 +41,11 @@ from repro.rpc.client import RpcClient  # noqa: E402
 from repro.rpc.methods import vector_to_wire  # noqa: E402
 
 SITE = "hospital-0"
+RECORDS = 1000  # E22's records per site
+SEED = 2026
+ROUNDS = 30  # blocks of calls
+CALLS = 400  # site.query calls per block, to each server
+CLIENTS = 4  # concurrent connection pairs
 
 
 def cpu_ns(pid: int) -> int:
@@ -91,10 +95,10 @@ def quartiles(values: List[float]) -> List[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
 
-async def compare(args: argparse.Namespace, procs, addrs: Dict[str, Any]) -> int:
+async def compare(srcs: Sequence[str], procs, addrs: Dict[str, Any]) -> int:
     names = ["A", "B"]
     clients = {
-        name: [await RpcClient.connect(*addrs[name]) for _ in range(args.clients)]
+        name: [await RpcClient.connect(*addrs[name]) for _ in range(CLIENTS)]
         for name in names
     }
     try:
@@ -109,26 +113,26 @@ async def compare(args: argparse.Namespace, procs, addrs: Dict[str, Any]) -> int
             if answers[0] != answers[1]:
                 differ.append(QUERY_TEXTS[index])
         pairs = list(zip(clients["A"], clients["B"]))
-        await block(pairs, params, args.calls // 4)  # warm: every column projected
+        await block(pairs, params, CALLS // 4)  # warm: every column projected
         spent: Dict[str, List[float]] = {name: [] for name in names}
-        for _ in range(args.rounds):
+        for _ in range(ROUNDS):
             before = {name: cpu_ns(procs[name].pid) for name in names}
-            await block(pairs, params, args.calls)
+            await block(pairs, params, CALLS)
             for name in names:
-                spent[name].append((cpu_ns(procs[name].pid) - before[name]) / args.calls / 1e3)
+                spent[name].append((cpu_ns(procs[name].pid) - before[name]) / CALLS / 1e3)
     finally:
         for name in names:
             for client in clients[name]:
                 await client.close()
-    for name, src in zip(names, (args.src_a, args.src_b)):
+    for name, src in zip(names, srcs):
         low, mid, high = quartiles(spent[name])
         print(f"{name}: {mid:7.1f} us CPU per site.query (quartiles {low:.1f}-{high:.1f})  {src}")
     ratios = [b / a for a, b in zip(spent["A"], spent["B"])]
     low, mid, high = quartiles(ratios)
     print(
         f"B/A: {sum(spent['B']) / sum(spent['A']):.3f} of the totals; per round "
-        f"{mid:.3f} (quartiles {low:.3f}-{high:.3f}), {args.rounds} rounds of "
-        f"{args.calls} calls x {args.clients} clients, {args.records} records"
+        f"{mid:.3f} (quartiles {low:.3f}-{high:.3f}), {ROUNDS} rounds of "
+        f"{CALLS} calls x {CLIENTS} clients, {RECORDS} records"
     )
     if differ:
         print(f"ANSWERS DIFFER for: {differ}")
@@ -137,28 +141,22 @@ async def compare(args: argparse.Namespace, procs, addrs: Dict[str, Any]) -> int
     return 0
 
 
-def main(argv: Sequence[str] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src_a", help="source tree A (a directory holding repro/)")
-    parser.add_argument("src_b", help="source tree B")
-    parser.add_argument("--records", type=int, default=1000, help="records at the site")
-    parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--rounds", type=int, default=30, help="blocks of calls")
-    parser.add_argument("--calls", type=int, default=400, help="site.query calls per block, to each server")
-    parser.add_argument("--clients", type=int, default=4, help="concurrent connections")
-    args = parser.parse_args(argv)
+def main(argv: Sequence[str]) -> int:
+    if len(argv) != 2:
+        print("usage: site_ab.py SRC_A SRC_B", file=sys.stderr)
+        return 2
     procs: Dict[str, Any] = {}
     addrs: Dict[str, Any] = {}
     try:
-        for name, src in (("A", args.src_a), ("B", args.src_b)):
+        for name, src in zip(("A", "B"), argv):
             launched, bound = start_site_fleet(
-                [SITE], 3, args.records, args.seed, src=os.path.abspath(src)
+                [SITE], 3, RECORDS, SEED, src=os.path.abspath(src)
             )
             procs[name], addrs[name] = launched[0], bound[SITE]
-        return asyncio.run(compare(args, procs, addrs))
+        return asyncio.run(compare(argv, procs, addrs))
     finally:
         stop_site_fleet(list(procs.values()))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -228,11 +228,9 @@ def tool_prevalence(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     selected = _selected(table, params)
     flags, decided = _outcome_flags(table, outcome)
     positives = int(np.count_nonzero(selected & decided & flags))
-    odd = selected & ~decided
-    if odd.any():
-        for index in np.flatnonzero(odd):
-            if table[index].get("outcomes", {}).get(outcome, 0):
-                positives += 1
+    for index in np.flatnonzero(selected & ~decided):
+        if table[index].get("outcomes", {}).get(outcome, 0):
+            positives += 1
     return {"outcome": outcome, "n": int(np.count_nonzero(selected)), "positives": positives}
 
 

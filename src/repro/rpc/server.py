@@ -30,7 +30,7 @@ import asyncio
 import contextvars
 import inspect
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Coroutine, Dict, List, Optional, Set, Tuple, Union
 
@@ -67,19 +67,6 @@ class MethodSpec:
     timeout_s: Optional[float] = None
     #: Safe to retry on a fresh connection after an ambiguous failure.
     idempotent: bool = False
-    # Resolved once here, not per request.
-    is_async: bool = field(init=False)
-    calls_metric: str = field(init=False)
-    latency_metric: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.is_async = inspect.iscoroutinefunction(self.handler)
-        self.calls_metric, self.latency_metric = _call_metrics(self.name)
-
-
-def _call_metrics(method: str) -> Tuple[str, str]:
-    """The counter names a served call of ``method`` adds to."""
-    return f"rpc_calls[{method}]", f"rpc_latency_s[{method}]"
 
 
 class MethodRegistry:
@@ -378,29 +365,24 @@ class RpcServer:
 
     async def _answer(self, request: Request, started: float) -> Optional[Response]:
         """Run the handler; its response (``None`` for a notification)."""
-        spec: Optional[MethodSpec] = None
         try:
-            spec = self.registry.get(request.method)
-            response = await self._run_handler(request, spec)
-        except MethodNotFoundError as exc:
-            self._count_error(request.method, "method_not_found")
-            response = codec.error_response(
-                None if request.is_notification else request.request_id, exc
-            )
+            response = await self._run_handler(request)
         finally:
             self._inflight -= 1
             elapsed = perf_counter() - started
-            calls, latency = (
-                (spec.calls_metric, spec.latency_metric)
-                if spec is not None
-                else _call_metrics(request.method)
+            self.metrics.add(f"rpc_calls[{request.method}]", 1, scope=self.name)
+            self.metrics.add(
+                f"rpc_latency_s[{request.method}]", elapsed, scope=self.name
             )
-            self.metrics.add(calls, 1, scope=self.name)
-            self.metrics.add(latency, elapsed, scope=self.name)
         return None if request.is_notification else response
 
-    async def _run_handler(self, request: Request, spec: MethodSpec) -> Response:
+    async def _run_handler(self, request: Request) -> Response:
         request_id = None if request.is_notification else request.request_id
+        try:
+            spec = self.registry.get(request.method)
+        except MethodNotFoundError as exc:
+            self._count_error(request.method, "method_not_found")
+            return codec.error_response(request_id, exc)
         params = request.params
         if params is None:
             params = {}
@@ -420,10 +402,10 @@ class RpcServer:
                     with trace_span(
                         "rpc.serve", method=request.method, server=self.name
                     ):
-                        result = await self._invoke(spec, params)
+                        result = await self._invoke(spec.handler, params)
                 meta = {"spans": collector.export()} if collector.spans else {}
                 return Response(request_id=request_id, result=result, meta=meta)
-            result = await self._invoke(spec, params)
+            result = await self._invoke(spec.handler, params)
             return Response(request_id=request_id, result=result)
         except asyncio.TimeoutError:
             self._count_error(request.method, "timeout")
@@ -441,10 +423,10 @@ class RpcServer:
             self._count_error(request.method, f"code_{error.code}")
             return codec.error_response(request_id, error)
 
-    async def _invoke(self, spec: MethodSpec, params: Dict[str, Any]) -> Any:
-        if spec.is_async:
-            return await spec.handler(**params)
-        result = await asyncio.to_thread(spec.handler, **params)
+    async def _invoke(self, handler: Handler, params: Dict[str, Any]) -> Any:
+        if inspect.iscoroutinefunction(handler):
+            return await handler(**params)
+        result = await asyncio.to_thread(handler, **params)
         if inspect.isawaitable(result):
             return await result  # handler returned a coroutine from a thread
         return result
