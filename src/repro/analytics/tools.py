@@ -33,6 +33,11 @@ Records = Sequence[Dict[str, Any]]
 Check = Callable[[Dict[str, Any]], bool]
 Mask = np.ndarray
 
+#: The most bins a histogram may ask for.  Its counts are allocated before
+#: any record is read, so an unbounded ``bins`` is a memory request any
+#: caller could make; callers ask for 8-50.
+MAX_HISTOGRAM_BINS = 100_000
+
 
 def _compile_filters(filters: Dict[str, Any]) -> List[Check]:
     """One check per filter entry, in the dict's order.
@@ -240,8 +245,11 @@ def tool_histogram(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     low = float(params.get("low", 0.0))
     high = float(params.get("high", 1.0))
     bins = int(params.get("bins", 10))
-    if not path or bins <= 0 or high <= low:
-        raise OracleError("histogram requires field, low < high, bins > 0")
+    if not path or bins <= 0 or bins > MAX_HISTOGRAM_BINS or high <= low:
+        raise OracleError(
+            "histogram requires field, low < high, bins > 0"
+            + (f", bins <= {MAX_HISTOGRAM_BINS}" if bins > MAX_HISTOGRAM_BINS else "")
+        )
     field = field_getter(path)
     width = (high - low) / bins
     table = as_table(records)
@@ -350,7 +358,7 @@ def tool_compare_groups(records: Records, params: Dict[str, Any]) -> Dict[str, A
     selected = _selected(table, params)
     group = table.column(split_path(group_field))  # a record without one is skipped
     members = [
-        selected & group.present & np.equal(group.values, _scalar(wanted))
+        selected & group.present & _equal(group, wanted)
         for wanted in group_values
     ]
     values = _floats(table, members[0] | members[1], field_path, field)

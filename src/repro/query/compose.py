@@ -36,12 +36,15 @@ def decompose(
     vector: QueryVector,
     catalog: Sequence[DatasetRef],
     extra_params: Optional[Dict[str, Any]] = None,
+    query_id: Optional[str] = None,
 ) -> List[SiteTask]:
     """Split a query into one task per hosting site.
 
     ``catalog`` lists every registered dataset (from the on-chain data
     registry); each site receives one task covering all its datasets, with
-    the query's predicates pushed down inside the tool params.
+    the query's predicates pushed down inside the tool params.  A caller
+    that already holds ``vector.query_id`` passes it, so it is not hashed
+    again.
     """
     vector.validate()
     by_site: Dict[str, List[str]] = {}
@@ -58,7 +61,8 @@ def decompose(
             raise QueryError(f"no datasets registered at site {wanted_site!r}")
         by_site = {wanted_site: by_site[wanted_site]}
     tool_id = vector.tool_id()
-    query_id = vector.query_id
+    if query_id is None:
+        query_id = vector.query_id
     tasks = []
     for index, site in enumerate(sorted(by_site)):
         params = vector.tool_params()

@@ -27,13 +27,7 @@ from repro.rpc.errors import (
     error_from_wire,
     to_rpc_error,
 )
-from repro.rpc.framing import (
-    DEFAULT_MAX_FRAME_BYTES,
-    FrameDecoder,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
+from repro.rpc.framing import DEFAULT_MAX_FRAME_BYTES, FrameDecoder, encode_frame
 from repro.rpc.runtime import EventLoopThread
 from repro.rpc.server import MethodRegistry, MethodSpec, RpcServer
 
@@ -82,8 +76,6 @@ __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "FrameDecoder",
     "encode_frame",
-    "read_frame",
-    "write_frame",
     "Gateway",
     "GatewayAnswer",
     "InprocGateway",

@@ -1,10 +1,12 @@
 """RPC client: pipelined connections, a pool, timeouts, and retries.
 
 One :class:`RpcClient` multiplexes many concurrent calls over a single
-framed TCP connection — requests carry monotonically increasing ids, a
-background reader task resolves each response future as its frame arrives,
-so callers pipeline without waiting for each other (the wire analogue of
-the paper's parallel dispatch).  :class:`ConnectionPool` keeps a small set
+framed TCP connection — requests carry monotonically increasing ids, and
+the connection is an :class:`asyncio.Protocol` that resolves each response
+future in the callback that read its frame, so callers pipeline without
+waiting for each other (the wire analogue of the paper's parallel
+dispatch).  A call is one write, one future and one deadline timer: no
+task, lock or drain.  :class:`ConnectionPool` keeps a small set
 of connections per server, reconnects lazily, and retries *idempotent*
 calls with exponential backoff after connection failures or overload
 rejections — never non-idempotent ones, which could double-apply.
@@ -24,14 +26,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import Span, current_span_id, current_tracer, trace_span
 from repro.rpc import codec
-from repro.rpc.codec import Request, Response
+from repro.rpc.codec import EncodedParams, Response
 from repro.rpc.errors import (
     OverloadedError,
     RpcError,
     RpcTimeoutError,
     ShuttingDownError,
 )
-from repro.rpc.framing import DEFAULT_MAX_FRAME_BYTES, read_frame, write_frame
+from repro.rpc.framing import DEFAULT_MAX_FRAME_BYTES, FrameDecoder, encode_frame
 
 
 @dataclass(frozen=True)
@@ -73,24 +75,19 @@ def adopt_remote_spans(meta: Dict[str, Any]) -> int:
     return len(spans)
 
 
-class RpcClient:
+class RpcClient(asyncio.Protocol):
     """One pipelined connection to an RPC server."""
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    ):
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, *, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
         self.max_frame_bytes = max_frame_bytes
+        self._decoder = FrameDecoder(max_frame_bytes)
         self._ids = itertools.count(1)
         self._pending: Dict[Any, asyncio.Future] = {}
-        self._write_lock = asyncio.Lock()
+        self._transport: Optional[asyncio.Transport] = None
         self._closed = False
-        self._read_task = asyncio.get_running_loop().create_task(self._read_loop())
+        self._paused = False
+        self._writers: List[asyncio.Future] = []  # senders waiting out a pause
+        self._lost = asyncio.get_running_loop().create_future()
 
     @classmethod
     async def connect(
@@ -101,10 +98,13 @@ class RpcClient:
         connect_timeout_s: float = 5.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> "RpcClient":
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), connect_timeout_s
+        _, client = await asyncio.wait_for(
+            asyncio.get_running_loop().create_connection(
+                lambda: cls(max_frame_bytes=max_frame_bytes), host, port
+            ),
+            connect_timeout_s,
         )
-        return cls(reader, writer, max_frame_bytes=max_frame_bytes)
+        return client
 
     @property
     def closed(self) -> bool:
@@ -114,13 +114,18 @@ class RpcClient:
     async def call(
         self,
         method: str,
-        params: Optional[Dict[str, Any]] = None,
+        params: EncodedParams = None,
         *,
         timeout_s: Optional[float] = 30.0,
     ) -> Any:
-        """One request/response; raises the typed :class:`RpcError` on error."""
+        """One request/response; raises the typed :class:`RpcError` on error.
+
+        ``params`` may be given as their canonical bytes, already encoded.
+        """
         with trace_span("rpc.call", method=method, transport="tcp") as span:
-            response = await self._roundtrip(method, params, timeout_s)
+            request_id = next(self._ids)
+            payload = codec.request_payload(method, params, request_id, _trace_meta())
+            (response,) = await self._exchange(payload, [request_id], timeout_s, method)
             if response.meta:
                 adopted = adopt_remote_spans(response.meta)
                 span.set_attr("remote_spans", adopted)
@@ -128,32 +133,9 @@ class RpcClient:
                 raise response.error
             return response.result
 
-    async def _roundtrip(
-        self,
-        method: str,
-        params: Optional[Dict[str, Any]],
-        timeout_s: Optional[float],
-    ) -> Response:
-        request = Request(
-            method=method,
-            params=params,
-            request_id=next(self._ids),
-            meta=_trace_meta(),
-        )
-        future = self._register(request.request_id)
-        await self._send(request.to_wire())
-        try:
-            return await asyncio.wait_for(future, timeout_s)
-        except asyncio.TimeoutError:
-            self._pending.pop(request.request_id, None)
-            raise RpcTimeoutError(
-                f"no response to {method!r} within {timeout_s}s",
-                data={"timeout_s": timeout_s},
-            ) from None
-
     async def call_batch(
         self,
-        calls: Sequence[Tuple[str, Optional[Dict[str, Any]]]],
+        calls: Sequence[Tuple[str, EncodedParams]],
         *,
         timeout_s: Optional[float] = 30.0,
     ) -> List[Any]:
@@ -165,23 +147,12 @@ class RpcClient:
         if not calls:
             return []
         meta = _trace_meta()
-        requests = [
-            Request(method=method, params=params, request_id=next(self._ids), meta=meta)
-            for method, params in calls
-        ]
-        futures = [self._register(request.request_id) for request in requests]
-        await self._send([request.to_wire() for request in requests])
-        try:
-            responses = await asyncio.wait_for(
-                asyncio.gather(*futures), timeout_s
-            )
-        except asyncio.TimeoutError:
-            for request in requests:
-                self._pending.pop(request.request_id, None)
-            raise RpcTimeoutError(
-                f"no batch response within {timeout_s}s",
-                data={"timeout_s": timeout_s},
-            ) from None
+        ids = [next(self._ids) for _ in calls]
+        payload = b"[" + b",".join(
+            codec.request_payload(method, params, request_id, meta)
+            for (method, params), request_id in zip(calls, ids)
+        ) + b"]"
+        responses = await self._exchange(payload, ids, timeout_s, None)
         results: List[Any] = []
         for response in responses:
             if response.meta:
@@ -189,66 +160,123 @@ class RpcClient:
             results.append(response.error if response.error is not None else response.result)
         return results
 
-    async def notify(self, method: str, params: Optional[Dict[str, Any]] = None) -> None:
+    async def notify(self, method: str, params: EncodedParams = None) -> None:
         """Fire-and-forget notification (no id, no response)."""
         await self.send_frame(codec.notification_frame(method, params))
 
     async def send_frame(self, data: bytes) -> None:
         """Write one frame of payload bytes already encoded (by
         :mod:`repro.rpc.codec`); several connections may send the same bytes."""
-        if self._closed:
-            raise ConnectionError("client is closed")
-        async with self._write_lock:
-            await write_frame(self._writer, data, self.max_frame_bytes)
+        self._write(data)
+        if self._paused:
+            await self._writable()
+            if self._closed:
+                raise ConnectionError("connection lost before the frame was sent")
+
+    async def close(self) -> None:
+        """Fail the calls still waiting and close the socket (idempotent)."""
+        self._hang_up(ConnectionError("client closed"))
+        if self._transport is not None:
+            self._transport.close()
+            await self._lost
 
     # -- plumbing ----------------------------------------------------------
-    def _register(self, request_id: Any) -> asyncio.Future:
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        return future
+    def _write(self, data: bytes) -> None:
+        if self._closed:
+            raise ConnectionError("client is closed")
+        self._transport.write(encode_frame(data, self.max_frame_bytes))
 
-    async def _send(self, payload: Any) -> None:
-        await self.send_frame(codec.encode_payload(payload))
+    async def _exchange(
+        self, payload: bytes, ids: List[int], timeout_s: Optional[float], method: Optional[str]
+    ) -> List[Response]:
+        """Send one frame of requests (a batch if ``method`` is None) and wait
+        for their responses, in order.
 
-    async def _read_loop(self) -> None:
-        error: Optional[BaseException] = None
+        The deadline is one timer, armed once the frame is written and
+        cancelled when the responses are in.
+        """
+        self._write(payload)
+        loop = asyncio.get_running_loop()
+        futures = [loop.create_future() for _ in ids]
+        self._pending.update(zip(ids, futures))
+        timer = None
         try:
-            while True:
-                frame = await read_frame(self._reader, self.max_frame_bytes)
-                if frame is None:
-                    break
+            if self._paused:
+                await self._writable()  # a lost connection has failed the futures
+            if timeout_s is not None:
+                timer = loop.call_later(timeout_s, _expire, futures, method, timeout_s)
+            return await asyncio.gather(*futures)
+        finally:
+            if timer is not None:
+                timer.cancel()
+            for request_id in ids:
+                self._pending.pop(request_id, None)
+
+    async def _writable(self) -> None:
+        """Wait until the transport resumes writing (or the connection is lost)."""
+        waiter = asyncio.get_running_loop().create_future()
+        self._writers.append(waiter)
+        await waiter
+
+    def _wake_writers(self) -> None:
+        writers, self._writers = self._writers, []
+        for waiter in writers:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    def _hang_up(self, error: BaseException) -> None:
+        """Refuse further calls and fail every call still waiting with ``error``."""
+        self._closed = True
+        pending, self._pending = self._pending, {}
+        for future in pending.values():
+            if not future.done():
+                future.set_exception(error)
+
+    # -- asyncio.Protocol --------------------------------------------------
+    def connection_made(self, transport: Any) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        """Resolve each call whose response this read completed."""
+        try:
+            for frame in self._decoder.feed(data):
                 payload = codec.decode_payload(frame)
-                items = payload if isinstance(payload, list) else [payload]
-                for item in items:
+                for item in payload if isinstance(payload, list) else (payload,):
                     response = codec.parse_response(item)
                     future = self._pending.pop(response.request_id, None)
                     if future is not None and not future.done():
                         future.set_result(response)
-        except asyncio.CancelledError:
-            error = ConnectionError("client closed")
-        except BaseException as exc:
-            error = exc
-        finally:
-            self._closed = True
-            failure = error or ConnectionError("connection closed by server")
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(failure)
-            self._pending.clear()
+        except Exception as exc:  # an oversized frame, bad JSON, no response
+            self._hang_up(exc)
+            self._transport.abort()
 
-    async def close(self) -> None:
-        """Close the socket and stop the reader task (idempotent)."""
-        self._closed = True
-        self._read_task.cancel()
-        try:
-            await self._read_task
-        except (asyncio.CancelledError, Exception):
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except Exception:
-            pass
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._wake_writers()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if exc is None:
+            exc = ConnectionError(
+                "connection closed by server"
+                if self._decoder.at_boundary()
+                else "connection closed mid-frame"
+            )
+        self._hang_up(exc)
+        self._paused = False
+        self._wake_writers()
+        self._lost.set_result(None)
+
+
+def _expire(futures: List[asyncio.Future], method: Optional[str], timeout_s: float) -> None:
+    """A call's deadline passed: fail whichever of its futures still waits."""
+    what = "batch response" if method is None else f"response to {method!r}"
+    error = RpcTimeoutError(f"no {what} within {timeout_s}s", data={"timeout_s": timeout_s})
+    for future in futures:
+        if not future.done():
+            future.set_exception(error)
 
 
 class ConnectionPool:
@@ -283,10 +311,19 @@ class ConnectionPool:
         return self._lock
 
     async def _acquire(self) -> RpcClient:
+        """The next connection, round-robin once the pool is full (all are
+        pipelined).  The lock is taken only to dial a connection or replace
+        a dead one, never to hand out a live one."""
+        clients = self._clients
+        if len(clients) == self.max_connections:
+            self._next = (self._next + 1) % len(clients)
+            client = clients[self._next]
+            if not client.closed:
+                return client
         async with self._get_lock():
             for client in [c for c in self._clients if c.closed]:
                 self._clients.remove(client)
-                await client.close()  # a dead reader still holds its socket
+                await client.close()  # a dead connection may still hold its socket
             if len(self._clients) < self.max_connections:
                 client = await RpcClient.connect(
                     self.host,
@@ -296,14 +333,13 @@ class ConnectionPool:
                 )
                 self._clients.append(client)
                 return client
-            # Round-robin over healthy connections (all are pipelined).
             self._next = (self._next + 1) % len(self._clients)
             return self._clients[self._next]
 
     async def call(
         self,
         method: str,
-        params: Optional[Dict[str, Any]] = None,
+        params: EncodedParams = None,
         *,
         timeout_s: Optional[float] = None,
         idempotent: bool = False,
@@ -341,7 +377,7 @@ class ConnectionPool:
 
     async def call_batch(
         self,
-        calls: Sequence[Tuple[str, Optional[Dict[str, Any]]]],
+        calls: Sequence[Tuple[str, EncodedParams]],
         *,
         timeout_s: Optional[float] = None,
     ) -> List[Any]:

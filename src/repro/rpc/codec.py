@@ -11,6 +11,9 @@ off, so the extension costs nothing on the hot path.
 Payload bytes always come from :func:`repro.common.serialize.canonical_bytes`
 so both transports (TCP and in-process) produce byte-identical envelopes for
 the same logical call — the property the tcp/inproc equivalence gate rests on.
+Every request is encoded by :func:`request_payload`, which splices the
+params' canonical bytes into the envelope's, so a caller that already holds
+those bytes (to measure them) does not encode the params a second time.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from repro.rpc.errors import (
 JSONRPC_VERSION = "2.0"
 
 Params = Union[Dict[str, Any], List[Any], None]
+#: What a request may carry as params: a value, or its canonical bytes.
+EncodedParams = Union[Params, bytes]
 RequestId = Union[str, int, None]
 
 #: Sentinel distinguishing "id absent" (notification) from "id: null".
@@ -89,9 +94,30 @@ def encode_payload(obj: Any) -> bytes:
     return canonical_bytes(obj)
 
 
-def notification_frame(method: str, params: Optional[Dict[str, Any]] = None) -> bytes:
+def request_payload(
+    method: str,
+    params: EncodedParams = None,
+    request_id: Any = NO_ID,
+    meta: Optional[Dict[str, Any]] = None,
+) -> bytes:
+    """``encode_payload(Request(method, params, request_id, meta).to_wire())``,
+    with ``params`` encoded on their own (or given as their canonical bytes).
+
+    ``params`` sorts last of a request's keys (``id`` < ``jsonrpc`` < ``meta``
+    < ``method`` < ``params``), so the request's bytes are the envelope's
+    without it, with ``,"params":<params bytes>`` before the closing brace.
+    """
+    if params is not None and not isinstance(params, bytes):
+        params = encode_payload(params)
+    envelope = encode_payload(Request(method=method, request_id=request_id, meta=meta).to_wire())
+    if params is None:
+        return envelope
+    return b"".join((envelope[:-1], b',"params":', params, b"}"))
+
+
+def notification_frame(method: str, params: EncodedParams = None) -> bytes:
     """The payload bytes of one notification (no id, so no reply)."""
-    return encode_payload(Request(method=method, params=params, request_id=NO_ID).to_wire())
+    return request_payload(method, params)
 
 
 def decode_payload(data: bytes) -> Any:

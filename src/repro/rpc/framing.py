@@ -3,9 +3,10 @@
 TCP delivers an undifferentiated byte stream; the RPC layer needs message
 boundaries.  Every frame is a 4-byte big-endian unsigned payload length
 followed by the payload bytes.  The decoder is sans-io (feed bytes, pop
-complete frames) so the same state machine serves the asyncio transport,
-the in-process transport, and the property tests, which replay arbitrary
-split/partial/concatenated reads against it.
+complete frames) so the same state machine serves both ends of a
+connection (the server's and the client's ``asyncio.Protocol``) and the
+property tests, which replay arbitrary split/partial/concatenated reads
+against it.
 
 Oversized frames are rejected *from the length prefix alone*, before any
 payload buffering, so a misbehaving peer cannot make the server allocate
@@ -14,7 +15,6 @@ unbounded memory.
 
 from __future__ import annotations
 
-import asyncio
 import struct
 from typing import List, Optional
 
@@ -73,36 +73,3 @@ class FrameDecoder:
     def at_boundary(self) -> bool:
         """True when no partial frame is buffered (clean EOF point)."""
         return not self._buffer and self._expected is None
-
-
-async def read_frame(
-    reader: asyncio.StreamReader,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> Optional[bytes]:
-    """Read one frame; ``None`` on clean EOF before any header byte."""
-    try:
-        header = await reader.readexactly(HEADER_BYTES)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ConnectionError("connection closed mid-header") from exc
-    (length,) = HEADER.unpack(header)
-    if length > max_frame_bytes:
-        raise FrameTooLargeError(
-            f"peer announced a {length}-byte frame (limit {max_frame_bytes})",
-            data={"size": length, "limit": max_frame_bytes},
-        )
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ConnectionError("connection closed mid-frame") from exc
-
-
-async def write_frame(
-    writer: asyncio.StreamWriter,
-    payload: bytes,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> None:
-    """Write one frame and drain (flow control against slow readers)."""
-    writer.write(encode_frame(payload, max_frame_bytes))
-    await writer.drain()

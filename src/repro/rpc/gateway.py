@@ -41,6 +41,7 @@ from repro.obs.tracer import trace_span
 from repro.query.compose import SiteTask, compose, decompose
 from repro.query.vector import QueryVector
 from repro.rpc import codec
+from repro.rpc.codec import EncodedParams
 from repro.rpc.client import (
     ConnectionPool,
     RetryPolicy,
@@ -85,11 +86,12 @@ class Gateway:
         self,
         site: str,
         method: str,
-        params: Optional[Dict[str, Any]] = None,
+        params: EncodedParams = None,
         *,
         idempotent: bool = True,
         timeout_s: Optional[float] = None,
     ) -> Any:
+        """Call ``method`` at ``site``; ``params`` may be their canonical bytes."""
         raise NotImplementedError
 
     def site_names(self) -> List[str]:
@@ -140,10 +142,10 @@ class Gateway:
         with trace_span(
             "gateway.execute", transport=self.transport, intent=vector.intent
         ) as span:
-            tasks = decompose(vector, await self.acatalog())
+            tasks = decompose(vector, await self.acatalog(), query_id=query_id)
             span.set_attr("tasks", len(tasks))
             outcomes = await asyncio.gather(
-                *(self._run_site_task(vector, wire, task, timeout_s) for task in tasks)
+                *(self._run_site_task(vector, query_id, wire, task, timeout_s) for task in tasks)
             )
             partials: Dict[str, Dict[str, Any]] = {}
             failures: Dict[str, str] = {}
@@ -180,6 +182,7 @@ class Gateway:
     async def _run_site_task(
         self,
         vector: QueryVector,
+        query_id: str,
         wire: Dict[str, Any],
         task: SiteTask,
         timeout_s: Optional[float],
@@ -193,7 +196,11 @@ class Gateway:
         partial, error, size = await self._query_site(wire, task, timeout_s)
         if isinstance(error, StaleCatalogError):
             replanned = next(
-                (t for t in decompose(vector, self._catalog()) if t.site == task.site),
+                (
+                    t
+                    for t in decompose(vector, self._catalog(), query_id=query_id)
+                    if t.site == task.site
+                ),
                 None,
             )
             if replanned is None:  # the site hosts nothing any more
@@ -205,13 +212,17 @@ class Gateway:
     async def _query_site(
         self, wire: Dict[str, Any], task: SiteTask, timeout_s: Optional[float]
     ) -> Tuple[Optional[Dict[str, Any]], Optional[RpcError], int]:
-        params = {
-            "vector": wire,
-            "dataset_ids": list(task.dataset_ids),
-            "task_id": task.task_id,
-            "catalog_version": self._listings[task.site]["version"],
-        }
-        down = len(canonical_bytes(params))
+        # Encoded once: these bytes are both the down share of
+        # ``bytes_on_wire`` and the request's params on the wire.
+        params = canonical_bytes(
+            {
+                "vector": wire,
+                "dataset_ids": list(task.dataset_ids),
+                "task_id": task.task_id,
+                "catalog_version": self._listings[task.site]["version"],
+            }
+        )
+        down = len(params)
         try:
             outcome = await self.acall(
                 task.site, "site.query", params, idempotent=True, timeout_s=timeout_s
@@ -233,7 +244,7 @@ class Gateway:
         self,
         site: str,
         method: str,
-        params: Optional[Dict[str, Any]] = None,
+        params: EncodedParams = None,
         *,
         idempotent: bool = True,
         timeout_s: Optional[float] = None,
@@ -273,7 +284,7 @@ class InprocGateway(Gateway):
         self,
         site: str,
         method: str,
-        params: Optional[Dict[str, Any]] = None,
+        params: EncodedParams = None,
         *,
         idempotent: bool = True,
         timeout_s: Optional[float] = None,
@@ -281,13 +292,9 @@ class InprocGateway(Gateway):
         server = self.servers.get(site)
         if server is None:
             raise QueryError(f"gateway knows no site {site!r}")
-        request = codec.Request(
-            method=method, params=params, request_id=1, meta=_trace_meta()
-        )
+        payload = codec.request_payload(method, params, 1, _trace_meta())
         with trace_span("rpc.call", method=method, transport=self.transport) as span:
-            raw = await server.dispatch_raw(
-                codec.encode_payload(request.to_wire())
-            )
+            raw = await server.dispatch_raw(payload)
             assert raw is not None  # request had an id, so a response exists
             response = codec.parse_response(codec.decode_payload(raw))
             if response.meta:
@@ -336,7 +343,7 @@ class TcpGateway(Gateway):
         self,
         site: str,
         method: str,
-        params: Optional[Dict[str, Any]] = None,
+        params: EncodedParams = None,
         *,
         idempotent: bool = True,
         timeout_s: Optional[float] = None,

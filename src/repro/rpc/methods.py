@@ -66,6 +66,9 @@ def vector_from_wire(vector: Dict[str, Any]) -> QueryVector:
         raise InvalidParamsError(f"unknown vector fields: {sorted(unknown)}")
     if "intent" not in vector:
         raise InvalidParamsError("vector requires an intent")
+    for name in ("target_field", "group_field"):  # split into column paths
+        if not isinstance(vector.get(name, ""), str):
+            raise InvalidParamsError(f"vector {name} must be a dotted path string")
     built = QueryVector(**vector)
     built.validate()
     return built

@@ -58,6 +58,16 @@ _RECORD = st.fixed_dictionaries(
     },
 )
 
+# A wanted value of every type, and a string that no record holds: what a
+# filter or a compared group asks for.
+_WANTED = st.sampled_from(
+    [
+        0, 1, 40, 70, 2**52, 2**53 + 1, 2**60, 2**60 + 1, True, False,
+        1.5, -0.0, 2.0**60, float("nan"),
+        "F", "A", "I10", "nobody", None, [1], ["F"], {"x": 1},
+    ]
+)
+
 _FILTERS = st.dictionaries(
     st.sampled_from(
         [
@@ -66,14 +76,7 @@ _FILTERS = st.dictionaries(
             "ward", "mixed", "mixed", "mixed",
         ]
     ),
-    # A wanted value of every type, and a string that no record holds.
-    st.sampled_from(
-        [
-            0, 1, 40, 70, 2**52, 2**53 + 1, 2**60, 2**60 + 1, True, False,
-            1.5, -0.0, 2.0**60, float("nan"),
-            "F", "A", "I10", "nobody", None, [1], ["F"], {"x": 1},
-        ]
-    ),
+    _WANTED,
     max_size=3,
 )
 
@@ -89,9 +92,13 @@ _PARAMS = st.fixed_dictionaries(
         "low": st.sampled_from([-1e308, 0.0, 15.0, 100.0]),
         "high": st.sampled_from([1.0, 55.0, 200.0, 1e308]),
         "bins": st.integers(0, 8),
-        "group_field": st.sampled_from(["sex", "lifestyle.smoker", "vitals.nope", "mixed"]),
+        "group_field": st.sampled_from(
+            ["sex", "lifestyle.smoker", "vitals.nope", "mixed", "mixed", "ward"]
+        ),
         "group_values": st.lists(
-            st.sampled_from(["F", "M", 0, 1, True, None]), min_size=2, max_size=2
+            st.one_of(st.sampled_from(["F", "M", 0, 1, True, None]), _WANTED),
+            min_size=2,
+            max_size=2,
         ),
     },
 )
@@ -147,6 +154,28 @@ _MIXED_COLUMN = [
 @example("count", _MIXED_COLUMN, {"filters": {"mixed": "nobody"}})
 @example("count", _MIXED_COLUMN, {"filters": {"mixed": True, "ward": "A"}})
 @example("count", _MIXED_COLUMN, {"filters": {"mixed": "F"}})
+# Group membership by type, as the filters: strings by code, plain numbers
+# in float64, the rest (an int past 2**52, None, a list) as Python objects.
+@example(
+    "compare_groups",
+    [dict(row, vitals={"sbp": 120.0}) for row in _MIXED_COLUMN],
+    {"filters": {}, "field": "vitals.sbp", "group_field": "mixed", "group_values": ["F", 1]},
+)
+@example(
+    "compare_groups",
+    [dict(row, vitals={"sbp": 120.0}) for row in _MIXED_COLUMN],
+    {"filters": {}, "field": "vitals.sbp", "group_field": "mixed", "group_values": [2**60, None]},
+)
+@example(
+    "compare_groups",
+    [dict(row, vitals={"sbp": 120.0}) for row in _MIXED_COLUMN],
+    {"filters": {}, "field": "vitals.sbp", "group_field": "mixed", "group_values": [[1], 2.0**60]},
+)
+@example(
+    "compare_groups",
+    [{"ward": "A", "mixed": v, "vitals": {"sbp": 120.0}} for v in (1, 1.5, 2, -0.0, True)],
+    {"filters": {}, "field": "vitals.sbp", "group_field": "mixed", "group_values": [1.5, 0]},
+)
 def test_shipped_tool_agrees_with_the_oracle(
     tool_id: str, records: List[Dict[str, Any]], params: Dict[str, Any]
 ) -> None:

@@ -43,7 +43,7 @@ from repro.query.parser import parse_query
 from repro.query.vector import QueryVector
 from repro.rpc import codec, methods
 from repro.rpc.client import RpcClient
-from repro.rpc.gateway import InprocGateway
+from repro.rpc.gateway import InprocGateway, TcpGateway
 from repro.rpc.methods import build_site_registry, vector_to_wire
 from repro.rpc.server import RpcServer
 from repro.rpc.site_server import build_site
@@ -374,6 +374,11 @@ E22_SHAPES = (
     "histogram of bmi between 15 and 55 with 8 bins",
     "how many women over 60 have hypertension",
 )
+#: ``compare_groups`` over string groups (by sex) and number groups (smokers).
+COMPARE_SHAPES = (
+    "compare systolic blood pressure between men and women",
+    "compare bmi of smokers",
+)
 
 
 def test_site_read_work_per_warm_query(monkeypatch):
@@ -384,18 +389,22 @@ def test_site_read_work_per_warm_query(monkeypatch):
     projection, exactly.  A warm gateway plans from its cached catalog and
     asks no site for it.  A warm query compares no Python objects in its
     equality filters (``sex = "F"`` by string code, ``smoker = 1`` in
-    float64), and a site does not hash the vector into a ``query_id``.
-    Structural, so compared ``==``."""
+    float64), nor in a ``compare_groups`` query's group membership (``M`` /
+    ``F``, smokers ``1`` / ``0``), and a site does not hash the vector into a
+    ``query_id``.  Structural, so compared ``==``."""
     sites = {name: build_site(name, 3, 150, 2026) for name in ("hospital-0", "hospital-1", "hospital-2")}
     servers = {name: RpcServer(build_site_registry(site), name=name) for name, site in sites.items()}
     gateway = InprocGateway(servers)
-    counts = {"object_not_equal": 0, "site_query_id": 0}
-    not_equal, from_wire = numpy.not_equal, methods.vector_from_wire
+    counts = {"object_not_equal": 0, "object_equal": 0, "site_query_id": 0}
+    not_equal, equal, from_wire = numpy.not_equal, numpy.equal, methods.vector_from_wire
 
-    def counted_not_equal(*args, **kwargs):
-        if any(getattr(arg, "dtype", None) == object for arg in args):
-            counts["object_not_equal"] += 1
-        return not_equal(*args, **kwargs)
+    def on_objects(name, ufunc):
+        def counted(*args, **kwargs):
+            if any(getattr(arg, "dtype", None) == object for arg in args):
+                counts[name] += 1
+            return ufunc(*args, **kwargs)
+
+        return counted
 
     class CountedVector(QueryVector):
         @property
@@ -408,7 +417,8 @@ def test_site_read_work_per_warm_query(monkeypatch):
         built.__class__ = CountedVector  # only the vector a site rebuilds
         return built
 
-    monkeypatch.setattr(numpy, "not_equal", counted_not_equal)
+    monkeypatch.setattr(numpy, "not_equal", on_objects("object_not_equal", not_equal))
+    monkeypatch.setattr(numpy, "equal", on_objects("object_equal", equal))
     monkeypatch.setattr(methods, "vector_from_wire", counted_from_wire)
 
     def served(method):
@@ -444,6 +454,12 @@ def test_site_read_work_per_warm_query(monkeypatch):
         store.tamper("emr-hospital-0", 0, "birth_year", 1940)
         queries(20)
         after = projections()
+        counts["object_equal"] = counts["object_not_equal"] = 0
+        for text in COMPARE_SHAPES:
+            assert not gateway.execute(parse_query(text)).failed_sites
+        object_comparisons_per_compare_query = (
+            counts["object_equal"] + counts["object_not_equal"]
+        ) / len(COMPARE_SHAPES)
     finally:
         gateway.close()
     tampered = {key: count - cold[key] for key, count in after.items() if key[0] == "hospital-0"}
@@ -453,6 +469,7 @@ def test_site_read_work_per_warm_query(monkeypatch):
         "extra_projections_per_path_after_a_tamper_high": max(tampered.values()),
         "gateway_catalog_calls_per_warm_query": catalog_per_warm_query,
         "object_not_equal_calls_per_warm_query": object_not_equal_per_warm_query,
+        "object_comparisons_per_compare_groups_query": object_comparisons_per_compare_query,
         "query_id_evaluations_per_served_site_query": (
             counts["site_query_id"] / served("site.query")
         ),
@@ -650,3 +667,85 @@ def _push_frame_encodes_per_fanout(monkeypatch):
             host.stop()
     assert fanouts and set(fanouts) == {2}, fanouts
     return len(frames) / len(fanouts)
+
+
+def test_gateway_work_per_query(monkeypatch):
+    """Three data-only sites served over loopback TCP in this process, one
+    ``TcpGateway`` in front.  Per warm ``aexecute`` of the E22 shapes: how
+    often a site's ``site.query`` params are canonical-encoded (once each:
+    the bytes ``bytes_on_wire`` counts are the bytes sent), and how often
+    the vector is hashed into its ``query_id`` (once, handed to
+    ``decompose``).  Per pooled call on a live connection (``rpc.echo``,
+    answered in the server's read callback): the ``asyncio.Lock``
+    acquisitions, tasks and timers it costs the loop."""
+    counts = {"params_encodes": 0, "query_ids": 0, "locks": 0, "tasks": 0, "timers": 0}
+    canonical_json, query_id, acquire = (
+        serialize.canonical_json, QueryVector.query_id, asyncio.Lock.acquire
+    )
+
+    def counted_canonical_json(value, *args):
+        if isinstance(value, dict) and (
+            "vector" in value or isinstance((value.get("params") or {}).get("vector"), dict)
+        ):
+            counts["params_encodes"] += 1
+        return canonical_json(value, *args)
+
+    def counted_query_id(vector):
+        counts["query_ids"] += 1
+        return query_id.fget(vector)
+
+    def counted_acquire(lock):
+        counts["locks"] += 1
+        return acquire(lock)
+
+    def counting_factory(loop, coro, **kwargs):
+        counts["tasks"] += 1
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def scenario():
+        servers = {
+            name: RpcServer(build_site_registry(build_site(name, 3, 150, 2026)), name=name)
+            for name in ("hospital-0", "hospital-1", "hospital-2")
+        }
+        addresses = {name: await server.start() for name, server in servers.items()}
+        gateway = TcpGateway(addresses, max_connections_per_site=2)
+        loop = asyncio.get_running_loop()
+        call_at = loop.call_at
+
+        def counted_call_at(*args, **kwargs):
+            counts["timers"] += 1
+            return call_at(*args, **kwargs)
+
+        try:
+            for text in E22_SHAPES * 2:  # every pooled connection dialled
+                await gateway.aexecute(parse_query(text))
+            vectors = [parse_query(text) for text in E22_SHAPES * 4]
+            monkeypatch.setattr(serialize, "canonical_json", counted_canonical_json)
+            monkeypatch.setattr(QueryVector, "query_id", property(counted_query_id))
+            for vector in vectors:
+                assert not (await gateway.aexecute(vector)).failed_sites
+            measured = {
+                "site_query_params_encodes_per_query": counts["params_encodes"] / len(vectors),
+                "query_id_evaluations_per_query": counts["query_ids"] / len(vectors),
+            }
+            monkeypatch.setattr(asyncio.Lock, "acquire", counted_acquire)
+            loop.set_task_factory(counting_factory)
+            loop.call_at = counted_call_at
+            calls = 40
+            for _ in range(calls):
+                await gateway.acall("hospital-0", "rpc.echo", {"payload": "x"})
+            del loop.call_at
+            loop.set_task_factory(None)
+            measured.update(
+                lock_acquisitions_per_pooled_call=counts["locks"] / calls,
+                tasks_per_pooled_call=counts["tasks"] / calls,
+                timers_per_pooled_call=counts["timers"] / calls,
+            )
+            return measured
+        finally:
+            monkeypatch.undo()
+            await gateway.aclose()
+            for server in servers.values():
+                await server.close()
+
+    _assert_within_pins("gateway", asyncio.run(scenario()))

@@ -1,8 +1,9 @@
-"""Malformed ``site.run_task`` params answer INVALID_PARAMS, never a server fault.
+"""Malformed ``site.run_task`` params and ``site.query`` vectors are refused
+as the caller's fault, never answered as a server fault.
 
-Each shape below used to escape a tool as ``AttributeError`` (answered
-INTERNAL_ERROR, −32603) or as a ``LearningError`` (the generic −32000),
-though the request, not the site, is at fault.
+Each shape below used to escape a tool as ``AttributeError`` or
+``MemoryError`` (answered INTERNAL_ERROR, −32603) or as a ``LearningError``
+(the generic −32000), though the request, not the site, is at fault.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import Any, Dict
 
 import pytest
 
-from repro.rpc.errors import INVALID_PARAMS
+from repro.analytics.tools import MAX_HISTOGRAM_BINS
+from repro.rpc.errors import INVALID_PARAMS, ORACLE_ERROR
 from repro.rpc.methods import build_site_registry
 from repro.rpc.server import RpcServer
 from repro.rpc.site_server import build_site
@@ -24,15 +26,16 @@ def server() -> RpcServer:
     return RpcServer(build_site_registry(build_site("hospital-0", 3, 60, 2026)))
 
 
-def run_task(server: RpcServer, tool_id: str, params: Any) -> Dict[str, Any]:
-    """The ``site.run_task`` answer, as a client reads it off the wire."""
-    request = {
-        "jsonrpc": "2.0",
-        "id": 1,
-        "method": "site.run_task",
-        "params": {"task_id": "t", "tool_id": tool_id, "params": params},
-    }
+def answer_of(server: RpcServer, method: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    """The answer to one request, as a client reads it off the wire."""
+    request = {"jsonrpc": "2.0", "id": 1, "method": method, "params": params}
     return json.loads(asyncio.run(server.dispatch_raw(json.dumps(request).encode())))
+
+
+def run_task(server: RpcServer, tool_id: str, params: Any) -> Dict[str, Any]:
+    """The ``site.run_task`` answer."""
+    params = {"task_id": "t", "tool_id": tool_id, "params": params}
+    return answer_of(server, "site.run_task", params)
 
 
 @pytest.mark.parametrize("tool_id", ["count", "local_train", "cluster", "numeric_summary"])
@@ -69,3 +72,54 @@ def test_evaluate_model_with_global_params_of_the_wrong_shape(server):
 def test_a_well_formed_task_still_answers(server):
     answer = run_task(server, "count", {"filters": {"sex": "F"}})
     assert set(answer["result"]["result"]) == {"count"}
+
+
+@pytest.mark.parametrize("target_field", [5, ["vitals", "sbp"], {"a": 1}, None])
+@pytest.mark.parametrize("intent", ["mean", "describe"])
+def test_site_query_with_a_target_field_that_is_not_a_string(server, intent, target_field):
+    vector = {"intent": intent, "target_field": target_field}
+    answer = answer_of(server, "site.query", {"vector": vector})
+    assert answer["error"] == {
+        "code": INVALID_PARAMS,
+        "message": "vector target_field must be a dotted path string",
+    }
+
+
+@pytest.mark.parametrize("group_field", [3, ["sex"]])
+def test_site_query_with_a_group_field_that_is_not_a_string(server, group_field):
+    vector = {
+        "intent": "compare",
+        "target_field": "vitals.sbp",
+        "group_field": group_field,
+        "group_values": [1, 0],
+    }
+    answer = answer_of(server, "site.query", {"vector": vector})
+    assert answer["error"] == {
+        "code": INVALID_PARAMS,
+        "message": "vector group_field must be a dotted path string",
+    }
+
+
+@pytest.mark.parametrize("bins", [MAX_HISTOGRAM_BINS + 1, 10**12])
+def test_site_query_histogram_with_too_many_bins(server, bins):
+    """Refused before numpy is asked for one count per bin."""
+    vector = {
+        "intent": "histogram",
+        "target_field": "vitals.bmi",
+        "value_range": [15.0, 55.0],
+        "bins": bins,
+    }
+    answer = answer_of(server, "site.query", {"vector": vector})
+    assert answer["error"]["code"] == ORACLE_ERROR
+    assert f"bins <= {MAX_HISTOGRAM_BINS}" in answer["error"]["message"]
+
+
+def test_site_query_histogram_at_the_bin_limit_answers(server):
+    vector = {
+        "intent": "histogram",
+        "target_field": "vitals.bmi",
+        "value_range": [15.0, 55.0],
+        "bins": MAX_HISTOGRAM_BINS,
+    }
+    counts = answer_of(server, "site.query", {"vector": vector})["result"]["result"]["counts"]
+    assert len(counts) == MAX_HISTOGRAM_BINS and sum(counts) == 60

@@ -8,8 +8,6 @@ hypothesis properties below drive.
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +17,6 @@ from repro.rpc.framing import (
     FrameDecoder,
     FrameTooLargeError,
     encode_frame,
-    read_frame,
 )
 
 payloads = st.lists(st.binary(min_size=0, max_size=200), min_size=1, max_size=8)
@@ -94,25 +91,3 @@ def test_decoder_not_at_boundary_mid_frame():
     assert not decoder.at_boundary()
     decoder.feed(frame[3:])
     assert decoder.at_boundary()
-
-
-def test_async_read_frame_clean_eof_returns_none():
-    async def scenario():
-        reader = asyncio.StreamReader()
-        reader.feed_data(encode_frame(b"last"))
-        reader.feed_eof()
-        assert await read_frame(reader) == b"last"
-        assert await read_frame(reader) is None
-
-    asyncio.run(scenario())
-
-
-def test_async_read_frame_mid_frame_eof_is_connection_error():
-    async def scenario():
-        reader = asyncio.StreamReader()
-        reader.feed_data(encode_frame(b"truncated")[:6])
-        reader.feed_eof()
-        with pytest.raises(ConnectionError):
-            await read_frame(reader)
-
-    asyncio.run(scenario())

@@ -23,7 +23,7 @@ from repro.rpc.errors import (
     RpcTimeoutError,
     ShuttingDownError,
 )
-from repro.rpc.framing import encode_frame, read_frame
+from repro.rpc.framing import FrameDecoder, encode_frame
 from repro.rpc.server import MethodRegistry, RpcServer
 from repro.rpc import codec
 
@@ -249,10 +249,11 @@ def test_oversized_request_frame_answered_then_closed():
         reader, writer = await asyncio.open_connection(host, port)
         writer.write(encode_frame(b"x" * 300))  # client-side limit not applied
         await writer.drain()
-        frame = await read_frame(reader)
+        decoder = FrameDecoder()
+        (frame,) = decoder.feed(await reader.read())  # one answer, then EOF
+        assert decoder.at_boundary()
         response = codec.parse_response(codec.decode_payload(frame))
         assert isinstance(response.error, FrameTooLargeError)
-        assert await reader.read() == b""  # server closed the connection
         writer.close()
         await writer.wait_closed()
         await server.close()
@@ -317,6 +318,109 @@ def test_client_close_fails_pending_calls():
         with pytest.raises((ConnectionError, RpcError)):
             await pending
         gate.set()
+        await server.close()
+
+    asyncio.run(scenario())
+
+
+async def _hang_up_after(prefix: bytes):
+    """A peer that reads one request, writes ``prefix`` and closes."""
+
+    async def answer(reader, writer):
+        await reader.read(1)
+        writer.write(prefix)
+        await writer.drain()
+        writer.close()
+        await writer.wait_closed()
+
+    server = await asyncio.start_server(answer, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+@pytest.mark.parametrize(
+    "prefix, message",
+    [(b"", "connection closed by server"), (encode_frame(b"truncated")[:6], "mid-frame")],
+    ids=["clean-eof", "mid-frame-eof"],
+)
+def test_client_eof_fails_pending_calls_with_connection_error(prefix, message):
+    """A clean EOF and one inside a frame both fail the waiting call."""
+
+    async def scenario():
+        server, port = await _hang_up_after(prefix)
+        client = await RpcClient.connect("127.0.0.1", port)
+        with pytest.raises(ConnectionError, match=message):
+            await client.call("echo", {"payload": 1}, timeout_s=5.0)
+        assert client.closed
+        with pytest.raises(ConnectionError):
+            await client.call("echo")
+        await client.close()
+        server.close()
+        await server.wait_closed()
+
+    asyncio.run(scenario())
+
+
+def test_client_delivers_the_last_response_before_the_eof():
+    """A response the peer writes just before it closes still answers its
+    call; the connection is closed for the next one."""
+
+    async def answer(reader, writer):
+        decoder, frames = FrameDecoder(), []
+        while not frames:
+            data = await reader.read(65536)
+            if not data:
+                break
+            frames = decoder.feed(data)
+        request = codec.decode_payload(frames[0])
+        writer.write(encode_frame(codec.encode_payload(
+            {"jsonrpc": "2.0", "id": request["id"], "result": "last"}
+        )))
+        writer.close()
+        await writer.wait_closed()
+
+    async def scenario():
+        server = await asyncio.start_server(answer, "127.0.0.1", 0)
+        client = await RpcClient.connect("127.0.0.1", server.sockets[0].getsockname()[1])
+        assert await client.call("echo", {"payload": 1}, timeout_s=5.0) == "last"
+        await asyncio.sleep(0.05)  # the EOF follows the response
+        with pytest.raises(ConnectionError):
+            await client.call("echo", timeout_s=5.0)
+        await client.close()
+        server.close()
+        await server.wait_closed()
+
+    asyncio.run(scenario())
+
+
+def test_client_deadline_is_one_timer_cancelled_on_the_answer():
+    """A call that is answered leaves no timer armed; one that is not fails
+    with RPC_TIMEOUT and leaves nothing pending."""
+
+    async def scenario():
+        gate = asyncio.Event()
+        server, host, port = await serve(make_registry(gate))
+        client = await RpcClient.connect(host, port)
+        loop, armed = asyncio.get_running_loop(), []
+        call_later = loop.call_later
+
+        def recorded_call_later(delay, *args):
+            armed.append((delay, call_later(delay, *args)))
+            return armed[-1][1]
+
+        loop.call_later = recorded_call_later
+        assert await client.call("add", {"a": 1, "b": 2}, timeout_s=60.0) == {"sum": 3}
+        del loop.call_later
+        deadlines = [handle for delay, handle in armed if delay == 60.0]
+        assert len(deadlines) == 1 and deadlines[0].cancelled()
+        with pytest.raises(RpcTimeoutError, match="no response to 'gate.wait' within 0.05s"):
+            await client.call("gate.wait", timeout_s=0.05)
+        with pytest.raises(RpcTimeoutError, match="no batch response within 0.05s"):
+            await client.call_batch(
+                [("gate.wait", None), ("add", {"a": 1, "b": 1})], timeout_s=0.05
+            )
+        assert not client._pending
+        gate.set()
+        await client.close()
         await server.close()
 
     asyncio.run(scenario())
