@@ -9,21 +9,28 @@ Each ``bench_eN_*.py`` file both
 
 Tables are also appended to ``benchmarks/results/`` so EXPERIMENTS.md can be
 refreshed from actual runs.
+
+``python benchmarks/_common.py [--update] [NAME ...]`` reruns every bench
+with a committed ``baselines/<NAME>.json`` and fails on any metric that moved
+(:func:`check_baselines`).
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import select
 import subprocess
 import sys
+import tempfile
 import time
 from datetime import datetime, timezone
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+BASELINES_DIR = os.path.join(os.path.dirname(__file__), "baselines")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -188,3 +195,65 @@ def stop_site_fleet(procs: Sequence[subprocess.Popen]) -> None:
             proc.kill()
             proc.wait()
         proc.stdout.close()
+
+
+# -- behaviour baselines ------------------------------------------------------
+WALL_CLOCK_KEYS = frozenset({"timestamp", "wall_ms"})
+
+
+def exact_part(value: Any) -> Any:
+    """``value`` without its wall-clock fields (never the same twice), at any depth."""
+    if isinstance(value, dict):
+        return {k: exact_part(v) for k, v in value.items() if k not in WALL_CLOCK_KEYS}
+    if isinstance(value, list):
+        return [exact_part(v) for v in value]
+    return value
+
+
+def _differences(want: Any, got: Any, path: str = "") -> List[str]:
+    if isinstance(want, dict) and isinstance(got, dict):
+        keys = sorted(set(want) | set(got))
+        return [d for k in keys for d in _differences(want.get(k), got.get(k), f"{path}.{k}")]
+    if isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        pairs = enumerate(zip(want, got))
+        return [d for i, (w, g) in pairs for d in _differences(w, g, f"{path}[{i}]")]
+    return [] if want == got else [f"{path or '.'}: baseline {want!r}, now {got!r}"]
+
+
+def check_baselines(argv: Optional[Sequence[str]] = None) -> int:
+    """Rerun each bench that has ``baselines/<name>.json`` (``e5`` runs
+    ``bench_e5_*.py --json``) and diff its payload, wall-clock fields aside,
+    against the baseline: exit 1 on any difference.  ``--update`` rewrites
+    the baselines from this run instead."""
+    parser = argparse.ArgumentParser(description="Diff bench payloads against baselines.")
+    parser.add_argument("names", nargs="*", help="baselines to check (default: all)")
+    parser.add_argument("--update", action="store_true", help="rewrite the baselines")
+    args = parser.parse_args(argv)
+    names = args.names or sorted(
+        os.path.basename(path)[:-5] for path in glob.glob(os.path.join(BASELINES_DIR, "*.json"))
+    )
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    failed = 0
+    for name in names:
+        (script,) = glob.glob(os.path.join(os.path.dirname(__file__), f"bench_{name}_*.py"))
+        baseline = os.path.join(BASELINES_DIR, f"{name}.json")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "payload.json")
+            subprocess.run([sys.executable, script, "--json", out], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            with open(out) as handle:
+                got = exact_part(json.load(handle))
+        if args.update:
+            with open(baseline, "w") as handle:
+                handle.write(json.dumps(got, indent=2, sort_keys=True) + "\n")
+            continue
+        with open(baseline) as handle:
+            differences = _differences(json.load(handle), got)
+        failed += bool(differences)
+        print(f"{name}: {'differs from' if differences else 'matches'} its baseline")
+        print("".join(f"  {line}\n" for line in differences), end="")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(check_baselines())

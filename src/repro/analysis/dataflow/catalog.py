@@ -38,7 +38,7 @@ from typing import Dict, FrozenSet, Optional
 #: Calls (by attribute or bare name) whose result is raw patient data.
 SOURCE_CALL_NAMES: FrozenSet[str] = frozenset(
     {
-        "get_records",  # HospitalDataStore / DatasetHost record access
+        "get_records",  # HospitalDataStore record access
         "get_raw",  # legacy-format rows, same payload
         "generate_patient",  # CohortGenerator synthetic records
         "generate_cohort",

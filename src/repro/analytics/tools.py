@@ -179,6 +179,14 @@ def _selected(table: Table, params: Dict[str, Any]) -> Mask:
     return selected
 
 
+def _path(params: Dict[str, Any], key: str) -> str:
+    """``params[key]`` if it is a dotted path string (not given: ``""``)."""
+    path = params.get(key) or ""
+    if not isinstance(path, str):
+        raise TypeError(f"{key} must be a dotted path string, not {type(path).__name__}")
+    return path
+
+
 def _filtered(records: Records, params: Dict[str, Any]) -> List[Dict[str, Any]]:
     """The records matching ``params["filters"]``, in order."""
     table = as_table(records)
@@ -214,7 +222,7 @@ def tool_count(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
 
 def tool_numeric_summary(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     """Mergeable numeric summary of one field over matching records."""
-    path = params.get("field")
+    path = _path(params, "field")
     if not path:
         raise OracleError("numeric_summary requires params['field']")
     field = field_getter(path)
@@ -241,7 +249,7 @@ def tool_prevalence(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
 
 def tool_histogram(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     """Fixed-bin histogram of a numeric field (bins merge across sites)."""
-    path = params.get("field")
+    path = _path(params, "field")
     low = float(params.get("low", 0.0))
     high = float(params.get("high", 1.0))
     bins = int(params.get("bins", 10))
@@ -270,7 +278,7 @@ def tool_histogram(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
 
 def tool_describe(records: Records, params: Dict[str, Any]) -> Dict[str, Any]:
     """Full descriptive statistics of one field."""
-    path = params.get("field")
+    path = _path(params, "field")
     if not path:
         raise OracleError("describe requires params['field']")
     field = field_getter(path)
@@ -347,8 +355,8 @@ def tool_compare_groups(records: Records, params: Dict[str, Any]) -> Dict[str, A
     composer merges them and computes Welch's t — so a cross-site hypothesis
     test runs without any record leaving a site.
     """
-    field_path = params.get("field")
-    group_field = params.get("group_field")
+    field_path = _path(params, "field")
+    group_field = _path(params, "group_field")
     group_values = params.get("group_values") or []
     if not field_path or not group_field or len(group_values) != 2:
         raise OracleError("compare_groups requires field, group_field, 2 group_values")

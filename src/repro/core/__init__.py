@@ -5,7 +5,6 @@ from repro.core.platform import (
     MedicalBlockchainNetwork,
     ParamsDepot,
     PlatformConfig,
-    Site,
 )
 from repro.core.queryservice import GlobalAnswer, GlobalQueryService
 from repro.core.strategies import (
@@ -13,6 +12,7 @@ from repro.core.strategies import (
     compute_to_data,
     data_to_compute,
 )
+from repro.offchain.site import Site
 
 __all__ = [
     "ExecutionReport",

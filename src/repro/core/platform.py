@@ -8,8 +8,9 @@ one object:
   PoW/PoS for the consensus experiments;
 - the four platform contracts (data / analytics / clinical-trial /
   patient-consent) deployed once at boot;
-- per site: a legacy-format hospital data store, the standard analytics
-  tool registry, a monitor node (event bridge), an off-chain control node,
+- per site, from :func:`repro.offchain.site.assemble_site`: a
+  legacy-format hospital data store, the standard analytics tool registry,
+  a data oracle, a monitor node (event bridge), an off-chain control node
   and an HIE exchange service;
 - an off-chain content-addressed *parameter depot* so heavy task inputs
   (e.g. model weights) never enter the ledger — only their hash does,
@@ -26,7 +27,7 @@ from repro.common.errors import ChainError, MedchainError
 from repro.common.hashing import hash_value_hex
 from repro.common.signatures import KeyPair
 from repro.consensus.base import ConsensusEngine
-from repro.consensus.node import BlockchainNode, NodeConfig
+from repro.consensus.node import NodeConfig
 from repro.consensus.pos import ProofOfStake
 from repro.consensus.pow import ProofOfWork
 from repro.consensus.simchain import SimChain
@@ -38,16 +39,12 @@ from repro.contracts.library import (
     PATIENT_CONSENT_SOURCE,
 )
 from repro.contracts.registry import ContractRegistry
-from repro.da.store import ChunkStore
 from repro.datamgmt.store import HospitalDataStore
 from repro.datamgmt.virtual import DatasetRef
 from repro.offchain.anchoring import DatasetAnchor
-from repro.offchain.control import ControlNode, NonceTracker, PlatformContracts
-from repro.offchain.oracle import DataOracle, MonitorNode
-from repro.offchain.tasks import TaskRunner
-from repro.analytics.tools import standard_registry
-from repro.sharing.audit import AuditLog
-from repro.sharing.exchange import ExchangeService, TrustedThirdParty
+from repro.offchain.control import NonceTracker, PlatformContracts
+from repro.offchain.site import Site, assemble_site
+from repro.sharing.exchange import TrustedThirdParty
 from repro.sim.network import LinkSpec
 
 FDA_NODE_NAME = "fda"
@@ -69,20 +66,6 @@ class PlatformConfig:
     # Finality window for per-block state retention (see NodeConfig); long
     # platform runs keep state memory bounded by chain width, not length.
     state_prune_window: int = 64
-
-
-@dataclass
-class Site:
-    """Everything belonging to one hospital."""
-
-    name: str
-    keypair: KeyPair
-    node: BlockchainNode
-    store: HospitalDataStore
-    monitor: MonitorNode
-    control: ControlNode
-    exchange: ExchangeService
-    chunks: ChunkStore  # erasure-coded share custody (repro.da)
 
 
 class ParamsDepot:
@@ -150,7 +133,14 @@ class MedicalBlockchainNetwork:
         self.network, self.nodes = self.chain.network, self.chain.nodes
         self.contracts = self._deploy_platform_contracts()
         for name in self.site_names:
-            self.sites[name] = self._build_site(name)
+            self.sites[name] = assemble_site(
+                name,
+                HospitalDataStore(name),
+                node=self.nodes[name],
+                contracts=self.contracts,
+                params_resolver=self.depot.get,
+                metrics=self.metrics,
+            )
         if self.config.include_fda:
             self.fda = TrustedThirdParty(
                 FDA_NODE_NAME, self.keypairs[FDA_NODE_NAME], self.metrics
@@ -205,77 +195,6 @@ class MedicalBlockchainNetwork:
             consent_contract_id=ids["patient-consent"],
             blob_contract_id=ids["blob-registry"],
         )
-
-    def _build_site(self, name: str) -> Site:
-        node = self.nodes[name]
-        keypair = self.keypairs[name]
-        store = HospitalDataStore(name)
-        oracle = self._build_site_oracle(name, node, store)
-        monitor = MonitorNode(f"{name}-monitor", node, oracle)
-        runner = TaskRunner(name, standard_registry())
-        control = ControlNode(
-            site=name,
-            keypair=keypair,
-            node=node,
-            monitor=monitor,
-            contracts=self.contracts,
-            host=store,
-            runner=runner,
-            params_resolver=self.depot.get,
-        )
-        exchange = ExchangeService(
-            site=name,
-            node=node,
-            data_contract_id=self.contracts.data_contract_id,
-            host=store,
-            audit=AuditLog(name=f"{name}-audit"),
-            metrics=self.metrics,
-        )
-        return Site(
-            name=name,
-            keypair=keypair,
-            node=node,
-            store=store,
-            monitor=monitor,
-            control=control,
-            exchange=exchange,
-            chunks=ChunkStore(name),
-        )
-
-    def _build_site_oracle(
-        self, name: str, node: BlockchainNode, store: HospitalDataStore
-    ) -> DataOracle:
-        """Standard RPC bridge endpoints (Figure 3's 'standard format').
-
-        These are the calls a smart contract (through the monitor) or a
-        peer site may make against this site's external world: dataset
-        inventory, record counts, and an anchored-integrity check.
-        """
-        oracle = DataOracle(f"{name}-oracle")
-        oracle.register_endpoint(
-            "list_datasets", lambda req: {"dataset_ids": store.dataset_ids()}
-        )
-        oracle.register_endpoint(
-            "record_count",
-            lambda req: {"count": store.record_count(req["dataset_id"])},
-        )
-
-        def verify(req: Dict[str, Any]) -> Dict[str, Any]:
-            dataset_id = req["dataset_id"]
-            entry = node.call_view(
-                self.contracts.data_contract_id,
-                "get_dataset",
-                {"dataset_id": dataset_id},
-            )
-            if entry is None:
-                return {"dataset_id": dataset_id, "registered": False, "intact": False}
-            from repro.offchain.anchoring import verify_dataset
-
-            intact = verify_dataset(store.get_records(dataset_id), entry["merkle_root"])
-            return {"dataset_id": dataset_id, "registered": True, "intact": intact}
-
-        oracle.register_endpoint("verify_dataset", verify)
-        return oracle
 
     # -- chain helpers -----------------------------------------------------
     def run(self, duration_s: float) -> None:
@@ -407,8 +326,8 @@ class MedicalBlockchainNetwork:
         """Register the standard tool suite in the analytics contract."""
         entry_site = self.sites[self.site_names[0]]
         last_tx = None
-        for tool_id in entry_site.control.runner.registry.tool_ids():
-            spec = entry_site.control.runner.registry.get(tool_id)
+        for tool_id in entry_site.runner.registry.tool_ids():
+            spec = entry_site.runner.registry.get(tool_id)
             last_tx = entry_site.control.submit_signed_call(
                 self.contracts.analytics_contract_id,
                 "register_tool",

@@ -1,8 +1,8 @@
 """Hospital data store: locally hosted, legacy-formatted, anchor-able.
 
 Each hospital keeps its records in its own legacy format (the silo problem,
-section III.A).  The store exposes the :class:`DatasetHost` duck-type the
-control node expects — ``get_records`` serves the canonical view of the
+section III.A).  The store is what a site's control code, exchange and
+served methods read — ``get_records`` serves the canonical view of the
 legacy rows, so the schema mappers and the canonical validation sit on every
 real access path.  The view is parsed and validated once per dataset content
 (not once per access), kept as a :class:`~repro.datamgmt.columns.Table` whose
@@ -95,7 +95,7 @@ class HospitalDataStore:
         self._changed(dataset_id)
         return dataset
 
-    # -- DatasetHost interface ------------------------------------------------
+    # -- record access --------------------------------------------------------
     def has_dataset(self, dataset_id: str) -> bool:
         return dataset_id in self._datasets
 

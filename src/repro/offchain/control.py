@@ -17,7 +17,7 @@ site's blockchain node to that site's data store and tool registry:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.chain.executor import ContractEvent
 from repro.chain.transactions import Transaction, make_call
@@ -27,6 +27,9 @@ from repro.consensus.node import BlockchainNode
 from repro.offchain.anchoring import require_dataset_integrity
 from repro.offchain.oracle import MonitorNode
 from repro.offchain.tasks import TaskResult, TaskRunner
+
+if TYPE_CHECKING:
+    from repro.datamgmt.store import HospitalDataStore
 
 
 @dataclass
@@ -52,29 +55,6 @@ class NonceTracker:
         return nonce
 
 
-class DatasetHost:
-    """Interface the control node uses to reach local data (duck-typed).
-
-    Any object with ``has_dataset(dataset_id) -> bool`` and
-    ``get_records(dataset_id) -> list[dict]`` works; ``repro.datamgmt``
-    provides the real hospital store.
-    """
-
-    def __init__(self, datasets: Optional[Dict[str, List[Dict[str, Any]]]] = None):
-        self._datasets = dict(datasets or {})
-
-    def has_dataset(self, dataset_id: str) -> bool:
-        return dataset_id in self._datasets
-
-    def get_records(self, dataset_id: str) -> List[Dict[str, Any]]:
-        if dataset_id not in self._datasets:
-            raise OracleError(f"dataset {dataset_id!r} is not hosted here")
-        return self._datasets[dataset_id]
-
-    def dataset_ids(self) -> List[str]:
-        return sorted(self._datasets)
-
-
 ResultDelivery = Callable[[TaskResult], None]
 
 
@@ -88,7 +68,7 @@ class ControlNode:
         node: BlockchainNode,
         monitor: MonitorNode,
         contracts: PlatformContracts,
-        host: DatasetHost,
+        host: HospitalDataStore,
         runner: TaskRunner,
         nonces: Optional[NonceTracker] = None,
         verify_integrity: bool = True,
@@ -194,11 +174,10 @@ class ControlNode:
                 self._enforce_integrity(dataset_id, dataset_records)
             records.extend(dataset_records)
         consented = self._apply_consent(records, purpose)
-        table = getattr(self.host, "table", None)
-        if consented is records and table is not None:
+        if consented is records:
             # Nobody opted out: the store's cached table holds the same
             # records, with the columns earlier tasks projected.
-            consented = table(ids)
+            consented = self.host.table(ids)
         result = self.runner.run(task_id, tool_id, consented, params)
         self.node.metrics.add_flops(result.flops, scope=self.site)
         if self.compute_rate_flops:

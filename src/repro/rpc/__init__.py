@@ -40,7 +40,6 @@ _LAZY_EXPORTS = {
     "GatewayAnswer": "repro.rpc.gateway",
     "InprocGateway": "repro.rpc.gateway",
     "TcpGateway": "repro.rpc.gateway",
-    "SiteService": "repro.rpc.methods",
     "build_site_registry": "repro.rpc.methods",
 }
 
@@ -80,7 +79,6 @@ __all__ = [
     "GatewayAnswer",
     "InprocGateway",
     "TcpGateway",
-    "SiteService",
     "build_site_registry",
     "EventLoopThread",
     "MethodRegistry",

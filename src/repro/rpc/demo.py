@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
 from repro.common.signatures import KeyPair
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
 from repro.rpc.gateway import InprocGateway
-from repro.rpc.methods import SiteService, build_site_registry
+from repro.rpc.methods import build_site_registry
 from repro.rpc.server import RpcServer
 
 if TYPE_CHECKING:
@@ -88,9 +88,8 @@ def build_demo_network(
 
 def build_site_server(platform: MedicalBlockchainNetwork, site_name: str) -> RpcServer:
     """An :class:`RpcServer` exposing one platform site's method surface."""
-    service = SiteService.from_site(platform.sites[site_name])
     return RpcServer(
-        build_site_registry(service), name=site_name, metrics=platform.metrics
+        build_site_registry(platform.sites[site_name]), name=site_name, metrics=platform.metrics
     )
 
 

@@ -1,8 +1,9 @@
 """Method surface a site server exposes (Figures 3-5 over a real wire).
 
-``build_site_registry`` binds one hospital site's components — local data
-store, analytics tool runner, data oracle, chunk store — to the JSON-RPC
-method names the gateway and external clients call:
+``build_site_registry`` serves one :class:`~repro.offchain.site.Site`, as
+:func:`~repro.offchain.site.assemble_site` built it — local data store,
+analytics tool runner, chunk store and, at a chain-bound site, data oracle —
+under the JSON-RPC method names the gateway and external clients call:
 
 - ``health`` / ``rpc.methods`` / ``rpc.echo`` — liveness, discovery, and a
   payload-size probe for load benchmarks;
@@ -16,8 +17,9 @@ method names the gateway and external clients call:
   with ``STALE_CATALOG`` (carrying the fresh listing) once the site's
   listing has changed.  An aggregate (a column scan) is answered on the
   server's event loop, a model fit in a worker thread;
-- ``oracle.fetch`` — the paper's data-oracle bridge, served (a site built
-  from a platform site has one; a ``site_server`` process has none);
+- ``oracle.fetch`` — the paper's data-oracle bridge, served (a platform
+  site has one; a data-only site, such as a ``site_server`` process's,
+  answers INVALID_PARAMS);
 - ``da.put_chunk`` / ``da.get_chunk`` / ``da.sample`` — erasure-coded share
   custody and availability audits over this site's chunk store
   (:mod:`repro.da`).
@@ -33,15 +35,17 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.common.errors import LearningError
-from repro.common.hashing import hash_value_hex
 from repro.common.serialize import to_jsonable
 from repro.query.vector import QueryVector
 from repro.rpc.errors import InvalidParamsError, StaleCatalogError
 from repro.rpc.server import MethodRegistry
+
+if TYPE_CHECKING:
+    from repro.datamgmt.columns import Table
+    from repro.offchain.site import Site
 
 _VECTOR_FIELDS = {field.name for field in dataclasses.fields(QueryVector)}
 
@@ -78,97 +82,50 @@ def vector_to_wire(vector: QueryVector) -> Dict[str, Any]:
     return to_jsonable(vector)
 
 
-@dataclass
-class SiteService:
-    """The components of one site that the method surface binds to.
-
-    Duck-typed: ``store`` needs ``dataset_ids``/``table``/``get_records``
-    (and optionally ``record_count``/``catalog_version``), ``runner`` a
-    :class:`TaskRunner`; ``oracle`` and ``chunks`` may be ``None``.
-    """
-
-    name: str
-    store: Any
-    runner: Any
-    oracle: Any = None
-    chunks: Any = None  # repro.da.store.ChunkStore for the da.* surface
-    schema: str = "patient-canonical-v1"
-
-    @classmethod
-    def from_site(cls, site: Any) -> "SiteService":
-        """Adapter from :class:`repro.core.platform.Site`."""
-        return cls(
-            name=site.name,
-            store=site.store,
-            runner=site.control.runner,
-            oracle=site.monitor.oracle,
-            chunks=getattr(site, "chunks", None),
-        )
-
-    # -- local helpers -----------------------------------------------------
-    def _records_for(self, dataset_ids: Optional[Sequence[str]]) -> Sequence[Dict[str, Any]]:
-        """The named datasets' records as the store's cached table: each
-        dataset once, in id order (every dataset if none is named)."""
-        ids = sorted(set(dataset_ids)) if dataset_ids else self.store.dataset_ids()
-        return self.store.table(ids)
-
-    def _record_count(self, dataset_id: str) -> int:
-        counter = getattr(self.store, "record_count", None)
-        if counter is not None:
-            return int(counter(dataset_id))
-        return len(self.store.get_records(dataset_id))
-
-    def _datasets(self) -> List[Dict[str, Any]]:
-        return [
-            {
-                "site": self.name,
-                "dataset_id": dataset_id,
-                "record_count": self._record_count(dataset_id),
-                "schema": self.schema,
-            }
-            for dataset_id in self.store.dataset_ids()
-        ]
-
-    def catalog_version(self) -> str:
-        """What a gateway's cached listing must still hash to on this site."""
-        versioned = getattr(self.store, "catalog_version", None)
-        if versioned is not None:
-            return versioned()
-        return hash_value_hex(self._datasets())[:16]
-
-    def catalog(self) -> Dict[str, Any]:
-        """The ``site.catalog`` reply (also the payload of ``STALE_CATALOG``)."""
-        # Version first: a dataset added in between makes the listing newer
-        # than its tag, which the next query corrects; the other order would
-        # tag an old listing as current.
-        version = self.catalog_version()
-        return {"site": self.name, "datasets": self._datasets(), "version": version}
-
-
 def build_site_registry(
-    service: SiteService,
+    site: Site,
     *,
     task_timeout_s: Optional[float] = None,
     registry: Optional[MethodRegistry] = None,
 ) -> MethodRegistry:
-    """The method registry for one site server (``registry``'s, if given)."""
+    """The method registry serving ``site`` (``registry``'s, if given)."""
     registry = registry if registry is not None else MethodRegistry()
+    store = site.store
+
+    def records_for(dataset_ids: Optional[List[str]]) -> Table:
+        """The named datasets' records as the store's cached table: each
+        dataset once, in id order (every dataset if none is named)."""
+        if dataset_ids is not None and not (
+            isinstance(dataset_ids, list) and all(isinstance(i, str) for i in dataset_ids)
+        ):
+            raise InvalidParamsError("dataset_ids must be a list of strings")
+        return store.table(sorted(set(dataset_ids or ())) or store.dataset_ids())
+
+    def catalog() -> Dict[str, Any]:
+        """The ``site.catalog`` reply (also the payload of ``STALE_CATALOG``)."""
+        # Version first: a dataset added in between makes the listing newer
+        # than its tag, which the next query corrects; the other order would
+        # tag an old listing as current.
+        version = store.catalog_version()
+        datasets = [
+            {
+                "site": site.name,
+                "dataset_id": dataset_id,
+                "record_count": store.record_count(dataset_id),
+                "schema": "patient-canonical-v1",
+            }
+            for dataset_id in store.dataset_ids()
+        ]
+        return {"site": site.name, "datasets": datasets, "version": version}
 
     async def health() -> Dict[str, Any]:
-        return {
-            "status": "ok",
-            "site": service.name,
-            "datasets": service.store.dataset_ids(),
-        }
+        return {"status": "ok", "site": site.name, "datasets": store.dataset_ids()}
 
     async def rpc_methods() -> Dict[str, Any]:
         return {"methods": registry.names()}
 
     async def rpc_echo(payload: Any = None) -> Dict[str, Any]:
         return {"payload": payload}
-
-    def site_catalog() -> Dict[str, Any]:
-        return service.catalog()
 
     def site_run_task(
         task_id: str,
@@ -177,9 +134,9 @@ def build_site_registry(
         params: Optional[Dict[str, Any]] = None,
         purpose: str = "research",
     ) -> Dict[str, Any]:
-        records = service._records_for(dataset_ids)
+        records = records_for(dataset_ids)
         try:
-            result = service.runner.run(task_id, tool_id, records, dict(params or {}))
+            result = site.runner.run(task_id, tool_id, records, dict(params or {}))
         except LearningError as exc:
             # A model a tool cannot build from these params (an outcome no
             # record holds, global_params of the wrong shape): the request's fault.
@@ -208,13 +165,13 @@ def build_site_registry(
         ``records_used``, ``flops`` and ``purpose``.  A gateway names the
         query in ``task_id``; without one it is ``<query_id>-<site>``.
         """
-        if catalog_version is not None and catalog_version != service.catalog_version():
-            raise StaleCatalogError(data=service.catalog())
+        if catalog_version is not None and catalog_version != store.catalog_version():
+            raise StaleCatalogError(data=catalog())
         built = vector_from_wire(vector)
         tool_id = built.tool_id()
         run = functools.partial(
             site_run_task,
-            task_id=task_id or f"{built.query_id}-{service.name}",
+            task_id=task_id or f"{built.query_id}-{site.name}",
             tool_id=tool_id,
             dataset_ids=dataset_ids,
             params=built.tool_params(),
@@ -225,14 +182,9 @@ def build_site_registry(
     def oracle_fetch(
         endpoint: str, request: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
-        if service.oracle is None:
-            raise InvalidParamsError(f"site {service.name!r} serves no oracle")
-        return service.oracle.call(endpoint, request)
-
-    def _chunk_store() -> Any:
-        if service.chunks is None:
-            raise InvalidParamsError(f"site {service.name!r} serves no chunk store")
-        return service.chunks
+        if site.oracle is None:
+            raise InvalidParamsError(f"site {site.name!r} serves no oracle")
+        return site.oracle.call(endpoint, request)
 
     def da_put_chunk(
         blob_id: str, root: str, index: int, data: str, proof: Dict[str, Any]
@@ -240,25 +192,24 @@ def build_site_registry(
         from repro.common.errors import IntegrityError
         from repro.da.manifest import proof_from_wire
 
-        store = _chunk_store()
         try:
             payload = bytes.fromhex(data)
         except ValueError as exc:
             raise InvalidParamsError(f"chunk data must be hex: {exc}") from exc
         try:
-            stored = store.put_chunk(
+            stored = site.chunks.put_chunk(
                 blob_id, root, int(index), payload, proof_from_wire(proof)
             )
         except IntegrityError as exc:
             # A proof/digest mismatch is a malformed request, not a server
             # fault: the disperser shipped bytes it cannot commit to.
             raise InvalidParamsError(str(exc)) from exc
-        return {"stored": stored, "site": service.name, "index": int(index)}
+        return {"stored": stored, "site": site.name, "index": int(index)}
 
     def da_get_chunk(blob_id: str, index: int) -> Dict[str, Any]:
         from repro.da.manifest import proof_to_wire
 
-        chunk = _chunk_store().get_chunk(blob_id, int(index))  # raises -> DA code
+        chunk = site.chunks.get_chunk(blob_id, int(index))  # raises -> DA code
         return {
             "blob_id": blob_id,
             "index": chunk.index,
@@ -271,10 +222,10 @@ def build_site_registry(
 
         if not isinstance(indices, list):
             raise InvalidParamsError("indices must be a list of leaf indices")
-        results = _chunk_store().sample(blob_id, [int(i) for i in indices])
+        results = site.chunks.sample(blob_id, [int(i) for i in indices])
         return {
             "blob_id": blob_id,
-            "site": service.name,
+            "site": site.name,
             "chunks": [
                 None
                 if chunk is None
@@ -290,7 +241,7 @@ def build_site_registry(
     registry.register("health", health, idempotent=True, timeout_s=5.0)
     registry.register("rpc.methods", rpc_methods, idempotent=True, timeout_s=5.0)
     registry.register("rpc.echo", rpc_echo, idempotent=True)
-    registry.register("site.catalog", site_catalog, idempotent=True)
+    registry.register("site.catalog", catalog, idempotent=True)
     registry.register(
         "site.run_task", site_run_task, idempotent=True, timeout_s=task_timeout_s
     )

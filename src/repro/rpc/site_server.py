@@ -3,13 +3,16 @@
     PYTHONPATH=src python -m repro.rpc.site_server --site hospital-0 \
         --sites 3 --records 120 --seed 2026 --port 0
 
-The process builds the named site's data plane and nothing else: a
-``HospitalDataStore`` holding ``emr-<site>`` (the site's records of
-:func:`repro.rpc.demo.demo_cohorts`, so the in-process demo network holds
-the same data, drawn only as far as this site), a ``TaskRunner`` over the
-standard tools and a ``ChunkStore``.  Without ``--validators`` it loads no
-chain code.  It serves the site's method surface on the given address
-and prints one machine-readable line to stdout once bound::
+The process builds the named site with
+:func:`repro.offchain.site.assemble_site`, the function the in-process
+platform builds its sites with, over a ``HospitalDataStore`` holding
+``emr-<site>`` (the site's records of :func:`repro.rpc.demo.demo_cohorts`,
+so the in-process demo network holds the same data, drawn only as far as
+this site).  It passes no chain node, so the site is data only: a
+``TaskRunner`` over the standard tools and a ``ChunkStore``, no oracle, and
+without ``--validators`` no chain code loaded.  It serves the site's method
+surface on the given address and prints one machine-readable line to stdout
+once bound::
 
     LISTENING 127.0.0.1 43571
 
@@ -18,7 +21,8 @@ node — the paper's Fig. 2, where the sites that host data are the nodes.
 It runs a :class:`~repro.p2p.host.P2PHost` named ``--site`` and serves the
 site's methods on the host's registry next to the node's (``p2p.*``,
 ``chain.get_headers`` / ``chain.get_blocks``, ``ctl.*``,
-``mempool.status``).  Every process derives the same genesis and PoA engine
+``mempool.status``).  The site itself stays data only: the process has no
+platform contract ids to bind its control code to.  Every process derives the same genesis and PoA engine
 from ``--validators`` and ``--fund``.  ``--base-port`` maps validator i to
 port base+i, which gives every seed address and, without ``--port``, the
 process's own; ``--seeds`` names the seeds instead.  A ``--site`` outside
@@ -45,13 +49,10 @@ import sys
 import threading
 from typing import Callable, Dict, List
 
-from repro.analytics.tools import standard_registry
-from repro.common.signatures import KeyPair
-from repro.da.store import ChunkStore
 from repro.datamgmt.store import HospitalDataStore
-from repro.offchain.tasks import TaskRunner
+from repro.offchain.site import Site, assemble_site
 from repro.rpc.demo import DEFAULT_SEED, demo_site_records
-from repro.rpc.methods import SiteService, build_site_registry
+from repro.rpc.methods import build_site_registry
 from repro.rpc.server import RpcServer
 
 
@@ -82,22 +83,16 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def build_site(
-    site: str, site_count: int, records_per_site: int, seed: int
-) -> SiteService:
-    """One demo site's data plane, holding what the platform's copy holds."""
+def build_site(name: str, site_count: int, records_per_site: int, seed: int) -> Site:
+    """One demo site, data only, holding what the platform's copy holds."""
     try:
-        records = demo_site_records(site, site_count, records_per_site, seed)
+        records = demo_site_records(name, site_count, records_per_site, seed)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    store = HospitalDataStore(site)
-    store.add_canonical(f"emr-{site}", records, owner=KeyPair.generate(site).address)
-    return SiteService(
-        name=site,
-        store=store,
-        runner=TaskRunner(site, standard_registry()),
-        chunks=ChunkStore(site),
-    )
+    store = HospitalDataStore(name)
+    site = assemble_site(name, store)
+    store.add_canonical(f"emr-{name}", records, owner=site.keypair.address)
+    return site
 
 
 def parse_fund(specs: List[str]) -> Dict[str, int]:
@@ -131,8 +126,8 @@ def _on_stop(stop: Callable[[], None]) -> None:
 
 
 async def serve(args: argparse.Namespace) -> int:
-    service = build_site(args.site, args.sites, args.records, args.seed)
-    server = RpcServer(build_site_registry(service), name=args.site)
+    site = build_site(args.site, args.sites, args.records, args.seed)
+    server = RpcServer(build_site_registry(site), name=args.site)
     host, port = await server.start(args.host, args.port)
     print(f"LISTENING {host} {port}", flush=True)
     stop = asyncio.Event()
@@ -150,7 +145,7 @@ def serve_node(args: argparse.Namespace) -> int:
     from repro.p2p.host import P2PHost, build_world
 
     validators = [v for v in args.validators.split(",") if v]
-    service = build_site(args.site, args.sites, args.records, args.seed)
+    site = build_site(args.site, args.sites, args.records, args.seed)
     if args.seeds:
         seeds = [s for s in args.seeds.split(",") if s]
     elif args.base_port:
@@ -171,7 +166,7 @@ def serve_node(args: argparse.Namespace) -> int:
         node_config=NodeConfig(mine_empty=False),
         p2p_config=P2PConfig(seeds=[s for s in seeds if s != listen]),
     )
-    build_site_registry(service, registry=host.registry)
+    build_site_registry(site, registry=host.registry)
     stop = threading.Event()
     _on_stop(stop.set)
     bound_host, _, bound_port = host.start().rpartition(":")

@@ -15,7 +15,7 @@ analytics stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.common.errors import AccessDeniedError, IntegrityError, OracleError
 from repro.common.hashing import hash_value_hex
@@ -25,6 +25,9 @@ from repro.offchain.anchoring import verify_dataset
 from repro.sharing.audit import AuditLog
 from repro.sharing.encryption import Envelope, encrypt_for
 from repro.sim.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.datamgmt.store import HospitalDataStore
 
 
 @dataclass
@@ -53,7 +56,7 @@ class ExchangeService:
         site: str,
         node: BlockchainNode,
         data_contract_id: str,
-        host: Any,  # DatasetHost duck-type
+        host: HospitalDataStore,
         audit: Optional[AuditLog] = None,
         metrics: Optional[MetricsRegistry] = None,
         verify_integrity: bool = True,

@@ -15,7 +15,8 @@ import pytest
 from repro.da.clients import RpcSiteClient
 from repro.da.dispersal import Retriever
 from repro.da.manifest import encode_blob, proof_to_wire
-from repro.da.store import ChunkStore
+from repro.datamgmt.store import HospitalDataStore
+from repro.offchain.site import assemble_site
 from repro.rpc import codec
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import (
@@ -24,7 +25,7 @@ from repro.rpc.errors import (
     RpcError,
     error_from_wire,
 )
-from repro.rpc.methods import SiteService, build_site_registry
+from repro.rpc.methods import build_site_registry
 from repro.rpc.server import RpcServer
 
 TRANSPORTS = ["inproc", "tcp"]
@@ -40,9 +41,9 @@ def run_da(transport, scenario):
     """Boot a chunk-serving site server, run ``scenario(call, store)``."""
 
     async def main():
-        store = ChunkStore("site-a")
-        service = SiteService(name="site-a", store=None, runner=None, chunks=store)
-        server = RpcServer(build_site_registry(service), name="site-a")
+        site = assemble_site("site-a", HospitalDataStore("site-a"))
+        store = site.chunks
+        server = RpcServer(build_site_registry(site), name="site-a")
         if transport == "tcp":
             host, port = await server.start()
             client = await RpcClient.connect(host, port)
@@ -170,10 +171,7 @@ def test_bad_proof_maps_to_invalid_params(transport):
 def test_rpc_site_client_drives_retriever_end_to_end():
     """RpcSiteClient + Retriever over a registry-backed synchronous caller."""
     manifest, shares = _encoded()
-    store = ChunkStore("site-a")
-    registry = build_site_registry(
-        SiteService(name="site-a", store=None, runner=None, chunks=store)
-    )
+    registry = build_site_registry(assemble_site("site-a", HospitalDataStore("site-a")))
 
     class DirectCaller:
         def call(self, method, params):

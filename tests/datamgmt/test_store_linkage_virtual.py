@@ -18,13 +18,11 @@ from repro.datamgmt.virtual import DatasetRef, NumericSummary, VirtualCohort, ge
 def _site_query(store, text):
     import asyncio
 
-    from repro.analytics.tools import standard_registry
-    from repro.offchain.tasks import TaskRunner
+    from repro.offchain.site import assemble_site
     from repro.query.parser import parse_query
-    from repro.rpc.methods import SiteService, build_site_registry, vector_to_wire
+    from repro.rpc.methods import build_site_registry, vector_to_wire
 
-    service = SiteService(name="h0", store=store, runner=TaskRunner("h0", standard_registry()))
-    handler = build_site_registry(service).get("site.query").handler
+    handler = build_site_registry(assemble_site("h0", store)).get("site.query").handler
     answer = asyncio.run(handler(vector=vector_to_wire(parse_query(text)), dataset_ids=["ds"]))
     return answer["result"]
 

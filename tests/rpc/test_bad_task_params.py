@@ -46,6 +46,41 @@ def test_filters_that_are_not_an_object(server, tool_id, filters):
     assert "filters must be an object" in answer["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "tool_id, params, key",
+    [
+        ("histogram", {"field": 3, "low": 15.0, "high": 55.0}, "field"),
+        ("numeric_summary", {"field": 3}, "field"),
+        ("describe", {"field": ["vitals", "sbp"]}, "field"),
+        ("compare_groups", {"field": 3, "group_field": "sex", "group_values": ["F", "M"]}, "field"),
+        ("compare_groups", {"field": "vitals.sbp", "group_field": 3, "group_values": ["F", "M"]}, "group_field"),
+    ],
+)
+def test_a_field_that_is_not_a_string(server, tool_id, params, key):
+    answer = run_task(server, tool_id, params)
+    assert answer["error"]["code"] == INVALID_PARAMS
+    assert f"{key} must be a dotted path string" in answer["error"]["message"]
+
+
+@pytest.mark.parametrize("method", ["site.run_task", "site.query"])
+@pytest.mark.parametrize("dataset_ids", ["emr-hospital-0", ["emr-hospital-0", 3], {"emr-hospital-0": 1}])
+def test_dataset_ids_that_are_not_a_list_of_strings(server, method, dataset_ids):
+    params = {"task_id": "t", "tool_id": "count"} if method == "site.run_task" else {
+        "vector": {"intent": "count"}
+    }
+    answer = answer_of(server, method, {**params, "dataset_ids": dataset_ids})
+    assert answer["error"] == {
+        "code": INVALID_PARAMS,
+        "message": "dataset_ids must be a list of strings",
+    }
+
+
+@pytest.mark.parametrize("dataset_ids", [None, [], ["emr-hospital-0"], ["emr-hospital-0"] * 2])
+def test_dataset_ids_that_name_the_sites_data_still_answer(server, dataset_ids):
+    params = {"task_id": "t", "tool_id": "count", "dataset_ids": dataset_ids}
+    assert answer_of(server, "site.run_task", params)["result"]["result"] == {"count": 60}
+
+
 def test_local_train_on_an_outcome_no_record_holds(server):
     answer = run_task(server, "local_train", {"outcome": "no-such-outcome"})
     assert answer["error"] == {

@@ -8,15 +8,14 @@ from typing import Any, Dict, List, Optional
 
 import pytest
 
-from repro.analytics.tools import standard_registry
 from repro.common.serialize import canonical_bytes
 from repro.datamgmt.store import HospitalDataStore
 from repro.obs.tracer import Tracer, tracer_override
-from repro.offchain.tasks import TaskRunner
+from repro.offchain.site import assemble_site
 from repro.query.parser import parse_query
 from repro.rpc.errors import STALE_CATALOG, StaleCatalogError
 from repro.rpc.gateway import InprocGateway, TcpGateway
-from repro.rpc.methods import SiteService, build_site_registry, vector_to_wire
+from repro.rpc.methods import build_site_registry, vector_to_wire
 from repro.rpc.server import RpcServer
 
 QUERIES = (
@@ -42,10 +41,9 @@ class Sites:
             store = self.stores[site] = store_cls(site)
             if records:
                 store.add_canonical(f"emr-{site}", records)
-            service = SiteService(
-                name=site, store=store, runner=TaskRunner(site, standard_registry())
+            self.servers[site] = RpcServer(
+                build_site_registry(assemble_site(site, store)), name=site
             )
-            self.servers[site] = RpcServer(build_site_registry(service), name=site)
 
     def calls(self, method: str) -> Dict[str, int]:
         return {

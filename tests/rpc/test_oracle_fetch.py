@@ -46,6 +46,9 @@ def test_a_platform_site_serves_its_oracle(platform):
         assert fetch(gateway, "hospital-0", "verify_dataset", {"dataset_id": "ghost"}) == {
             "dataset_id": "ghost", "registered": False, "intact": False,
         }
+        with pytest.raises(RpcError) as err:
+            fetch(gateway, "hospital-0", "no_such_endpoint")
+        assert err.value.code == ORACLE_ERROR
     finally:
         gateway.close()
 
@@ -61,12 +64,3 @@ def test_a_data_only_site_serves_no_oracle():
         "code": INVALID_PARAMS, "message": "site 'hospital-0' serves no oracle",
     }
 
-
-def test_an_unknown_endpoint_is_an_oracle_error(platform):
-    gateway = build_inproc_gateway(platform)
-    try:
-        with pytest.raises(RpcError) as err:
-            fetch(gateway, "hospital-0", "no_such_endpoint")
-        assert err.value.code == ORACLE_ERROR
-    finally:
-        gateway.close()
