@@ -10,8 +10,8 @@ Each ``bench_eN_*.py`` file both
 Tables are also appended to ``benchmarks/results/`` so EXPERIMENTS.md can be
 refreshed from actual runs.
 
-``python benchmarks/_common.py [--update] [NAME ...]`` reruns every bench
-with a committed ``baselines/<NAME>.json`` and fails on any metric that moved
+``python benchmarks/_common.py [--update]`` reruns every bench with a
+committed ``baselines/<name>.json`` and fails on any metric that moved
 (:func:`check_baselines`).
 """
 
@@ -226,10 +226,9 @@ def check_baselines(argv: Optional[Sequence[str]] = None) -> int:
     against the baseline: exit 1 on any difference.  ``--update`` rewrites
     the baselines from this run instead."""
     parser = argparse.ArgumentParser(description="Diff bench payloads against baselines.")
-    parser.add_argument("names", nargs="*", help="baselines to check (default: all)")
     parser.add_argument("--update", action="store_true", help="rewrite the baselines")
     args = parser.parse_args(argv)
-    names = args.names or sorted(
+    names = sorted(
         os.path.basename(path)[:-5] for path in glob.glob(os.path.join(BASELINES_DIR, "*.json"))
     )
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}

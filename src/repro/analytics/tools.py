@@ -181,7 +181,9 @@ def _selected(table: Table, params: Dict[str, Any]) -> Mask:
 
 def _path(params: Dict[str, Any], key: str) -> str:
     """``params[key]`` if it is a dotted path string (not given: ``""``)."""
-    path = params.get(key) or ""
+    path = params.get(key)
+    if path is None:
+        return ""
     if not isinstance(path, str):
         raise TypeError(f"{key} must be a dotted path string, not {type(path).__name__}")
     return path

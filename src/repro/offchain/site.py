@@ -57,7 +57,9 @@ def assemble_site(
     metrics: Optional[MetricsRegistry] = None,
 ) -> Site:
     """The site ``name`` over ``store``; bound to ``node`` when it and the
-    platform's ``contracts`` are both given."""
+    platform's ``contracts`` are both given (one without the other is an error)."""
+    if (node is None) != (contracts is None):
+        raise ValueError("a chain-bound site needs both node and contracts")
     site = Site(
         name=name,
         keypair=KeyPair.generate(name),
@@ -65,7 +67,7 @@ def assemble_site(
         runner=TaskRunner(name, standard_registry()),
         chunks=ChunkStore(name),
     )
-    if node is None or contracts is None:
+    if node is None:
         return site
     # Imported here: a data-only site loads no chain code.
     from repro.offchain.control import ControlNode

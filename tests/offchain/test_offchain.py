@@ -186,3 +186,20 @@ class TestTaskRunner:
         registry.register(spec)
         with pytest.raises(OracleError):
             registry.register(spec)
+
+
+class TestAssembleSite:
+    def test_data_only_site_has_no_chain_side(self):
+        from repro.datamgmt.store import HospitalDataStore
+        from repro.offchain.site import assemble_site
+
+        site = assemble_site("h0", HospitalDataStore("h0"))
+        assert (site.node, site.oracle, site.monitor, site.control, site.exchange) == (None,) * 5
+
+    @pytest.mark.parametrize("bound", ["node", "contracts"])
+    def test_node_and_contracts_come_together(self, bound):
+        from repro.datamgmt.store import HospitalDataStore
+        from repro.offchain.site import assemble_site
+
+        with pytest.raises(ValueError, match="both node and contracts"):
+            assemble_site("h0", HospitalDataStore("h0"), **{bound: object()})

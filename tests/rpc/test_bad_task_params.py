@@ -54,6 +54,8 @@ def test_filters_that_are_not_an_object(server, tool_id, filters):
         ("describe", {"field": ["vitals", "sbp"]}, "field"),
         ("compare_groups", {"field": 3, "group_field": "sex", "group_values": ["F", "M"]}, "field"),
         ("compare_groups", {"field": "vitals.sbp", "group_field": 3, "group_values": ["F", "M"]}, "group_field"),
+        ("numeric_summary", {"field": 0}, "field"),
+        ("describe", {"field": []}, "field"),
     ],
 )
 def test_a_field_that_is_not_a_string(server, tool_id, params, key):
