@@ -11,9 +11,13 @@ from repro.common.errors import QueryError
 from repro.core.queryservice import GlobalQueryService
 from repro.obs.tracer import Tracer, tracer_override, trace_span
 from repro.query.parser import parse_query
+from repro.rpc.client import RetryPolicy
 from repro.rpc.demo import build_demo_network, build_inproc_gateway, build_site_server
 from repro.rpc.errors import MethodNotFoundError
-from repro.rpc.gateway import TcpGateway
+from repro.rpc.gateway import InprocGateway, TcpGateway
+from repro.rpc.methods import build_site_registry
+from repro.rpc.server import RpcServer
+from repro.rpc.site_server import build_site
 
 QUERIES = (
     "how many patients have diabetes",
@@ -110,3 +114,84 @@ def test_inproc_gateway_adopts_server_spans(demo):
     roots = [span for span in tracer.spans if span.parent_id is None]
     assert [root.name for root in roots] == ["test.root"]
     assert all(span.pid == os.getpid() for span in calls)
+
+
+SITES = ("hospital-0", "hospital-1", "hospital-2")
+
+
+def _site_servers(slow_site=None, delay_s=0.0):
+    """One data-only RpcServer per site; ``slow_site`` answers ``site.query``
+    only after ``delay_s``."""
+    servers = {}
+    for name in SITES:
+        registry = build_site_registry(build_site(name, len(SITES), 60, 2026))
+        if name == slow_site:
+            spec = registry.get("site.query")
+            answer = spec.handler
+
+            async def slow(_answer=answer, **params):
+                await asyncio.sleep(delay_s)
+                return await _answer(**params)
+
+            spec.handler = slow
+        servers[name] = RpcServer(registry, name=name, drain_timeout_s=0.1)
+    return servers
+
+
+def _two_site_answer(text, live):
+    """The answer an in-process gateway over the ``live`` sites alone gives."""
+    gateway = InprocGateway(
+        {name: RpcServer(build_site_registry(build_site(name, len(SITES), 60, 2026)), name=name)
+         for name in live}
+    )
+    try:
+        return gateway.execute(parse_query(text))
+    finally:
+        gateway.close()
+
+
+def test_a_dead_site_is_a_failed_site_and_the_others_compose():
+    text = QUERIES[0]
+
+    async def scenario():
+        servers = _site_servers()
+        addrs = {name: await server.start() for name, server in servers.items()}
+        gateway = TcpGateway(addrs, retry=RetryPolicy(attempts=2, base_delay_s=0.01))
+        try:
+            await gateway.acatalog()  # planned against all three sites
+            await servers["hospital-1"].close()
+            return await gateway.aexecute(parse_query(text), timeout_s=5.0)
+        finally:
+            await gateway.aclose()
+            for server in servers.values():
+                await server.close()
+
+    answer = asyncio.run(scenario())
+    assert set(answer.failed_sites) == {"hospital-1"}
+    assert sorted(answer.site_partials) == ["hospital-0", "hospital-2"]
+    expected = _two_site_answer(text, ["hospital-0", "hospital-2"])
+    assert answer.result == expected.result
+    assert answer.result_hash == expected.result_hash
+
+
+def test_a_site_that_times_out_is_a_failed_site():
+    text = QUERIES[0]
+
+    async def scenario():
+        servers = _site_servers(slow_site="hospital-2", delay_s=2.0)
+        addrs = {name: await server.start() for name, server in servers.items()}
+        gateway = TcpGateway(addrs, retry=RetryPolicy(attempts=1))
+        try:
+            await gateway.acatalog()
+            return await gateway.aexecute(parse_query(text), timeout_s=0.3)
+        finally:
+            await gateway.aclose()
+            for server in servers.values():
+                await server.close()
+
+    answer = asyncio.run(scenario())
+    assert set(answer.failed_sites) == {"hospital-2"}
+    assert "-32002" in answer.failed_sites["hospital-2"]
+    assert sorted(answer.site_partials) == ["hospital-0", "hospital-1"]
+    expected = _two_site_answer(text, ["hospital-0", "hospital-1"])
+    assert answer.result_hash == expected.result_hash
