@@ -7,8 +7,8 @@ Each ``bench_eN_*.py`` file both
 - runs standalone (``python benchmarks/bench_e1_....py``) printing the
   experiment's table.
 
-Tables are also appended to ``benchmarks/results/`` so EXPERIMENTS.md can be
-refreshed from actual runs.
+Tables are also written to ``benchmarks/results/`` so EXPERIMENTS.md can be
+refreshed from actual runs; a ``--json`` run writes only its payload.
 
 ``python benchmarks/_common.py [--update]`` reruns every bench with a
 committed ``baselines/<name>.json`` and fails on any metric that moved
@@ -62,8 +62,11 @@ def _format_cell(cell: Any) -> str:
 
 
 def emit(name: str, table: str) -> None:
-    """Print the table and persist it under benchmarks/results/."""
+    """Print the table and persist it under benchmarks/results/, unless the
+    process was run with ``--json``: such a run writes only its payload."""
     print("\n" + table + "\n")
+    if any(arg == "--json" or arg.startswith("--json=") for arg in sys.argv[1:]):
+        return
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
         handle.write(table + "\n")

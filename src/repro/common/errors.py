@@ -59,6 +59,26 @@ class OracleError(MedchainError):
     """The data oracle / monitor node could not satisfy a bridge request."""
 
 
+class OracleEndpointError(OracleError):
+    """A typed oracle bridge failure: which endpoint, and how it failed.
+
+    ``kind`` is one of ``unknown_endpoint`` (no such endpoint registered),
+    ``handler_error`` (the endpoint's handler raised), or ``bad_response``
+    (the handler returned something that is not a canonical dict).  The RPC
+    layer forwards both fields in the error object's ``data`` so remote
+    callers can distinguish caller bugs from endpoint bugs.
+    """
+
+    def __init__(self, endpoint: str, kind: str, detail: str = ""):
+        self.endpoint = endpoint
+        self.kind = kind
+        self.detail = detail
+        message = f"oracle endpoint {endpoint!r}: {kind}"
+        if detail:
+            message = f"{message}: {detail}"
+        super().__init__(message)
+
+
 class DataFormatError(MedchainError):
     """A legacy EMR record could not be mapped to the canonical schema."""
 

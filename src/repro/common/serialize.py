@@ -153,9 +153,14 @@ def _encode_default(value: Any) -> Any:
     raise SerializationError(f"cannot serialize {type(value).__name__}")
 
 
-# Stateless between calls (``encode`` builds its C encoder per call), so one
+# ``json``'s C encoder, built once: what ``JSONEncoder(sort_keys=True,
+# separators=(",", ":"), default=_encode_default).encode`` builds on every
+# call.  No circular-reference markers: ``_check`` has walked the whole value
+# before the encoder sees it.  It keeps no state between calls, so one
 # instance serves every thread.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_encode_default)
+_ENCODE = json.encoder.c_make_encoder(
+    None, _encode_default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
+)
 
 
 def canonical_json(value: Any, allow_float: bool = True) -> str:
@@ -166,7 +171,7 @@ def canonical_json(value: Any, allow_float: bool = True) -> str:
     place, then written by ``json``'s C encoder.
     """
     _check(value, FLOAT_LEAVES if allow_float else LEAVES)
-    return _ENCODER.encode(value)
+    return "".join(_ENCODE(value, 0))
 
 
 def canonical_bytes(value: Any, allow_float: bool = True) -> bytes:

@@ -117,27 +117,41 @@ class _ActiveSpan:
     def set_attrs(self, **attrs: Any) -> None:
         self._span.attrs.update(attrs)
 
-    def __enter__(self) -> "_ActiveSpan":
+    def begin(self) -> "_ActiveSpan":
+        """Start the span without making it the context's active span.
+
+        For spans one coroutine holds open side by side, such as one per
+        site of a fan-out, which end out of nesting order; :meth:`end`
+        records it.  Nothing opened meanwhile nests under it.
+        """
         span = self._span
         if span.parent_id is None:
             span.parent_id = _ACTIVE_SPAN.get()
-        self._token = _ACTIVE_SPAN.set(span.span_id)
         source = self._tracer.sim_time_source
         if source is not None:
             span.start_sim_s = source()
         span.start_wall_s = perf_counter()
         return self
 
-    def __exit__(self, *exc_info: object) -> None:
+    def end(self) -> None:
+        """Stop the span and record it."""
         span = self._span
         span.end_wall_s = perf_counter()
         source = self._tracer.sim_time_source
         if source is not None:
             span.end_sim_s = source()
+        self._tracer.spans.append(span)
+
+    def __enter__(self) -> "_ActiveSpan":
+        self.begin()
+        self._token = _ACTIVE_SPAN.set(self._span.span_id)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
         if self._token is not None:
             _ACTIVE_SPAN.reset(self._token)
             self._token = None
-        self._tracer.spans.append(span)
+        self.end()
 
 
 class _NoopSpan:
@@ -150,6 +164,12 @@ class _NoopSpan:
         pass
 
     def set_attrs(self, **attrs: Any) -> None:
+        pass
+
+    def begin(self) -> "_NoopSpan":
+        return self
+
+    def end(self) -> None:
         pass
 
     def __enter__(self) -> "_NoopSpan":

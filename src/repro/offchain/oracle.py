@@ -15,32 +15,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.chain.executor import ContractEvent
-from repro.common.errors import OracleError
+from repro.common.errors import OracleEndpointError, OracleError
 from repro.common.serialize import canonical_bytes, to_jsonable
 from repro.consensus.node import BlockchainNode
 
 EventHandler = Callable[[ContractEvent], None]
 RpcHandler = Callable[[Dict[str, Any]], Dict[str, Any]]
-
-
-class OracleEndpointError(OracleError):
-    """A typed oracle bridge failure: which endpoint, and how it failed.
-
-    ``kind`` is one of ``unknown_endpoint`` (no such endpoint registered),
-    ``handler_error`` (the endpoint's handler raised), or ``bad_response``
-    (the handler returned something that is not a canonical dict).  The RPC
-    layer forwards both fields in the error object's ``data`` so remote
-    callers can distinguish caller bugs from endpoint bugs.
-    """
-
-    def __init__(self, endpoint: str, kind: str, detail: str = ""):
-        self.endpoint = endpoint
-        self.kind = kind
-        self.detail = detail
-        message = f"oracle endpoint {endpoint!r}: {kind}"
-        if detail:
-            message = f"{message}: {detail}"
-        super().__init__(message)
 
 
 @dataclass

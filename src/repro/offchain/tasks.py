@@ -9,11 +9,12 @@ on-chain ``post_result`` commitment is verifiable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import OracleError
-from repro.common.hashing import hash_value_hex
+from repro.common.hashing import hash_value_hex, sha256_hex
+from repro.common.serialize import canonical_bytes
 from repro.obs.tracer import trace_span
 from repro.sim.metrics import current_metrics
 
@@ -51,6 +52,8 @@ class TaskResult:
     result_hash: str
     records_used: int
     flops: float
+    #: ``result``'s canonical bytes, which ``result_hash`` is taken over.
+    result_bytes: bytes = field(repr=False)
 
     def summary(self) -> Dict[str, Any]:
         """Small on-chain-safe summary (ints/strings only)."""
@@ -113,12 +116,14 @@ class TaskRunner:
         metrics = current_metrics()
         metrics.add("tool_tasks", 1, scope=self.site)
         metrics.add("tool_flops", flops, scope=self.site)
+        encoded = canonical_bytes(result)
         return TaskResult(
             task_id=task_id,
             tool_id=spec.tool_id,
             site=self.site,
             result=result,
-            result_hash=hash_value_hex(result),
+            result_hash=sha256_hex(encoded),
             records_used=len(records),
             flops=flops,
+            result_bytes=encoded,
         )

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.common.errors import QueryError
-from repro.common.hashing import hash_value_hex
+from repro.common.hashing import sha256_hex
+from repro.common.serialize import canonical_bytes
 
 #: Intents the engine can decompose and compose.
 INTENTS = (
@@ -71,23 +72,13 @@ class QueryVector:
 
     @property
     def query_id(self) -> str:
-        """Content-addressed id (stable across nodes)."""
-        return "q-" + hash_value_hex(
-            {
-                "intent": self.intent,
-                "outcome": self.outcome,
-                "target_field": self.target_field,
-                "filters": self.filters,
-                "model": self.model,
-                "rounds": self.rounds,
-                "bins": self.bins,
-                "value_range": self.value_range,
-                "purpose": self.purpose,
-                "requested_schema": self.requested_schema,
-                "group_field": self.group_field,
-                "group_values": self.group_values,
-            }
-        )[:16]
+        """Content-addressed id (stable across nodes): a hash of every field."""
+        return self.query_id_of(canonical_bytes(self))
+
+    @staticmethod
+    def query_id_of(encoded: bytes) -> str:
+        """The ``query_id`` of the vector whose canonical bytes are ``encoded``."""
+        return "q-" + sha256_hex(encoded)[:16]
 
     def tool_id(self) -> str:
         """The site tool this intent dispatches onto."""

@@ -5,8 +5,10 @@ framed TCP connection — requests carry monotonically increasing ids, and
 the connection is an :class:`asyncio.Protocol` that resolves each response
 future in the callback that read its frame, so callers pipeline without
 waiting for each other (the wire analogue of the paper's parallel
-dispatch).  A call is one write, one future and one deadline timer: no
-task, lock or drain.  :class:`ConnectionPool` keeps a small set
+dispatch).  :meth:`RpcClient.request` writes one request and returns its
+response future, so a caller may have many in flight from one coroutine;
+a call is that write, one future and one deadline timer: no task, lock or
+drain.  :class:`ConnectionPool` keeps a small set
 of connections per server, reconnects lazily, and retries *idempotent*
 calls with exponential backoff after connection failures or overload
 rejections — never non-idempotent ones, which could double-apply.
@@ -29,7 +31,6 @@ from repro.rpc import codec
 from repro.rpc.codec import EncodedParams, Response
 from repro.rpc.errors import (
     OverloadedError,
-    RpcError,
     RpcTimeoutError,
     ShuttingDownError,
 )
@@ -49,19 +50,32 @@ class RetryPolicy:
         return min(self.max_delay_s, self.base_delay_s * self.multiplier**attempt)
 
 
-def _trace_meta() -> Optional[Dict[str, Any]]:
-    """Request meta asking the server to collect and return its spans."""
+#: Failures that backing off and trying a fresh connection can get past.
+RETRYABLE = (
+    ConnectionError,
+    OSError,
+    asyncio.TimeoutError,
+    OverloadedError,
+    ShuttingDownError,
+    RpcTimeoutError,
+)
+
+
+def _trace_meta(parent: Optional[str] = None) -> Optional[Dict[str, Any]]:
+    """Request meta asking the server to collect and return its spans, to be
+    adopted under ``parent`` (the context's active span by default)."""
     if current_tracer() is None:
         return None
     meta: Dict[str, Any] = {"trace": {"collect": True}}
-    parent = current_span_id()
+    parent = parent or current_span_id()
     if parent is not None:
         meta["trace"]["parent"] = parent
     return meta
 
 
-def adopt_remote_spans(meta: Dict[str, Any]) -> int:
-    """Re-parent server-side spans from a response meta under the caller.
+def adopt_remote_spans(meta: Dict[str, Any], parent: Optional[str] = None) -> int:
+    """Re-parent server-side spans from a response meta under ``parent``
+    (the context's active span by default).
 
     Returns the number of spans adopted (0 when tracing is off or the
     response carried none).
@@ -71,7 +85,7 @@ def adopt_remote_spans(meta: Dict[str, Any]) -> int:
     if tracer is None or not span_dicts:
         return 0
     spans = [Span.from_dict(item) for item in span_dicts]
-    tracer.adopt(spans, parent_id=current_span_id())
+    tracer.adopt(spans, parent_id=parent or current_span_id())
     return len(spans)
 
 
@@ -87,7 +101,8 @@ class RpcClient(asyncio.Protocol):
         self._closed = False
         self._paused = False
         self._writers: List[asyncio.Future] = []  # senders waiting out a pause
-        self._lost = asyncio.get_running_loop().create_future()
+        self._loop = asyncio.get_running_loop()
+        self._lost = self._loop.create_future()
 
     @classmethod
     async def connect(
@@ -111,6 +126,23 @@ class RpcClient(asyncio.Protocol):
         return self._closed
 
     # -- calls -------------------------------------------------------------
+    def request(
+        self,
+        method: str,
+        params: EncodedParams = None,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> asyncio.Future:
+        """Write one request now; the future its :class:`Response` resolves.
+
+        Not a coroutine: a caller may write to many connections before it
+        waits for any.  No deadline is armed; a lost connection fails the
+        future.  One the caller gives up on keeps its id until the late
+        response, or the connection's end, clears it.  ``params`` may be
+        given as their canonical bytes, already encoded.
+        """
+        request_id = next(self._ids)
+        return self._send(codec.request_payload(method, params, request_id, meta), [request_id])[0]
+
     async def call(
         self,
         method: str,
@@ -123,9 +155,8 @@ class RpcClient(asyncio.Protocol):
         ``params`` may be given as their canonical bytes, already encoded.
         """
         with trace_span("rpc.call", method=method, transport="tcp") as span:
-            request_id = next(self._ids)
-            payload = codec.request_payload(method, params, request_id, _trace_meta())
-            (response,) = await self._exchange(payload, [request_id], timeout_s, method)
+            future = self.request(method, params, _trace_meta())
+            (response,) = await self._settle([future], timeout_s, method)
             if response.meta:
                 adopted = adopt_remote_spans(response.meta)
                 span.set_attr("remote_spans", adopted)
@@ -152,7 +183,7 @@ class RpcClient(asyncio.Protocol):
             codec.request_payload(method, params, request_id, meta)
             for (method, params), request_id in zip(calls, ids)
         ) + b"]"
-        responses = await self._exchange(payload, ids, timeout_s, None)
+        responses = await self._settle(self._send(payload, ids), timeout_s, None)
         results: List[Any] = []
         for response in responses:
             if response.meta:
@@ -186,31 +217,39 @@ class RpcClient(asyncio.Protocol):
             raise ConnectionError("client is closed")
         self._transport.write(encode_frame(data, self.max_frame_bytes))
 
-    async def _exchange(
-        self, payload: bytes, ids: List[int], timeout_s: Optional[float], method: Optional[str]
-    ) -> List[Response]:
-        """Send one frame of requests (a batch if ``method`` is None) and wait
-        for their responses, in order.
-
-        The deadline is one timer, armed once the frame is written and
-        cancelled when the responses are in.
-        """
+    def _send(self, payload: bytes, ids: List[int]) -> List[asyncio.Future]:
+        """Write one frame of requests; the futures of their responses."""
         self._write(payload)
-        loop = asyncio.get_running_loop()
-        futures = [loop.create_future() for _ in ids]
+        futures = [self._loop.create_future() for _ in ids]
         self._pending.update(zip(ids, futures))
+        return futures
+
+    async def _settle(
+        self, futures: List[asyncio.Future], timeout_s: Optional[float], method: Optional[str]
+    ) -> List[Response]:
+        """The responses ``futures`` (written by :meth:`_send`) resolve, in
+        order, under one deadline timer: armed once the frame has left the
+        write buffer, cancelled when they are in (``method`` None: a batch)."""
         timer = None
         try:
             if self._paused:
                 await self._writable()  # a lost connection has failed the futures
             if timeout_s is not None:
-                timer = loop.call_later(timeout_s, _expire, futures, method, timeout_s)
+                timer = self._loop.call_later(timeout_s, expire, futures, method, timeout_s)
+            if len(futures) == 1:
+                return [await futures[0]]
             return await asyncio.gather(*futures)
+        except BaseException:
+            self._forget(futures)
+            raise
         finally:
             if timer is not None:
                 timer.cancel()
-            for request_id in ids:
-                self._pending.pop(request_id, None)
+
+    def _forget(self, futures: List[asyncio.Future]) -> None:
+        """Drop the ids of calls given up on (a deadline, a cancellation)."""
+        for request_id in [i for i, future in self._pending.items() if future in futures]:
+            del self._pending[request_id]
 
     async def _writable(self) -> None:
         """Wait until the transport resumes writing (or the connection is lost)."""
@@ -270,8 +309,9 @@ class RpcClient(asyncio.Protocol):
         self._lost.set_result(None)
 
 
-def _expire(futures: List[asyncio.Future], method: Optional[str], timeout_s: float) -> None:
-    """A call's deadline passed: fail whichever of its futures still waits."""
+def expire(futures: Sequence[asyncio.Future], method: Optional[str], timeout_s: float) -> None:
+    """A deadline passed: fail whichever of ``futures`` still waits (the
+    responses to ``method``, or to a batch if it is None)."""
     what = "batch response" if method is None else f"response to {method!r}"
     error = RpcTimeoutError(f"no {what} within {timeout_s}s", data={"timeout_s": timeout_s})
     for future in futures:
@@ -310,16 +350,23 @@ class ConnectionPool:
             self._lock = asyncio.Lock()
         return self._lock
 
-    async def _acquire(self) -> RpcClient:
-        """The next connection, round-robin once the pool is full (all are
-        pipelined).  The lock is taken only to dial a connection or replace
-        a dead one, never to hand out a live one."""
+    def live(self) -> Optional[RpcClient]:
+        """The next connection, round-robin, once the pool is full (all are
+        pipelined), if it is live; else None, and :meth:`call` dials."""
         clients = self._clients
         if len(clients) == self.max_connections:
             self._next = (self._next + 1) % len(clients)
             client = clients[self._next]
             if not client.closed:
                 return client
+        return None
+
+    async def _acquire(self) -> RpcClient:
+        """A live connection: :meth:`live`'s, or one dialled to fill the pool
+        or replace a dead one, the only case that takes the lock."""
+        client = self.live()
+        if client is not None:
+            return client
         async with self._get_lock():
             for client in [c for c in self._clients if c.closed]:
                 self._clients.remove(client)
@@ -360,12 +407,8 @@ class ConnectionPool:
             try:
                 client = await self._acquire()
                 return await client.call(method, params, timeout_s=timeout)
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+            except RETRYABLE as exc:
                 last_error = exc
-            except (OverloadedError, ShuttingDownError, RpcTimeoutError) as exc:
-                last_error = exc
-            except RpcError:
-                raise
         assert last_error is not None
         raise last_error
 

@@ -14,10 +14,14 @@ the same logical call — the property the tcp/inproc equivalence gate rests on.
 Every request is encoded by :func:`request_payload`, which splices the
 params' canonical bytes into the envelope's, so a caller that already holds
 those bytes (to measure them) does not encode the params a second time.
+Every response is encoded by :func:`response_payload`, which does the same
+for a result that carries its own canonical bytes (:class:`Encoded`).  Both
+go through :func:`splice`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -89,9 +93,47 @@ class Response:
         return obj
 
 
+class Encoded(dict):
+    """A JSON object that carries its own canonical bytes in ``data``.
+
+    It reads as the dict it is; :func:`response_payload` writes ``data``
+    where it would encode the object again.  Do not change it once built.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, value: Dict[str, Any], data: bytes):
+        super().__init__(value)
+        self.data = data
+
+
 def encode_payload(obj: Any) -> bytes:
     """Canonical UTF-8 JSON bytes for one envelope (or batch list)."""
     return canonical_bytes(obj)
+
+
+@functools.lru_cache(maxsize=None)
+def _member(key: str) -> bytes:
+    return encode_payload(key) + b":"
+
+
+def splice(obj: Dict[str, Any], key: str, data: bytes) -> bytes:
+    """``encode_payload({**obj, key: value})``, where ``data`` is ``value``'s
+    canonical bytes: ``value`` is not encoded again.  ``obj`` has str keys
+    and no ``key``.
+
+    When ``key`` sorts after every key of ``obj`` (a request's ``params``, a
+    response's ``result``, a ``site.query``'s ``vector``), that is ``obj``'s
+    bytes with ``,"key":<data>`` before the closing brace; otherwise the keys
+    before and after it are encoded apart.
+    """
+    if not obj or max(obj) < key:
+        head = encode_payload(obj)
+        return b"".join((head[:-1], b"," if obj else b"", _member(key), data, b"}"))
+    before = {name: value for name, value in obj.items() if name < key}
+    after = encode_payload({name: value for name, value in obj.items() if name > key})
+    head = encode_payload(before)[:-1] + b"," if before else b"{"
+    return b"".join((head, _member(key), data, b",", after[1:]))
 
 
 def request_payload(
@@ -101,18 +143,26 @@ def request_payload(
     meta: Optional[Dict[str, Any]] = None,
 ) -> bytes:
     """``encode_payload(Request(method, params, request_id, meta).to_wire())``,
-    with ``params`` encoded on their own (or given as their canonical bytes).
-
-    ``params`` sorts last of a request's keys (``id`` < ``jsonrpc`` < ``meta``
-    < ``method`` < ``params``), so the request's bytes are the envelope's
-    without it, with ``,"params":<params bytes>`` before the closing brace.
+    with ``params`` encoded on their own (or given as their canonical bytes)
+    and spliced in: they sort last of a request's keys (``id`` < ``jsonrpc``
+    < ``meta`` < ``method`` < ``params``).
     """
-    if params is not None and not isinstance(params, bytes):
-        params = encode_payload(params)
-    envelope = encode_payload(Request(method=method, request_id=request_id, meta=meta).to_wire())
+    envelope = Request(method=method, request_id=request_id, meta=meta).to_wire()
     if params is None:
-        return envelope
-    return b"".join((envelope[:-1], b',"params":', params, b"}"))
+        return encode_payload(envelope)
+    if not isinstance(params, bytes):
+        params = encode_payload(params)
+    return splice(envelope, "params", params)
+
+
+def response_payload(response: "Response") -> bytes:
+    """``encode_payload(response.to_wire())``, with a result that is
+    :class:`Encoded` spliced in from its bytes: ``result`` sorts last of a
+    response's keys (``error`` / ``id`` < ``jsonrpc`` < ``meta`` < ``result``)."""
+    wire = response.to_wire()
+    if response.error is None and isinstance(response.result, Encoded):
+        return splice(wire, "result", wire.pop("result").data)
+    return encode_payload(wire)
 
 
 def notification_frame(method: str, params: EncodedParams = None) -> bytes:

@@ -18,6 +18,7 @@ from repro.common.errors import (
     ChainError,
     DataAvailabilityError,
     MedchainError,
+    OracleEndpointError,
     OracleError,
     QueryError,
     ValidationError,
@@ -229,8 +230,6 @@ def to_rpc_error(exc: BaseException) -> RpcError:
     """
     if isinstance(exc, RpcError):
         return exc
-    from repro.offchain.oracle import OracleEndpointError
-
     if isinstance(exc, OracleEndpointError):
         return RemoteOracleError(
             str(exc), data={"endpoint": exc.endpoint, "kind": exc.kind}

@@ -29,6 +29,7 @@ agrees with.
 from __future__ import annotations
 
 import asyncio
+import functools
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
@@ -41,15 +42,16 @@ from repro.obs.tracer import trace_span
 from repro.query.compose import SiteTask, compose, decompose
 from repro.query.vector import QueryVector
 from repro.rpc import codec
-from repro.rpc.codec import EncodedParams
+from repro.rpc.codec import EncodedParams, Response
 from repro.rpc.client import (
+    RETRYABLE,
     ConnectionPool,
     RetryPolicy,
     _trace_meta,
     adopt_remote_spans,
+    expire,
 )
 from repro.rpc.errors import RpcError, StaleCatalogError
-from repro.rpc.methods import vector_to_wire
 from repro.rpc.runtime import EventLoopThread
 from repro.rpc.server import RpcServer
 
@@ -68,14 +70,39 @@ class GatewayAnswer:
     transport: str = "inproc"
 
 
+#: What a site's call may fail with and the query still go on: an error
+#: answer, a lost or refused connection, a deadline.
+FAILURES = (RpcError,) + RETRYABLE
+
+
 def _is_listing(data: Any) -> bool:
     return isinstance(data, dict) and "datasets" in data and "version" in data
+
+
+def _resolve(future: asyncio.Future, task: asyncio.Task) -> None:
+    """Hand ``task``'s outcome to ``future``, unless it was settled first."""
+    if task.cancelled():
+        future.cancel()
+    elif future.done():
+        task.exception()  # an answer nobody waits for any more
+    elif task.exception() is not None:
+        future.set_exception(task.exception())
+    else:
+        future.set_result(task.result())
+
+
+def _describe(error: BaseException) -> str:
+    if isinstance(error, RpcError):
+        return f"[{error.code}] {error.message}"
+    return f"[{type(error).__name__}] {error}"
 
 
 class Gateway:
     """Shared fan-out/compose algorithm over an abstract per-site call."""
 
     transport = "abstract"
+    #: A query's deadline when :meth:`aexecute` is given none (None: none).
+    request_timeout_s: Optional[float] = None
 
     def __init__(self) -> None:
         self._runner: Optional[EventLoopThread] = None
@@ -92,6 +119,18 @@ class Gateway:
         timeout_s: Optional[float] = None,
     ) -> Any:
         """Call ``method`` at ``site``; ``params`` may be their canonical bytes."""
+        raise NotImplementedError
+
+    def request(
+        self,
+        site: str,
+        method: str,
+        params: EncodedParams = None,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> Optional[asyncio.Future]:
+        """Send one request to ``site`` now; the future its
+        :class:`~repro.rpc.codec.Response` resolves, or None when nothing can
+        take it without waiting (:meth:`acall` can)."""
         raise NotImplementedError
 
     def site_names(self) -> List[str]:
@@ -134,28 +173,80 @@ class Gateway:
     async def aexecute(
         self, vector: QueryVector, timeout_s: Optional[float] = None
     ) -> GatewayAnswer:
-        """Decompose, dispatch concurrently, compose, hash."""
+        """Decompose, fan out, compose, hash.
+
+        The fan-out is this coroutine alone: it sends every site its
+        ``site.query``, arms one deadline for them all and awaits the
+        responses in site order, so a query that succeeds makes no task and
+        no timer per site.  A site whose first try fails takes the slow path,
+        :meth:`_recover`; one that still fails is reported in
+        ``failed_sites``, and only a query no site answered raises.
+        """
         vector.validate()
         started = perf_counter()
-        query_id = vector.query_id
-        wire = vector_to_wire(vector)
+        # Encoded once: these bytes give the query_id and are every site's
+        # params' ``vector``.
+        encoded = canonical_bytes(vector)
+        query_id = vector.query_id_of(encoded)
         with trace_span(
             "gateway.execute", transport=self.transport, intent=vector.intent
         ) as span:
             tasks = decompose(vector, await self.acatalog(), query_id=query_id)
             span.set_attr("tasks", len(tasks))
-            outcomes = await asyncio.gather(
-                *(self._run_site_task(vector, query_id, wire, task, timeout_s) for task in tasks)
-            )
+            sent = [self._send_query(task, encoded) for task in tasks]
+            futures = [future for _, _, future in sent if future is not None]
+            deadline = self.request_timeout_s if timeout_s is None else timeout_s
+            timer = None
+            if futures and deadline is not None:
+                timer = asyncio.get_running_loop().call_later(
+                    deadline, expire, futures, "site.query", deadline
+                )
             partials: Dict[str, Dict[str, Any]] = {}
-            failures: Dict[str, str] = {}
+            failed: List[Tuple[SiteTask, bytes, Optional[BaseException]]] = []
             bytes_on_wire = 0
-            for task, (partial, error, size) in zip(tasks, outcomes):
-                bytes_on_wire += size
-                if error is not None:
-                    failures[task.site] = f"[{error.code}] {error.message}"
-                elif partial is not None:
-                    partials[task.site] = partial
+            try:
+                for task, (params, call, future) in zip(tasks, sent):
+                    # Each request's params are the down share of bytes_on_wire.
+                    bytes_on_wire += len(params)
+                    error: Optional[BaseException] = None  # with no future: not sent
+                    if future is not None:
+                        try:
+                            response = await future
+                        except FAILURES as exc:
+                            error = exc
+                        else:
+                            if response.meta:
+                                call.set_attr(
+                                    "remote_spans",
+                                    adopt_remote_spans(response.meta, call.span_id),
+                                )
+                            error = response.error
+                        call.end()
+                        if error is None:
+                            partial = response.result["result"]
+                            partials[task.site] = partial
+                            bytes_on_wire += len(canonical_bytes(partial))
+                            continue
+                    failed.append((task, params, error))
+            finally:
+                if timer is not None:
+                    timer.cancel()
+                for future in futures:
+                    future.cancel()  # given up on (a cancelled query): no answer is read
+            failures: Dict[str, str] = {}
+            if failed:
+                recovered = await asyncio.gather(
+                    *(
+                        self._recover(vector, query_id, encoded, task, params, error, timeout_s)
+                        for task, params, error in failed
+                    )
+                )
+                for (task, _, _), (partial, error, size) in zip(failed, recovered):
+                    bytes_on_wire += size
+                    if error is not None:
+                        failures[task.site] = _describe(error)
+                    elif partial is not None:
+                        partials[task.site] = partial
             if not partials:
                 raise QueryError(
                     f"query {query_id} produced no results over "
@@ -179,60 +270,91 @@ class Gateway:
             transport=self.transport,
         )
 
-    async def _run_site_task(
+    def _site_params(self, task: SiteTask, encoded: bytes) -> bytes:
+        """The canonical bytes of ``task``'s ``site.query`` params, with the
+        vector's bytes spliced in (``vector`` sorts last)."""
+        return codec.splice(
+            {
+                "catalog_version": self._listings[task.site]["version"],
+                "dataset_ids": list(task.dataset_ids),
+                "task_id": task.task_id,
+            },
+            "vector",
+            encoded,
+        )
+
+    def _send_query(
+        self, task: SiteTask, encoded: bytes
+    ) -> Tuple[bytes, Any, Optional[asyncio.Future]]:
+        """Send ``task``'s ``site.query`` now, if it can go without waiting:
+        its params' bytes, its ``rpc.call`` span and its response future
+        (None: not sent, and the slow path sends it)."""
+        params = self._site_params(task, encoded)
+        call = trace_span("rpc.call", method="site.query", transport=self.transport)
+        try:
+            future = self.request(
+                task.site, "site.query", params, _trace_meta(call.begin().span_id)
+            )
+        except FAILURES:  # a connection lost, a frame too large: the slow path reports it
+            future = None
+        return params, call, future
+
+    async def _recover(
         self,
         vector: QueryVector,
         query_id: str,
-        wire: Dict[str, Any],
+        encoded: bytes,
         task: SiteTask,
+        params: bytes,
+        error: Optional[BaseException],
         timeout_s: Optional[float],
-    ) -> Tuple[Optional[Dict[str, Any]], Optional[RpcError], int]:
-        """One site's share of a query: (partial, error, bytes on the wire).
+    ) -> Tuple[Optional[Dict[str, Any]], Optional[BaseException], int]:
+        """The slow path of a site whose first try failed with ``error``
+        (None: it was not sent): (partial, error, bytes on the wire beyond
+        the first request's params).
 
-        A site that refuses the plan as stale sent its fresh listing along
-        (``_query_site`` stored it): plan again over it and ask that site
-        once more.  A second refusal is that site's failure for this query.
+        A failure a fresh connection may get past is tried again through
+        :meth:`acall`, with its retries.  A site that refuses the plan as
+        stale sends its fresh listing along: plan again over it and ask that
+        site once more.  A second refusal is that site's failure for this
+        query, as is any other error.
         """
-        partial, error, size = await self._query_site(wire, task, timeout_s)
-        if isinstance(error, StaleCatalogError):
-            replanned = next(
-                (
-                    t
-                    for t in decompose(vector, self._catalog(), query_id=query_id)
-                    if t.site == task.site
-                ),
-                None,
-            )
-            if replanned is None:  # the site hosts nothing any more
-                return None, None, size
-            partial, error, resent = await self._query_site(wire, replanned, timeout_s)
-            size += resent
-        return partial, error, size
+        size = 0
+        if error is None or isinstance(error, RETRYABLE):
+            partial, error, size = await self._query_site(task.site, params, timeout_s)
+            if error is None:
+                return partial, None, size
+        if not isinstance(error, StaleCatalogError):
+            return None, error, size
+        if _is_listing(error.data):
+            self._listings[task.site] = error.data
+        replanned = next(
+            (
+                t
+                for t in decompose(vector, self._catalog(), query_id=query_id)
+                if t.site == task.site
+            ),
+            None,
+        )
+        if replanned is None:  # the site hosts nothing any more
+            return None, None, size
+        params = self._site_params(replanned, encoded)
+        partial, error, up = await self._query_site(task.site, params, timeout_s)
+        return partial, error, size + len(params) + up
 
     async def _query_site(
-        self, wire: Dict[str, Any], task: SiteTask, timeout_s: Optional[float]
-    ) -> Tuple[Optional[Dict[str, Any]], Optional[RpcError], int]:
-        # Encoded once: these bytes are both the down share of
-        # ``bytes_on_wire`` and the request's params on the wire.
-        params = canonical_bytes(
-            {
-                "vector": wire,
-                "dataset_ids": list(task.dataset_ids),
-                "task_id": task.task_id,
-                "catalog_version": self._listings[task.site]["version"],
-            }
-        )
-        down = len(params)
+        self, site: str, params: bytes, timeout_s: Optional[float]
+    ) -> Tuple[Optional[Dict[str, Any]], Optional[BaseException], int]:
+        """One ``site.query`` through :meth:`acall`: (partial, error, bytes of
+        the partial)."""
         try:
             outcome = await self.acall(
-                task.site, "site.query", params, idempotent=True, timeout_s=timeout_s
+                site, "site.query", params, idempotent=True, timeout_s=timeout_s
             )
-        except RpcError as exc:
-            if isinstance(exc, StaleCatalogError) and _is_listing(exc.data):
-                self._listings[task.site] = exc.data
-            return None, exc, down
+        except FAILURES as exc:
+            return None, exc, 0
         partial = outcome["result"]
-        return partial, None, down + len(canonical_bytes(partial))
+        return partial, None, len(canonical_bytes(partial))
 
     # -- sync facade -------------------------------------------------------
     def _loop_runner(self) -> EventLoopThread:
@@ -280,6 +402,30 @@ class InprocGateway(Gateway):
     def site_names(self) -> List[str]:
         return sorted(self.servers)
 
+    async def _exchange(
+        self, site: str, method: str, params: EncodedParams, meta: Optional[Dict[str, Any]]
+    ) -> Response:
+        server = self.servers.get(site)
+        if server is None:
+            raise QueryError(f"gateway knows no site {site!r}")
+        raw = await server.dispatch_raw(codec.request_payload(method, params, 1, meta))
+        assert raw is not None  # request had an id, so a response exists
+        return codec.parse_response(codec.decode_payload(raw))
+
+    def request(
+        self,
+        site: str,
+        method: str,
+        params: EncodedParams = None,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> asyncio.Future:
+        """The request served by the site's dispatch path, on a task whose
+        outcome resolves the future returned (unless a deadline failed it)."""
+        future = asyncio.get_running_loop().create_future()
+        task = asyncio.ensure_future(self._exchange(site, method, params, meta))
+        task.add_done_callback(functools.partial(_resolve, future))
+        return future
+
     async def acall(
         self,
         site: str,
@@ -289,14 +435,8 @@ class InprocGateway(Gateway):
         idempotent: bool = True,
         timeout_s: Optional[float] = None,
     ) -> Any:
-        server = self.servers.get(site)
-        if server is None:
-            raise QueryError(f"gateway knows no site {site!r}")
-        payload = codec.request_payload(method, params, 1, _trace_meta())
         with trace_span("rpc.call", method=method, transport=self.transport) as span:
-            raw = await server.dispatch_raw(payload)
-            assert raw is not None  # request had an id, so a response exists
-            response = codec.parse_response(codec.decode_payload(raw))
+            response = await self._exchange(site, method, params, _trace_meta())
             if response.meta:
                 span.set_attr("remote_spans", adopt_remote_spans(response.meta))
             if response.error is not None:
@@ -324,6 +464,7 @@ class TcpGateway(Gateway):
     ):
         super().__init__()
         self.addresses = dict(addresses)
+        self.request_timeout_s = request_timeout_s
         self.pools: Dict[str, ConnectionPool] = {
             site: ConnectionPool(
                 host,
@@ -339,6 +480,24 @@ class TcpGateway(Gateway):
     def site_names(self) -> List[str]:
         return sorted(self.pools)
 
+    def _pool(self, site: str) -> ConnectionPool:
+        pool = self.pools.get(site)
+        if pool is None:
+            raise QueryError(f"gateway knows no site {site!r}")
+        return pool
+
+    def request(
+        self,
+        site: str,
+        method: str,
+        params: EncodedParams = None,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> Optional[asyncio.Future]:
+        """The request written on a live pooled connection; None while the
+        pool has none to hand out without dialling."""
+        client = self._pool(site).live()
+        return None if client is None else client.request(method, params, meta)
+
     async def acall(
         self,
         site: str,
@@ -348,10 +507,7 @@ class TcpGateway(Gateway):
         idempotent: bool = True,
         timeout_s: Optional[float] = None,
     ) -> Any:
-        pool = self.pools.get(site)
-        if pool is None:
-            raise QueryError(f"gateway knows no site {site!r}")
-        return await pool.call(
+        return await self._pool(site).call(
             method, params, timeout_s=timeout_s, idempotent=idempotent
         )
 

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 from repro.common.errors import LearningError
 from repro.common.serialize import to_jsonable
 from repro.query.vector import QueryVector
+from repro.rpc.codec import Encoded, splice
 from repro.rpc.errors import InvalidParamsError, StaleCatalogError
 from repro.rpc.server import MethodRegistry
 
@@ -133,7 +134,7 @@ def build_site_registry(
         dataset_ids: Optional[List[str]] = None,
         params: Optional[Dict[str, Any]] = None,
         purpose: str = "research",
-    ) -> Dict[str, Any]:
+    ) -> Encoded:
         records = records_for(dataset_ids)
         try:
             result = site.runner.run(task_id, tool_id, records, dict(params or {}))
@@ -141,23 +142,27 @@ def build_site_registry(
             # A model a tool cannot build from these params (an outcome no
             # record holds, global_params of the wrong shape): the request's fault.
             raise InvalidParamsError(str(exc)) from exc
-        return {
+        outcome = {
             "task_id": result.task_id,
             "tool_id": result.tool_id,
             "site": result.site,
-            "result": result.result,
             "result_hash": result.result_hash,
             "records_used": result.records_used,
             "flops": result.flops,
             "purpose": purpose,
         }
+        # The result goes into the reply as the bytes its hash was taken
+        # over: the server writes them, and encodes the result no more.
+        return Encoded(
+            dict(outcome, result=result.result), splice(outcome, "result", result.result_bytes)
+        )
 
     async def site_query(
         vector: Dict[str, Any],
         dataset_ids: Optional[List[str]] = None,
         task_id: str = "",
         catalog_version: Optional[str] = None,
-    ) -> Dict[str, Any]:
+    ) -> Encoded:
         """One decomposed sub-query over this site's records.
 
         Answers ``site.run_task``'s outcome for the vector's tool and params:

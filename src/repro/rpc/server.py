@@ -101,12 +101,23 @@ class MethodRegistry:
         return sorted(self._methods)
 
 
+def _misfit(spec: MethodSpec, params: Dict[str, Any]) -> Optional[InvalidParamsError]:
+    """INVALID_PARAMS naming the method, if ``params`` do not fit its
+    handler's signature.  Asked only once a call has raised ``TypeError``,
+    so a call that succeeds binds nothing twice."""
+    try:
+        inspect.signature(spec.handler).bind(**params)
+    except TypeError as exc:
+        return InvalidParamsError(f"{spec.name}: {exc}")
+    return None
+
+
 def _encode_responses(responses: List[Response], was_batch: bool) -> bytes:
     """One frame payload: a lone response to a lone request goes out bare,
     the responses to a batch as an array (even when there is only one)."""
     if len(responses) == 1 and not was_batch:
-        return codec.encode_payload(responses[0].to_wire())
-    return codec.encode_payload([response.to_wire() for response in responses])
+        return codec.response_payload(responses[0])
+    return b"[" + b",".join(map(codec.response_payload, responses)) + b"]"
 
 
 @types.coroutine
@@ -419,7 +430,7 @@ class RpcServer:
         except asyncio.CancelledError:
             raise
         except BaseException as exc:
-            error = to_rpc_error(exc)
+            error = (isinstance(exc, TypeError) and _misfit(spec, params)) or to_rpc_error(exc)
             self._count_error(request.method, f"code_{error.code}")
             return codec.error_response(request_id, error)
 

@@ -12,7 +12,7 @@ load it either.
 
 The other way round, a site server without ``--validators`` serves data and
 runs no chain: it loads no consensus, chain, contract, p2p or simulation
-code (~0.15 s of start-up).  Of ``repro.sim`` it holds only the metrics
+code (~0.15 s of start-up), nor does a request it refuses.  Of ``repro.sim`` it holds only the metrics
 registry every layer records into.  Nor does it load the parts of
 ``repro.da`` and ``repro.datamgmt`` that one site's data does not use:
 dispersal, erasure coding and sampling, record linkage and wearables.
@@ -96,6 +96,26 @@ def test_a_data_only_site_boot_does_not_import_the_chain_side():
         if name.startswith("repro.") and name.split(".")[1] in CHAIN_SIDE
     }
     assert loaded <= {"repro.sim", "repro.sim.metrics"}, sorted(loaded)
+
+
+def test_a_refused_request_at_a_data_only_site_does_not_import_the_chain_side():
+    listing = _modules_after(
+        "import asyncio\n"
+        "from repro.rpc import codec\n"
+        "from repro.rpc.methods import build_site_registry\n"
+        "from repro.rpc.server import RpcServer\n"
+        "from repro.rpc.site_server import build_site\n"
+        "server = RpcServer(build_site_registry(build_site('hospital-0', 3, 20, 2026)))\n"
+        "params = {'task_id': 't', 'tool': 'count'}\n"
+        "raw = asyncio.run(server.dispatch_raw(codec.request_payload('site.run_task', params, 1)))\n"
+        "error = codec.decode_payload(raw)['error']\n"
+        "assert error['code'] == -32602 and error['message'].startswith('site.run_task: '), error"
+    )
+    loaded = sorted(
+        name for name in listing
+        if name.startswith("repro.") and name.split(".")[1] in CHAIN_SIDE - {"sim"}
+    )
+    assert not loaded, loaded
 
 
 def test_a_site_boot_loads_only_the_data_modules_it_uses():

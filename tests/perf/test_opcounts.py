@@ -391,12 +391,42 @@ def test_site_read_work_per_warm_query(monkeypatch):
     equality filters (``sex = "F"`` by string code, ``smoker = 1`` in
     float64), nor in a ``compare_groups`` query's group membership (``M`` /
     ``F``, smokers ``1`` / ``0``), and a site does not hash the vector into a
-    ``query_id``.  Structural, so compared ``==``."""
+    ``query_id``.  A site canonical-encodes a tool's result once: those bytes
+    give its hash and go into the reply as they are.  Structural, so
+    compared ``==``."""
     sites = {name: build_site(name, 3, 150, 2026) for name in ("hospital-0", "hospital-1", "hospital-2")}
     servers = {name: RpcServer(build_site_registry(site), name=name) for name, site in sites.items()}
     gateway = InprocGateway(servers)
-    counts = {"object_not_equal": 0, "object_equal": 0, "site_query_id": 0}
+    counts = {"object_not_equal": 0, "object_equal": 0, "site_query_id": 0, "result_encodes": 0}
     not_equal, equal, from_wire = numpy.not_equal, numpy.equal, methods.vector_from_wire
+    canonical_json = serialize.canonical_json
+    results, kept = set(), []  # the ids of the results the tools returned, kept alive
+
+    def recording(fn):
+        def recorded(records, params):
+            result = fn(records, params)
+            results.add(id(result))
+            kept.append(result)
+            return result
+
+        return recorded
+
+    for site in sites.values():
+        for tool_id in site.runner.registry.tool_ids():
+            spec = site.runner.registry.get(tool_id)
+            spec.fn = recording(spec.fn)
+
+    def reaches_a_result(value):
+        if id(value) in results:
+            return True
+        if isinstance(value, dict):
+            return any(map(reaches_a_result, value.values()))
+        return isinstance(value, (list, tuple)) and any(map(reaches_a_result, value))
+
+    def counted_canonical_json(value, *args):
+        if reaches_a_result(value):
+            counts["result_encodes"] += 1
+        return canonical_json(value, *args)
 
     def on_objects(name, ufunc):
         def counted(*args, **kwargs):
@@ -420,6 +450,7 @@ def test_site_read_work_per_warm_query(monkeypatch):
     monkeypatch.setattr(numpy, "not_equal", on_objects("object_not_equal", not_equal))
     monkeypatch.setattr(numpy, "equal", on_objects("object_equal", equal))
     monkeypatch.setattr(methods, "vector_from_wire", counted_from_wire)
+    monkeypatch.setattr(serialize, "canonical_json", counted_canonical_json)
 
     def served(method):
         return sum(
@@ -473,6 +504,7 @@ def test_site_read_work_per_warm_query(monkeypatch):
         "query_id_evaluations_per_served_site_query": (
             counts["site_query_id"] / served("site.query")
         ),
+        "result_encodes_per_served_site_query": counts["result_encodes"] / served("site.query"),
     }
 
 
@@ -672,27 +704,39 @@ def _push_frame_encodes_per_fanout(monkeypatch):
 def test_gateway_work_per_query(monkeypatch):
     """Three data-only sites served over loopback TCP in this process, one
     ``TcpGateway`` in front.  Per warm ``aexecute`` of the E22 shapes: how
-    often a site's ``site.query`` params are canonical-encoded (once each:
-    the bytes ``bytes_on_wire`` counts are the bytes sent), and how often
-    the vector is hashed into its ``query_id`` (once, handed to
-    ``decompose``).  Per pooled call on a live connection (``rpc.echo``,
-    answered in the server's read callback): the ``asyncio.Lock``
-    acquisitions, tasks and timers it costs the loop."""
-    counts = {"params_encodes": 0, "query_ids": 0, "locks": 0, "tasks": 0, "timers": 0}
-    canonical_json, query_id, acquire = (
-        serialize.canonical_json, QueryVector.query_id, asyncio.Lock.acquire
+    often the vector is canonical-encoded (once: those bytes give the
+    ``query_id`` and are spliced into every site's params), how often the
+    ``query_id`` is worked out (once, handed to ``decompose``), how often a
+    site's ``site.query`` params are canonical-encoded, with their vector or
+    without it (once each: the bytes ``bytes_on_wire`` counts are the bytes
+    sent), and the tasks and timers the fan-out costs the loop (none and
+    one: the query's deadline).  Per pooled call on a live connection
+    (``rpc.echo``, answered in the server's read callback): the
+    ``asyncio.Lock`` acquisitions, tasks and timers it costs the loop."""
+    counts = {
+        "vector_encodes": 0, "params_encodes": 0, "query_ids": 0, "locks": 0, "tasks": 0,
+        "timers": 0,
+    }
+    canonical_json, query_id_of, acquire = (
+        serialize.canonical_json, QueryVector.query_id_of, asyncio.Lock.acquire
     )
 
+    def holds(value, *keys):
+        return isinstance(value, dict) and (
+            all(key in value for key in keys)
+            or all(key in (value.get("params") or {}) for key in keys)
+        )
+
     def counted_canonical_json(value, *args):
-        if isinstance(value, dict) and (
-            "vector" in value or isinstance((value.get("params") or {}).get("vector"), dict)
-        ):
+        if isinstance(value, QueryVector) or holds(value, "vector") or holds(value, "intent"):
+            counts["vector_encodes"] += 1
+        if holds(value, "dataset_ids", "task_id"):
             counts["params_encodes"] += 1
         return canonical_json(value, *args)
 
-    def counted_query_id(vector):
+    def counted_query_id_of(encoded):
         counts["query_ids"] += 1
-        return query_id.fget(vector)
+        return query_id_of(encoded)
 
     def counted_acquire(lock):
         counts["locks"] += 1
@@ -721,13 +765,21 @@ def test_gateway_work_per_query(monkeypatch):
                 await gateway.aexecute(parse_query(text))
             vectors = [parse_query(text) for text in E22_SHAPES * 4]
             monkeypatch.setattr(serialize, "canonical_json", counted_canonical_json)
-            monkeypatch.setattr(QueryVector, "query_id", property(counted_query_id))
+            monkeypatch.setattr(QueryVector, "query_id_of", staticmethod(counted_query_id_of))
+            loop.set_task_factory(counting_factory)
+            loop.call_at = counted_call_at
             for vector in vectors:
                 assert not (await gateway.aexecute(vector)).failed_sites
+            del loop.call_at
+            loop.set_task_factory(None)
             measured = {
+                "vector_encodes_per_query": counts["vector_encodes"] / len(vectors),
                 "site_query_params_encodes_per_query": counts["params_encodes"] / len(vectors),
                 "query_id_evaluations_per_query": counts["query_ids"] / len(vectors),
+                "tasks_per_query": counts["tasks"] / len(vectors),
+                "timers_per_query": counts["timers"] / len(vectors),
             }
+            counts["tasks"] = counts["timers"] = 0
             monkeypatch.setattr(asyncio.Lock, "acquire", counted_acquire)
             loop.set_task_factory(counting_factory)
             loop.call_at = counted_call_at

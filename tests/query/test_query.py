@@ -43,6 +43,21 @@ class TestQueryVector:
         assert a.query_id == b.query_id
         assert a.query_id != c.query_id
 
+    def test_query_id_hashes_the_twelve_fields(self):
+        """The id is the hash of the vector's canonical bytes, which are
+        those of its twelve fields by name: the bytes a gateway sends."""
+        from repro.common.hashing import hash_value_hex
+
+        for text in ("how many patients have diabetes", "compare bmi of smokers",
+                     "histogram of bmi between 15 and 55 with 4 bins", "train a stroke model"):
+            vector = parse_query(text)
+            fields = (
+                "intent", "outcome", "target_field", "filters", "model", "rounds", "bins",
+                "value_range", "purpose", "requested_schema", "group_field", "group_values",
+            )
+            expected = "q-" + hash_value_hex({name: getattr(vector, name) for name in fields})[:16]
+            assert vector.query_id == expected, text
+
     def test_tool_mapping(self):
         assert QueryVector(intent="mean", target_field="vitals.sbp").tool_id() == "numeric_summary"
         assert QueryVector(intent="train", outcome="stroke").tool_id() == "local_train"

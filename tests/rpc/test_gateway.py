@@ -195,3 +195,35 @@ def test_a_site_that_times_out_is_a_failed_site():
     assert sorted(answer.site_partials) == ["hospital-0", "hospital-1"]
     expected = _two_site_answer(text, ["hospital-0", "hospital-1"])
     assert answer.result_hash == expected.result_hash
+
+
+def test_a_traced_tcp_query_has_one_rpc_call_per_site_holding_its_spans():
+    async def scenario():
+        servers = _site_servers()
+        addrs = {name: await server.start() for name, server in servers.items()}
+        gateway = TcpGateway(addrs, max_connections_per_site=1)
+        try:
+            await gateway.acatalog()  # the pools are full: the query takes live connections
+            tracer = Tracer()
+            with tracer_override(tracer):
+                with trace_span("test.root"):
+                    answer = await gateway.aexecute(parse_query(QUERIES[1]))
+            return tracer, answer
+        finally:
+            await gateway.aclose()
+            for server in servers.values():
+                await server.close()
+
+    tracer, answer = asyncio.run(scenario())
+    assert not answer.failed_sites
+    by_id = {span.span_id: span for span in tracer.spans}
+    calls = [span for span in tracer.spans if span.name == "rpc.call"]
+    assert len(calls) == len(SITES)
+    assert {by_id[span.parent_id].name for span in calls} == {"gateway.execute"}
+    serves = [span for span in tracer.spans if span.name == "rpc.serve"]
+    assert sorted(span.parent_id for span in serves) == sorted(span.span_id for span in calls)
+    for span in calls:
+        assert span.attrs["remote_spans"] >= 1
+        assert span.end_wall_s >= span.start_wall_s
+    roots = [span for span in tracer.spans if span.parent_id is None]
+    assert [root.name for root in roots] == ["test.root"]
