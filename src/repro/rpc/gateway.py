@@ -15,7 +15,10 @@ sub-query to the site that must run it.  Two interchangeable transports:
 Both share one execution algorithm (catalog -> decompose -> concurrent
 ``site.query`` fan-out -> compose), and both serialize through the same
 canonical codec, so a query's composed result — and its content hash — is
-transport-invariant.  The E15 benchmark and CI gate on exactly that.
+transport-invariant.  The E15 benchmark and CI gate on exactly that.  A
+transport supplies a call (:meth:`Gateway.acall`, with its retries) and a
+request sent without waiting (:meth:`Gateway.request`), on which the
+fan-out runs from the query's own coroutine.
 
 The catalog is each site's last ``site.catalog`` reply, kept by the gateway
 and validated on use: every ``site.query`` names the listing ``version`` it

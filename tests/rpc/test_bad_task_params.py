@@ -160,3 +160,17 @@ def test_site_query_histogram_at_the_bin_limit_answers(server):
     }
     counts = answer_of(server, "site.query", {"vector": vector})["result"]["result"]["counts"]
     assert len(counts) == MAX_HISTOGRAM_BINS and sum(counts) == 60
+
+
+@pytest.mark.parametrize(
+    "method, params, reason",
+    [
+        ("site.run_task", {"task_id": "t", "tool": "count"}, "missing a required argument: 'tool_id'"),
+        ("site.run_task", {"task_id": "t", "tool_id": "count", "tool": "x"}, "got an unexpected keyword argument 'tool'"),
+        ("site.query", {"vectr": {"intent": "count"}}, "missing a required argument: 'vector'"),
+    ],
+)
+def test_params_that_do_not_fit_the_method_name_it(server, method, params, reason):
+    answer = answer_of(server, method, params)
+    assert answer["error"]["code"] == INVALID_PARAMS
+    assert answer["error"]["message"] == f"{method}: {reason}"
