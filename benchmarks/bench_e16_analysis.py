@@ -1,11 +1,11 @@
 """E16 — Static-analysis throughput and deploy-gate latency.
 
 The ``repro.analysis`` verifier sits on two hot paths: CI lints the whole
-tree on every push, and the ``ContractRegistry`` deploy gate runs the
-contract family synchronously before every admission.  Both must stay
-cheap: this micro-benchmark reports full-tree analysis throughput
-(files/s, KLoC/s) and the per-contract verification latency over the
-shipped contract library.
+tree on every push, and the deploy gate (``platform_deploy_tx``) runs the
+contract family synchronously before every platform contract's deploy tx
+is signed.  Both must stay cheap: this micro-benchmark reports full-tree
+analysis throughput (files/s, KLoC/s) and the per-contract verification
+latency over the shipped contract library.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Checkers self-register at import time via the :func:`register` decorator and
 are grouped into two families:
 
 - ``contract`` — verification of MedScript contract source (run by the
-  ``ContractRegistry`` deploy gate and by the CLI over embedded
-  ``*_SOURCE`` literals);
+  platform's deploy gate, ``platform_deploy_tx``, and by the CLI over
+  embedded ``*_SOURCE`` literals);
 - ``repo``     — convention lints over the ``repro`` codebase itself.
 
 Third-party extensions (or tests) can register additional checkers; the

@@ -1,9 +1,9 @@
 """Deploy-time contract verification gate.
 
 :func:`verify_contract` is the one-call form used by
-:class:`repro.contracts.registry.ContractRegistry` (``deploy(...,
-verify=True)``) and by any off-chain admission service: it runs the full
-contract-family analysis and raises a typed
+:func:`repro.contracts.deploy.platform_deploy_tx` (before every platform
+contract's deploy tx is signed) and by any off-chain admission service: it
+runs the full contract-family analysis and raises a typed
 :class:`~repro.common.errors.ContractVerificationError` when findings at or
 above the failure threshold remain.
 """

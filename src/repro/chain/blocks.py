@@ -9,11 +9,12 @@ of the header.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.common.errors import ValidationError
 from repro.common.hashing import ZERO_HASH, hash_value
 from repro.common.merkle import MerkleTree
+from repro.chain.state import StateDB
 from repro.chain.transactions import Transaction
 
 
@@ -134,6 +135,18 @@ def make_genesis(
         consensus={"chain_id": chain_id},
     )
     return Block(header=header, transactions=[])
+
+
+def funded_genesis(balances: Mapping[str, int]) -> Tuple[Block, StateDB]:
+    """The genesis block over ``balances`` (address -> amount), and its state.
+
+    The block hashes only the funded state, so every process given the same
+    balances starts the same chain.
+    """
+    state = StateDB()
+    for address, amount in balances.items():
+        state.credit(address, amount)
+    return make_genesis(state.state_root()), state
 
 
 def build_block(

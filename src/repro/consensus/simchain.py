@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.chain.blocks import make_genesis
+from repro.chain.blocks import funded_genesis
 from repro.chain.executor import Receipt
-from repro.chain.state import StateDB
 from repro.chain.transactions import Transaction
 from repro.common.errors import ChainError
 from repro.common.signatures import KeyPair
@@ -46,10 +45,7 @@ class SimChain:
         self.kernel = Kernel(seed=seed)
         self.metrics = MetricsRegistry()
         self.network = Network(self.kernel, self.metrics, default_link=link)
-        self.genesis_state = StateDB()
-        for address, amount in balances.items():
-            self.genesis_state.credit(address, amount)
-        self.genesis = make_genesis(self.genesis_state.state_root())
+        self.genesis, self.genesis_state = funded_genesis(balances)
         if engine is None:
             keypairs = {name: KeyPair.generate(name) for name in names}
             engine = ProofOfAuthority(names, keypairs, block_interval_s=block_interval_s)

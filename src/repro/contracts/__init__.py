@@ -5,12 +5,10 @@ from repro.contracts.library import (
     BLOB_REGISTRY_SOURCE,
     CLINICAL_TRIAL_SOURCE,
     COMPUTE_CONTRACT_SOURCE,
-    CONTRACT_CATEGORIES,
     COUNTER_SOURCE,
     DATA_REGISTRY_SOURCE,
     PATIENT_CONSENT_SOURCE,
 )
-from repro.contracts.registry import ContractRegistry, DeploymentRecord
 from repro.contracts.runtime import (
     HOST_FUNCTION_NAMES,
     ContractExecutor,
@@ -29,14 +27,11 @@ __all__ = [
     "BLOB_REGISTRY_SOURCE",
     "CLINICAL_TRIAL_SOURCE",
     "COMPUTE_CONTRACT_SOURCE",
-    "CONTRACT_CATEGORIES",
     "COUNTER_SOURCE",
     "ContractExecutor",
     "ContractInfo",
-    "ContractRegistry",
     "ContractSource",
     "DATA_REGISTRY_SOURCE",
-    "DeploymentRecord",
     "HOST_FUNCTION_NAMES",
     "PATIENT_CONSENT_SOURCE",
     "GasMeter",

@@ -3,8 +3,9 @@
 The paper defines *data contracts* (request/registration of data sets and
 access policy), *analytics contracts* (request execution of analytics tools
 and learning models), and *clinical-trial contracts* (participant
-recruitment and continuous trial monitoring).  These sources are deployed by
-``repro.core`` when a medical blockchain network boots.
+recruitment and continuous trial monitoring).  :data:`PLATFORM_CONTRACTS`
+lists the sources a medical blockchain network deploys at boot
+(:mod:`repro.contracts.deploy`).
 
 Each contract is intentionally *light-weight*: it stores registrations,
 policies, and task metadata, and emits events for the off-chain monitor
@@ -517,12 +518,14 @@ def get():
     return storage_get("count", 0)
 '''
 
-#: Names under which the platform deploys each category (Figure 4, plus the
-#: patient-consent extension motivated by the paper's data-ownership goals).
-CONTRACT_CATEGORIES = {
-    "data": DATA_REGISTRY_SOURCE,
+#: The platform's contracts in deploy order (Figure 4's data / analytics /
+#: clinical-trial categories, plus patient consent for the paper's
+#: data-ownership goals and the erasure-coded blob registry): each name feeds
+#: its contract's id, and each index is the deployer's nonce.
+PLATFORM_CONTRACTS = {
+    "data-registry": DATA_REGISTRY_SOURCE,
     "analytics": ANALYTICS_SOURCE,
-    "clinical_trial": CLINICAL_TRIAL_SOURCE,
-    "consent": PATIENT_CONSENT_SOURCE,
-    "blob": BLOB_REGISTRY_SOURCE,
+    "clinical-trial": CLINICAL_TRIAL_SOURCE,
+    "patient-consent": PATIENT_CONSENT_SOURCE,
+    "blob-registry": BLOB_REGISTRY_SOURCE,
 }

@@ -65,6 +65,14 @@ class ContractInfo:
         return cls(**data)
 
 
+def contract_id(owner: str, nonce: int, name: str) -> str:
+    """The id of contract ``name`` deployed by ``owner`` at ``nonce``: known
+    before the deploy commits."""
+    return hash_value_hex(
+        {"owner": owner, "nonce": nonce, "name": name}, allow_float=False
+    )[:40]
+
+
 def _isolate(value: Any) -> Any:
     """Copy mutable containers crossing the contract/state boundary.
 
@@ -324,10 +332,8 @@ class ContractExecutor:
             return Receipt(
                 tx_id=tx.tx_id, success=False, gas_used=gas_used, error=str(exc)
             )
-        contract_id = hash_value_hex(
-            {"owner": tx.sender, "nonce": tx.nonce, "name": name}, allow_float=False
-        )[:40]
-        meta_key = state.contract_key(contract_id, META_SLOT)
+        new_id = contract_id(tx.sender, tx.nonce, name)
+        meta_key = state.contract_key(new_id, META_SLOT)
         if state.contains(meta_key):
             return Receipt(
                 tx_id=tx.tx_id,
@@ -336,7 +342,7 @@ class ContractExecutor:
                 error="contract already deployed",
             )
         info = ContractInfo(
-            contract_id=contract_id,
+            contract_id=new_id,
             name=name,
             owner=tx.sender,
             source=source,
@@ -349,7 +355,7 @@ class ContractExecutor:
             state.snapshot()
             try:
                 bridge = HostBridge(
-                    state, contract_id, tx.sender, context, meter, events
+                    state, new_id, tx.sender, context, meter, events
                 )
                 Interpreter(compiled, bridge.functions(), meter).call(
                     "init", dict(init_args)
@@ -370,7 +376,7 @@ class ContractExecutor:
             tx_id=tx.tx_id,
             success=True,
             gas_used=gas_used,
-            output=contract_id,
+            output=new_id,
             events=events,
         )
 

@@ -6,8 +6,10 @@ one object:
 - a blockchain node per hospital site (plus optional FDA trusted node) over
   the simulated network, running PoA by default (a hospital consortium) or
   PoW/PoS for the consensus experiments;
-- the four platform contracts (data / analytics / clinical-trial /
-  patient-consent) deployed once at boot;
+- the five platform contracts (data / analytics / clinical-trial /
+  patient-consent / blob-registry) deployed once at boot, each verified
+  first and each id known before its deploy commits
+  (:mod:`repro.contracts.deploy`);
 - per site, from :func:`repro.offchain.site.assemble_site`: a
   legacy-format hospital data store, the standard analytics tool registry,
   a data oracle, a monitor node (event bridge), an off-chain control node
@@ -19,7 +21,7 @@ one object:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.chain.transactions import Transaction, make_call
@@ -31,25 +33,23 @@ from repro.consensus.node import NodeConfig
 from repro.consensus.pos import ProofOfStake
 from repro.consensus.pow import ProofOfWork
 from repro.consensus.simchain import SimChain
-from repro.contracts.library import (
-    ANALYTICS_SOURCE,
-    BLOB_REGISTRY_SOURCE,
-    CLINICAL_TRIAL_SOURCE,
-    DATA_REGISTRY_SOURCE,
-    PATIENT_CONSENT_SOURCE,
+from repro.contracts.deploy import (
+    DEPLOYER,
+    FUNDING,
+    PlatformContracts,
+    platform_contract_ids,
+    platform_deploy_tx,
 )
-from repro.contracts.registry import ContractRegistry
+from repro.contracts.library import PLATFORM_CONTRACTS
 from repro.datamgmt.store import HospitalDataStore
 from repro.datamgmt.virtual import DatasetRef
 from repro.offchain.anchoring import DatasetAnchor
-from repro.offchain.control import NonceTracker, PlatformContracts
+from repro.offchain.control import NonceTracker
 from repro.offchain.site import Site, assemble_site
 from repro.sharing.exchange import TrustedThirdParty
 from repro.sim.network import LinkSpec
 
 FDA_NODE_NAME = "fda"
-# Genesis balance of the deployer and of every node's key.
-FUNDING = 1_000_000_000
 
 
 @dataclass
@@ -99,7 +99,7 @@ class MedicalBlockchainNetwork:
     def __init__(self, config: Optional[PlatformConfig] = None):
         self.config = config or PlatformConfig()
         self.depot = ParamsDepot()
-        self.deployer = KeyPair.generate("platform-deployer")
+        self.deployer = KeyPair.generate(DEPLOYER)
         self._deployer_nonces = NonceTracker()
         self.site_names = [
             f"hospital-{index}" for index in range(self.config.site_count)
@@ -109,7 +109,6 @@ class MedicalBlockchainNetwork:
         )
         self.keypairs = {name: KeyPair.generate(name) for name in self.node_names}
         self.contracts: Optional[PlatformContracts] = None
-        self.contract_registry: Optional[ContractRegistry] = None
         self.sites: Dict[str, Site] = {}
         self.fda: Optional[TrustedThirdParty] = None
         self._boot()
@@ -161,40 +160,24 @@ class MedicalBlockchainNetwork:
         raise MedchainError(f"unknown consensus kind {kind!r}")
 
     def _deploy_platform_contracts(self) -> PlatformContracts:
-        sources = {
-            "data-registry": DATA_REGISTRY_SOURCE,
-            "analytics": ANALYTICS_SOURCE,
-            "clinical-trial": CLINICAL_TRIAL_SOURCE,
-            "patient-consent": PATIENT_CONSENT_SOURCE,
-            "blob-registry": BLOB_REGISTRY_SOURCE,
-        }
-        ids: Dict[str, str] = {}
+        """Deploy the platform contracts from the entry node, one block each.
+
+        A contract the verifier refuses aborts the boot before it reaches the
+        chain (and the shipped library dogfoods the analyser at boot).
+        """
+        contracts = platform_contract_ids(self.deployer)
         entry_node = self.nodes[self.node_names[0]]
-        # Platform contracts go through the verifying registry, PHI taint
-        # pass included: a nondeterministic or unbounded contract, or one
-        # that provably leaks patient data into chain state, aborts the boot
-        # with a ContractVerificationError instead of reaching the chain
-        # (and the shipped library dogfoods the static analyzer at boot).
-        registry = ContractRegistry(
-            node=entry_node,
-            deployer=self.deployer,
-            timestamp_source=lambda: int(self.kernel.now * 1000),
-            verify_by_default=True,
-        )
-        for name, source in sources.items():
-            tx = registry.deploy(name, source)
+        for name, expected in zip(PLATFORM_CONTRACTS, astuple(contracts)):
+            tx = platform_deploy_tx(
+                self.deployer, name, timestamp_ms=int(self.kernel.now * 1000)
+            )
+            entry_node.submit_tx(tx)
             receipt = self.chain.commit(tx, timeout_s=600)
-            if not receipt.success:
-                raise ChainError(f"failed to deploy {name}: {receipt.error}")
-            ids[name] = receipt.output
-        self.contract_registry = registry
-        return PlatformContracts(
-            data_contract_id=ids["data-registry"],
-            analytics_contract_id=ids["analytics"],
-            trial_contract_id=ids["clinical-trial"],
-            consent_contract_id=ids["patient-consent"],
-            blob_contract_id=ids["blob-registry"],
-        )
+            if not receipt.success or receipt.output != expected:
+                raise ChainError(
+                    f"failed to deploy {name}: {receipt.error or receipt.output}"
+                )
+        return contracts
 
     # -- chain helpers -----------------------------------------------------
     def run(self, duration_s: float) -> None:

@@ -16,7 +16,6 @@ site's blockchain node to that site's data store and tool registry:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.chain.executor import ContractEvent
@@ -24,23 +23,13 @@ from repro.chain.transactions import Transaction, make_call
 from repro.common.errors import AccessDeniedError, IntegrityError, OracleError
 from repro.common.signatures import KeyPair
 from repro.consensus.node import BlockchainNode
+from repro.contracts.deploy import PlatformContracts
 from repro.offchain.anchoring import require_dataset_integrity
 from repro.offchain.oracle import MonitorNode
 from repro.offchain.tasks import TaskResult, TaskRunner
 
 if TYPE_CHECKING:
     from repro.datamgmt.store import HospitalDataStore
-
-
-@dataclass
-class PlatformContracts:
-    """Ids of the deployed contract categories (Figure 4 + consent)."""
-
-    data_contract_id: str
-    analytics_contract_id: str
-    trial_contract_id: str
-    consent_contract_id: str = ""  # optional patient-consent extension
-    blob_contract_id: str = ""  # optional erasure-coded blob registry (repro.da)
 
 
 class NonceTracker:
@@ -212,8 +201,6 @@ class ControlNode:
         control code is where it takes effect — no analytic ever sees an
         opted-out patient's record.
         """
-        if not self.contracts.consent_contract_id:
-            return records
         opted_out = set(
             self.node.call_view(
                 self.contracts.consent_contract_id, "opted_out", {"scope": purpose}

@@ -24,7 +24,8 @@ from repro.offchain.tasks import TaskRunner
 
 if TYPE_CHECKING:
     from repro.consensus.node import BlockchainNode
-    from repro.offchain.control import ControlNode, PlatformContracts
+    from repro.contracts.deploy import PlatformContracts
+    from repro.offchain.control import ControlNode
     from repro.offchain.oracle import DataOracle, MonitorNode
     from repro.sharing.exchange import ExchangeService
     from repro.sim.metrics import MetricsRegistry

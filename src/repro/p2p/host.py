@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.chain.blocks import Block, make_genesis
+from repro.chain.blocks import Block, funded_genesis
 from repro.chain.mempool import DUPLICATE, POOL_FULL, RATE_LIMITED, STALE_NONCE, UNDERPRICED
 from repro.chain.state import StateDB
 from repro.common.clock import WallClock
@@ -59,10 +59,9 @@ def build_world(
     only the funded state, so independently launched processes given the
     same arguments form one network with no shared files.
     """
-    state = StateDB()
-    for label in sorted(fund):
-        state.credit(KeyPair.generate(label).address, fund[label])
-    genesis = make_genesis(state.state_root())
+    genesis, state = funded_genesis(
+        {KeyPair.generate(label).address: fund[label] for label in sorted(fund)}
+    )
     keypairs = {name: KeyPair.generate(name) for name in validators}
     engine = ProofOfAuthority(validators, keypairs, block_interval_s=block_interval_s)
     return genesis, state, engine

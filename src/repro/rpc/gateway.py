@@ -147,19 +147,35 @@ class Gateway:
         """The catalog the next query is planned against.
 
         Sites with no listing yet — or an empty one, which no ``site.query``
-        would ever get to correct — are asked first, all at once.
+        would ever get to correct — are asked first, all at once.  A site
+        that cannot answer has no entries, and is asked again next time.
         """
+        await self._ask_listings()
+        return self._catalog()
+
+    async def _ask_listings(self) -> Dict[str, BaseException]:
+        """Ask the sites :meth:`acatalog` names for their listings; the
+        sites that could not answer, with their errors."""
         unknown = [
             site
             for site in self.site_names()
             if not self._listings.get(site, {}).get("datasets")
         ]
-        if unknown:
-            replies = await asyncio.gather(
-                *(self.acall(site, "site.catalog") for site in unknown)
-            )
-            self._listings.update(zip(unknown, replies))
-        return self._catalog()
+        if not unknown:
+            return {}
+        replies = await asyncio.gather(
+            *(self.acall(site, "site.catalog") for site in unknown),
+            return_exceptions=True,
+        )
+        errors: Dict[str, BaseException] = {}
+        for site, reply in zip(unknown, replies):
+            if isinstance(reply, FAILURES):
+                errors[site] = reply
+            elif isinstance(reply, BaseException):
+                raise reply
+            else:
+                self._listings[site] = reply
+        return errors
 
     def _catalog(self) -> List[DatasetRef]:
         return [
@@ -170,6 +186,7 @@ class Gateway:
                 schema=entry["schema"],
             )
             for site in self.site_names()
+            if site in self._listings
             for entry in self._listings[site]["datasets"]
         ]
 
@@ -182,8 +199,9 @@ class Gateway:
         ``site.query``, arms one deadline for them all and awaits the
         responses in site order, so a query that succeeds makes no task and
         no timer per site.  A site whose first try fails takes the slow path,
-        :meth:`_recover`; one that still fails is reported in
-        ``failed_sites``, and only a query no site answered raises.
+        :meth:`_recover`; one that still fails, or one that could not list
+        its datasets to plan against, is reported in ``failed_sites``, and
+        only a query no site answered raises.
         """
         vector.validate()
         started = perf_counter()
@@ -194,7 +212,8 @@ class Gateway:
         with trace_span(
             "gateway.execute", transport=self.transport, intent=vector.intent
         ) as span:
-            tasks = decompose(vector, await self.acatalog(), query_id=query_id)
+            unlisted = await self._ask_listings()
+            tasks = decompose(vector, self._catalog(), query_id=query_id)
             span.set_attr("tasks", len(tasks))
             sent = [self._send_query(task, encoded) for task in tasks]
             futures = [future for _, _, future in sent if future is not None]
@@ -236,7 +255,7 @@ class Gateway:
                     timer.cancel()
                 for future in futures:
                     future.cancel()  # given up on (a cancelled query): no answer is read
-            failures: Dict[str, str] = {}
+            failures = {site: _describe(error) for site, error in unlisted.items()}
             if failed:
                 recovered = await asyncio.gather(
                     *(

@@ -21,9 +21,14 @@ node — the paper's Fig. 2, where the sites that host data are the nodes.
 It runs a :class:`~repro.p2p.host.P2PHost` named ``--site`` and serves the
 site's methods on the host's registry next to the node's (``p2p.*``,
 ``chain.get_headers`` / ``chain.get_blocks``, ``ctl.*``,
-``mempool.status``).  The site itself stays data only: the process has no
-platform contract ids to bind its control code to.  Every process derives the same genesis and PoA engine
-from ``--validators`` and ``--fund``.  ``--base-port`` maps validator i to
+``mempool.status``).  Every process derives the same genesis and PoA
+engine from ``--validators`` and ``--fund``; the genesis also funds the
+platform deployer, so every process knows the five platform contract ids
+from the start (:func:`repro.contracts.deploy.platform_contract_ids`).  The
+first validator submits their deploy txs through its node, each built only
+after its source passed the static verifier, PHI taint pass included.  The
+site itself stays data only: its control code is not bound to those
+contracts.  ``--base-port`` maps validator i to
 port base+i, which gives every seed address and, without ``--port``, the
 process's own; ``--seeds`` names the seeds instead.  A ``--site`` outside
 ``--validators`` cold-syncs and follows the chain::
@@ -138,12 +143,48 @@ async def serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def serve_node(args: argparse.Namespace) -> int:
-    """The site's methods on a live chain node's server (``--validators``)."""
+def build_node(
+    name: str, validators: List[str], fund: Dict[str, int], listen: str, seeds: List[str]
+):
+    """The chain node of ``--validators`` process ``name``, not started.
+
+    Every process funds the platform deployer next to ``fund``, so all of
+    them derive one genesis and PoA engine, and one set of contract ids.
+    """
     from repro.consensus.node import NodeConfig
+    from repro.contracts.deploy import DEPLOYER, FUNDING
     from repro.p2p.config import P2PConfig
     from repro.p2p.host import P2PHost, build_world
 
+    genesis, state, engine = build_world(validators, {DEPLOYER: FUNDING, **fund})
+    return P2PHost(
+        name=name,
+        listen_addr=listen,
+        genesis=genesis,
+        genesis_state=state,
+        consensus=engine,
+        node_config=NodeConfig(mine_empty=False),
+        p2p_config=P2PConfig(seeds=[s for s in seeds if s != listen]),
+    )
+
+
+def deploy_platform_contracts(host) -> None:
+    """Submit the platform contracts' verified deploy txs through ``host``'s node.
+
+    Stamped 0 and signed deterministically, they are the same bytes in every
+    process, so a second submit of them changes nothing.
+    """
+    from repro.common.signatures import KeyPair
+    from repro.contracts.deploy import DEPLOYER, platform_deploy_tx
+    from repro.contracts.library import PLATFORM_CONTRACTS
+
+    deployer = KeyPair.generate(DEPLOYER)
+    txs = [platform_deploy_tx(deployer, name) for name in PLATFORM_CONTRACTS]
+    host.pump.call(lambda: [host.node.submit_tx(tx) for tx in txs])
+
+
+def serve_node(args: argparse.Namespace) -> int:
+    """The site's methods on a live chain node's server (``--validators``)."""
     validators = [v for v in args.validators.split(",") if v]
     site = build_site(args.site, args.sites, args.records, args.seed)
     if args.seeds:
@@ -155,21 +196,15 @@ def serve_node(args: argparse.Namespace) -> int:
     port = args.port
     if not port and args.base_port and args.site in validators:
         port = args.base_port + validators.index(args.site)
-    listen = f"{args.host}:{port}"
-    genesis, state, engine = build_world(validators, parse_fund(args.fund))
-    host = P2PHost(
-        name=args.site,
-        listen_addr=listen,
-        genesis=genesis,
-        genesis_state=state,
-        consensus=engine,
-        node_config=NodeConfig(mine_empty=False),
-        p2p_config=P2PConfig(seeds=[s for s in seeds if s != listen]),
+    host = build_node(
+        args.site, validators, parse_fund(args.fund), f"{args.host}:{port}", seeds
     )
     build_site_registry(site, registry=host.registry)
     stop = threading.Event()
     _on_stop(stop.set)
     bound_host, _, bound_port = host.start().rpartition(":")
+    if validators[:1] == [args.site]:
+        deploy_platform_contracts(host)
     print(f"LISTENING {bound_host} {bound_port}", flush=True)
     stop.wait()
     host.stop()

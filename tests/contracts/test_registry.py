@@ -1,11 +1,18 @@
-"""ContractRegistry tests: the deploy-time static-verification gate."""
+"""The deploy-time static-verification gate: ``platform_deploy_tx`` and
+``verify_contract``.
+
+A platform contract's deploy tx is built only after its source passed the
+verifier, PHI taint pass included; the gate tests swap a bad source in under
+a platform name and check that no tx is built.
+"""
 
 import pytest
 
+from repro.analysis.verify import verify_contract
 from repro.common.errors import ContractVerificationError
 from repro.common.signatures import KeyPair
-from repro.contracts.library import COUNTER_SOURCE
-from repro.contracts.registry import ContractRegistry
+from repro.contracts import deploy
+from repro.contracts.library import COUNTER_SOURCE, PLATFORM_CONTRACTS
 
 NONDETERMINISTIC_SOURCE = (
     "def draw():\n"
@@ -25,83 +32,67 @@ PHI_LEAK_SOURCE = (
     "    return True\n"
 )
 
-
-class FakeState:
-    def __init__(self):
-        self.nonces = {}
-
-    def nonce(self, address):
-        return self.nonces.get(address, 0)
-
-
-class FakeNode:
-    def __init__(self):
-        self.txs = []
-        self.state = FakeState()
-
-    def submit_tx(self, tx):
-        self.txs.append(tx)
+DEPLOYER = KeyPair.generate("deployer")
 
 
 @pytest.fixture
-def registry():
-    return ContractRegistry(node=FakeNode(), deployer=KeyPair.generate("deployer"))
+def built(monkeypatch):
+    """The deploy txs the helper signs from here on."""
+    txs = []
+    make_deploy = deploy.make_deploy
+
+    def recorded(*args, **kwargs):
+        txs.append(make_deploy(*args, **kwargs))
+        return txs[-1]
+
+    monkeypatch.setattr(deploy, "make_deploy", recorded)
+    return txs
+
+
+def refused(monkeypatch, source):
+    """The error the helper raises for ``source`` under a platform name."""
+    monkeypatch.setitem(PLATFORM_CONTRACTS, "analytics", source)
+    with pytest.raises(ContractVerificationError) as excinfo:
+        deploy.platform_deploy_tx(DEPLOYER, "analytics")
+    return excinfo.value
 
 
 class TestVerifyGate:
-    def test_nondeterministic_contract_rejected_with_typed_error(self, registry):
-        with pytest.raises(ContractVerificationError) as excinfo:
-            registry.deploy("rng", NONDETERMINISTIC_SOURCE, verify=True)
-        error = excinfo.value
+    def test_nondeterministic_contract_rejected_with_typed_error(self, monkeypatch, built):
+        error = refused(monkeypatch, NONDETERMINISTIC_SOURCE)
         assert "MED001" in str(error)
         assert any(f.code == "MED001" for f in error.findings)
-        # The gate fires before anything touches the chain.
-        assert registry.node.txs == []
-        assert registry.records == []
+        # The gate fires before anything is signed.
+        assert built == []
 
-    def test_unbounded_loop_rejected(self, registry):
-        with pytest.raises(ContractVerificationError) as excinfo:
-            registry.deploy("spinner", UNBOUNDED_SOURCE, verify=True)
-        assert any(f.code == "MED004" for f in excinfo.value.findings)
+    def test_unbounded_loop_rejected(self, monkeypatch, built):
+        error = refused(monkeypatch, UNBOUNDED_SOURCE)
+        assert any(f.code == "MED004" for f in error.findings)
+        assert built == []
 
-    def test_clean_contract_deploys_with_verified_record(self, registry):
-        tx = registry.deploy("counter", COUNTER_SOURCE, verify=True)
-        assert registry.node.txs == [tx]
-        (record,) = registry.records
-        assert record.name == "counter"
-        assert record.verified
-        assert record.tx_id == tx.tx_id
+    def test_clean_contract_yields_one_signed_deploy_tx(self, built):
+        tx = deploy.platform_deploy_tx(DEPLOYER, "clinical-trial", timestamp_ms=123_456)
+        assert built == [tx]
+        assert tx.sender == DEPLOYER.address
+        assert tx.payload == {
+            "contract": "clinical-trial",
+            "source": PLATFORM_CONTRACTS["clinical-trial"],
+            "init": {},
+        }
+        assert tx.timestamp_ms == 123_456
+        tx.validate()  # signed by the deployer
+        # Deterministic: every process signs the same bytes.
+        assert deploy.platform_deploy_tx(DEPLOYER, "clinical-trial", 123_456).tx_id == tx.tx_id
 
-    def test_noqa_cannot_wave_a_float_past_the_gate(self, registry):
+    def test_noqa_cannot_wave_a_float_past_the_gate(self, monkeypatch, built):
         """A float is a compile error of the VM; silencing MED002 at the gate
         would only move the refusal into a failed deploy receipt on chain."""
-        source = "def f():\n    return 1.5  # repro: noqa\n"
-        with pytest.raises(ContractVerificationError) as excinfo:
-            registry.deploy("floaty", source, verify=True)
-        assert [f.code for f in excinfo.value.findings] == ["MED002"]
-        assert registry.node.txs == []
+        error = refused(monkeypatch, "def f():\n    return 1.5  # repro: noqa\n")
+        assert [f.code for f in error.findings] == ["MED002"]
+        assert built == []
 
-    def test_verify_false_skips_the_gate(self, registry):
-        tx = registry.deploy("rng", NONDETERMINISTIC_SOURCE, verify=False)
-        assert registry.node.txs == [tx]
-        assert not registry.records[0].verified
-
-    def test_verify_by_default(self):
-        registry = ContractRegistry(
-            node=FakeNode(),
-            deployer=KeyPair.generate("deployer"),
-            verify_by_default=True,
-        )
-        with pytest.raises(ContractVerificationError):
-            registry.deploy("rng", NONDETERMINISTIC_SOURCE)
-        # Explicit verify=False overrides the registry default.
-        registry.deploy("rng", NONDETERMINISTIC_SOURCE, verify=False)
-        assert len(registry.node.txs) == 1
-
-    def test_phi_escaping_contract_rejected_with_taint_trace(self, registry):
-        with pytest.raises(ContractVerificationError) as excinfo:
-            registry.deploy("leaky", PHI_LEAK_SOURCE, verify=True)
-        error = excinfo.value
+    def test_phi_escaping_contract_rejected_with_taint_trace(self, monkeypatch, built):
+        error = refused(monkeypatch, PHI_LEAK_SOURCE)
         assert "MED201" in str(error)
         (finding,) = [f for f in error.findings if f.code == "MED201"]
         # The typed error carries the full source -> path -> sink trace.
@@ -110,46 +101,23 @@ class TestVerifyGate:
         assert kinds[-1] == "sink"
         assert finding.trace[-1]["line"] == 2  # the storage_set line
         assert "record" in finding.trace[0]["detail"]
-        # Nothing was signed or submitted.
-        assert registry.node.txs == []
+        # Nothing was signed.
+        assert built == []
 
-    def test_taint_false_registry_skips_the_phi_pass(self):
-        registry = ContractRegistry(
-            node=FakeNode(),
-            deployer=KeyPair.generate("deployer"),
-            taint=False,
-        )
-        tx = registry.deploy("leaky", PHI_LEAK_SOURCE, verify=True)
-        assert registry.node.txs == [tx]
+    def test_taint_false_skips_the_phi_pass(self):
+        findings = verify_contract(PHI_LEAK_SOURCE, name="leaky", taint=False)
+        assert not [f for f in findings if f.code.startswith("MED2")]
 
     def test_max_gas_ceiling_enforced_at_deploy(self):
-        registry = ContractRegistry(
-            node=FakeNode(),
-            deployer=KeyPair.generate("deployer"),
-            max_gas=50,
-        )
         with pytest.raises(ContractVerificationError) as excinfo:
-            registry.deploy("counter", COUNTER_SOURCE, verify=True)
+            verify_contract(COUNTER_SOURCE, name="counter", max_gas=50)
         assert any(f.code == "MED008" for f in excinfo.value.findings)
 
 
 class TestNonceTracking:
-    def test_sequential_deploys_claim_increasing_nonces(self, registry):
-        tx_a = registry.deploy("a", COUNTER_SOURCE)
-        tx_b = registry.deploy("b", COUNTER_SOURCE)
-        tx_c = registry.deploy("c", COUNTER_SOURCE)
-        assert [tx_a.nonce, tx_b.nonce, tx_c.nonce] == [0, 1, 2]
-
-    def test_chain_nonce_advances_local_counter(self, registry):
-        registry.node.state.nonces[registry.deployer.address] = 7
-        tx = registry.deploy("a", COUNTER_SOURCE)
-        assert tx.nonce == 7
-
-    def test_timestamp_source_used(self):
-        registry = ContractRegistry(
-            node=FakeNode(),
-            deployer=KeyPair.generate("deployer"),
-            timestamp_source=lambda: 123_456,
-        )
-        tx = registry.deploy("a", COUNTER_SOURCE)
-        assert tx.timestamp_ms == 123_456
+    def test_sequential_deploys_claim_increasing_nonces(self):
+        """Platform contract i is deployed at nonce i, whatever the order the
+        txs are built in."""
+        names = list(PLATFORM_CONTRACTS)
+        nonces = {name: deploy.platform_deploy_tx(DEPLOYER, name).nonce for name in reversed(names)}
+        assert [nonces[name] for name in names] == list(range(len(names)))

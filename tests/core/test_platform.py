@@ -4,7 +4,13 @@ import pytest
 
 from repro.common.errors import AccessDeniedError
 from repro.common.signatures import KeyPair
+from repro.contracts.deploy import platform_contract_ids
 from repro.core.platform import MedicalBlockchainNetwork, PlatformConfig
+from repro.rpc.demo import build_demo_network
+
+#: The head of a 3-site demo boot: the deploy schedule (one block per
+#: contract, each tx stamped with the sim clock) and everything after it.
+DEMO_HEAD_ID = "0c2efd80658da404e1d86831bc4b6dd056e06138377c18a3dc5ff24a1b9c09de"
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +68,11 @@ class TestBoot:
     def test_state_roots_identical(self, platform):
         roots = {node.state.state_root() for node in platform.nodes.values()}
         assert len(roots) == 1
+
+    def test_the_contract_ids_are_computed_before_boot(self, platform):
+        assert platform.contracts == platform_contract_ids(
+            KeyPair.generate("platform-deployer")
+        )
 
     def test_unknown_consensus_rejected(self):
         with pytest.raises(Exception):
@@ -313,3 +324,8 @@ def test_default_platform_disseminates_through_p2p():
         assert platform.metrics.counter("p2p_duplicate_bodies", scope=name) == 0
     assert len({node.head.block_id for node in platform.nodes.values()}) == 1
     assert len({node.state.state_root() for node in platform.nodes.values()}) == 1
+
+
+def test_a_demo_boot_keeps_its_head_block_id():
+    demo, _ = build_demo_network(3)
+    assert {node.head.block_id for node in demo.nodes.values()} == {DEMO_HEAD_ID}

@@ -151,14 +151,18 @@ def _two_site_answer(text, live):
 
 
 def test_a_dead_site_is_a_failed_site_and_the_others_compose():
+    """Whether the site dies after the gateway planned against it or before
+    the gateway ever asked it for its catalog."""
     text = QUERIES[0]
+    expected = _two_site_answer(text, ["hospital-0", "hospital-2"])
 
-    async def scenario():
+    async def scenario(planned_first):
         servers = _site_servers()
         addrs = {name: await server.start() for name, server in servers.items()}
         gateway = TcpGateway(addrs, retry=RetryPolicy(attempts=2, base_delay_s=0.01))
         try:
-            await gateway.acatalog()  # planned against all three sites
+            if planned_first:
+                await gateway.acatalog()  # planned against all three sites
             await servers["hospital-1"].close()
             return await gateway.aexecute(parse_query(text), timeout_s=5.0)
         finally:
@@ -166,12 +170,12 @@ def test_a_dead_site_is_a_failed_site_and_the_others_compose():
             for server in servers.values():
                 await server.close()
 
-    answer = asyncio.run(scenario())
-    assert set(answer.failed_sites) == {"hospital-1"}
-    assert sorted(answer.site_partials) == ["hospital-0", "hospital-2"]
-    expected = _two_site_answer(text, ["hospital-0", "hospital-2"])
-    assert answer.result == expected.result
-    assert answer.result_hash == expected.result_hash
+    for planned_first in (True, False):
+        answer = asyncio.run(scenario(planned_first))
+        assert set(answer.failed_sites) == {"hospital-1"}, planned_first
+        assert sorted(answer.site_partials) == ["hospital-0", "hospital-2"]
+        assert answer.result == expected.result
+        assert answer.result_hash == expected.result_hash
 
 
 def test_a_site_that_times_out_is_a_failed_site():
