@@ -11,7 +11,7 @@ from repro.common.errors import QueryError
 from repro.core.queryservice import GlobalQueryService
 from repro.obs.tracer import Tracer, tracer_override, trace_span
 from repro.query.parser import parse_query
-from repro.rpc.client import RetryPolicy
+from repro.rpc.client import RetryPolicy, RpcClient
 from repro.rpc.demo import build_demo_network, build_inproc_gateway, build_site_server
 from repro.rpc.errors import MethodNotFoundError
 from repro.rpc.gateway import InprocGateway, TcpGateway
@@ -231,3 +231,43 @@ def test_a_traced_tcp_query_has_one_rpc_call_per_site_holding_its_spans():
         assert span.end_wall_s >= span.start_wall_s
     roots = [span for span in tracer.spans if span.parent_id is None]
     assert [root.name for root in roots] == ["test.root"]
+
+
+def test_a_refused_site_is_not_dialled_again_until_the_retry_window_passes(monkeypatch):
+    """A closed site refuses its first dial; for the pool's
+    ``RetryPolicy.max_delay_s`` after that, every query reports it failed at
+    once instead of dialling it (with backoff) again, and the first query
+    after the window dials it once more."""
+    text = QUERIES[0]
+    dials = []
+    connect = RpcClient.connect.__func__
+
+    async def counted_connect(cls, host, port, **kwargs):
+        dials.append(port)
+        return await connect(cls, host, port, **kwargs)
+
+    monkeypatch.setattr(RpcClient, "connect", classmethod(counted_connect))
+
+    async def scenario():
+        servers = _site_servers()
+        addrs = {name: await server.start() for name, server in servers.items()}
+        await servers["hospital-1"].close()
+        closed_port = addrs["hospital-1"][1]
+        gateway = TcpGateway(addrs)
+        try:
+            answers = [await gateway.aexecute(parse_query(text)) for _ in range(10)]
+            within = dials.count(closed_port)
+            await asyncio.sleep(RetryPolicy().max_delay_s)
+            after = await gateway.aexecute(parse_query(text))
+            return answers + [after], within, dials.count(closed_port)
+        finally:
+            await gateway.aclose()
+            for server in servers.values():
+                await server.close()
+
+    answers, within, total = asyncio.run(scenario())
+    assert within <= 3, within
+    assert total > within
+    for answer in answers:
+        assert set(answer.failed_sites) == {"hospital-1"}
+        assert sorted(answer.site_partials) == ["hospital-0", "hospital-2"]
