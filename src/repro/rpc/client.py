@@ -5,10 +5,10 @@ framed TCP connection — requests carry monotonically increasing ids, and
 the connection is an :class:`asyncio.Protocol` that resolves each response
 future in the callback that read its frame, so callers pipeline without
 waiting for each other (the wire analogue of the paper's parallel
-dispatch).  :meth:`RpcClient.request` writes one request and returns its
-response future, so a caller may have many in flight from one coroutine;
-a call is that write, one future and one deadline timer: no task, lock or
-drain.  :class:`ConnectionPool` keeps a small set
+dispatch).  :meth:`RpcClient.send` writes one frame of requests and
+returns their response futures, so a caller may have many in flight from
+one coroutine; a call is that write, one future and one deadline timer: no
+task, lock or drain.  :class:`ConnectionPool` keeps a small set
 of connections per server, reconnects lazily, and retries *idempotent*
 calls with exponential backoff after connection failures or overload
 rejections — never non-idempotent ones, which could double-apply.
@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import Span, current_span_id, current_tracer, trace_span
 from repro.rpc import codec
-from repro.rpc.codec import EncodedParams, Response
+from repro.rpc.codec import EncodedParams, Outgoing, Response
 from repro.rpc.errors import (
     OverloadedError,
     RpcTimeoutError,
@@ -126,22 +126,27 @@ class RpcClient(asyncio.Protocol):
         return self._closed
 
     # -- calls -------------------------------------------------------------
-    def request(
+    def send(
         self,
-        method: str,
-        params: EncodedParams = None,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> asyncio.Future:
-        """Write one request now; the future its :class:`Response` resolves.
+        requests: Sequence[Outgoing],
+        futures: Optional[List[asyncio.Future]] = None,
+    ) -> List[asyncio.Future]:
+        """Write ``requests`` now, as one frame (a lone request bare, several
+        as a JSON-RPC batch); the futures of their :class:`Response` objects,
+        in order: ``futures``, if given, else new ones.
 
         Not a coroutine: a caller may write to many connections before it
         waits for any.  No deadline is armed; a lost connection fails the
-        future.  One the caller gives up on keeps its id until the late
-        response, or the connection's end, clears it.  ``params`` may be
-        given as their canonical bytes, already encoded.
+        futures.  One the caller gives up on keeps its id until the late
+        response, or the connection's end, clears it.  Params may be given
+        as their canonical bytes, already encoded.
         """
-        request_id = next(self._ids)
-        return self._send(codec.request_payload(method, params, request_id, meta), [request_id])[0]
+        ids = [next(self._ids) for _ in requests]
+        self._write(codec.requests_payload(requests, ids))
+        if futures is None:
+            futures = [self._loop.create_future() for _ in ids]
+        self._pending.update(zip(ids, futures))
+        return futures
 
     async def call(
         self,
@@ -155,8 +160,8 @@ class RpcClient(asyncio.Protocol):
         ``params`` may be given as their canonical bytes, already encoded.
         """
         with trace_span("rpc.call", method=method, transport="tcp") as span:
-            future = self.request(method, params, _trace_meta())
-            (response,) = await self._settle([future], timeout_s, method)
+            futures = self.send([(method, params, _trace_meta())])
+            (response,) = await self._settle(futures, timeout_s, method)
             if response.meta:
                 adopted = adopt_remote_spans(response.meta)
                 span.set_attr("remote_spans", adopted)
@@ -178,12 +183,8 @@ class RpcClient(asyncio.Protocol):
         if not calls:
             return []
         meta = _trace_meta()
-        ids = [next(self._ids) for _ in calls]
-        payload = b"[" + b",".join(
-            codec.request_payload(method, params, request_id, meta)
-            for (method, params), request_id in zip(calls, ids)
-        ) + b"]"
-        responses = await self._settle(self._send(payload, ids), timeout_s, None)
+        futures = self.send([(method, params, meta) for method, params in calls])
+        responses = await self._settle(futures, timeout_s, None)
         results: List[Any] = []
         for response in responses:
             if response.meta:
@@ -217,17 +218,10 @@ class RpcClient(asyncio.Protocol):
             raise ConnectionError("client is closed")
         self._transport.write(encode_frame(data, self.max_frame_bytes))
 
-    def _send(self, payload: bytes, ids: List[int]) -> List[asyncio.Future]:
-        """Write one frame of requests; the futures of their responses."""
-        self._write(payload)
-        futures = [self._loop.create_future() for _ in ids]
-        self._pending.update(zip(ids, futures))
-        return futures
-
     async def _settle(
         self, futures: List[asyncio.Future], timeout_s: Optional[float], method: Optional[str]
     ) -> List[Response]:
-        """The responses ``futures`` (written by :meth:`_send`) resolve, in
+        """The responses ``futures`` (written by :meth:`send`) resolve, in
         order, under one deadline timer: armed once the frame has left the
         write buffer, cancelled when they are in (``method`` None: a batch)."""
         timer = None
@@ -332,6 +326,7 @@ class ConnectionPool:
         request_timeout_s: float = 30.0,
         retry: Optional[RetryPolicy] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+        mark_down: bool = False,
     ):
         self.host = host
         self.port = port
@@ -340,9 +335,15 @@ class ConnectionPool:
         self.request_timeout_s = request_timeout_s
         self.retry = retry or RetryPolicy()
         self.max_frame_bytes = max_frame_bytes
+        #: Whether a failed dial fails, for ``retry.max_delay_s``, every call
+        #: that would dial again (a gateway's sites), rather than none (a
+        #: p2p peer, which may still be booting).
+        self.mark_down = mark_down
         self._clients: List[RpcClient] = []
         self._next = 0
         self._lock: Optional[asyncio.Lock] = None
+        #: Loop time until which a server that failed a dial is not dialled again.
+        self._down_until = 0.0
 
     def _get_lock(self) -> asyncio.Lock:
         # Created lazily so the pool can be built outside a running loop.
@@ -361,9 +362,18 @@ class ConnectionPool:
                 return client
         return None
 
+    def _down(self) -> bool:
+        """Whether a dial failed less than ``retry.max_delay_s`` ago (``mark_down``)."""
+        return asyncio.get_running_loop().time() < self._down_until
+
     async def _acquire(self) -> RpcClient:
         """A live connection: :meth:`live`'s, or one dialled to fill the pool
-        or replace a dead one, the only case that takes the lock."""
+        or replace a dead one, the only case that takes the lock.
+
+        With ``mark_down``, a dial that fails (refused, unreachable, timed
+        out) marks the server down for ``retry.max_delay_s``: until then, a
+        call that would dial fails at once instead.
+        """
         client = self.live()
         if client is not None:
             return client
@@ -372,12 +382,24 @@ class ConnectionPool:
                 self._clients.remove(client)
                 await client.close()  # a dead connection may still hold its socket
             if len(self._clients) < self.max_connections:
-                client = await RpcClient.connect(
-                    self.host,
-                    self.port,
-                    connect_timeout_s=self.connect_timeout_s,
-                    max_frame_bytes=self.max_frame_bytes,
-                )
+                if self._down():
+                    raise ConnectionError(
+                        f"{self.host}:{self.port} is down: a dial failed within the "
+                        f"last {self.retry.max_delay_s}s"
+                    )
+                try:
+                    client = await RpcClient.connect(
+                        self.host,
+                        self.port,
+                        connect_timeout_s=self.connect_timeout_s,
+                        max_frame_bytes=self.max_frame_bytes,
+                    )
+                except (OSError, asyncio.TimeoutError):
+                    if self.mark_down:
+                        self._down_until = (
+                            asyncio.get_running_loop().time() + self.retry.max_delay_s
+                        )
+                    raise
                 self._clients.append(client)
                 return client
             self._next = (self._next + 1) % len(self._clients)
@@ -396,7 +418,8 @@ class ConnectionPool:
         Retries cover connection failures, connect/request timeouts, and
         explicit overload/shutdown rejections — the cases where backing off
         and trying a fresh connection can succeed.  Application errors
-        (method not found, invalid params, domain failures) never retry.
+        (method not found, invalid params, domain failures) never retry, and
+        neither does a call to a server marked down (``mark_down``).
         """
         timeout = self.request_timeout_s if timeout_s is None else timeout_s
         attempts = self.retry.attempts if idempotent else 1
@@ -409,6 +432,8 @@ class ConnectionPool:
                 return await client.call(method, params, timeout_s=timeout)
             except RETRYABLE as exc:
                 last_error = exc
+                if self._down():
+                    break
         assert last_error is not None
         raise last_error
 

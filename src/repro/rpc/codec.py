@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.serialize import canonical_bytes
 from repro.rpc.errors import (
@@ -39,6 +39,9 @@ JSONRPC_VERSION = "2.0"
 Params = Union[Dict[str, Any], List[Any], None]
 #: What a request may carry as params: a value, or its canonical bytes.
 EncodedParams = Union[Params, bytes]
+#: One request of a frame: its method, its params (or their canonical bytes)
+#: and its meta.
+Outgoing = Tuple[str, EncodedParams, Optional[Dict[str, Any]]]
 RequestId = Union[str, int, None]
 
 #: Sentinel distinguishing "id absent" (notification) from "id: null".
@@ -153,6 +156,16 @@ def request_payload(
     if not isinstance(params, bytes):
         params = encode_payload(params)
     return splice(envelope, "params", params)
+
+
+def requests_payload(requests: Sequence[Outgoing], ids: Iterable[Any]) -> bytes:
+    """One frame's payload of ``requests``, numbered ``ids``: a lone request
+    bare, several as a JSON-RPC batch."""
+    payloads = [
+        request_payload(method, params, request_id, meta)
+        for (method, params, meta), request_id in zip(requests, ids)
+    ]
+    return payloads[0] if len(payloads) == 1 else b"[" + b",".join(payloads) + b"]"
 
 
 def response_payload(response: "Response") -> bytes:

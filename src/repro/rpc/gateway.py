@@ -17,8 +17,11 @@ Both share one execution algorithm (catalog -> decompose -> concurrent
 canonical codec, so a query's composed result — and its content hash — is
 transport-invariant.  The E15 benchmark and CI gate on exactly that.  A
 transport supplies a call (:meth:`Gateway.acall`, with its retries) and a
-request sent without waiting (:meth:`Gateway.request`), on which the
-fan-out runs from the query's own coroutine.
+frame of requests sent without waiting (:meth:`Gateway.send`), on which the
+fan-out runs from the query's own coroutine.  While another query is in
+flight, a query's aggregate ``site.query`` requests wait for the end of the
+event-loop turn, and every request a site gets in that turn leaves in one
+frame: one wake-up of the site instead of one per request.
 
 The catalog is each site's last ``site.catalog`` reply, kept by the gateway
 and validated on use: every ``site.query`` names the listing ``version`` it
@@ -32,10 +35,9 @@ agrees with.
 from __future__ import annotations
 
 import asyncio
-import functools
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import QueryError
 from repro.common.hashing import hash_value_hex
@@ -45,7 +47,7 @@ from repro.obs.tracer import trace_span
 from repro.query.compose import SiteTask, compose, decompose
 from repro.query.vector import QueryVector
 from repro.rpc import codec
-from repro.rpc.codec import EncodedParams, Response
+from repro.rpc.codec import EncodedParams, Outgoing
 from repro.rpc.client import (
     RETRYABLE,
     ConnectionPool,
@@ -55,6 +57,7 @@ from repro.rpc.client import (
     expire,
 )
 from repro.rpc.errors import RpcError, StaleCatalogError
+from repro.rpc.methods import LOOP_TOOLS
 from repro.rpc.runtime import EventLoopThread
 from repro.rpc.server import RpcServer
 
@@ -82,18 +85,6 @@ def _is_listing(data: Any) -> bool:
     return isinstance(data, dict) and "datasets" in data and "version" in data
 
 
-def _resolve(future: asyncio.Future, task: asyncio.Task) -> None:
-    """Hand ``task``'s outcome to ``future``, unless it was settled first."""
-    if task.cancelled():
-        future.cancel()
-    elif future.done():
-        task.exception()  # an answer nobody waits for any more
-    elif task.exception() is not None:
-        future.set_exception(task.exception())
-    else:
-        future.set_result(task.result())
-
-
 def _describe(error: BaseException) -> str:
     if isinstance(error, RpcError):
         return f"[{error.code}] {error.message}"
@@ -110,6 +101,9 @@ class Gateway:
     def __init__(self) -> None:
         self._runner: Optional[EventLoopThread] = None
         self._listings: Dict[str, Dict[str, Any]] = {}  # site -> site.catalog reply
+        self._queries = 0  # queries between their fan-out and their last answer
+        #: site -> the requests held for the end of this loop turn, with their futures
+        self._held: Dict[str, List[Tuple[Outgoing, asyncio.Future]]] = {}
 
     # -- transport hooks ---------------------------------------------------
     async def acall(
@@ -124,16 +118,16 @@ class Gateway:
         """Call ``method`` at ``site``; ``params`` may be their canonical bytes."""
         raise NotImplementedError
 
-    def request(
+    def send(
         self,
         site: str,
-        method: str,
-        params: EncodedParams = None,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> Optional[asyncio.Future]:
-        """Send one request to ``site`` now; the future its
-        :class:`~repro.rpc.codec.Response` resolves, or None when nothing can
-        take it without waiting (:meth:`acall` can)."""
+        requests: Sequence[Outgoing],
+        futures: Optional[List[asyncio.Future]] = None,
+    ) -> Optional[List[asyncio.Future]]:
+        """Send ``requests`` to ``site`` now, as one frame; the futures of
+        their :class:`~repro.rpc.codec.Response` objects, in order
+        (``futures``, if given), or None when nothing can take the frame
+        without waiting (:meth:`acall` can)."""
         raise NotImplementedError
 
     def site_names(self) -> List[str]:
@@ -198,7 +192,10 @@ class Gateway:
         The fan-out is this coroutine alone: it sends every site its
         ``site.query``, arms one deadline for them all and awaits the
         responses in site order, so a query that succeeds makes no task and
-        no timer per site.  A site whose first try fails takes the slow path,
+        no timer per site.  A query that runs alone writes its requests at
+        once; while another is in flight, its aggregates are held for the
+        end of the loop turn and share their sites' frames (:meth:`_hold`).
+        A site whose first try fails takes the slow path,
         :meth:`_recover`; one that still fails, or one that could not list
         its datasets to plan against, is reported in ``failed_sites``, and
         only a query no site answered raises.
@@ -215,18 +212,21 @@ class Gateway:
             unlisted = await self._ask_listings()
             tasks = decompose(vector, self._catalog(), query_id=query_id)
             span.set_attr("tasks", len(tasks))
-            sent = [self._send_query(task, encoded) for task in tasks]
-            futures = [future for _, _, future in sent if future is not None]
             deadline = self.request_timeout_s if timeout_s is None else timeout_s
+            hold = self._queries > 0
+            self._queries += 1
+            futures: List[asyncio.Future] = []
             timer = None
-            if futures and deadline is not None:
-                timer = asyncio.get_running_loop().call_later(
-                    deadline, expire, futures, "site.query", deadline
-                )
             partials: Dict[str, Dict[str, Any]] = {}
             failed: List[Tuple[SiteTask, bytes, Optional[BaseException]]] = []
             bytes_on_wire = 0
             try:
+                sent = [self._send_query(task, encoded, hold) for task in tasks]
+                futures = [future for _, _, future in sent if future is not None]
+                if futures and deadline is not None:
+                    timer = asyncio.get_running_loop().call_later(
+                        deadline, expire, futures, "site.query", deadline
+                    )
                 for task, (params, call, future) in zip(tasks, sent):
                     # Each request's params are the down share of bytes_on_wire.
                     bytes_on_wire += len(params)
@@ -251,6 +251,7 @@ class Gateway:
                             continue
                     failed.append((task, params, error))
             finally:
+                self._queries -= 1
                 if timer is not None:
                     timer.cancel()
                 for future in futures:
@@ -306,20 +307,57 @@ class Gateway:
         )
 
     def _send_query(
-        self, task: SiteTask, encoded: bytes
+        self, task: SiteTask, encoded: bytes, hold: bool
     ) -> Tuple[bytes, Any, Optional[asyncio.Future]]:
-        """Send ``task``'s ``site.query`` now, if it can go without waiting:
-        its params' bytes, its ``rpc.call`` span and its response future
-        (None: not sent, and the slow path sends it)."""
+        """Send ``task``'s ``site.query`` without waiting, now or, if
+        ``hold`` and its tool runs on the site's loop, at the end of this
+        turn: its params' bytes, its ``rpc.call`` span and its response
+        future (None: not sent, and the slow path sends it)."""
         params = self._site_params(task, encoded)
         call = trace_span("rpc.call", method="site.query", transport=self.transport)
+        request = ("site.query", params, _trace_meta(call.begin().span_id))
+        if hold and task.tool_id in LOOP_TOOLS:
+            return params, call, self._hold(task.site, request)
         try:
-            future = self.request(
-                task.site, "site.query", params, _trace_meta(call.begin().span_id)
-            )
+            futures = self.send(task.site, [request])
         except FAILURES:  # a connection lost, a frame too large: the slow path reports it
-            future = None
-        return params, call, future
+            futures = None
+        return params, call, None if futures is None else futures[0]
+
+    def _hold(self, site: str, request: Outgoing) -> asyncio.Future:
+        """Hold ``request`` for the end of this loop turn, when
+        :meth:`_flush` sends it in one frame with every other request held
+        for ``site``; the future its response resolves.
+
+        Only a request whose tool runs on the site's loop is held: the site
+        answers a frame once every request in it is, and a model fit must
+        not hold an aggregate's answer back.
+        """
+        loop = asyncio.get_running_loop()
+        if not self._held:
+            loop.call_soon(self._flush)
+        future = loop.create_future()
+        self._held.setdefault(site, []).append((request, future))
+        return future
+
+    def _flush(self) -> None:
+        """Send each site the requests held for it, as one frame.  A frame
+        that cannot be written fails its futures, and the slow path tries
+        each request again."""
+        held, self._held = self._held, {}
+        for site, entries in held.items():
+            entries = [entry for entry in entries if not entry[1].done()]  # given up on
+            if not entries:
+                continue
+            futures = [future for _, future in entries]
+            try:
+                if self.send(site, [request for request, _ in entries], futures) is not None:
+                    continue
+                error: BaseException = ConnectionError(f"no live connection to {site}")
+            except FAILURES as exc:
+                error = exc
+            for future in futures:
+                future.set_exception(error)
 
     async def _recover(
         self,
@@ -420,33 +458,48 @@ class InprocGateway(Gateway):
     def __init__(self, servers: Dict[str, RpcServer]):
         super().__init__()
         self.servers = dict(servers)
+        self._tasks: Set[asyncio.Task] = set()  # frames being served
 
     def site_names(self) -> List[str]:
         return sorted(self.servers)
 
-    async def _exchange(
-        self, site: str, method: str, params: EncodedParams, meta: Optional[Dict[str, Any]]
-    ) -> Response:
+    def send(
+        self,
+        site: str,
+        requests: Sequence[Outgoing],
+        futures: Optional[List[asyncio.Future]] = None,
+    ) -> List[asyncio.Future]:
+        """The frame served by the site's dispatch path, on one task that
+        resolves the futures returned (unless a deadline failed them)."""
         server = self.servers.get(site)
         if server is None:
             raise QueryError(f"gateway knows no site {site!r}")
-        raw = await server.dispatch_raw(codec.request_payload(method, params, 1, meta))
-        assert raw is not None  # request had an id, so a response exists
-        return codec.parse_response(codec.decode_payload(raw))
+        payload = codec.requests_payload(requests, range(1, len(requests) + 1))
+        if futures is None:
+            loop = asyncio.get_running_loop()
+            futures = [loop.create_future() for _ in requests]
+        task = asyncio.ensure_future(self._dispatch(server, payload, futures))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return futures
 
-    def request(
-        self,
-        site: str,
-        method: str,
-        params: EncodedParams = None,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> asyncio.Future:
-        """The request served by the site's dispatch path, on a task whose
-        outcome resolves the future returned (unless a deadline failed it)."""
-        future = asyncio.get_running_loop().create_future()
-        task = asyncio.ensure_future(self._exchange(site, method, params, meta))
-        task.add_done_callback(functools.partial(_resolve, future))
-        return future
+    @staticmethod
+    async def _dispatch(server: RpcServer, payload: bytes, futures: List[asyncio.Future]) -> None:
+        try:
+            decoded = codec.decode_payload(await server.dispatch_raw(payload))
+            outcomes: List[Any] = [
+                codec.parse_response(item)
+                for item in (decoded if isinstance(decoded, list) else [decoded])
+            ]
+        except Exception as exc:  # noqa: BLE001 - every request of the frame fails with it
+            outcomes = [exc] * len(futures)
+        for future, outcome in zip(futures, outcomes):
+            if future.done():
+                continue  # an answer nobody waits for any more
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
 
     async def acall(
         self,
@@ -458,7 +511,8 @@ class InprocGateway(Gateway):
         timeout_s: Optional[float] = None,
     ) -> Any:
         with trace_span("rpc.call", method=method, transport=self.transport) as span:
-            response = await self._exchange(site, method, params, _trace_meta())
+            (future,) = self.send(site, [(method, params, _trace_meta())])
+            response = await future
             if response.meta:
                 span.set_attr("remote_spans", adopt_remote_spans(response.meta))
             if response.error is not None:
@@ -495,6 +549,7 @@ class TcpGateway(Gateway):
                 connect_timeout_s=connect_timeout_s,
                 request_timeout_s=request_timeout_s,
                 retry=retry,
+                mark_down=True,  # a dead site fails each query at once
             )
             for site, (host, port) in self.addresses.items()
         }
@@ -508,17 +563,16 @@ class TcpGateway(Gateway):
             raise QueryError(f"gateway knows no site {site!r}")
         return pool
 
-    def request(
+    def send(
         self,
         site: str,
-        method: str,
-        params: EncodedParams = None,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> Optional[asyncio.Future]:
-        """The request written on a live pooled connection; None while the
+        requests: Sequence[Outgoing],
+        futures: Optional[List[asyncio.Future]] = None,
+    ) -> Optional[List[asyncio.Future]]:
+        """The frame written on a live pooled connection; None while the
         pool has none to hand out without dialling."""
         client = self._pool(site).live()
-        return None if client is None else client.request(method, params, meta)
+        return None if client is None else client.send(requests, futures)
 
     async def acall(
         self,

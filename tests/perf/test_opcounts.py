@@ -712,7 +712,10 @@ def test_gateway_work_per_query(monkeypatch):
     sent), and the tasks and timers the fan-out costs the loop (none and
     one: the query's deadline).  Per pooled call on a live connection
     (``rpc.echo``, answered in the server's read callback): the
-    ``asyncio.Lock`` acquisitions, tasks and timers it costs the loop."""
+    ``asyncio.Lock`` acquisitions, tasks and timers it costs the loop.
+    Then the frames: a query alone writes every site's request before it
+    first awaits (none deferred), and four queries started in one turn while
+    another is in flight share one ``site.query`` frame per site."""
     counts = {
         "vector_encodes": 0, "params_encodes": 0, "query_ids": 0, "locks": 0, "tasks": 0,
         "timers": 0,
@@ -792,6 +795,38 @@ def test_gateway_work_per_query(monkeypatch):
                 lock_acquisitions_per_pooled_call=counts["locks"] / calls,
                 tasks_per_pooled_call=counts["tasks"] / calls,
                 timers_per_pooled_call=counts["timers"] / calls,
+            )
+            frames = []
+            send = gateway.send
+
+            def counted_send(site, requests, futures=None):
+                sent = send(site, requests, futures)
+                if sent is not None:
+                    frames.append(site)
+                return sent
+
+            gateway.send = counted_send
+            deferred = 0
+            for text in E22_SHAPES:
+                frames.clear()
+                query = asyncio.ensure_future(gateway.aexecute(parse_query(text)))
+                await asyncio.sleep(0)  # the query runs up to its first await
+                deferred += len(servers) - len(frames)
+                await query
+            rounds = 5
+            shared = 0
+            for _ in range(rounds):
+                first = asyncio.ensure_future(gateway.aexecute(parse_query(E22_SHAPES[0])))
+                await asyncio.sleep(0)  # in flight: its requests are out, its answers not
+                frames.clear()
+                await asyncio.gather(*(gateway.aexecute(v) for v in vectors[1:5]))
+                shared += len(frames)
+                await first
+            measured.update(
+                site_query_writes_deferred_per_lone_query=deferred / len(E22_SHAPES),
+                site_query_frames_per_site_for_four_queries_in_one_turn=(
+                    shared / rounds / len(servers)
+                ),
             )
             return measured
         finally:

@@ -209,3 +209,53 @@ def test_second_stale_reply_is_a_failed_site_not_a_loop(multi_site_cohorts):
     assert sorted(answer.site_partials) == [steady]
     assert answer.failed_sites[restless].startswith(f"[{STALE_CATALOG}]")
     assert sites.calls("site.query") == {steady: 1, restless: 2}
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_stale_answers_in_a_shared_frame_replan_only_their_own_queries(
+    sites, multi_site_cohorts, transport, monkeypatch
+):
+    """Four queries start in one turn: the first is written at once, the
+    other three are held and share one frame per site.  A dataset registered
+    at one site after the gateway cached its listing makes that site refuse
+    each of its requests as stale; each of those queries plans again through
+    the slow path, and takes its other sites' answers from the shared frames."""
+    changed, *others = sorted(sites.servers)
+    texts = QUERIES + QUERIES[:1]
+    gateway_cls = InprocGateway if transport == "inproc" else TcpGateway
+    frames = []
+    send = gateway_cls.send
+
+    def recorded_send(self, site, requests, futures=None):
+        frames.append((site, len(requests)))
+        return send(self, site, requests, futures)
+
+    monkeypatch.setattr(gateway_cls, "send", recorded_send)
+
+    async def run():
+        async with sites.gateway(transport) as gateway:
+            if transport == "tcp":
+                for pool in gateway.pools.values():
+                    pool.max_connections = 1  # full once listed: every send is written
+            await gateway.acatalog()
+            sites.stores[changed].add_canonical(
+                "emr-second", multi_site_cohorts[changed][40:70], fmt="hl7v2"
+            )
+            frames.clear()
+            answers = await asyncio.gather(
+                *(gateway.aexecute(parse_query(text)) for text in texts)
+            )
+            sent = list(frames)
+            fresh = sites.fresh_gateway()
+            return answers, sent, [await fresh.aexecute(parse_query(text)) for text in texts]
+
+    answers, sent, references = asyncio.run(run())
+    shared = sorted(frame for frame in sent if frame[1] > 1)
+    assert shared == [(site, len(texts) - 1) for site in sorted(sites.servers)]
+    for site in others:
+        assert sent.count((site, 1)) == 1  # the first query's; nothing asked again
+    assert sites.refusals() == {changed: len(texts), **dict.fromkeys(others, 0)}
+    for text, answer, reference in zip(texts, answers, references):
+        assert not answer.failed_sites, text
+        assert answer.result_hash == reference.result_hash, text
+        assert answer.site_partials == reference.site_partials, text

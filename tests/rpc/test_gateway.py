@@ -271,3 +271,96 @@ def test_a_refused_site_is_not_dialled_again_until_the_retry_window_passes(monke
     for answer in answers:
         assert set(answer.failed_sites) == {"hospital-1"}
         assert sorted(answer.site_partials) == ["hospital-0", "hospital-2"]
+
+
+def _recording_sends(monkeypatch):
+    """The (site, requests) of every frame a ``TcpGateway`` sends."""
+    frames = []
+    send = TcpGateway.send
+
+    def recorded(self, site, requests, futures=None):
+        frames.append((site, len(requests)))
+        return send(self, site, requests, futures)
+
+    monkeypatch.setattr(TcpGateway, "send", recorded)
+    return frames
+
+
+def test_a_site_closed_while_a_shared_frame_is_on_the_wire_fails_only_its_entries(
+    monkeypatch,
+):
+    """Four queries start in one turn: the last three share one frame per
+    site.  hospital-1 answers only after 2 s and is closed while its frames
+    wait: every query reports it failed and composes the other two sites'
+    answers; nothing raises."""
+    text = QUERIES[0]
+    expected = _two_site_answer(text, ["hospital-0", "hospital-2"])
+    frames = _recording_sends(monkeypatch)
+
+    async def scenario():
+        servers = _site_servers(slow_site="hospital-1", delay_s=2.0)
+        addrs = {name: await server.start() for name, server in servers.items()}
+        gateway = TcpGateway(addrs, max_connections_per_site=1)
+        try:
+            await gateway.acatalog()  # the pools are full: every send is written
+            queries = asyncio.gather(
+                *(gateway.aexecute(parse_query(text), timeout_s=5.0) for _ in range(4))
+            )
+            await asyncio.sleep(0.05)  # every frame is out; hospital-1's handlers wait
+            await servers["hospital-1"].close()
+            return await queries
+        finally:
+            await gateway.aclose()
+            for server in servers.values():
+                await server.close()
+
+    answers = asyncio.run(scenario())
+    assert ("hospital-1", 3) in frames
+    for answer in answers:
+        assert set(answer.failed_sites) == {"hospital-1"}
+        assert sorted(answer.site_partials) == ["hospital-0", "hospital-2"]
+        assert answer.result_hash == expected.result_hash
+
+
+def test_a_model_fit_does_not_hold_back_an_aggregate_sent_in_the_same_turn(monkeypatch):
+    """While one query is in flight, a ``train`` query and an aggregate start
+    in one turn, at sites whose model fits wait on a gate.  The fit's
+    requests leave at once in frames of their own; the aggregate's are held
+    for the end of the turn, and answered while the gate is still shut."""
+    frames = _recording_sends(monkeypatch)
+
+    async def scenario():
+        gate = asyncio.Event()
+        servers = _site_servers()
+        for server in servers.values():
+            spec = server.registry.get("site.query")
+
+            async def gated(_answer=spec.handler, **params):
+                if params["vector"]["intent"] == "train":
+                    await gate.wait()
+                return await _answer(**params)
+
+            spec.handler = gated
+        addrs = {name: await server.start() for name, server in servers.items()}
+        gateway = TcpGateway(addrs, max_connections_per_site=1)
+        try:
+            await gateway.acatalog()  # the pools are full: every send is written
+            first = asyncio.ensure_future(gateway.aexecute(parse_query(QUERIES[0])))
+            await asyncio.sleep(0)  # its requests are out, its answers are not
+            fit = asyncio.ensure_future(gateway.aexecute(parse_query("train a stroke model")))
+            aggregate = asyncio.ensure_future(gateway.aexecute(parse_query(QUERIES[1])))
+            answered = await asyncio.wait_for(aggregate, 5.0)
+            fitting = not fit.done()
+            gate.set()
+            return await first, answered, fitting, await fit
+        finally:
+            await gateway.aclose()
+            for server in servers.values():
+                await server.close()
+
+    first, aggregate, fitting, fit = asyncio.run(scenario())
+    assert fitting
+    assert not first.failed_sites and not aggregate.failed_sites
+    assert sorted(fit.site_partials) == list(SITES)
+    # The first query's frames, then the fit's, then the held aggregate's.
+    assert frames == [(site, 1) for site in SITES] * 3
