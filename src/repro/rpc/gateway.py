@@ -493,6 +493,10 @@ class InprocGateway(Gateway):
             ]
         except Exception as exc:  # noqa: BLE001 - every request of the frame fails with it
             outcomes = [exc] * len(futures)
+        except BaseException:  # a handler cancelled (the server closing): so are its requests
+            for future in futures:
+                future.cancel()
+            raise
         for future, outcome in zip(futures, outcomes):
             if future.done():
                 continue  # an answer nobody waits for any more
