@@ -233,7 +233,10 @@ def compare_gateways(srcs: Sequence[str]) -> int:
         ratios = [b / a for a, b in zip(spent["A"][part], spent["B"][part])]
         low, mid, high = quartiles(ratios)
         total = sum(spent["B"][part]) / sum(spent["A"][part])
-        print(f"B/A {part}: {total:.3f} of the totals; per round {mid:.3f} (quartiles {low:.3f}-{high:.3f})")
+        print(
+            f"B/A {part}: {total:.3f} of the totals; "
+            f"per round {mid:.3f} (quartiles {low:.3f}-{high:.3f})"
+        )
     print(
         f"{ROUNDS} rounds of {CALLS} queries x {CLIENTS} clients per tree, "
         f"{len(SITES)} sites x {RECORDS} records; {failed} queries with a failed site"
