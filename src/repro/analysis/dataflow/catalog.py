@@ -107,10 +107,7 @@ SANITIZER_CALL_NAMES: FrozenSet[str] = frozenset(
         "verify_record_with_proof",
         "anchor",
         "merkle_root",
-        # secure aggregation (learning) and query composition
-        "mask_update",
-        "aggregate_masked",
-        "masked_round",
+        # query composition
         "compose",
         "decompose",
         # consented-exchange envelope encryption

@@ -1,12 +1,13 @@
 """Core: the transformed blockchain platform, query service, strategies."""
 
+from repro.core.chain_gateway import ChainGateway
 from repro.core.platform import (
     FDA_NODE_NAME,
     MedicalBlockchainNetwork,
     ParamsDepot,
     PlatformConfig,
 )
-from repro.core.queryservice import GlobalAnswer, GlobalQueryService
+from repro.core.queryservice import GlobalQueryService
 from repro.core.strategies import (
     ExecutionReport,
     compute_to_data,
@@ -15,9 +16,9 @@ from repro.core.strategies import (
 from repro.offchain.site import Site
 
 __all__ = [
+    "ChainGateway",
     "ExecutionReport",
     "FDA_NODE_NAME",
-    "GlobalAnswer",
     "GlobalQueryService",
     "MedicalBlockchainNetwork",
     "ParamsDepot",

@@ -1,17 +1,22 @@
 """Global query service (Figure 5's top layer).
 
 Accepts a research question (natural language or a ready
-:class:`QueryVector`), decomposes it into per-site smart-contract task
-requests, waits for the sites' control nodes to execute against their local
-data, and composes the partial results into one global answer.  For
-``train`` queries it runs a full federated loop: every round broadcasts the
-global model parameters (off chain, by content hash) and averages the
+:class:`QueryVector`), decomposes it into per-site work, lets each site
+execute against its local data, and composes the partial results into one
+global answer.  For ``train`` queries it runs a full federated loop: every
+round ships the global model parameters to the sites and averages the
 returned site updates.
+
+Every round is one :meth:`~repro.rpc.gateway.Gateway.aexecute`, over one of
+three transports with one algorithm: the platform's chain
+(:class:`~repro.core.chain_gateway.ChainGateway`, the default: smart-contract
+tasks run by each site's control code, in simulated time), or site servers
+in process (``InprocGateway``) or over TCP (``TcpGateway``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -19,28 +24,13 @@ import numpy as np
 from repro.analytics.features import FEATURE_DIM
 from repro.analytics.models import LogisticModel, MLPModel, SupervisedModel
 from repro.common.errors import QueryError
-from repro.common.serialize import canonical_bytes
+from repro.common.hashing import hash_value_hex
 from repro.common.signatures import KeyPair
+from repro.core.chain_gateway import ChainGateway
 from repro.core.platform import MedicalBlockchainNetwork
-from repro.obs.tracer import trace_span
-from repro.offchain.control import NonceTracker
-from repro.offchain.tasks import TaskResult
-from repro.query.compose import SiteTask, compose, decompose
 from repro.query.parser import parse_query
 from repro.query.vector import QueryVector
-
-
-@dataclass
-class GlobalAnswer:
-    """Composed result of one distributed query."""
-
-    query_id: str
-    vector: QueryVector
-    result: Dict[str, Any]
-    site_partials: Dict[str, Dict[str, Any]]
-    latency_s: float
-    bytes_on_wire: int
-    failed_sites: Dict[str, str] = field(default_factory=dict)
+from repro.rpc.gateway import Gateway, GatewayAnswer
 
 
 class GlobalQueryService:
@@ -50,31 +40,23 @@ class GlobalQueryService:
         self,
         platform: MedicalBlockchainNetwork,
         researcher: KeyPair,
-        default_timeout_s: float = 600.0,
-        gateway: Optional[Any] = None,
+        gateway: Optional[Gateway] = None,
     ):
         self.platform = platform
         self.researcher = researcher
-        self.default_timeout_s = default_timeout_s
-        #: Optional repro.rpc gateway; when set, single-round aggregate
-        #: queries dispatch to (possibly remote) site servers over RPC
-        #: instead of through the simulated on-chain task round-trip.
-        self.gateway = gateway
-        self._nonces = NonceTracker()
-        self._results: Dict[str, TaskResult] = {}
-        self._task_counter = 0
-        for site in platform.sites.values():
-            site.control.on_result(self._collect_result)
+        #: Where each round runs: the platform's chain unless a gateway to
+        #: site servers is given.
+        self.gateway = gateway if gateway is not None else ChainGateway(platform, researcher)
 
     # -- public API ---------------------------------------------------------
-    def ask(self, question: str, purpose: str = "research") -> GlobalAnswer:
+    def ask(self, question: str, purpose: str = "research") -> GatewayAnswer:
         """Natural-language entry point."""
         vector = parse_query(question, purpose=purpose)
         return self.execute(vector)
 
     def execute(
         self, vector: QueryVector, timeout_s: Optional[float] = None
-    ) -> GlobalAnswer:
+    ) -> GatewayAnswer:
         """Decompose, dispatch, await, compose."""
         vector.validate()
         if vector.intent == "train":
@@ -86,36 +68,14 @@ class GlobalQueryService:
                 "evaluate queries carry model parameters; call "
                 "GlobalQueryService.evaluate_model(model, vector) instead"
             )
-        if self.gateway is not None:
-            return self._execute_via_gateway(vector, timeout_s)
-        return self._execute_single_round(vector, vector.tool_params(), timeout_s)
-
-    def _execute_via_gateway(
-        self, vector: QueryVector, timeout_s: Optional[float]
-    ) -> GlobalAnswer:
-        """Serve a single-round aggregate through the RPC gateway.
-
-        Decomposition, fan-out, and composition happen in the gateway; the
-        answer shape is identical to the simulated path, so callers cannot
-        tell (and tests assert they cannot tell by result content).
-        """
-        answer = self.gateway.execute(vector, timeout_s)
-        return GlobalAnswer(
-            query_id=answer.query_id,
-            vector=vector,
-            result=answer.result,
-            site_partials=answer.site_partials,
-            latency_s=answer.latency_s,
-            bytes_on_wire=answer.bytes_on_wire,
-            failed_sites=answer.failed_sites,
-        )
+        return self.gateway.execute(vector, timeout_s)
 
     def evaluate_model(
         self,
         model: SupervisedModel,
         vector: QueryVector,
         timeout_s: Optional[float] = None,
-    ) -> GlobalAnswer:
+    ) -> GatewayAnswer:
         """Federated evaluation: score a model on every site's local data.
 
         The model's parameters ship to each site (off chain, by content
@@ -127,11 +87,10 @@ class GlobalQueryService:
         vector.validate()
         if vector.intent != "evaluate":
             raise QueryError("evaluate_model requires an 'evaluate' query vector")
-        params = vector.tool_params()
-        params["global_params"] = [p.tolist() for p in model.get_params()]
-        return self._execute_single_round(vector, params, timeout_s, round_tag="ev")
+        params = {"global_params": [p.tolist() for p in model.get_params()]}
+        return self.gateway.execute(vector, timeout_s, params=params)
 
-    def _execute_fetch(self, vector: QueryVector) -> GlobalAnswer:
+    def _execute_fetch(self, vector: QueryVector) -> GatewayAnswer:
         """Retrieve records through the HIE exchange (grants enforced,
         payload encrypted to the requester, schema projected).
 
@@ -167,14 +126,16 @@ class GlobalQueryService:
             partials[ref.site] = {"records": receipt.record_count}
         if not partials:
             raise QueryError(f"fetch produced no records; failures: {failures}")
-        return GlobalAnswer(
+        result = {"records": records, "count": len(records)}
+        return GatewayAnswer(
             query_id=vector.query_id,
-            vector=vector,
-            result={"records": records, "count": len(records)},
+            result=result,
+            result_hash=hash_value_hex(result),
             site_partials=partials,
+            failed_sites=failures,
             latency_s=self.platform.kernel.now - start,
             bytes_on_wire=bytes_on_wire,
-            failed_sites=failures,
+            transport="chain",
         )
 
     def train_model(
@@ -192,191 +153,17 @@ class GlobalQueryService:
         )
         return model
 
-    # -- internals ----------------------------------------------------------
-    def _collect_result(self, result: TaskResult) -> None:
-        self._results[result.task_id] = result
-
-    def _dispatch_tasks(
-        self, vector: QueryVector, params: Dict[str, Any], round_tag: str
-    ) -> List[SiteTask]:
-        catalog = self.platform.catalog()
-        if not catalog:
-            raise QueryError("no datasets are registered on the platform")
-        params_ref = self.platform.depot.put(params)
-        with trace_span(
-            "query.decompose", intent=vector.intent, datasets=len(catalog)
-        ) as span:
-            tasks = decompose(vector, catalog)
-            span.set_attr("tasks", len(tasks))
-        entry_node = self.platform.nodes[self.platform.node_names[0]]
-        dispatched = []
-        self._request_txs: Dict[str, Any] = getattr(self, "_request_txs", {})
-        for task in tasks:
-            self._task_counter += 1
-            task_id = f"{task.task_id}-{round_tag}-{self._task_counter}"
-            nonce = self._nonces.next_nonce(
-                self.researcher.address,
-                entry_node.state.nonce(self.researcher.address),
-            )
-            from repro.chain.transactions import make_call
-
-            tx = make_call(
-                self.researcher,
-                self.platform.contracts.analytics_contract_id,
-                "request_task",
-                {
-                    "task_id": task_id,
-                    "tool_id": task.tool_id,
-                    "dataset_ids": task.dataset_ids,
-                    "params": {"params_ref": params_ref},
-                    "purpose": task.purpose,
-                },
-                nonce=nonce,
-                timestamp_ms=int(self.platform.kernel.now * 1000),
-            )
-            entry_node.submit_tx(tx)
-            self._request_txs[task_id] = tx
-            # Down-link cost: global params shipped to the executing site.
-            self.platform.metrics.add_bytes(
-                len(canonical_bytes(params)), scope="query-service"
-            )
-            dispatched.append(
-                SiteTask(
-                    task_id=task_id,
-                    site=task.site,
-                    dataset_ids=task.dataset_ids,
-                    tool_id=task.tool_id,
-                    params=params,
-                    purpose=task.purpose,
-                )
-            )
-        return dispatched
-
-    def _await_tasks(
-        self, tasks: List[SiteTask], timeout_s: float
-    ) -> Dict[str, str]:
-        """Run the simulation until every task completed or failed."""
-        controls = {
-            site_name: site.control for site_name, site in self.platform.sites.items()
-        }
-        entry_node = self.platform.nodes[self.platform.node_names[0]]
-
-        def request_failed(task_id: str) -> str:
-            tx = getattr(self, "_request_txs", {}).get(task_id)
-            if tx is None:
-                return ""
-            receipt = entry_node.receipt(tx.tx_id)
-            if receipt is not None and not receipt.success:
-                return f"request_task rejected: {receipt.error}"
-            return ""
-
-        def settled() -> bool:
-            for task in tasks:
-                if task.task_id in self._results:
-                    continue
-                control = controls.get(task.site)
-                if control is not None and task.task_id in control.rejected:
-                    continue
-                if request_failed(task.task_id):
-                    continue
-                return False
-            return True
-
-        self.platform.kernel.run(
-            until=self.platform.kernel.now + timeout_s, stop_when=settled
-        )
-        failures = {}
-        for task in tasks:
-            if task.task_id in self._results:
-                continue
-            control = controls.get(task.site)
-            if control is not None and task.task_id in control.rejected:
-                failures[task.site] = control.rejected[task.task_id]
-            else:
-                failures[task.site] = request_failed(task.task_id) or "timeout"
-        return failures
-
-    def _execute_single_round(
-        self,
-        vector: QueryVector,
-        params: Dict[str, Any],
-        timeout_s: Optional[float],
-        round_tag: str = "r0",
-    ) -> GlobalAnswer:
-        start = self.platform.kernel.now
-        with trace_span(
-            "query.round",
-            intent=vector.intent,
-            tag=round_tag,
-            sim_start=start,
-        ) as round_span:
-            with trace_span("query.dispatch") as span:
-                tasks = self._dispatch_tasks(vector, params, round_tag)
-                span.set_attr("tasks", len(tasks))
-            with trace_span("query.await", tasks=len(tasks)) as span:
-                failures = self._await_tasks(
-                    tasks, timeout_s or self.default_timeout_s
-                )
-                span.set_attr("failures", len(failures))
-                span.set_attr("sim_elapsed_s", self.platform.kernel.now - start)
-            partials: Dict[str, Dict[str, Any]] = {}
-            bytes_on_wire = 0
-            for task in tasks:
-                result = self._results.get(task.task_id)
-                if result is None:
-                    continue
-                partials[task.site] = result.result
-                up = len(canonical_bytes(result.result))
-                bytes_on_wire += up + len(canonical_bytes(params))
-                self.platform.metrics.add_bytes(up, scope=task.site)
-            if not partials:
-                raise QueryError(
-                    f"query {vector.query_id} produced no results; "
-                    f"failures: {failures}"
-                )
-            with trace_span("query.compose", sites=len(partials)):
-                composed = compose(vector, list(partials.values()))
-            round_span.set_attr("bytes", bytes_on_wire)
-            round_span.set_attr("sim_latency_s", self.platform.kernel.now - start)
-        return GlobalAnswer(
-            query_id=vector.query_id,
-            vector=vector,
-            result=composed,
-            site_partials=partials,
-            latency_s=self.platform.kernel.now - start,
-            bytes_on_wire=bytes_on_wire,
-            failed_sites=failures,
-        )
-
     def _execute_train(
         self, vector: QueryVector, timeout_s: Optional[float]
-    ) -> GlobalAnswer:
-        """Federated loop riding the task machinery round by round."""
-        start = self.platform.kernel.now
-        global_params: Optional[List[List[float]]] = None
-        total_bytes = 0
-        partials: Dict[str, Dict[str, Any]] = {}
-        failures: Dict[str, str] = {}
-        composed: Dict[str, Any] = {}
+    ) -> GatewayAnswer:
+        """Federated averaging, one gateway round per round: the last
+        round's answer, with every round's latency and bytes."""
+        params: Dict[str, Any] = {}
+        latency_s, total_bytes = 0.0, 0
         for round_index in range(vector.rounds):
-            params = vector.tool_params()
             params["seed"] = round_index
-            if global_params is not None:
-                params["global_params"] = global_params
-            answer = self._execute_single_round(
-                vector, params, timeout_s, round_tag=f"r{round_index}"
-            )
-            composed = answer.result
-            partials = answer.site_partials
-            failures = answer.failed_sites
+            answer = self.gateway.execute(vector, timeout_s, params=params)
+            latency_s += answer.latency_s
             total_bytes += answer.bytes_on_wire
-            global_params = composed["params"]
-        return GlobalAnswer(
-            query_id=vector.query_id,
-            vector=vector,
-            result=composed,
-            site_partials=partials,
-            latency_s=self.platform.kernel.now - start,
-            bytes_on_wire=total_bytes,
-            failed_sites=failures,
-        )
+            params = {"global_params": answer.result["params"]}
+        return dataclasses.replace(answer, latency_s=latency_s, bytes_on_wire=total_bytes)

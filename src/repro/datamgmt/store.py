@@ -15,13 +15,19 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import DataFormatError, OracleError
 from repro.common.hashing import hash_value_hex
 from repro.datamgmt.columns import Path, Table
 from repro.datamgmt.formats import KNOWN_FORMATS, export_record, parse_record
 from repro.offchain.anchoring import DatasetAnchor
+
+
+def listing_version(listing: Iterable[Tuple[str, int]]) -> str:
+    """Short content hash of a site's listing: its (dataset id, record
+    count) pairs, in any order."""
+    return hash_value_hex(sorted([dataset_id, count] for dataset_id, count in listing))[:16]
 
 
 @dataclass
@@ -154,11 +160,10 @@ class HospitalDataStore:
         """
         with self._lock:
             if self._catalog_version is None:
-                listing = [
-                    [dataset_id, len(dataset.raw_records)]
-                    for dataset_id, dataset in sorted(self._datasets.items())
-                ]
-                self._catalog_version = hash_value_hex(listing)[:16]
+                self._catalog_version = listing_version(
+                    (dataset_id, len(dataset.raw_records))
+                    for dataset_id, dataset in self._datasets.items()
+                )
             return self._catalog_version
 
     def anchor(self, dataset_id: str) -> DatasetAnchor:

@@ -1,6 +1,5 @@
 """Distributed learning: federated training, transfer learning, baselines."""
 
-from repro.learning.aggregation import aggregate_masked, mask_update, masked_round
 from repro.learning.baseline import (
     CentralizedResult,
     estimate_record_bytes,
@@ -38,11 +37,8 @@ __all__ = [
     "FederatedTrainer",
     "RoundRecord",
     "TransferResult",
-    "aggregate_masked",
     "estimate_record_bytes",
     "local_only_baselines",
-    "mask_update",
-    "masked_round",
     "non_iid_severity",
     "MultiTaskSiteData",
     "pretrain_core_model",

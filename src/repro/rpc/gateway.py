@@ -1,27 +1,31 @@
-"""The global query gateway: dispatch decomposed sub-queries to site servers.
+"""The global query gateway: dispatch decomposed sub-queries to the sites.
 
 Figure 5's Global Query Service decomposes a research query into per-site
 work; the :class:`Gateway` is the transport boundary that carries each
-sub-query to the site that must run it.  Two interchangeable transports:
+sub-query to the site that must run it.  Three transports, one algorithm:
 
 - :class:`InprocGateway` — dispatches through each site's
   :class:`~repro.rpc.server.RpcServer` *dispatch path* in-process (codec
-  and method layer included, sockets excluded).  Default: keeps every
-  existing test and benchmark hermetic and fast.
+  and method layer included, sockets excluded).
 - :class:`TcpGateway` — dispatches over pooled, pipelined framed-TCP
   connections to real site server processes (see
   :mod:`repro.rpc.site_server`).
+- ``repro.core.chain_gateway.ChainGateway`` — submits each sub-query as a
+  ``request_task`` transaction that the site's control code answers, in the
+  platform's simulated time.  It lives in ``repro.core``, so this package
+  loads no chain code.
 
-Both share one execution algorithm (catalog -> decompose -> concurrent
-``site.query`` fan-out -> compose), and both serialize through the same
-canonical codec, so a query's composed result — and its content hash — is
+All three run :meth:`Gateway.aexecute` (catalog -> decompose -> concurrent
+``site.query`` fan-out -> compose), and the partials they compose are the
+same bytes, so a query's composed result — and its content hash — is
 transport-invariant.  The E15 benchmark and CI gate on exactly that.  A
-transport supplies a call (:meth:`Gateway.acall`, with its retries) and a
-frame of requests sent without waiting (:meth:`Gateway.send`), on which the
-fan-out runs from the query's own coroutine.  While another query is in
-flight, a query's aggregate ``site.query`` requests wait for the end of the
-event-loop turn, and every request a site gets in that turn leaves in one
-frame: one wake-up of the site instead of one per request.
+transport supplies a frame of requests sent without waiting
+(:meth:`Gateway.send`), a call (:meth:`Gateway.acall`, with its retries),
+and the clock that ``latency_s`` and the deadlines are read on
+(:attr:`Gateway.now`, :meth:`Gateway.call_later`).  While another query is
+in flight, a query's aggregate ``site.query`` requests wait for the end of
+the event-loop turn, and every request a site gets in that turn leaves in
+one frame: one wake-up of the site instead of one per request.
 
 The catalog is each site's last ``site.catalog`` reply, kept by the gateway
 and validated on use: every ``site.query`` names the listing ``version`` it
@@ -56,7 +60,7 @@ from repro.rpc.client import (
     adopt_remote_spans,
     expire,
 )
-from repro.rpc.errors import RpcError, StaleCatalogError
+from repro.rpc.errors import RpcError, ShuttingDownError, StaleCatalogError
 from repro.rpc.methods import LOOP_TOOLS
 from repro.rpc.runtime import EventLoopThread
 from repro.rpc.server import RpcServer
@@ -97,6 +101,10 @@ class Gateway:
     transport = "abstract"
     #: A query's deadline when :meth:`aexecute` is given none (None: none).
     request_timeout_s: Optional[float] = None
+    #: The failures of a site's first try that :meth:`_recover` tries again.
+    retryable: Tuple[type, ...] = RETRYABLE
+    #: The clock of ``latency_s`` and of every deadline (see :meth:`call_later`).
+    now = staticmethod(perf_counter)
 
     def __init__(self) -> None:
         self._runner: Optional[EventLoopThread] = None
@@ -115,8 +123,32 @@ class Gateway:
         idempotent: bool = True,
         timeout_s: Optional[float] = None,
     ) -> Any:
-        """Call ``method`` at ``site``; ``params`` may be their canonical bytes."""
-        raise NotImplementedError
+        """Call ``method`` at ``site``; ``params`` may be their canonical bytes.
+
+        Here: one frame through :meth:`send`, never tried again, within
+        ``timeout_s`` (or :attr:`request_timeout_s`) if one is set.
+        """
+        with trace_span("rpc.call", method=method, transport=self.transport) as span:
+            (future,) = self.send(site, [(method, params, _trace_meta())])
+            deadline = self.request_timeout_s if timeout_s is None else timeout_s
+            timer = None if deadline is None else self.call_later(
+                deadline, expire, [future], method, deadline
+            )
+            try:
+                response = await future
+            finally:
+                if timer is not None:
+                    timer.cancel()
+            if response.meta:
+                span.set_attr("remote_spans", adopt_remote_spans(response.meta))
+            if response.error is not None:
+                raise response.error
+            return response.result
+
+    def call_later(self, delay: float, callback: Any, *args: Any) -> Any:
+        """Run ``callback(*args)`` ``delay`` seconds from now on :attr:`now`'s
+        clock; the returned handle's ``cancel()`` calls it off."""
+        return asyncio.get_running_loop().call_later(delay, callback, *args)
 
     def send(
         self,
@@ -185,9 +217,16 @@ class Gateway:
         ]
 
     async def aexecute(
-        self, vector: QueryVector, timeout_s: Optional[float] = None
+        self,
+        vector: QueryVector,
+        timeout_s: Optional[float] = None,
+        params: Optional[Dict[str, Any]] = None,
     ) -> GatewayAnswer:
         """Decompose, fan out, compose, hash.
+
+        ``params`` go to every site with its sub-query and are merged over
+        the vector's tool params there (a training round's ``global_params``
+        and ``seed``).
 
         The fan-out is this coroutine alone: it sends every site its
         ``site.query``, arms one deadline for them all and awaits the
@@ -201,7 +240,7 @@ class Gateway:
         only a query no site answered raises.
         """
         vector.validate()
-        started = perf_counter()
+        started = self.now()
         # Encoded once: these bytes give the query_id and are every site's
         # params' ``vector``.
         encoded = canonical_bytes(vector)
@@ -221,15 +260,16 @@ class Gateway:
             failed: List[Tuple[SiteTask, bytes, Optional[BaseException]]] = []
             bytes_on_wire = 0
             try:
-                sent = [self._send_query(task, encoded, hold) for task in tasks]
+                sent = [
+                    self._send_query(task, self._site_params(task, encoded, params), hold)
+                    for task in tasks
+                ]
                 futures = [future for _, _, future in sent if future is not None]
                 if futures and deadline is not None:
-                    timer = asyncio.get_running_loop().call_later(
-                        deadline, expire, futures, "site.query", deadline
-                    )
-                for task, (params, call, future) in zip(tasks, sent):
+                    timer = self.call_later(deadline, expire, futures, "site.query", deadline)
+                for task, (request, call, future) in zip(tasks, sent):
                     # Each request's params are the down share of bytes_on_wire.
-                    bytes_on_wire += len(params)
+                    bytes_on_wire += len(request)
                     error: Optional[BaseException] = None  # with no future: not sent
                     if future is not None:
                         try:
@@ -249,7 +289,7 @@ class Gateway:
                             partials[task.site] = partial
                             bytes_on_wire += len(canonical_bytes(partial))
                             continue
-                    failed.append((task, params, error))
+                    failed.append((task, request, error))
             finally:
                 self._queries -= 1
                 if timer is not None:
@@ -260,8 +300,10 @@ class Gateway:
             if failed:
                 recovered = await asyncio.gather(
                     *(
-                        self._recover(vector, query_id, encoded, task, params, error, timeout_s)
-                        for task, params, error in failed
+                        self._recover(
+                            vector, query_id, encoded, params, task, request, error, timeout_s
+                        )
+                        for task, request, error in failed
                     )
                 )
                 for (task, _, _), (partial, error, size) in zip(failed, recovered):
@@ -288,32 +330,32 @@ class Gateway:
             result_hash=hash_value_hex(composed),
             site_partials=partials,
             failed_sites=failures,
-            latency_s=perf_counter() - started,
+            latency_s=self.now() - started,
             bytes_on_wire=bytes_on_wire,
             transport=self.transport,
         )
 
-    def _site_params(self, task: SiteTask, encoded: bytes) -> bytes:
+    def _site_params(
+        self, task: SiteTask, encoded: bytes, params: Optional[Dict[str, Any]]
+    ) -> bytes:
         """The canonical bytes of ``task``'s ``site.query`` params, with the
         vector's bytes spliced in (``vector`` sorts last)."""
-        return codec.splice(
-            {
-                "catalog_version": self._listings[task.site]["version"],
-                "dataset_ids": list(task.dataset_ids),
-                "task_id": task.task_id,
-            },
-            "vector",
-            encoded,
-        )
+        head = {
+            "catalog_version": self._listings[task.site]["version"],
+            "dataset_ids": list(task.dataset_ids),
+            "task_id": task.task_id,
+        }
+        if params is not None:
+            head["params"] = params
+        return codec.splice(head, "vector", encoded)
 
     def _send_query(
-        self, task: SiteTask, encoded: bytes, hold: bool
+        self, task: SiteTask, params: bytes, hold: bool
     ) -> Tuple[bytes, Any, Optional[asyncio.Future]]:
-        """Send ``task``'s ``site.query`` without waiting, now or, if
-        ``hold`` and its tool runs on the site's loop, at the end of this
-        turn: its params' bytes, its ``rpc.call`` span and its response
-        future (None: not sent, and the slow path sends it)."""
-        params = self._site_params(task, encoded)
+        """Send ``task``'s ``site.query`` (``params``: its params' bytes)
+        without waiting, now or, if ``hold`` and its tool runs on the site's
+        loop, at the end of this turn: ``params``, its ``rpc.call`` span and
+        its response future (None: not sent, and the slow path sends it)."""
         call = trace_span("rpc.call", method="site.query", transport=self.transport)
         request = ("site.query", params, _trace_meta(call.begin().span_id))
         if hold and task.tool_id in LOOP_TOOLS:
@@ -364,24 +406,25 @@ class Gateway:
         vector: QueryVector,
         query_id: str,
         encoded: bytes,
+        params: Optional[Dict[str, Any]],
         task: SiteTask,
-        params: bytes,
+        sent: bytes,
         error: Optional[BaseException],
         timeout_s: Optional[float],
     ) -> Tuple[Optional[Dict[str, Any]], Optional[BaseException], int]:
-        """The slow path of a site whose first try failed with ``error``
-        (None: it was not sent): (partial, error, bytes on the wire beyond
-        the first request's params).
+        """The slow path of a site whose first try (params ``sent``) failed
+        with ``error`` (None: it was not sent): (partial, error, bytes on
+        the wire beyond the first request's params).
 
-        A failure a fresh connection may get past is tried again through
-        :meth:`acall`, with its retries.  A site that refuses the plan as
-        stale sends its fresh listing along: plan again over it and ask that
-        site once more.  A second refusal is that site's failure for this
+        A failure a fresh connection may get past (:attr:`retryable`) is
+        tried again through :meth:`acall`, with its retries.  A site that
+        refuses the plan as stale sends its fresh listing along: plan again
+        over it and ask that site once more.  A second refusal is that site's failure for this
         query, as is any other error.
         """
         size = 0
-        if error is None or isinstance(error, RETRYABLE):
-            partial, error, size = await self._query_site(task.site, params, timeout_s)
+        if error is None or isinstance(error, self.retryable):
+            partial, error, size = await self._query_site(task.site, sent, timeout_s)
             if error is None:
                 return partial, None, size
         if not isinstance(error, StaleCatalogError):
@@ -398,9 +441,9 @@ class Gateway:
         )
         if replanned is None:  # the site hosts nothing any more
             return None, None, size
-        params = self._site_params(replanned, encoded)
-        partial, error, up = await self._query_site(task.site, params, timeout_s)
-        return partial, error, size + len(params) + up
+        sent = self._site_params(replanned, encoded, params)
+        partial, error, up = await self._query_site(task.site, sent, timeout_s)
+        return partial, error, size + len(sent) + up
 
     async def _query_site(
         self, site: str, params: bytes, timeout_s: Optional[float]
@@ -417,10 +460,11 @@ class Gateway:
         return partial, None, len(canonical_bytes(partial))
 
     # -- sync facade -------------------------------------------------------
-    def _loop_runner(self) -> EventLoopThread:
+    def _run(self, coro: Any) -> Any:
+        """Run ``coro`` to its end from sync code, on this gateway's loop thread."""
         if self._runner is None:
             self._runner = EventLoopThread(name=f"repro-rpc-{self.transport}")
-        return self._runner
+        return self._runner.run(coro)
 
     def call(
         self,
@@ -431,17 +475,20 @@ class Gateway:
         idempotent: bool = True,
         timeout_s: Optional[float] = None,
     ) -> Any:
-        return self._loop_runner().run(
+        return self._run(
             self.acall(site, method, params, idempotent=idempotent, timeout_s=timeout_s)
         )
 
     def execute(
-        self, vector: QueryVector, timeout_s: Optional[float] = None
+        self,
+        vector: QueryVector,
+        timeout_s: Optional[float] = None,
+        params: Optional[Dict[str, Any]] = None,
     ) -> GatewayAnswer:
-        return self._loop_runner().run(self.aexecute(vector, timeout_s))
+        return self._run(self.aexecute(vector, timeout_s, params))
 
     def catalog(self) -> List[DatasetRef]:
-        return self._loop_runner().run(self.acatalog())
+        return self._run(self.acatalog())
 
     def close(self) -> None:
         if self._runner is not None:
@@ -493,9 +540,10 @@ class InprocGateway(Gateway):
             ]
         except Exception as exc:  # noqa: BLE001 - every request of the frame fails with it
             outcomes = [exc] * len(futures)
-        except BaseException:  # a handler cancelled (the server closing): so are its requests
+        except BaseException:  # a handler cancelled: the server is closing
             for future in futures:
-                future.cancel()
+                if not future.done():
+                    future.set_exception(ShuttingDownError(f"{server.name} closed mid-request"))
             raise
         for future, outcome in zip(futures, outcomes):
             if future.done():
@@ -504,24 +552,6 @@ class InprocGateway(Gateway):
                 future.set_exception(outcome)
             else:
                 future.set_result(outcome)
-
-    async def acall(
-        self,
-        site: str,
-        method: str,
-        params: EncodedParams = None,
-        *,
-        idempotent: bool = True,
-        timeout_s: Optional[float] = None,
-    ) -> Any:
-        with trace_span("rpc.call", method=method, transport=self.transport) as span:
-            (future,) = self.send(site, [(method, params, _trace_meta())])
-            response = await future
-            if response.meta:
-                span.set_attr("remote_spans", adopt_remote_spans(response.meta))
-            if response.error is not None:
-                raise response.error
-            return response.result
 
     async def aclose(self) -> None:
         for server in self.servers.values():

@@ -83,6 +83,17 @@ def vector_to_wire(vector: QueryVector) -> Dict[str, Any]:
     return to_jsonable(vector)
 
 
+def query_tool_params(vector: QueryVector, params: Any = None) -> Dict[str, Any]:
+    """A ``site.query``'s tool params: the vector's, with ``params`` (an
+    object: a round's ``global_params`` and ``seed``) merged over them."""
+    if params is not None and not isinstance(params, dict):
+        raise InvalidParamsError("site.query: params must be an object")
+    tool_params = vector.tool_params()
+    if params:
+        tool_params.update(params)
+    return tool_params
+
+
 def build_site_registry(
     site: Site,
     *,
@@ -162,13 +173,16 @@ def build_site_registry(
         dataset_ids: Optional[List[str]] = None,
         task_id: str = "",
         catalog_version: Optional[str] = None,
+        params: Optional[Dict[str, Any]] = None,
     ) -> Encoded:
         """One decomposed sub-query over this site's records.
 
-        Answers ``site.run_task``'s outcome for the vector's tool and params:
-        ``task_id``, ``tool_id``, ``site``, ``result``, ``result_hash``,
-        ``records_used``, ``flops`` and ``purpose``.  A gateway names the
-        query in ``task_id``; without one it is ``<query_id>-<site>``.
+        Answers ``site.run_task``'s outcome for the vector's tool and params
+        (``params`` merged over them: a round's ``global_params`` and
+        ``seed``): ``task_id``, ``tool_id``, ``site``, ``result``,
+        ``result_hash``, ``records_used``, ``flops`` and ``purpose``.  A
+        gateway names the query in ``task_id``; without one it is
+        ``<query_id>-<site>``.
         """
         if catalog_version is not None and catalog_version != store.catalog_version():
             raise StaleCatalogError(data=catalog())
@@ -179,7 +193,7 @@ def build_site_registry(
             task_id=task_id or f"{built.query_id}-{site.name}",
             tool_id=tool_id,
             dataset_ids=dataset_ids,
-            params=built.tool_params(),
+            params=query_tool_params(built, params),
             purpose=built.purpose,
         )
         return run() if tool_id in LOOP_TOOLS else await asyncio.to_thread(run)

@@ -1,9 +1,9 @@
 """E10's query suite over its three legacy-format stores, pinned.
 
 The stores serve a canonical view that is parsed once per dataset; these are
-the answers (and wire sizes) the suite gave when every access re-parsed, so
-any drift in the view — a dropped record, a float accumulated in another
-order — moves a hash here.
+the answers the suite gave when every access re-parsed, so any drift in the
+view — a dropped record, a float accumulated in another order — moves a hash
+here.  The wire sizes are each site's ``site.query`` params plus its partial.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
 
 #: query text -> (sha256 prefix of the composed result, bytes on the wire)
 PINNED = {
-    "how many patients have diabetes": ("1447346367c2f79a", 150),
-    "prevalence of stroke among smokers": ("8eac409468e2a08c", 285),
-    "average systolic blood pressure for women over 50": ("1af722adfcb19ec0", 579),
-    "histogram of bmi between 15 and 55 with 8 bins": ("b5b2ce88877c11c8", 429),
-    "how many men aged 40 to 60 have cancer": ("19f8817224a7a074", 249),
+    "how many patients have diabetes": ("1447346367c2f79a", 1053),
+    "prevalence of stroke among smokers": ("8eac409468e2a08c", 1164),
+    "average systolic blood pressure for women over 50": ("1af722adfcb19ec0", 1446),
+    "histogram of bmi between 15 and 55 with 8 bins": ("b5b2ce88877c11c8", 1233),
+    "how many men aged 40 to 60 have cancer": ("19f8817224a7a074", 1152),
 }
 
 

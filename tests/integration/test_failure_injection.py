@@ -10,6 +10,7 @@ from repro.core.platform import MedicalBlockchainNetwork, PlatformConfig
 from repro.core.queryservice import GlobalQueryService
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
 from repro.query.vector import QueryVector
+from repro.rpc.errors import TIMEOUT
 from repro.sim.network import LinkSpec
 
 
@@ -95,7 +96,7 @@ class TestCrashes:
         service = GlobalQueryService(platform, researcher)
         vector = QueryVector(intent="count", purpose="research")
         answer = service.execute(vector, timeout_s=45)
-        assert answer.failed_sites.get("hospital-2") == "timeout"
+        assert answer.failed_sites["hospital-2"].startswith(f"[{TIMEOUT}]")
         assert len(answer.site_partials) == 2
 
 

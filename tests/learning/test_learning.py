@@ -1,4 +1,4 @@
-"""Federated learning, transfer learning, aggregation, baselines."""
+"""Federated learning, transfer learning, baselines."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.analytics.features import FEATURE_DIM, dataset_for
 from repro.analytics.models import LogisticModel, MLPModel
 from repro.common.errors import LearningError
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
-from repro.learning.aggregation import mask_update, masked_round
 from repro.learning.baseline import local_only_baselines, train_centralized
 from repro.learning.federated import (
     FederatedConfig,
@@ -214,43 +213,6 @@ class TestTransfer:
     def test_centralized_pretraining_variant(self, site_data):
         model = pretrain_core_model(site_data, federated=False, rounds=3)
         assert isinstance(model, MLPModel)
-
-
-class TestSecureAggregation:
-    def _params(self, seed):
-        rng = np.random.default_rng(seed)
-        return [rng.normal(0, 1, 5), rng.normal(0, 1, (2, 2))]
-
-    def test_masks_cancel_in_aggregate(self):
-        site_params = {f"s{i}": self._params(i) for i in range(4)}
-        aggregate, __ = masked_round(site_params, round_index=1)
-        expected = [
-            np.mean([params[j] for params in site_params.values()], axis=0)
-            for j in range(2)
-        ]
-        for got, want in zip(aggregate, expected):
-            assert np.allclose(got, want, atol=1e-9)
-
-    def test_individual_updates_are_masked(self):
-        site_params = {f"s{i}": self._params(i) for i in range(3)}
-        __, masked = masked_round(site_params, round_index=0, mask_scale=10.0)
-        for site, params in site_params.items():
-            assert not np.allclose(masked[site][0], params[0], atol=1.0)
-
-    def test_masks_differ_per_round(self):
-        params = {f"s{i}": self._params(i) for i in range(2)}
-        __, round0 = masked_round(params, round_index=0)
-        __, round1 = masked_round(params, round_index=1)
-        assert not np.allclose(round0["s0"][0], round1["s0"][0])
-
-    def test_unknown_site_rejected(self):
-        with pytest.raises(LearningError):
-            mask_update("ghost", ["a", "b"], self._params(0), 0)
-
-    def test_two_party_masking_symmetric(self):
-        a = mask_update("a", ["a", "b"], [np.zeros(3)], 5)
-        b = mask_update("b", ["a", "b"], [np.zeros(3)], 5)
-        assert np.allclose(a[0] + b[0], np.zeros(3), atol=1e-12)
 
 
 class TestCentralizedBaseline:

@@ -126,3 +126,15 @@ def test_a_site_boot_loads_only_the_data_modules_it_uses():
     )
     assert "repro.da.store" in listing and "repro.datamgmt.store" in listing
     assert not SITE_UNUSED & set(listing), sorted(SITE_UNUSED & set(listing))
+
+
+def test_the_rpc_gateways_do_not_import_the_chain_transport():
+    """``ChainGateway`` lives in ``repro.core``: the RPC transports load no
+    chain code and no platform."""
+    listing = _modules_after("import repro.rpc.demo, repro.rpc.gateway")
+    assert "repro.rpc.gateway" in listing
+    loaded = sorted(
+        name for name in listing
+        if name.startswith("repro.") and name.split(".")[1] in (CHAIN_SIDE - {"sim"}) | {"core"}
+    )
+    assert not loaded, loaded

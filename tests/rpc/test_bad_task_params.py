@@ -174,3 +174,28 @@ def test_params_that_do_not_fit_the_method_name_it(server, method, params, reaso
     answer = answer_of(server, method, params)
     assert answer["error"]["code"] == INVALID_PARAMS
     assert answer["error"]["message"] == f"{method}: {reason}"
+
+
+@pytest.mark.parametrize("params", [3, "seed", [["seed", 1]], True])
+def test_site_query_with_params_that_are_not_an_object(server, params):
+    answer = answer_of(server, "site.query", {"vector": {"intent": "count"}, "params": params})
+    assert answer["error"] == {
+        "code": INVALID_PARAMS,
+        "message": "site.query: params must be an object",
+    }
+
+
+def test_site_query_with_global_params_of_the_wrong_shape(server):
+    vector = {"intent": "train", "outcome": "stroke"}
+    params = {"vector": vector, "params": {"global_params": [[0.0]]}}
+    answer = answer_of(server, "site.query", params)
+    assert answer["error"]["code"] == INVALID_PARAMS
+    assert "parameter shape mismatch" in answer["error"]["message"]
+
+
+def test_site_query_merges_params_over_the_vectors_tool_params(server):
+    vector = {"intent": "count", "filters": {"sex": "F"}}
+    everyone = answer_of(server, "site.query", {"vector": vector, "params": {"filters": {}}})
+    women = answer_of(server, "site.query", {"vector": vector, "params": {}})
+    assert everyone["result"]["result"] == {"count": 60}
+    assert women["result"]["result"]["count"] < 60

@@ -1,4 +1,4 @@
-"""Gateway: inproc/tcp equivalence, query-service integration, tracing."""
+"""Gateway: inproc/tcp equivalence, failed sites, tracing."""
 
 from __future__ import annotations
 
@@ -8,12 +8,11 @@ import os
 import pytest
 
 from repro.common.errors import QueryError
-from repro.core.queryservice import GlobalQueryService
 from repro.obs.tracer import Tracer, tracer_override, trace_span
 from repro.query.parser import parse_query
 from repro.rpc.client import RetryPolicy, RpcClient
 from repro.rpc.demo import build_demo_network, build_inproc_gateway, build_site_server
-from repro.rpc.errors import MethodNotFoundError
+from repro.rpc.errors import SHUTTING_DOWN, MethodNotFoundError
 from repro.rpc.gateway import InprocGateway, TcpGateway
 from repro.rpc.methods import build_site_registry
 from repro.rpc.server import RpcServer
@@ -61,19 +60,6 @@ def test_tcp_and_inproc_compose_identical_hashes(demo):
         assert tcp_answer.transport == "tcp"
         assert inproc_answer.transport == "inproc"
     inproc.close()
-
-
-def test_gateway_backed_query_service_matches_simulated_path(demo):
-    platform, researcher = demo
-    gateway = build_inproc_gateway(platform)
-    via_gateway = GlobalQueryService(platform, researcher, gateway=gateway)
-    simulated = GlobalQueryService(platform, researcher)
-    for text in QUERIES[:2]:
-        gw_answer = via_gateway.ask(text)
-        sim_answer = simulated.ask(text)
-        assert gw_answer.result == sim_answer.result, text
-        assert sorted(gw_answer.site_partials) == sorted(sim_answer.site_partials)
-    gateway.close()
 
 
 def test_gateway_catalog_matches_platform_catalog(demo):
@@ -198,6 +184,32 @@ def test_a_site_that_times_out_is_a_failed_site():
     assert "-32002" in answer.failed_sites["hospital-2"]
     assert sorted(answer.site_partials) == ["hospital-0", "hospital-1"]
     expected = _two_site_answer(text, ["hospital-0", "hospital-1"])
+    assert answer.result_hash == expected.result_hash
+
+
+def test_an_inproc_site_closed_mid_query_is_a_failed_site():
+    """hospital-1's handler is still asleep when its server closes and
+    cancels it: the query names hospital-1 in ``failed_sites``, as the TCP
+    gateway does, and composes the other two sites' answers."""
+    text = QUERIES[0]
+    expected = _two_site_answer(text, ["hospital-0", "hospital-2"])
+
+    async def scenario():
+        servers = _site_servers(slow_site="hospital-1", delay_s=5.0)
+        gateway = InprocGateway(servers)
+        try:
+            await gateway.acatalog()
+            query = asyncio.ensure_future(gateway.aexecute(parse_query(text), timeout_s=10.0))
+            await asyncio.sleep(0.05)  # every request is out; hospital-1's handler sleeps
+            await servers["hospital-1"].close()
+            return await query
+        finally:
+            await gateway.aclose()
+
+    answer = asyncio.run(scenario())
+    assert set(answer.failed_sites) == {"hospital-1"}
+    assert answer.failed_sites["hospital-1"].startswith(f"[{SHUTTING_DOWN}]")
+    assert sorted(answer.site_partials) == ["hospital-0", "hospital-2"]
     assert answer.result_hash == expected.result_hash
 
 
