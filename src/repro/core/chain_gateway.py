@@ -70,8 +70,18 @@ class ChainGateway(Gateway):
         return sorted(self.platform.sites)
 
     def _run(self, coro: Any) -> Any:
-        """On the calling thread: the kernel runs where the caller does."""
-        return asyncio.run(coro)
+        """On the calling thread, with ``asyncio.run``: the kernel runs where
+        the caller does.  So the sync calls (``execute``, ``catalog``) are
+        for sync code; inside a running event loop, await ``aexecute``."""
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            return asyncio.run(coro)
+        coro.close()
+        raise RuntimeError(
+            "ChainGateway's sync calls run their own event loop; "
+            "inside a running one, await aexecute instead"
+        )
 
     def send(
         self,
@@ -148,8 +158,19 @@ class ChainGateway(Gateway):
 
     def _pump(self) -> None:
         self._pumping = False
-        if not self._settled():
+        if self._settled():
+            return
+        try:
             self.kernel.run(stop_when=self._settled)
+        except Exception as exc:  # noqa: BLE001 - e.g. a tool's own error
+            # Nothing else would run the kernel, and the deadlines are its
+            # events: every waiting request fails with the error, which the
+            # query raises, as a direct kernel.run would have.
+            pending, self._pending = self._pending, {}
+            for _, _, future in pending.values():
+                if not future.done():
+                    future.set_exception(exc)
+                    future.exception()  # retrieved: only an awaited one raises
 
     def _settled(self) -> bool:
         """Whether no request waits any more; a task the site's control code

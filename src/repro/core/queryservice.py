@@ -34,7 +34,12 @@ from repro.rpc.gateway import Gateway, GatewayAnswer
 
 
 class GlobalQueryService:
-    """Figure 5: query service + data service for one researcher identity."""
+    """Figure 5: query service + data service for one researcher identity.
+
+    Its calls block until the answer is composed.  The default
+    ``ChainGateway`` runs each round in an event loop of its own on the
+    calling thread, so call them from sync code, not from a running loop.
+    """
 
     def __init__(
         self,

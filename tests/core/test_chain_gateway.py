@@ -8,12 +8,14 @@ answer field but the clock reads the same on each.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 
 import pytest
 
 from repro.analytics.features import FEATURE_DIM
-from repro.analytics.models import LogisticModel
+from repro.analytics.models import LogisticModel, MLPModel
+from repro.common.errors import LearningError
 from repro.core.chain_gateway import ChainGateway
 from repro.core.queryservice import GlobalQueryService
 from repro.datamgmt.cohort import CohortGenerator, default_site_profiles
@@ -105,6 +107,39 @@ def test_a_service_starts_no_thread():
     for text in SHAPES[:3]:
         GlobalQueryService(platform, researcher).ask(text)
     assert threading.active_count() == before
+
+
+def test_a_sync_call_inside_a_running_loop_is_refused(transports):
+    async def inside():
+        with pytest.raises(RuntimeError, match="await aexecute"):
+            transports["chain"].ask(SHAPES[0])
+
+    asyncio.run(inside())
+
+
+def test_a_tool_error_raises_from_the_query_and_the_next_is_answered():
+    """The sites' tool raises on a model whose parameters do not fit: the
+    error leaves the kernel run inside the query's event loop and must reach
+    the caller, not leave the query waiting for a kernel nobody runs."""
+    platform, researcher = build_world(seed=36)
+    service = GlobalQueryService(platform, researcher)
+    raised = []
+
+    def evaluate():
+        try:
+            service.evaluate_model(
+                MLPModel(FEATURE_DIM), QueryVector(intent="evaluate", outcome="stroke")
+            )
+        except LearningError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=evaluate, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "evaluate_model did not return"
+    assert "parameter shape mismatch" in str(raised[0])
+    answer = service.ask(SHAPES[0])
+    assert not answer.failed_sites
 
 
 def test_a_dataset_registered_after_a_query_is_used_by_the_next(monkeypatch):
